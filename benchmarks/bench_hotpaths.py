@@ -21,12 +21,10 @@ Scenarios cover qubit-only, qutrit-only and mixed-radix registers with
 GHZ, W, dense-random and sparse-random states.  Per scenario the
 harness times DD construction (the object-path vectorized kernel, the
 arena-backed kernel, and the two baselines), preparation verification
-(the fused level-batched kernel, the per-gate in-place kernel, and the
-two baselines — asserting the fused and in-place fidelities agree) and
-single-pass vs. separate diagram statistics.  ``--smoke`` additionally
-asserts two CI floors on the dense scenario: the arena build kernel
-holds >=1.3x over the object kernel, and the fused verify kernel holds
->=1.5x over the in-place kernel.
+(the per-gate in-place kernel and the two baselines) and single-pass
+vs. separate diagram statistics.  ``--smoke`` additionally asserts a
+CI floor on the dense scenario: the arena build kernel holds >=1.3x
+over the object kernel.
 
 Run::
 
@@ -344,24 +342,8 @@ def run(smoke: bool, repeats: int) -> dict:
 
         result = prepare_state(state, verify=False)
         circuit = result.circuit
-        # _best_of takes the min over repeats, so the fused column
-        # reflects the cached-plan replay (the one-off plan compile
-        # lands in the first repeat only, as it does in serving).
-        fused_s = _best_of(
-            lambda: verify_preparation(circuit, state, fused=True),
-            repeats,
-        )
         inplace_s = _best_of(
-            lambda: verify_preparation(circuit, state, fused=False),
-            repeats,
-        )
-        fused_fidelity = verify_preparation(circuit, state, fused=True)
-        inplace_fidelity = verify_preparation(
-            circuit, state, fused=False
-        )
-        assert round(fused_fidelity, 12) == round(inplace_fidelity, 12), (
-            f"fused/in-place fidelity mismatch on {name}: "
-            f"{fused_fidelity!r} vs {inplace_fidelity!r}"
+            lambda: verify_preparation(circuit, state), repeats
         )
         ref_verify_s = _best_of(
             lambda: fidelity(
@@ -374,24 +356,15 @@ def run(smoke: bool, repeats: int) -> dict:
         )
         verify = {
             "operations": len(circuit.gates),
-            "fused_s": round(fused_s, 6),
             "inplace_s": round(inplace_s, 6),
             "reference_s": round(ref_verify_s, 6),
             "seed_s": round(seed_verify_s, 6),
-            "fused_speedup_vs_inplace": _round_speedup(
-                inplace_s, fused_s
-            ),
-            "fused_speedup_vs_seed": _round_speedup(
-                seed_verify_s, fused_s
-            ),
             "speedup_vs_reference": _round_speedup(
                 ref_verify_s, inplace_s
             ),
             "speedup_vs_seed": _round_speedup(seed_verify_s, inplace_s),
         }
-        print(f"  verify: fused {fused_s * 1e3:7.2f} ms"
-              f" | in-place {inplace_s * 1e3:7.2f} ms"
-              f" ({verify['fused_speedup_vs_inplace']:.2f}x)"
+        print(f"  verify: in-place {inplace_s * 1e3:7.2f} ms"
               f" | reference {ref_verify_s * 1e3:7.2f} ms"
               f" ({verify['speedup_vs_reference']:.2f}x)"
               f" | seed {seed_verify_s * 1e3:7.2f} ms"
@@ -454,31 +427,18 @@ def run(smoke: bool, repeats: int) -> dict:
                 headline_row["verify"]["speedup_vs_seed"],
             "verify_speedup_vs_reference":
                 headline_row["verify"]["speedup_vs_reference"],
-            "fused_verify_speedup_vs_inplace":
-                headline_row["verify"]["fused_speedup_vs_inplace"],
-            "fused_verify_speedup_vs_seed":
-                headline_row["verify"]["fused_speedup_vs_seed"],
         },
         "scenarios": results,
     }
     if smoke:
-        # CI floors on the dense scenario: the arena kernel must beat
-        # the object kernel by 1.3x, and the fused verify kernel must
-        # beat the per-gate in-place kernel by 1.5x, or the
-        # optimisations have regressed.
+        # CI floor on the dense scenario: the arena kernel must beat
+        # the object kernel by 1.3x, or the optimisation has regressed.
         arena_speedup = headline_row["build"][
             "arena_speedup_vs_vectorized"
         ]
         assert arena_speedup >= 1.3, (
             f"arena build regressed on {headline_name}: "
             f"{arena_speedup:.2f}x vs object (floor 1.3x)"
-        )
-        fused_speedup = headline_row["verify"][
-            "fused_speedup_vs_inplace"
-        ]
-        assert fused_speedup >= 1.5, (
-            f"fused verify regressed on {headline_name}: "
-            f"{fused_speedup:.2f}x vs in-place (floor 1.5x)"
         )
     return payload
 
@@ -520,10 +480,7 @@ def main(argv: list[str] | None = None) -> int:
         f"vectorized "
         f"({headline['arena_build_speedup_vs_seed']:.2f}x vs seed), "
         f"verify {headline['verify_speedup_vs_seed']:.2f}x vs seed "
-        f"({headline['verify_speedup_vs_reference']:.2f}x vs reference), "
-        f"fused verify "
-        f"{headline['fused_verify_speedup_vs_inplace']:.2f}x vs in-place "
-        f"({headline['fused_verify_speedup_vs_seed']:.2f}x vs seed)"
+        f"({headline['verify_speedup_vs_reference']:.2f}x vs reference)"
     )
     print(f"wrote {output}")
     return 0

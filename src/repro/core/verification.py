@@ -1,14 +1,10 @@
 """Verification of synthesised circuits against target states.
 
 Verification is the one dense simulation every exact pipeline run
-pays, so it executes through the fused, level-batched kernel of
-:mod:`repro.simulator.fused_sim` by default: the circuit compiles once
-into a :class:`~repro.simulator.fused_sim.FusionPlan` (memoised in the
-process-wide plan cache, shared with the gate-matrix memo across
-engine batches) and replays as a handful of batched ``matmul`` calls.
-Non-fusable circuits — and every call when ``REPRO_FUSED_VERIFY=0``
-or ``fused=False`` — run the per-gate in-place kernel instead, whose
-results the fused path matches within rounding (``~1e-15``).
+pays, as in the paper: the synthesised rotation circuit runs gate by
+gate on ``|0...0>`` through the in-place kernel
+:func:`~repro.simulator.statevector_sim.simulate_inplace`, and the
+result is compared with the target.
 """
 
 from __future__ import annotations
@@ -18,11 +14,6 @@ import numpy as np
 from repro.circuit.circuit import Circuit
 from repro.states.fidelity import fidelity
 from repro.states.statevector import StateVector
-from repro.simulator.fused_sim import (
-    FusionPlanCache,
-    default_fused_verify,
-    run_fused_inplace,
-)
 from repro.simulator.statevector_sim import (
     GateMatrixCache,
     simulate_inplace,
@@ -34,34 +25,17 @@ __all__ = ["verify_preparation", "prepared_state"]
 def prepared_state(
     circuit: Circuit,
     matrix_cache: GateMatrixCache | None = None,
-    *,
-    fused: bool | None = None,
-    plan_cache: FusionPlanCache | None = None,
 ) -> StateVector:
     """Simulate the circuit on ``|0...0>`` and return the result.
 
-    Runs the fused kernel (per-gate kernel for non-fusable circuits)
-    on one locally owned buffer.
-
     Args:
         circuit: The preparation circuit.
-        matrix_cache: Shared gate-matrix memo; the process-wide one
-            when ``None``.  Pass a dedicated cache to isolate a batch.
-        fused: Force the fused (``True``) or per-gate (``False``)
-            kernel; ``None`` follows the process default
-            (:func:`~repro.simulator.fused_sim.default_fused_verify`).
-        plan_cache: Fusion-plan memo; the process-wide one when
-            ``None``.
+        matrix_cache: Gate-matrix memo to reuse across calls; a fresh
+            one per call when ``None``.
     """
     buffer = np.zeros(circuit.register.size, dtype=np.complex128)
     buffer[0] = 1.0
-    if fused is None:
-        fused = default_fused_verify()
-    if not (
-        fused
-        and run_fused_inplace(circuit, buffer, plan_cache, matrix_cache)
-    ):
-        simulate_inplace(circuit, buffer, matrix_cache)
+    simulate_inplace(circuit, buffer, matrix_cache)
     return StateVector(buffer, circuit.register)
 
 
@@ -69,17 +43,12 @@ def verify_preparation(
     circuit: Circuit,
     target: StateVector,
     matrix_cache: GateMatrixCache | None = None,
-    *,
-    fused: bool | None = None,
-    plan_cache: FusionPlanCache | None = None,
 ) -> float:
     """Return ``|<target|circuit(0...0)>|^2``.
 
     The target is normalised before comparison, so callers may pass
-    unnormalised amplitude vectors.  Keyword arguments are forwarded
-    to :func:`prepared_state`.
+    unnormalised amplitude vectors.  ``matrix_cache`` is forwarded to
+    :func:`prepared_state`.
     """
-    produced = prepared_state(
-        circuit, matrix_cache, fused=fused, plan_cache=plan_cache
-    )
+    produced = prepared_state(circuit, matrix_cache)
     return fidelity(target.normalized(), produced)

@@ -36,10 +36,6 @@ from repro.engine.jobs import PreparationJob, content_key
 from repro.obs import log as obs_log
 from repro.obs import tracing
 from repro.obs.metrics import MetricsRegistry
-from repro.simulator.fused_sim import (
-    shared_matrix_cache,
-    shared_plan_cache,
-)
 from repro.engine.results import (
     BatchResult,
     JobFailure,
@@ -618,12 +614,6 @@ class PreparationEngine:
              "Peak arena bytes per DD node of the most recently "
              "executed job (0 on the object path).",
              dd_bytes_per_node),
-            ("repro_fused_plan_cache_entries", "gauge",
-             "Fusion plans held by the process-wide plan cache.",
-             len(shared_plan_cache())),
-            ("repro_gate_matrix_cache_entries", "gauge",
-             "Local gate matrices held by the process-wide memo.",
-             len(shared_matrix_cache())),
         ]
 
     def stats(self) -> EngineStats:

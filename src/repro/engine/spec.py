@@ -183,14 +183,16 @@ def jobs_from_spec(
     if bad_defaults:
         raise JobSpecError(
             f"batch spec: 'defaults' only takes synthesis options, "
-            f"got {sorted(bad_defaults)}"
+            f"got {sorted(bad_defaults)}; "
+            f"allowed: {sorted(_OPTION_FIELDS)}"
         )
     if defaults_override:
         bad_override = set(defaults_override) - _OPTION_FIELDS
         if bad_override:
             raise JobSpecError(
                 f"defaults override only takes synthesis options, "
-                f"got {sorted(bad_override)}"
+                f"got {sorted(bad_override)}; "
+                f"allowed: {sorted(_OPTION_FIELDS)}"
             )
         defaults = {**defaults, **defaults_override}
     return [

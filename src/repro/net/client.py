@@ -48,6 +48,12 @@ from repro.obs.tracing import context_to_header
 
 __all__ = ["ClientError", "ReproClient", "SyncReproClient"]
 
+#: Longest response line the client reads (asyncio's ``StreamReader``
+#: limit).  asyncio's default of 64 KiB is below many TCP outcomes that
+#: carry their QDASM circuit: a random state on ``[6, 6, 5, 3, 3]``
+#: already ships a 178 KiB line.
+MAX_RESPONSE_LINE_BYTES = 64 * 1024 * 1024
+
 
 class ClientError(ReproError):
     """The server refused a request (or the transport failed).
@@ -133,7 +139,9 @@ class ReproClient:
             if self.connected:
                 return self
             try:
-                opening = asyncio.open_connection(self.host, self.port)
+                opening = asyncio.open_connection(
+                    self.host, self.port, limit=MAX_RESPONSE_LINE_BYTES
+                )
                 if self.connect_timeout is not None:
                     opening = asyncio.wait_for(
                         opening, self.connect_timeout
@@ -405,6 +413,7 @@ class ReproClient:
 
     async def _pump_responses(self) -> None:
         """Read NDJSON responses and resolve them onto their futures."""
+        code, message = "transport", "connection closed by server"
         try:
             while True:
                 line = await self._reader.readline()
@@ -419,12 +428,19 @@ class ReproClient:
                     future.set_result(envelope)
         except (ConnectionError, OSError):
             pass
+        except ValueError:
+            # readline() overran MAX_RESPONSE_LINE_BYTES; the stream
+            # position is lost, so every pending call fails and the
+            # connection is dropped below.
+            code = "too_large"
+            message = (
+                f"server response line exceeds "
+                f"{MAX_RESPONSE_LINE_BYTES} bytes"
+            )
         finally:
             for future in self._pending.values():
                 if not future.done():
-                    future.set_exception(ClientError(
-                        "transport", "connection closed by server"
-                    ))
+                    future.set_exception(ClientError(code, message))
             self._pending.clear()
             if self._reader_task is asyncio.current_task():
                 # Server-side EOF (aclose detaches _reader_task

@@ -18,7 +18,6 @@ from pathlib import Path
 
 from repro.dd.array_backend import DD_BACKENDS, default_dd_backend
 from repro.exceptions import PipelineConfigError
-from repro.simulator.fused_sim import default_fused_verify
 
 __all__ = ["APPROXIMATION_GRANULARITIES", "TRANSPILE_MODES", "PipelineConfig"]
 
@@ -54,14 +53,6 @@ class PipelineConfig:
             when unset).  Participates in :meth:`canonical`, so
             arena-built and object-built results never share a cache
             key.
-        fused_verify: Run verification through the fused,
-            level-batched kernel of
-            :mod:`repro.simulator.fused_sim` (``False`` forces the
-            per-gate in-place kernel).  Defaults to the
-            ``REPRO_FUSED_VERIFY`` environment variable (``True``
-            when unset).  Participates in :meth:`canonical`, so fused
-            and per-gate verification results never share a cache
-            key.
 
     Raises:
         PipelineConfigError: On any out-of-range or mistyped value.
@@ -74,7 +65,6 @@ class PipelineConfig:
     approximation_granularity: str = "nodes"
     transpile: str | None = None
     dd_backend: str = field(default_factory=default_dd_backend)
-    fused_verify: bool = field(default_factory=default_fused_verify)
 
     def __post_init__(self) -> None:
         if isinstance(self.min_fidelity, bool) or not isinstance(
@@ -85,12 +75,7 @@ class PipelineConfig:
                 f"got {self.min_fidelity!r}"
             )
         object.__setattr__(self, "min_fidelity", float(self.min_fidelity))
-        for flag in (
-            "tensor_elision",
-            "emit_identity_rotations",
-            "verify",
-            "fused_verify",
-        ):
+        for flag in ("tensor_elision", "emit_identity_rotations", "verify"):
             if not isinstance(getattr(self, flag), bool):
                 raise PipelineConfigError(
                     f"{flag} must be a boolean, "

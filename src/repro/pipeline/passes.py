@@ -193,11 +193,6 @@ class VerifyPass(Pass):
     produced state is projected onto the ancilla-``|0>`` subspace
     before comparison (the counter construction returns the ancilla
     clean, so no amplitude is lost).
-
-    Simulation runs through the fused, level-batched kernel unless
-    ``config.fused_verify`` is ``False`` (or the circuit is not
-    fusable, in which case the per-gate kernel takes over
-    automatically).
     """
 
     name = "verify"
@@ -212,13 +207,10 @@ class VerifyPass(Pass):
             )
         target = context.target
         circuit = context.circuit
-        fused = context.config.fused_verify
         if tuple(circuit.dims) == tuple(target.dims):
-            context.fidelity = verify_preparation(
-                circuit, target, fused=fused
-            )
+            context.fidelity = verify_preparation(circuit, target)
             return context
-        produced = prepared_state(circuit, fused=fused)
+        produced = prepared_state(circuit)
         if (
             tuple(produced.dims[: len(target.dims)]) != tuple(target.dims)
             or produced.register.size % target.register.size != 0

@@ -1,33 +1,18 @@
 """Simulators for mixed-dimensional qudit circuits.
 
-Three independent execution paths are provided:
+Two independent execution paths are provided:
 
 * :mod:`repro.simulator.statevector_sim` — dense numpy simulation,
-  the reference implementation used for verification,
-* :mod:`repro.simulator.fused_sim` — the fused, level-batched
-  compilation of the same semantics: runs of gates sharing one
-  ``(target, controls)`` pair fold into one local matrix, and
-  disjoint-subspace segments apply as a single batched ``matmul``
-  (the default verification kernel; see ``docs/performance.md``), and
+  the reference implementation used for verification (one in-place
+  kernel applies the circuit gate by gate), and
 * :mod:`repro.simulator.dd_sim` — simulation directly on decision
   diagrams (in the spirit of [Mato/Hillmich/Wille, QCE 2023], the
   paper's reference [12]), exercising the DD arithmetic layer.
 
-Having all three lets the test suite cross-validate every gate type.
+Having both lets the test suite cross-validate every gate type.
 """
 
 from repro.simulator.dd_sim import apply_gate_dd, simulate_dd
-from repro.simulator.fused_sim import (
-    FusionPlan,
-    FusionPlanCache,
-    compile_plan,
-    default_fused_verify,
-    execute_plan,
-    run_fused_inplace,
-    shared_matrix_cache,
-    shared_plan_cache,
-    simulate_fused,
-)
 from repro.simulator.statevector_sim import (
     GateMatrixCache,
     apply_gate,
@@ -39,23 +24,14 @@ from repro.simulator.statevector_sim import (
 from repro.simulator.unitary_builder import circuit_unitary, gate_unitary
 
 __all__ = [
-    "FusionPlan",
-    "FusionPlanCache",
     "GateMatrixCache",
     "apply_gate",
     "apply_gate_dd",
     "apply_gate_inplace",
     "circuit_unitary",
-    "compile_plan",
-    "default_fused_verify",
-    "execute_plan",
     "gate_unitary",
-    "run_fused_inplace",
-    "shared_matrix_cache",
-    "shared_plan_cache",
     "simulate",
     "simulate_dd",
-    "simulate_fused",
     "simulate_inplace",
     "simulate_reference",
 ]

@@ -5,10 +5,8 @@ when they implement the same unitary, optionally up to a global phase.
 Small registers are checked exactly through the dense unitary; larger
 ones are probed with random states (a sound Monte-Carlo check: random
 complex-Gaussian states distinguish distinct unitaries with
-probability 1).  Probe runs go through :func:`simulate`, so they
-execute on the fused, level-batched kernel by default (per-gate for
-non-fusable circuits or under ``REPRO_FUSED_VERIFY=0``); the
-comparison tolerance dwarfs the kernels' rounding difference.
+probability 1).  Probe runs go through :func:`simulate`, the same
+per-gate kernel that verifies every synthesised circuit.
 """
 
 from __future__ import annotations

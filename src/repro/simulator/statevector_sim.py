@@ -57,12 +57,13 @@ class GateMatrixCache:
     read-only before being handed out; the simulation kernels never
     write to them.
 
-    The memo is a bounded LRU: one cache instance is shared across
-    engine batches in long-running ``serve`` processes (see
-    :func:`repro.simulator.fused_sim.shared_matrix_cache`), so without
-    a cap an adversarial stream of distinct rotation angles would grow
-    it without limit.  The generous default never evicts in one-shot
-    use.  Thread-safe — concurrent batches share one instance.
+    The memo is a bounded LRU.  Each simulation makes a fresh cache
+    unless the caller passes one in, and a caller that keeps one
+    cache across many circuits would otherwise grow it without limit:
+    synthesised rotations almost never repeat an angle.  The default
+    cap holds every distinct matrix of the dense 12-qudit benchmark
+    circuit (13,825), so one simulation does not evict.  Thread-safe,
+    so concurrent simulations may share one instance.
 
     Args:
         maxsize: Entry cap; least-recently-used matrices are evicted
@@ -71,9 +72,8 @@ class GateMatrixCache:
 
     __slots__ = ("_matrices", "_maxsize", "_lock")
 
-    #: Default entry cap — generous (a few thousand distinct local
-    #: matrices per verified circuit is typical; the largest bench
-    #: scenario needs well under half of this).
+    #: Default entry cap — above the 13,825 distinct local matrices of
+    #: the dense 12-qudit benchmark circuit, the largest one verified.
     DEFAULT_MAXSIZE = 16384
 
     def __init__(self, maxsize: int = DEFAULT_MAXSIZE):
@@ -221,33 +221,21 @@ def apply_gate(state: StateVector, gate: Gate) -> StateVector:
 def simulate(
     circuit: Circuit,
     initial: StateVector | None = None,
-    *,
-    fused: bool | None = None,
 ) -> StateVector:
     """Run a circuit on an initial state (default ``|0...0>``).
 
     The circuit's global phase is applied to the result.  The
-    immutable contract is kept by running an in-place kernel on one
-    private copy of the initial amplitudes.
+    immutable contract is kept by running :func:`simulate_inplace` on
+    one private copy of the initial amplitudes, so results are
+    bit-for-bit those of the in-place kernel.
 
     Args:
         circuit: The circuit to execute.
         initial: Input state; ``|0...0>`` when ``None``.
-        fused: Execute through the fused, level-batched kernel of
-            :mod:`repro.simulator.fused_sim` (identical results within
-            rounding; non-fusable circuits fall back automatically).
-            ``None`` follows the process default
-            (:func:`~repro.simulator.fused_sim.default_fused_verify`,
-            i.e. fused unless ``REPRO_FUSED_VERIFY=0``); pass
-            ``False`` to force the per-gate kernel, whose results are
-            bit-for-bit those of :func:`simulate_inplace`.
 
     Raises:
         SimulationError: If the initial state's register mismatches.
     """
-    # Local import: fused_sim imports this module for GateMatrixCache.
-    from repro.simulator import fused_sim
-
     if initial is None:
         buffer = np.zeros(circuit.register.size, dtype=np.complex128)
         buffer[0] = 1.0
@@ -260,10 +248,7 @@ def simulate(
         buffer = np.array(
             initial.amplitudes, dtype=np.complex128, copy=True
         )
-    if fused is None:
-        fused = fused_sim.default_fused_verify()
-    if not (fused and fused_sim.run_fused_inplace(circuit, buffer)):
-        simulate_inplace(circuit, buffer)
+    simulate_inplace(circuit, buffer)
     return StateVector(buffer, circuit.register)
 
 

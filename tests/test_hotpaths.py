@@ -175,11 +175,8 @@ class TestSimulationEquivalence:
     @pytest.mark.parametrize("dims", [(2, 2), (3, 2, 2), (2, 3, 4), (5, 2)])
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_inplace_matches_simulate_bit_for_bit(self, dims, seed):
-        # fused=False: the fused kernel matches only within rounding,
-        # the per-gate path is bit-for-bit (tests/test_fused_sim.py
-        # covers the fused equivalence at tolerance).
         circuit = _random_circuit(dims, seed)
-        expected = simulate(circuit, fused=False)
+        expected = simulate(circuit)
         buffer = np.zeros(circuit.register.size, dtype=np.complex128)
         buffer[0] = 1.0
         simulate_inplace(circuit, buffer, GateMatrixCache())
@@ -190,7 +187,7 @@ class TestSimulationEquivalence:
     def test_simulate_matches_reference_bit_for_bit(self, dims, seed):
         circuit = _random_circuit(dims, seed)
         assert np.array_equal(
-            simulate(circuit, fused=False).amplitudes,
+            simulate(circuit).amplitudes,
             simulate_reference(circuit).amplitudes,
         )
 
@@ -198,7 +195,7 @@ class TestSimulationEquivalence:
         state = ghz_state((3, 6, 2))
         circuit = prepare_state(state, verify=False).circuit
         assert np.array_equal(
-            simulate(circuit, fused=False).amplitudes,
+            simulate(circuit).amplitudes,
             simulate_reference(circuit).amplitudes,
         )
         assert verify_preparation(circuit, state) == pytest.approx(1.0)

@@ -10,7 +10,9 @@ import struct
 
 import pytest
 
+from repro.circuit import qasm
 from repro.net import ClientError, ReproClient, TcpServer
+from repro.net import client as client_module
 from repro.net.protocol import PROTOCOL_VERSION
 from repro.service import AsyncPreparationService
 
@@ -260,6 +262,67 @@ class TestStreamProtocol:
         outcomes, peak = run(scenario())
         assert all(outcome["ok"] for outcome in outcomes)
         assert 1 <= peak <= 2
+
+    def test_response_larger_than_64_kib_round_trips(self):
+        # A dense random state on [6,6,5,3,3] ships its QDASM circuit
+        # in one response line well past asyncio's default 64 KiB
+        # StreamReader limit.
+        job = {"family": "random", "dims": [6, 6, 5, 3, 3],
+               "params": {"rng": 7}}
+
+        async def scenario():
+            server = await started_server()
+            async with server:
+                async with ReproClient(
+                    "127.0.0.1", server.port, transport="tcp"
+                ) as client:
+                    return await client.prepare(job, include_circuit=True)
+
+        outcome = run(scenario())
+        assert outcome["ok"] is True
+        assert len(outcome["circuit"]) > 64 * 1024
+        circuit = qasm.loads(outcome["circuit"])
+        assert circuit.num_operations == outcome["report"]["operations"]
+
+    def test_over_limit_response_fails_every_pending_call(
+        self, monkeypatch
+    ):
+        # A response line past the client's limit desynchronises the
+        # stream: each pending call gets a structured refusal and the
+        # response pump exits without an unretrieved task exception.
+        monkeypatch.setattr(client_module, "MAX_RESPONSE_LINE_BYTES", 1024)
+
+        async def scenario():
+            errors = []
+            loop = asyncio.get_running_loop()
+            loop.set_exception_handler(
+                lambda _loop, context: errors.append(context)
+            )
+            server = await started_server()
+            async with server:
+                client = ReproClient(
+                    "127.0.0.1", server.port, transport="tcp"
+                )
+                await client.connect()
+                pump = client._reader_task
+                results = await asyncio.gather(
+                    client.prepare(GHZ, include_circuit=True),
+                    client.prepare(GHZ, include_circuit=True),
+                    return_exceptions=True,
+                )
+                await pump
+                assert not client.connected
+                await client.aclose()
+            gc.collect()
+            await asyncio.sleep(0)
+            loop.set_exception_handler(None)
+            return results, errors
+
+        results, errors = run(scenario())
+        assert errors == []
+        for result in results:
+            assert isinstance(result, ClientError)
+            assert result.code == "too_large"
 
     def test_client_error_carries_code(self):
         async def scenario():

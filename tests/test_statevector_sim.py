@@ -13,7 +13,12 @@ from repro.circuit.gates import (
     ShiftGate,
 )
 from repro.exceptions import SimulationError
-from repro.simulator.statevector_sim import apply_gate, simulate
+from repro.simulator.statevector_sim import (
+    GateMatrixCache,
+    apply_gate,
+    simulate,
+    simulate_inplace,
+)
 from repro.simulator.unitary_builder import gate_unitary
 from repro.states.statevector import StateVector
 
@@ -134,3 +139,79 @@ class TestSimulate:
         circuit.append(PhaseRotation(0, 0, 1, math.pi))  # phases |1>
         result = simulate(circuit)
         assert np.isclose(result.amplitude(1), 1j * -1j * 1j)
+
+
+class TestGateMatrixCache:
+    def test_lru_bound(self):
+        cache = GateMatrixCache(maxsize=2)
+        for k in range(4):
+            cache.matrix(GivensRotation(0, 0, 1, 0.1 * k, 0.0), 2)
+        assert len(cache) == 2
+        assert cache.maxsize == 2
+        cache.clear()
+        assert len(cache) == 0
+
+    def test_rejects_bad_maxsize(self):
+        with pytest.raises(SimulationError):
+            GateMatrixCache(maxsize=0)
+
+    def test_hit_returns_the_same_read_only_matrix(self):
+        cache = GateMatrixCache()
+        gate = GivensRotation(0, 0, 2, 0.3, 0.2)
+        first = cache.matrix(gate, 3)
+        assert cache.matrix(gate, 3) is first
+        assert len(cache) == 1
+        assert not first.flags.writeable
+        assert np.array_equal(first, gate.matrix(3))
+
+    def test_equal_rotations_on_other_qudits_share_an_entry(self):
+        # Target and controls do not change the local matrix.
+        cache = GateMatrixCache()
+        free = cache.matrix(GivensRotation(0, 0, 1, 0.5, 0.1), 2)
+        controlled = cache.matrix(
+            GivensRotation(2, 0, 1, 0.5, 0.1, controls=[(0, 1)]), 2
+        )
+        assert controlled is free
+        assert len(cache) == 1
+
+    def test_dimension_is_part_of_the_key(self):
+        cache = GateMatrixCache()
+        qubit = cache.matrix(FourierGate(0), 2)
+        qutrit = cache.matrix(FourierGate(0), 3)
+        assert qubit.shape == (2, 2) and qutrit.shape == (3, 3)
+        assert len(cache) == 2
+
+    def test_recently_used_entry_survives_eviction(self):
+        # Shift matrices are built afresh on every call, so object
+        # identity tells a cache hit from a rebuilt entry.
+        cache = GateMatrixCache(maxsize=2)
+        old, young, new = (ShiftGate(0, amount) for amount in (1, 2, 3))
+        kept = cache.matrix(old, 4)
+        evicted = cache.matrix(young, 4)
+        cache.matrix(old, 4)  # touch: ``young`` is now least recent
+        cache.matrix(new, 4)
+        assert len(cache) == 2
+        assert cache.matrix(old, 4) is kept
+        assert cache.matrix(young, 4) is not evicted
+
+    def test_cache_shared_across_circuits_matches_fresh_caches(self):
+        circuits = []
+        for seed in range(3):
+            circuit = Circuit((3, 2))
+            circuit.append(FourierGate(0))
+            circuit.append(
+                GivensRotation(1, 0, 1, 0.2 * seed, 0.4, controls=[(0, 2)])
+            )
+            circuit.append(PhaseRotation(0, 0, 2, 0.7))
+            circuits.append(circuit)
+        shared = GateMatrixCache()
+        for circuit in circuits:
+            with_shared = np.zeros(6, dtype=np.complex128)
+            with_shared[0] = 1.0
+            simulate_inplace(circuit, with_shared, shared)
+            assert np.array_equal(
+                with_shared, simulate(circuit).amplitudes
+            )
+        # Fourier and the phase rotation repeat in every circuit; only
+        # the Givens angle is new each time.
+        assert len(shared) == 2 + len(circuits)
