@@ -19,12 +19,10 @@ subsequent PRs have a perf trajectory to compare against:
 
 Scenarios cover qubit-only, qutrit-only and mixed-radix registers with
 GHZ, W, dense-random and sparse-random states.  Per scenario the
-harness times DD construction (the object-path vectorized kernel, the
-arena-backed kernel, and the two baselines), preparation verification
-(the per-gate in-place kernel and the two baselines) and single-pass
-vs. separate diagram statistics.  ``--smoke`` additionally asserts a
-CI floor on the dense scenario: the arena build kernel holds >=1.3x
-over the object kernel.
+harness times DD construction (the vectorized kernel and the two
+baselines), preparation verification (the per-gate in-place kernel
+and the two baselines) and single-pass vs. separate diagram
+statistics.  ``--smoke`` runs a CI-sized grid.
 
 Run::
 
@@ -307,12 +305,7 @@ def run(smoke: bool, repeats: int) -> dict:
         print(f"[{name}] dims={'x'.join(map(str, dims))} "
               f"size={state.size}", flush=True)
 
-        vector_s = _best_of(
-            lambda: build_dd(state, backend="object"), repeats
-        )
-        arena_s = _best_of(
-            lambda: build_dd(state, backend="arena"), repeats
-        )
+        vector_s = _best_of(lambda: build_dd(state), repeats)
         reference_s = _best_of(
             lambda: build_dd_reference(state), repeats
         )
@@ -321,20 +314,13 @@ def run(smoke: bool, repeats: int) -> dict:
         stats = diagram.collect_stats()
         build = {
             "vectorized_s": round(vector_s, 6),
-            "arena_s": round(arena_s, 6),
             "reference_s": round(reference_s, 6),
             "seed_s": round(seed_s, 6),
             "speedup_vs_reference": _round_speedup(reference_s, vector_s),
             "speedup_vs_seed": _round_speedup(seed_s, vector_s),
-            "arena_speedup_vs_vectorized": _round_speedup(
-                vector_s, arena_s
-            ),
-            "arena_speedup_vs_seed": _round_speedup(seed_s, arena_s),
             "dag_nodes": stats.num_nodes,
         }
         print(f"  build: vectorized {vector_s * 1e3:8.2f} ms"
-              f" | arena {arena_s * 1e3:8.2f} ms"
-              f" ({build['arena_speedup_vs_vectorized']:.2f}x)"
               f" | reference {reference_s * 1e3:8.2f} ms"
               f" ({build['speedup_vs_reference']:.2f}x)"
               f" | seed {seed_s * 1e3:8.2f} ms"
@@ -419,10 +405,6 @@ def run(smoke: bool, repeats: int) -> dict:
                 headline_row["build"]["speedup_vs_seed"],
             "build_speedup_vs_reference":
                 headline_row["build"]["speedup_vs_reference"],
-            "arena_build_speedup_vs_vectorized":
-                headline_row["build"]["arena_speedup_vs_vectorized"],
-            "arena_build_speedup_vs_seed":
-                headline_row["build"]["arena_speedup_vs_seed"],
             "verify_speedup_vs_seed":
                 headline_row["verify"]["speedup_vs_seed"],
             "verify_speedup_vs_reference":
@@ -430,16 +412,6 @@ def run(smoke: bool, repeats: int) -> dict:
         },
         "scenarios": results,
     }
-    if smoke:
-        # CI floor on the dense scenario: the arena kernel must beat
-        # the object kernel by 1.3x, or the optimisation has regressed.
-        arena_speedup = headline_row["build"][
-            "arena_speedup_vs_vectorized"
-        ]
-        assert arena_speedup >= 1.3, (
-            f"arena build regressed on {headline_name}: "
-            f"{arena_speedup:.2f}x vs object (floor 1.3x)"
-        )
     return payload
 
 
@@ -475,10 +447,6 @@ def main(argv: list[str] | None = None) -> int:
         f"\nheadline [{headline['scenario']}]: build "
         f"{headline['build_speedup_vs_seed']:.2f}x vs seed "
         f"({headline['build_speedup_vs_reference']:.2f}x vs reference), "
-        f"arena build "
-        f"{headline['arena_build_speedup_vs_vectorized']:.2f}x vs "
-        f"vectorized "
-        f"({headline['arena_build_speedup_vs_seed']:.2f}x vs seed), "
         f"verify {headline['verify_speedup_vs_seed']:.2f}x vs seed "
         f"({headline['verify_speedup_vs_reference']:.2f}x vs reference)"
     )

@@ -38,13 +38,8 @@ class SynthesisReport:
         verify_time: Wall time of the verification simulation in
             seconds (0.0 when verification was skipped).
         dd_nodes: Distinct shared nodes of the *exact* diagram as
-            built (before approximation), i.e. the node-store
+            built (before approximation), i.e. the unique-table
             occupancy of the build step.
-        dd_peak_arena_bytes: High-water mark of the arena node
-            store's allocation during the build (0 on the object
-            path, where nodes are heap objects).
-        dd_bytes_per_node: ``dd_peak_arena_bytes / dd_nodes``
-            (0.0 on the object path).
     """
 
     dims: tuple[int, ...]
@@ -61,8 +56,6 @@ class SynthesisReport:
     build_time: float = 0.0
     verify_time: float = 0.0
     dd_nodes: int = 0
-    dd_peak_arena_bytes: int = 0
-    dd_bytes_per_node: float = 0.0
 
     def timings(self) -> dict[str, float]:
         """Per-stage wall times of this run, in seconds."""

@@ -15,17 +15,7 @@ Main entry points:
 """
 
 from repro.dd.approximation import ApproximationResult, approximate
-from repro.dd.arena import ArenaStats, NodeArena, NodeView
 from repro.dd.arithmetic import inner_product
-from repro.dd.array_backend import (
-    DD_BACKENDS,
-    ArrayBackend,
-    NumpyBackend,
-    available_array_backends,
-    default_dd_backend,
-    get_array_backend,
-    register_array_backend,
-)
 from repro.dd.builder import build_dd, build_dd_reference
 from repro.dd.diagram import DecisionDiagram, DiagramStats
 from repro.dd.edge import Edge
@@ -41,30 +31,20 @@ from repro.dd.validation import validate_diagram
 
 __all__ = [
     "ApproximationResult",
-    "ArenaStats",
-    "ArrayBackend",
-    "DD_BACKENDS",
     "DDNode",
     "DecisionDiagram",
     "DiagramStats",
     "Edge",
-    "NodeArena",
-    "NodeView",
-    "NumpyBackend",
     "TERMINAL",
     "UniqueTable",
     "approximate",
-    "available_array_backends",
     "build_dd",
     "build_dd_reference",
     "collapse",
-    "default_dd_backend",
     "expectation_local_sum",
-    "get_array_backend",
     "inner_product",
     "level_populations",
     "measure_qudit",
-    "register_array_backend",
     "sample",
     "validate_diagram",
 ]

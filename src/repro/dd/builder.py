@@ -8,42 +8,34 @@ scheme — L2 norm extraction plus making the first non-zero weight real
 positive — yields canonical nodes, so the unique table merges all
 identical sub-states and the diagram is maximally reduced.
 
-Three construction kernels are provided:
+Two construction kernels are provided:
 
-* :func:`build_dd` with ``backend="object"`` — the vectorised
-  level-by-level kernel over heap ``DDNode``/``Edge`` objects: the
+* :func:`build_dd` — the vectorised level-by-level kernel: the
   amplitude array is reshaped to ``(num_blocks, d_level)``, block
   norms and pivot phases are computed with vectorised NumPy
-  reductions, and blocks are deduplicated through quantised-weight
-  keys *before* being interned, so the per-node Python cost is paid
-  once per distinct node instead of once per tree leaf.
-* :func:`build_dd` with ``backend="arena"`` — the same level-wise
-  normalisation written directly into a
-  :class:`~repro.dd.arena.NodeArena`: nodes are ``int32`` ids in
-  columnar arrays, interning is a bytes-key dict probe per row plus
-  bulk column appends, and no per-node Python object is allocated at
-  build time.  The resulting diagram reads through memoised
-  :class:`~repro.dd.arena.NodeView` shims, so the object API keeps
-  working.
+  reductions, and every live block is keyed on its quantised weights
+  and children *before* any per-node work.  Only the first block with
+  each key has its weights canonicalised through the complex table,
+  is converted to Python values and is interned as a heap
+  ``DDNode``, so the per-node Python cost and memory are paid once
+  per distinct node instead of once per tree block.
 * :func:`build_dd_reference` — the original per-amplitude recursive
   kernel, kept as the executable specification.  The equivalence tests
-  in ``tests/test_hotpaths.py`` and ``tests/test_dd_arena.py`` assert
-  that all kernels produce the same diagram (DAG size, root weight,
-  per-node weights, amplitudes) on random mixed-radix states.
+  in ``tests/test_hotpaths.py`` assert that both kernels produce the
+  same diagram (DAG size, root weight, per-node weights, amplitudes)
+  on random mixed-radix states.
 
-The object kernels canonicalise every interned edge weight through the
-table's shared complex table; the arena kernel instead relies on the
-quantised ``(level, weights, successors)`` row keys of the arena's
-unique table (same 1e-12 grid) and stores the raw normalised weights.
-One caveat, shared by all fast kernels: weights are uniqued at a
-tolerance (~1e-12), so for adversarial states whose distinct weights
-sit *within the uniquing tolerance of each other*, near-boundary
-values may land in different grid cells (or chain to different
-canonical representatives) and the diagrams can differ by a node.
-Any state whose distinct weights are separated by more than the
-tolerance — i.e. everything outside deliberately constructed
-collisions — produces identical diagrams (:func:`normalize_edges`
-stays as the scalar reference for the normalisation semantics).
+The vectorised kernel canonicalises every interned edge weight
+through the table's shared complex table, like the reference.  One
+caveat: weights are uniqued at a tolerance (~1e-12), so for
+adversarial states whose distinct weights sit *within the uniquing
+tolerance of each other*, near-boundary values may land in different
+grid cells (or chain to different canonical representatives) and the
+diagrams can differ by a node.  Any state whose distinct weights are
+separated by more than the tolerance — i.e. everything outside
+deliberately constructed collisions — produces identical diagrams
+(:func:`normalize_edges` stays as the scalar reference for the
+normalisation semantics).
 """
 
 from __future__ import annotations
@@ -52,13 +44,11 @@ import math
 
 import numpy as np
 
-from repro.dd.arena import NodeArena
-from repro.dd.array_backend import DD_BACKENDS, default_dd_backend
 from repro.dd.diagram import DecisionDiagram
 from repro.dd.edge import WEIGHT_ZERO_CUTOFF, Edge
 from repro.dd.node import TERMINAL, DDNode
 from repro.dd.unique_table import UniqueTable
-from repro.exceptions import DecisionDiagramError, StateError
+from repro.exceptions import StateError
 from repro.registers.register import as_register
 from repro.states.statevector import StateVector
 
@@ -99,23 +89,33 @@ def normalize_edges(
 
 
 def _normalize_level(
-    block: np.ndarray,
-    block_ids: np.ndarray,
-    magnitude_sq: np.ndarray,
-    norms: np.ndarray,
+    weights: np.ndarray, node_ids: np.ndarray, dimension: int
 ):
-    """Vectorised canonical normalisation of one level's live blocks.
+    """Vectorised canonical normalisation of one level's blocks.
 
-    The array program equivalent of :func:`normalize_edges` for a
-    ``(num_live, dimension)`` block matrix: extract per-row norms and
-    pivot phases, divide, and zero out children below the structural
-    cutoff.  Returns ``(factor, normalized, kept_ids, keep)`` where
-    ``factor`` is each row's in-edge weight, ``normalized`` the
-    canonical weights (exact ``0j`` where dropped), ``kept_ids`` the
-    successor ids (0 where dropped) and ``keep`` the survivor mask.
-    Shared by the object and arena kernels so the two storage paths
-    cannot drift in normalisation semantics.
+    The array program equivalent of :func:`normalize_edges` for the
+    ``(num_blocks, dimension)`` block matrix of ``weights``: drop the
+    all-zero blocks, extract per-row norms and pivot phases, divide,
+    and zero out children below the structural cutoff.  Returns
+    ``(live_rows, factor, normalized, kept_ids)`` for the live blocks,
+    where ``live_rows`` indexes them among all blocks (``None`` when
+    every block is live), ``factor`` is each row's in-edge weight,
+    ``normalized`` the canonical weights (exact ``0j`` where dropped)
+    and ``kept_ids`` the successor ids (0 where dropped).
     """
+    block = weights.reshape(-1, dimension)
+    block_ids = node_ids.reshape(-1, dimension)
+    magnitude_sq = block.real**2 + block.imag**2
+    norms = np.sqrt(magnitude_sq.sum(axis=1))
+    live_rows = np.flatnonzero(norms > WEIGHT_ZERO_CUTOFF)
+    if live_rows.size == block.shape[0]:
+        live_rows = None
+    else:
+        block = block[live_rows]
+        block_ids = block_ids[live_rows]
+        magnitude_sq = magnitude_sq[live_rows]
+        norms = norms[live_rows]
+
     # Phase of the first non-zero child, exactly as in normalize_edges
     # (rows whose children are all below the cutoff keep phase 1).
     nonzero_child = magnitude_sq > _CUTOFF_SQ
@@ -136,37 +136,24 @@ def _normalize_level(
     )
     normalized = np.where(keep, normalized, 0.0)
     kept_ids = np.where(keep, block_ids, 0)
-    return factor, normalized, kept_ids, keep
+    return live_rows, factor, normalized, kept_ids
 
 
 def build_dd(
-    state: StateVector,
-    table: UniqueTable | NodeArena | None = None,
-    *,
-    backend: str | None = None,
-    arena: NodeArena | None = None,
+    state: StateVector, table: UniqueTable | None = None
 ) -> DecisionDiagram:
     """Build the canonical decision diagram of a state vector.
 
-    Two storage backends implement the same level-wise vectorised
-    construction; see the module docstring for the strategy and
-    :func:`build_dd_reference` for the scalar specification both are
-    tested against.
+    The vectorised level-wise construction; see the module docstring
+    for the strategy and :func:`build_dd_reference` for the scalar
+    specification it is tested against.
 
     Args:
         state: The state to represent (any norm; the root edge weight
             absorbs the global norm and phase).
-        table: Optional node store to intern into — a
-            :class:`UniqueTable` (object backend) or a
-            :class:`~repro.dd.arena.NodeArena` (arena backend);
-            sharing a store across diagrams lets equal sub-states of
-            different diagrams share nodes.
-        backend: ``"object"`` (heap nodes) or ``"arena"`` (columnar
-            store).  ``None`` infers it from ``table``/``arena`` when
-            given, else falls back to the ``REPRO_DD_BACKEND``
-            environment variable (``"object"`` when unset).
-        arena: Explicit arena for the arena backend (alternative to
-            passing it as ``table``).
+        table: Optional unique table to intern into; sharing a table
+            across diagrams lets equal sub-states of different
+            diagrams share nodes.
 
     Returns:
         The decision diagram; ``dd.to_statevector()`` reproduces the
@@ -174,46 +161,9 @@ def build_dd(
 
     Raises:
         StateError: If the state vector is entirely zero.
-        DecisionDiagramError: On an unknown backend or a store that
-            does not match the requested backend.
     """
-    if isinstance(table, NodeArena) and arena is None:
-        table, arena = None, table
-    if backend is None:
-        if arena is not None:
-            backend = "arena"
-        elif table is not None:
-            backend = "object"
-        else:
-            backend = default_dd_backend()
-    if backend not in DD_BACKENDS:
-        raise DecisionDiagramError(
-            f"unknown node-store backend {backend!r}; "
-            f"expected one of {DD_BACKENDS}"
-        )
-    if backend == "arena":
-        if table is not None:
-            raise DecisionDiagramError(
-                "the arena backend interns into a NodeArena; "
-                "passing a UniqueTable is ambiguous"
-            )
-        return _build_dd_arena(
-            state, arena if arena is not None else NodeArena()
-        )
-    if arena is not None:
-        raise DecisionDiagramError(
-            "the object backend interns into a UniqueTable; "
-            "passing a NodeArena is ambiguous"
-        )
-    return _build_dd_object(
-        state, table if table is not None else UniqueTable()
-    )
-
-
-def _build_dd_object(
-    state: StateVector, table: UniqueTable
-) -> DecisionDiagram:
-    """The vectorised level-wise kernel over heap node objects."""
+    if table is None:
+        table = UniqueTable()
     register = as_register(state.register)
     dims = register.dims
 
@@ -228,87 +178,65 @@ def _build_dd_object(
     complex_table = table.complex_table
     inv_quantum = 1.0 / complex_table.tolerance
     zero_edge = Edge.zero()
+    get_node_canonical = table.get_node_canonical
 
     for level in range(len(dims) - 1, -1, -1):
         dimension = dims[level]
-        block = weights.reshape(-1, dimension)
-        block_ids = node_ids.reshape(-1, dimension)
-        num_blocks = block.shape[0]
-
-        magnitude_sq = block.real**2 + block.imag**2
-        norms = np.sqrt(magnitude_sq.sum(axis=1))
-        live = norms > WEIGHT_ZERO_CUTOFF
-        live_rows = np.flatnonzero(live)
-        all_live = live_rows.size == num_blocks
-        if not all_live:
-            block = block[live_rows]
-            block_ids = block_ids[live_rows]
-            magnitude_sq = magnitude_sq[live_rows]
-            norms = norms[live_rows]
-        num_live = block.shape[0]
-
-        factor, normalized, kept_ids, keep = _normalize_level(
-            block, block_ids, magnitude_sq, norms
+        num_blocks = weights.size // dimension
+        live_rows, factor, normalized, kept_ids = _normalize_level(
+            weights, node_ids, dimension
         )
+        # Release the level's input before the key sort below, the
+        # build's memory peak.
+        del weights, node_ids
 
-        # Canonicalise every kept weight of the level in one batch so
-        # the interning loop below can skip the per-edge complex-table
-        # probe (zero entries stay exact zeros, as in get_node).
-        canon_flat = normalized.ravel()
-        kept_positions = np.flatnonzero(keep.ravel())
-        canon_flat[kept_positions] = complex_table.lookup_many(
-            canon_flat[kept_positions]
-        )
-
-        # Quantised-weight block keys: blocks whose weights land on
-        # the same complex-table grid cells and share children are
-        # interned once; boundary stragglers with differing keys still
-        # merge inside the unique table via their canonical weights.
-        key_matrix = np.empty((num_live, 3 * dimension), dtype=np.int64)
+        # Key every live row on its weights, snapped to the complex
+        # table's grid, and its children: rows sharing a key are one
+        # node.  ``first`` lists the first row of each key in row
+        # order (np.unique sorts the keys; restoring row order keeps
+        # the complex table's representatives independent of that
+        # sort) and ``row_node_ids`` maps every row to its key's
+        # 1-based index.  Boundary stragglers with differing keys
+        # still merge inside the unique table via their canonical
+        # weights.
+        key_matrix = np.empty((factor.size, 3 * dimension), np.int64)
         key_matrix[:, :dimension] = np.rint(normalized.real * inv_quantum)
         key_matrix[:, dimension:2 * dimension] = np.rint(
             normalized.imag * inv_quantum
         )
         key_matrix[:, 2 * dimension:] = kept_ids
-        key_bytes = key_matrix.tobytes()
-        row_nbytes = key_matrix.shape[1] * key_matrix.itemsize
+        row_keys = key_matrix.view(
+            np.dtype((np.void, key_matrix.itemsize * 3 * dimension))
+        ).ravel()
+        _, first, key_index = np.unique(
+            row_keys, return_index=True, return_inverse=True
+        )
+        order = np.argsort(first)
+        first = first[order]
+        row_node_ids = np.argsort(order)[key_index] + 1
 
-        # A dropped child has an exact-zero canonical weight, so the
-        # weight row alone distinguishes kept from zero edges.
-        weight_rows = normalized.tolist()
-        id_rows = kept_ids.tolist()
+        # Canonicalise, list and intern the first row of each key only
+        # (zero entries stay exact zeros, as in get_node, so the weight
+        # row alone distinguishes kept from dropped edges).
+        distinct = normalized[first]
+        canon_flat = distinct.ravel()
+        kept_positions = np.flatnonzero(canon_flat)
+        canon_flat[kept_positions] = complex_table.lookup_many(
+            canon_flat[kept_positions]
+        )
         new_nodes: list[DDNode] = [TERMINAL]
-        row_node_ids: list[int] = []
-        append_node_id = row_node_ids.append
-        interned: dict[bytes, int] = {}
-        interned_get = interned.get
-        get_node_canonical = table.get_node_canonical
-        make_edge = Edge
-        children = child_nodes
-        zero = 0j
-        digits = range(dimension)
-        position = 0
-        for index in range(num_live):
-            key = key_bytes[position:position + row_nbytes]
-            position += row_nbytes
-            node_id = interned_get(key)
-            if node_id is None:
-                weight_row = weight_rows[index]
-                id_row = id_rows[index]
-                edges = [
-                    make_edge(weight_row[digit], children[id_row[digit]])
-                    if weight_row[digit] != zero
-                    else zero_edge
-                    for digit in digits
-                ]
-                new_nodes.append(get_node_canonical(level, edges))
-                node_id = len(new_nodes) - 1
-                interned[key] = node_id
-            append_node_id(node_id)
+        for weight_row, id_row in zip(
+            distinct.tolist(), kept_ids[first].tolist()
+        ):
+            edges = [
+                Edge(weight, child_nodes[child]) if weight else zero_edge
+                for weight, child in zip(weight_row, id_row)
+            ]
+            new_nodes.append(get_node_canonical(level, edges))
 
-        if all_live:
+        if live_rows is None:
             weights = factor
-            node_ids = np.asarray(row_node_ids, dtype=np.intp)
+            node_ids = row_node_ids
         else:
             weights = np.zeros(num_blocks, dtype=np.complex128)
             weights[live_rows] = factor
@@ -323,62 +251,6 @@ def _build_dd_object(
     return DecisionDiagram(root, register, table)
 
 
-def _build_dd_arena(
-    state: StateVector, arena: NodeArena
-) -> DecisionDiagram:
-    """The level-wise kernel writing directly into a node arena.
-
-    Identical normalisation flow to the object kernel (shared through
-    :func:`_normalize_level`), but the per-level interning is
-    :meth:`~repro.dd.arena.NodeArena.intern_level` — a bytes-key dict
-    probe per row plus bulk column appends — so no ``DDNode``/``Edge``
-    object and no complex-table probe happens during construction.
-    """
-    register = as_register(state.register)
-    dims = register.dims
-
-    weights = np.array(state.amplitudes, dtype=np.complex128, copy=True)
-    weights[weights.real**2 + weights.imag**2 <= _CUTOFF_SQ] = 0.0
-    node_ids = np.zeros(weights.shape[0], dtype=np.int32)
-
-    for level in range(len(dims) - 1, -1, -1):
-        dimension = dims[level]
-        block = weights.reshape(-1, dimension)
-        block_ids = node_ids.reshape(-1, dimension)
-        num_blocks = block.shape[0]
-
-        magnitude_sq = block.real**2 + block.imag**2
-        norms = np.sqrt(magnitude_sq.sum(axis=1))
-        live = norms > WEIGHT_ZERO_CUTOFF
-        live_rows = np.flatnonzero(live)
-        all_live = live_rows.size == num_blocks
-        if not all_live:
-            block = block[live_rows]
-            block_ids = block_ids[live_rows]
-            magnitude_sq = magnitude_sq[live_rows]
-            norms = norms[live_rows]
-
-        factor, normalized, kept_ids, _ = _normalize_level(
-            block, block_ids, magnitude_sq, norms
-        )
-        ids = arena.intern_level(level, normalized, kept_ids)
-
-        if all_live:
-            weights = factor
-            node_ids = ids
-        else:
-            weights = np.zeros(num_blocks, dtype=np.complex128)
-            weights[live_rows] = factor
-            node_ids = np.zeros(num_blocks, dtype=np.int32)
-            node_ids[live_rows] = ids
-
-    root_weight = complex(weights[0])
-    if abs(root_weight) <= WEIGHT_ZERO_CUTOFF:
-        raise StateError("cannot build a decision diagram of the zero state")
-    root = Edge(root_weight, arena.view(int(node_ids[0])))
-    return DecisionDiagram(root, register, arena)
-
-
 def build_dd_reference(
     state: StateVector,
     table: UniqueTable | None = None,
@@ -387,7 +259,7 @@ def build_dd_reference(
 
     Splits the amplitude array top-down, one Python call per tree node,
     normalising each node through :func:`normalize_edges`.  Retained as
-    the executable specification the vectorised kernels are benchmarked
+    the executable specification the vectorised kernel is benchmarked
     and property-tested against; prefer :func:`build_dd` everywhere
     else.
     """

@@ -14,7 +14,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.dd.arena import NodeArena, NodeView
 from repro.dd.edge import Edge
 from repro.dd.node import DDNode
 from repro.dd.unique_table import UniqueTable
@@ -43,34 +42,16 @@ class DiagramStats:
         distinct_complex: Distinct complex values (root weight plus
             all edge weights) at the collection tolerance.
         nodes_per_level: Histogram of distinct nodes by level.
-        arena_bytes: Allocated bytes of the arena node store backing
-            this diagram (0 on the object path).
-        peak_arena_bytes: High-water mark of the arena allocation
-            (0 on the object path).
     """
 
     num_nodes: int
     num_edges: int
     distinct_complex: int
     nodes_per_level: dict[int, int] = field(default_factory=dict)
-    arena_bytes: int = 0
-    peak_arena_bytes: int = 0
-
-
-def _rebuild_arena_diagram(
-    arena: NodeArena,
-    root_id: int,
-    root_weight: complex,
-    dims: tuple[int, ...],
-) -> "DecisionDiagram":
-    """Pickle hook: reconnect a root id to its (unpickled) arena."""
-    return DecisionDiagram(
-        Edge(root_weight, arena.view(root_id)), dims, arena
-    )
 
 
 def _rebuild_object_diagram(text: str) -> "DecisionDiagram":
-    """Pickle hook: reload an object-backed diagram from DDTXT."""
+    """Pickle hook: reload a diagram from DDTXT."""
     from repro.dd import io
 
     return io.loads(text)
@@ -85,19 +66,14 @@ class DecisionDiagram:
     invariants.
     """
 
-    __slots__ = ("_root", "_register", "_table", "_fallback", "_arena_cache")
+    __slots__ = ("_root", "_register", "_table")
 
     def __init__(
-        self,
-        root: Edge,
-        register: RegisterLike,
-        table: UniqueTable | NodeArena,
+        self, root: Edge, register: RegisterLike, table: UniqueTable
     ):
         self._root = root
         self._register = as_register(register)
         self._table = table
-        self._fallback: UniqueTable | None = None
-        self._arena_cache: dict | bool | None = None
         if not root.is_zero and root.node.is_terminal:
             raise DecisionDiagramError(
                 "root edge of a non-trivial diagram must point to a node"
@@ -127,32 +103,8 @@ class DecisionDiagram:
 
     @property
     def unique_table(self) -> UniqueTable:
-        """A unique table for object-path operations on this diagram.
-
-        On the object path this is the table interning the diagram's
-        nodes.  On the arena path — where interning happens in the
-        :class:`~repro.dd.arena.NodeArena` — this is a lazily created
-        empty table, so code that rebuilds nodes through
-        ``normalize_edges``/``get_node`` (approximation, projection,
-        the DD simulator) keeps working; the rebuilt diagrams come out
-        object-backed.  See :attr:`node_store` for the actual store.
-        """
-        if isinstance(self._table, UniqueTable):
-            return self._table
-        if self._fallback is None:
-            self._fallback = UniqueTable()
-        return self._fallback
-
-    @property
-    def node_store(self) -> "UniqueTable | NodeArena":
-        """The store the diagram's nodes actually live in."""
+        """The unique table interning the diagram's nodes."""
         return self._table
-
-    @property
-    def arena(self) -> NodeArena | None:
-        """The backing :class:`NodeArena`, or ``None`` (object path)."""
-        table = self._table
-        return table if isinstance(table, NodeArena) else None
 
     # ------------------------------------------------------------------
     # Queries
@@ -184,136 +136,8 @@ class DecisionDiagram:
             node = edge.node
         return value
 
-    # ------------------------------------------------------------------
-    # Arena array programs
-    # ------------------------------------------------------------------
-    def _arena_program(self) -> dict | None:
-        """Host-side columns plus per-level reachable ids (cached).
-
-        Returns ``None`` unless this diagram is arena-backed (its
-        store is a :class:`NodeArena` and the root is one of its
-        views).  The program is the shared input of the array-based
-        fast paths: trimmed column snapshots and ``layers[k]`` — the
-        ids of the reachable level-``k`` nodes — computed with one
-        vectorised breadth-first sweep (successors are strictly
-        deeper, so the frontier of step ``k`` is exactly level ``k``).
-        """
-        cached = self._arena_cache
-        if cached is None:
-            cached = self._compute_arena_program()
-            self._arena_cache = cached if cached is not None else False
-        return cached if cached is not False else None
-
-    def _compute_arena_program(self) -> dict | None:
-        table = self._table
-        root = self._root
-        if (
-            not isinstance(table, NodeArena)
-            or root.is_zero
-            or not isinstance(root.node, NodeView)
-            or root.node.arena is not table
-        ):
-            return None
-        to_numpy = table.backend.to_numpy
-        num_ids = table._num_nodes
-        num_edges = table._num_edges
-        offsets = to_numpy(table._offsets[:num_ids])
-        counts = to_numpy(table._counts[:num_ids])
-        weights = to_numpy(table._weights[:num_edges])
-        successors = to_numpy(table._successors[:num_edges])
-        dims = self.dims
-        layers: list[np.ndarray] = []
-        frontier = np.array([root.node.node_id], dtype=np.int64)
-        for level in range(len(dims)):
-            layers.append(frontier)
-            edge_index = offsets[frontier][:, None] + np.arange(
-                dims[level]
-            )
-            edge_weights = weights[edge_index]
-            children = successors[edge_index]
-            children = children[(edge_weights != 0j) & (children != 0)]
-            frontier = np.unique(children)
-            if frontier.size == 0:
-                break
-        return {
-            "arena": table,
-            "num_ids": num_ids,
-            "offsets": offsets,
-            "counts": counts,
-            "weights": weights,
-            "successors": successors,
-            "layers": layers,
-            "root_id": int(root.node.node_id),
-        }
-
-    def _arena_edge_matrix(
-        self, program: dict, level: int
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """``(weights, successors)`` of one reachable layer, as
-        ``(n_level, dimension)`` matrices."""
-        ids = program["layers"][level]
-        edge_index = program["offsets"][ids][:, None] + np.arange(
-            self.dims[level]
-        )
-        return (
-            program["weights"][edge_index],
-            program["successors"][edge_index],
-        )
-
-    def _arena_distinct_complex(
-        self, program: dict, tolerance: float
-    ) -> int:
-        table = ComplexTable(tolerance)
-        table.lookup(self._root.weight)
-        gathered = [
-            self._arena_edge_matrix(program, level)[0].ravel()
-            for level in range(len(program["layers"]))
-        ]
-        if gathered:
-            table.lookup_many(np.concatenate(gathered))
-        return len(table)
-
-    def _arena_statevector(self, program: dict) -> StateVector | None:
-        """Bottom-up dense expansion over the arena columns.
-
-        Per level (deepest first) the child vectors are gathered by
-        id, scaled by the edge-weight matrix, and concatenated by
-        reshape — one array program per level, no per-node recursion.
-        Returns ``None`` for non-canonical diagrams (a non-zero
-        terminal edge above the last level), which fall back to the
-        object traversal.
-        """
-        dims = self.dims
-        layers = program["layers"]
-        if len(layers) < len(dims):
-            return None
-        position = np.zeros(program["num_ids"], dtype=np.intp)
-        vectors: np.ndarray | None = None
-        for level in range(len(dims) - 1, -1, -1):
-            edge_weights, children = self._arena_edge_matrix(
-                program, level
-            )
-            if vectors is None:
-                vectors = edge_weights.copy()
-            else:
-                if np.any((children == 0) & (edge_weights != 0j)):
-                    return None
-                rows, dimension = edge_weights.shape
-                gathered = vectors[position[children.ravel()]]
-                gathered = gathered * edge_weights.reshape(-1, 1)
-                gathered[children.ravel() == 0] = 0.0
-                vectors = gathered.reshape(rows, -1)
-            position[layers[level]] = np.arange(layers[level].size)
-        amplitudes = self._root.weight * vectors[0]
-        return StateVector(amplitudes, self._register)
-
     def to_statevector(self) -> StateVector:
         """Reconstruct the dense state vector represented by the DD."""
-        program = self._arena_program()
-        if program is not None:
-            result = self._arena_statevector(program)
-            if result is not None:
-                return result
         cache: dict[DDNode, np.ndarray] = {}
         dims = self.dims
 
@@ -371,21 +195,10 @@ class DecisionDiagram:
 
     def num_nodes(self) -> int:
         """Number of distinct reachable non-terminal nodes (DAG size)."""
-        program = self._arena_program()
-        if program is not None:
-            return sum(layer.size for layer in program["layers"])
         return sum(1 for _ in self.nodes())
 
     def num_edges(self) -> int:
         """Total number of out-edges of reachable nodes."""
-        program = self._arena_program()
-        if program is not None:
-            return int(
-                sum(
-                    layer.size * self.dims[level]
-                    for level, layer in enumerate(program["layers"])
-                )
-            )
         return sum(node.dimension for node in self.nodes())
 
     def distinct_complex_values(
@@ -397,9 +210,6 @@ class DecisionDiagram:
         reachable nodes plus the root weight, deduplicated through a
         complex table at the given tolerance.
         """
-        program = self._arena_program()
-        if program is not None:
-            return self._arena_distinct_complex(program, tolerance)
         table = ComplexTable(tolerance)
         table.lookup(self._root.weight)
         for node in self.nodes():
@@ -409,13 +219,6 @@ class DecisionDiagram:
 
     def nodes_per_level(self) -> dict[int, int]:
         """Histogram of distinct reachable nodes by level."""
-        program = self._arena_program()
-        if program is not None:
-            return {
-                level: int(layer.size)
-                for level, layer in enumerate(program["layers"])
-                if layer.size
-            }
         histogram: dict[int, int] = {}
         for node in self.nodes():
             histogram[node.level] = histogram.get(node.level, 0) + 1
@@ -434,19 +237,6 @@ class DecisionDiagram:
             tolerance: Uniquing tolerance for the DistinctC count
                 (matches :meth:`distinct_complex_values`).
         """
-        program = self._arena_program()
-        if program is not None:
-            arena = program["arena"]
-            return DiagramStats(
-                num_nodes=self.num_nodes(),
-                num_edges=self.num_edges(),
-                distinct_complex=self._arena_distinct_complex(
-                    program, tolerance
-                ),
-                nodes_per_level=self.nodes_per_level(),
-                arena_bytes=arena.nbytes,
-                peak_arena_bytes=arena.peak_bytes,
-            )
         num_nodes = 0
         num_edges = 0
         histogram: dict[int, int] = {}
@@ -472,28 +262,12 @@ class DecisionDiagram:
         return node.unique_nonzero_child() is not None
 
     def __reduce__(self):
-        """Serialise compactly.
+        """Serialise through the DDTXT text format.
 
-        Arena-backed diagrams pickle as ``(arena, root id, root
-        weight, dims)`` — the arena ships its trimmed columns, so the
-        payload is a handful of flat arrays rather than a per-node
-        object graph.  Object-backed diagrams round-trip through the
-        DDTXT text format (children-first, repr-exact weights) and are
-        re-interned on load.
+        The text is children-first with repr-exact weights, so the
+        payload is one string rather than a per-node object graph; the
+        nodes are re-interned on load.
         """
-        root = self._root
-        if isinstance(self._table, NodeArena) and isinstance(
-            root.node, NodeView
-        ):
-            return (
-                _rebuild_arena_diagram,
-                (
-                    self._table,
-                    int(root.node.node_id),
-                    root.weight,
-                    self.dims,
-                ),
-            )
         from repro.dd import io
 
         return (_rebuild_object_diagram, (io.dumps(self),))

@@ -22,8 +22,6 @@ from __future__ import annotations
 
 from collections.abc import Sequence
 
-import numpy as np
-
 from repro.dd.diagram import DecisionDiagram
 from repro.dd.node import DDNode
 from repro.registers.mixed_radix import validate_dims
@@ -53,38 +51,6 @@ def decomposition_tree_size(dims: Sequence[int]) -> int:
     return total
 
 
-def _arena_metric(dd: DecisionDiagram, kind: str) -> int | None:
-    """Level-wise dynamic program over arena columns.
-
-    All three path-expanded metrics share one recurrence shape — a
-    per-node value that sums the values of the live (non-zero,
-    non-terminal) children plus a per-node term — so they evaluate
-    bottom-up as one gather/reduce per level instead of a Python
-    recursion.  Returns ``None`` when ``dd`` is not arena-backed.
-    """
-    program = dd._arena_program()
-    if program is None:
-        return None
-    layers = program["layers"]
-    dims = dd.dims
-    value = np.zeros(program["num_ids"], dtype=np.int64)
-    for level in range(len(layers) - 1, -1, -1):
-        ids = layers[level]
-        weights, successors = dd._arena_edge_matrix(program, level)
-        live = (weights != 0j) & (successors != 0)
-        child_sum = np.where(live, value[successors], 0).sum(axis=1)
-        dimension = dims[level]
-        if kind == "visited":
-            value[ids] = (
-                1 + (dimension - live.sum(axis=1)) + child_sum
-            )
-        elif kind == "operations":
-            value[ids] = dimension + child_sum
-        else:  # "visits"
-            value[ids] = 1 + child_sum
-    return int(value[program["root_id"]])
-
-
 def _visited_size_of(node: DDNode, cache: dict[int, int]) -> int:
     """Visited-tree size contributed by ``node`` (path-expanded)."""
     cached = cache.get(id(node))
@@ -110,9 +76,6 @@ def visited_tree_size(dd: DecisionDiagram) -> int:
     """
     if dd.root.is_zero:
         return 0
-    fast = _arena_metric(dd, "visited")
-    if fast is not None:
-        return fast
     return _visited_size_of(dd.root.node, {})
 
 
@@ -142,9 +105,6 @@ def synthesis_operation_count(dd: DecisionDiagram) -> int:
     """
     if dd.root.is_zero:
         return 0
-    fast = _arena_metric(dd, "operations")
-    if fast is not None:
-        return fast
     return _operations_of(dd.root.node, {})
 
 
@@ -170,7 +130,4 @@ def path_expanded_node_count(dd: DecisionDiagram) -> int:
 
     if dd.root.is_zero:
         return 0
-    fast = _arena_metric(dd, "visits")
-    if fast is not None:
-        return fast
     return visits(dd.root.node)

@@ -222,10 +222,9 @@ class PreparationEngine:
             engine metrics into: the per-executed-job latency
             histogram ``repro_job_execute_seconds`` plus a scrape-time
             collector exposing the lifetime :class:`EngineStats`
-            counters (cache traffic, jobs) and the ``repro_dd_*``
-            gauges (node count and arena footprint of the most
-            recently executed job).  ``None`` leaves the engine
-            un-instrumented.
+            counters (cache traffic, jobs) and the ``repro_dd_nodes``
+            gauge (DD node count of the most recently executed job).
+            ``None`` leaves the engine un-instrumented.
     """
 
     def __init__(
@@ -253,9 +252,9 @@ class PreparationEngine:
         self._jobs_executed = 0
         self._jobs_failed = 0
         self._total_wall_time = 0.0
-        # (dd_nodes, dd_peak_arena_bytes, dd_bytes_per_node) of the
-        # most recently executed successful job — gauge semantics.
-        self._last_dd_stats = (0, 0, 0.0)
+        # dd_nodes of the most recently executed successful job —
+        # gauge semantics.
+        self._last_dd_nodes = 0
         # Guards only the engine's own counters.  The cache locks
         # itself (per shard under a ShardedCache), so concurrent
         # run_batch calls proceed in parallel instead of serialising
@@ -492,13 +491,8 @@ class PreparationEngine:
             if self._job_seconds is not None and outcome.elapsed:
                 self._job_seconds.observe(outcome.elapsed)
             if outcome.ok:
-                report = outcome.report
                 with self._stats_lock:
-                    self._last_dd_stats = (
-                        report.dd_nodes,
-                        report.dd_peak_arena_bytes,
-                        report.dd_bytes_per_node,
-                    )
+                    self._last_dd_nodes = outcome.report.dd_nodes
                 self.cache.put(
                     CacheEntry(
                         key=outcome.key,
@@ -575,9 +569,7 @@ class PreparationEngine:
         """Scrape-time samples of the lifetime engine counters."""
         stats = self.stats()
         with self._stats_lock:
-            dd_nodes, dd_peak_bytes, dd_bytes_per_node = (
-                self._last_dd_stats
-            )
+            dd_nodes = self._last_dd_nodes
         return [
             ("repro_jobs_submitted_total", "counter",
              "Jobs seen across all batches.", stats.jobs_submitted),
@@ -606,14 +598,6 @@ class PreparationEngine:
             ("repro_dd_nodes", "gauge",
              "DD node count of the most recently executed job.",
              dd_nodes),
-            ("repro_dd_peak_arena_bytes", "gauge",
-             "Peak arena bytes of the most recently executed job "
-             "(0 on the object node-store path).",
-             dd_peak_bytes),
-            ("repro_dd_bytes_per_node", "gauge",
-             "Peak arena bytes per DD node of the most recently "
-             "executed job (0 on the object path).",
-             dd_bytes_per_node),
         ]
 
     def stats(self) -> EngineStats:

@@ -96,11 +96,11 @@ def comparable_report(report: SynthesisReport) -> SynthesisReport:
     """Return the report with execution-dependent columns zeroed.
 
     Synthesis metrics are deterministic; wall times (build, synthesis,
-    verify) are not, and the ``dd_*`` storage-accounting columns
-    depend on the node-store backend rather than on the synthesis
-    result.  Serial and parallel executions of the same batch
-    therefore agree exactly on ``comparable_report`` form, which is
-    what the equality tests and benchmarks compare.
+    verify) are not.  ``dd_nodes`` is zeroed with them as build-stage
+    accounting rather than a synthesis result.  Serial and parallel
+    executions of the same batch therefore agree exactly on
+    ``comparable_report`` form, which is what the equality tests and
+    benchmarks compare.
     """
     return replace(
         report,
@@ -108,8 +108,6 @@ def comparable_report(report: SynthesisReport) -> SynthesisReport:
         build_time=0.0,
         verify_time=0.0,
         dd_nodes=0,
-        dd_peak_arena_bytes=0,
-        dd_bytes_per_node=0.0,
     )
 
 

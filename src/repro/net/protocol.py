@@ -65,15 +65,13 @@ __all__ = [
 PROTOCOL_VERSION = 1
 
 #: Report keys zeroed by :func:`comparable_wire_outcome`: wall times
-#: plus the ``dd_*`` storage-accounting columns, which depend on the
-#: node-store backend rather than on the synthesis result.
+#: plus ``dd_nodes``, the build stage's node-count accounting, as in
+#: :func:`repro.engine.results.comparable_report`.
 _TIMING_REPORT_FIELDS = (
     "synthesis_time",
     "build_time",
     "verify_time",
     "dd_nodes",
-    "dd_peak_arena_bytes",
-    "dd_bytes_per_node",
 )
 
 #: Operations a stream request may name.  The HTTP transport maps its

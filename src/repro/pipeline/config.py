@@ -13,10 +13,9 @@ from __future__ import annotations
 import json
 import os
 from collections.abc import Mapping
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
-from repro.dd.array_backend import DD_BACKENDS, default_dd_backend
 from repro.exceptions import PipelineConfigError
 
 __all__ = ["APPROXIMATION_GRANULARITIES", "TRANSPILE_MODES", "PipelineConfig"]
@@ -46,13 +45,6 @@ class PipelineConfig:
         approximation_granularity: ``"nodes"`` or ``"amplitudes"``.
         transpile: ``None`` (emit multi-controlled rotations as the
             paper counts them), ``"peephole"``, or ``"two_qudit"``.
-        dd_backend: Node-store backend of the DD build — ``"object"``
-            (heap nodes in a unique table) or ``"arena"`` (columnar
-            :class:`~repro.dd.arena.NodeArena`).  Defaults to the
-            ``REPRO_DD_BACKEND`` environment variable (``"object"``
-            when unset).  Participates in :meth:`canonical`, so
-            arena-built and object-built results never share a cache
-            key.
 
     Raises:
         PipelineConfigError: On any out-of-range or mistyped value.
@@ -64,7 +56,6 @@ class PipelineConfig:
     verify: bool = True
     approximation_granularity: str = "nodes"
     transpile: str | None = None
-    dd_backend: str = field(default_factory=default_dd_backend)
 
     def __post_init__(self) -> None:
         if isinstance(self.min_fidelity, bool) or not isinstance(
@@ -95,11 +86,6 @@ class PipelineConfig:
             raise PipelineConfigError(
                 f"transpile must be null or one of {TRANSPILE_MODES}, "
                 f"got {self.transpile!r}"
-            )
-        if self.dd_backend not in DD_BACKENDS:
-            raise PipelineConfigError(
-                f"dd_backend must be one of {DD_BACKENDS}, "
-                f"got {self.dd_backend!r}"
             )
 
     # ------------------------------------------------------------------

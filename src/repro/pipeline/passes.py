@@ -109,9 +109,7 @@ class BuildPass(Pass):
             raise PipelineError(
                 "BuildPass needs a coerced target; run CoercePass first"
             )
-        context.exact_diagram = build_dd(
-            context.target, backend=context.config.dd_backend
-        )
+        context.exact_diagram = build_dd(context.target)
         context.diagram = context.exact_diagram
         return context
 

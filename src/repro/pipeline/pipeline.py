@@ -285,12 +285,6 @@ def finalize(context: PipelineContext) -> PreparationResult:
             else 0.0
         ),
         dd_nodes=exact_stats.num_nodes,
-        dd_peak_arena_bytes=exact_stats.peak_arena_bytes,
-        dd_bytes_per_node=(
-            exact_stats.peak_arena_bytes / exact_stats.num_nodes
-            if exact_stats.num_nodes
-            else 0.0
-        ),
     )
     return PreparationResult(
         circuit=context.circuit,

@@ -1,5 +1,7 @@
 """Tests for DDTXT decision-diagram serialisation."""
 
+import pickle
+
 import numpy as np
 import pytest
 
@@ -8,6 +10,7 @@ from repro.dd.builder import build_dd
 from repro.dd.unique_table import UniqueTable
 from repro.exceptions import SerializationError
 from repro.states.library import ghz_state, w_state
+from repro.states.statevector import StateVector
 
 from tests.conftest import SMALL_MIXED_DIMS, random_statevector
 
@@ -44,6 +47,39 @@ class TestRoundTrip:
         assert np.isclose(
             restored.root.weight, dd.root.weight, atol=1e-15
         )
+
+    @pytest.mark.parametrize(
+        "state",
+        [
+            random_statevector((2, 3, 2), seed=143),
+            ghz_state((3, 6, 2)),
+            w_state((3, 6, 2)),
+            StateVector([0, 0, 1, 0, 0, 0], (2, 3)),
+            random_statevector((5,), seed=144),
+        ],
+        ids=["dense-random", "ghz", "w", "basis", "single-qudit"],
+    )
+    def test_pickle_round_trips_through_ddtxt(self, state):
+        # Diagrams pickle as their DDTXT text (process-pool results
+        # carry them), so the clone has the same nodes, zero edges and
+        # sharing, and the exact same weights.
+        dd = build_dd(state)
+        clone = pickle.loads(pickle.dumps(dd))
+        assert dd_io.dumps(clone) == dd_io.dumps(dd)
+        assert clone.num_nodes() == dd.num_nodes()
+        assert clone.nodes_per_level() == dd.nodes_per_level()
+        assert clone.to_statevector().isclose(state, tolerance=1e-9)
+
+    def test_unpickled_diagram_keeps_interning(self):
+        # The clone's nodes are re-interned into its own unique table,
+        # so rebuilding the same state into that table lands on the
+        # clone's nodes instead of fresh copies.
+        state = random_statevector((2, 3, 2), seed=145)
+        clone = pickle.loads(pickle.dumps(build_dd(state)))
+        interned = len(clone.unique_table)
+        rebuilt = build_dd(state, clone.unique_table)
+        assert rebuilt.root.node is clone.root.node
+        assert len(clone.unique_table) == interned
 
 
 class TestFormat:

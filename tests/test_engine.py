@@ -411,18 +411,40 @@ class TestPreparationEngine:
         assert outcome.report.operations == 19  # Table 1 GHZ row
 
     def test_serial_and_parallel_agree(self):
+        # Results are pickled in the workers and unpickled here; the
+        # round trip must keep circuits and reports equal to serial.
         serial = PreparationEngine(executor="serial")
         parallel = PreparationEngine(
             executor=ParallelExecutor(max_workers=2, chunk_size=2)
         )
         batch_serial = serial.run_batch(MIXED_BATCH)
         batch_parallel = parallel.run_batch(MIXED_BATCH)
-        assert [
-            comparable_report(o.report)
-            for o in batch_parallel.outcomes
-        ] == [
-            comparable_report(o.report) for o in batch_serial.outcomes
+        for outcome in batch_parallel.outcomes:
+            assert outcome.ok, outcome
+            assert outcome.report.dd_nodes > 0
+
+        def comparable(batch):
+            return [
+                (o.key, o.circuit, comparable_report(o.report))
+                for o in batch.outcomes
+            ]
+
+        assert comparable(batch_parallel) == comparable(batch_serial)
+
+    def test_dd_nodes_gauge_reports_last_executed_job(self):
+        from repro.obs import MetricsRegistry
+
+        registry = MetricsRegistry()
+        engine = PreparationEngine(metrics=registry)
+        outcome = engine.submit(ghz_job(dims=(2, 3, 2)))
+        assert outcome.ok
+        assert outcome.report.dd_nodes > 0
+        samples = [
+            line
+            for line in registry.render_prometheus().splitlines()
+            if line.startswith("repro_dd_")
         ]
+        assert samples == [f"repro_dd_nodes {outcome.report.dd_nodes}"]
 
     def test_parallel_error_isolation(self):
         bad = ghz_job(dims=(2, 2), params={"levels": 5})

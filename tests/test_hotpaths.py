@@ -4,8 +4,9 @@ The vectorised DD builder and the in-place simulator must be drop-in
 replacements for the retained scalar references:
 
 * property-based equivalence — random mixed-radix registers with
-  dense, sparse and phase-rich states must produce node-for-node
-  identical diagrams (same DAG size, per-level histogram, root weight,
+  dense, sparse and phase-rich states, and duplicate-heavy states
+  whose tree blocks repeat, must produce node-for-node identical
+  diagrams (same levels, edge weights, sharing, root weight and
   amplitudes) from :func:`build_dd` and :func:`build_dd_reference`
   (the strategies keep distinct weights separated by far more than
   the 1e-12 uniquing tolerance; see the builder module docstring for
@@ -36,8 +37,10 @@ from repro.circuit.gates import (
 )
 from repro.core.preparation import prepare_state
 from repro.core.verification import verify_preparation
+from repro.dd import metrics
 from repro.dd.builder import build_dd, build_dd_reference
 from repro.dd.unique_table import UniqueTable
+from repro.linalg.complex_table import ComplexTable
 from repro.simulator.statevector_sim import (
     GateMatrixCache,
     simulate,
@@ -45,7 +48,15 @@ from repro.simulator.statevector_sim import (
     simulate_reference,
 )
 from repro.states.fidelity import fidelity
-from repro.states.library import ghz_state, w_state
+from repro.states.library import (
+    dicke_state,
+    embedded_w_state,
+    ghz_state,
+    product_state,
+    uniform_state,
+    w_state,
+)
+from repro.states.random_states import random_sparse_state, random_state
 from repro.states.statevector import StateVector
 
 DIMS = st.lists(
@@ -78,8 +89,119 @@ def random_mixed_state(draw):
     return StateVector(amplitudes, dims)
 
 
+def equal_norm_blocks(dims, split, rng) -> StateVector:
+    """Distinct random blocks over ``dims[split:]``, equal in-edge weights.
+
+    A real positive first amplitude and equal norms give every block
+    the same in-edge weight, so the rows of level ``split - 1`` repeat
+    their weights while their children differ.
+    """
+    outer = int(np.prod(dims[:split]))
+    inner = int(np.prod(dims[split:]))
+    blocks = rng.normal(size=(outer, inner)) + 1j * rng.normal(
+        size=(outer, inner)
+    )
+    blocks[:, 0] = np.abs(blocks[:, 0])
+    blocks /= np.linalg.norm(blocks, axis=1, keepdims=True)
+    return StateVector(blocks.ravel() / np.sqrt(outer), dims)
+
+
+@st.composite
+def duplicate_heavy_state(draw):
+    """A state whose tree blocks repeat, so most rows share a key.
+
+    Product states, one random block tiled under random (sometimes
+    zero) scalar factors, distinct random blocks of equal norm (rows
+    whose weights repeat but whose children differ), and the uniform,
+    W, Dicke and embedded-W families over random mixed registers (of
+    at least two qudits, as the embedded W state needs).
+    """
+    dims = draw(
+        st.lists(
+            st.integers(min_value=2, max_value=5), min_size=2, max_size=5
+        ).map(tuple)
+    )
+    seed = draw(st.integers(min_value=0, max_value=2**31 - 1))
+    kind = draw(
+        st.sampled_from(
+            [
+                "product", "tiled", "equal-norm", "uniform", "w",
+                "dicke", "embedded-w",
+            ]
+        )
+    )
+    rng = np.random.default_rng(seed)
+    if kind == "product":
+        return product_state(
+            dims,
+            [rng.normal(size=d) + 1j * rng.normal(size=d) for d in dims],
+        )
+    if kind == "tiled":
+        split = draw(st.integers(min_value=0, max_value=len(dims) - 1))
+        outer = int(np.prod(dims[:split]))
+        inner = int(np.prod(dims[split:]))
+        scalars = rng.normal(size=outer) + 1j * rng.normal(size=outer)
+        scalars[rng.uniform(size=outer) < 0.3] = 0.0
+        scalars[0] = 1.0
+        block = rng.normal(size=inner) + 1j * rng.normal(size=inner)
+        amplitudes = np.kron(scalars, block)
+        return StateVector(amplitudes / np.linalg.norm(amplitudes), dims)
+    if kind == "equal-norm":
+        split = draw(
+            st.integers(
+                min_value=min(2, len(dims) - 1), max_value=len(dims) - 1
+            )
+        )
+        return equal_norm_blocks(dims, split, rng)
+    if kind == "uniform":
+        return uniform_state(dims)
+    if kind == "w":
+        return w_state(dims)
+    if kind == "embedded-w":
+        return embedded_w_state(dims)
+    excitations = draw(st.integers(min_value=1, max_value=len(dims)))
+    return dicke_state(dims, excitations)
+
+
+def scenario_states():
+    """The scenario grid: mixed dims, sparse/dense, seeded random."""
+    rng = np.random.default_rng(424242)
+    mixed = (2, 3, 2, 2, 3, 2)
+    return [
+        ("ghz", ghz_state((3, 3, 2))),
+        ("w", w_state((3, 6, 2))),
+        ("basis", StateVector([0, 0, 1, 0, 0, 0], (3, 2))),
+        ("unnormalised", StateVector([2.0, 0, 0, 0], (2, 2))),
+        ("global-phase", StateVector([1j, 0, 0, 0], (2, 2))),
+        ("ghz-qubit-6", ghz_state((2,) * 6)),
+        ("ghz-mixed", ghz_state((3, 2, 4, 2))),
+        ("w-mixed", w_state(mixed)),
+        ("dense-random-mixed", random_state(mixed, rng=rng)),
+        ("dense-random-qutrit", random_state((3,) * 5, rng=rng)),
+        (
+            "sparse-random-mixed",
+            random_sparse_state(mixed, num_terms=9, rng=rng),
+        ),
+        ("basis-mixed", StateVector([0, 0, 1, 0, 0, 0], (2, 3))),
+        ("single-qudit", random_state((5,), rng=rng)),
+        ("equal-norm-blocks", equal_norm_blocks((2, 3, 2, 2), 2, rng)),
+    ]
+
+
+SCENARIOS = pytest.mark.parametrize(
+    "state",
+    [pytest.param(state, id=name) for name, state in scenario_states()],
+)
+
+
 def assert_same_diagram(vectorized, reference) -> None:
-    """Node-for-node equality of two separately built diagrams."""
+    """Node-for-node equality of two separately built diagrams.
+
+    Besides the counts and amplitudes, a lockstep walk checks levels
+    and edge weights and that sharing lines up: every vectorised node
+    maps to exactly one reference node, so with equal node counts the
+    two DAGs are isomorphic.
+    """
     assert vectorized.num_nodes() == reference.num_nodes()
     assert vectorized.num_edges() == reference.num_edges()
     assert vectorized.nodes_per_level() == reference.nodes_per_level()
@@ -89,6 +211,22 @@ def assert_same_diagram(vectorized, reference) -> None:
     assert vectorized.to_statevector().isclose(
         reference.to_statevector(), tolerance=1e-10
     )
+    pairs: dict[int, object] = {}
+    stack = [(vectorized.root.node, reference.root.node)]
+    while stack:
+        node, twin = stack.pop()
+        if id(node) in pairs:
+            assert pairs[id(node)] is twin
+            continue
+        pairs[id(node)] = twin
+        assert node.level == twin.level
+        assert node.dimension == twin.dimension
+        for edge, twin_edge in zip(node.edges, twin.edges):
+            assert edge.is_zero == twin_edge.is_zero
+            assert edge.node.is_terminal == twin_edge.node.is_terminal
+            assert edge.weight == pytest.approx(twin_edge.weight, abs=1e-12)
+            if not edge.is_zero and not edge.node.is_terminal:
+                stack.append((edge.node, twin_edge.node))
 
 
 class TestBuilderEquivalence:
@@ -110,25 +248,88 @@ class TestBuilderEquivalence:
         for node in build_dd(state).nodes():
             node.check_invariants()
 
+    @settings(max_examples=60, deadline=None)
+    @given(duplicate_heavy_state())
+    def test_duplicate_rows_match_reference(self, state):
+        assert_same_diagram(build_dd(state), build_dd_reference(state))
+
+    def test_canonicalises_each_distinct_node_once(self, monkeypatch):
+        # Rows sharing a key are canonicalised once: the values sent to
+        # the complex table are bounded by the weights of the distinct
+        # nodes (33 here), not by the tree blocks (134,910 values if
+        # every row were canonicalised).
+        sent = []
+        lookup_many = ComplexTable.lookup_many
+
+        def counting_lookup_many(table, values):
+            sent.append(np.size(values))
+            return lookup_many(table, values)
+
+        monkeypatch.setattr(
+            ComplexTable, "lookup_many", counting_lookup_many
+        )
+        dd = build_dd(uniform_state((2,) * 8 + (3,) * 4 + (5,)))
+        bound = sum(node.dimension for node in dd.nodes())
+        assert bound == 33
+        assert sum(sent) <= bound
+
+    @SCENARIOS
+    def test_structured_states_match(self, state):
+        assert_same_diagram(build_dd(state), build_dd_reference(state))
+
+    @SCENARIOS
+    def test_collect_stats_matches_single_queries(self, state):
+        dd = build_dd(state)
+        stats = dd.collect_stats()
+        assert stats.num_nodes == dd.num_nodes()
+        assert stats.num_edges == dd.num_edges()
+        assert stats.distinct_complex == dd.distinct_complex_values()
+        assert stats.nodes_per_level == dd.nodes_per_level()
+
+    @SCENARIOS
+    def test_path_expanded_metrics_match_reference(self, state):
+        vectorized = build_dd(state)
+        reference = build_dd_reference(state)
+        for metric in (
+            metrics.visited_tree_size,
+            metrics.synthesis_operation_count,
+            metrics.path_expanded_node_count,
+        ):
+            assert metric(vectorized) == metric(reference)
+
+    @pytest.mark.parametrize(
+        "second_kernel",
+        [build_dd, build_dd_reference],
+        ids=["vectorized", "reference"],
+    )
     @pytest.mark.parametrize(
         "state",
         [
             ghz_state((3, 3, 2)),
-            w_state((3, 6, 2)),
-            StateVector([0, 0, 1, 0, 0, 0], (3, 2)),
-            StateVector([2.0, 0, 0, 0], (2, 2)),
-            StateVector([1j, 0, 0, 0], (2, 2)),
+            random_state((2, 3, 2), rng=np.random.default_rng(5)),
         ],
-        ids=["ghz", "w", "basis", "unnormalised", "global-phase"],
+        ids=["ghz", "dense-random"],
     )
-    def test_structured_states_match(self, state):
-        assert_same_diagram(build_dd(state), build_dd_reference(state))
-
-    def test_kernels_share_nodes_through_shared_table(self):
+    def test_kernels_share_nodes_through_shared_table(
+        self, state, second_kernel
+    ):
         table = UniqueTable()
-        first = build_dd(ghz_state((3, 3, 2)), table)
-        second = build_dd_reference(ghz_state((3, 3, 2)), table)
+        first = build_dd(state, table)
+        second = second_kernel(state, table)
         assert first.root.node is second.root.node
+
+    def test_levels_do_not_alias_through_shared_table(self):
+        # The last level of (2, 2) and of (2, 2, 2) holds the same
+        # sub-states; the level is part of the unique key, so the
+        # nodes stay apart.
+        table = UniqueTable()
+        ghz2 = build_dd(ghz_state((2, 2)), table)
+        ghz3 = build_dd(ghz_state((2, 2, 2)), table)
+        last2 = {id(node) for node in ghz2.nodes() if node.level == 1}
+        last3 = {id(node) for node in ghz3.nodes() if node.level == 2}
+        assert len(last2) == len(last3) == 2
+        assert last2.isdisjoint(last3)
+        assert ghz2.root.node is not ghz3.root.node
 
 
 def _random_circuit(dims, seed: int) -> Circuit:

@@ -716,12 +716,20 @@ class TestPipelineCLI:
     @pytest.mark.parametrize(
         "surface", ["pipeline_file", "spec_defaults", "prepare_job"]
     )
-    def test_deleted_verify_kernel_knob_is_refused(self, surface, tmp_path):
-        # The config field that once picked the verify kernel no
-        # longer exists: every surface that takes option fields must
-        # refuse it (naming the fields it does take) rather than
-        # silently ignore it.  The name is spelled in two parts so a
-        # search for leftovers of the deleted knob finds none.
+    @pytest.mark.parametrize(
+        "removed,value",
+        [("fused" "_verify", False), ("dd" "_backend", "object")],
+        ids=["verify_kernel", "node_store"],
+    )
+    def test_deleted_verify_kernel_knob_is_refused(
+        self, removed, value, surface, tmp_path
+    ):
+        # The config fields that once picked the verify kernel and the
+        # DD node store no longer exist: every surface that takes
+        # option fields must refuse them (naming the fields it does
+        # take) rather than silently ignore them.  The names are
+        # spelled in two parts so a search for leftovers of the
+        # deleted knobs finds none.
         import asyncio
         from functools import partial
 
@@ -729,8 +737,7 @@ class TestPipelineCLI:
         from repro.net import ClientError, HttpServer, ReproClient
         from repro.service import AsyncPreparationService
 
-        removed = "fused" "_verify"
-        knob = {removed: False}
+        knob = {removed: value}
         job = {"family": "ghz", "dims": [2, 2]}
         path = tmp_path / "pipeline.json"
         path.write_text(json.dumps(knob))
