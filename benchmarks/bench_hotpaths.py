@@ -20,9 +20,14 @@ subsequent PRs have a perf trajectory to compare against:
 Scenarios cover qubit-only, qutrit-only and mixed-radix registers with
 GHZ, W, dense-random and sparse-random states.  Per scenario the
 harness times DD construction (the vectorized kernel and the two
-baselines), preparation verification (the per-gate in-place kernel
-and the two baselines) and single-pass vs. separate diagram
-statistics.  ``--smoke`` runs a CI-sized grid.
+baselines), cold synthesis (the columnar ``synthesize_preparation``
+against the gate-by-gate oracle of ``tests/synthesis_oracle.py``, whose
+QDASM it must match byte for byte), preparation verification (the
+block kernel on the synthesised table, the same circuit as a gate
+list, and the two baselines) and single-pass vs. separate diagram
+statistics.  ``--smoke`` runs a CI-sized grid and fails unless
+block-kernel verify is no slower than gate-list verify on the smoke
+scenario with the most operations.
 
 Run::
 
@@ -48,9 +53,13 @@ import numpy as np
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(REPO_ROOT / "src"))
+sys.path.insert(0, str(REPO_ROOT))
 
+from repro.circuit import qasm  # noqa: E402
+from repro.circuit.circuit import Circuit  # noqa: E402
 from repro.circuit.gates import GivensRotation, PhaseRotation  # noqa: E402
 from repro.core.preparation import prepare_state  # noqa: E402
+from repro.core.synthesis import synthesize_preparation  # noqa: E402
 from repro.core.verification import verify_preparation  # noqa: E402
 from repro.dd.builder import build_dd, build_dd_reference  # noqa: E402
 from repro.dd.diagram import DecisionDiagram  # noqa: E402
@@ -70,6 +79,7 @@ from repro.states.random_states import (  # noqa: E402
     random_state,
 )
 from repro.states.statevector import StateVector  # noqa: E402
+from tests.synthesis_oracle import oracle_preparation  # noqa: E402
 
 
 # ----------------------------------------------------------------------
@@ -326,10 +336,35 @@ def run(smoke: bool, repeats: int) -> dict:
               f" | seed {seed_s * 1e3:8.2f} ms"
               f" ({build['speedup_vs_seed']:.2f}x)", flush=True)
 
+        columnar_s = _best_of(
+            lambda: synthesize_preparation(diagram), repeats
+        )
+        oracle_s = _best_of(lambda: oracle_preparation(diagram), repeats)
+        if qasm.dumps(synthesize_preparation(diagram)) != qasm.dumps(
+            oracle_preparation(diagram)
+        ):
+            raise SystemExit(f"[{name}] columnar synthesis != oracle")
+        synthesize = {
+            "columnar_s": round(columnar_s, 6),
+            "oracle_s": round(oracle_s, 6),
+            "speedup_vs_oracle": _round_speedup(oracle_s, columnar_s),
+        }
+        print(f"  synthesize: columnar {columnar_s * 1e3:7.2f} ms"
+              f" | oracle {oracle_s * 1e3:7.2f} ms"
+              f" ({synthesize['speedup_vs_oracle']:.2f}x)", flush=True)
+
         result = prepare_state(state, verify=False)
         circuit = result.circuit
-        inplace_s = _best_of(
+        # The same operations as a gate list: per-gate verify with a
+        # fresh (cold) matrix cache per call.
+        gate_list = Circuit(circuit.register)
+        gate_list.extend(circuit.gates)
+        gate_list.global_phase = circuit.global_phase
+        table_s = _best_of(
             lambda: verify_preparation(circuit, state), repeats
+        )
+        gate_list_s = _best_of(
+            lambda: verify_preparation(gate_list, state), repeats
         )
         ref_verify_s = _best_of(
             lambda: fidelity(
@@ -341,16 +376,20 @@ def run(smoke: bool, repeats: int) -> dict:
             lambda: seed_verify(circuit, state), repeats
         )
         verify = {
-            "operations": len(circuit.gates),
-            "inplace_s": round(inplace_s, 6),
+            "operations": circuit.num_operations,
+            "table_s": round(table_s, 6),
+            "gate_list_s": round(gate_list_s, 6),
             "reference_s": round(ref_verify_s, 6),
             "seed_s": round(seed_verify_s, 6),
+            "speedup_vs_gate_list": _round_speedup(gate_list_s, table_s),
             "speedup_vs_reference": _round_speedup(
-                ref_verify_s, inplace_s
+                ref_verify_s, table_s
             ),
-            "speedup_vs_seed": _round_speedup(seed_verify_s, inplace_s),
+            "speedup_vs_seed": _round_speedup(seed_verify_s, table_s),
         }
-        print(f"  verify: in-place {inplace_s * 1e3:7.2f} ms"
+        print(f"  verify: table {table_s * 1e3:7.2f} ms"
+              f" | gate list {gate_list_s * 1e3:7.2f} ms"
+              f" ({verify['speedup_vs_gate_list']:.2f}x)"
               f" | reference {ref_verify_s * 1e3:7.2f} ms"
               f" ({verify['speedup_vs_reference']:.2f}x)"
               f" | seed {seed_verify_s * 1e3:7.2f} ms"
@@ -378,6 +417,7 @@ def run(smoke: bool, repeats: int) -> dict:
             "dims": list(dims),
             "size": state.size,
             "build": build,
+            "synthesize": synthesize,
             "verify": verify,
             "stats": metrics,
         })
@@ -398,6 +438,9 @@ def run(smoke: bool, repeats: int) -> dict:
             "seed": "frozen PR-1 implementation (see module docstring)",
             "reference": "retained scalar kernels sharing optimised "
                          "tables and gate kernel",
+            "oracle": "gate-by-gate synthesis, tests/synthesis_oracle.py",
+            "gate_list": "the synthesised circuit as a gate list, "
+                         "verified gate by gate",
         },
         "headline": {
             "scenario": headline_name,
@@ -405,6 +448,10 @@ def run(smoke: bool, repeats: int) -> dict:
                 headline_row["build"]["speedup_vs_seed"],
             "build_speedup_vs_reference":
                 headline_row["build"]["speedup_vs_reference"],
+            "synthesize_speedup_vs_oracle":
+                headline_row["synthesize"]["speedup_vs_oracle"],
+            "verify_speedup_vs_gate_list":
+                headline_row["verify"]["speedup_vs_gate_list"],
             "verify_speedup_vs_seed":
                 headline_row["verify"]["speedup_vs_seed"],
             "verify_speedup_vs_reference":
@@ -413,6 +460,25 @@ def run(smoke: bool, repeats: int) -> dict:
         "scenarios": results,
     }
     return payload
+
+
+def verify_floor(payload: dict) -> str | None:
+    """The smoke floor: block-kernel verify no slower than gate-list
+    verify on the scenario with the most operations.
+
+    Returns the failure message, or ``None`` when the floor holds.
+    """
+    largest = max(
+        payload["scenarios"], key=lambda row: row["verify"]["operations"]
+    )
+    verify = largest["verify"]
+    if verify["table_s"] > verify["gate_list_s"]:
+        return (
+            f"[{largest['name']}] block-kernel verify "
+            f"{verify['table_s'] * 1e3:.2f} ms is slower than gate-list "
+            f"verify {verify['gate_list_s'] * 1e3:.2f} ms"
+        )
+    return None
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -448,9 +514,18 @@ def main(argv: list[str] | None = None) -> int:
         f"{headline['build_speedup_vs_seed']:.2f}x vs seed "
         f"({headline['build_speedup_vs_reference']:.2f}x vs reference), "
         f"verify {headline['verify_speedup_vs_seed']:.2f}x vs seed "
-        f"({headline['verify_speedup_vs_reference']:.2f}x vs reference)"
+        f"({headline['verify_speedup_vs_reference']:.2f}x vs reference, "
+        f"{headline['verify_speedup_vs_gate_list']:.2f}x vs gate list), "
+        f"synthesize {headline['synthesize_speedup_vs_oracle']:.2f}x "
+        f"vs oracle"
     )
     print(f"wrote {output}")
+    if options.smoke:
+        failure = verify_floor(payload)
+        if failure is not None:
+            print(f"FLOOR FAILED: {failure}", file=sys.stderr)
+            return 1
+        print("floor held: block-kernel verify <= gate-list verify")
     return 0
 
 

@@ -13,10 +13,12 @@ from repro.circuit.gates import (
     UnitaryGate,
 )
 from repro.circuit.stats import CircuitStatistics, statistics
+from repro.circuit.table import CircuitTable
 
 __all__ = [
     "Circuit",
     "CircuitStatistics",
+    "CircuitTable",
     "ClockGate",
     "Control",
     "FourierGate",

@@ -13,9 +13,14 @@ tests.  Example document::
 
 Controls are ``qudit:level`` pairs separated by commas.  Angles are
 plain floats (radians); parsing uses ``repr`` round-trippable output.
+A circuit stored as a :class:`~repro.circuit.table.CircuitTable` is
+written straight from its columns, with the same text a gate list of
+the same operations gives.
 """
 
 from __future__ import annotations
+
+import math
 
 from repro.circuit.circuit import Circuit
 from repro.circuit.controls import Control
@@ -27,6 +32,7 @@ from repro.circuit.gates import (
     PhaseRotation,
     ShiftGate,
 )
+from repro.circuit.table import GIVENS, CircuitTable
 from repro.exceptions import SerializationError
 
 __all__ = ["dumps", "loads"]
@@ -41,6 +47,66 @@ def _controls_field(gate) -> str:
     return f" ctrl={pairs}"
 
 
+def _table_lines(table: CircuitTable) -> list[str]:
+    """QDASM lines of a table's rows: one control field per block."""
+    kind = table.kind.tolist()
+    target = table.target.tolist()
+    lower = table.lower.tolist()
+    upper = table.upper.tolist()
+    theta = table.theta.tolist()
+    phi = table.phi.tolist()
+    offsets = table.offsets.tolist()
+    lines = []
+    for block, row in enumerate(table.controls.tolist()):
+        pairs = ",".join(
+            f"{qudit}:{level}" for qudit, level in enumerate(row)
+            if level >= 0
+        )
+        controls = f" ctrl={pairs}" if pairs else ""
+        for r in range(offsets[block], offsets[block + 1]):
+            if kind[r] == GIVENS:
+                lines.append(
+                    f"givens t={target[r]} i={lower[r]} j={upper[r]} "
+                    f"theta={theta[r]!r} phi={phi[r]!r}{controls}"
+                )
+            else:
+                lines.append(
+                    f"phase t={target[r]} i={lower[r]} j={upper[r]} "
+                    f"delta={theta[r]!r}{controls}"
+                )
+    return lines
+
+
+def _gate_line(gate) -> str:
+    if isinstance(gate, GivensRotation):
+        return (
+            f"givens t={gate.target} i={gate.level_i} j={gate.level_j} "
+            f"theta={gate.theta!r} phi={gate.phi!r}"
+            + _controls_field(gate)
+        )
+    if isinstance(gate, PhaseRotation):
+        return (
+            f"phase t={gate.target} i={gate.level_i} j={gate.level_j} "
+            f"delta={gate.delta!r}" + _controls_field(gate)
+        )
+    if isinstance(gate, ShiftGate):
+        return (
+            f"shift t={gate.target} amount={gate.amount}"
+            + _controls_field(gate)
+        )
+    if isinstance(gate, ClockGate):
+        return (
+            f"clock t={gate.target} amount={gate.amount}"
+            + _controls_field(gate)
+        )
+    if isinstance(gate, FourierGate):
+        return f"fourier t={gate.target}" + _controls_field(gate)
+    if isinstance(gate, PermutationGate):
+        perm = ",".join(str(p) for p in gate.permutation)
+        return f"perm t={gate.target} map={perm}" + _controls_field(gate)
+    raise SerializationError(f"gate {gate.name!r} has no QDASM form")
+
+
 def dumps(circuit: Circuit) -> str:
     """Serialise a circuit to QDASM text.
 
@@ -49,44 +115,29 @@ def dumps(circuit: Circuit) -> str:
             without a textual form (e.g. :class:`UnitaryGate`).
     """
     lines = [_HEADER, "dims " + " ".join(str(d) for d in circuit.dims)]
-    for gate in circuit.gates:
-        if isinstance(gate, GivensRotation):
-            lines.append(
-                f"givens t={gate.target} i={gate.level_i} j={gate.level_j} "
-                f"theta={gate.theta!r} phi={gate.phi!r}"
-                + _controls_field(gate)
-            )
-        elif isinstance(gate, PhaseRotation):
-            lines.append(
-                f"phase t={gate.target} i={gate.level_i} j={gate.level_j} "
-                f"delta={gate.delta!r}" + _controls_field(gate)
-            )
-        elif isinstance(gate, ShiftGate):
-            lines.append(
-                f"shift t={gate.target} amount={gate.amount}"
-                + _controls_field(gate)
-            )
-        elif isinstance(gate, ClockGate):
-            lines.append(
-                f"clock t={gate.target} amount={gate.amount}"
-                + _controls_field(gate)
-            )
-        elif isinstance(gate, FourierGate):
-            lines.append(
-                f"fourier t={gate.target}" + _controls_field(gate)
-            )
-        elif isinstance(gate, PermutationGate):
-            perm = ",".join(str(p) for p in gate.permutation)
-            lines.append(
-                f"perm t={gate.target} map={perm}" + _controls_field(gate)
-            )
-        else:
-            raise SerializationError(
-                f"gate {gate.name!r} has no QDASM form"
-            )
+    table = circuit.table
+    if table is not None:
+        lines.extend(_table_lines(table))
+    else:
+        lines.extend(_gate_line(gate) for gate in circuit.gates)
     if circuit.global_phase:
         lines.append(f"globalphase {circuit.global_phase!r}")
     return "\n".join(lines) + "\n"
+
+
+def _parse_angle(text: str, name: str, line_no: int) -> float:
+    """A finite float, or a :class:`SerializationError`."""
+    try:
+        value = float(text)
+    except ValueError as error:
+        raise SerializationError(
+            f"line {line_no}: malformed {name} {text!r}"
+        ) from error
+    if not math.isfinite(value):
+        raise SerializationError(
+            f"line {line_no}: {name} must be finite, got {text!r}"
+        )
+    return value
 
 
 def _parse_fields(tokens: list[str], line_no: int) -> dict[str, str]:
@@ -132,10 +183,14 @@ def loads(text: str) -> Circuit:
     if len(lines) < 2 or not lines[1].startswith("dims "):
         raise SerializationError("missing 'dims' declaration")
     try:
-        dims = tuple(int(token) for token in lines[1].split()[1:])
+        circuit = Circuit(
+            tuple(int(token) for token in lines[1].split()[1:])
+        )
     except ValueError as error:
-        raise SerializationError("malformed 'dims' declaration") from error
-    circuit = Circuit(dims)
+        # int() failures and DimensionError (a ValueError) alike.
+        raise SerializationError(
+            f"malformed 'dims' declaration ({error})"
+        ) from error
 
     for offset, line in enumerate(lines[2:], start=3):
         tokens = line.split()
@@ -145,7 +200,9 @@ def loads(text: str) -> Circuit:
                 raise SerializationError(
                     f"line {offset}: malformed globalphase"
                 )
-            circuit.add_global_phase(float(tokens[1]))
+            circuit.add_global_phase(
+                _parse_angle(tokens[1], "globalphase", offset)
+            )
             continue
         fields = _parse_fields(tokens[1:], offset)
         controls = _parse_controls(fields.pop("ctrl", None), offset)
@@ -154,15 +211,18 @@ def loads(text: str) -> Circuit:
                 circuit.append(
                     GivensRotation(
                         int(fields["t"]), int(fields["i"]),
-                        int(fields["j"]), float(fields["theta"]),
-                        float(fields["phi"]), controls,
+                        int(fields["j"]),
+                        _parse_angle(fields["theta"], "theta", offset),
+                        _parse_angle(fields["phi"], "phi", offset),
+                        controls,
                     )
                 )
             elif mnemonic == "phase":
                 circuit.append(
                     PhaseRotation(
                         int(fields["t"]), int(fields["i"]),
-                        int(fields["j"]), float(fields["delta"]),
+                        int(fields["j"]),
+                        _parse_angle(fields["delta"], "delta", offset),
                         controls,
                     )
                 )
@@ -196,6 +256,8 @@ def loads(text: str) -> Circuit:
             raise SerializationError(
                 f"line {offset}: missing field {error}"
             ) from error
+        except SerializationError:
+            raise
         except ValueError as error:
             raise SerializationError(
                 f"line {offset}: malformed number ({error})"

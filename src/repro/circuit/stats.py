@@ -9,12 +9,13 @@ benchmark harness and the ablation studies.
 
 from __future__ import annotations
 
-import statistics as stdlib_statistics
 from dataclasses import dataclass, field
+
+import numpy as np
 
 from repro.circuit.circuit import Circuit
 
-__all__ = ["CircuitStatistics", "statistics"]
+__all__ = ["CircuitStatistics", "control_summary", "statistics"]
 
 
 @dataclass(frozen=True)
@@ -41,27 +42,33 @@ class CircuitStatistics:
     depth: int = 0
 
 
+def control_summary(counts: np.ndarray) -> tuple[float, float]:
+    """Median and mean of per-gate control counts (0.0 when empty).
+
+    The paper's "#Controls" metric and its mean, as array reductions
+    over :meth:`Circuit.control_counts`; the mean divides the exact
+    integer sum, as ``sum(counts) / len(counts)`` does.
+    """
+    if counts.size == 0:
+        return 0.0, 0.0
+    return (
+        float(np.median(counts)),
+        float(int(counts.sum()) / counts.size),
+    )
+
+
 def statistics(circuit: Circuit) -> CircuitStatistics:
     """Compute :class:`CircuitStatistics` for a circuit."""
     control_counts = circuit.control_counts()
-    if control_counts:
-        median_controls = float(stdlib_statistics.median(control_counts))
-        mean_controls = float(
-            sum(control_counts) / len(control_counts)
-        )
-        max_controls = max(control_counts)
-    else:
-        median_controls = 0.0
-        mean_controls = 0.0
-        max_controls = 0
+    median_controls, mean_controls = control_summary(control_counts)
     control_histogram: dict[int, int] = {}
-    for count in control_counts:
+    for count in control_counts.tolist():
         control_histogram[count] = control_histogram.get(count, 0) + 1
     return CircuitStatistics(
         num_operations=circuit.num_operations,
         median_controls=median_controls,
         mean_controls=mean_controls,
-        max_controls=max_controls,
+        max_controls=int(control_counts.max(initial=0)),
         control_histogram=control_histogram,
         gate_histogram=circuit.count_by_name(),
         depth=circuit.depth(),

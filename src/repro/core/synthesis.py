@@ -12,15 +12,21 @@ the paper's complexity claim.
 The tensor-product rule of Section 4.3 is applied on the fly: when all
 non-zero edges of a node point to the same child, the subtree is
 synthesised once *without* a control on that node's qudit.
+
+The circuit is emitted as a :class:`~repro.circuit.table.CircuitTable`:
+one block of rows per visited node, under one control row.  A node's
+ladder is computed once per distinct node and reused on every path
+through it, and no :class:`~repro.circuit.gate.Gate` object is built.
 """
 
 from __future__ import annotations
 
 import cmath
 
+import numpy as np
+
 from repro.circuit.circuit import Circuit
-from repro.circuit.controls import Control
-from repro.circuit.gates import GivensRotation, PhaseRotation
+from repro.circuit.table import GIVENS, PHASE, CircuitTable
 from repro.core.angles import disentangling_rotation
 from repro.dd.diagram import DecisionDiagram
 from repro.dd.node import DDNode
@@ -29,14 +35,12 @@ from repro.exceptions import SynthesisError
 __all__ = ["synthesize_unpreparation", "synthesize_preparation"]
 
 
-def _emit_node_ladder(
-    circuit: Circuit,
-    node: DDNode,
-    controls: tuple[Control, ...],
-    emit_identity_rotations: bool,
-) -> None:
-    """Emit the rotations that merge ``node``'s weights into level 0."""
-    target = node.level
+def _node_ladder(
+    node: DDNode, emit_identity_rotations: bool
+) -> list[tuple[int, int, int, float, float]]:
+    """Rows ``(kind, lower, upper, theta, phi)`` merging ``node``'s
+    weights into level 0."""
+    rows = []
     weights = list(node.weights)
     for upper in range(node.dimension - 1, 0, -1):
         lower = upper - 1
@@ -46,18 +50,94 @@ def _emit_node_ladder(
         weights[lower] = merged
         weights[upper] = 0.0
         if emit_identity_rotations or abs(theta) > 1e-14:
-            circuit.append(
-                GivensRotation(target, lower, upper, theta, phi, controls)
-            )
+            rows.append((GIVENS, lower, upper, theta, phi))
     # The residual phase on level 0; for canonically normalised nodes
     # (first non-zero weight real positive) this is exactly zero, but
     # it is computed -- not assumed -- so non-canonical diagrams stay
     # correct.
     residual_phase = cmath.phase(weights[0]) if weights[0] != 0 else 0.0
     if emit_identity_rotations or abs(residual_phase) > 1e-14:
-        circuit.append(
-            PhaseRotation(target, 0, 1, 2.0 * residual_phase, controls)
+        rows.append((PHASE, 0, 1, 2.0 * residual_phase, 0.0))
+    return rows
+
+
+def _unpreparation_table(
+    dd: DecisionDiagram,
+    tensor_elision: bool,
+    emit_identity_rotations: bool,
+) -> CircuitTable:
+    """The disentangling circuit of ``dd`` as a table.
+
+    The walk is post-order: a node's block follows the blocks of its
+    subtree.  Each distinct node's ladder is stored once; every visit
+    records the ladder's id and the current root-path control row,
+    and the rows are gathered from the ladders in one vectorised pass.
+    """
+    if dd.root.is_zero:
+        raise SynthesisError("cannot synthesise the zero state")
+    ladder_ids: dict[DDNode, int] = {}
+    ladder_rows: list[tuple[int, int, int, float, float]] = []
+    ladder_starts = [0]
+    ladder_targets: list[int] = []
+    visits: list[int] = []
+    control_rows: list[int] = []
+    path = [-1] * len(dd.dims)
+
+    def unprepare(node: DDNode) -> None:
+        shared_child = (
+            node.unique_nonzero_child() if tensor_elision else None
         )
+        if shared_child is not None:
+            if not shared_child.is_terminal:
+                # Tensor-product rule: one uncontrolled-by-this-qudit
+                # recursion covers every non-zero branch.
+                unprepare(shared_child)
+        else:
+            level = node.level
+            for digit, edge in node.nonzero_edges():
+                if not edge.node.is_terminal:
+                    path[level] = digit
+                    unprepare(edge.node)
+            path[level] = -1
+        ladder = ladder_ids.get(node)
+        if ladder is None:
+            ladder = ladder_ids[node] = len(ladder_targets)
+            ladder_rows.extend(_node_ladder(node, emit_identity_rotations))
+            ladder_starts.append(len(ladder_rows))
+            ladder_targets.append(node.level)
+        visits.append(ladder)
+        control_rows.extend(path)
+
+    unprepare(dd.root.node)
+
+    starts = np.asarray(ladder_starts, dtype=np.int64)
+    visit = np.asarray(visits, dtype=np.int64)
+    lengths = starts[visit + 1] - starts[visit]
+    offsets = np.zeros(visit.size + 1, dtype=np.int64)
+    np.cumsum(lengths, out=offsets[1:])
+    source = np.repeat(starts[visit] - offsets[:-1], lengths) + np.arange(
+        offsets[-1]
+    )
+    columns = (
+        np.array(ladder_rows, dtype=np.float64).reshape(-1, 5)
+        if ladder_rows
+        else np.zeros((0, 5))
+    )
+    return CircuitTable(
+        dd.dims,
+        kind=columns[source, 0].astype(np.uint8),
+        target=np.repeat(
+            np.asarray(ladder_targets, dtype=np.int32)[visit], lengths
+        ),
+        lower=columns[source, 1].astype(np.int32),
+        upper=columns[source, 2].astype(np.int32),
+        theta=columns[source, 3],
+        phi=columns[source, 4],
+        offsets=offsets,
+        controls=np.asarray(control_rows, dtype=np.int16).reshape(
+            visit.size, len(dd.dims)
+        ),
+    )
 
 
 def synthesize_unpreparation(
@@ -83,32 +163,9 @@ def synthesize_unpreparation(
     Raises:
         SynthesisError: If the diagram is zero.
     """
-    if dd.root.is_zero:
-        raise SynthesisError("cannot synthesise the zero state")
-    circuit = Circuit(dd.register)
-
-    def unprepare(node: DDNode, controls: tuple[Control, ...]) -> None:
-        shared_child = (
-            node.unique_nonzero_child() if tensor_elision else None
-        )
-        if shared_child is not None:
-            if not shared_child.is_terminal:
-                # Tensor-product rule: one uncontrolled-by-this-qudit
-                # recursion covers every non-zero branch.
-                unprepare(shared_child, controls)
-        else:
-            for digit, edge in node.nonzero_edges():
-                if not edge.node.is_terminal:
-                    unprepare(
-                        edge.node,
-                        controls + (Control(node.level, digit),),
-                    )
-        _emit_node_ladder(
-            circuit, node, controls, emit_identity_rotations
-        )
-
-    unprepare(dd.root.node, ())
-    return circuit
+    return Circuit.from_table(
+        _unpreparation_table(dd, tensor_elision, emit_identity_rotations)
+    )
 
 
 def synthesize_preparation(
@@ -118,18 +175,17 @@ def synthesize_preparation(
 ) -> Circuit:
     """Synthesise the circuit preparing the DD's state from ``|0...0>``.
 
-    The reversed adjoint of :func:`synthesize_unpreparation`, with the
-    root weight's phase applied as a global phase so the prepared state
-    matches the diagram exactly (not merely up to phase).
+    The reversed adjoint of :func:`synthesize_unpreparation` (its
+    table reversed, with ``theta`` and ``delta`` negated), with the
+    root weight's phase applied as a global phase so the prepared
+    state matches the diagram exactly (not merely up to phase).
 
     Returns:
         Circuit ``P`` with ``P|0...0> = |psi> / ||psi||``.
     """
-    unprep = synthesize_unpreparation(
-        dd,
-        tensor_elision=tensor_elision,
-        emit_identity_rotations=emit_identity_rotations,
+    table = _unpreparation_table(
+        dd, tensor_elision, emit_identity_rotations
     )
-    preparation = unprep.inverse()
+    preparation = Circuit.from_table(table.inverse())
     preparation.global_phase = cmath.phase(dd.root.weight)
     return preparation

@@ -1,10 +1,11 @@
 """Verification of synthesised circuits against target states.
 
 Verification is the one dense simulation every exact pipeline run
-pays, as in the paper: the synthesised rotation circuit runs gate by
-gate on ``|0...0>`` through the in-place kernel
-:func:`~repro.simulator.statevector_sim.simulate_inplace`, and the
-result is compared with the target.
+pays, as in the paper: the synthesised rotation circuit runs on
+``|0...0>`` through the in-place kernel
+:func:`~repro.simulator.statevector_sim.simulate_inplace` (one d x d
+matrix per block of its table, in emitted order), and the result is
+compared with the target.
 """
 
 from __future__ import annotations
@@ -30,8 +31,8 @@ def prepared_state(
 
     Args:
         circuit: The preparation circuit.
-        matrix_cache: Gate-matrix memo to reuse across calls; a fresh
-            one per call when ``None``.
+        matrix_cache: Gate-matrix memo to reuse across calls for
+            gate-list circuits; a fresh one per call when ``None``.
     """
     buffer = np.zeros(circuit.register.size, dtype=np.complex128)
     buffer[0] = 1.0

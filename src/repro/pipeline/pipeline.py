@@ -16,7 +16,7 @@ from collections.abc import Iterable, Sequence
 
 import numpy as np
 
-from repro.circuit.stats import statistics
+from repro.circuit.stats import control_summary
 from repro.core.preparation import PreparationResult
 from repro.core.report import SynthesisReport
 from repro.dd import metrics
@@ -251,12 +251,16 @@ def finalize(context: PipelineContext) -> PreparationResult:
             "cannot finalize an incomplete pipeline context; the "
             "coerce, build, and synthesize stages must have run"
         )
-    circuit_stats = statistics(context.circuit)
+    median_controls, mean_controls = control_summary(
+        context.circuit.control_counts()
+    )
     diagram_stats = context.diagram.collect_stats()
-    exact_stats = (
-        diagram_stats
+    # The exact diagram's node count only: its DistinctC is not
+    # reported, so an approximated job skips that table pass.
+    dd_nodes = (
+        diagram_stats.num_nodes
         if context.exact_diagram is context.diagram
-        else context.exact_diagram.collect_stats()
+        else context.exact_diagram.num_nodes()
     )
     report = SynthesisReport(
         dims=context.target.dims,
@@ -264,9 +268,9 @@ def finalize(context: PipelineContext) -> PreparationResult:
         visited_nodes=metrics.visited_tree_size(context.diagram),
         dag_nodes=diagram_stats.num_nodes,
         distinct_complex=diagram_stats.distinct_complex,
-        operations=circuit_stats.num_operations,
-        median_controls=circuit_stats.median_controls,
-        mean_controls=circuit_stats.mean_controls,
+        operations=context.circuit.num_operations,
+        median_controls=median_controls,
+        mean_controls=mean_controls,
         synthesis_time=(
             context.stage_seconds("approximate")
             + context.stage_seconds("synthesize")
@@ -284,7 +288,7 @@ def finalize(context: PipelineContext) -> PreparationResult:
             if context.fidelity is not None
             else 0.0
         ),
-        dd_nodes=exact_stats.num_nodes,
+        dd_nodes=dd_nodes,
     )
     return PreparationResult(
         circuit=context.circuit,

@@ -6,7 +6,7 @@ Small registers are checked exactly through the dense unitary; larger
 ones are probed with random states (a sound Monte-Carlo check: random
 complex-Gaussian states distinguish distinct unitaries with
 probability 1).  Probe runs go through :func:`simulate`, the same
-per-gate kernel that verifies every synthesised circuit.
+in-place kernel that verifies every synthesised circuit.
 """
 
 from __future__ import annotations

@@ -2,22 +2,27 @@
 
 Gates are applied by reshaping the amplitude vector into one tensor
 axis per qudit, slicing out the control-satisfying subspace, and
-contracting the target axis with the gate's local matrix.  Cost is
-``O(prod(dims) * d_target)`` per gate.
+contracting the target axis with a ``d x d`` local matrix.  Cost is
+``O(prod(dims) * d_target)`` per application.
 
 Two execution paths are provided:
 
 * :func:`simulate` / :func:`apply_gate` — the immutable API.  Inputs
   are never mutated; :func:`simulate` allocates one private working
   buffer for the whole circuit and delegates to the in-place kernel,
-  so cost per gate is one subspace-sized temporary instead of the
+  so cost per block is one subspace-sized temporary instead of the
   seed's two full-state copies (``tensor.copy()`` plus the
   :class:`StateVector` constructor's validating copy).
 * :func:`apply_gate_inplace` / :func:`simulate_inplace` — the
-  zero-copy kernel.  The caller owns the buffer; gate matrices are
-  memoised per ``(gate identity, dimension)`` in a
-  :class:`GateMatrixCache` so parameterised rotations are built once
-  per circuit, not once per application.
+  zero-copy kernel.  The caller owns the buffer.  One function applies
+  a ``d x d`` matrix on a ``(target, controls)`` subspace, and
+  :func:`simulate_inplace` feeds it one *block* at a time, in emitted
+  order: for a circuit stored as a
+  :class:`~repro.circuit.table.CircuitTable`, a block is a run of
+  consecutive rows sharing target and control row, applied as the
+  product of its rows (built vectorised); for a gate list, a block is
+  one gate, with its matrix from a :class:`GateMatrixCache`.  Nothing
+  is reordered or scheduled, so the kernel is exact for any circuit.
 * :func:`simulate_reference` — the seed's per-gate-copy loop, kept as
   the executable baseline the benchmark-trajectory harness
   (``benchmarks/bench_hotpaths.py``) and the equivalence tests measure
@@ -34,6 +39,7 @@ import numpy as np
 
 from repro.circuit.circuit import Circuit
 from repro.circuit.gate import Gate
+from repro.circuit.table import PHASE, CircuitTable
 from repro.exceptions import SimulationError
 from repro.states.statevector import StateVector
 
@@ -57,13 +63,14 @@ class GateMatrixCache:
     read-only before being handed out; the simulation kernels never
     write to them.
 
-    The memo is a bounded LRU.  Each simulation makes a fresh cache
-    unless the caller passes one in, and a caller that keeps one
-    cache across many circuits would otherwise grow it without limit:
-    synthesised rotations almost never repeat an angle.  The default
-    cap holds every distinct matrix of the dense 12-qudit benchmark
-    circuit (13,825), so one simulation does not evict.  Thread-safe,
-    so concurrent simulations may share one instance.
+    The memo is a bounded LRU and serves gate-list circuits only
+    (hand-built, parsed and transpiled ones): a synthesised circuit is
+    a table, whose block matrices are built from its columns without
+    this cache.  Each simulation makes a fresh cache unless the caller
+    passes one in, and a caller that keeps one cache across many
+    circuits would otherwise grow it without limit: rotation angles
+    almost never repeat.  Thread-safe, so concurrent simulations may
+    share one instance.
 
     Args:
         maxsize: Entry cap; least-recently-used matrices are evicted
@@ -72,8 +79,9 @@ class GateMatrixCache:
 
     __slots__ = ("_matrices", "_maxsize", "_lock")
 
-    #: Default entry cap — above the 13,825 distinct local matrices of
-    #: the dense 12-qudit benchmark circuit, the largest one verified.
+    #: Default entry cap.  It bounds the memory of a long-lived shared
+    #: cache; a gate circuit with more distinct matrices than this
+    #: evicts while it runs and only rebuilds matrices.
     DEFAULT_MAXSIZE = 16384
 
     def __init__(self, maxsize: int = DEFAULT_MAXSIZE):
@@ -116,6 +124,31 @@ class GateMatrixCache:
         return len(self._matrices)
 
 
+def _apply_subspace(
+    tensor: np.ndarray,
+    matrix: np.ndarray,
+    index: tuple,
+    axis: int,
+) -> None:
+    """Apply a ``d x d`` matrix on a ``(target, controls)`` subspace.
+
+    ``index`` holds each control's level at its qudit's position and
+    ``slice(None)`` elsewhere; ``axis`` is the target's axis in the
+    view ``tensor[index]`` (integer indices collapse control axes).
+    """
+    subspace = tensor[index]
+    moved = (
+        subspace if axis == 0 else np.moveaxis(subspace, axis, 0)
+    )
+    dimension = moved.shape[0]
+    # reshape copies when ``moved`` is a non-contiguous view; the copy
+    # is subspace-sized, and the matmul runs straight into BLAS
+    # without np.tensordot's axis-normalisation overhead.
+    moved[...] = (
+        matrix @ moved.reshape(dimension, -1)
+    ).reshape(moved.shape)
+
+
 def apply_gate_inplace(
     tensor: np.ndarray,
     gate: Gate,
@@ -144,17 +177,78 @@ def apply_gate_inplace(
         # axis left by the number of controls preceding it.
         if control.qudit < gate.target:
             axis -= 1
-    subspace = tensor[tuple(index)]
-    moved = (
-        subspace if axis == 0 else np.moveaxis(subspace, axis, 0)
+    _apply_subspace(tensor, matrix, tuple(index), axis)
+
+
+def _table_blocks(table: CircuitTable):
+    """Yield ``(matrix, index, axis)`` per run of a table, in order.
+
+    A run is a maximal stretch of consecutive rows with one target and
+    one control row; its matrix is the product of its rows' two-level
+    matrices (later rows on the left).  The matrices of all runs on
+    one dimension are built together: step ``j`` applies the ``j``-th
+    row of every run at least ``j + 1`` rows long.
+    """
+    rows = table.num_rows
+    if rows == 0:
+        return
+    target = table.target
+    row_block = table.row_blocks()
+    controls = table.controls
+    same = target[1:] == target[:-1]
+    crossing = np.flatnonzero(row_block[1:] != row_block[:-1])
+    same[crossing] &= np.all(
+        controls[row_block[crossing]] == controls[row_block[crossing + 1]],
+        axis=1,
     )
-    dimension = moved.shape[0]
-    # reshape copies when ``moved`` is a non-contiguous view; the copy
-    # is subspace-sized, and the matmul runs straight into BLAS
-    # without np.tensordot's axis-normalisation overhead.
-    moved[...] = (
-        matrix @ moved.reshape(dimension, -1)
-    ).reshape(moved.shape)
+    starts = np.flatnonzero(np.concatenate(([True], ~same)))
+    lengths = np.diff(np.append(starts, rows))
+    run_target = target[starts]
+    run_block = row_block[starts]
+
+    # The 2x2 block [[g00, g01], [g10, g11]] of every row on its
+    # (lower, upper) levels: R(theta, phi) for Givens rows,
+    # RZ(delta) = diag(e^{-i delta/2}, e^{i delta/2}) for phase rows.
+    half = table.theta / 2.0
+    cos, sin = np.cos(half), np.sin(half)
+    phase = table.kind == PHASE
+    g00 = np.where(phase, np.exp(-0.5j * table.theta), cos)
+    g11 = np.where(phase, np.exp(0.5j * table.theta), cos)
+    g01 = np.where(phase, 0.0, -1j * np.exp(-1j * table.phi) * sin)
+    g10 = np.where(phase, 0.0, -1j * np.exp(1j * table.phi) * sin)
+
+    run_dims = np.asarray(table.dims)[run_target]
+    matrices: list[np.ndarray] = [None] * starts.size
+    # bincount, not np.unique: the latter imports numpy.ma on first use.
+    for dimension in np.flatnonzero(np.bincount(run_dims)).tolist():
+        runs = np.flatnonzero(run_dims == dimension)
+        stack = np.zeros((runs.size, dimension, dimension), complex)
+        stack[:, np.arange(dimension), np.arange(dimension)] = 1.0
+        first, length = starts[runs], lengths[runs]
+        for step in range(int(length.max())):
+            active = np.flatnonzero(length > step)
+            row = first[active] + step
+            lower, upper = table.lower[row], table.upper[row]
+            low = stack[active, lower]
+            high = stack[active, upper]
+            stack[active, lower] = (
+                g00[row, None] * low + g01[row, None] * high
+            )
+            stack[active, upper] = (
+                g10[row, None] * low + g11[row, None] * high
+            )
+        for position, run in enumerate(runs.tolist()):
+            matrices[run] = stack[position]
+
+    # Integer indices collapse control axes, shifting the target axis
+    # left by the number of controls preceding it.
+    before = np.cumsum(controls >= 0, axis=1)[run_block, run_target]
+    axes = (run_target - before).tolist()
+    free = slice(None)
+    control_rows = controls[run_block].tolist()
+    for matrix, row, axis in zip(matrices, control_rows, axes):
+        index = tuple([free if level < 0 else level for level in row])
+        yield matrix, index, axis
 
 
 def simulate_inplace(
@@ -164,12 +258,16 @@ def simulate_inplace(
 ) -> np.ndarray:
     """Run a circuit on a caller-owned amplitude buffer, in place.
 
+    Blocks run in emitted order: the runs of a table circuit (see
+    :func:`_table_blocks`), or the gates of a gate list, one by one.
+
     Args:
         circuit: The circuit to execute (its global phase is applied).
         amplitudes: Writable, C-contiguous complex128 vector of size
             ``circuit.register.size``; mutated to the output state.
-        matrix_cache: Optional shared gate-matrix memo; pass one cache
-            across calls to reuse matrices between circuits.
+        matrix_cache: Optional shared gate-matrix memo for gate-list
+            circuits; pass one cache across calls to reuse matrices
+            between circuits.  Table circuits do not use it.
 
     Returns:
         The same ``amplitudes`` array, for chaining.
@@ -184,19 +282,26 @@ def simulate_inplace(
             f"buffer of shape {amplitudes.shape} cannot hold a state "
             f"over dims {dims}"
         )
-    if matrix_cache is None:
-        matrix_cache = GateMatrixCache()
-    # One per-circuit validation pass instead of one validate() per
-    # gate per call: Circuit.append validated every gate against this
-    # register on entry, so the memoised pass is free for circuits
-    # built through the public API and re-validates only when the
-    # gate list was manipulated behind the container's back.
-    circuit.ensure_validated()
     tensor = amplitudes.reshape(dims)
-    for gate in circuit.gates:
-        apply_gate_inplace(
-            tensor, gate, matrix_cache.matrix(gate, dims[gate.target])
-        )
+    table = circuit.table
+    if table is not None:
+        # A table was validated when it was built.
+        for matrix, index, axis in _table_blocks(table):
+            _apply_subspace(tensor, matrix, index, axis)
+    else:
+        if matrix_cache is None:
+            matrix_cache = GateMatrixCache()
+        # One per-circuit validation pass instead of one validate()
+        # per gate per call: Circuit.append validated every gate
+        # against this register on entry, so the memoised pass is free
+        # for circuits built through the public API and re-validates
+        # only when the gate list was manipulated behind the
+        # container's back.
+        circuit.ensure_validated()
+        for gate in circuit.gates:
+            apply_gate_inplace(
+                tensor, gate, matrix_cache.matrix(gate, dims[gate.target])
+            )
     if circuit.global_phase:
         amplitudes *= cmath.exp(1j * circuit.global_phase)
     return amplitudes

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import json
+
 import pytest
 
 from repro.engine import (
@@ -206,10 +208,22 @@ class TestCircuitCache:
         assert reader.get("k") is not None
         assert reader.stats.disk_hits == 1
 
-    def test_corrupt_disk_entry_is_a_miss(self, tmp_path):
+    @pytest.mark.parametrize("corruption", ["not-json", "nan-phase"])
+    def test_corrupt_disk_entry_is_a_miss(self, tmp_path, corruption):
         cache = CircuitCache(capacity=4, disk_dir=tmp_path)
-        (tmp_path / "bad.json").write_text("{not json")
+        path = tmp_path / "bad.json"
+        if corruption == "not-json":
+            path.write_text("{not json")
+        else:
+            # A well-formed entry edited to carry a NaN global phase.
+            CircuitCache(capacity=4, disk_dir=tmp_path).put(
+                self._entry("bad")
+            )
+            payload = json.loads(path.read_text())
+            payload["qdasm"] += "globalphase nan\n"
+            path.write_text(json.dumps(payload))
         assert cache.get("bad") is None
+        assert cache.stats.disk_hits == 0
 
     def test_contains_agrees_with_get_on_corrupt_disk_file(
         self, tmp_path

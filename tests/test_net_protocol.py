@@ -310,6 +310,13 @@ class TestOutcomeFromWire:
             {"report": None},                   # success without report
             {"report": {"wrong": "shape"}},     # unusable report
             {"circuit": "not qdasm"},           # unparseable circuit
+            # circuits with bad numbers
+            {"circuit": "QDASM 1.0\ndims 2\nglobalphase abc\n"},
+            {"circuit": "QDASM 1.0\ndims 2\nglobalphase nan\n"},
+            {"circuit": (
+                "QDASM 1.0\ndims 3\n"
+                "givens t=0 i=0 j=1 theta=nan phi=0\n"
+            )},
             {"stage_timings": "fast"},          # timings not an object
         ],
     )

@@ -109,3 +109,26 @@ class TestParseErrors:
             qasm.loads(
                 "QDASM 1.0\ndims 3\ngivens t=0 i=0 j=1 theta=x phi=0\n"
             )
+
+    @pytest.mark.parametrize(
+        "body",
+        [
+            "dims 2\nglobalphase abc\n",
+            "dims 0 2\n",
+            "dims 3\ngivens t=0 i=0 j=1 theta=nan phi=0\n",
+            "dims 3\ngivens t=0 i=0 j=1 theta=0.5 phi=inf\n",
+            "dims 3\nphase t=0 i=0 j=1 delta=nan\n",
+            "dims 2\nglobalphase nan\n",
+        ],
+        ids=[
+            "globalphase-not-a-number",
+            "dims-below-two",
+            "theta-nan",
+            "phi-inf",
+            "delta-nan",
+            "globalphase-nan",
+        ],
+    )
+    def test_bad_numbers_refused(self, body):
+        with pytest.raises(SerializationError):
+            qasm.loads("QDASM 1.0\n" + body)

@@ -362,14 +362,28 @@ class TestVerifyPreparation:
         )
 
     def test_reuses_a_passed_matrix_cache(self):
+        # The cache serves gate-list circuits; a synthesised circuit is
+        # a table, so run its gates as a hand-built list.
         target = random_statevector((3, 2, 2), seed=43)
-        circuit = synthesize_preparation(build_dd(target))
+        synthesised = synthesize_preparation(build_dd(target))
+        circuit = Circuit(synthesised.register)
+        circuit.extend(synthesised.gates)
+        circuit.global_phase = synthesised.global_phase
         cache = GateMatrixCache()
         first = verify_preparation(circuit, target, cache)
         filled = len(cache)
         assert 0 < filled <= circuit.num_operations
         assert verify_preparation(circuit, target, cache) == first
         assert len(cache) == filled
+
+    def test_table_circuit_leaves_the_matrix_cache_alone(self):
+        target = random_statevector((3, 2, 2), seed=43)
+        circuit = synthesize_preparation(build_dd(target))
+        cache = GateMatrixCache()
+        assert verify_preparation(circuit, target, cache) == pytest.approx(
+            1.0, abs=1e-12
+        )
+        assert len(cache) == 0
 
 
 class TestPipelineVerification:
