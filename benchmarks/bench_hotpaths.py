@@ -10,12 +10,12 @@ subsequent PRs have a perf trajectory to compare against:
   uncached rotation matrices).  This baseline never changes: speedups
   against it measure the cumulative effect of every optimisation since
   the seed.
-* **reference** — the scalar kernels retained in the package
-  (:func:`repro.dd.builder.build_dd_reference`,
-  :func:`repro.simulator.statevector_sim.simulate_reference`).  These
-  share the optimised complex table, unique table and gate-application
-  kernel, so speedups against them isolate what the *vectorisation*
-  itself buys on top of the shared-layer improvements.
+* **reference** — the scalar oracle kernels of
+  ``tests/kernel_oracles.py`` (``build_dd_reference``,
+  ``simulate_reference``).  These share the optimised complex table,
+  unique table and gate-application kernel, so speedups against them
+  isolate what the *vectorisation* itself buys on top of the
+  shared-layer improvements.
 
 Scenarios cover qubit-only, qutrit-only and mixed-radix registers with
 GHZ, W, dense-random and sparse-random states.  Per scenario the
@@ -61,16 +61,13 @@ from repro.circuit.gates import GivensRotation, PhaseRotation  # noqa: E402
 from repro.core.preparation import prepare_state  # noqa: E402
 from repro.core.synthesis import synthesize_preparation  # noqa: E402
 from repro.core.verification import verify_preparation  # noqa: E402
-from repro.dd.builder import build_dd, build_dd_reference  # noqa: E402
+from repro.dd.builder import build_dd  # noqa: E402
 from repro.dd.diagram import DecisionDiagram  # noqa: E402
 from repro.dd.edge import WEIGHT_ZERO_CUTOFF, Edge  # noqa: E402
 from repro.dd.node import TERMINAL, DDNode  # noqa: E402
 from repro.linalg.rotations import (  # noqa: E402
     givens_matrix,
     phase_two_level_matrix,
-)
-from repro.simulator.statevector_sim import (  # noqa: E402
-    simulate_reference,
 )
 from repro.states.fidelity import fidelity  # noqa: E402
 from repro.states.library import ghz_state, w_state  # noqa: E402
@@ -79,6 +76,10 @@ from repro.states.random_states import (  # noqa: E402
     random_state,
 )
 from repro.states.statevector import StateVector  # noqa: E402
+from tests.kernel_oracles import (  # noqa: E402
+    build_dd_reference,
+    simulate_reference,
+)
 from tests.synthesis_oracle import oracle_preparation  # noqa: E402
 
 

@@ -8,8 +8,8 @@ acceptance check of its two core guarantees:
   identical (up to wall times and cache flags) to a serial
   ``PreparationEngine.run_batch`` of the same jobs,
 * **shard transparency** — replaying one workload through a
-  :class:`~repro.service.ShardedCache` and through a plain
-  :class:`~repro.engine.CircuitCache` yields the *same* aggregated
+  :meth:`~repro.cluster.ShardPlacement.local` placement and through a
+  plain :class:`~repro.engine.CircuitCache` yields the *same* aggregated
   cache counters (the shard partition is observationally invisible
   while no shard evicts).
 
@@ -22,13 +22,14 @@ from __future__ import annotations
 import asyncio
 import time
 
+from repro.cluster import ShardPlacement
 from repro.engine import (
     CircuitCache,
     PreparationEngine,
     PreparationJob,
     comparable_outcome,
 )
-from repro.service import AsyncPreparationService, ShardedCache
+from repro.service import AsyncPreparationService
 
 NUM_CLIENTS = 32
 
@@ -100,7 +101,7 @@ def _replay(cache) -> PreparationEngine:
 
 def test_sharded_stats_sum_to_unsharded_counts():
     unsharded = _replay(CircuitCache(capacity=256))
-    sharded_cache = ShardedCache(num_shards=4, capacity=256)
+    sharded_cache = ShardPlacement.local(num_shards=4, capacity=256)
     sharded = _replay(sharded_cache)
 
     assert sharded_cache.stats == unsharded.cache.stats
@@ -115,7 +116,7 @@ def test_sharded_stats_sum_to_unsharded_counts():
         sharded.stats().cache_hits == unsharded.stats().cache_hits
     )
     occupied = sum(
-        1 for shard in sharded_cache.shards if len(shard) > 0
+        1 for shard in sharded_cache.backends if len(shard.cache) > 0
     )
     print(
         f"\n[service/sharding] replayed workload: sharded "
@@ -148,7 +149,7 @@ def main() -> None:
     assert identical
 
     unsharded = _replay(CircuitCache(capacity=256))
-    sharded_cache = ShardedCache(num_shards=4, capacity=256)
+    sharded_cache = ShardPlacement.local(num_shards=4, capacity=256)
     _replay(sharded_cache)
     match = sharded_cache.stats == unsharded.cache.stats
     print(f"sharded stats sum to unsharded counts: {match}")

@@ -330,7 +330,7 @@ def _serve_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--shards", type=int, default=4, metavar="N",
-        help="cache shards (default: 4; 1 disables sharding)",
+        help="cache shards (default: 4)",
     )
     parser.add_argument(
         "--batch-size", type=int, default=32, metavar="N",
@@ -657,11 +657,7 @@ def _run_serve(arguments: list[str]) -> int:
             "engine": engine_json,
             "shards": [
                 shard_stats.as_dict()
-                for shard_stats in (
-                    service.engine.cache.shard_stats()
-                    if hasattr(service.engine.cache, "shard_stats")
-                    else []
-                )
+                for shard_stats in service.placement.shard_stats()
             ],
         }
         if check_ok is not None:
@@ -675,15 +671,15 @@ def _run_serve(arguments: list[str]) -> int:
             f"= {total_requests / max(wall_time, 1e-9):.1f} req/s"
         )
         _LOGGER.info("service_stats", summary=stats.summary())
-        if hasattr(service.engine.cache, "shard_stats"):
-            per_shard = service.engine.cache.shard_stats()
-            print(
-                "shard hits: "
-                + " ".join(
-                    f"[{index}]={shard.hits}"
-                    for index, shard in enumerate(per_shard)
+        print(
+            "shard hits: "
+            + " ".join(
+                f"[{index}]={shard.hits}"
+                for index, shard in enumerate(
+                    service.placement.shard_stats()
                 )
             )
+        )
         if failures:
             print(f"{failures} request(s) FAILED", file=sys.stderr)
         if check_ok is not None:

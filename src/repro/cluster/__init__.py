@@ -6,8 +6,8 @@ The package splits cleanly in two layers:
   :class:`HashRing`, :class:`ShardBackend` / :class:`LocalShard` /
   :class:`RemoteShard`, and :class:`ShardPlacement` — which shard
   owns which content key, and where that shard lives.
-  :class:`repro.service.ShardedCache` is a fully local
-  ``ShardPlacement``; a cluster is a fully remote one on a
+  :meth:`ShardPlacement.local` builds the fully local placement an
+  in-process service caches in; a cluster is a fully remote one on a
   consistent-hash ring.
 * **Serving** (loaded lazily — it imports :mod:`repro.service`, which
   itself builds on the placement layer):

@@ -4,8 +4,8 @@ A :class:`ShardBackend` is one cache shard's home.  Two
 implementations cover the whole local-to-distributed spectrum:
 
 * :class:`LocalShard` — an in-process
-  :class:`~repro.engine.cache.CircuitCache`, exactly the shard
-  ``ShardedCache`` always held.  Local shards never run jobs
+  :class:`~repro.engine.cache.CircuitCache`, one member of
+  ``ShardPlacement.local``.  Local shards never run jobs
   themselves; the engine executes against their cache and the shard
   exists so routing, stats, and health speak one vocabulary.
 * :class:`RemoteShard` — a shard *server* (another process or host)
@@ -102,7 +102,7 @@ class ShardBackend:
 
 
 class LocalShard(ShardBackend):
-    """An in-process cache shard — today's ``ShardedCache`` member.
+    """An in-process cache shard — a ``ShardPlacement.local`` member.
 
     Args:
         shard_id: Identifier used for ring placement and stats rows.

@@ -1,25 +1,27 @@
 """Shard placement: which backend owns which content key.
 
 :class:`ShardPlacement` is the routing seam the whole serving stack
-now stands on.  It holds an ordered fleet of
+stands on.  It holds an ordered fleet of
 :class:`~repro.cluster.ShardBackend` instances and answers three
 questions:
 
-* ``shard_index(key)`` — which shard owns this content key (the only
-  thing :class:`~repro.service.AsyncPreparationService` needs for its
-  per-shard dispatch locks),
+* ``shard_index(key)`` — which shard owns this content key,
 * ``preference(key)`` — the failover chain: owner first, then the
-  replicas that take over when the owner is down,
+  replicas that take over when the owner is down.
+  :class:`~repro.service.AsyncPreparationService` splits every
+  micro-batch into one group per chain and runs each group under its
+  owner's dispatch lock,
 * the ``CircuitCache`` surface (``get`` / ``put`` / ``stats`` …) —
   valid only for fully *local* placements, which is what lets a
   placement drop straight into ``PreparationEngine(cache=...)``.
-  :class:`~repro.service.ShardedCache` is exactly such a placement.
+  :meth:`ShardPlacement.local` builds exactly such a placement.
 
 Two strategies:
 
-* ``"modulo"`` — sha256(key) mod N, the historical ``ShardedCache``
-  rule.  Dense and perfectly balanced, but adding a shard remaps
-  almost every key; right for fixed-size in-process fleets.
+* ``"modulo"`` — sha256(key) mod N, the rule of
+  :meth:`ShardPlacement.local`.  Dense and perfectly balanced, but
+  adding a shard remaps almost every key; right for fixed-size
+  in-process fleets.
 * ``"ring"`` — consistent hashing (:class:`~repro.cluster.HashRing`).
   Adding a shard moves only the keys that land on it; right for
   clusters whose membership changes.
@@ -32,11 +34,13 @@ same key space.
 
 from __future__ import annotations
 
+import os
 from collections.abc import Iterable, Sequence
 from dataclasses import replace
+from pathlib import Path
 
 from ..engine.cache import CacheEntry, CacheStats, CircuitCache
-from ..exceptions import ClusterConfigError, ClusterError
+from ..exceptions import ClusterConfigError, ClusterError, EngineError
 from .backends import LocalShard, RemoteShard, ShardBackend
 from .ring import DEFAULT_POINTS_PER_NODE, HashRing, modulo_index
 
@@ -105,24 +109,60 @@ class ShardPlacement:
     # Construction helpers
     # ------------------------------------------------------------------
     @classmethod
+    def local(
+        cls,
+        num_shards: int = 4,
+        capacity: int = 256,
+        disk_dir: str | os.PathLike | None = None,
+    ) -> "ShardPlacement":
+        """``num_shards`` in-process cache shards on modulo routing.
+
+        Args:
+            num_shards: Shard count (>= 1).
+            capacity: *Total* in-memory entry bound, split as evenly
+                as possible across shards (earlier shards get the
+                remainder).  A nonzero total gives every shard at
+                least one entry — a zero-capacity shard would silently
+                never cache the keys routed to it — so for
+                ``capacity < num_shards`` the effective total is
+                ``num_shards``.  0 disables the memory layer
+                everywhere.
+            disk_dir: Root of the persistent layer; shard ``shard-NN``
+                owns the subdirectory ``disk_dir/shard-NN``.  ``None``
+                keeps every shard purely in memory.
+
+        Raises:
+            EngineError: If ``num_shards`` < 1 or ``capacity`` < 0.
+        """
+        if num_shards < 1:
+            raise EngineError(
+                f"num_shards must be >= 1, got {num_shards}"
+            )
+        if capacity < 0:
+            raise EngineError(
+                f"cache capacity must be >= 0, got {capacity}"
+            )
+        root = Path(disk_dir) if disk_dir is not None else None
+        base, remainder = divmod(capacity, num_shards)
+        shards = []
+        for index in range(num_shards):
+            shard_id = f"shard-{index:02d}"
+            share = base + (1 if index < remainder else 0)
+            shards.append(LocalShard(shard_id, CircuitCache(
+                capacity=max(1, share) if capacity > 0 else 0,
+                disk_dir=root / shard_id if root is not None else None,
+            )))
+        return cls(shards, strategy="modulo")
+
+    @classmethod
     def over_cache(cls, cache) -> "ShardPlacement":
         """The placement implied by an engine's cache object.
 
-        * A placement (e.g. :class:`~repro.service.ShardedCache`) is
-          its own answer.
-        * Any other cache that already routes — exposes ``num_shards``
-          and a ``shard_index`` callable — is wrapped so its own
-          routing stays authoritative (custom caches keep working
-          unchanged).
-        * A plain cache becomes a single local shard.
+        A placement (e.g. one built by :meth:`local`) is its own
+        answer; any other cache becomes a single local shard.
         """
         if isinstance(cache, ShardPlacement):
             return cache
-        if (
-            getattr(cache, "num_shards", 1) > 1
-            and callable(getattr(cache, "shard_index", None))
-        ):
-            return _CacheRoutedPlacement(cache)
         return cls(
             [LocalShard("shard-00", cache)], strategy="modulo"
         )
@@ -254,36 +294,3 @@ class ShardPlacement:
             f"{type(self).__name__}(num_shards={len(self.backends)}, "
             f"strategy={self.strategy!r}, kind={kind})"
         )
-
-
-class _CacheRoutedPlacement(ShardPlacement):
-    """Adapter keeping a duck-typed sharded cache's routing in charge.
-
-    Engines may be built over any cache exposing ``num_shards`` and
-    ``shard_index`` (the pre-placement contract).  This wrapper makes
-    such a cache answer the placement questions itself, so the
-    service's dispatch locks and routing agree with the cache's
-    internal partitioning whatever hash it uses.
-    """
-
-    def __init__(self, cache):
-        self._cache = cache
-        super().__init__(
-            [
-                LocalShard(f"shard-{index:02d}", shard)
-                for index, shard in enumerate(
-                    getattr(
-                        cache,
-                        "shards",
-                        [cache] * cache.num_shards,
-                    )
-                )
-            ],
-            strategy="modulo",
-        )
-
-    def shard_index(self, key: str) -> int:
-        return self._cache.shard_index(key)
-
-    def preference(self, key: str) -> Sequence[int]:
-        return (self._cache.shard_index(key),)

@@ -39,12 +39,12 @@ def _hash64(data: bytes) -> int:
 
 
 def modulo_index(key: str, num_shards: int) -> int:
-    """Stable modulo placement — the historical ``ShardedCache`` rule.
+    """Stable modulo placement — the rule of ``ShardPlacement.local``.
 
-    Bit-for-bit the assignment :func:`repro.service.shard_index` has
-    always produced (sha256 of the key, first 8 bytes, mod N), kept as
-    its own strategy so existing local deployments and their on-disk
-    shard directories stay valid.
+    sha256 of the key, first 8 bytes, mod N: deterministic across
+    processes and Python versions (unlike the salted built-in
+    ``hash``), so existing local deployments and their on-disk shard
+    directories stay valid.
     """
 
     return _hash64(key.encode()) % num_shards

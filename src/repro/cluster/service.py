@@ -2,11 +2,12 @@
 
 :class:`ClusterPreparationService` is an
 :class:`~repro.service.AsyncPreparationService` whose execution seam
-(``_execute_batch``) fans micro-batches out to
-:class:`~repro.cluster.RemoteShard` backends instead of running the
+(``_dispatch_group``) ships each per-shard group of a micro-batch to
+a :class:`~repro.cluster.RemoteShard` backend instead of running the
 in-process engine.  Everything above the seam — the micro-batch
-queue, slot accounting, per-shard dispatch locks, tracing spans,
-stats counters — is the plain service, unchanged.
+queue, slot accounting, grouping by owner shard, per-shard dispatch
+locks, tracing spans, stats counters — is the plain service,
+unchanged.
 
 Routing is by content key on a consistent-hash ring, so duplicate
 requests (the common case for DD preparation workloads) always land
@@ -38,7 +39,7 @@ from collections import OrderedDict
 from ..engine.cache import CircuitCache
 from ..engine.engine import EngineStats, PreparationEngine
 from ..engine.jobs import PreparationJob
-from ..engine.results import BatchResult, JobFailure, JobOutcome
+from ..engine.results import JobFailure
 from ..exceptions import ClusterConfigError
 from ..net.client import ClientError
 from ..obs import log as obs_log
@@ -95,8 +96,8 @@ class ClusterPreparationService(AsyncPreparationService):
         if placement.is_local:
             raise ClusterConfigError(
                 "a cluster front end needs remote shards; for local "
-                "fleets use AsyncPreparationService with a "
-                "ShardedCache"
+                "fleets use AsyncPreparationService over "
+                "ShardPlacement.local"
             )
         self.config = config
         self._health_interval = (
@@ -225,86 +226,10 @@ class ClusterPreparationService(AsyncPreparationService):
                 self._routing_cache.popitem(last=False)
         return key
 
-    def _route_batch(
-        self, jobs: list[PreparationJob]
-    ) -> tuple[set[int], list[str | None] | None]:
-        if self.placement.num_shards <= 1:
-            return {0}, None
-        shards: set[int] = set()
-        keys: list[str | None] = []
-        for job in jobs:
-            key = self._routing_key(job)
-            keys.append(key)
-            if key is not None:
-                shards.add(self.placement.shard_index(key))
-        return shards, keys
-
     # ------------------------------------------------------------------
-    # Dispatch (overrides the whole-batch locking of the base class:
-    # each shard group holds only its own shard's lock, so groups of
-    # different micro-batches pipeline per shard)
+    # Dispatch (the base class groups each batch by owner shard; each
+    # group goes to a remote shard, failing over along its chain)
     # ------------------------------------------------------------------
-    async def _dispatch_sharded(self, batch: list[QueuedJob]) -> None:
-        try:
-            jobs = [queued.job for queued in batch]
-            _, keys = await asyncio.to_thread(self._route_batch, jobs)
-            traces, spans = self._begin_dispatch(batch)
-            started = time.perf_counter()
-            try:
-                groups = self._group_batch(batch, keys)
-                await asyncio.gather(
-                    *(
-                        self._dispatch_group(
-                            chain, positions, batch, traces
-                        )
-                        for chain, positions in groups
-                    )
-                )
-            finally:
-                for span in spans:
-                    span.finish()
-            _LOGGER.debug(
-                "cluster_batch_dispatched",
-                jobs=len(batch),
-                groups=len(groups),
-                duration=round(time.perf_counter() - started, 6),
-            )
-        except BaseException as error:  # noqa: BLE001 - fan out to waiters
-            if isinstance(error, Exception):
-                for queued in batch:
-                    if not queued.future.done():
-                        queued.future.set_exception(error)
-            else:
-                from ..service.service import _fail_batch_later
-
-                _fail_batch_later(batch, error)
-                raise
-
-    def _group_batch(
-        self,
-        batch: list[QueuedJob],
-        keys: list[str | None] | None,
-    ) -> list[tuple[tuple[int, ...], list[int]]]:
-        """Split a batch into per-owner groups with failover chains.
-
-        Returns ``(chain, positions)`` pairs: the shard-index
-        preference chain the group will try in order, and the batch
-        positions it carries.  Jobs whose key could not be derived go
-        to the key-space origin (any shard reproduces the failure
-        identically).
-        """
-        if keys is None:
-            chain = self.placement.preference("") or (0,)
-            return [(tuple(chain), list(range(len(batch))))]
-        groups: dict[int, tuple[tuple[int, ...], list[int]]] = {}
-        for position, key in enumerate(keys):
-            chain = tuple(self.placement.preference(key or ""))
-            owner = chain[0]
-            if owner not in groups:
-                groups[owner] = (chain, [])
-            groups[owner][1].append(position)
-        return list(groups.values())
-
     @staticmethod
     def _group_traces(
         positions: list[int], traces
@@ -316,8 +241,6 @@ class ClusterPreparationService(AsyncPreparationService):
         trace gets its own ``remote_call`` span and its own copy of
         the grafted shard subtree.
         """
-        if traces is None:
-            return []
         distinct: list[tuple] = []
         seen: set[int] = set()
         for position in positions:
@@ -332,9 +255,13 @@ class ClusterPreparationService(AsyncPreparationService):
         chain: tuple[int, ...],
         positions: list[int],
         batch: list[QueuedJob],
-        traces=None,
+        keys,
+        traces,
     ) -> None:
-        """Run one shard group, failing over along its chain."""
+        """Run one shard group, failing over along its chain.
+
+        ``keys`` are ignored: each shard keys the payloads it receives.
+        """
         jobs = [batch[position].job for position in positions]
         group_traces = self._group_traces(positions, traces)
         last_error: ClientError | None = None
@@ -465,29 +392,6 @@ class ClusterPreparationService(AsyncPreparationService):
         _LOGGER.warning(
             "shard_failover", shard=backend.shard_id,
             addr=backend.addr,
-        )
-
-    def _deliver(
-        self,
-        positions: list[int],
-        batch: list[QueuedJob],
-        outcomes: list[JobOutcome],
-    ) -> None:
-        for position, outcome in zip(positions, outcomes):
-            if not outcome.ok and self._job_failures is not None:
-                self._job_failures.labels(outcome.error_type).inc()
-            future = batch[position].future
-            if not future.done():
-                future.set_result(outcome)
-
-    async def _execute_batch(self, jobs, keys) -> BatchResult:
-        # Unreachable: _dispatch_sharded is overridden wholesale and
-        # never calls _dispatch/_execute_batch.  Implemented anyway so
-        # a future base-class change fails loudly instead of silently
-        # running cluster traffic on the keying engine.
-        raise ClusterConfigError(
-            "cluster batches are dispatched per shard group, not "
-            "through the local engine"
         )
 
     # ------------------------------------------------------------------

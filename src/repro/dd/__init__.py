@@ -16,7 +16,7 @@ Main entry points:
 
 from repro.dd.approximation import ApproximationResult, approximate
 from repro.dd.arithmetic import inner_product
-from repro.dd.builder import build_dd, build_dd_reference
+from repro.dd.builder import build_dd
 from repro.dd.diagram import DecisionDiagram, DiagramStats
 from repro.dd.edge import Edge
 from repro.dd.measurement import collapse, measure_qudit
@@ -39,7 +39,6 @@ __all__ = [
     "UniqueTable",
     "approximate",
     "build_dd",
-    "build_dd_reference",
     "collapse",
     "expectation_local_sum",
     "inner_product",

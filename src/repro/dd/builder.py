@@ -8,25 +8,22 @@ scheme — L2 norm extraction plus making the first non-zero weight real
 positive — yields canonical nodes, so the unique table merges all
 identical sub-states and the diagram is maximally reduced.
 
-Two construction kernels are provided:
+:func:`build_dd` is the vectorised level-by-level kernel: the
+amplitude array is reshaped to ``(num_blocks, d_level)``, block norms
+and pivot phases are computed with vectorised NumPy reductions, and
+every live block is keyed on its quantised weights and children
+*before* any per-node work.  Only the first block with each key has
+its weights canonicalised through the complex table, is converted to
+Python values and is interned as a heap ``DDNode``, so the per-node
+Python cost and memory are paid once per distinct node instead of
+once per tree block.  The original per-amplitude recursive kernel is
+kept as a test oracle in ``tests/kernel_oracles.py``; the equivalence
+tests in ``tests/test_hotpaths.py`` assert that both kernels produce
+the same diagram (DAG size, root weight, per-node weights,
+amplitudes) on random mixed-radix states.
 
-* :func:`build_dd` — the vectorised level-by-level kernel: the
-  amplitude array is reshaped to ``(num_blocks, d_level)``, block
-  norms and pivot phases are computed with vectorised NumPy
-  reductions, and every live block is keyed on its quantised weights
-  and children *before* any per-node work.  Only the first block with
-  each key has its weights canonicalised through the complex table,
-  is converted to Python values and is interned as a heap
-  ``DDNode``, so the per-node Python cost and memory are paid once
-  per distinct node instead of once per tree block.
-* :func:`build_dd_reference` — the original per-amplitude recursive
-  kernel, kept as the executable specification.  The equivalence tests
-  in ``tests/test_hotpaths.py`` assert that both kernels produce the
-  same diagram (DAG size, root weight, per-node weights, amplitudes)
-  on random mixed-radix states.
-
-The vectorised kernel canonicalises every interned edge weight
-through the table's shared complex table, like the reference.  One
+The kernel canonicalises every interned edge weight through the
+table's shared complex table, like the oracle.  One
 caveat: weights are uniqued at a tolerance (~1e-12), so for
 adversarial states whose distinct weights sit *within the uniquing
 tolerance of each other*, near-boundary values may land in different
@@ -52,7 +49,7 @@ from repro.exceptions import StateError
 from repro.registers.register import as_register
 from repro.states.statevector import StateVector
 
-__all__ = ["build_dd", "build_dd_reference", "normalize_edges"]
+__all__ = ["build_dd", "normalize_edges"]
 
 _CUTOFF_SQ = WEIGHT_ZERO_CUTOFF * WEIGHT_ZERO_CUTOFF
 
@@ -145,8 +142,7 @@ def build_dd(
     """Build the canonical decision diagram of a state vector.
 
     The vectorised level-wise construction; see the module docstring
-    for the strategy and :func:`build_dd_reference` for the scalar
-    specification it is tested against.
+    for the strategy and the scalar oracle it is tested against.
 
     Args:
         state: The state to represent (any norm; the root edge weight
@@ -248,43 +244,4 @@ def build_dd(
     if abs(root_weight) <= WEIGHT_ZERO_CUTOFF:
         raise StateError("cannot build a decision diagram of the zero state")
     root = Edge(root_weight, child_nodes[node_ids[0]])
-    return DecisionDiagram(root, register, table)
-
-
-def build_dd_reference(
-    state: StateVector,
-    table: UniqueTable | None = None,
-) -> DecisionDiagram:
-    """Scalar recursive reference kernel for :func:`build_dd`.
-
-    Splits the amplitude array top-down, one Python call per tree node,
-    normalising each node through :func:`normalize_edges`.  Retained as
-    the executable specification the vectorised kernel is benchmarked
-    and property-tested against; prefer :func:`build_dd` everywhere
-    else.
-    """
-    if table is None:
-        table = UniqueTable()
-    register = as_register(state.register)
-    dims = register.dims
-    amplitudes = np.ascontiguousarray(state.amplitudes)
-
-    def build(offset: int, length: int, level: int) -> Edge:
-        """Build the edge for ``amplitudes[offset : offset + length]``."""
-        if level == len(dims):
-            weight = complex(amplitudes[offset])
-            if abs(weight) <= WEIGHT_ZERO_CUTOFF:
-                return Edge.zero()
-            return Edge(weight, TERMINAL)
-        dimension = dims[level]
-        part = length // dimension
-        children = [
-            build(offset + digit * part, part, level + 1)
-            for digit in range(dimension)
-        ]
-        return normalize_edges(children, table, level)
-
-    root = build(0, register.size, 0)
-    if root.is_zero:
-        raise StateError("cannot build a decision diagram of the zero state")
     return DecisionDiagram(root, register, table)

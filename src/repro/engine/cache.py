@@ -118,8 +118,9 @@ class CircuitCache:
 
     Thread-safe: all operations (and their stats updates) run under
     the cache's own :attr:`lock`, so concurrent batches may share a
-    cache — and a :class:`~repro.service.ShardedCache` gets per-shard
-    locking for free, each shard being its own ``CircuitCache``.
+    cache — and a :meth:`~repro.cluster.ShardPlacement.local` placement
+    gets per-shard locking for free, each shard being its own
+    ``CircuitCache``.
 
     Args:
         capacity: Maximum number of in-memory entries; 0 disables the
@@ -144,7 +145,7 @@ class CircuitCache:
         self._entries: OrderedDict[str, CacheEntry] = OrderedDict()
         self._disk_dir = Path(disk_dir) if disk_dir is not None else None
         self.stats = CacheStats()
-        # Every cache owns its lock, so under a ShardedCache each
+        # Every cache owns its lock, so under a ShardPlacement each
         # *shard* is independently locked: concurrent batches touching
         # disjoint shards never contend, batches sharing a shard
         # serialise only on that shard's operations.
@@ -259,11 +260,14 @@ class CircuitCache:
         if path is None:
             return None
         try:
-            return _entry_from_json(path.read_text())
+            entry = _entry_from_json(path.read_text())
         except (OSError, ValueError, KeyError, TypeError):
             # A torn or stale file is treated as a miss; the entry
             # will be recomputed and rewritten.
             return None
+        # A file stored under another key (copied or renamed by hand)
+        # holds some other job's circuit: a miss, like a torn file.
+        return entry if entry.key == key else None
 
     def _write_disk(self, entry: CacheEntry) -> None:
         if self._disk_dir is None:

@@ -208,8 +208,8 @@ class PreparationEngine:
         cache: A :class:`CircuitCache` — or any object with the same
             ``get`` / ``get_if_present`` / ``peek`` / ``put`` /
             ``clear`` / ``stats`` surface, such as
-            :class:`repro.service.ShardedCache` — or ``None`` for a
-            default in-memory cache.
+            :meth:`repro.cluster.ShardPlacement.local` builds — or
+            ``None`` for a default in-memory cache.
         executor: An :class:`ExecutionBackend`, ``"serial"``,
             ``"parallel"``, or ``None`` (serial).
         pipeline: A custom :class:`~repro.pipeline.Pipeline` every job
@@ -256,7 +256,7 @@ class PreparationEngine:
         # gauge semantics.
         self._last_dd_nodes = 0
         # Guards only the engine's own counters.  The cache locks
-        # itself (per shard under a ShardedCache), so concurrent
+        # itself (per shard under a ShardPlacement), so concurrent
         # run_batch calls proceed in parallel instead of serialising
         # on one engine-wide lock.
         self._stats_lock = threading.Lock()
@@ -317,11 +317,11 @@ class PreparationEngine:
                 they miss the cache.
 
         Thread-safe: the cache locks itself (per shard under a
-        :class:`~repro.service.ShardedCache`) and the engine counters
-        sit behind their own lock, so concurrent batches run in
-        parallel.  Two *concurrent* batches missing the same key both
-        synthesise it (identical results, but each counts its own
-        miss); callers that need batch-composition-independent
+        :class:`~repro.cluster.ShardPlacement`) and the engine
+        counters sit behind their own lock, so concurrent batches run
+        in parallel.  Two *concurrent* batches missing the same key
+        both synthesise it (identical results, but each counts its
+        own miss); callers that need batch-composition-independent
         counters serialise same-shard batches, as
         :class:`~repro.service.AsyncPreparationService` does with its
         per-shard dispatch locks.

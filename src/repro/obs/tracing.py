@@ -9,7 +9,7 @@ and carried across the stack via :data:`contextvars`:
 * ``service.submit`` captures the trace into the queued job, so the
   queue-wait and dispatch spans land on the right request even though
   the dispatcher runs in its own task;
-* the dispatch coroutine plants the batch's traces in
+* each per-shard dispatch group plants its jobs' traces in
   :data:`DISPATCH_TRACES` immediately before ``asyncio.to_thread``,
   whose context copy carries them into the engine's worker thread;
 * the engine re-establishes :data:`CURRENT_TRACE` per job, so the
@@ -91,8 +91,8 @@ CURRENT_SPAN: contextvars.ContextVar["Span | None"] = (
     contextvars.ContextVar("repro_obs_current_span", default=None)
 )
 
-#: Per-batch ``(trace, parent_span)`` pairs, parallel to the jobs the
-#: service hands ``engine.run_batch``.  Set by the dispatch coroutine
+#: Per-group ``(trace, parent_span)`` pairs, parallel to the jobs the
+#: service hands ``engine.run_batch``.  Set by the dispatch group
 #: right before ``asyncio.to_thread`` so the context copy ships it
 #: into the worker thread; ``None`` entries mean "job not traced".
 DISPATCH_TRACES: contextvars.ContextVar[

@@ -3,16 +3,16 @@
 Built on the :mod:`repro.engine` seam (see ``docs/engine.md``,
 "Serving"):
 
-* :mod:`repro.service.sharding` — :class:`ShardedCache`, content keys
-  partitioned across N independent circuit-cache shards with
-  aggregated statistics,
 * :mod:`repro.service.batching` — :class:`MicroBatchQueue`, coalescing
   concurrent single-job requests into bounded micro-batches,
 * :mod:`repro.service.service` — :class:`AsyncPreparationService`,
-  the asyncio front end dispatching micro-batches to
-  ``PreparationEngine.run_batch`` on executor threads — concurrently
-  for batches touching disjoint cache shards (per-shard dispatch
-  locks).
+  the asyncio front end splitting each micro-batch into per-shard
+  groups and dispatching every group to
+  ``PreparationEngine.run_batch`` on an executor thread under its
+  own shard's dispatch lock.  Its default cache is
+  :meth:`repro.cluster.ShardPlacement.local`: content keys
+  partitioned across N independent circuit-cache shards with
+  aggregated statistics.
 
 The network front end over this layer lives in :mod:`repro.net`
 (HTTP + streaming TCP; see ``docs/serving.md``).
@@ -29,7 +29,6 @@ from repro.service.batching import (
     QueuedJob,
 )
 from repro.service.service import AsyncPreparationService, ServiceStats
-from repro.service.sharding import ShardedCache, shard_index
 
 __all__ = [
     "AsyncPreparationService",
@@ -37,6 +36,4 @@ __all__ = [
     "MicroBatchQueue",
     "QueuedJob",
     "ServiceStats",
-    "ShardedCache",
-    "shard_index",
 ]

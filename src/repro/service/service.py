@@ -4,12 +4,14 @@
 engine into a concurrent server: any number of client coroutines
 ``await submit(job)`` (or ``run_batch(jobs)``), their requests are
 coalesced by a :class:`~repro.service.batching.MicroBatchQueue`, and
-the dispatch loop ships each micro-batch to ``engine.run_batch`` on
-an executor thread (``asyncio.to_thread``), keeping the event loop
-free while synthesis runs.  Micro-batches whose content keys route to
-*disjoint* cache shards are dispatched concurrently — every shard is
-guarded by its own dispatch lock — while batches sharing a shard
-serialise on it, so cache counters stay identical to serial dispatch.
+the dispatch loop splits each micro-batch into one group per owning
+cache shard and ships every group to ``engine.run_batch`` on an
+executor thread (``asyncio.to_thread``), keeping the event loop free
+while synthesis runs.  Each group holds only its own shard's dispatch
+lock: groups on different shards run concurrently — a warm group
+never waits for a cold compile on another shard — while groups
+sharing a shard serialise on it, so cache counters stay identical to
+serial dispatch.
 
 Determinism: the engine itself guarantees that a job's outcome does
 not depend on batch composition (content-addressed caching plus
@@ -42,13 +44,11 @@ Typical use::
 from __future__ import annotations
 
 import asyncio
-import inspect
 import time
 from collections.abc import Iterable
 from dataclasses import dataclass
 
 from repro.cluster.placement import ShardPlacement
-from repro.engine.cache import CircuitCache
 from repro.engine.engine import EngineStats, PreparationEngine
 from repro.engine.executor import ExecutionBackend
 from repro.engine.jobs import PreparationJob
@@ -63,7 +63,6 @@ from repro.service.batching import (
     MicroBatchQueue,
     QueuedJob,
 )
-from repro.service.sharding import ShardedCache
 
 __all__ = ["AsyncPreparationService", "ServiceStats"]
 
@@ -149,12 +148,14 @@ class AsyncPreparationService:
 
     Args:
         engine: The engine to serve from; ``None`` builds a default
-            one backed by a :class:`~repro.service.ShardedCache` with
-            ``num_shards`` shards.
+            one over :meth:`ShardPlacement.local(num_shards,
+            cache_capacity, disk_dir)
+            <repro.cluster.ShardPlacement.local>`.
         num_shards: Shard count of the default cache (ignored when an
             ``engine`` is given).
-        cache_capacity: Total capacity of the default sharded cache.
-        disk_dir: Disk root of the default sharded cache.
+        cache_capacity: Total capacity of the default cache.
+        disk_dir: Disk root of the default cache; shard ``shard-NN``
+            stores its entries under ``disk_dir/shard-NN``.
         executor: Execution backend of the default engine.
         pipeline: Custom :class:`~repro.pipeline.Pipeline` for the
             default engine (its signature joins every cache key);
@@ -163,11 +164,11 @@ class AsyncPreparationService:
         max_batch_size: Micro-batch size cap.
         max_batch_delay: Seconds a partial micro-batch stays open.
         max_concurrent_batches: Micro-batches allowed in flight at
-            once; ``None`` defaults to the cache's shard count.
-            Batches whose content keys touch *disjoint* shards run
-            concurrently (each shard is guarded by its own dispatch
-            lock); batches sharing a shard serialise on it, which
-            keeps cache counters identical to serial dispatch.
+            once; ``None`` defaults to the shard count.  Every batch
+            runs as per-shard groups, each under its own shard's
+            dispatch lock: groups on different shards run
+            concurrently, groups sharing a shard serialise on it,
+            which keeps cache counters identical to serial dispatch.
         metrics: A :class:`~repro.obs.MetricsRegistry` to publish
             serving metrics into (queue-wait and micro-batch-size
             histograms, per-error-type job-failure counts, uptime
@@ -176,9 +177,10 @@ class AsyncPreparationService:
             ``engine`` keeps whatever registry it was built with.
             ``None`` leaves the service un-instrumented.
         placement: Explicit :class:`~repro.cluster.ShardPlacement` to
-            route on instead of the one implied by the engine's cache.
-            Used by the cluster front end, whose shards are remote;
-            plain deployments leave this ``None``.
+            route on instead of the one implied by the engine's cache
+            (fixed at construction: swapping ``engine.cache`` later
+            does not re-route).  Used by the cluster front end, whose
+            shards are remote; plain deployments leave this ``None``.
 
     The service must be running before ``submit`` is called: either
     ``await service.start()`` / ``await service.stop()`` explicitly,
@@ -215,23 +217,10 @@ class AsyncPreparationService:
                 "default engine, not both"
             )
         if engine is None:
-            if num_shards < 1:
-                raise EngineError(
-                    f"num_shards must be >= 1, got {num_shards}"
-                )
-            cache: ShardedCache | CircuitCache
-            if num_shards > 1:
-                cache = ShardedCache(
-                    num_shards=num_shards,
-                    capacity=cache_capacity,
-                    disk_dir=disk_dir,
-                )
-            else:
-                cache = CircuitCache(
-                    capacity=cache_capacity, disk_dir=disk_dir
-                )
             engine = PreparationEngine(
-                cache=cache,
+                cache=ShardPlacement.local(
+                    num_shards, cache_capacity, disk_dir
+                ),
                 executor=executor,
                 pipeline=pipeline,
                 metrics=metrics,
@@ -261,21 +250,18 @@ class AsyncPreparationService:
         self._started_monotonic: float | None = None
         self._max_batch_size = max_batch_size
         self._max_batch_delay = max_batch_delay
-        # All routing decisions go through the placement — the cache
-        # is only its most common source.  ``ShardedCache`` *is* a
-        # placement; plain and duck-typed caches get adapted; cluster
-        # services inject an explicit (remote) placement instead.
-        if placement is None:
-            placement = ShardPlacement.over_cache(self.engine.cache)
-            self._placement_source = self.engine.cache
-        else:
-            self._placement_source = None
-        self.placement = placement
-        self._num_shard_locks = max(1, self.placement.num_shards)
+        # All routing decisions go through the placement: the engine's
+        # cache (a placement itself, or one plain shard) unless the
+        # cluster front end injects its remote fleet.
+        self.placement = (
+            placement
+            if placement is not None
+            else ShardPlacement.over_cache(self.engine.cache)
+        )
         self._max_concurrent_batches = (
             max_concurrent_batches
             if max_concurrent_batches is not None
-            else self._num_shard_locks
+            else self.placement.num_shards
         )
         self._shard_locks: list[asyncio.Lock] = []
         self._batch_slots: asyncio.Semaphore | None = None
@@ -315,7 +301,7 @@ class AsyncPreparationService:
         # Per-shard dispatch locks and the in-flight bound live on the
         # running loop, so (re)create them at start time.
         self._shard_locks = [
-            asyncio.Lock() for _ in range(self._num_shard_locks)
+            asyncio.Lock() for _ in range(self.placement.num_shards)
         ]
         self._batch_slots = asyncio.Semaphore(
             self._max_concurrent_batches
@@ -449,11 +435,11 @@ class AsyncPreparationService:
         """Pull micro-batches and ship them, disjoint shards in parallel.
 
         Each batch becomes its own dispatch task, gated by the
-        concurrency semaphore and by the locks of the cache shards its
-        content keys touch: batches on disjoint shards overlap,
-        batches sharing a shard (in particular: duplicate-heavy
-        traffic) serialise on it, so cache hit/miss counters stay
-        identical to strictly serial dispatch.
+        concurrency semaphore; inside it, every per-shard group takes
+        its shard's lock: groups on disjoint shards overlap, groups
+        sharing a shard (in particular: duplicate-heavy traffic)
+        serialise on it, so cache hit/miss counters stay identical to
+        strictly serial dispatch.
         """
         inflight: set[asyncio.Task] = set()
         loop = asyncio.get_running_loop()
@@ -574,129 +560,156 @@ class AsyncPreparationService:
             next_batch.cancel()
             next_batch.add_done_callback(cls._fail_orphaned_batch)
 
-    def _engine_accepts_keys(self) -> bool:
-        """Whether ``engine.run_batch`` takes precomputed ``keys``.
+    def _routing_key(self, job: PreparationJob) -> str | None:
+        """Content key of ``job`` for routing; ``None`` if unkeyable.
 
-        Checked per dispatch (not cached) because tests and custom
-        engines may swap ``run_batch`` on a live instance for a
-        callable without the parameter.
+        Deliberately keyed per job, not memoized by payload: the key
+        IS the state resolution, and two unseeded random jobs with
+        identical payloads must resolve (and key) independently — a
+        shared key would make ``run_batch`` serve the second job the
+        first one's circuit as an intra-batch duplicate.  (An unseeded
+        random job may still resolve differently here and in the
+        engine, which re-keys the state it actually synthesises; only
+        deterministic jobs get deterministic counters.)  A job whose
+        state cannot even be resolved gets ``None``; ``run_batch``
+        turns it into a :class:`~repro.engine.JobFailure`.
         """
         try:
-            return "keys" in inspect.signature(
-                self.engine.run_batch
-            ).parameters
-        except (TypeError, ValueError):
-            return False
+            return self.engine.job_key(job)
+        except Exception:  # noqa: BLE001 - failure handled in run_batch
+            return None
 
     def _route_batch(
         self, jobs: list[PreparationJob]
-    ) -> tuple[set[int], list[str | None] | None]:
-        """Shard indices this batch will touch, plus its content keys.
+    ) -> list[str | None] | None:
+        """Content keys of a batch, positionally; ``None`` if unsharded.
 
-        Unsharded caches collapse to the single lock 0 (serial
-        dispatch, the pre-sharding behaviour) without keying anything.
-        The computed keys are handed to ``run_batch`` so routing does
-        not cost a second state resolution.  A job whose state cannot
-        even be resolved gets key ``None`` and touches no shard —
-        ``run_batch`` turns it into a
-        :class:`~repro.engine.JobFailure` without a cache probe.
-        Note an *unseeded* random job may resolve differently here and
-        in the engine; correctness is unaffected (the engine re-keys
-        the state it actually synthesises, and shards also lock
-        internally), only counter determinism is guaranteed for
-        deterministic jobs.
+        One shard needs no routing, so nothing is keyed (the engine
+        keys each job itself).  Otherwise the keys are handed on to
+        ``run_batch`` so routing does not cost a second state
+        resolution.
         """
-        placement = self._routing_placement()
-        if self._num_shard_locks <= 1:
-            return {0}, None
-        shards: set[int] = set()
-        keys: list[str | None] = []
-        # Deliberately keyed per job, not memoized by payload: the
-        # key IS the state resolution, and two unseeded random jobs
-        # with identical payloads must resolve (and key)
-        # independently — a shared key would make run_batch serve the
-        # second job the first one's circuit as an intra-batch
-        # duplicate.
-        for job in jobs:
-            try:
-                key = self.engine.job_key(job)
-            except Exception:  # noqa: BLE001 - failure handled in run_batch
-                keys.append(None)
-                continue
-            keys.append(key)
-            shards.add(placement.shard_index(key))
-        return shards, keys
+        if self.placement.num_shards <= 1:
+            return None
+        return [self._routing_key(job) for job in jobs]
 
-    def _routing_placement(self) -> ShardPlacement:
-        """The placement routing decisions use right now.
+    def _group_batch(
+        self,
+        batch: list[QueuedJob],
+        keys: list[str | None] | None,
+    ) -> list[tuple[tuple[int, ...], list[int]]]:
+        """Split a batch into per-owner groups with failover chains.
 
-        Tests (and adventurous callers) may swap ``engine.cache`` on a
-        live service; re-derive the placement when that happens so
-        routing follows the cache, as it did before the placement
-        refactor.  Injected placements are never re-derived.
+        Returns ``(chain, positions)`` pairs: the shard-index
+        preference chain the group will try in order (owner first),
+        and the batch positions it carries.  Jobs whose key could not
+        be derived go to the key-space origin (any shard reproduces
+        the failure identically).
         """
-        if (
-            self._placement_source is not None
-            and self._placement_source is not self.engine.cache
-        ):
-            self.placement = ShardPlacement.over_cache(
-                self.engine.cache
-            )
-            self._placement_source = self.engine.cache
-        return self.placement
+        if keys is None:
+            chain = tuple(self.placement.preference(""))
+            return [(chain, list(range(len(batch))))]
+        groups: dict[int, tuple[tuple[int, ...], list[int]]] = {}
+        for position, key in enumerate(keys):
+            chain = tuple(self.placement.preference(key or ""))
+            groups.setdefault(chain[0], (chain, []))[1].append(position)
+        return list(groups.values())
 
     async def _dispatch_sharded(self, batch: list[QueuedJob]) -> None:
-        """Run one micro-batch under the locks of the shards it touches."""
-        acquired: list[asyncio.Lock] = []
+        """Run one micro-batch as concurrent per-shard groups."""
         try:
-            shards, keys = await asyncio.to_thread(
+            keys = await asyncio.to_thread(
                 self._route_batch, [queued.job for queued in batch]
             )
-            # Sorted acquisition: two batches wanting shards {1, 3}
-            # and {3, 1} lock in the same order, so they cannot
-            # deadlock.
-            for index in sorted(shards):
-                lock = self._shard_locks[index]
-                await lock.acquire()
-                acquired.append(lock)
-            await self._dispatch(batch, keys)
+            traces, spans = self._begin_dispatch(batch)
+            started = time.perf_counter()
+            try:
+                groups = self._group_batch(batch, keys)
+                await asyncio.gather(*(
+                    self._dispatch_group(
+                        chain, positions, batch, keys, traces
+                    )
+                    for chain, positions in groups
+                ))
+            finally:
+                for span in spans:
+                    span.finish()
+            _LOGGER.debug(
+                "batch_dispatched",
+                jobs=len(batch),
+                groups=len(groups),
+                duration=round(time.perf_counter() - started, 6),
+            )
         except BaseException as error:  # noqa: BLE001 - fan out to waiters
-            # Failures before/around _dispatch (key resolution, lock
-            # acquisition cancelled at teardown) would otherwise
-            # strand the batch's waiters.
+            # Failures outside a group (key resolution, cancellation at
+            # teardown) would otherwise strand the batch's waiters.
             if isinstance(error, Exception):
                 for queued in batch:
-                    if not queued.future.done():
-                        queued.future.set_exception(error)
+                    _set_exception_if_pending(queued.future, error)
             else:
+                # CancelledError (loop shutdown) and other
+                # non-Exception signals must keep propagating, or the
+                # dispatcher task becomes uncancellable and hangs
+                # event-loop teardown; the waiters are failed one tick
+                # later, after the dispatcher has observed the death.
                 _fail_batch_later(batch, error)
                 raise
-        finally:
-            # The batch slot is released by the dispatcher's done
-            # callback on this task, so cancel-before-start (which
-            # skips this finally) cannot leak it.
-            for lock in reversed(acquired):
-                lock.release()
 
-    async def _execute_batch(
+    async def _dispatch_group(
         self,
-        jobs: list[PreparationJob],
+        chain: tuple[int, ...],
+        positions: list[int],
+        batch: list[QueuedJob],
         keys: list[str | None] | None,
-    ) -> BatchResult:
-        """Run one routed micro-batch; the execution seam.
+        traces: list["tuple[Trace, Span] | None"],
+    ) -> None:
+        """Run one shard group on the engine under its owner's lock.
 
-        The base service executes on the in-process engine (on an
-        executor thread, keeping the loop free);
-        :class:`~repro.cluster.ClusterPreparationService` overrides
-        this to fan the batch out to remote shard servers.  ``keys``
-        are the content keys ``_route_batch`` computed (``None`` when
-        routing was skipped), positionally matching ``jobs``.
+        The execution seam: :class:`~repro.cluster.ClusterPreparationService`
+        overrides it to ship the group to remote shards instead.  An
+        ``Exception`` fails only this group's waiters.
         """
-        if keys is not None and self._engine_accepts_keys():
-            return await asyncio.to_thread(
-                self.engine.run_batch, jobs, keys=keys
+        jobs = [batch[position].job for position in positions]
+        group_keys = (
+            [keys[position] for position in positions]
+            if keys is not None else None
+        )
+        group_traces = tuple(traces[position] for position in positions)
+        async with self._shard_locks[chain[0]]:
+            # Plant the group's traces in this context: asyncio.to_thread
+            # copies it, carrying them into the engine's worker thread.
+            token = (
+                DISPATCH_TRACES.set(group_traces)
+                if any(group_traces) else None
             )
-        return await asyncio.to_thread(self.engine.run_batch, jobs)
+            try:
+                result = await asyncio.to_thread(
+                    self.engine.run_batch, jobs, keys=group_keys
+                )
+            except Exception as error:  # noqa: BLE001 - fan out to waiters
+                for position in positions:
+                    _set_exception_if_pending(
+                        batch[position].future, error
+                    )
+                return
+            finally:
+                if token is not None:
+                    DISPATCH_TRACES.reset(token)
+        self._deliver(positions, batch, result.outcomes)
+
+    def _deliver(
+        self,
+        positions: list[int],
+        batch: list[QueuedJob],
+        outcomes: Iterable[JobOutcome],
+    ) -> None:
+        """Resolve a group's waiters, counting failed outcomes."""
+        for position, outcome in zip(positions, outcomes):
+            if not outcome.ok and self._job_failures is not None:
+                self._job_failures.labels(outcome.error_type).inc()
+            future = batch[position].future
+            if not future.done():
+                future.set_result(outcome)
 
     def _begin_dispatch(
         self, batch: list[QueuedJob]
@@ -734,54 +747,6 @@ class AsyncPreparationService:
         if self._batch_size is not None:
             self._batch_size.observe(len(batch))
         return traces, spans
-
-    async def _dispatch(
-        self,
-        batch: list[QueuedJob],
-        keys: list[str | None] | None = None,
-    ) -> None:
-        jobs = [queued.job for queued in batch]
-        traces, dispatch_spans = self._begin_dispatch(batch)
-        # Plant the per-job traces in this context: asyncio.to_thread
-        # copies it, carrying them into the engine's worker thread.
-        token = (
-            DISPATCH_TRACES.set(tuple(traces))
-            if dispatch_spans else None
-        )
-        try:
-            result = await self._execute_batch(jobs, keys)
-        except BaseException as error:  # noqa: BLE001 - fan out to waiters
-            if isinstance(error, Exception):
-                for queued in batch:
-                    if not queued.future.done():
-                        queued.future.set_exception(error)
-                return
-            # CancelledError (loop shutdown) and other non-Exception
-            # signals must keep propagating, or the dispatcher task
-            # becomes uncancellable and hangs event-loop teardown;
-            # the waiters are failed one tick later, after the
-            # dispatcher has observed the death.
-            _fail_batch_later(batch, error)
-            raise
-        finally:
-            if token is not None:
-                DISPATCH_TRACES.reset(token)
-            for span in dispatch_spans:
-                span.finish()
-        failed = 0
-        for queued, outcome in zip(batch, result.outcomes):
-            if not outcome.ok:
-                failed += 1
-                if self._job_failures is not None:
-                    self._job_failures.labels(outcome.error_type).inc()
-            if not queued.future.done():
-                queued.future.set_result(outcome)
-        _LOGGER.debug(
-            "batch_dispatched",
-            jobs=len(batch),
-            failed=failed,
-            duration=round(result.wall_time, 6),
-        )
 
     def __repr__(self) -> str:
         state = "running" if self.running else "stopped"

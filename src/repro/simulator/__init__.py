@@ -19,7 +19,6 @@ from repro.simulator.statevector_sim import (
     apply_gate_inplace,
     simulate,
     simulate_inplace,
-    simulate_reference,
 )
 from repro.simulator.unitary_builder import circuit_unitary, gate_unitary
 
@@ -33,5 +32,4 @@ __all__ = [
     "simulate",
     "simulate_dd",
     "simulate_inplace",
-    "simulate_reference",
 ]

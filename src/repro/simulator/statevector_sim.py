@@ -5,7 +5,7 @@ axis per qudit, slicing out the control-satisfying subspace, and
 contracting the target axis with a ``d x d`` local matrix.  Cost is
 ``O(prod(dims) * d_target)`` per application.
 
-Two execution paths are provided:
+Two entry points share one kernel:
 
 * :func:`simulate` / :func:`apply_gate` — the immutable API.  Inputs
   are never mutated; :func:`simulate` allocates one private working
@@ -23,10 +23,10 @@ Two execution paths are provided:
   product of its rows (built vectorised); for a gate list, a block is
   one gate, with its matrix from a :class:`GateMatrixCache`.  Nothing
   is reordered or scheduled, so the kernel is exact for any circuit.
-* :func:`simulate_reference` — the seed's per-gate-copy loop, kept as
-  the executable baseline the benchmark-trajectory harness
-  (``benchmarks/bench_hotpaths.py``) and the equivalence tests measure
-  against.
+
+The seed's per-gate-copy loop is kept as a test oracle in
+``tests/kernel_oracles.py``, which the equivalence tests and
+``benchmarks/bench_hotpaths.py`` measure against.
 """
 
 from __future__ import annotations
@@ -49,7 +49,6 @@ __all__ = [
     "apply_gate_inplace",
     "simulate",
     "simulate_inplace",
-    "simulate_reference",
 ]
 
 
@@ -355,33 +354,3 @@ def simulate(
         )
     simulate_inplace(circuit, buffer)
     return StateVector(buffer, circuit.register)
-
-
-def simulate_reference(
-    circuit: Circuit,
-    initial: StateVector | None = None,
-) -> StateVector:
-    """Seed baseline of :func:`simulate`: two full copies per gate.
-
-    Chains :func:`apply_gate`, allocating a fresh
-    :class:`StateVector` after every gate exactly like the seed
-    implementation did.  Retained for the benchmark-trajectory
-    harness and the in-place equivalence tests; prefer
-    :func:`simulate` everywhere else.
-    """
-    if initial is None:
-        initial = StateVector.zero_state(circuit.register)
-    elif initial.register != circuit.register:
-        raise SimulationError(
-            f"initial state on {initial.dims} does not match circuit "
-            f"on {circuit.dims}"
-        )
-    state = initial
-    for gate in circuit.gates:
-        state = apply_gate(state, gate)
-    if circuit.global_phase:
-        state = StateVector(
-            state.amplitudes * cmath.exp(1j * circuit.global_phase),
-            state.register,
-        )
-    return state

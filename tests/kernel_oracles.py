@@ -1,0 +1,96 @@
+"""Scalar reference kernels: the oracles of the vectorised DD build and
+of the in-place statevector simulator.
+
+* :func:`build_dd_reference` — the original per-amplitude recursive
+  construction of :func:`repro.dd.builder.build_dd`: one Python call
+  per tree node, each node normalised through
+  :func:`repro.dd.builder.normalize_edges`.
+* :func:`simulate_reference` — the seed's per-gate-copy loop behind
+  :func:`repro.simulator.statevector_sim.simulate`: it chains
+  :func:`~repro.simulator.statevector_sim.apply_gate`, allocating a
+  fresh :class:`~repro.states.statevector.StateVector` after every
+  gate.
+
+The equivalence tests (``tests/test_hotpaths.py``,
+``tests/test_circuit_table.py``) assert the production kernels agree
+with these, and ``benchmarks/bench_hotpaths.py`` measures against
+them.
+"""
+
+from __future__ import annotations
+
+import cmath
+
+import numpy as np
+
+from repro.circuit.circuit import Circuit
+from repro.dd.builder import normalize_edges
+from repro.dd.diagram import DecisionDiagram
+from repro.dd.edge import WEIGHT_ZERO_CUTOFF, Edge
+from repro.dd.node import TERMINAL
+from repro.dd.unique_table import UniqueTable
+from repro.exceptions import SimulationError, StateError
+from repro.registers.register import as_register
+from repro.simulator.statevector_sim import apply_gate
+from repro.states.statevector import StateVector
+
+__all__ = ["build_dd_reference", "simulate_reference"]
+
+
+def build_dd_reference(
+    state: StateVector,
+    table: UniqueTable | None = None,
+) -> DecisionDiagram:
+    """Scalar recursive reference kernel for ``build_dd``.
+
+    Splits the amplitude array top-down, one Python call per tree node,
+    normalising each node through ``normalize_edges``.
+    """
+    if table is None:
+        table = UniqueTable()
+    register = as_register(state.register)
+    dims = register.dims
+    amplitudes = np.ascontiguousarray(state.amplitudes)
+
+    def build(offset: int, length: int, level: int) -> Edge:
+        """Build the edge for ``amplitudes[offset : offset + length]``."""
+        if level == len(dims):
+            weight = complex(amplitudes[offset])
+            if abs(weight) <= WEIGHT_ZERO_CUTOFF:
+                return Edge.zero()
+            return Edge(weight, TERMINAL)
+        dimension = dims[level]
+        part = length // dimension
+        children = [
+            build(offset + digit * part, part, level + 1)
+            for digit in range(dimension)
+        ]
+        return normalize_edges(children, table, level)
+
+    root = build(0, register.size, 0)
+    if root.is_zero:
+        raise StateError("cannot build a decision diagram of the zero state")
+    return DecisionDiagram(root, register, table)
+
+
+def simulate_reference(
+    circuit: Circuit,
+    initial: StateVector | None = None,
+) -> StateVector:
+    """Seed baseline of ``simulate``: two full copies per gate."""
+    if initial is None:
+        initial = StateVector.zero_state(circuit.register)
+    elif initial.register != circuit.register:
+        raise SimulationError(
+            f"initial state on {initial.dims} does not match circuit "
+            f"on {circuit.dims}"
+        )
+    state = initial
+    for gate in circuit.gates:
+        state = apply_gate(state, gate)
+    if circuit.global_phase:
+        state = StateVector(
+            state.amplitudes * cmath.exp(1j * circuit.global_phase),
+            state.register,
+        )
+    return state

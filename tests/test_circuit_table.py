@@ -39,10 +39,11 @@ from repro.engine import (
 )
 from repro.exceptions import CircuitError, ControlError
 from repro.net.protocol import outcome_to_wire
-from repro.simulator.statevector_sim import simulate, simulate_reference
+from repro.simulator.statevector_sim import simulate
 from repro.states.statevector import StateVector
 
 from tests.conftest import random_statevector
+from tests.kernel_oracles import simulate_reference
 
 
 def make_table(dims, blocks) -> CircuitTable:

@@ -1,10 +1,9 @@
 """Tests for `repro.cluster.placement` — the routing seam.
 
-ShardPlacement is what ShardedCache and the cluster front end both
-stand on, so these tests pin its contract: strategy selection,
-failover preference chains, the fully-local CircuitCache surface, and
-the `over_cache` adapter that keeps custom duck-typed caches routing
-for themselves.
+ShardPlacement is what the local service cache
+(`ShardPlacement.local`) and the cluster front end both stand on, so
+these tests pin its contract: strategy selection, failover preference
+chains, the fully-local CircuitCache surface, and `over_cache`.
 """
 
 import pytest
@@ -18,7 +17,6 @@ from repro.cluster import (
 from repro.engine import PreparationEngine, PreparationJob
 from repro.engine.cache import CacheEntry, CircuitCache
 from repro.exceptions import ClusterConfigError, ClusterError
-from repro.service import ShardedCache, shard_index
 
 
 @pytest.fixture(scope="module")
@@ -96,7 +94,6 @@ class TestRouting:
         placement = ShardPlacement(local_fleet(4))
         for index in range(100):
             key = f"key-{index}"
-            assert placement.shard_index(key) == shard_index(key, 4)
             assert placement.shard_index(key) == modulo_index(key, 4)
 
     def test_ring_routes_by_node_id_not_position(self):
@@ -210,7 +207,7 @@ class TestOverCache:
     def test_placement_is_its_own_answer(self):
         placement = ShardPlacement(local_fleet(2))
         assert ShardPlacement.over_cache(placement) is placement
-        sharded = ShardedCache(num_shards=3, capacity=9)
+        sharded = ShardPlacement.local(num_shards=3, capacity=9)
         assert ShardPlacement.over_cache(sharded) is sharded
 
     def test_plain_cache_becomes_single_shard(self):
@@ -221,41 +218,26 @@ class TestOverCache:
         assert placement.backends[0].cache is cache
         assert placement.shard_index("anything") == 0
 
-    def test_duck_typed_cache_keeps_its_own_routing(self):
-        class EvenOddCache:
-            """Pre-placement contract: routes by key parity."""
 
-            num_shards = 2
-            shards = (
-                CircuitCache(capacity=4),
-                CircuitCache(capacity=4),
-            )
-
-            def shard_index(self, key: str) -> int:
-                return int(key[-1]) % 2
-
-        placement = ShardPlacement.over_cache(EvenOddCache())
-        assert placement.num_shards == 2
-        assert placement.shard_index("key-3") == 1
-        assert placement.shard_index("key-4") == 0
-        assert placement.preference("key-3") == (1,)
-
-
-class TestShardedCacheIsPlacement:
-    def test_subclass_and_backends(self):
-        sharded = ShardedCache(num_shards=4, capacity=16)
+class TestLocalPlacement:
+    def test_local_shards_and_backends(self):
+        sharded = ShardPlacement.local(num_shards=4, capacity=16)
         assert isinstance(sharded, ShardPlacement)
         assert sharded.num_shards == 4
         assert sharded.is_local
-        assert len(sharded.shards) == 4
         assert sharded.strategy == "modulo"
+        assert sharded.replicas == 1
         assert all(
-            backend.cache is shard
-            for backend, shard in zip(sharded.backends, sharded.shards)
+            isinstance(backend, LocalShard)
+            and isinstance(backend.cache, CircuitCache)
+            for backend in sharded.backends
         )
+        assert [backend.shard_id for backend in sharded.backends] == [
+            "shard-00", "shard-01", "shard-02", "shard-03",
+        ]
 
     def test_describe_rows(self):
-        sharded = ShardedCache(num_shards=2, capacity=8)
+        sharded = ShardPlacement.local(num_shards=2, capacity=8)
         rows = sharded.describe()
         assert [row["id"] for row in rows] == ["shard-00", "shard-01"]
         assert all(row["healthy"] for row in rows)

@@ -151,8 +151,8 @@ class TestTopologyErrors:
 class TestModuloIndex:
     def test_matches_historical_sharded_cache_rule(self):
         # The modulo strategy must stay bit-for-bit the assignment
-        # ShardedCache has always used, or persisted disk shards
-        # would scatter on upgrade.
+        # local shard fleets have always used, or persisted disk
+        # shards would scatter on upgrade.
         import hashlib
 
         for key in _keys(64):

@@ -208,13 +208,15 @@ class TestCircuitCache:
         assert reader.get("k") is not None
         assert reader.stats.disk_hits == 1
 
-    @pytest.mark.parametrize("corruption", ["not-json", "nan-phase"])
+    @pytest.mark.parametrize(
+        "corruption", ["not-json", "nan-phase", "wrong-key"]
+    )
     def test_corrupt_disk_entry_is_a_miss(self, tmp_path, corruption):
         cache = CircuitCache(capacity=4, disk_dir=tmp_path)
         path = tmp_path / "bad.json"
         if corruption == "not-json":
             path.write_text("{not json")
-        else:
+        elif corruption == "nan-phase":
             # A well-formed entry edited to carry a NaN global phase.
             CircuitCache(capacity=4, disk_dir=tmp_path).put(
                 self._entry("bad")
@@ -222,7 +224,14 @@ class TestCircuitCache:
             payload = json.loads(path.read_text())
             payload["qdasm"] += "globalphase nan\n"
             path.write_text(json.dumps(payload))
+        else:
+            # A well-formed entry of another key, copied to this one.
+            CircuitCache(capacity=4, disk_dir=tmp_path).put(
+                self._entry("other")
+            )
+            path.write_text((tmp_path / "other.json").read_text())
         assert cache.get("bad") is None
+        assert "bad" not in cache
         assert cache.stats.disk_hits == 0
 
     def test_contains_agrees_with_get_on_corrupt_disk_file(

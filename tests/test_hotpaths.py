@@ -1,7 +1,7 @@
 """Equivalence and speedup guarantees for the vectorised hot paths.
 
 The vectorised DD builder and the in-place simulator must be drop-in
-replacements for the retained scalar references:
+replacements for the scalar oracles of ``tests/kernel_oracles.py``:
 
 * property-based equivalence — random mixed-radix registers with
   dense, sparse and phase-rich states, and duplicate-heavy states
@@ -38,14 +38,13 @@ from repro.circuit.gates import (
 from repro.core.preparation import prepare_state
 from repro.core.verification import verify_preparation
 from repro.dd import metrics
-from repro.dd.builder import build_dd, build_dd_reference
+from repro.dd.builder import build_dd
 from repro.dd.unique_table import UniqueTable
 from repro.linalg.complex_table import ComplexTable
 from repro.simulator.statevector_sim import (
     GateMatrixCache,
     simulate,
     simulate_inplace,
-    simulate_reference,
 )
 from repro.states.fidelity import fidelity
 from repro.states.library import (
@@ -58,6 +57,8 @@ from repro.states.library import (
 )
 from repro.states.random_states import random_sparse_state, random_state
 from repro.states.statevector import StateVector
+
+from tests.kernel_oracles import build_dd_reference, simulate_reference
 
 DIMS = st.lists(
     st.integers(min_value=2, max_value=5), min_size=1, max_size=5

@@ -15,6 +15,7 @@ import asyncio
 
 import pytest
 
+from repro.cluster import ShardPlacement
 from repro.engine import PreparationEngine, PreparationJob
 from repro.net import (
     HttpServer,
@@ -23,7 +24,7 @@ from repro.net import (
     comparable_wire_outcome,
     outcome_to_wire,
 )
-from repro.service import AsyncPreparationService, ShardedCache
+from repro.service import AsyncPreparationService
 
 NUM_CLIENTS = 16
 
@@ -65,7 +66,7 @@ def reference_cache_counts() -> tuple[int, int]:
         )
         for raw in WORKLOAD
     ] * NUM_CLIENTS
-    engine = PreparationEngine(cache=ShardedCache(num_shards=4))
+    engine = PreparationEngine(cache=ShardPlacement.local(num_shards=4))
     engine.run_batch(jobs)
     stats = engine.stats()
     return stats.cache_hits, stats.cache_misses

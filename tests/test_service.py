@@ -3,9 +3,11 @@
 from __future__ import annotations
 
 import asyncio
+import time
 
 import pytest
 
+from repro.cluster import ShardPlacement, modulo_index
 from repro.engine import (
     CacheEntry,
     CacheStats,
@@ -15,12 +17,7 @@ from repro.engine import (
     comparable_outcome,
 )
 from repro.exceptions import EngineError
-from repro.service import (
-    AsyncPreparationService,
-    MicroBatchQueue,
-    ShardedCache,
-    shard_index,
-)
+from repro.service import AsyncPreparationService, MicroBatchQueue
 
 
 def ghz_job(dims=(2, 2), **kwargs) -> PreparationJob:
@@ -48,66 +45,77 @@ def entry_factory():
     return build
 
 
+def shards_of(placement: ShardPlacement) -> list[CircuitCache]:
+    """The local cache shards of a placement, in routing order."""
+    return [backend.cache for backend in placement.backends]
+
+
 class TestShardIndex:
     def test_deterministic_and_in_range(self):
         for num_shards in (1, 2, 7):
             for key in ("a", "b", "deadbeef" * 8):
-                index = shard_index(key, num_shards)
+                index = modulo_index(key, num_shards)
                 assert 0 <= index < num_shards
-                assert index == shard_index(key, num_shards)
+                assert index == modulo_index(key, num_shards)
 
     def test_distributes_across_all_shards(self):
-        hit = {shard_index(f"key-{i}", 4) for i in range(200)}
+        hit = {modulo_index(f"key-{i}", 4) for i in range(200)}
         assert hit == {0, 1, 2, 3}
 
     def test_not_salted_like_builtin_hash(self):
         # Pin a value: must be stable across processes and versions.
-        assert shard_index("k", 4) == shard_index("k", 4)
-        assert shard_index("", 1) == 0
+        assert modulo_index("k", 4) == modulo_index("k", 4)
+        assert modulo_index("", 1) == 0
+
+    def test_local_placement_routes_by_modulo_index(self):
+        placement = ShardPlacement.local(num_shards=4)
+        for index in range(50):
+            key = f"key-{index}"
+            assert placement.shard_index(key) == modulo_index(key, 4)
 
 
-class TestShardedCache:
+class TestLocalPlacement:
     def test_invalid_configuration_rejected(self):
-        with pytest.raises(EngineError):
-            ShardedCache(num_shards=0)
-        with pytest.raises(EngineError):
-            ShardedCache(num_shards=2, capacity=-1)
+        with pytest.raises(EngineError, match="num_shards"):
+            ShardPlacement.local(num_shards=0)
+        with pytest.raises(EngineError, match="capacity"):
+            ShardPlacement.local(num_shards=2, capacity=-1)
 
     def test_capacity_split_totals(self):
-        cache = ShardedCache(num_shards=4, capacity=10)
-        assert [s.capacity for s in cache.shards] == [3, 3, 2, 2]
-        assert cache.capacity == 10
-        empty = ShardedCache(num_shards=3, capacity=0)
-        assert [s.capacity for s in empty.shards] == [0, 0, 0]
+        cache = ShardPlacement.local(num_shards=4, capacity=10)
+        assert [s.capacity for s in shards_of(cache)] == [3, 3, 2, 2]
+        assert sum(s.capacity for s in shards_of(cache)) == 10
+        empty = ShardPlacement.local(num_shards=3, capacity=0)
+        assert [s.capacity for s in shards_of(empty)] == [0, 0, 0]
 
     def test_nonzero_capacity_never_starves_a_shard(self):
         # capacity < num_shards must not hand some shards capacity 0:
         # CircuitCache treats 0 as "memory layer disabled", so keys
         # routed there would re-synthesise forever.
-        cache = ShardedCache(num_shards=4, capacity=2)
-        assert [s.capacity for s in cache.shards] == [1, 1, 1, 1]
+        cache = ShardPlacement.local(num_shards=4, capacity=2)
+        assert [s.capacity for s in shards_of(cache)] == [1, 1, 1, 1]
 
     def test_entry_routed_to_owning_shard(self, entry_factory):
-        cache = ShardedCache(num_shards=4, capacity=8)
+        cache = ShardPlacement.local(num_shards=4, capacity=8)
         entry = entry_factory("some-key")
         cache.put(entry)
         owner = cache.shard_index("some-key")
         assert len(cache) == 1
-        for index, shard in enumerate(cache.shards):
+        for index, shard in enumerate(shards_of(cache)):
             assert len(shard) == (1 if index == owner else 0)
         assert cache.get("some-key") is entry
         assert "some-key" in cache
         assert cache.peek("some-key") is entry
 
     def test_stats_aggregate_is_fieldwise_sum(self, entry_factory):
-        cache = ShardedCache(num_shards=3, capacity=9)
+        cache = ShardPlacement.local(num_shards=3, capacity=9)
         for index in range(6):
             cache.put(entry_factory(f"key-{index}"))
             cache.get(f"key-{index}")
         cache.get("absent-1")
         cache.get("absent-2")
         total = CacheStats()
-        for shard in cache.shards:
+        for shard in shards_of(cache):
             total = total.merged(shard.stats)
         assert cache.stats == total
         assert cache.stats.hits == 6
@@ -126,7 +134,7 @@ class TestShardedCache:
             return engine
 
         unsharded = replay(CircuitCache(capacity=64))
-        sharded_cache = ShardedCache(num_shards=4, capacity=64)
+        sharded_cache = ShardPlacement.local(num_shards=4, capacity=64)
         sharded = replay(sharded_cache)
         assert sharded_cache.stats == unsharded.cache.stats
         assert (
@@ -136,7 +144,7 @@ class TestShardedCache:
 
     def test_single_shard_equals_plain_cache(self, entry_factory):
         plain = CircuitCache(capacity=4)
-        single = ShardedCache(num_shards=1, capacity=4)
+        single = ShardPlacement.local(num_shards=1, capacity=4)
         for cache in (plain, single):
             cache.put(entry_factory("a"))
             cache.get("a")
@@ -144,7 +152,9 @@ class TestShardedCache:
         assert single.stats == plain.stats
 
     def test_per_shard_disk_directories(self, entry_factory, tmp_path):
-        cache = ShardedCache(num_shards=2, capacity=4, disk_dir=tmp_path)
+        cache = ShardPlacement.local(
+            num_shards=2, capacity=4, disk_dir=tmp_path
+        )
         for index in range(4):
             cache.put(entry_factory(f"key-{index}"))
         written = sorted(p.name for p in tmp_path.iterdir())
@@ -162,15 +172,21 @@ class TestShardedCache:
     def test_disk_layer_shared_across_instances(
         self, entry_factory, tmp_path
     ):
-        writer = ShardedCache(num_shards=2, capacity=4, disk_dir=tmp_path)
+        writer = ShardPlacement.local(
+            num_shards=2, capacity=4, disk_dir=tmp_path
+        )
         writer.put(entry_factory("persisted"))
-        reader = ShardedCache(num_shards=2, capacity=4, disk_dir=tmp_path)
+        reader = ShardPlacement.local(
+            num_shards=2, capacity=4, disk_dir=tmp_path
+        )
         loaded = reader.get("persisted")
         assert loaded is not None
         assert reader.stats.disk_hits == 1
 
     def test_contains_consistent_with_corrupt_shard_file(self, tmp_path):
-        cache = ShardedCache(num_shards=2, capacity=4, disk_dir=tmp_path)
+        cache = ShardPlacement.local(
+            num_shards=2, capacity=4, disk_dir=tmp_path
+        )
         owner = cache.shard_index("bad")
         shard_dir = tmp_path / f"shard-{owner:02d}"
         shard_dir.mkdir(parents=True)
@@ -180,7 +196,7 @@ class TestShardedCache:
 
     def test_engine_integration_warm_rerun(self):
         engine = PreparationEngine(
-            cache=ShardedCache(num_shards=4, capacity=64)
+            cache=ShardPlacement.local(num_shards=4, capacity=64)
         )
         cold = engine.run_batch(WORKLOAD)
         warm = engine.run_batch(WORKLOAD)
@@ -389,7 +405,7 @@ class TestAsyncPreparationService:
             service = AsyncPreparationService()
             await service.start()
 
-            def cancelled_run_batch(jobs):
+            def cancelled_run_batch(jobs, keys=None):
                 raise asyncio.CancelledError
 
             monkeypatch.setattr(
@@ -509,6 +525,19 @@ class TestAsyncPreparationService:
         assert second.cache_hit
         assert stats.engine.disk_hits == 1
         assert stats.engine.jobs_executed == 0
+
+    def test_single_shard_disk_layout(self, tmp_path):
+        # One shard is a one-shard placement: its entries live under
+        # disk_dir/shard-00, like every shard of a larger fleet.
+        async def scenario():
+            async with AsyncPreparationService(
+                num_shards=1, disk_dir=tmp_path
+            ) as service:
+                return await service.submit(ghz_job())
+
+        assert asyncio.run(scenario()).ok
+        assert [p.name for p in tmp_path.iterdir()] == ["shard-00"]
+        assert len(list((tmp_path / "shard-00").glob("*.json"))) == 1
 
     def test_stats_summary_readable(self):
         async def scenario():
@@ -654,7 +683,7 @@ class TestPerShardDispatch:
                 self.max_concurrent = 0
                 self.probe_lock = threading.Lock()
 
-            def run_batch(self, jobs):
+            def run_batch(self, jobs, keys=None):
                 with self.probe_lock:
                     self.concurrent += 1
                     self.max_concurrent = max(
@@ -664,12 +693,12 @@ class TestPerShardDispatch:
 
                 _time.sleep(0.05)   # widen the overlap window
                 try:
-                    return super().run_batch(jobs)
+                    return super().run_batch(jobs, keys=keys)
                 finally:
                     with self.probe_lock:
                         self.concurrent -= 1
 
-        engine = ProbedEngine(cache=ShardedCache(num_shards=2))
+        engine = ProbedEngine(cache=ShardPlacement.local(num_shards=2))
         job_a, job_b = self._disjoint_shard_jobs(
             engine, want_same=want_same
         )
@@ -746,3 +775,70 @@ class TestPerShardDispatch:
         # every distinct key one miss, despite concurrent dispatch.
         assert stats.engine.cache_misses == 3
         assert stats.engine.cache_hits == 8 * len(jobs) - 3
+
+    def test_fast_group_does_not_wait_for_slow_group(self):
+        # One micro-batch, two shards: each shard group runs on its
+        # own, so the fast job resolves while the slow one still runs.
+        class SlowEngine(PreparationEngine):
+            slow_job = None
+
+            def run_batch(self, jobs, keys=None):
+                jobs = list(jobs)
+                if any(job is self.slow_job for job in jobs):
+                    time.sleep(0.4)
+                return super().run_batch(jobs, keys=keys)
+
+        engine = SlowEngine(cache=ShardPlacement.local(num_shards=2))
+        slow, fast = self._disjoint_shard_jobs(engine)
+        engine.slow_job = slow
+
+        async def timed(service, job):
+            outcome = await service.submit(job)
+            return outcome, time.perf_counter()
+
+        async def scenario():
+            async with AsyncPreparationService(
+                engine=engine, max_batch_size=2, max_batch_delay=0.05
+            ) as service:
+                results = await asyncio.gather(
+                    timed(service, slow), timed(service, fast)
+                )
+            return results, service.stats()
+
+        results, stats = asyncio.run(scenario())
+        (slow_outcome, slow_done), (fast_outcome, fast_done) = results
+        assert slow_outcome.ok and fast_outcome.ok
+        assert stats.batches_dispatched == 1
+        assert slow_done - fast_done >= 0.2
+
+    def test_group_exception_fails_only_its_group(self):
+        class BrokenShardEngine(PreparationEngine):
+            broken_job = None
+
+            def run_batch(self, jobs, keys=None):
+                jobs = list(jobs)
+                if any(job is self.broken_job for job in jobs):
+                    raise RuntimeError("shard exploded")
+                return super().run_batch(jobs, keys=keys)
+
+        engine = BrokenShardEngine(
+            cache=ShardPlacement.local(num_shards=2)
+        )
+        broken, healthy = self._disjoint_shard_jobs(engine)
+        engine.broken_job = broken
+
+        async def scenario():
+            async with AsyncPreparationService(
+                engine=engine, max_batch_size=2, max_batch_delay=0.05
+            ) as service:
+                results = await asyncio.gather(
+                    service.submit(broken),
+                    service.submit(healthy),
+                    return_exceptions=True,
+                )
+            return results, service.stats()
+
+        (failed, served), stats = asyncio.run(scenario())
+        assert stats.batches_dispatched == 1
+        assert isinstance(failed, RuntimeError)
+        assert served.ok

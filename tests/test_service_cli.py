@@ -68,7 +68,9 @@ def test_serve_single_shard(spec_path, capsys):
         "--json",
     ]) == 0
     payload = json.loads(capsys.readouterr().out)
-    assert payload["shards"] == []          # plain unsharded cache
+    # One shard is still a placement: one row, carrying every hit.
+    assert len(payload["shards"]) == 1
+    assert payload["shards"][0]["hits"] == payload["engine"]["cache_hits"]
     assert payload["failures"] == 0
 
 
