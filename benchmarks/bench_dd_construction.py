@@ -19,7 +19,7 @@ def test_dd_construction(benchmark, table1_case):
     dd = benchmark(build_dd, state)
     print(
         f"\n[aux/build] {table1_case.family} {table1_case.label}: "
-        f"{dd.num_nodes()} DAG nodes"
+        f"{dd.stats.num_nodes} DAG nodes"
     )
     assert dd.to_statevector().isclose(state, tolerance=1e-9)
 

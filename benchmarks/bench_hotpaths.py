@@ -24,10 +24,13 @@ baselines), cold synthesis (the columnar ``synthesize_preparation``
 against the gate-by-gate oracle of ``tests/synthesis_oracle.py``, whose
 QDASM it must match byte for byte), preparation verification (the
 block kernel on the synthesised table, the same circuit as a gate
-list, and the two baselines) and single-pass vs. separate diagram
-statistics.  ``--smoke`` runs a CI-sized grid and fails unless
-block-kernel verify is no slower than gate-list verify on the smoke
-scenario with the most operations.
+list, and the two baselines) and ``finalize`` on the scenario's
+pipeline context.  It also checks the statistics that ``build_dd``
+and ``approximate`` store on their diagrams against the oracle of
+``tests/kernel_oracles.py`` and exits 1 on any mismatch.
+``--smoke`` runs a CI-sized grid and also fails unless block-kernel
+verify is no slower than gate-list verify on the smoke scenario with
+the most operations.
 
 Run::
 
@@ -58,16 +61,20 @@ sys.path.insert(0, str(REPO_ROOT))
 from repro.circuit import qasm  # noqa: E402
 from repro.circuit.circuit import Circuit  # noqa: E402
 from repro.circuit.gates import GivensRotation, PhaseRotation  # noqa: E402
-from repro.core.preparation import prepare_state  # noqa: E402
 from repro.core.synthesis import synthesize_preparation  # noqa: E402
 from repro.core.verification import verify_preparation  # noqa: E402
+from repro.dd.approximation import approximate  # noqa: E402
 from repro.dd.builder import build_dd  # noqa: E402
-from repro.dd.diagram import DecisionDiagram  # noqa: E402
 from repro.dd.edge import WEIGHT_ZERO_CUTOFF, Edge  # noqa: E402
 from repro.dd.node import TERMINAL, DDNode  # noqa: E402
 from repro.linalg.rotations import (  # noqa: E402
     givens_matrix,
     phase_two_level_matrix,
+)
+from repro.pipeline import (  # noqa: E402
+    PipelineConfig,
+    default_pipeline,
+    finalize,
 )
 from repro.states.fidelity import fidelity  # noqa: E402
 from repro.states.library import ghz_state, w_state  # noqa: E402
@@ -79,6 +86,7 @@ from repro.states.statevector import StateVector  # noqa: E402
 from tests.kernel_oracles import (  # noqa: E402
     build_dd_reference,
     simulate_reference,
+    stats_reference,
 )
 from tests.synthesis_oracle import oracle_preparation  # noqa: E402
 
@@ -322,14 +330,13 @@ def run(smoke: bool, repeats: int) -> dict:
         )
         seed_s = _best_of(lambda: seed_build_dd(state), repeats)
         diagram = build_dd(state)
-        stats = diagram.collect_stats()
         build = {
             "vectorized_s": round(vector_s, 6),
             "reference_s": round(reference_s, 6),
             "seed_s": round(seed_s, 6),
             "speedup_vs_reference": _round_speedup(reference_s, vector_s),
             "speedup_vs_seed": _round_speedup(seed_s, vector_s),
-            "dag_nodes": stats.num_nodes,
+            "dag_nodes": diagram.stats.num_nodes,
         }
         print(f"  build: vectorized {vector_s * 1e3:8.2f} ms"
               f" | reference {reference_s * 1e3:8.2f} ms"
@@ -354,8 +361,9 @@ def run(smoke: bool, repeats: int) -> dict:
               f" | oracle {oracle_s * 1e3:7.2f} ms"
               f" ({synthesize['speedup_vs_oracle']:.2f}x)", flush=True)
 
-        result = prepare_state(state, verify=False)
-        circuit = result.circuit
+        config = PipelineConfig(verify=False)
+        context = default_pipeline(config).run(state, config=config)
+        circuit = finalize(context).circuit
         # The same operations as a gate list: per-gate verify with a
         # fresh (cold) matrix cache per call.
         gate_list = Circuit(circuit.register)
@@ -396,22 +404,22 @@ def run(smoke: bool, repeats: int) -> dict:
               f" | seed {seed_verify_s * 1e3:7.2f} ms"
               f" ({verify['speedup_vs_seed']:.2f}x)", flush=True)
 
-        single_pass_s = _best_of(
-            lambda: diagram.collect_stats(), repeats
-        )
-
-        def separate_queries(dd: DecisionDiagram = diagram) -> None:
-            dd.num_nodes()
-            dd.num_edges()
-            dd.distinct_complex_values()
-            dd.nodes_per_level()
-
-        separate_s = _best_of(separate_queries, repeats)
-        metrics = {
-            "collect_stats_s": round(single_pass_s, 6),
-            "separate_queries_s": round(separate_s, 6),
-            "speedup": _round_speedup(separate_s, single_pass_s),
+        finalize_s = _best_of(lambda: finalize(context), repeats)
+        checked = {
+            "build_dd": diagram,
+            "approximate-0.98": approximate(diagram, 0.98).diagram,
         }
+        metrics = {
+            "finalize_s": round(finalize_s, 6),
+            "oracle_mismatches": [
+                label
+                for label, dd in checked.items()
+                if dd.stats != stats_reference(dd)
+            ],
+        }
+        print(f"  finalize: {finalize_s * 1e3:7.2f} ms"
+              f" | stats mismatches: {metrics['oracle_mismatches']}",
+              flush=True)
 
         results.append({
             "name": name,
@@ -482,6 +490,21 @@ def verify_floor(payload: dict) -> str | None:
     return None
 
 
+def stats_check(payload: dict) -> str | None:
+    """Stored diagram statistics equal the oracle on every scenario.
+
+    Returns the failure message, or ``None`` when all match.
+    """
+    failures = [
+        f"{row['name']}: {', '.join(row['stats']['oracle_mismatches'])}"
+        for row in payload["scenarios"]
+        if row["stats"]["oracle_mismatches"]
+    ]
+    if failures:
+        return "stats differ from the oracle on " + "; ".join(failures)
+    return None
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument(
@@ -521,6 +544,11 @@ def main(argv: list[str] | None = None) -> int:
         f"vs oracle"
     )
     print(f"wrote {output}")
+    failure = stats_check(payload)
+    if failure is not None:
+        print(f"STATS CHECK FAILED: {failure}", file=sys.stderr)
+        return 1
+    print("stats check held: stored statistics equal the oracle")
     if options.smoke:
         failure = verify_floor(payload)
         if failure is not None:

@@ -15,7 +15,6 @@ import time
 from repro.analysis.scaling import SCALING_DIMS
 from repro.core.synthesis import synthesize_preparation
 from repro.dd.builder import build_dd
-from repro.dd.metrics import visited_tree_size
 from repro.states.random_states import random_state
 
 
@@ -33,7 +32,7 @@ def test_synthesis_scaling_is_linear(benchmark):
         return timings
 
     timings = benchmark.pedantic(run_ladder, rounds=3, iterations=1)
-    sizes = [visited_tree_size(dd) for dd in diagrams]
+    sizes = [dd.stats.visited_nodes for dd in diagrams]
     per_node = [t / n for t, n in zip(timings, sizes)]
     print("\n[E7/scaling] dims, visited nodes, us/node:")
     for dims, nodes, unit in zip(SCALING_DIMS, sizes, per_node):
@@ -80,7 +79,7 @@ def test_synthesis_time_tracks_dd_size_not_state_size(benchmark):
         f"{sparse_time * 1e3:.2f} ms vs random(4^4, 256 amplitudes): "
         f"{dense_time * 1e3:.2f} ms"
     )
-    assert visited_tree_size(big_sparse) < visited_tree_size(
-        small_dense
+    assert (
+        big_sparse.stats.visited_nodes < small_dense.stats.visited_nodes
     )
     assert sparse_time < dense_time

@@ -14,10 +14,7 @@ import pytest
 from repro.circuit.stats import statistics
 from repro.core.synthesis import synthesize_preparation
 from repro.dd.approximation import approximate
-from repro.dd.metrics import (
-    synthesis_operation_count,
-    visited_tree_size,
-)
+from repro.dd.metrics import synthesis_operation_count
 
 MIN_FIDELITY = 0.98
 
@@ -48,8 +45,8 @@ def test_table1_approximated_synthesis(benchmark, table1_dd):
     case, state, dd = table1_dd
     result, circuit = benchmark(_approximate_and_synthesize, dd)
     stats = statistics(circuit)
-    visited = visited_tree_size(result.diagram)
-    distinct = result.diagram.distinct_complex_values()
+    visited = result.diagram.stats.visited_nodes
+    distinct = result.diagram.stats.distinct_complex
     print(
         f"\n[E2/approx98] {case.family} {case.label}: "
         f"nodes={visited} distinct_c={distinct} "

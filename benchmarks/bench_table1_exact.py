@@ -46,7 +46,7 @@ def test_table1_exact_synthesis(benchmark, table1_dd):
     )
     stats = statistics(circuit)
     tree_nodes = decomposition_tree_size(case.dims)
-    distinct = dd.distinct_complex_values()
+    distinct = dd.stats.distinct_complex
     print(
         f"\n[E1/exact] {case.family} {case.label}: "
         f"nodes={tree_nodes} distinct_c={distinct} "

@@ -53,7 +53,7 @@ class StageLoggingPass(Pass):
 
     def run(self, context):
         context.extras["logged"] = {
-            "dag_nodes": context.diagram.num_nodes(),
+            "dag_nodes": context.diagram.stats.num_nodes,
             "operations": context.circuit.num_operations,
         }
         return context

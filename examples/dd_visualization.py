@@ -36,8 +36,8 @@ def main() -> None:
     dd = build_dd(state)
 
     print("state:", state)
-    print(f"DAG nodes: {dd.num_nodes()}, "
-          f"distinct complex values: {dd.distinct_complex_values()}")
+    print(f"DAG nodes: {dd.stats.num_nodes}, "
+          f"distinct complex values: {dd.stats.distinct_complex}")
 
     # The amplitude of |11> is the product of the weights on its path
     # (Example 4 of the paper).

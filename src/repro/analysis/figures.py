@@ -25,7 +25,7 @@ from repro.core.angles import disentangling_rotation
 from repro.core.preparation import prepare_state
 from repro.dd.builder import build_dd
 from repro.dd.dot import to_dot
-from repro.dd.metrics import synthesis_operation_count, visited_tree_size
+from repro.dd.metrics import synthesis_operation_count
 from repro.states.library import ghz_state
 from repro.states.statevector import StateVector
 
@@ -85,11 +85,11 @@ def figure2() -> str:
         "Figure 2: the three steps of state preparation",
         "1st step - decision diagram of the state "
         "(root subtree masses 0.5 / 0.4 / 0.1):",
-        f"  DAG nodes: {exact.exact_diagram.num_nodes()}, "
-        f"visited: {visited_tree_size(exact.exact_diagram)}",
+        f"  DAG nodes: {exact.exact_diagram.stats.num_nodes}, "
+        f"visited: {exact.exact_diagram.stats.visited_nodes}",
         "2nd step - approximation at fidelity 0.90 prunes the 0.1 "
         "subtree:",
-        f"  visited nodes: {visited_tree_size(approx.diagram)}, "
+        f"  visited nodes: {approx.diagram.stats.visited_nodes}, "
         f"achieved fidelity: {approx.report.approximation_fidelity:.3f}",
         "3rd step - synthesis:",
         f"  exact circuit: {exact.report.operations} operations, "
@@ -121,7 +121,7 @@ def figure3() -> str:
     lines = [
         "Figure 3: state vector and decision diagram of "
         "(|00> - |11> + |21>)/sqrt(3) on a qutrit-qubit register",
-        f"  DAG nodes (excl. terminal): {dd.num_nodes()}",
+        f"  DAG nodes (excl. terminal): {dd.stats.num_nodes}",
         f"  root edges 1 and 2 share a child: {shared}",
         f"  amplitude(|11>) = {dd.amplitude((1, 1)):.6f} "
         f"(expected {-1 / math.sqrt(3.0):.6f})",

@@ -19,10 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.dd.metrics import (
-    synthesis_operation_count,
-    visited_tree_size,
-)
+from repro.dd.metrics import synthesis_operation_count
 from repro.exceptions import DimensionError
 from repro.pipeline import BuildPass, CoercePass, Pipeline
 from repro.states.statevector import StateVector
@@ -82,8 +79,8 @@ def _measure(state: StateVector, permutation: tuple[int, ...]) -> OrderingPoint:
     return OrderingPoint(
         permutation=permutation,
         dims=reordered.dims,
-        dag_nodes=dd.num_nodes(),
-        visited_nodes=visited_tree_size(dd),
+        dag_nodes=dd.stats.num_nodes,
+        visited_nodes=dd.stats.visited_nodes,
         operations=synthesis_operation_count(dd),
     )
 

@@ -24,10 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.dd.metrics import (
-    synthesis_operation_count,
-    visited_tree_size,
-)
+from repro.dd.metrics import synthesis_operation_count
 from repro.pipeline import (
     ApproximatePass,
     BuildPass,
@@ -97,7 +94,7 @@ def synthesis_scaling(
         points.append(
             ScalingPoint(
                 dims=dims,
-                visited_nodes=visited_tree_size(front.exact_diagram),
+                visited_nodes=front.exact_diagram.stats.visited_nodes,
                 operations=synthesis_operation_count(front.exact_diagram),
                 synthesis_seconds=best,
             )
@@ -149,9 +146,9 @@ def approximation_tradeoff(
             TradeoffPoint(
                 min_fidelity=threshold,
                 achieved_fidelity=achieved,
-                visited_nodes=visited_tree_size(context.diagram),
+                visited_nodes=context.diagram.stats.visited_nodes,
                 operations=synthesis_operation_count(context.diagram),
-                dag_nodes=context.diagram.num_nodes(),
+                dag_nodes=context.diagram.stats.num_nodes,
             )
         )
     return points

@@ -9,7 +9,8 @@ increasing contribution while the cumulative removed mass stays within
 the budget ``1 - min_fidelity``.  After pruning, the diagram is
 renormalised bottom-up, so the result is again canonical and represents
 a unit-norm state whose fidelity with the original is ``1 - removed
-mass`` exactly.
+mass`` exactly.  The rebuild lists the nodes it makes, and the
+result's statistics are counted from that list.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.dd.builder import normalize_edges
-from repro.dd.diagram import DecisionDiagram
+from repro.dd.diagram import DecisionDiagram, diagram_stats
 from repro.dd.edge import WEIGHT_ZERO_CUTOFF, Edge
 from repro.dd.node import DDNode, TERMINAL
 from repro.dd.unique_table import UniqueTable
@@ -266,9 +267,14 @@ def _mark_relatives(
 
 def _rebuild(
     root: _MutableNode, root_weight: complex, table: UniqueTable
-) -> Edge:
-    """Re-canonicalise a pruned mutable graph into shared DD nodes."""
+) -> tuple[Edge, list[DDNode]]:
+    """Re-canonicalise a pruned mutable graph into shared DD nodes.
+
+    Returns the root edge and the distinct nodes made, each before
+    its children (a node whose in-edges all vanish stays listed).
+    """
     cache: dict[int, Edge] = {}
+    made: dict[int, DDNode] = {}
 
     def rebuild(node: _MutableNode) -> Edge:
         cached = cache.get(id(node))
@@ -284,9 +290,11 @@ def _rebuild(
                 raw.append(rebuild(child).scaled(weight))
         edge = normalize_edges(raw, table, node.level)
         cache[id(node)] = edge
+        if not edge.node.is_terminal:
+            made.setdefault(id(edge.node), edge.node)
         return edge
 
-    return rebuild(root).scaled(root_weight)
+    return rebuild(root).scaled(root_weight), list(made.values())[::-1]
 
 
 def approximate(
@@ -300,7 +308,8 @@ def approximate(
     Args:
         dd: The (canonical, unit-norm) diagram to approximate.
         min_fidelity: Lower bound on ``|<original|result>|^2``; must be
-            in ``(0, 1]``.  ``1.0`` returns the diagram unchanged.
+            in ``(0, 1]``.  ``1.0`` returns ``dd`` itself, with
+            fidelity 1 and nothing removed.
         table: Optional unique table for the result; defaults to the
             input diagram's table.
         granularity: ``"nodes"`` (default) removes whole nodes, the
@@ -326,6 +335,14 @@ def approximate(
         raise ApproximationError(
             f"unknown granularity {granularity!r}; "
             "expected 'nodes' or 'amplitudes'"
+        )
+    if min_fidelity == 1.0:
+        return ApproximationResult(
+            diagram=dd,
+            fidelity=1.0,
+            removed_mass=0.0,
+            removed_nodes=0,
+            removed_leaves=0,
         )
     if table is None:
         table = dd.unique_table
@@ -380,13 +397,18 @@ def approximate(
         if not progressed:
             break
 
-    rebuilt = _rebuild(root, root_weight, table)
+    rebuilt, made = _rebuild(root, root_weight, table)
     # Renormalise the approximated state to unit norm, keeping its phase.
     magnitude = abs(rebuilt.weight)
     if magnitude <= WEIGHT_ZERO_CUTOFF:  # pragma: no cover - budget < 1 guards
         raise ApproximationError("approximation removed the entire state")
     normalized_root = Edge(rebuilt.weight / magnitude, rebuilt.node)
-    result_dd = DecisionDiagram(normalized_root, dd.register, table)
+    result_dd = DecisionDiagram(
+        normalized_root,
+        dd.register,
+        table,
+        diagram_stats(normalized_root, made),
+    )
 
     from repro.dd.arithmetic import inner_product
 

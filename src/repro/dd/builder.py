@@ -16,11 +16,15 @@ every live block is keyed on its quantised weights and children
 its weights canonicalised through the complex table, is converted to
 Python values and is interned as a heap ``DDNode``, so the per-node
 Python cost and memory are paid once per distinct node instead of
-once per tree block.  The original per-amplitude recursive kernel is
-kept as a test oracle in ``tests/kernel_oracles.py``; the equivalence
-tests in ``tests/test_hotpaths.py`` assert that both kernels produce
-the same diagram (DAG size, root weight, per-node weights,
-amplitudes) on random mixed-radix states.
+once per tree block.  The same level arrays give the diagram's
+:class:`~repro.dd.diagram.DiagramStats`: visited sizes bottom-up
+inside the loop, then one top-down pass over the distinct rows for
+reachability, the node counts and the DistinctC values, so nothing
+walks the finished diagram.  The original per-amplitude recursive
+kernel is kept as a test oracle in ``tests/kernel_oracles.py``; the
+equivalence tests in ``tests/test_hotpaths.py`` assert that both
+kernels produce the same diagram (DAG size, root weight, per-node
+weights, amplitudes) on random mixed-radix states.
 
 The kernel canonicalises every interned edge weight through the
 table's shared complex table, like the oracle.  One
@@ -41,7 +45,11 @@ import math
 
 import numpy as np
 
-from repro.dd.diagram import DecisionDiagram
+from repro.dd.diagram import (
+    DecisionDiagram,
+    DiagramStats,
+    count_distinct_complex,
+)
 from repro.dd.edge import WEIGHT_ZERO_CUTOFF, Edge
 from repro.dd.node import TERMINAL, DDNode
 from repro.dd.unique_table import UniqueTable
@@ -175,6 +183,12 @@ def build_dd(
     inv_quantum = 1.0 / complex_table.tolerance
     zero_edge = Edge.zero()
     get_node_canonical = table.get_node_canonical
+    # Per level, deepest first: the canonical weight rows, child ids
+    # and nodes of its distinct rows, kept for the statistics.
+    level_rows: list[tuple[np.ndarray, np.ndarray, list[DDNode]]] = []
+    # Visited-tree size of each distinct row of the level below, after
+    # a leading 1 for the terminal and zero edges (id 0).
+    visited = np.ones(1, dtype=np.int64)
 
     for level in range(len(dims) - 1, -1, -1):
         dimension = dims[level]
@@ -220,15 +234,18 @@ def build_dd(
         canon_flat[kept_positions] = complex_table.lookup_many(
             canon_flat[kept_positions]
         )
+        child_rows = kept_ids[first]
         new_nodes: list[DDNode] = [TERMINAL]
-        for weight_row, id_row in zip(
-            distinct.tolist(), kept_ids[first].tolist()
-        ):
+        for weight_row, id_row in zip(distinct.tolist(), child_rows.tolist()):
             edges = [
                 Edge(weight, child_nodes[child]) if weight else zero_edge
                 for weight, child in zip(weight_row, id_row)
             ]
             new_nodes.append(get_node_canonical(level, edges))
+        level_rows.append((distinct, child_rows, new_nodes))
+        visited = np.concatenate(
+            ([1], 1 + visited[child_rows].sum(axis=1))
+        )
 
         if live_rows is None:
             weights = factor
@@ -243,5 +260,49 @@ def build_dd(
     root_weight = complex(weights[0])
     if abs(root_weight) <= WEIGHT_ZERO_CUTOFF:
         raise StateError("cannot build a decision diagram of the zero state")
-    root = Edge(root_weight, child_nodes[node_ids[0]])
-    return DecisionDiagram(root, register, table)
+    root_id = int(node_ids[0])
+    root = Edge(root_weight, child_nodes[root_id])
+    stats = _level_stats(root, root_id, int(visited[root_id]), level_rows)
+    return DecisionDiagram(root, register, table, stats)
+
+
+def _level_stats(
+    root: Edge,
+    root_id: int,
+    visited_nodes: int,
+    level_rows: list[tuple[np.ndarray, np.ndarray, list[DDNode]]],
+) -> DiagramStats:
+    """The diagram's statistics from the build's distinct rows.
+
+    Walks the levels top-down, keeping the rows reachable from the
+    root through kept edges.  Two rows whose keys differ can intern
+    to one node (boundary stragglers), so each level counts distinct
+    nodes, not rows; their weight rows are equal, so the DistinctC
+    values need no such care.
+    """
+    top_down = level_rows[::-1]
+    reachable = np.zeros(2, dtype=bool)
+    reachable[root_id] = True
+    histogram: dict[int, int] = {}
+    num_edges = 0
+    values = [np.array([root.weight])]
+    for level, (distinct, child_rows, nodes) in enumerate(top_down):
+        rows = np.flatnonzero(reachable[1:])
+        count = rows.size
+        if len(set(map(id, nodes))) < len(nodes):
+            count = len({id(nodes[row + 1]) for row in rows.tolist()})
+        histogram[level] = count
+        num_edges += count * distinct.shape[1]
+        values.append(distinct[rows].ravel())
+        if level + 1 < len(top_down):
+            reachable = np.zeros(len(top_down[level + 1][2]), dtype=bool)
+            reachable[child_rows[rows].ravel()] = True
+    return DiagramStats(
+        num_nodes=sum(histogram.values()),
+        num_edges=num_edges,
+        distinct_complex=count_distinct_complex(
+            np.concatenate(values), root
+        ),
+        visited_nodes=visited_nodes,
+        nodes_per_level=histogram,
+    )

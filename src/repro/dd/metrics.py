@@ -1,7 +1,8 @@
 """The node-counting metrics reported in Table 1 of the paper.
 
-Reverse-engineering the published numbers (see DESIGN.md, Section 4)
-shows that the paper uses two different node counts:
+Reverse-engineering the published numbers shows that the paper uses
+two different node counts (``tests/test_dd_metrics.py`` pins both
+against the values printed in Table 1):
 
 * the **Exact** column reports the size of the full decomposition
   *tree* of the dense vector, including one leaf per amplitude — a
@@ -10,7 +11,8 @@ shows that the paper uses two different node counts:
 * the **Approximated** column reports the *visited* tree: non-zero
   subtrees expanded path-wise (shared nodes counted once per path)
   plus one terminal endpoint per out-edge of every visited node
-  (:func:`visited_tree_size`).
+  (:func:`visited_tree_size`, read from the diagram's
+  :class:`~repro.dd.diagram.DiagramStats`).
 
 Both are provided here, together with the path-expanded operation count
 (:func:`synthesis_operation_count`) which satisfies
@@ -51,32 +53,16 @@ def decomposition_tree_size(dims: Sequence[int]) -> int:
     return total
 
 
-def _visited_size_of(node: DDNode, cache: dict[int, int]) -> int:
-    """Visited-tree size contributed by ``node`` (path-expanded)."""
-    cached = cache.get(id(node))
-    if cached is not None:
-        return cached
-    total = 1  # the node itself
-    for edge in node.edges:
-        if edge.is_zero or edge.node.is_terminal:
-            total += 1  # terminal endpoint of this edge
-        else:
-            total += _visited_size_of(edge.node, cache)
-    cache[id(node)] = total
-    return total
-
-
 def visited_tree_size(dd: DecisionDiagram) -> int:
     """Path-expanded size of the non-zero part of the diagram.
 
     Counts every internal node once per root-to-node path plus one
     terminal endpoint per out-edge of a visited node.  This is the
     "Nodes" column of the Approximated group in Table 1 and always
-    equals ``synthesis_operation_count(dd) + 1``.
+    equals ``synthesis_operation_count(dd) + 1``.  Zero for a zero
+    diagram.
     """
-    if dd.root.is_zero:
-        return 0
-    return _visited_size_of(dd.root.node, {})
+    return dd.stats.visited_nodes
 
 
 def _operations_of(node: DDNode, cache: dict[int, int]) -> int:

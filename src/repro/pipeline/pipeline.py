@@ -235,7 +235,9 @@ def finalize(context: PipelineContext) -> PreparationResult:
     (the paper's "Time" column), ``build_time`` and ``verify_time``
     the construction and verification stages; circuit metrics are
     taken from the final circuit (the transpiled one, when a
-    ``TranspilePass`` ran).
+    ``TranspilePass`` ran), and diagram metrics from the
+    :class:`~repro.dd.diagram.DiagramStats` the diagrams carry, so
+    nothing here walks a diagram.
 
     Raises:
         PipelineError: If the context is missing the target, diagram,
@@ -254,20 +256,13 @@ def finalize(context: PipelineContext) -> PreparationResult:
     median_controls, mean_controls = control_summary(
         context.circuit.control_counts()
     )
-    diagram_stats = context.diagram.collect_stats()
-    # The exact diagram's node count only: its DistinctC is not
-    # reported, so an approximated job skips that table pass.
-    dd_nodes = (
-        diagram_stats.num_nodes
-        if context.exact_diagram is context.diagram
-        else context.exact_diagram.num_nodes()
-    )
+    stats = context.diagram.stats
     report = SynthesisReport(
         dims=context.target.dims,
         tree_nodes=metrics.decomposition_tree_size(context.target.dims),
-        visited_nodes=metrics.visited_tree_size(context.diagram),
-        dag_nodes=diagram_stats.num_nodes,
-        distinct_complex=diagram_stats.distinct_complex,
+        visited_nodes=stats.visited_nodes,
+        dag_nodes=stats.num_nodes,
+        distinct_complex=stats.distinct_complex,
         operations=context.circuit.num_operations,
         median_controls=median_controls,
         mean_controls=mean_controls,
@@ -288,7 +283,7 @@ def finalize(context: PipelineContext) -> PreparationResult:
             if context.fidelity is not None
             else 0.0
         ),
-        dd_nodes=dd_nodes,
+        dd_nodes=context.exact_diagram.stats.num_nodes,
     )
     return PreparationResult(
         circuit=context.circuit,

@@ -1,10 +1,17 @@
-"""Scalar reference kernels: the oracles of the vectorised DD build and
-of the in-place statevector simulator.
+"""Scalar reference kernels: the oracles of the vectorised DD build,
+of the diagram statistics and of the in-place statevector simulator.
 
 * :func:`build_dd_reference` — the original per-amplitude recursive
   construction of :func:`repro.dd.builder.build_dd`: one Python call
   per tree node, each node normalised through
   :func:`repro.dd.builder.normalize_edges`.
+* :func:`stats_reference` — :class:`~repro.dd.diagram.DiagramStats`
+  by their definitions: one walk that probes every weight through a
+  fresh scalar :class:`~repro.linalg.complex_table.ComplexTable`
+  (root weight first, then the ``nodes()`` pre-order), plus the
+  recursive path-expanded visited count.  ``build_dd``,
+  ``approximate`` and the one-walk fallback of
+  :attr:`~repro.dd.diagram.DecisionDiagram.stats` must all equal it.
 * :func:`simulate_reference` — the seed's per-gate-copy loop behind
   :func:`repro.simulator.statevector_sim.simulate`: it chains
   :func:`~repro.simulator.statevector_sim.apply_gate`, allocating a
@@ -25,16 +32,17 @@ import numpy as np
 
 from repro.circuit.circuit import Circuit
 from repro.dd.builder import normalize_edges
-from repro.dd.diagram import DecisionDiagram
+from repro.dd.diagram import DecisionDiagram, DiagramStats
 from repro.dd.edge import WEIGHT_ZERO_CUTOFF, Edge
-from repro.dd.node import TERMINAL
+from repro.dd.node import TERMINAL, DDNode
 from repro.dd.unique_table import UniqueTable
 from repro.exceptions import SimulationError, StateError
+from repro.linalg.complex_table import ComplexTable
 from repro.registers.register import as_register
 from repro.simulator.statevector_sim import apply_gate
 from repro.states.statevector import StateVector
 
-__all__ = ["build_dd_reference", "simulate_reference"]
+__all__ = ["build_dd_reference", "simulate_reference", "stats_reference"]
 
 
 def build_dd_reference(
@@ -71,6 +79,49 @@ def build_dd_reference(
     if root.is_zero:
         raise StateError("cannot build a decision diagram of the zero state")
     return DecisionDiagram(root, register, table)
+
+
+def _visited_size_of(node: DDNode, cache: dict[int, int]) -> int:
+    """Visited-tree size contributed by ``node`` (path-expanded)."""
+    cached = cache.get(id(node))
+    if cached is not None:
+        return cached
+    total = 1  # the node itself
+    for edge in node.edges:
+        if edge.is_zero or edge.node.is_terminal:
+            total += 1  # terminal endpoint of this edge
+        else:
+            total += _visited_size_of(edge.node, cache)
+    cache[id(node)] = total
+    return total
+
+
+def stats_reference(
+    dd: DecisionDiagram, tolerance: float = 1e-12
+) -> DiagramStats:
+    """The diagram statistics by their definitions, in one walk."""
+    num_nodes = 0
+    num_edges = 0
+    histogram: dict[int, int] = {}
+    table = ComplexTable(tolerance)
+    lookup = table.lookup
+    lookup(dd.root.weight)
+    for node in dd.nodes():
+        num_nodes += 1
+        num_edges += node.dimension
+        level = node.level
+        histogram[level] = histogram.get(level, 0) + 1
+        for edge in node.edges:
+            lookup(edge.weight)
+    return DiagramStats(
+        num_nodes=num_nodes,
+        num_edges=num_edges,
+        distinct_complex=len(table),
+        visited_nodes=(
+            0 if dd.root.is_zero else _visited_size_of(dd.root.node, {})
+        ),
+        nodes_per_level=histogram,
+    )
 
 
 def simulate_reference(

@@ -83,6 +83,70 @@ class TestRunRow:
         assert len(row.cells()) == 14
 
 
+#: Table 1's structural columns from ``run_table1_row(case, runs=1)``
+#: with the default seed, per row: (Nodes, DistinctC, Operations,
+#: #Controls) of the exact group, then of the approximated group.
+#: Exact Nodes is the decomposition tree size, approximated Nodes the
+#: visited tree size.  The W rows' DistinctC (5/9/11) counts the root
+#: weight, which equals an edge weight there, once.
+TABLE1_GOLDEN = {
+    ("Emb. W-State", (3, 6, 2)): ((58, 5, 21, 1.0), (22, 5, 21, 1.0)),
+    ("Emb. W-State", (9, 5, 6, 3)): ((1135, 7, 49, 2.0), (50, 7, 49, 2.0)),
+    ("Emb. W-State", (4, 7, 4, 4, 3, 5)): (
+        (8657, 11, 91, 3.0), (92, 11, 91, 3.0)
+    ),
+    ("GHZ State", (3, 6, 2)): ((58, 3, 19, 1.0), (20, 3, 19, 1.0)),
+    ("GHZ State", (9, 5, 6, 3)): ((1135, 3, 51, 2.0), (52, 3, 51, 2.0)),
+    ("GHZ State", (4, 7, 4, 4, 3, 5)): (
+        (8657, 3, 73, 2.0), (74, 3, 73, 2.0)
+    ),
+    ("W-State", (3, 6, 2)): ((58, 5, 37, 1.0), (38, 5, 37, 1.0)),
+    ("W-State", (9, 5, 6, 3)): ((1135, 9, 186, 2.0), (187, 9, 186, 2.0)),
+    ("W-State", (4, 7, 4, 4, 3, 5)): (
+        (8657, 11, 262, 4.0), (263, 11, 262, 4.0)
+    ),
+    ("Random State", (3, 6, 2)): ((58, 58, 57, 2.0), (54, 53, 53, 2.0)),
+    ("Random State", (9, 5, 6, 3)): (
+        (1135, 1135, 1134, 3.0), (1045, 1016, 1044, 3.0)
+    ),
+    ("Random State", (6, 6, 5, 3, 3)): (
+        (2383, 2383, 2382, 4.0), (2218, 2163, 2217, 4.0)
+    ),
+    ("Random State", (5, 4, 2, 5, 5, 2)): (
+        (3266, 3266, 3265, 5.0), (2986, 2847, 2985, 5.0)
+    ),
+    ("Random State", (4, 7, 4, 4, 3, 5)): (
+        (8657, 8657, 8656, 5.0), (8222, 8133, 8221, 5.0)
+    ),
+}
+
+
+class TestTable1Golden:
+    @pytest.mark.parametrize(
+        "case",
+        TABLE1_ROWS,
+        ids=[
+            f"{case.family}-{'x'.join(map(str, case.dims))}"
+            for case in TABLE1_ROWS
+        ],
+    )
+    def test_structural_columns(self, case):
+        row = run_table1_row(case, runs=1)
+        exact, approx = TABLE1_GOLDEN[(case.family, case.dims)]
+        assert (
+            row.exact.tree_nodes,
+            row.exact.distinct_complex,
+            row.exact.operations,
+            row.exact.median_controls,
+        ) == exact
+        assert (
+            row.approx.visited_nodes,
+            row.approx.distinct_complex,
+            row.approx.operations,
+            row.approx.median_controls,
+        ) == approx
+
+
 class TestRunTable:
     def test_subset_run(self):
         cases = [c for c in TABLE1_ROWS if c.dims == (3, 6, 2)]

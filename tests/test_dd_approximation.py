@@ -177,6 +177,25 @@ class TestPruningBehaviour:
             dd.to_statevector(), tolerance=1e-10
         )
 
+    def test_min_fidelity_one_keeps_tiny_contributions(self):
+        # The 1e-7 amplitude's node contributes ~1e-14 of the mass,
+        # inside the budget's slack: 1.0 must still remove nothing.
+        amplitudes = np.zeros(8, dtype=complex)
+        amplitudes[0] = 1.0
+        amplitudes[3] = 0.5
+        amplitudes[7] = 1e-7
+        dd = build_dd(
+            StateVector(amplitudes / np.linalg.norm(amplitudes), (2, 2, 2))
+        )
+        assert dd.stats.num_nodes == 5
+        result = approximate(dd, 1.0)
+        assert result.diagram is dd
+        assert result.fidelity == 1.0
+        assert result.removed_mass == 0.0
+        assert result.removed_nodes == 0
+        assert result.removed_leaves == 0
+        assert result.removal_log == []
+
     def test_figure2_prunes_smallest_subtree(self):
         # Root subtrees with masses 0.5 / 0.4 / 0.1; threshold 0.9
         # removes exactly the 0.1 subtree.

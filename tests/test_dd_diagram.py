@@ -61,11 +61,11 @@ class TestTraversal:
     def test_num_edges(self):
         dd = build_dd(uniform_state((3, 4)))
         # chain: one level-0 node (3 edges) + one level-1 node (4).
-        assert dd.num_edges() == 7
+        assert dd.stats.num_edges == 7
 
     def test_nodes_per_level(self):
         dd = build_dd(ghz_state((3, 3)))
-        assert dd.nodes_per_level() == {0: 1, 1: 3}
+        assert dd.stats.nodes_per_level == {0: 1, 1: 3}
 
     def test_terminal_not_yielded(self):
         dd = build_dd(ghz_state((2, 2)))
@@ -76,17 +76,17 @@ class TestDistinctComplex:
     def test_ghz_has_three_values(self):
         # {0, 1, 1/sqrt(2)} for mixed GHZ over (3, 6, 2).
         dd = build_dd(ghz_state((3, 6, 2)))
-        assert dd.distinct_complex_values() == 3
+        assert dd.stats.distinct_complex == 3
 
     def test_basis_state_has_two_values(self):
         dd = build_dd(StateVector([0, 1, 0, 0], (2, 2)))
         # {0, 1}
-        assert dd.distinct_complex_values() == 2
+        assert dd.stats.distinct_complex == 2
 
     def test_uniform_state(self):
         dd = build_dd(uniform_state((2, 2)))
         # weights 1/sqrt(2) everywhere plus root weight 1.
-        assert dd.distinct_complex_values() == 2
+        assert dd.stats.distinct_complex == 2
 
 
 class TestProductDetection:

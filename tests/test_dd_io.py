@@ -67,7 +67,7 @@ class TestRoundTrip:
         clone = pickle.loads(pickle.dumps(dd))
         assert dd_io.dumps(clone) == dd_io.dumps(dd)
         assert clone.num_nodes() == dd.num_nodes()
-        assert clone.nodes_per_level() == dd.nodes_per_level()
+        assert clone.stats == dd.stats
         assert clone.to_statevector().isclose(state, tolerance=1e-9)
 
     def test_unpickled_diagram_keeps_interning(self):

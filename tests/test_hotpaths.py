@@ -58,7 +58,11 @@ from repro.states.library import (
 from repro.states.random_states import random_sparse_state, random_state
 from repro.states.statevector import StateVector
 
-from tests.kernel_oracles import build_dd_reference, simulate_reference
+from tests.kernel_oracles import (
+    build_dd_reference,
+    simulate_reference,
+    stats_reference,
+)
 
 DIMS = st.lists(
     st.integers(min_value=2, max_value=5), min_size=1, max_size=5
@@ -203,9 +207,12 @@ def assert_same_diagram(vectorized, reference) -> None:
     maps to exactly one reference node, so with equal node counts the
     two DAGs are isomorphic.
     """
-    assert vectorized.num_nodes() == reference.num_nodes()
-    assert vectorized.num_edges() == reference.num_edges()
-    assert vectorized.nodes_per_level() == reference.nodes_per_level()
+    assert vectorized.stats.num_nodes == reference.stats.num_nodes
+    assert vectorized.stats.num_edges == reference.stats.num_edges
+    assert (
+        vectorized.stats.nodes_per_level
+        == reference.stats.nodes_per_level
+    )
     assert vectorized.root.weight == pytest.approx(
         reference.root.weight, abs=1e-10
     )
@@ -279,13 +286,9 @@ class TestBuilderEquivalence:
         assert_same_diagram(build_dd(state), build_dd_reference(state))
 
     @SCENARIOS
-    def test_collect_stats_matches_single_queries(self, state):
+    def test_stats_match_oracle(self, state):
         dd = build_dd(state)
-        stats = dd.collect_stats()
-        assert stats.num_nodes == dd.num_nodes()
-        assert stats.num_edges == dd.num_edges()
-        assert stats.distinct_complex == dd.distinct_complex_values()
-        assert stats.nodes_per_level == dd.nodes_per_level()
+        assert dd.stats == stats_reference(dd)
 
     @SCENARIOS
     def test_path_expanded_metrics_match_reference(self, state):

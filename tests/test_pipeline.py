@@ -51,6 +51,7 @@ from repro.states.library import dicke_state, ghz_state, uniform_state, w_state
 from repro.states.random_states import random_state
 
 from tests.conftest import SMALL_MIXED_DIMS, random_statevector
+from tests.kernel_oracles import stats_reference
 
 
 def reference_prepare_state(
@@ -94,11 +95,11 @@ def reference_prepare_state(
         verify_start = time.perf_counter()
         achieved = verify_preparation(circuit, target)
         verify_elapsed = time.perf_counter() - verify_start
-    diagram_stats = diagram.collect_stats()
+    diagram_stats = stats_reference(diagram)
     report = SynthesisReport(
         dims=target.dims,
         tree_nodes=metrics.decomposition_tree_size(target.dims),
-        visited_nodes=metrics.visited_tree_size(diagram),
+        visited_nodes=diagram_stats.visited_nodes,
         dag_nodes=diagram_stats.num_nodes,
         distinct_complex=diagram_stats.distinct_complex,
         operations=circuit_stats.num_operations,
