@@ -29,6 +29,7 @@ from repro.dd.node import TERMINAL, DDNode
 from repro.dd.unique_table import UniqueTable
 from repro.engine import PreparationEngine
 from repro.engine.spec import job_from_dict
+from repro.exceptions import DecisionDiagramError
 from repro.linalg.complex_table import ComplexTable
 from repro.pipeline import PipelineConfig, default_pipeline, run_pipeline
 from repro.pipeline import pipeline as pipeline_module
@@ -165,6 +166,13 @@ class TestStatsMatchOracle:
         stats = diagram_stats(Edge(1.0, root), [root, stray, leaf])
         dd = DecisionDiagram(Edge(1.0, root), (2, 2), UniqueTable())
         assert stats == stats_reference(dd)
+
+    def test_child_above_its_parent_is_refused(self):
+        child = DDNode(0, (Edge(1.0, TERMINAL), Edge.zero()))
+        root = DDNode(0, (Edge(1.0, child), Edge.zero()))
+        dd = DecisionDiagram(Edge(1.0, root), (2, 2), UniqueTable())
+        with pytest.raises(DecisionDiagramError, match="below"):
+            dd.stats
 
     def test_zero_diagram(self):
         dd = DecisionDiagram(Edge.zero(), (2, 2), UniqueTable())
