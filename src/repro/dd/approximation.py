@@ -9,19 +9,50 @@ increasing contribution while the cumulative removed mass stays within
 the budget ``1 - min_fidelity``.  After pruning, the diagram is
 renormalised bottom-up, so the result is again canonical and represents
 a unit-norm state whose fidelity with the original is ``1 - removed
-mass`` exactly.  The rebuild lists the nodes it makes, and the
-result's statistics are counted from that list.
+mass`` exactly.
+
+The pass runs level by level on the diagram's level arrays
+(:attr:`~repro.dd.diagram.DecisionDiagram.levels`), as Mozafari et al.
+prepare states level by level:
+
+* **Scan order.**  Ties in contribution go to the node that comes
+  first in reversed depth-first post-order (children in digit order),
+  the order of the scalar implementation.  A node's depth-first tree
+  parent is the parent on its lexicographically smallest root path,
+  so the order follows from per-level path ranks, subtree sizes and
+  sibling offsets, all NumPy reductions; rows are sorted into it once.
+* **Passes.**  Subtree masses run bottom-up and influxes top-down,
+  with the same ``_NEGLIGIBLE`` filters and the same summation order
+  as a per-node walk (squared magnitudes are Python's ``abs(w) ** 2``),
+  so contributions are bit-identical to it.  The greedy scan takes
+  candidates in ``(contribution, position)`` order; within one pass a
+  removed node blocks its ancestors and descendants.
+* **Rebuild.**  Bottom-up, only the rows that lost an edge or have a
+  changed child are re-canonicalised: per level one vectorised
+  normalisation, one ``lookup_many`` and one interning loop.  Every
+  untouched node is reused with an in-edge factor of exactly 1, so the
+  result shares the input's unique table and most of its nodes.
+* **Fidelity.**  ``|<original|approximated>|^2`` is computed exactly,
+  level by level over the pairs of rows the two diagrams reach
+  together, and the result carries its own level arrays and
+  statistics.
+
+The scalar per-node implementation is the test oracle in
+``tests/approximation_oracle.py``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import repeat
 
-from repro.dd.builder import normalize_edges
-from repro.dd.diagram import DecisionDiagram, diagram_stats
+import numpy as np
+
+from repro.dd.builder import _normalize_level
+from repro.dd.diagram import DecisionDiagram, level_stats
 from repro.dd.edge import WEIGHT_ZERO_CUTOFF, Edge
-from repro.dd.node import DDNode, TERMINAL
-from repro.dd.unique_table import UniqueTable
+from repro.dd.levels import compact_levels
+from repro.dd.node import TERMINAL, DDNode
 from repro.exceptions import ApproximationError
 
 __all__ = [
@@ -56,75 +87,161 @@ class ApproximationResult:
     removal_log: list[float] = field(default_factory=list)
 
 
-class _MutableNode:
-    """Mutable mirror of a DD node used during pruning."""
+def _scan_positions(children: list[np.ndarray]) -> list[np.ndarray]:
+    """Every row's index in reversed depth-first post-order.
 
-    __slots__ = ("level", "weights", "children")
-
-    def __init__(self, level: int, weights: list[complex],
-                 children: list["_MutableNode | None"]):
-        self.level = level
-        self.weights = weights
-        self.children = children  # None encodes the terminal
-
-
-def _mutable_copy(dd: DecisionDiagram) -> tuple[_MutableNode, complex,
-                                                list[_MutableNode]]:
-    """Deep-copy the reachable DAG into mutable nodes.
-
-    Returns the mutable root, the root edge weight, and all mutable
-    nodes in topological (root-first) order.  Sharing is preserved:
-    a shared DD node maps to a single mutable node.
+    A depth-first walk from the root that takes children in digit order
+    first reaches each node through its lexicographically smallest
+    root path, so a level's path ranks follow from the level above
+    (``rank * d + digit``, minimised over in-edges), and that minimum
+    names the node's tree parent and digit.  Reversed post-order is
+    the tree's pre-order with children taken in reverse digit order:
+    a node sits one after its tree parent plus the subtree sizes of
+    its siblings with larger digits.
     """
-    mapping: dict[int, _MutableNode] = {}
-    order: list[_MutableNode] = []
+    num_levels = len(children)
+    counts = [level.shape[0] for level in children]
+    rank = [np.zeros(1, dtype=np.intp)]
+    tree_parent: list[np.ndarray] = [np.zeros(0, dtype=np.intp)]
+    tree_digit: list[np.ndarray] = [np.zeros(0, dtype=np.intp)]
+    for level in range(num_levels - 1):
+        child = children[level]
+        rows, digits = np.nonzero(child >= 0)
+        keys = rank[level][rows] * child.shape[1] + digits
+        first = np.full(counts[level + 1], np.iinfo(np.intp).max)
+        np.minimum.at(first, child[rows, digits], keys)
+        below = np.empty(counts[level + 1], dtype=np.intp)
+        below[np.argsort(first)] = np.arange(counts[level + 1])
+        rank.append(below)
+        row_of_rank = np.empty(counts[level], dtype=np.intp)
+        row_of_rank[rank[level]] = np.arange(counts[level])
+        tree_parent.append(row_of_rank[first // child.shape[1]])
+        tree_digit.append(first % child.shape[1])
 
-    def convert(node: DDNode) -> _MutableNode:
-        existing = mapping.get(id(node))
-        if existing is not None:
-            return existing
-        mutable = _MutableNode(node.level, list(node.weights),
-                               [None] * node.dimension)
-        mapping[id(node)] = mutable
-        for digit, edge in enumerate(node.edges):
-            if not edge.is_zero and not edge.node.is_terminal:
-                mutable.children[digit] = convert(edge.node)
-        order.append(mutable)
-        return mutable
+    size = np.ones(counts[-1], dtype=np.int64)
+    sizes = [size]
+    for level in range(num_levels - 1, 0, -1):
+        size = 1 + np.bincount(
+            tree_parent[level], weights=size, minlength=counts[level - 1]
+        ).astype(np.int64)
+        sizes.append(size)
+    sizes.reverse()
 
-    root = convert(dd.root.node)
-    # ``order`` is children-first; reverse for root-first topological order.
-    order.reverse()
-    return root, dd.root.weight, order
+    positions = [np.zeros(1, dtype=np.int64)]
+    for level in range(1, num_levels):
+        order = np.lexsort((-tree_digit[level], tree_parent[level]))
+        parent = tree_parent[level][order]
+        size = sizes[level][order]
+        before = np.cumsum(size) - size
+        starts = np.flatnonzero(
+            np.concatenate(([True], parent[1:] != parent[:-1]))
+        )
+        group_base = np.repeat(
+            before[starts], np.diff(np.append(starts, order.size))
+        )
+        position = np.empty(order.size, dtype=np.int64)
+        position[order] = positions[level - 1][parent] + 1 + before - group_base
+        positions.append(position)
+    return positions
 
 
-def _subtree_masses(order: list[_MutableNode]) -> dict[int, float]:
-    """Squared-norm of each mutable subtree (children-first pass)."""
-    masses: dict[int, float] = {}
-    for node in reversed(order):
-        total = 0.0
-        for weight, child in zip(node.weights, node.children):
-            magnitude = abs(weight) ** 2
-            if magnitude <= _NEGLIGIBLE:
-                continue
-            total += magnitude * (1.0 if child is None
-                                  else masses[id(child)])
-        masses[id(node)] = total
+def _in_scan_order(dd: DecisionDiagram):
+    """The diagram's level arrays with each level's rows in scan order.
+
+    Returns ``(weights, children, nodes, positions)`` lists, one entry
+    per level.
+    """
+    levels = dd.levels
+    positions = _scan_positions(list(levels.children))
+    orders = [np.argsort(position) for position in positions]
+    new_rows = []
+    for order in orders:
+        new_row = np.empty(order.size, dtype=np.intp)
+        new_row[order] = np.arange(order.size)
+        new_rows.append(new_row)
+    children = []
+    for level, order in enumerate(orders):
+        child = levels.children[level][order]
+        if level + 1 < len(orders):
+            child = np.where(
+                child >= 0, new_rows[level + 1][np.maximum(child, 0)], -1
+            )
+        children.append(child)
+    return (
+        [weights[order] for weights, order in zip(levels.weights, orders)],
+        children,
+        [
+            [nodes[row] for row in order.tolist()]
+            for nodes, order in zip(levels.nodes, orders)
+        ],
+        [position[order] for position, order in zip(positions, orders)],
+    )
+
+
+def _squared_magnitudes(weights: np.ndarray) -> np.ndarray:
+    """``abs(w) ** 2`` of every weight, as Python computes it."""
+    return np.fromiter(
+        map(pow, map(abs, weights.ravel().tolist()), repeat(2)),
+        dtype=np.float64,
+        count=weights.size,
+    ).reshape(weights.shape)
+
+
+def _masses(
+    magnitudes: list[np.ndarray], children: list[np.ndarray]
+) -> list[np.ndarray]:
+    """Squared norm of every row's subtree, bottom-up.
+
+    Terms are added digit by digit from 0.0, as a per-node sum would.
+    """
+    masses: list[np.ndarray] = []
+    below = None
+    for level in range(len(magnitudes) - 1, -1, -1):
+        magnitude = magnitudes[level]
+        child = children[level]
+        if below is None:
+            terms = magnitude
+        else:
+            terms = magnitude * np.where(
+                child >= 0, below[np.maximum(child, 0)], 1.0
+            )
+        terms = np.where(magnitude > _NEGLIGIBLE, terms, 0.0)
+        total = np.zeros(magnitude.shape[0])
+        for digit in range(magnitude.shape[1]):
+            total += terms[:, digit]
+        masses.append(total)
+        below = total
+    masses.reverse()
     return masses
 
 
-def _influxes(root: _MutableNode, root_weight: complex,
-              order: list[_MutableNode]) -> dict[int, float]:
-    """Total squared path weight from the root into each node."""
-    influx: dict[int, float] = {id(node): 0.0 for node in order}
-    influx[id(root)] = abs(root_weight) ** 2
-    for node in order:
-        incoming = influx[id(node)]
-        if incoming <= _NEGLIGIBLE:
-            continue
-        for weight, child in zip(node.weights, node.children):
-            if child is not None and abs(weight) ** 2 > _NEGLIGIBLE:
-                influx[id(child)] += incoming * abs(weight) ** 2
+def _influxes(
+    magnitudes: list[np.ndarray],
+    children: list[np.ndarray],
+    root_magnitude: float,
+) -> list[np.ndarray]:
+    """Total squared path weight from the root into every row, top-down.
+
+    ``np.bincount`` adds each child's in-flows in row-major order of
+    the parent rows, i.e. in scan order and then digit order.
+    """
+    influx = [np.array([root_magnitude])]
+    for level in range(len(magnitudes) - 1):
+        incoming = influx[level]
+        magnitude = magnitudes[level]
+        child = children[level]
+        flows = (
+            (incoming[:, None] > _NEGLIGIBLE)
+            & (child >= 0)
+            & (magnitude > _NEGLIGIBLE)
+        )
+        influx.append(
+            np.bincount(
+                child[flows],
+                weights=(incoming[:, None] * magnitude)[flows],
+                minlength=children[level + 1].shape[0],
+            )
+        )
     return influx
 
 
@@ -135,172 +252,225 @@ def fidelity_contributions(dd: DecisionDiagram) -> dict[DDNode, float]:
     amplitudes whose path crosses the node (Section 4.3 of the paper).
     For a normalised state the root contributes 1.
     """
-    root, root_weight, order = _mutable_copy(dd)
-    masses = _subtree_masses(order)
-    influx = _influxes(root, root_weight, order)
-    # Map mutable ids back to the original DD nodes.
-    result: dict[DDNode, float] = {}
-    mutable_by_id = {id(m): m for m in order}
-    # Rebuild the correspondence by walking both structures in parallel.
-    pairs: dict[int, DDNode] = {}
-
-    def pair(node: DDNode, mutable: _MutableNode) -> None:
-        if id(mutable) in pairs:
-            return
-        pairs[id(mutable)] = node
-        for edge, child in zip(node.edges, mutable.children):
-            if child is not None:
-                pair(edge.node, child)
-
-    pair(dd.root.node, root)
-    for mutable_id, node in pairs.items():
-        mutable = mutable_by_id[mutable_id]
-        result[node] = influx[mutable_id] * masses[id(mutable)]
-    return result
+    weights, children, nodes, _ = _in_scan_order(dd)
+    magnitudes = [_squared_magnitudes(level) for level in weights]
+    influx = _influxes(magnitudes, children, abs(dd.root.weight) ** 2)
+    masses = _masses(magnitudes, children)
+    return {
+        node: value
+        for level_nodes, incoming, mass in zip(nodes, influx, masses)
+        for node, value in zip(level_nodes, (incoming * mass).tolist())
+    }
 
 
-def _leaf_candidates(
-    root: _MutableNode,
-    root_weight: complex,
-    order: list[_MutableNode],
-) -> list[tuple[float, int, _MutableNode, int]]:
-    """List leaf-amplitude candidates ``(mass, tiebreak, node, digit)``.
+class _Links:
+    """Parent and child links of the scan-ordered rows, by global id.
 
-    A leaf candidate is one terminal edge (one amplitude); zeroing it
-    never changes the influx of any other node, so the listed masses
-    are mutually independent and sum exactly — the whole ascending
-    prefix that fits the budget can be removed in one pass.
+    A row's global id is its level's offset plus its row.  Removing a
+    node cuts exactly its in-edges, so the links are made once and a
+    removed node is skipped as a child and not walked past as a parent.
     """
-    influx = _influxes(root, root_weight, order)
-    result: list[tuple[float, int, _MutableNode, int]] = []
-    for position, node in enumerate(order):
-        incoming = influx[id(node)]
-        if incoming <= _NEGLIGIBLE:
-            continue
-        for digit, (weight, child) in enumerate(
-            zip(node.weights, node.children)
-        ):
-            if child is None and abs(weight) ** 2 > _NEGLIGIBLE:
-                result.append(
-                    (incoming * abs(weight) ** 2, position, node, digit)
-                )
-    result.sort(key=lambda item: (item[0], item[1]))
-    return result
 
-
-def _node_candidates(
-    root: _MutableNode,
-    root_weight: complex,
-    order: list[_MutableNode],
-) -> list[tuple[float, int, _MutableNode]]:
-    """List whole-node candidates ``(contribution, tiebreak, node)``.
-
-    Contributions are current (influx times remaining subtree mass).
-    The root is never a candidate — removing it would erase the state.
-    """
-    masses = _subtree_masses(order)
-    influx = _influxes(root, root_weight, order)
-    result: list[tuple[float, int, _MutableNode]] = []
-    for position, node in enumerate(order):
-        if node is root:
-            continue
-        contribution = influx[id(node)] * masses[id(node)]
-        if contribution > _NEGLIGIBLE:
-            result.append((contribution, position, node))
-    result.sort(key=lambda item: (item[0], item[1]))
-    return result
-
-
-def _remove_node(
-    target: _MutableNode,
-    parents: dict[int, list[_MutableNode]],
-) -> None:
-    """Zero every edge pointing at ``target``."""
-    for parent in parents.get(id(target), []):
-        for digit, child in enumerate(parent.children):
-            if child is target:
-                parent.weights[digit] = 0.0
-                parent.children[digit] = None
-
-
-def _parents_map(
-    order: list[_MutableNode],
-) -> dict[int, list[_MutableNode]]:
-    """Reverse adjacency of the mutable graph (child id -> parents)."""
-    parents: dict[int, list[_MutableNode]] = {}
-    for node in order:
-        for child in node.children:
-            if child is not None:
-                parents.setdefault(id(child), []).append(node)
-    return parents
-
-
-def _mark_relatives(
-    node: _MutableNode,
-    parents: dict[int, list[_MutableNode]],
-    blocked: set[int],
-) -> None:
-    """Block ``node``, its ancestors, and its descendants.
-
-    Removing a node changes the current contribution of exactly these
-    relatives (ancestors lose subtree mass, descendants lose influx),
-    so within one batched pass they may no longer be removed at their
-    pre-computed contributions.
-    """
-    stack = [node]
-    while stack:  # descendants
-        current = stack.pop()
-        if id(current) in blocked:
-            continue
-        blocked.add(id(current))
-        stack.extend(
-            child for child in current.children if child is not None
+    def __init__(self, children: list[np.ndarray]):
+        counts = [level.shape[0] for level in children]
+        self.offsets = np.concatenate(([0], np.cumsum(counts)))
+        total = int(self.offsets[-1])
+        self.kids: list[list[int]] = []
+        parent_ids, edge_levels, edge_rows, edge_digits, child_ids = (
+            [], [], [], [], []
         )
-    up = list(parents.get(id(node), []))
-    while up:  # ancestors
-        current = up.pop()
-        if id(current) in blocked:
-            continue
-        blocked.add(id(current))
-        up.extend(parents.get(id(current), []))
+        for level, child in enumerate(children):
+            if level + 1 == len(children):
+                self.kids.extend([[]] * child.shape[0])
+                break
+            below = self.offsets[level + 1]
+            self.kids.extend(np.where(child >= 0, child + below, -1).tolist())
+            rows, digits = np.nonzero(child >= 0)
+            parent_ids.append(rows + self.offsets[level])
+            edge_levels.append(np.full(rows.size, level))
+            edge_rows.append(rows)
+            edge_digits.append(digits)
+            child_ids.append(child[rows, digits] + below)
+        if child_ids:
+            targets = np.concatenate(child_ids)
+            order = np.argsort(targets, kind="stable")
+            self.parent_of = np.concatenate(parent_ids)[order].tolist()
+            self.edge_level = np.concatenate(edge_levels)[order]
+            self.edge_row = np.concatenate(edge_rows)[order]
+            self.edge_digit = np.concatenate(edge_digits)[order]
+            counts_in = np.bincount(targets, minlength=total)
+        else:
+            self.parent_of = []
+            self.edge_level = self.edge_row = self.edge_digit = np.zeros(
+                0, dtype=np.intp
+            )
+            counts_in = np.zeros(total, dtype=np.intp)
+        self.first_in = np.concatenate(([0], np.cumsum(counts_in))).tolist()
+        self.removed = bytearray(total)
+
+    def block_relatives(self, node: int, blocked: bytearray) -> None:
+        """Block ``node``, its descendants and its ancestors.
+
+        Removing a node changes the current contribution of exactly
+        these relatives (ancestors lose subtree mass, descendants lose
+        influx), so within one pass they may no longer be removed at
+        their pre-computed contributions.
+        """
+        kids = self.kids
+        removed = self.removed
+        stack = [node]
+        while stack:
+            current = stack.pop()
+            if blocked[current]:
+                continue
+            blocked[current] = 1
+            stack.extend(
+                kid for kid in kids[current] if kid >= 0 and not removed[kid]
+            )
+        parent_of = self.parent_of
+        first_in = self.first_in
+        up = parent_of[first_in[node]:first_in[node + 1]]
+        while up:
+            current = up.pop()
+            if blocked[current]:
+                continue
+            blocked[current] = 1
+            if not removed[current]:
+                up.extend(parent_of[first_in[current]:first_in[current + 1]])
 
 
 def _rebuild(
-    root: _MutableNode, root_weight: complex, table: UniqueTable
-) -> tuple[Edge, list[DDNode]]:
-    """Re-canonicalise a pruned mutable graph into shared DD nodes.
+    dd: DecisionDiagram,
+    weights: list[np.ndarray],
+    children: list[np.ndarray],
+    nodes: list[list[DDNode]],
+    lost: list[np.ndarray],
+):
+    """Re-canonicalise the pruned rows bottom-up.
 
-    Returns the root edge and the distinct nodes made, each before
-    its children (a node whose in-edges all vanish stays listed).
+    Only rows reachable from the root that lost an edge or have a
+    changed child are normalised and interned again; every other row
+    keeps its node with an in-edge factor of exactly 1.  Returns the
+    root row's factor (0 when nothing is left) and the new per-level
+    weights, children and nodes, indexed like the input rows.
     """
-    cache: dict[int, Edge] = {}
-    made: dict[int, DDNode] = {}
+    table = dd.unique_table
+    complex_table = table.complex_table
+    get_node_canonical = table.get_node_canonical
+    zero_edge = Edge.zero()
+    reach = [np.ones(1, dtype=bool)]
+    for level in range(len(children) - 1):
+        below = children[level][reach[level]]
+        mark = np.zeros(children[level + 1].shape[0], dtype=bool)
+        mark[below[below >= 0]] = True
+        reach.append(mark)
 
-    def rebuild(node: _MutableNode) -> Edge:
-        cached = cache.get(id(node))
-        if cached is not None:
-            return cached
-        raw: list[Edge] = []
-        for weight, child in zip(node.weights, node.children):
-            if abs(weight) <= WEIGHT_ZERO_CUTOFF:
-                raw.append(Edge.zero())
-            elif child is None:
-                raw.append(Edge(weight, TERMINAL))
-            else:
-                raw.append(rebuild(child).scaled(weight))
-        edge = normalize_edges(raw, table, node.level)
-        cache[id(node)] = edge
-        if not edge.node.is_terminal:
-            made.setdefault(id(edge.node), edge.node)
-        return edge
+    new_weights: list[np.ndarray] = []
+    new_children: list[np.ndarray] = []
+    new_nodes: list[list[DDNode | None]] = []
+    factor_below = changed_below = nodes_below = None
+    for level in range(len(children) - 1, -1, -1):
+        weight = weights[level]
+        child = children[level]
+        dirty = lost[level].copy()
+        if changed_below is not None:
+            dirty |= (
+                (child >= 0) & changed_below[np.maximum(child, 0)]
+            ).any(axis=1)
+        dirty &= reach[level]
+        factor = np.ones(weight.shape[0], dtype=np.complex128)
+        level_nodes: list[DDNode | None] = list(nodes[level])
+        rows = np.flatnonzero(dirty)
+        if rows.size:
+            weight = weight.copy()
+            child = child.copy()
+            raw = weight[rows]
+            if factor_below is not None:
+                raw = raw * np.where(
+                    child[rows] >= 0,
+                    factor_below[np.maximum(child[rows], 0)],
+                    1.0,
+                )
+            live, live_factor, normalized, kept_ids = _normalize_level(
+                raw, child[rows] + 1, weight.shape[1]
+            )
+            live_rows = rows if live is None else rows[live]
+            factor[rows] = 0.0
+            factor[live_rows] = live_factor
+            canon_flat = normalized.ravel()
+            kept = np.flatnonzero(canon_flat)
+            canon_flat[kept] = complex_table.lookup_many(canon_flat[kept])
+            kept_rows = kept_ids - 1
+            for row, weight_row, id_row in zip(
+                live_rows.tolist(), normalized.tolist(), kept_rows.tolist()
+            ):
+                edges = [
+                    Edge(w, TERMINAL if kid < 0 else nodes_below[kid])
+                    if w
+                    else zero_edge
+                    for w, kid in zip(weight_row, id_row)
+                ]
+                level_nodes[row] = get_node_canonical(level, edges)
+            weight[live_rows] = normalized
+            child[live_rows] = kept_rows
+        new_weights.append(weight)
+        new_children.append(child)
+        new_nodes.append(level_nodes)
+        factor_below = factor
+        changed_below = dirty
+        nodes_below = level_nodes
+    new_weights.reverse()
+    new_children.reverse()
+    new_nodes.reverse()
+    return complex(factor_below[0]), new_weights, new_children, new_nodes
 
-    return rebuild(root).scaled(root_weight), list(made.values())[::-1]
+
+def _overlap(bra, ket) -> complex:
+    """``<bra|ket>`` of two level-array diagrams, root weights left out.
+
+    ``bra`` and ``ket`` are ``(weights, children)`` lists over one
+    register, each with its root node at row 0 of level 0.  Pairs of
+    rows the two diagrams reach together are listed top-down, and
+    their overlaps summed bottom-up.
+    """
+    bra_weights, bra_children = bra
+    ket_weights, ket_children = ket
+    num_levels = len(bra_weights)
+    pairs = (np.zeros(1, dtype=np.intp), np.zeros(1, dtype=np.intp))
+    terms = []
+    slots = []
+    for level in range(num_levels):
+        rows_a, rows_b = pairs
+        weight_a = bra_weights[level][rows_a]
+        weight_b = ket_weights[level][rows_b]
+        both = (np.abs(weight_a) > WEIGHT_ZERO_CUTOFF) & (
+            np.abs(weight_b) > WEIGHT_ZERO_CUTOFF
+        )
+        if level + 1 < num_levels:
+            child_a = bra_children[level][rows_a]
+            child_b = ket_children[level][rows_b]
+            both &= (child_a >= 0) & (child_b >= 0)
+            width = ket_weights[level + 1].shape[0]
+            keys, slot = np.unique(
+                (child_a * width + child_b)[both], return_inverse=True
+            )
+            slots.append(np.where(both, 0, -1))
+            slots[-1][both] = slot
+            pairs = (keys // width, keys % width)
+        terms.append(np.where(both, np.conj(weight_a) * weight_b, 0.0))
+    value = None
+    for level in range(num_levels - 1, -1, -1):
+        term = terms[level]
+        if value is not None:
+            slot = slots[level]
+            term = term * np.where(slot >= 0, value[np.maximum(slot, 0)], 0.0)
+        value = term.sum(axis=1)
+    return complex(value[0])
 
 
 def approximate(
     dd: DecisionDiagram,
     min_fidelity: float,
-    table: UniqueTable | None = None,
     granularity: str = "nodes",
 ) -> ApproximationResult:
     """Prune a decision diagram down to a fidelity budget.
@@ -310,8 +480,6 @@ def approximate(
         min_fidelity: Lower bound on ``|<original|result>|^2``; must be
             in ``(0, 1]``.  ``1.0`` returns ``dd`` itself, with
             fidelity 1 and nothing removed.
-        table: Optional unique table for the result; defaults to the
-            input diagram's table.
         granularity: ``"nodes"`` (default) removes whole nodes, the
             paper's formulation ("removing nodes from the decision
             diagram until a threshold fidelity is reached");
@@ -321,11 +489,13 @@ def approximate(
 
     Returns:
         An :class:`ApproximationResult`; its ``fidelity`` field is the
-        exact achieved fidelity, always >= ``min_fidelity``.
+        exact achieved fidelity, always >= ``min_fidelity``.  The
+        result shares the input's unique table and reuses its
+        untouched nodes.
 
     Raises:
-        ApproximationError: If ``min_fidelity`` is out of range or the
-            granularity is unknown.
+        ApproximationError: If ``min_fidelity`` is out of range, the
+            granularity is unknown or the diagram is zero.
     """
     if not 0.0 < min_fidelity <= 1.0:
         raise ApproximationError(
@@ -344,9 +514,16 @@ def approximate(
             removed_nodes=0,
             removed_leaves=0,
         )
-    if table is None:
-        table = dd.unique_table
-    root, root_weight, order = _mutable_copy(dd)
+    if dd.root.is_zero:
+        raise ApproximationError("cannot approximate the zero diagram")
+    original_weights, original_children, nodes, positions = _in_scan_order(dd)
+    weights = [level.copy() for level in original_weights]
+    children = [level.copy() for level in original_children]
+    magnitudes = [_squared_magnitudes(level) for level in weights]
+    lost = [np.zeros(level.shape[0], dtype=bool) for level in weights]
+    root_magnitude = abs(dd.root.weight) ** 2
+    all_positions = np.concatenate(positions[1:] or [np.zeros(0, np.int64)])
+    links = _Links(children)
     # A relative slack keeps boundary removals (contribution exactly
     # equal to the budget, up to rounding) from being rejected.
     budget = (1.0 - min_fidelity) * (1.0 + 1e-9) + 1e-12
@@ -357,18 +534,20 @@ def approximate(
 
     while budget > _NEGLIGIBLE:
         progressed = False
+        influx = _influxes(magnitudes, children, root_magnitude)
         if granularity == "amplitudes":
             # Leaf amplitudes are mutually independent (removing one
             # never changes another's influx or weight), so the whole
             # ascending prefix that fits the budget goes in one pass
             # with exact accounting.
-            for mass, _, node, digit in _leaf_candidates(
-                root, root_weight, order
+            for mass, level, row, digit in _leaf_candidates(
+                influx, magnitudes, children, positions
             ):
                 if mass > budget:
                     break  # sorted ascending: nothing further fits
-                node.weights[digit] = 0.0
-                node.children[digit] = None
+                magnitudes[level][row, digit] = 0.0
+                weights[level][row, digit] = 0.0
+                lost[level][row] = True
                 removed_leaves += 1
                 budget -= mass
                 removed_mass += mass
@@ -377,42 +556,75 @@ def approximate(
         # Whole-node pass.  Node contributions of relatives interact
         # (ancestors lose mass, descendants lose influx); candidates
         # that are not related can be removed in the same pass at
-        # their pre-computed — exact — contributions.
-        parents = _parents_map(order)
-        blocked: set[int] = set()
-        for contribution, _, node in _node_candidates(
-            root, root_weight, order
+        # their pre-computed — exact — contributions.  The root is
+        # never a candidate: removing it would erase the state.
+        masses = _masses(magnitudes, children)
+        contributions = np.concatenate(
+            [incoming * mass for incoming, mass in zip(influx[1:], masses[1:])]
+            or [np.zeros(0)]
+        )
+        candidates = np.flatnonzero(contributions > _NEGLIGIBLE)
+        candidates = candidates[
+            np.lexsort((all_positions[candidates], contributions[candidates]))
+        ]
+        ordered = contributions[candidates]
+        fits = np.searchsorted(ordered, budget, side="right")
+        blocked = bytearray(len(links.removed))
+        cut_edges: list[int] = []
+        first_in = links.first_in
+        for contribution, node in zip(
+            ordered[:fits].tolist(),
+            (candidates[:fits] + links.offsets[1]).tolist(),
         ):
             if contribution > budget:
                 break
-            if id(node) in blocked:
+            if blocked[node]:
                 continue
-            _mark_relatives(node, parents, blocked)
-            _remove_node(node, parents)
+            links.block_relatives(node, blocked)
+            links.removed[node] = 1
+            cut_edges.extend(range(first_in[node], first_in[node + 1]))
             removed_nodes += 1
             budget -= contribution
             removed_mass += contribution
             removal_log.append(contribution)
             progressed = True
+        if cut_edges:
+            cut = np.array(cut_edges, dtype=np.intp)
+            for level in np.unique(links.edge_level[cut]).tolist():
+                at_level = cut[links.edge_level[cut] == level]
+                rows = links.edge_row[at_level]
+                digits = links.edge_digit[at_level]
+                magnitudes[level][rows, digits] = 0.0
+                weights[level][rows, digits] = 0.0
+                children[level][rows, digits] = -1
+                lost[level][rows] = True
         if not progressed:
             break
 
-    rebuilt, made = _rebuild(root, root_weight, table)
-    # Renormalise the approximated state to unit norm, keeping its phase.
-    magnitude = abs(rebuilt.weight)
-    if magnitude <= WEIGHT_ZERO_CUTOFF:  # pragma: no cover - budget < 1 guards
-        raise ApproximationError("approximation removed the entire state")
-    normalized_root = Edge(rebuilt.weight / magnitude, rebuilt.node)
-    result_dd = DecisionDiagram(
-        normalized_root,
-        dd.register,
-        table,
-        diagram_stats(normalized_root, made),
+    root_factor, new_weights, new_children, new_nodes = _rebuild(
+        dd, weights, children, nodes, lost
     )
-
-    from repro.dd.arithmetic import inner_product
-
-    fidelity = abs(inner_product(dd, result_dd)) ** 2
+    if root_factor == 0:  # pragma: no cover - budget < 1 guards
+        raise ApproximationError("approximation removed the entire state")
+    rebuilt = root_factor * dd.root.weight
+    root = Edge(rebuilt / abs(rebuilt), new_nodes[0][0])
+    levels = compact_levels(new_weights, new_children, new_nodes, 0)
+    result_dd = DecisionDiagram(
+        root,
+        dd.register,
+        dd.unique_table,
+        level_stats(levels, root),
+        levels,
+    )
+    overlap = (
+        dd.root.weight.conjugate()
+        * root.weight
+        * _overlap(
+            (original_weights, original_children),
+            (list(levels.weights), list(levels.children)),
+        )
+    )
+    fidelity = abs(overlap) ** 2
     return ApproximationResult(
         diagram=result_dd,
         fidelity=float(min(max(fidelity, 0.0), 1.0)),
@@ -421,3 +633,44 @@ def approximate(
         removed_leaves=removed_leaves,
         removal_log=removal_log,
     )
+
+
+def _leaf_candidates(
+    influx: list[np.ndarray],
+    magnitudes: list[np.ndarray],
+    children: list[np.ndarray],
+    positions: list[np.ndarray],
+) -> list[tuple[float, int, int, int]]:
+    """Leaf-amplitude candidates ``(mass, level, row, digit)``, ascending.
+
+    A leaf candidate is one terminal edge (one amplitude); zeroing it
+    never changes the influx of any other node, so the listed masses
+    are mutually independent and sum exactly.  Ties go to the earlier
+    row in scan order, then the lower digit.
+    """
+    parts = []
+    for level, (incoming, magnitude, child) in enumerate(
+        zip(influx, magnitudes, children)
+    ):
+        rows, digits = np.nonzero(
+            (incoming[:, None] > _NEGLIGIBLE)
+            & (child < 0)
+            & (magnitude > _NEGLIGIBLE)
+        )
+        parts.append((
+            incoming[rows] * magnitude[rows, digits],
+            positions[level][rows],
+            np.full(rows.size, level),
+            rows,
+            digits,
+        ))
+    mass, position, level, row, digit = (
+        np.concatenate(column) for column in zip(*parts)
+    )
+    order = np.lexsort((digit, position, mass))
+    return list(zip(
+        mass[order].tolist(),
+        level[order].tolist(),
+        row[order].tolist(),
+        digit[order].tolist(),
+    ))

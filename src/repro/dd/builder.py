@@ -16,11 +16,11 @@ every live block is keyed on its quantised weights and children
 its weights canonicalised through the complex table, is converted to
 Python values and is interned as a heap ``DDNode``, so the per-node
 Python cost and memory are paid once per distinct node instead of
-once per tree block.  The same level arrays give the diagram's
-:class:`~repro.dd.diagram.DiagramStats`: visited sizes bottom-up
-inside the loop, then one top-down pass over the distinct rows for
-reachability, the node counts and the DistinctC values, so nothing
-walks the finished diagram.  The original per-amplitude recursive
+once per tree block.  The diagram keeps the distinct rows as its
+:class:`~repro.dd.levels.DiagramLevels` (one top-down pass keeps the
+rows reachable through kept edges, one per node), and its
+:class:`~repro.dd.diagram.DiagramStats` are counted from them, so
+nothing walks the finished diagram.  The original per-amplitude recursive
 kernel is kept as a test oracle in ``tests/kernel_oracles.py``; the
 equivalence tests in ``tests/test_hotpaths.py`` assert that both
 kernels produce the same diagram (DAG size, root weight, per-node
@@ -45,12 +45,9 @@ import math
 
 import numpy as np
 
-from repro.dd.diagram import (
-    DecisionDiagram,
-    DiagramStats,
-    count_distinct_complex,
-)
+from repro.dd.diagram import DecisionDiagram, level_stats
 from repro.dd.edge import WEIGHT_ZERO_CUTOFF, Edge
+from repro.dd.levels import compact_levels
 from repro.dd.node import TERMINAL, DDNode
 from repro.dd.unique_table import UniqueTable
 from repro.exceptions import StateError
@@ -184,11 +181,8 @@ def build_dd(
     zero_edge = Edge.zero()
     get_node_canonical = table.get_node_canonical
     # Per level, deepest first: the canonical weight rows, child ids
-    # and nodes of its distinct rows, kept for the statistics.
+    # and nodes of its distinct rows, kept for the level arrays.
     level_rows: list[tuple[np.ndarray, np.ndarray, list[DDNode]]] = []
-    # Visited-tree size of each distinct row of the level below, after
-    # a leading 1 for the terminal and zero edges (id 0).
-    visited = np.ones(1, dtype=np.int64)
 
     for level in range(len(dims) - 1, -1, -1):
         dimension = dims[level]
@@ -242,10 +236,7 @@ def build_dd(
                 for weight, child in zip(weight_row, id_row)
             ]
             new_nodes.append(get_node_canonical(level, edges))
-        level_rows.append((distinct, child_rows, new_nodes))
-        visited = np.concatenate(
-            ([1], 1 + visited[child_rows].sum(axis=1))
-        )
+        level_rows.append((distinct, child_rows - 1, new_nodes[1:]))
 
         if live_rows is None:
             weights = factor
@@ -262,47 +253,13 @@ def build_dd(
         raise StateError("cannot build a decision diagram of the zero state")
     root_id = int(node_ids[0])
     root = Edge(root_weight, child_nodes[root_id])
-    stats = _level_stats(root, root_id, int(visited[root_id]), level_rows)
-    return DecisionDiagram(root, register, table, stats)
-
-
-def _level_stats(
-    root: Edge,
-    root_id: int,
-    visited_nodes: int,
-    level_rows: list[tuple[np.ndarray, np.ndarray, list[DDNode]]],
-) -> DiagramStats:
-    """The diagram's statistics from the build's distinct rows.
-
-    Walks the levels top-down, keeping the rows reachable from the
-    root through kept edges.  Two rows whose keys differ can intern
-    to one node (boundary stragglers), so each level counts distinct
-    nodes, not rows; their weight rows are equal, so the DistinctC
-    values need no such care.
-    """
     top_down = level_rows[::-1]
-    reachable = np.zeros(2, dtype=bool)
-    reachable[root_id] = True
-    histogram: dict[int, int] = {}
-    num_edges = 0
-    values = [np.array([root.weight])]
-    for level, (distinct, child_rows, nodes) in enumerate(top_down):
-        rows = np.flatnonzero(reachable[1:])
-        count = rows.size
-        if len(set(map(id, nodes))) < len(nodes):
-            count = len({id(nodes[row + 1]) for row in rows.tolist()})
-        histogram[level] = count
-        num_edges += count * distinct.shape[1]
-        values.append(distinct[rows].ravel())
-        if level + 1 < len(top_down):
-            reachable = np.zeros(len(top_down[level + 1][2]), dtype=bool)
-            reachable[child_rows[rows].ravel()] = True
-    return DiagramStats(
-        num_nodes=sum(histogram.values()),
-        num_edges=num_edges,
-        distinct_complex=count_distinct_complex(
-            np.concatenate(values), root
-        ),
-        visited_nodes=visited_nodes,
-        nodes_per_level=histogram,
+    levels = compact_levels(
+        [distinct for distinct, _, _ in top_down],
+        [child_rows for _, child_rows, _ in top_down],
+        [nodes for _, _, nodes in top_down],
+        root_id - 1,
+    )
+    return DecisionDiagram(
+        root, register, table, level_stats(levels, root), levels
     )

@@ -10,12 +10,13 @@ and approximation routines.
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Iterator, Sequence
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.dd.edge import WEIGHT_ZERO_CUTOFF, Edge
+from repro.dd.edge import Edge
+from repro.dd.levels import DiagramLevels, walk_levels
 from repro.dd.node import DDNode
 from repro.dd.unique_table import UniqueTable
 from repro.exceptions import DecisionDiagramError, DimensionError
@@ -31,10 +32,12 @@ __all__ = ["DecisionDiagram", "DiagramStats"]
 class DiagramStats:
     """Structural statistics of a diagram, fixed when it is made.
 
+    :func:`level_stats` counts them from the diagram's level arrays
+    (:attr:`DecisionDiagram.levels`):
     :func:`~repro.dd.builder.build_dd` and
-    :func:`~repro.dd.approximation.approximate` fill them while they
-    create the nodes; every other diagram computes them with one walk
-    on the first read of :attr:`DecisionDiagram.stats`.
+    :func:`~repro.dd.approximation.approximate` when they make the
+    nodes, every other diagram on the first read of
+    :attr:`DecisionDiagram.stats`.
 
     Attributes:
         num_nodes: Distinct reachable non-terminal nodes (DAG size).
@@ -66,81 +69,102 @@ def _has_close_pair(values: np.ndarray, gap: float) -> bool:
     neighbours within ``gap``.  Never misses a close pair; may flag
     neighbours that are close in the imaginary part only.
     """
+    if values.size < 2:
+        return False
     run = np.concatenate(([0], np.cumsum(np.diff(values.real) > gap)))
     order = np.lexsort((values.imag, run))
     same_run = run[order][1:] == run[order][:-1]
     return bool(np.any(same_run & (np.diff(values.imag[order]) <= gap)))
 
 
-def count_distinct_complex(values: np.ndarray, root: Edge) -> int:
+def _root_finds(values: np.ndarray, root: complex, tolerance: float) -> bool:
+    """Whether a complex table holding only ``root`` finds an entry.
+
+    Mirrors :meth:`ComplexTable.lookup` on such a table: the root must
+    sit in the entry's grid cell or one of its eight neighbours, and
+    within ``tolerance`` of it in both parts.
+    """
+    scale = 1.0 / tolerance
+    return bool(np.any(
+        (np.abs(np.rint(values.real * scale) - round(root.real * scale)) <= 1)
+        & (np.abs(np.rint(values.imag * scale) - round(root.imag * scale)) <= 1)
+        & (np.abs(values.real - root.real) <= tolerance)
+        & (np.abs(values.imag - root.imag) <= tolerance)
+    ))
+
+
+def count_distinct_complex(edge_values: np.ndarray, root: Edge) -> int:
     """DistinctC of the diagram under ``root``.
 
-    ``values`` holds the root weight and every edge weight of the
-    reachable nodes, repeats allowed.  When no two distinct values
-    lie within twice the tolerance of each other, a complex table
-    keeps each of them whatever the lookup order, so they are counted
-    by equality.  Otherwise (ties that straddle the tolerance, or kept
-    weights below it next to ``0j``) the count replays the table in
-    the definition's order: the root weight, then the edge weights of
-    the nodes in :meth:`DecisionDiagram.nodes` pre-order.
+    ``edge_values`` holds every edge weight of the reachable nodes,
+    repeats allowed.  The definition feeds a fresh complex table the
+    root weight, then the edge weights in :meth:`DecisionDiagram.nodes`
+    pre-order.  When no two distinct edge values lie within twice the
+    tolerance of each other, the table keeps each of them whatever the
+    order, apart from the one (there can be no second) that the root
+    entry, stored first, absorbs; at most one edge value lies within
+    twice the tolerance of the root in that case, and it is absorbed
+    exactly when a table holding only the root finds it.  Otherwise
+    (ties that straddle the tolerance, kept weights below it next to
+    ``0j``, or several edge values near the root) the count replays
+    the table in the definition's order.
     """
-    values = np.sort(values)
-    distinct = values[np.concatenate(([True], values[1:] != values[:-1]))]
-    if not _has_close_pair(distinct, 2.0 * DEFAULT_TOLERANCE):
-        return int(distinct.size)
-    table = ComplexTable(DEFAULT_TOLERANCE)
-    table.lookup(root.weight)
+    tolerance = DEFAULT_TOLERANCE
+    gap = 2.0 * tolerance
+    values = np.sort(np.asarray(edge_values, dtype=np.complex128))
+    distinct = values[
+        np.concatenate(([True], values[1:] != values[:-1]))[: values.size]
+    ]
+    root_weight = complex(root.weight)
+    near = distinct[
+        (np.abs(distinct.real - root_weight.real) <= gap)
+        & (np.abs(distinct.imag - root_weight.imag) <= gap)
+    ]
+    if near.size <= 1 and not _has_close_pair(distinct, gap):
+        return 1 + distinct.size - int(_root_finds(near, root_weight, tolerance))
+    table = ComplexTable(tolerance)
+    table.lookup(root_weight)
     for node in _preorder(root):
         for weight in node.weights:
             table.lookup(weight)
     return len(table)
 
 
-def diagram_stats(
-    root: Edge, parents_first: Iterable[DDNode]
-) -> DiagramStats:
-    """Statistics of the diagram under ``root`` from a list of its nodes.
+#: Largest visited count that may still grow by a factor of ``d`` and
+#: one more without leaving int64.
+_INT64_HEADROOM = 2**62
 
-    ``parents_first`` lists distinct nodes, each after all of its
-    parents, and holds every node reachable from ``root``; entries
-    that are not reachable are skipped.  One pass counts each node's
-    root-to-node paths; a node adds itself plus one terminal endpoint
-    per zero or terminal edge to the visited tree once per path.
+
+def level_stats(levels: DiagramLevels, root: Edge) -> DiagramStats:
+    """The statistics of the diagram under ``root`` from its level arrays.
+
+    Visited sizes run bottom-up, one row per node: the node itself
+    plus, per out-edge, the child's visited size or one terminal
+    endpoint for a zero or terminal edge.  Counts that could overflow
+    int64 switch to Python integers.
     """
-    weights = [root.weight]
     histogram: dict[int, int] = {}
     num_edges = 0
-    visited_nodes = 0
-    paths: dict[int, int] = {} if root.is_zero else {id(root.node): 1}
-    for node in parents_first:
-        count = paths.get(id(node))
-        if count is None:
-            continue
-        own = 1
-        for edge in node.edges:
-            weight = edge.weight
-            weights.append(weight)
-            child = edge.node
-            if not child.edges or abs(weight) <= WEIGHT_ZERO_CUTOFF:
-                own += 1
-            elif child.level > node.level:
-                paths[id(child)] = paths.get(id(child), 0) + count
-            else:
-                raise DecisionDiagramError(
-                    f"node at level {node.level} points to a node at "
-                    f"level {child.level}; children must sit below "
-                    "their parents"
-                )
-        visited_nodes += count * own
-        histogram[node.level] = histogram.get(node.level, 0) + 1
-        num_edges += len(node.edges)
+    visited = np.ones(1, dtype=np.int64)
+    for level in range(len(levels.weights) - 1, -1, -1):
+        rows, dimension = levels.weights[level].shape
+        if rows:
+            histogram[level] = rows
+            num_edges += rows * dimension
+        if visited.dtype != object and int(visited.max()) > (
+            _INT64_HEADROOM // dimension
+        ):
+            visited = visited.astype(object)
+        visited = np.concatenate(
+            ([1], 1 + visited[levels.children[level] + 1].sum(axis=1))
+        )
     return DiagramStats(
         num_nodes=sum(histogram.values()),
         num_edges=num_edges,
         distinct_complex=count_distinct_complex(
-            np.array(weights, dtype=np.complex128), root
+            np.concatenate([row.ravel() for row in levels.weights]), root
         ),
-        visited_nodes=visited_nodes,
+        visited_nodes=int(visited[1]) if visited.size > 1 else 0,
         nodes_per_level=dict(sorted(histogram.items())),
     )
 
@@ -174,13 +198,14 @@ class DecisionDiagram:
 
     Instances are produced by :func:`repro.dd.builder.build_dd` and by
     :func:`repro.dd.approximation.approximate`, which also pass the
-    :class:`DiagramStats` they counted while making the nodes; direct
-    construction is possible when the root edge already satisfies the
-    canonical invariants, and such a diagram computes its statistics
-    with one walk when they are first read.
+    level arrays and :class:`DiagramStats` they made with the nodes;
+    direct construction is possible when the root edge already
+    satisfies the canonical invariants, and such a diagram derives its
+    level arrays with one walk when they or its statistics are first
+    read.
     """
 
-    __slots__ = ("_root", "_register", "_table", "_stats")
+    __slots__ = ("_root", "_register", "_table", "_stats", "_levels")
 
     def __init__(
         self,
@@ -188,11 +213,13 @@ class DecisionDiagram:
         register: RegisterLike,
         table: UniqueTable,
         stats: DiagramStats | None = None,
+        levels: DiagramLevels | None = None,
     ):
         self._root = root
         self._register = as_register(register)
         self._table = table
         self._stats = stats
+        self._levels = levels
         if not root.is_zero and root.node.is_terminal:
             raise DecisionDiagramError(
                 "root edge of a non-trivial diagram must point to a node"
@@ -226,21 +253,31 @@ class DecisionDiagram:
         return self._table
 
     @property
-    def stats(self) -> DiagramStats:
-        """Structural statistics: Table 1's Nodes and DistinctC.
+    def levels(self) -> DiagramLevels:
+        """Per-level arrays of the reachable distinct nodes.
 
         Diagrams made by :func:`~repro.dd.builder.build_dd` or
         :func:`~repro.dd.approximation.approximate` carry them from
-        construction; any other diagram counts them with one walk on
+        construction; any other diagram derives them with one walk on
         the first read and keeps them.
+
+        Raises:
+            DecisionDiagramError: If a child is not exactly one level
+                below its parent.
+        """
+        if self._levels is None:
+            self._levels = walk_levels(self._root, self.dims)
+        return self._levels
+
+    @property
+    def stats(self) -> DiagramStats:
+        """Structural statistics: Table 1's Nodes and DistinctC.
+
+        Counted from :attr:`levels` by :func:`level_stats`, when the
+        diagram is made or on the first read, and kept.
         """
         if self._stats is None:
-            # Levels grow from parent to child, so sorting by level
-            # puts every node after its parents.
-            self._stats = diagram_stats(
-                self._root,
-                sorted(self.nodes(), key=lambda node: node.level),
-            )
+            self._stats = level_stats(self.levels, self._root)
         return self._stats
 
     # ------------------------------------------------------------------

@@ -14,15 +14,25 @@ round-trip through dense vectors.  Example document::
 Node lines are in children-first order, so every reference ``@k``
 points to an already-declared node; ``@T`` is the terminal.  Weights
 use ``repr`` round-trippable complex literals.
+
+The loader checks the structural invariants every consumer relies on
+(those :func:`repro.dd.validation.validate_diagram` lists): every
+weight is finite, each child sits exactly one level below its parent,
+non-zero terminal edges occur only at the last level, and the root is
+at level 0.  It does not check normalisation, so hand-written
+documents such as the one above may use rounded weights.
 """
 
 from __future__ import annotations
+
+import cmath
 
 from repro.dd.diagram import DecisionDiagram
 from repro.dd.edge import Edge
 from repro.dd.node import TERMINAL, DDNode
 from repro.dd.unique_table import UniqueTable
-from repro.exceptions import SerializationError
+from repro.exceptions import ReproError, SerializationError
+from repro.registers.mixed_radix import validate_dims
 
 __all__ = ["dumps", "loads"]
 
@@ -88,6 +98,10 @@ def _parse_edge(
         raise SerializationError(
             f"line {line_no}: malformed weight {weight_text!r}"
         ) from error
+    if not cmath.isfinite(weight):
+        raise SerializationError(
+            f"line {line_no}: weight {weight_text!r} is not finite"
+        )
     if target_text == "T":
         if weight == 0:
             return Edge.zero()
@@ -101,6 +115,33 @@ def _parse_edge(
     return Edge(weight, target)
 
 
+def _parse_int(text: str, what: str, line_no: int) -> int:
+    try:
+        return int(text)
+    except ValueError as error:
+        raise SerializationError(
+            f"line {line_no}: malformed {what} {text!r}"
+        ) from error
+
+
+def _check_edge(edge: Edge, level: int, num_levels: int, line_no: int) -> None:
+    """Refuse an edge that skips a level or ends early at the terminal."""
+    if edge.is_zero:
+        return
+    if edge.node.is_terminal:
+        if level != num_levels - 1:
+            raise SerializationError(
+                f"line {line_no}: terminal edge at level {level}, but "
+                f"the register has {num_levels} levels"
+            )
+    elif edge.node.level != level + 1:
+        raise SerializationError(
+            f"line {line_no}: edge from level {level} points to a node "
+            f"at level {edge.node.level}; children must sit exactly one "
+            "level below"
+        )
+
+
 def loads(
     text: str, table: UniqueTable | None = None
 ) -> DecisionDiagram:
@@ -111,7 +152,10 @@ def loads(
     diagrams already there.
 
     Raises:
-        SerializationError: On any malformed input.
+        SerializationError: On any malformed input, including a
+            non-finite weight, a child that is not exactly one level
+            below its parent, a non-zero terminal edge above the last
+            level and a root node below level 0.
     """
     if table is None:
         table = UniqueTable()
@@ -125,9 +169,11 @@ def loads(
     if len(lines) < 2 or not lines[1].startswith("dims "):
         raise SerializationError("missing 'dims' declaration")
     try:
-        dims = tuple(int(token) for token in lines[1].split()[1:])
-    except ValueError as error:
-        raise SerializationError("malformed 'dims' declaration") from error
+        dims = validate_dims(int(token) for token in lines[1].split()[1:])
+    except (ValueError, ReproError) as error:
+        raise SerializationError(
+            f"malformed 'dims' declaration: {error}"
+        ) from error
 
     nodes: dict[int, DDNode] = {}
     root: Edge | None = None
@@ -138,12 +184,12 @@ def loads(
                 raise SerializationError(
                     f"line {offset}: malformed node line"
                 )
-            index = int(tokens[1])
+            index = _parse_int(tokens[1], "node index", offset)
             if not tokens[2].startswith("level="):
                 raise SerializationError(
                     f"line {offset}: missing level field"
                 )
-            level = int(tokens[2][len("level="):])
+            level = _parse_int(tokens[2][len("level="):], "level", offset)
             if not tokens[3].startswith("edges="):
                 raise SerializationError(
                     f"line {offset}: missing edges field"
@@ -161,13 +207,27 @@ def loads(
                     f"line {offset}: node at level {level} needs "
                     f"{dims[level]} edges, got {len(edges)}"
                 )
-            nodes[index] = table.get_node(level, edges)
+            for edge in edges:
+                _check_edge(edge, level, len(dims), offset)
+            try:
+                nodes[index] = table.get_node(level, edges)
+            except OverflowError as error:
+                raise SerializationError(
+                    f"line {offset}: edge weight out of range"
+                ) from error
         elif tokens[0] == "root":
             if len(tokens) != 2:
                 raise SerializationError(
                     f"line {offset}: malformed root line"
                 )
             root = _parse_edge(tokens[1], nodes, offset)
+            if not root.is_zero and (
+                root.node.is_terminal or root.node.level != 0
+            ):
+                raise SerializationError(
+                    f"line {offset}: the root edge must point to a node "
+                    "at level 0"
+                )
         else:
             raise SerializationError(
                 f"line {offset}: unknown directive {tokens[0]!r}"

@@ -4,19 +4,39 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from repro.dd import approximation as approximation_module
+from repro.dd import arithmetic as arithmetic_module
+from repro.dd import builder as builder_module
+from repro.dd import diagram as diagram_module
+from repro.dd import io as dd_io
 from repro.dd.approximation import (
     approximate,
     fidelity_contributions,
 )
 from repro.dd.builder import build_dd
+from repro.dd.diagram import DecisionDiagram
 from repro.dd.metrics import visited_tree_size
-from repro.exceptions import ApproximationError
+from repro.exceptions import ApproximationError, DecisionDiagramError
 from repro.states.fidelity import fidelity
-from repro.states.library import embedded_w_state, ghz_state, w_state
+from repro.states.library import (
+    dicke_state,
+    embedded_w_state,
+    ghz_state,
+    w_state,
+)
+from repro.states.random_states import random_sparse_state, random_state
 from repro.states.statevector import StateVector
 
+from tests.approximation_oracle import (
+    approximate_oracle,
+    fidelity_contributions_oracle,
+)
 from tests.conftest import SMALL_MIXED_DIMS, random_statevector
+from tests.kernel_oracles import stats_reference
+from tests.test_dd_stats import stats_states
 
 
 class TestContributions:
@@ -249,3 +269,191 @@ class TestPruningBehaviour:
         before = dd.to_statevector()
         approximate(dd, 0.8)
         assert dd.to_statevector().isclose(before)
+
+
+def assert_matches_oracle(make_diagram, min_fidelity, granularity):
+    """``approximate`` and the scalar oracle agree on one input.
+
+    Each runs on its own copy of the input (``make_diagram`` builds a
+    fresh one with a fresh unique table), so neither sees the other's
+    complex-table entries.
+    """
+    dd = make_diagram()
+    result = approximate(dd, min_fidelity, granularity=granularity)
+    expected = approximate_oracle(
+        make_diagram(), min_fidelity, granularity=granularity
+    )
+    assert result.removed_nodes == expected.removed_nodes
+    assert result.removed_leaves == expected.removed_leaves
+    assert result.removal_log == pytest.approx(
+        expected.removal_log, rel=1e-12, abs=0.0
+    )
+    assert result.removed_mass == pytest.approx(
+        expected.removed_mass, rel=1e-12, abs=0.0
+    )
+    assert result.diagram.stats == stats_reference(result.diagram)
+    amplitudes = result.diagram.to_statevector().amplitudes
+    expected_amplitudes = expected.diagram.to_statevector().amplitudes
+    np.testing.assert_allclose(
+        amplitudes, expected_amplitudes, rtol=0.0, atol=1e-12
+    )
+    # The reported fidelity is the exact overlap of the two diagrams,
+    # clamped to [0, 1].  The oracle re-normalises every node, so
+    # near-tie weights drift by up to a tolerance each; its fidelity
+    # may differ by what that drift moves the amplitudes.
+    overlap = abs(np.vdot(dd.to_statevector().amplitudes, amplitudes)) ** 2
+    assert result.fidelity == pytest.approx(min(overlap, 1.0), abs=1e-12)
+    drift = np.linalg.norm(amplitudes - expected_amplitudes)
+    assert abs(result.fidelity - expected.fidelity) <= 1e-12 + 2 * drift
+    # A kept weight between the zero cutoff and the tolerance can snap
+    # to a complex-table entry off the real axis, in the build and in
+    # the oracle alike.  Untouched nodes are reused as they are, so the
+    # result is canonical wherever the input and the oracle's are.
+    if _canonical(dd) and _canonical(expected.diagram):
+        for node in result.diagram.nodes():
+            node.check_invariants()
+
+
+def _canonical(dd: DecisionDiagram) -> bool:
+    try:
+        for node in dd.nodes():
+            node.check_invariants()
+    except DecisionDiagramError:
+        return False
+    return True
+
+
+ORACLE_DIMS = st.lists(
+    st.integers(min_value=2, max_value=5), min_size=1, max_size=4
+).map(tuple)
+
+
+@st.composite
+def oracle_states(draw):
+    """Unit-norm inputs: uniform, Gaussian and sparse random states,
+    and the near-tie states of ``tests/test_dd_stats.py``."""
+    kind = draw(st.sampled_from(["uniform", "gaussian", "sparse", "near-ties"]))
+    if kind == "near-ties":
+        return draw(stats_states()).normalized()
+    dims = draw(ORACLE_DIMS)
+    seed = draw(st.integers(min_value=0, max_value=2**31 - 1))
+    if kind == "sparse":
+        size = int(np.prod(dims))
+        terms = draw(st.integers(min_value=1, max_value=max(1, size // 3)))
+        return random_sparse_state(dims, terms, rng=seed)
+    return random_state(dims, rng=seed, distribution=kind)
+
+
+class TestMatchesScalarOracle:
+    """Every result equals the per-node implementation's, up to rounding."""
+
+    @given(
+        oracle_states(),
+        st.sampled_from([0.98, 0.9, 0.7, 0.5]),
+        st.sampled_from(["nodes", "amplitudes"]),
+        st.booleans(),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_random_states(self, state, min_fidelity, granularity, loaded):
+        # A DDTXT-loaded input has no level arrays and takes the walk.
+        def make_diagram():
+            dd = build_dd(state)
+            return dd_io.loads(dd_io.dumps(dd)) if loaded else dd
+
+        assert_matches_oracle(make_diagram, min_fidelity, granularity)
+
+    @pytest.mark.parametrize("granularity", ["nodes", "amplitudes"])
+    @pytest.mark.parametrize("min_fidelity", [0.9, 0.7, 0.5])
+    @pytest.mark.parametrize(
+        "family",
+        [
+            ghz_state,
+            w_state,
+            embedded_w_state,
+            lambda dims: dicke_state(dims, 2),
+        ],
+        ids=["ghz", "w", "embedded-w", "dicke"],
+    )
+    @pytest.mark.parametrize(
+        "dims", [(3, 6, 2), (2,) * 6, (3, 3, 3, 2), (4, 3)]
+    )
+    def test_structured_states(self, dims, family, min_fidelity, granularity):
+        # Contributions tie across many nodes here, so the scan
+        # position decides which of them go.
+        state = family(dims)
+        assert_matches_oracle(
+            lambda: build_dd(state), min_fidelity, granularity
+        )
+
+    @pytest.mark.parametrize("granularity", ["nodes", "amplitudes"])
+    @pytest.mark.parametrize("dims", [(2,), (5,), (9,)])
+    def test_single_qudit(self, dims, granularity):
+        state = random_statevector(dims, seed=57)
+        assert_matches_oracle(lambda: build_dd(state), 0.7, granularity)
+
+    def test_contributions_are_bit_identical(self):
+        dd = build_dd(random_statevector((3, 4, 3), seed=58))
+        assert fidelity_contributions(dd) == fidelity_contributions_oracle(dd)
+
+
+@pytest.fixture
+def no_scalar_paths(monkeypatch):
+    """Run a callable with the scalar node paths made to raise.
+
+    ``DecisionDiagram.nodes``, the level walk, ``normalize_edges`` and
+    ``inner_product`` raise while the callable runs.
+    """
+    depth = []
+
+    def guarded(function, *args, **kwargs):
+        depth.append(None)
+        try:
+            return function(*args, **kwargs)
+        finally:
+            depth.pop()
+
+    def refuse(function):
+        def refusing(*args, **kwargs):
+            if depth:
+                raise AssertionError(f"approximate called {function.__name__}")
+            return function(*args, **kwargs)
+
+        return refusing
+
+    monkeypatch.setattr(
+        DecisionDiagram, "nodes", refuse(DecisionDiagram.nodes)
+    )
+    for module, name in [
+        (diagram_module, "walk_levels"),
+        (builder_module, "normalize_edges"),
+        (approximation_module, "normalize_edges"),
+        (arithmetic_module, "inner_product"),
+        (approximation_module, "inner_product"),
+    ]:
+        if hasattr(module, name):
+            monkeypatch.setattr(module, name, refuse(getattr(module, name)))
+    return guarded
+
+
+class TestApproximateWalksNoNodes:
+    def test_guard_is_armed(self, no_scalar_paths):
+        dd = build_dd(random_statevector((3, 2), seed=59))
+        with pytest.raises(AssertionError, match="inner_product"):
+            no_scalar_paths(arithmetic_module.inner_product, dd, dd)
+
+    @pytest.mark.parametrize("granularity", ["nodes", "amplitudes"])
+    @pytest.mark.parametrize(
+        "state",
+        [
+            random_statevector((4, 7, 4), seed=60),
+            random_sparse_state((3, 3, 2, 2), 12, rng=61),
+            w_state((3, 6, 2)),
+            random_statevector((5,), seed=62),
+        ],
+        ids=["random", "sparse", "w", "single-qudit"],
+    )
+    def test_build_dd_inputs(self, no_scalar_paths, state, granularity):
+        dd = build_dd(state)
+        result = no_scalar_paths(approximate, dd, 0.7, granularity=granularity)
+        assert result.fidelity >= 0.7 - 1e-9
+        assert result.diagram.stats == stats_reference(result.diagram)

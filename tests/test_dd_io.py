@@ -154,3 +154,83 @@ class TestParseErrors:
     def test_unknown_directive(self):
         with pytest.raises(SerializationError):
             dd_io.loads("DDTXT 1.0\ndims 2\nblob x\n")
+
+
+class TestStructuralInvariants:
+    """The loader refuses what no consumer of a diagram can use."""
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "DDTXT 1.0\ndims 2\nnode x level=0 edges=1@T,0@T\nroot 1@0\n",
+            "DDTXT 1.0\ndims 2\nnode 0 level=a edges=1@T,0@T\nroot 1@0\n",
+            "DDTXT 1.0\ndims 2\nnode 0 level=0 edges=nan@T,0@T\nroot 1@0\n",
+            "DDTXT 1.0\ndims 2\nnode 0 level=0 edges=inf@T,0@T\nroot 1@0\n",
+            "DDTXT 1.0\ndims 2\nnode 0 level=0 edges=1e300@T,0@T\n"
+            "root 1@0\n",
+            "DDTXT 1.0\ndims 0 2\nroot 1@T\n",
+            "DDTXT 1.0\ndims 2 x\nroot 1@T\n",
+            "DDTXT 1.0\ndims 2 2\nnode 0 level=1 edges=1@T,0@T\nroot 1@0\n",
+            "DDTXT 1.0\ndims 2 2\nroot 1@T\n",
+            "DDTXT 1.0\ndims 2\nnode 0 level=0 edges=1@T,0@T\nroot nan@0\n",
+        ],
+        ids=[
+            "node-index",
+            "level",
+            "nan-weight",
+            "inf-weight",
+            "huge-weight",
+            "zero-dimension",
+            "non-integer-dimension",
+            "root-at-level-1",
+            "root-at-terminal",
+            "nan-root",
+        ],
+    )
+    def test_malformed_fields(self, text):
+        with pytest.raises(SerializationError):
+            dd_io.loads(text)
+
+    def test_terminal_edge_above_the_last_level(self):
+        text = (
+            "DDTXT 1.0\ndims 2 2\n"
+            "node 0 level=0 edges=1@T,0@T\n"
+            "root 1@0\n"
+        )
+        with pytest.raises(SerializationError, match="terminal"):
+            dd_io.loads(text)
+
+    def test_child_two_levels_down(self):
+        text = (
+            "DDTXT 1.0\ndims 2 2 2\n"
+            "node 0 level=2 edges=1@T,0@T\n"
+            "node 1 level=0 edges=1@0,0@T\n"
+            "root 1@1\n"
+        )
+        with pytest.raises(SerializationError, match="one level below"):
+            dd_io.loads(text)
+
+    def test_child_at_its_parents_level(self):
+        text = (
+            "DDTXT 1.0\ndims 2 2\n"
+            "node 0 level=1 edges=1@T,0@T\n"
+            "node 1 level=1 edges=1@0,0@T\n"
+            "node 2 level=0 edges=1@1,0@T\n"
+            "root 1@2\n"
+        )
+        with pytest.raises(SerializationError, match="one level below"):
+            dd_io.loads(text)
+
+    def test_rounded_weights_are_accepted(self):
+        # Normalisation is not checked: the module docstring's example
+        # uses weights rounded to four digits.
+        text = dd_io.__doc__.split("::")[1].split("\n\n")[1]
+        dd = dd_io.loads("\n".join(line.strip() for line in text.splitlines()))
+        assert dd.dims == (3, 2)
+        assert dd.stats.num_nodes == 3
+        assert dd.to_statevector().norm() == pytest.approx(1.0, abs=1e-3)
+
+    def test_zero_root_loads(self):
+        dd = dd_io.loads("DDTXT 1.0\ndims 2 2\nroot 0j@T\n")
+        assert dd.root.is_zero
+        assert dd.stats.num_nodes == 0

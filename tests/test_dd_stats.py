@@ -20,11 +20,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.dd import diagram as diagram_module
 from repro.dd import io as dd_io
 from repro.dd.approximation import approximate
 from repro.dd.builder import build_dd
-from repro.dd.diagram import DecisionDiagram, _has_close_pair, diagram_stats
+from repro.dd.diagram import DecisionDiagram, _has_close_pair, level_stats
 from repro.dd.edge import Edge
+from repro.dd.levels import compact_levels
 from repro.dd.node import TERMINAL, DDNode
 from repro.dd.unique_table import UniqueTable
 from repro.engine import PreparationEngine
@@ -140,6 +142,24 @@ class TestStatsMatchOracle:
         assert_matches_oracle(dd)
         assert_matches_oracle(approximate(dd, 0.98).diagram)
 
+    @given(
+        stats_states(),
+        st.data(),
+        st.sampled_from([0.0, 0.5, 1.0, 1.5, 3.0]),
+        st.sampled_from([1, -1, 1j, -1j, 1 + 1j, 1 - 1j]),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_root_near_an_edge_value(self, state, data, steps, direction):
+        # The root weight is placed 0, 1/2, 1, 3/2 or 3 tolerances from
+        # one of the diagram's edge values, on either side of the
+        # lookup tolerance and of the guard's twice-the-tolerance gap.
+        dd = build_dd(state)
+        values = np.concatenate([row.ravel() for row in dd.levels.weights])
+        value = data.draw(st.sampled_from(values.tolist()))
+        root = Edge(value + steps * TOLERANCE * direction, dd.root.node)
+        moved = DecisionDiagram(root, dd.register, dd.unique_table)
+        assert_matches_oracle(moved)
+
     def test_weight_between_cutoff_and_tolerance(self):
         # The 1e-13 child is kept (above the 1e-14 cutoff) but lies
         # within the tolerance of 0j, so the table merges the two.
@@ -158,14 +178,21 @@ class TestStatsMatchOracle:
         assert_matches_oracle(dd)
 
     def test_listed_node_off_the_diagram_is_skipped(self):
-        # approximate lists every node its rebuild makes, including
-        # one whose in-edges all vanished.
+        # A build or rebuild lists every row it makes, including one
+        # whose in-edges all vanished; the level arrays keep only the
+        # rows the root reaches.
         leaf = DDNode(1, (Edge(1.0, TERMINAL), Edge.zero()))
         stray = DDNode(1, (Edge.zero(), Edge(1.0, TERMINAL)))
         root = DDNode(0, (Edge(1.0, leaf), Edge.zero()))
-        stats = diagram_stats(Edge(1.0, root), [root, stray, leaf])
+        levels = compact_levels(
+            [np.array([[1.0, 0.0]], complex), np.array([[0, 1], [1, 0]], complex)],
+            [np.array([[1, -1]]), np.full((2, 2), -1)],
+            [[root], [stray, leaf]],
+            0,
+        )
         dd = DecisionDiagram(Edge(1.0, root), (2, 2), UniqueTable())
-        assert stats == stats_reference(dd)
+        assert levels.nodes[1] == [leaf]
+        assert level_stats(levels, dd.root) == stats_reference(dd)
 
     def test_child_above_its_parent_is_refused(self):
         child = DDNode(0, (Edge(1.0, TERMINAL), Edge.zero()))
@@ -203,6 +230,20 @@ def crowded_values(draw):
     )
 
 
+@pytest.mark.parametrize("family", [ghz_state, w_state])
+@pytest.mark.parametrize("dims", [(3, 6, 2), (2,) * 10])
+def test_root_tie_needs_no_replay(monkeypatch, family, dims):
+    # In W states the root weight equals an edge weight up to rounding;
+    # the root-first rule settles it without replaying a scalar table.
+    def refuse(*args, **kwargs):
+        raise AssertionError("count_distinct_complex built a ComplexTable")
+
+    monkeypatch.setattr(diagram_module, "ComplexTable", refuse)
+    dd = build_dd(family(dims))
+    monkeypatch.undo()
+    assert_matches_oracle(dd)
+
+
 class TestCloseValueGuard:
     @given(crowded_values())
     @settings(max_examples=200, deadline=None)
@@ -223,7 +264,8 @@ class TestCloseValueGuard:
 
 @pytest.fixture
 def no_walks_in_finalize(monkeypatch):
-    """Make ``nodes()`` and scalar complex-table lookups raise in finalize."""
+    """Make ``nodes()``, the level walk and scalar complex-table lookups
+    raise in finalize."""
     depth = []
     finalize = pipeline_module.finalize
 
@@ -235,12 +277,12 @@ def no_walks_in_finalize(monkeypatch):
             depth.pop()
 
     def refuse_inside_finalize(method):
-        def guarded(self, *args, **kwargs):
+        def guarded(*args, **kwargs):
             if depth:
                 raise AssertionError(
                     f"finalize called {method.__qualname__}"
                 )
-            return method(self, *args, **kwargs)
+            return method(*args, **kwargs)
 
         return guarded
 
@@ -250,6 +292,11 @@ def no_walks_in_finalize(monkeypatch):
     )
     monkeypatch.setattr(
         ComplexTable, "lookup", refuse_inside_finalize(ComplexTable.lookup)
+    )
+    monkeypatch.setattr(
+        diagram_module,
+        "walk_levels",
+        refuse_inside_finalize(diagram_module.walk_levels),
     )
     return guarded_finalize
 
@@ -271,13 +318,14 @@ WALK_GUARD_JOBS = [
 class TestFinalizeWalksNothing:
     def test_guard_is_armed(self, no_walks_in_finalize):
         context = default_pipeline().run(random_statevector((3, 2), seed=5))
-        # A diagram made without statistics must walk to count them.
+        # A diagram made without level arrays must walk to count its
+        # statistics.
         context.diagram = DecisionDiagram(
             context.diagram.root,
             context.diagram.register,
             context.diagram.unique_table,
         )
-        with pytest.raises(AssertionError, match="nodes"):
+        with pytest.raises(AssertionError, match="walk_levels"):
             no_walks_in_finalize(context)
 
     @pytest.mark.parametrize("min_fidelity", [1.0, 0.98])
