@@ -27,15 +27,20 @@ prepare states level by level:
   so contributions are bit-identical to it.  The greedy scan takes
   candidates in ``(contribution, position)`` order; within one pass a
   removed node blocks its ancestors and descendants.
-* **Rebuild.**  Bottom-up, only the rows that lost an edge or have a
-  changed child are re-canonicalised: per level one vectorised
-  normalisation, one ``lookup_many`` and one interning loop.  Every
-  untouched node is reused with an in-edge factor of exactly 1, so the
-  result shares the input's unique table and most of its nodes.
+* **Rebuild.**  Bottom-up, every reachable row gets the in-edge
+  factor the per-node rebuild through
+  :func:`~repro.dd.builder.normalize_edges` gives it, computed bit for
+  bit by mapping the same Python operations over the rows.  Only the
+  rows that lost an edge, have such a row below them, or whose
+  renormalised weights leave their own are normalised and interned
+  again, with one ``lookup_many`` in the per-node rebuild's probe
+  order; every other node is reused, so the result shares the input's
+  unique table and most of its nodes, and its weights, root weight
+  included, equal the per-node rebuild's.
 * **Fidelity.**  ``|<original|approximated>|^2`` is computed exactly,
   level by level over the pairs of rows the two diagrams reach
-  together, and the result carries its own level arrays and
-  statistics.
+  together, with the recursive inner product's arithmetic.  The result
+  carries its own level arrays and statistics.
 
 The scalar per-node implementation is the test oracle in
 ``tests/approximation_oracle.py``.
@@ -45,10 +50,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import repeat
+from math import fsum, sqrt
+from operator import mul, truediv
 
 import numpy as np
 
-from repro.dd.builder import _normalize_level
 from repro.dd.diagram import DecisionDiagram, level_stats
 from repro.dd.edge import WEIGHT_ZERO_CUTOFF, Edge
 from repro.dd.levels import compact_levels
@@ -64,6 +70,11 @@ __all__ = [
 #: Contributions below this threshold are treated as "already absent"
 #: and skipped by the candidate scan (removing them changes nothing).
 _NEGLIGIBLE = 1e-15
+
+#: A row whose renormalised weights all lie this close to its own keeps
+#: its node: they differ by rounding only, far inside the complex
+#: table's 1e-12 tolerance, so every lookup returns the row's weight.
+_DRIFT_BOUND = 1e-14
 
 
 @dataclass
@@ -339,6 +350,39 @@ class _Links:
                 up.extend(parent_of[first_in[current]:first_in[current + 1]])
 
 
+def _in_edge_factors(raw: list[complex], width: int):
+    """``normalize_edges``' in-edge factor of every row of raw weights.
+
+    The same Python operations in the same order, mapped over the rows
+    (``abs``, ``** 2``, ``math.fsum``, ``math.sqrt``, the pivot phase
+    ``w / abs(w)`` and ``norm * phase``), so every factor is
+    bit-identical to the scalar normalisation's.  Returns the factors
+    (``0j`` for a row whose norm is below the zero cutoff) and the
+    magnitudes of ``raw``.
+    """
+    magnitudes = list(map(abs, raw))
+    norms = list(map(sqrt, map(
+        fsum,
+        np.array(list(map(pow, magnitudes, repeat(2))))
+        .reshape(-1, width)
+        .tolist(),
+    )))
+    nonzero = np.array(magnitudes).reshape(-1, width) > WEIGHT_ZERO_CUTOFF
+    pivots = (
+        np.arange(nonzero.shape[0]) * width + np.argmax(nonzero, axis=1)
+    ).tolist()
+    phases = [
+        raw[pivot] / magnitudes[pivot] if magnitudes[pivot] > WEIGHT_ZERO_CUTOFF
+        else 1.0 + 0.0j
+        for pivot in pivots
+    ]
+    factors = [
+        norm * phase if norm > WEIGHT_ZERO_CUTOFF else 0j
+        for norm, phase in zip(norms, phases)
+    ]
+    return factors, magnitudes
+
+
 def _rebuild(
     dd: DecisionDiagram,
     weights: list[np.ndarray],
@@ -346,64 +390,153 @@ def _rebuild(
     nodes: list[list[DDNode]],
     lost: list[np.ndarray],
 ):
-    """Re-canonicalise the pruned rows bottom-up.
+    """Renormalise the pruned diagram bottom-up.
 
-    Only rows reachable from the root that lost an edge or have a
-    changed child are normalised and interned again; every other row
-    keeps its node with an in-edge factor of exactly 1.  Returns the
-    root row's factor (0 when nothing is left) and the new per-level
-    weights, children and nodes, indexed like the input rows.
+    Every row reachable from the root gets the in-edge factor that the
+    per-node rebuild through :func:`~repro.dd.builder.normalize_edges`
+    gives it, bit for bit.  Only rows that lost an edge or have such a
+    row below them are normalised and interned again; every other row
+    keeps its node.  Their quotients go through one ``lookup_many`` in
+    the order the per-node rebuild probes them (depth-first
+    post-order), so the complex table picks the same representatives.
+    Returns the root row's factor (0 when nothing is left) and the new
+    per-level weights, children and nodes, indexed like the input rows.
     """
     table = dd.unique_table
-    complex_table = table.complex_table
-    get_node_canonical = table.get_node_canonical
-    zero_edge = Edge.zero()
+    num_levels = len(children)
     reach = [np.ones(1, dtype=bool)]
-    for level in range(len(children) - 1):
+    for level in range(num_levels - 1):
         below = children[level][reach[level]]
         mark = np.zeros(children[level + 1].shape[0], dtype=bool)
         mark[below[below >= 0]] = True
         reach.append(mark)
 
+    # Bottom-up: factors of the reachable rows, and the quotients of
+    # the rows to intern again.
+    factors: list[np.ndarray] = [np.zeros(0)] * num_levels
+    dirty_rows: list[np.ndarray] = [np.zeros(0, dtype=np.intp)] * num_levels
+    slots: list[np.ndarray] = [np.zeros(0, dtype=np.intp)] * num_levels
+    quotients: list[np.ndarray] = [np.zeros(0, np.complex128)] * num_levels
+    dirty_below = None
+    for level in range(num_levels - 1, -1, -1):
+        child = children[level]
+        width = child.shape[1]
+        rows = np.flatnonzero(reach[level])
+        # The raw edges of normalize_edges: 0j below the zero cutoff,
+        # the weight on a terminal edge, the child's factor times the
+        # weight on a child edge.
+        weight_list = weights[level][rows].ravel().tolist()
+        kids = child[rows].ravel()
+        raw = np.array(weight_list + [None], dtype=object)[:-1]
+        tiny = np.array(list(map(abs, weight_list))) <= WEIGHT_ZERO_CUTOFF
+        raw[tiny] = 0j
+        scaled = np.flatnonzero((kids >= 0) & ~tiny)
+        if scaled.size:
+            raw[scaled] = list(map(
+                mul,
+                factors[level + 1][kids[scaled]].tolist(),
+                raw[scaled].tolist(),
+            ))
+        raw = raw.tolist()
+        row_factors, magnitudes = _in_edge_factors(raw, width)
+        factor = np.zeros(child.shape[0], dtype=np.complex128)
+        factor[rows] = row_factors
+        factors[level] = factor
+        # normalize_edges divides every raw weight above the zero
+        # cutoff by the factor; get_node drops quotients below it.
+        divided = np.flatnonzero(
+            (np.array(magnitudes) > WEIGHT_ZERO_CUTOFF)
+            & np.repeat(factor[rows] != 0, width)
+        )
+        values = list(map(
+            truediv,
+            [raw[position] for position in divided.tolist()],
+            factor[rows[divided // width]].tolist(),
+        ))
+        kept = np.array(list(map(abs, values))) > WEIGHT_ZERO_CUTOFF
+        quotient = np.zeros(len(raw), dtype=np.complex128)
+        quotient[divided[kept]] = np.array(values, dtype=np.complex128)[kept]
+        # A row is interned again when it lost an edge, when a row below
+        # it was, or when its quotients are not its own weights up to
+        # rounding (a weight the scalar rebuild would move off its
+        # complex-table entry).
+        drift = quotient.reshape(-1, width) - weights[level][rows]
+        dirty = lost[level][rows] | (
+            np.maximum(np.abs(drift.real), np.abs(drift.imag))
+            > _DRIFT_BOUND
+        ).any(axis=1)
+        if dirty_below is not None:
+            dirty |= (
+                (kids >= 0) & dirty_below[np.maximum(kids, 0)]
+            ).reshape(-1, width).any(axis=1)
+        dirty_rows[level] = rows[dirty]
+        dirty_below = np.zeros(child.shape[0], dtype=bool)
+        dirty_below[rows[dirty]] = True
+        in_dirty = np.repeat(dirty, width)
+        taken = np.flatnonzero(in_dirty & (quotient != 0))
+        slots[level] = np.cumsum(in_dirty)[taken] - 1
+        quotients[level] = quotient[taken]
+
+    # One lookup batch, rows in depth-first post-order of the pruned
+    # diagram (the reverse of its scan order), digits in order.
+    remap = []
+    for mark in reach:
+        index = np.full(mark.size, -1, dtype=np.intp)
+        index[mark] = np.arange(int(mark.sum()))
+        remap.append(index)
+    positions = _scan_positions([
+        np.where(
+            child >= 0,
+            remap[level + 1][np.maximum(child, 0)]
+            if level + 1 < num_levels else -1,
+            -1,
+        )[reach[level]]
+        for level, child in enumerate(children)
+    ])
+    order_keys = np.concatenate([
+        -positions[level][remap[level][dirty_rows[level][slot // width]]]
+        for level, (slot, width) in enumerate(
+            (slot, child.shape[1]) for slot, child in zip(slots, children)
+        )
+    ])
+    digits = np.concatenate([
+        slot % child.shape[1] for slot, child in zip(slots, children)
+    ])
+    batch = np.concatenate(quotients)
+    order = np.lexsort((digits, order_keys))
+    canonical = np.empty_like(batch)
+    canonical[order] = table.complex_table.lookup_many(batch[order])
+
+    # Bottom-up again: intern the dirty rows.
+    get_node_canonical = table.get_node_canonical
+    zero_edge = Edge.zero()
     new_weights: list[np.ndarray] = []
     new_children: list[np.ndarray] = []
     new_nodes: list[list[DDNode | None]] = []
-    factor_below = changed_below = nodes_below = None
-    for level in range(len(children) - 1, -1, -1):
+    start = canonical.size
+    nodes_below: list[DDNode | None] = []
+    for level in range(num_levels - 1, -1, -1):
         weight = weights[level]
         child = children[level]
-        dirty = lost[level].copy()
-        if changed_below is not None:
-            dirty |= (
-                (child >= 0) & changed_below[np.maximum(child, 0)]
-            ).any(axis=1)
-        dirty &= reach[level]
-        factor = np.ones(weight.shape[0], dtype=np.complex128)
         level_nodes: list[DDNode | None] = list(nodes[level])
-        rows = np.flatnonzero(dirty)
+        rows = dirty_rows[level]
+        start -= slots[level].size
         if rows.size:
             weight = weight.copy()
             child = child.copy()
-            raw = weight[rows]
-            if factor_below is not None:
-                raw = raw * np.where(
-                    child[rows] >= 0,
-                    factor_below[np.maximum(child[rows], 0)],
-                    1.0,
-                )
-            live, live_factor, normalized, kept_ids = _normalize_level(
-                raw, child[rows] + 1, weight.shape[1]
-            )
-            live_rows = rows if live is None else rows[live]
-            factor[rows] = 0.0
-            factor[live_rows] = live_factor
-            canon_flat = normalized.ravel()
-            kept = np.flatnonzero(canon_flat)
-            canon_flat[kept] = complex_table.lookup_many(canon_flat[kept])
-            kept_rows = kept_ids - 1
-            for row, weight_row, id_row in zip(
-                live_rows.tolist(), normalized.tolist(), kept_rows.tolist()
+            canon = np.zeros(rows.size * weight.shape[1], dtype=np.complex128)
+            canon[slots[level]] = canonical[start:start + slots[level].size]
+            canon = canon.reshape(rows.size, weight.shape[1])
+            kept_kids = np.where(canon != 0, child[rows], -1)
+            for row, alive, weight_row, id_row in zip(
+                rows.tolist(),
+                (factors[level][rows] != 0).tolist(),
+                canon.tolist(),
+                kept_kids.tolist(),
             ):
+                if not alive:
+                    level_nodes[row] = None
+                    continue
                 edges = [
                     Edge(w, TERMINAL if kid < 0 else nodes_below[kid])
                     if w
@@ -411,34 +544,33 @@ def _rebuild(
                     for w, kid in zip(weight_row, id_row)
                 ]
                 level_nodes[row] = get_node_canonical(level, edges)
-            weight[live_rows] = normalized
-            child[live_rows] = kept_rows
+            weight[rows] = canon
+            child[rows] = kept_kids
         new_weights.append(weight)
         new_children.append(child)
         new_nodes.append(level_nodes)
-        factor_below = factor
-        changed_below = dirty
         nodes_below = level_nodes
     new_weights.reverse()
     new_children.reverse()
     new_nodes.reverse()
-    return complex(factor_below[0]), new_weights, new_children, new_nodes
+    return complex(factors[0][0]), new_weights, new_children, new_nodes
 
 
 def _overlap(bra, ket) -> complex:
     """``<bra|ket>`` of two level-array diagrams, root weights left out.
 
     ``bra`` and ``ket`` are ``(weights, children)`` lists over one
-    register, each with its root node at row 0 of level 0.  Pairs of
-    rows the two diagrams reach together are listed top-down, and
-    their overlaps summed bottom-up.
+    register, each with its root node at row 0 of level 0.  The pairs
+    of rows the two diagrams reach together are listed top-down; each
+    pair's overlap is then summed bottom-up with the recursion's
+    Python arithmetic, ``conj(a) * b * overlap(children)`` added digit
+    by digit from 0.
     """
     bra_weights, bra_children = bra
     ket_weights, ket_children = ket
     num_levels = len(bra_weights)
     pairs = (np.zeros(1, dtype=np.intp), np.zeros(1, dtype=np.intp))
-    terms = []
-    slots = []
+    levels = []
     for level in range(num_levels):
         rows_a, rows_b = pairs
         weight_a = bra_weights[level][rows_a]
@@ -446,26 +578,35 @@ def _overlap(bra, ket) -> complex:
         both = (np.abs(weight_a) > WEIGHT_ZERO_CUTOFF) & (
             np.abs(weight_b) > WEIGHT_ZERO_CUTOFF
         )
+        slot = np.full(both.shape, -1, dtype=np.intp)
         if level + 1 < num_levels:
             child_a = bra_children[level][rows_a]
             child_b = ket_children[level][rows_b]
             both &= (child_a >= 0) & (child_b >= 0)
             width = ket_weights[level + 1].shape[0]
-            keys, slot = np.unique(
+            keys, slot[both] = np.unique(
                 (child_a * width + child_b)[both], return_inverse=True
             )
-            slots.append(np.where(both, 0, -1))
-            slots[-1][both] = slot
             pairs = (keys // width, keys % width)
-        terms.append(np.where(both, np.conj(weight_a) * weight_b, 0.0))
+        levels.append((weight_a, weight_b, both, slot))
     value = None
-    for level in range(num_levels - 1, -1, -1):
-        term = terms[level]
-        if value is not None:
-            slot = slots[level]
-            term = term * np.where(slot >= 0, value[np.maximum(slot, 0)], 0.0)
-        value = term.sum(axis=1)
-    return complex(value[0])
+    for weight_a, weight_b, both, slot in reversed(levels):
+        below = (
+            repeat(1.0) if value is None
+            else np.array(value + [None], dtype=object)[slot[both]].tolist()
+        )
+        terms = np.zeros(both.shape, dtype=object)
+        terms[both] = list(map(
+            mul,
+            map(
+                mul,
+                map(complex.conjugate, weight_a[both].tolist()),
+                weight_b[both].tolist(),
+            ),
+            below,
+        ))
+        value = list(map(sum, terms.tolist(), repeat(0j)))
+    return value[0]
 
 
 def approximate(
