@@ -24,10 +24,13 @@ baselines), cold synthesis (the columnar ``synthesize_preparation``
 against the gate-by-gate oracle of ``tests/synthesis_oracle.py``, whose
 QDASM it must match byte for byte), preparation verification (the
 block kernel on the synthesised table, the same circuit as a gate
-list, and the two baselines) and ``finalize`` on the scenario's
-pipeline context.  It also checks the statistics that ``build_dd``
-and ``approximate`` store on their diagrams against the oracle of
-``tests/kernel_oracles.py`` and exits 1 on any mismatch.
+list, and the two baselines), ``approximate(..., 0.98)`` on the level
+arrays against the scalar oracle of ``tests/approximation_oracle.py``
+and ``finalize`` on the scenario's pipeline context.  It also checks
+the statistics that ``build_dd`` and ``approximate`` store on their
+diagrams against the oracle of ``tests/kernel_oracles.py``, and every
+``approximate`` result against the scalar oracle's, and exits 1 on
+any mismatch.
 ``--smoke`` runs a CI-sized grid and also fails unless block-kernel
 verify is no slower than gate-list verify on the smoke scenario with
 the most operations.
@@ -67,6 +70,7 @@ from repro.dd.approximation import approximate  # noqa: E402
 from repro.dd.builder import build_dd  # noqa: E402
 from repro.dd.edge import WEIGHT_ZERO_CUTOFF, Edge  # noqa: E402
 from repro.dd.node import TERMINAL, DDNode  # noqa: E402
+from repro.exceptions import DecisionDiagramError  # noqa: E402
 from repro.linalg.rotations import (  # noqa: E402
     givens_matrix,
     phase_two_level_matrix,
@@ -83,6 +87,7 @@ from repro.states.random_states import (  # noqa: E402
     random_state,
 )
 from repro.states.statevector import StateVector  # noqa: E402
+from tests.approximation_oracle import approximate_oracle  # noqa: E402
 from tests.kernel_oracles import (  # noqa: E402
     build_dd_reference,
     simulate_reference,
@@ -314,6 +319,50 @@ def _round_speedup(baseline: float, new: float) -> float:
     return round(baseline / new, 2) if new > 0 else float("inf")
 
 
+def approximation_mismatches(
+    state: StateVector, min_fidelity: float = 0.98
+) -> list[str]:
+    """Fields where ``approximate`` and the scalar oracle disagree.
+
+    Each runs on its own freshly built diagram.  The checks are those
+    of ``tests/test_dd_approximation.py::TestMatchesScalarOracle``.
+    """
+    result = approximate(build_dd(state), min_fidelity)
+    expected = approximate_oracle(build_dd(state), min_fidelity)
+    amplitudes = result.diagram.to_statevector().amplitudes
+    mismatches = []
+    if result.removed_nodes != expected.removed_nodes:
+        mismatches.append("removed_nodes")
+    if result.removed_leaves != expected.removed_leaves:
+        mismatches.append("removed_leaves")
+    if len(result.removal_log) != len(expected.removal_log) or not all(
+        math.isclose(a, b, rel_tol=1e-12, abs_tol=0.0)
+        for a, b in zip(result.removal_log, expected.removal_log)
+    ):
+        mismatches.append("removal_log")
+    if not math.isclose(
+        result.removed_mass, expected.removed_mass, rel_tol=1e-12, abs_tol=0.0
+    ):
+        mismatches.append("removed_mass")
+    if abs(result.fidelity - expected.fidelity) > 1e-12:
+        mismatches.append("fidelity")
+    if result.diagram.stats != stats_reference(result.diagram):
+        mismatches.append("stats")
+    if not np.allclose(
+        amplitudes,
+        expected.diagram.to_statevector().amplitudes,
+        rtol=0.0,
+        atol=1e-12,
+    ):
+        mismatches.append("amplitudes")
+    try:
+        for node in result.diagram.nodes():
+            node.check_invariants()
+    except DecisionDiagramError:
+        mismatches.append("invariants")
+    return mismatches
+
+
 def run(smoke: bool, repeats: int) -> dict:
     scenarios = _scenarios(smoke)
     results = []
@@ -404,6 +453,25 @@ def run(smoke: bool, repeats: int) -> dict:
               f" | seed {seed_verify_s * 1e3:7.2f} ms"
               f" ({verify['speedup_vs_seed']:.2f}x)", flush=True)
 
+        arrays_dd = build_dd(state)
+        oracle_dd = build_dd(state)
+        arrays_s = _best_of(lambda: approximate(arrays_dd, 0.98), repeats)
+        approx_oracle_s = _best_of(
+            lambda: approximate_oracle(oracle_dd, 0.98), repeats
+        )
+        approximation = {
+            "arrays_s": round(arrays_s, 6),
+            "oracle_s": round(approx_oracle_s, 6),
+            "speedup_vs_oracle": _round_speedup(approx_oracle_s, arrays_s),
+            "removed_nodes": approximate(arrays_dd, 0.98).removed_nodes,
+            "oracle_mismatches": approximation_mismatches(state),
+        }
+        print(f"  approximate: arrays {arrays_s * 1e3:7.2f} ms"
+              f" | oracle {approx_oracle_s * 1e3:7.2f} ms"
+              f" ({approximation['speedup_vs_oracle']:.2f}x)"
+              f" | mismatches: {approximation['oracle_mismatches']}",
+              flush=True)
+
         finalize_s = _best_of(lambda: finalize(context), repeats)
         checked = {
             "build_dd": diagram,
@@ -428,6 +496,7 @@ def run(smoke: bool, repeats: int) -> dict:
             "build": build,
             "synthesize": synthesize,
             "verify": verify,
+            "approximate": approximation,
             "stats": metrics,
         })
 
@@ -450,6 +519,8 @@ def run(smoke: bool, repeats: int) -> dict:
             "oracle": "gate-by-gate synthesis, tests/synthesis_oracle.py",
             "gate_list": "the synthesised circuit as a gate list, "
                          "verified gate by gate",
+            "approximate_oracle": "per-node approximation, "
+                                  "tests/approximation_oracle.py",
         },
         "headline": {
             "scenario": headline_name,
@@ -465,6 +536,8 @@ def run(smoke: bool, repeats: int) -> dict:
                 headline_row["verify"]["speedup_vs_seed"],
             "verify_speedup_vs_reference":
                 headline_row["verify"]["speedup_vs_reference"],
+            "approximate_speedup_vs_oracle":
+                headline_row["approximate"]["speedup_vs_oracle"],
         },
         "scenarios": results,
     }
@@ -505,6 +578,21 @@ def stats_check(payload: dict) -> str | None:
     return None
 
 
+def approximation_check(payload: dict) -> str | None:
+    """``approximate`` agrees with the scalar oracle on every scenario.
+
+    Returns the failure message, or ``None`` when all agree.
+    """
+    failures = [
+        f"{row['name']}: {', '.join(row['approximate']['oracle_mismatches'])}"
+        for row in payload["scenarios"]
+        if row["approximate"]["oracle_mismatches"]
+    ]
+    if failures:
+        return "approximate differs from the oracle on " + "; ".join(failures)
+    return None
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument(
@@ -541,7 +629,8 @@ def main(argv: list[str] | None = None) -> int:
         f"({headline['verify_speedup_vs_reference']:.2f}x vs reference, "
         f"{headline['verify_speedup_vs_gate_list']:.2f}x vs gate list), "
         f"synthesize {headline['synthesize_speedup_vs_oracle']:.2f}x "
-        f"vs oracle"
+        f"vs oracle, approximate "
+        f"{headline['approximate_speedup_vs_oracle']:.2f}x vs oracle"
     )
     print(f"wrote {output}")
     failure = stats_check(payload)
@@ -549,6 +638,11 @@ def main(argv: list[str] | None = None) -> int:
         print(f"STATS CHECK FAILED: {failure}", file=sys.stderr)
         return 1
     print("stats check held: stored statistics equal the oracle")
+    failure = approximation_check(payload)
+    if failure is not None:
+        print(f"APPROXIMATION CHECK FAILED: {failure}", file=sys.stderr)
+        return 1
+    print("approximation check held: approximate agrees with the oracle")
     if options.smoke:
         failure = verify_floor(payload)
         if failure is not None:

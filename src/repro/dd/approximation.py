@@ -287,36 +287,34 @@ class _Links:
         self.offsets = np.concatenate(([0], np.cumsum(counts)))
         total = int(self.offsets[-1])
         self.kids: list[list[int]] = []
-        parent_ids, edge_levels, edge_rows, edge_digits, child_ids = (
-            [], [], [], [], []
-        )
+        # Every edge to a child: its parent's global id, level, row and
+        # digit, and the child's global id.
+        columns: list[list[np.ndarray]] = [
+            [np.zeros(0, dtype=np.intp)] for _ in range(5)
+        ]
         for level, child in enumerate(children):
-            if level + 1 == len(children):
-                self.kids.extend([[]] * child.shape[0])
-                break
             below = self.offsets[level + 1]
             self.kids.extend(np.where(child >= 0, child + below, -1).tolist())
             rows, digits = np.nonzero(child >= 0)
-            parent_ids.append(rows + self.offsets[level])
-            edge_levels.append(np.full(rows.size, level))
-            edge_rows.append(rows)
-            edge_digits.append(digits)
-            child_ids.append(child[rows, digits] + below)
-        if child_ids:
-            targets = np.concatenate(child_ids)
-            order = np.argsort(targets, kind="stable")
-            self.parent_of = np.concatenate(parent_ids)[order].tolist()
-            self.edge_level = np.concatenate(edge_levels)[order]
-            self.edge_row = np.concatenate(edge_rows)[order]
-            self.edge_digit = np.concatenate(edge_digits)[order]
-            counts_in = np.bincount(targets, minlength=total)
-        else:
-            self.parent_of = []
-            self.edge_level = self.edge_row = self.edge_digit = np.zeros(
-                0, dtype=np.intp
-            )
-            counts_in = np.zeros(total, dtype=np.intp)
-        self.first_in = np.concatenate(([0], np.cumsum(counts_in))).tolist()
+            for column, values in zip(columns, (
+                rows + self.offsets[level],
+                np.full(rows.size, level),
+                rows,
+                digits,
+                child[rows, digits] + below,
+            )):
+                column.append(values)
+        parents, levels, rows, digits, targets = (
+            np.concatenate(column) for column in columns
+        )
+        order = np.argsort(targets, kind="stable")
+        self.parent_of = parents[order].tolist()
+        self.edge_level = levels[order]
+        self.edge_row = rows[order]
+        self.edge_digit = digits[order]
+        self.first_in = np.concatenate(
+            ([0], np.cumsum(np.bincount(targets, minlength=total)))
+        ).tolist()
         self.removed = bytearray(total)
 
     def block_relatives(self, node: int, blocked: bytearray) -> None:

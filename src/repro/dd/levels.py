@@ -121,6 +121,7 @@ def compact_levels(
     in their input order.
     """
     kept_rows: list[np.ndarray] = []
+    kept_nodes: list[list[DDNode]] = []
     remaps: list[np.ndarray] = []
     reached = np.array([root_row], dtype=np.intp)
     for level, level_nodes in enumerate(nodes):
@@ -128,18 +129,22 @@ def compact_levels(
         mark[reached] = True
         rows = np.flatnonzero(mark)
         remap = np.full(len(level_nodes), -1, dtype=np.intp)
-        row_list = rows.tolist()
-        first: dict[int, int] = {}
-        for row in row_list:
-            first.setdefault(id(level_nodes[row]), len(first))
-        if len(first) == len(row_list):
+        if rows.size == len(level_nodes):
+            row_nodes = list(level_nodes)
+        else:
+            row_nodes = [level_nodes[row] for row in rows.tolist()]
+        if len(set(map(id, row_nodes))) == len(row_nodes):
             remap[rows] = np.arange(rows.size)
         else:
-            remap[rows] = [first[id(level_nodes[row])] for row in row_list]
-            keep = np.zeros(rows.size, dtype=bool)
-            keep[np.unique(remap[rows], return_index=True)[1]] = True
+            first: dict[int, int] = {}
+            remap[rows] = [
+                first.setdefault(id(node), len(first)) for node in row_nodes
+            ]
+            keep = np.unique(remap[rows], return_index=True)[1]
             rows = rows[keep]
+            row_nodes = [row_nodes[index] for index in keep.tolist()]
         kept_rows.append(rows)
+        kept_nodes.append(row_nodes)
         remaps.append(remap)
         below = children[level][rows]
         reached = below[below >= 0]
@@ -154,8 +159,5 @@ def compact_levels(
     return DiagramLevels(
         tuple(weights[level][rows] for level, rows in enumerate(kept_rows)),
         tuple(compact_children),
-        tuple(
-            [level_nodes[row] for row in rows.tolist()]
-            for level_nodes, rows in zip(nodes, kept_rows)
-        ),
+        tuple(kept_nodes),
     )

@@ -201,6 +201,24 @@ class TestStatsMatchOracle:
         with pytest.raises(DecisionDiagramError, match="below"):
             dd.stats
 
+    def test_child_two_levels_down_is_refused(self):
+        leaf = DDNode(2, (Edge(1.0, TERMINAL), Edge.zero()))
+        root = DDNode(0, (Edge(1.0, leaf), Edge.zero()))
+        dd = DecisionDiagram(Edge(1.0, root), (2, 2, 2), UniqueTable())
+        with pytest.raises(DecisionDiagramError, match="one level below"):
+            dd.levels
+
+    def test_walk_shares_a_node_reached_twice(self):
+        # The walk lists each node once, in the order the level above
+        # first reaches it, and points both edges at its row.
+        leaf = DDNode(1, (Edge(1.0, TERMINAL), Edge.zero()))
+        root = DDNode(0, (Edge(0.6, leaf), Edge(0.8, leaf)))
+        dd = DecisionDiagram(Edge(1.0, root), (2, 2), UniqueTable())
+        assert dd.levels.nodes == ([root], [leaf])
+        assert dd.levels.children[0].tolist() == [[0, 0]]
+        assert dd.levels.children[1].tolist() == [[-1, -1]]
+        assert dd.levels.weights[0].tolist() == [[0.6, 0.8]]
+
     def test_zero_diagram(self):
         dd = DecisionDiagram(Edge.zero(), (2, 2), UniqueTable())
         assert dd.stats == stats_reference(dd)
