@@ -49,9 +49,7 @@ The scalar per-node implementation is the test oracle in
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import repeat
-from math import fsum, sqrt
-from operator import mul, truediv
+from math import fsum
 
 import numpy as np
 
@@ -190,12 +188,49 @@ def _in_scan_order(dd: DecisionDiagram):
 
 
 def _squared_magnitudes(weights: np.ndarray) -> np.ndarray:
-    """``abs(w) ** 2`` of every weight, as Python computes it."""
-    return np.fromiter(
-        map(pow, map(abs, weights.ravel().tolist()), repeat(2)),
-        dtype=np.float64,
-        count=weights.size,
-    ).reshape(weights.shape)
+    """``abs(w) ** 2`` of every weight, bit for bit as Python computes it.
+
+    Python's complex ``abs`` is the C library's ``hypot`` and its float
+    ``** 2`` the C library's ``pow``; ``np.hypot`` and
+    ``np.float_power`` call the same functions.
+    """
+    return np.float_power(np.hypot(weights.real, weights.imag), 2.0)
+
+
+def _product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``a * b`` elementwise, with Python's complex product formula.
+
+    Each part is rounded after every operation, as in CPython; NumPy's
+    own complex multiply may fuse them.
+    """
+    out = np.empty(np.broadcast(a, b).shape, dtype=np.complex128)
+    out.real = a.real * b.real - a.imag * b.imag
+    out.imag = a.real * b.imag + a.imag * b.real
+    return out
+
+
+def _quotient(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``a / b`` elementwise, with Python's complex division (Smith's
+    algorithm, dividing by the larger part of ``b``); ``b`` is never 0.
+    """
+    by_real = np.abs(b.real) >= np.abs(b.imag)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ratio = np.where(by_real, b.imag / b.real, b.real / b.imag)
+        denom = np.where(
+            by_real, b.real + b.imag * ratio, b.real * ratio + b.imag
+        )
+        out = np.empty(np.broadcast(a, b).shape, dtype=np.complex128)
+        out.real = np.where(
+            by_real,
+            (a.real + a.imag * ratio) / denom,
+            (a.real * ratio + a.imag) / denom,
+        )
+        out.imag = np.where(
+            by_real,
+            (a.imag - a.real * ratio) / denom,
+            (a.imag * ratio - a.real) / denom,
+        )
+    return out
 
 
 def _masses(
@@ -348,37 +383,30 @@ class _Links:
                 up.extend(parent_of[first_in[current]:first_in[current + 1]])
 
 
-def _in_edge_factors(raw: list[complex], width: int):
+def _in_edge_factors(raw: np.ndarray) -> np.ndarray:
     """``normalize_edges``' in-edge factor of every row of raw weights.
 
-    The same Python operations in the same order, mapped over the rows
-    (``abs``, ``** 2``, ``math.fsum``, ``math.sqrt``, the pivot phase
-    ``w / abs(w)`` and ``norm * phase``), so every factor is
-    bit-identical to the scalar normalisation's.  Returns the factors
-    (``0j`` for a row whose norm is below the zero cutoff) and the
-    magnitudes of ``raw``.
+    The scalar normalisation's operations in its order, over whole
+    rows: the norm is ``math.sqrt(math.fsum(abs(w) ** 2))``, the phase
+    ``w / abs(w)`` of the first weight above the zero cutoff, the
+    factor ``norm * phase``, each with Python's arithmetic, so every
+    factor is bit-identical to the scalar one.  Rows whose norm is
+    below the zero cutoff get 0.
     """
-    magnitudes = list(map(abs, raw))
-    norms = list(map(sqrt, map(
-        fsum,
-        np.array(list(map(pow, magnitudes, repeat(2))))
-        .reshape(-1, width)
-        .tolist(),
-    )))
-    nonzero = np.array(magnitudes).reshape(-1, width) > WEIGHT_ZERO_CUTOFF
-    pivots = (
-        np.arange(nonzero.shape[0]) * width + np.argmax(nonzero, axis=1)
-    ).tolist()
-    phases = [
-        raw[pivot] / magnitudes[pivot] if magnitudes[pivot] > WEIGHT_ZERO_CUTOFF
-        else 1.0 + 0.0j
-        for pivot in pivots
-    ]
-    factors = [
-        norm * phase if norm > WEIGHT_ZERO_CUTOFF else 0j
-        for norm, phase in zip(norms, phases)
-    ]
-    return factors, magnitudes
+    magnitudes = np.hypot(raw.real, raw.imag)
+    norms = np.sqrt(list(map(fsum, _squared_magnitudes(raw).tolist())))
+    nonzero = magnitudes > WEIGHT_ZERO_CUTOFF
+    first = np.argmax(nonzero, axis=1)[:, None]
+    pivot = np.take_along_axis(raw, first, axis=1)[:, 0]
+    phase = np.where(
+        np.take_along_axis(nonzero, first, axis=1)[:, 0],
+        _quotient(pivot, np.take_along_axis(magnitudes, first, axis=1)[:, 0]
+                  + 0j),
+        1.0 + 0.0j,
+    )
+    factors = _product(norms + 0j, phase)
+    factors[norms <= WEIGHT_ZERO_CUTOFF] = 0.0
+    return factors
 
 
 def _rebuild(
@@ -418,47 +446,40 @@ def _rebuild(
     dirty_below = None
     for level in range(num_levels - 1, -1, -1):
         child = children[level]
-        width = child.shape[1]
         rows = np.flatnonzero(reach[level])
         # The raw edges of normalize_edges: 0j below the zero cutoff,
         # the weight on a terminal edge, the child's factor times the
         # weight on a child edge.
-        weight_list = weights[level][rows].ravel().tolist()
-        kids = child[rows].ravel()
-        raw = np.array(weight_list + [None], dtype=object)[:-1]
-        tiny = np.array(list(map(abs, weight_list))) <= WEIGHT_ZERO_CUTOFF
-        raw[tiny] = 0j
-        scaled = np.flatnonzero((kids >= 0) & ~tiny)
-        if scaled.size:
-            raw[scaled] = list(map(
-                mul,
-                factors[level + 1][kids[scaled]].tolist(),
-                raw[scaled].tolist(),
-            ))
-        raw = raw.tolist()
-        row_factors, magnitudes = _in_edge_factors(raw, width)
+        weight = weights[level][rows]
+        kids = child[rows]
+        live = np.hypot(weight.real, weight.imag) > WEIGHT_ZERO_CUTOFF
+        raw = np.where(live, weight, 0j)
+        scaled = live & (kids >= 0)
+        if level + 1 < num_levels:
+            raw[scaled] = _product(
+                factors[level + 1][kids[scaled]], raw[scaled]
+            )
+        row_factors = _in_edge_factors(raw)
         factor = np.zeros(child.shape[0], dtype=np.complex128)
         factor[rows] = row_factors
         factors[level] = factor
         # normalize_edges divides every raw weight above the zero
         # cutoff by the factor; get_node drops quotients below it.
-        divided = np.flatnonzero(
-            (np.array(magnitudes) > WEIGHT_ZERO_CUTOFF)
-            & np.repeat(factor[rows] != 0, width)
+        divided = (np.hypot(raw.real, raw.imag) > WEIGHT_ZERO_CUTOFF) & (
+            row_factors != 0
+        )[:, None]
+        quotient = np.zeros(raw.shape, dtype=np.complex128)
+        quotient[divided] = _quotient(
+            raw[divided], np.broadcast_to(row_factors[:, None], raw.shape)[divided]
         )
-        values = list(map(
-            truediv,
-            [raw[position] for position in divided.tolist()],
-            factor[rows[divided // width]].tolist(),
-        ))
-        kept = np.array(list(map(abs, values))) > WEIGHT_ZERO_CUTOFF
-        quotient = np.zeros(len(raw), dtype=np.complex128)
-        quotient[divided[kept]] = np.array(values, dtype=np.complex128)[kept]
+        quotient[
+            np.hypot(quotient.real, quotient.imag) <= WEIGHT_ZERO_CUTOFF
+        ] = 0.0
         # A row is interned again when it lost an edge, when a row below
         # it was, or when its quotients are not its own weights up to
         # rounding (a weight the scalar rebuild would move off its
         # complex-table entry).
-        drift = quotient.reshape(-1, width) - weights[level][rows]
+        drift = quotient - weight
         dirty = lost[level][rows] | (
             np.maximum(np.abs(drift.real), np.abs(drift.imag))
             > _DRIFT_BOUND
@@ -466,14 +487,13 @@ def _rebuild(
         if dirty_below is not None:
             dirty |= (
                 (kids >= 0) & dirty_below[np.maximum(kids, 0)]
-            ).reshape(-1, width).any(axis=1)
+            ).any(axis=1)
         dirty_rows[level] = rows[dirty]
         dirty_below = np.zeros(child.shape[0], dtype=bool)
         dirty_below[rows[dirty]] = True
-        in_dirty = np.repeat(dirty, width)
-        taken = np.flatnonzero(in_dirty & (quotient != 0))
-        slots[level] = np.cumsum(in_dirty)[taken] - 1
-        quotients[level] = quotient[taken]
+        kept = quotient[dirty].ravel()
+        slots[level] = np.flatnonzero(kept)
+        quotients[level] = kept[slots[level]]
 
     # One lookup batch, rows in depth-first post-order of the pruned
     # diagram (the reverse of its scan order), digits in order.
@@ -561,8 +581,8 @@ def _overlap(bra, ket) -> complex:
     register, each with its root node at row 0 of level 0.  The pairs
     of rows the two diagrams reach together are listed top-down; each
     pair's overlap is then summed bottom-up with the recursion's
-    Python arithmetic, ``conj(a) * b * overlap(children)`` added digit
-    by digit from 0.
+    arithmetic, ``conj(a) * b * overlap(children)`` added digit by
+    digit from 0.
     """
     bra_weights, bra_children = bra
     ket_weights, ket_children = ket
@@ -589,22 +609,16 @@ def _overlap(bra, ket) -> complex:
         levels.append((weight_a, weight_b, both, slot))
     value = None
     for weight_a, weight_b, both, slot in reversed(levels):
+        terms = _product(np.conj(weight_a), weight_b)
         below = (
-            repeat(1.0) if value is None
-            else np.array(value + [None], dtype=object)[slot[both]].tolist()
+            1.0 + 0.0j if value is None
+            else value[np.maximum(slot, 0)]
         )
-        terms = np.zeros(both.shape, dtype=object)
-        terms[both] = list(map(
-            mul,
-            map(
-                mul,
-                map(complex.conjugate, weight_a[both].tolist()),
-                weight_b[both].tolist(),
-            ),
-            below,
-        ))
-        value = list(map(sum, terms.tolist(), repeat(0j)))
-    return value[0]
+        terms = _product(terms, below)
+        value = np.zeros(both.shape[0], dtype=np.complex128)
+        for digit in range(both.shape[1]):
+            value = np.where(both[:, digit], value + terms[:, digit], value)
+    return complex(value[0])
 
 
 def approximate(
