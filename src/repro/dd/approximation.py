@@ -213,23 +213,22 @@ def _quotient(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """``a / b`` elementwise, with Python's complex division (Smith's
     algorithm, dividing by the larger part of ``b``); ``b`` is never 0.
     """
+    a, b = np.broadcast_arrays(a, b)
     by_real = np.abs(b.real) >= np.abs(b.imag)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        ratio = np.where(by_real, b.imag / b.real, b.real / b.imag)
-        denom = np.where(
-            by_real, b.real + b.imag * ratio, b.real * ratio + b.imag
-        )
-        out = np.empty(np.broadcast(a, b).shape, dtype=np.complex128)
-        out.real = np.where(
-            by_real,
-            (a.real + a.imag * ratio) / denom,
-            (a.real * ratio + a.imag) / denom,
-        )
-        out.imag = np.where(
-            by_real,
-            (a.imag - a.real * ratio) / denom,
-            (a.imag * ratio - a.real) / denom,
-        )
+    by_imag = ~by_real
+    ratio = np.empty(b.shape)
+    np.divide(b.imag, b.real, out=ratio, where=by_real)
+    np.divide(b.real, b.imag, out=ratio, where=by_imag)
+    denom = np.where(
+        by_real, b.real + b.imag * ratio, b.real * ratio + b.imag
+    )
+    out = np.empty(a.shape, dtype=np.complex128)
+    out.real = np.where(
+        by_real, a.real + a.imag * ratio, a.real * ratio + a.imag
+    ) / denom
+    out.imag = np.where(
+        by_real, a.imag - a.real * ratio, a.imag * ratio - a.real
+    ) / denom
     return out
 
 
@@ -395,14 +394,20 @@ def _in_edge_factors(raw: np.ndarray) -> np.ndarray:
     """
     magnitudes = np.hypot(raw.real, raw.imag)
     norms = np.sqrt(list(map(fsum, _squared_magnitudes(raw).tolist())))
-    nonzero = magnitudes > WEIGHT_ZERO_CUTOFF
-    first = np.argmax(nonzero, axis=1)[:, None]
-    pivot = np.take_along_axis(raw, first, axis=1)[:, 0]
-    phase = np.where(
-        np.take_along_axis(nonzero, first, axis=1)[:, 0],
-        _quotient(pivot, np.take_along_axis(magnitudes, first, axis=1)[:, 0]
-                  + 0j),
-        1.0 + 0.0j,
+    rows = np.arange(raw.shape[0])
+    first = np.argmax(magnitudes > WEIGHT_ZERO_CUTOFF, axis=1)
+    pivot_magnitude = magnitudes[rows, first]
+    has_pivot = pivot_magnitude > WEIGHT_ZERO_CUTOFF
+    # w / abs(w) divides by a real: Smith's ratio is 0.0, the
+    # denominator abs(w).
+    pivot = raw[rows, first]
+    divisor = np.where(has_pivot, pivot_magnitude, 1.0)
+    phase = np.ones(raw.shape[0], dtype=np.complex128)
+    phase.real = np.where(
+        has_pivot, (pivot.real + pivot.imag * 0.0) / divisor, 1.0
+    )
+    phase.imag = np.where(
+        has_pivot, (pivot.imag - pivot.real * 0.0) / divisor, 0.0
     )
     factors = _product(norms + 0j, phase)
     factors[norms <= WEIGHT_ZERO_CUTOFF] = 0.0
@@ -425,8 +430,9 @@ def _rebuild(
     keeps its node.  Their quotients go through one ``lookup_many`` in
     the order the per-node rebuild probes them (depth-first
     post-order), so the complex table picks the same representatives.
-    Returns the root row's factor (0 when nothing is left) and the new
-    per-level weights, children and nodes, indexed like the input rows.
+    Rows are rebuilt in place.  Returns the root row's factor (0 when
+    nothing is left) and the result's level arrays, the input's own when
+    no row was interned again.
     """
     table = dd.unique_table
     num_levels = len(children)
@@ -495,57 +501,59 @@ def _rebuild(
         slots[level] = np.flatnonzero(kept)
         quotients[level] = kept[slots[level]]
 
+    if not any(rows.size for rows in dirty_rows):
+        return complex(factors[0][0]), dd.levels
+
     # One lookup batch, rows in depth-first post-order of the pruned
     # diagram (the reverse of its scan order), digits in order.
-    remap = []
-    for mark in reach:
-        index = np.full(mark.size, -1, dtype=np.intp)
-        index[mark] = np.arange(int(mark.sum()))
-        remap.append(index)
-    positions = _scan_positions([
-        np.where(
-            child >= 0,
-            remap[level + 1][np.maximum(child, 0)]
-            if level + 1 < num_levels else -1,
-            -1,
-        )[reach[level]]
-        for level, child in enumerate(children)
-    ])
-    order_keys = np.concatenate([
-        -positions[level][remap[level][dirty_rows[level][slot // width]]]
-        for level, (slot, width) in enumerate(
-            (slot, child.shape[1]) for slot, child in zip(slots, children)
-        )
-    ])
-    digits = np.concatenate([
-        slot % child.shape[1] for slot, child in zip(slots, children)
-    ])
     batch = np.concatenate(quotients)
-    order = np.lexsort((digits, order_keys))
-    canonical = np.empty_like(batch)
-    canonical[order] = table.complex_table.lookup_many(batch[order])
+    if sum(rows.size for rows in dirty_rows) > 1:
+        remap = []
+        for mark in reach:
+            index = np.full(mark.size, -1, dtype=np.intp)
+            index[mark] = np.arange(int(mark.sum()))
+            remap.append(index)
+        positions = _scan_positions([
+            np.where(
+                child >= 0,
+                remap[level + 1][np.maximum(child, 0)]
+                if level + 1 < num_levels else -1,
+                -1,
+            )[reach[level]]
+            for level, child in enumerate(children)
+        ])
+        order = np.lexsort((
+            np.concatenate([
+                slot % child.shape[1] for slot, child in zip(slots, children)
+            ]),
+            np.concatenate([
+                -positions[level][
+                    remap[level][dirty_rows[level][slot // child.shape[1]]]
+                ]
+                for level, (slot, child) in enumerate(zip(slots, children))
+            ]),
+        ))
+        canonical = np.empty_like(batch)
+        canonical[order] = table.complex_table.lookup_many(batch[order])
+    else:
+        canonical = table.complex_table.lookup_many(batch)
 
-    # Bottom-up again: intern the dirty rows.
+    # Bottom-up again: intern the dirty rows, in place.
     get_node_canonical = table.get_node_canonical
     zero_edge = Edge.zero()
-    new_weights: list[np.ndarray] = []
-    new_children: list[np.ndarray] = []
-    new_nodes: list[list[DDNode | None]] = []
+    new_nodes: list[list[DDNode | None]] = [[]] * num_levels
     start = canonical.size
-    nodes_below: list[DDNode | None] = []
     for level in range(num_levels - 1, -1, -1):
-        weight = weights[level]
-        child = children[level]
         level_nodes: list[DDNode | None] = list(nodes[level])
         rows = dirty_rows[level]
         start -= slots[level].size
         if rows.size:
-            weight = weight.copy()
-            child = child.copy()
-            canon = np.zeros(rows.size * weight.shape[1], dtype=np.complex128)
+            width = weights[level].shape[1]
+            canon = np.zeros(rows.size * width, dtype=np.complex128)
             canon[slots[level]] = canonical[start:start + slots[level].size]
-            canon = canon.reshape(rows.size, weight.shape[1])
-            kept_kids = np.where(canon != 0, child[rows], -1)
+            canon = canon.reshape(rows.size, width)
+            kept_kids = np.where(canon != 0, children[level][rows], -1)
+            nodes_below = new_nodes[level + 1] if level + 1 < num_levels else []
             for row, alive, weight_row, id_row in zip(
                 rows.tolist(),
                 (factors[level][rows] != 0).tolist(),
@@ -562,16 +570,12 @@ def _rebuild(
                     for w, kid in zip(weight_row, id_row)
                 ]
                 level_nodes[row] = get_node_canonical(level, edges)
-            weight[rows] = canon
-            child[rows] = kept_kids
-        new_weights.append(weight)
-        new_children.append(child)
-        new_nodes.append(level_nodes)
-        nodes_below = level_nodes
-    new_weights.reverse()
-    new_children.reverse()
-    new_nodes.reverse()
-    return complex(factors[0][0]), new_weights, new_children, new_nodes
+            weights[level][rows] = canon
+            children[level][rows] = kept_kids
+        new_nodes[level] = level_nodes
+    return complex(factors[0][0]), compact_levels(
+        weights, children, new_nodes, 0
+    )
 
 
 def _overlap(bra, ket) -> complex:
@@ -676,7 +680,7 @@ def approximate(
     lost = [np.zeros(level.shape[0], dtype=bool) for level in weights]
     root_magnitude = abs(dd.root.weight) ** 2
     all_positions = np.concatenate(positions[1:] or [np.zeros(0, np.int64)])
-    links = _Links(children)
+    links = None
     # A relative slack keeps boundary removals (contribution exactly
     # equal to the budget, up to rounding) from being rejected.
     budget = (1.0 - min_fidelity) * (1.0 + 1e-9) + 1e-12
@@ -722,25 +726,29 @@ def approximate(
         ]
         ordered = contributions[candidates]
         fits = np.searchsorted(ordered, budget, side="right")
-        blocked = bytearray(len(links.removed))
         cut_edges: list[int] = []
-        first_in = links.first_in
-        for contribution, node in zip(
-            ordered[:fits].tolist(),
-            (candidates[:fits] + links.offsets[1]).tolist(),
-        ):
-            if contribution > budget:
-                break
-            if blocked[node]:
-                continue
-            links.block_relatives(node, blocked)
-            links.removed[node] = 1
-            cut_edges.extend(range(first_in[node], first_in[node + 1]))
-            removed_nodes += 1
-            budget -= contribution
-            removed_mass += contribution
-            removal_log.append(contribution)
-            progressed = True
+        if fits:
+            if links is None:
+                links = _Links(children)
+            blocked = bytearray(len(links.removed))
+            for contribution, node in zip(
+                ordered[:fits].tolist(),
+                (candidates[:fits] + links.offsets[1]).tolist(),
+            ):
+                if contribution > budget:
+                    break
+                if blocked[node]:
+                    continue
+                links.block_relatives(node, blocked)
+                links.removed[node] = 1
+                cut_edges.extend(
+                    range(links.first_in[node], links.first_in[node + 1])
+                )
+                removed_nodes += 1
+                budget -= contribution
+                removed_mass += contribution
+                removal_log.append(contribution)
+                progressed = True
         if cut_edges:
             cut = np.array(cut_edges, dtype=np.intp)
             for level in np.unique(links.edge_level[cut]).tolist():
@@ -754,14 +762,11 @@ def approximate(
         if not progressed:
             break
 
-    root_factor, new_weights, new_children, new_nodes = _rebuild(
-        dd, weights, children, nodes, lost
-    )
+    root_factor, levels = _rebuild(dd, weights, children, nodes, lost)
     if root_factor == 0:  # pragma: no cover - budget < 1 guards
         raise ApproximationError("approximation removed the entire state")
     rebuilt = root_factor * dd.root.weight
-    root = Edge(rebuilt / abs(rebuilt), new_nodes[0][0])
-    levels = compact_levels(new_weights, new_children, new_nodes, 0)
+    root = Edge(rebuilt / abs(rebuilt), levels.nodes[0][0])
     result_dd = DecisionDiagram(
         root,
         dd.register,
