@@ -425,9 +425,10 @@ def _rebuild(
 
     Every row reachable from the root gets the in-edge factor that the
     per-node rebuild through :func:`~repro.dd.builder.normalize_edges`
-    gives it, bit for bit.  Only rows that lost an edge or have such a
-    row below them are normalised and interned again; every other row
-    keeps its node.  Their quotients go through one ``lookup_many`` in
+    gives it, bit for bit.  Only rows that lost an edge, have such a
+    row below them, or whose renormalised weights leave their own are
+    normalised and interned again; every other row keeps its node.
+    Their quotients go through one ``lookup_many`` in
     the order the per-node rebuild probes them (depth-first
     post-order), so the complex table picks the same representatives.
     Rows are rebuilt in place.  Returns the root row's factor (0 when
