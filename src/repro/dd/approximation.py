@@ -382,18 +382,19 @@ class _Links:
                 up.extend(parent_of[first_in[current]:first_in[current + 1]])
 
 
-def _in_edge_factors(raw: np.ndarray) -> np.ndarray:
+def _in_edge_factors(raw: np.ndarray, magnitudes: np.ndarray) -> np.ndarray:
     """``normalize_edges``' in-edge factor of every row of raw weights.
 
     The scalar normalisation's operations in its order, over whole
     rows: the norm is ``math.sqrt(math.fsum(abs(w) ** 2))``, the phase
     ``w / abs(w)`` of the first weight above the zero cutoff, the
     factor ``norm * phase``, each with Python's arithmetic, so every
-    factor is bit-identical to the scalar one.  Rows whose norm is
-    below the zero cutoff get 0.
+    factor is bit-identical to the scalar one.  ``magnitudes`` are
+    ``abs(raw)``.  Rows whose norm is below the zero cutoff get 0.
     """
-    magnitudes = np.hypot(raw.real, raw.imag)
-    norms = np.sqrt(list(map(fsum, _squared_magnitudes(raw).tolist())))
+    norms = np.sqrt(
+        list(map(fsum, np.float_power(magnitudes, 2.0).tolist()))
+    )
     rows = np.arange(raw.shape[0])
     first = np.argmax(magnitudes > WEIGHT_ZERO_CUTOFF, axis=1)
     pivot_magnitude = magnitudes[rows, first]
@@ -466,13 +467,14 @@ def _rebuild(
             raw[scaled] = _product(
                 factors[level + 1][kids[scaled]], raw[scaled]
             )
-        row_factors = _in_edge_factors(raw)
+        magnitudes = np.hypot(raw.real, raw.imag)
+        row_factors = _in_edge_factors(raw, magnitudes)
         factor = np.zeros(child.shape[0], dtype=np.complex128)
         factor[rows] = row_factors
         factors[level] = factor
         # normalize_edges divides every raw weight above the zero
         # cutoff by the factor; get_node drops quotients below it.
-        divided = (np.hypot(raw.real, raw.imag) > WEIGHT_ZERO_CUTOFF) & (
+        divided = (magnitudes > WEIGHT_ZERO_CUTOFF) & (
             row_factors != 0
         )[:, None]
         quotient = np.zeros(raw.shape, dtype=np.complex128)
