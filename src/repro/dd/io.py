@@ -155,7 +155,8 @@ def loads(
         SerializationError: On any malformed input, including a
             non-finite weight, a child that is not exactly one level
             below its parent, a non-zero terminal edge above the last
-            level and a root node below level 0.
+            level and a root edge that does not point to a level-0
+            node.
     """
     if table is None:
         table = UniqueTable()
