@@ -600,8 +600,8 @@ def _overlap(bra, ket) -> complex:
         rows_a, rows_b = pairs
         weight_a = bra_weights[level][rows_a]
         weight_b = ket_weights[level][rows_b]
-        both = (np.abs(weight_a) > WEIGHT_ZERO_CUTOFF) & (
-            np.abs(weight_b) > WEIGHT_ZERO_CUTOFF
+        both = (np.hypot(weight_a.real, weight_a.imag) > WEIGHT_ZERO_CUTOFF) & (
+            np.hypot(weight_b.real, weight_b.imag) > WEIGHT_ZERO_CUTOFF
         )
         slot = np.full(both.shape, -1, dtype=np.intp)
         if level + 1 < num_levels:
