@@ -1,19 +1,17 @@
 #!/usr/bin/env python3
-"""Network front-end benchmark: requests/sec over HTTP, TCP, and the
+"""Network front-end benchmark: requests/sec over HTTP and the
 in-process serving path.
 
 Not a paper experiment — this measures what the wire costs.  The same
-duplicate-heavy workload is served three ways through an identically
+duplicate-heavy workload is served two ways through an identically
 configured :class:`~repro.service.AsyncPreparationService`:
 
 * ``inprocess`` — clients call ``service.run_batch`` directly (the
   PR-3 path; upper bound, no sockets),
 * ``http`` — each client is a :class:`~repro.net.ReproClient` on its
-  own keep-alive HTTP/1.1 connection, batching per request,
-* ``tcp`` — each client pipelines single-job NDJSON requests on one
-  persistent socket.
+  own keep-alive HTTP/1.1 connection, batching per request.
 
-Each transport asserts the serving guarantees (outcomes equal to a
+Each leg asserts the serving guarantees (outcomes equal to a
 serial ``run_batch`` modulo timings, warm traffic fully cache-hit),
 so the benchmark doubles as a regression test.  Results are written
 to ``BENCH_net.json`` (override with ``-o``); run under pytest
@@ -22,7 +20,7 @@ to ``BENCH_net.json`` (override with ``-o``); run under pytest
 
 Two observability measurements ride along (ISSUE 6):
 
-* per-transport p50/p95/p99 request latency, estimated from the
+* HTTP p50/p95/p99 request latency, estimated from the
   server's ``repro_request_seconds`` histogram exactly the way
   Prometheus' ``histogram_quantile`` would,
 * the cost of the instrumentation itself — the in-process path runs
@@ -49,7 +47,6 @@ from repro.engine import PreparationEngine, PreparationJob, comparable_outcome
 from repro.net import (
     HttpServer,
     ReproClient,
-    TcpServer,
     comparable_wire_outcome,
     outcome_to_wire,
 )
@@ -175,38 +172,30 @@ def _bench_inprocess_modes() -> tuple[dict[str, dict], dict[str, float]]:
     return best, ratios
 
 
-def _latency_percentiles(registry, transport: str) -> dict:
+def _latency_percentiles(registry) -> dict:
     histogram = registry.get("repro_request_seconds")
     return {
-        "p50": histogram.quantile(0.50, transport),
-        "p95": histogram.quantile(0.95, transport),
-        "p99": histogram.quantile(0.99, transport),
+        "p50": histogram.quantile(0.50, "http"),
+        "p95": histogram.quantile(0.95, "http"),
+        "p99": histogram.quantile(0.99, "http"),
     }
 
 
-async def _bench_transport(transport: str) -> dict:
+async def _bench_http() -> dict:
     registry = MetricsRegistry()
     service = make_service(metrics=registry)
     await service.start()
-    server_type = TcpServer if transport == "tcp" else HttpServer
-    server = await server_type(
+    server = await HttpServer(
         service, metrics=registry, tracer=Tracer()
     ).start()
     expected = reference_outcomes()
 
     async def one_client():
-        async with ReproClient(
-            "127.0.0.1", server.port, transport=transport
-        ) as client:
+        async with ReproClient("127.0.0.1", server.port) as client:
             for _ in range(ROUNDS):
-                if transport == "tcp":
-                    outcomes = list(await asyncio.gather(*(
-                        client.prepare(raw) for raw in WIRE_WORKLOAD
-                    )))
-                else:
-                    outcomes = (
-                        await client.batch(WIRE_WORKLOAD)
-                    )["outcomes"]
+                outcomes = (
+                    await client.batch(WIRE_WORKLOAD)
+                )["outcomes"]
                 assert [
                     comparable_wire_outcome(o) for o in outcomes
                 ] == expected
@@ -225,11 +214,9 @@ async def _bench_transport(transport: str) -> dict:
     # Warm traffic is all cache hits: only the distinct targets were
     # ever synthesised.
     assert stats.engine.jobs_executed == 3
-    latency = _latency_percentiles(registry, transport)
+    latency = _latency_percentiles(registry)
     # The wire layer observed every request it served.
-    wire_count = registry.get(
-        "repro_request_seconds"
-    ).count(transport)
+    wire_count = registry.get("repro_request_seconds").count("http")
     assert wire_count > 0
     return {
         "requests": requests,
@@ -239,13 +226,7 @@ async def _bench_transport(transport: str) -> dict:
 
 
 def run_benchmark() -> dict:
-    measurements = {}
-    for name, runner in (
-        ("http", _bench_transport("http")),
-        ("tcp", _bench_transport("tcp")),
-    ):
-        result = asyncio.run(runner)
-        measurements[name] = result
+    measurements = {"http": asyncio.run(_bench_http())}
 
     # Instrumentation overhead: the same in-process workload with
     # metrics off / metrics on / metrics + per-call tracing.
@@ -262,16 +243,16 @@ def run_benchmark() -> dict:
             f"{result['requests_per_second']:.0f} req/s"
         )
     baseline = measurements["inprocess"]["requests_per_second"]
-    for name in ("http", "tcp"):
-        ratio = measurements[name]["requests_per_second"] / baseline
-        measurements[name]["vs_inprocess"] = ratio
-        latency = measurements[name]["latency_seconds"]
-        print(
-            f"[net/{name}] {ratio:.2f}x of in-process throughput; "
-            f"p50={latency['p50'] * 1e3:.2f}ms "
-            f"p95={latency['p95'] * 1e3:.2f}ms "
-            f"p99={latency['p99'] * 1e3:.2f}ms"
-        )
+    http = measurements["http"]
+    http["vs_inprocess"] = http["requests_per_second"] / baseline
+    latency = http["latency_seconds"]
+    print(
+        f"[net/http] {http['vs_inprocess']:.2f}x of in-process "
+        f"throughput; "
+        f"p50={latency['p50'] * 1e3:.2f}ms "
+        f"p95={latency['p95'] * 1e3:.2f}ms "
+        f"p99={latency['p99'] * 1e3:.2f}ms"
+    )
 
     overhead = overhead_ratios["inprocess_instrumented"]
     traced_overhead = overhead_ratios["inprocess_traced"]
@@ -299,13 +280,12 @@ def test_network_transports_serve_correctly_and_report_throughput():
     payload = run_benchmark()
     for transport in (
         "inprocess", "inprocess_instrumented", "inprocess_traced",
-        "http", "tcp",
+        "http",
     ):
         assert payload["transports"][transport]["requests"] > 0
         assert payload["transports"][transport]["seconds"] > 0
-    for transport in ("http", "tcp"):
-        latency = payload["transports"][transport]["latency_seconds"]
-        assert 0 < latency["p50"] <= latency["p99"]
+    latency = payload["transports"]["http"]["latency_seconds"]
+    assert 0 < latency["p50"] <= latency["p99"]
     assert (
         payload["instrumentation_overhead_ratio"] <= MAX_OVERHEAD_RATIO
     )

@@ -3,7 +3,7 @@
 
 Starts a real :class:`repro.net.HttpServer` on an ephemeral port,
 then talks to it exactly as a remote caller would — through
-:class:`repro.net.ReproClient` over a TCP socket — to prepare the
+:class:`repro.net.ReproClient` over a real socket — to prepare the
 paper's flagship mixed-dimensional example, the GHZ state on a
 (3, 6, 2) qudit register.  Demonstrates that:
 

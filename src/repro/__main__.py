@@ -10,10 +10,9 @@ Commands:
   (``python -m repro batch spec.json``; see ``batch --help``),
 * ``serve`` — replay a batch spec as N concurrent clients through the
   async sharded serving layer (``python -m repro serve spec.json
-  --clients 32``), or serve real sockets with ``--listen HOST:PORT``
-  (HTTP/1.1; add ``--tcp`` for the newline-delimited-JSON stream
-  protocol; add ``--cluster cluster.json`` to route to a remote shard
-  fleet — see ``serve --help`` and ``docs/serving.md``),
+  --clients 32``), or serve HTTP/1.1 on real sockets with
+  ``--listen HOST:PORT`` (add ``--cluster cluster.json`` to route to a
+  remote shard fleet — see ``serve --help`` and ``docs/serving.md``),
 * ``cluster`` — spawn and monitor a local shard fleet
   (``python -m repro cluster supervise --shards 3``) or check one
   (``cluster status cluster.json``),
@@ -296,11 +295,6 @@ def _serve_parser() -> argparse.ArgumentParser:
              "replaying the spec (port 0 picks an ephemeral port)",
     )
     parser.add_argument(
-        "--tcp", action="store_true",
-        help="with --listen: speak the newline-delimited-JSON stream "
-             "protocol instead of HTTP",
-    )
-    parser.add_argument(
         "--cluster", default=None, metavar="CLUSTER.json",
         help="with --listen: serve as a cluster front end routing to "
              "the remote shard fleet described by this config (see "
@@ -314,7 +308,7 @@ def _serve_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--max-request-bytes", type=int, default=1_000_000, metavar="N",
-        help="request body / line size limit in network mode "
+        help="request body size limit in network mode "
              "(default: 1000000)",
     )
     parser.add_argument(
@@ -416,7 +410,7 @@ async def _serve_network(
     """Run the network front end until SIGTERM/SIGINT, then drain."""
     import signal
 
-    from repro.net import HttpServer, TcpServer
+    from repro.net import HttpServer
 
     host, port = _parse_listen(options.listen)
     await service.start()
@@ -426,12 +420,9 @@ async def _serve_network(
         # the first remote request lands.
         await service.run_batch(jobs)
         print(f"warmed cache with {len(jobs)} spec jobs", flush=True)
-    server_type = TcpServer if options.tcp else HttpServer
-    limit_field = (
-        "max_line_bytes" if options.tcp else "max_request_bytes"
-    )
-    server = server_type(
+    server = HttpServer(
         service, host, port,
+        max_request_bytes=options.max_request_bytes,
         job_defaults=defaults,
         drain_timeout=(
             options.drain_timeout
@@ -445,7 +436,6 @@ async def _serve_network(
             if getattr(options, "slow_request_ms", None) is not None
             else None
         ),
-        **{limit_field: options.max_request_bytes},
     )
     try:
         await server.start()
@@ -455,7 +445,6 @@ async def _serve_network(
         # loop.
         await service.stop()
         raise
-    protocol_name = "tcp" if options.tcp else "http"
     role = ""
     if getattr(options, "cluster", None):
         role = " as cluster front end"
@@ -463,7 +452,7 @@ async def _serve_network(
         role = f" as shard {options.shard_id}"
     print(
         f"listening on {server.host}:{server.port} "
-        f"({protocol_name}){role}; SIGTERM drains and exits",
+        f"(http){role}; SIGTERM drains and exits",
         flush=True,
     )
     stop_requested = asyncio.Event()
@@ -572,9 +561,6 @@ def _run_serve(arguments: list[str]) -> int:
 
     options = _serve_parser().parse_args(arguments)
     obs_log.configure(options.log_level, json_mode=options.log_json)
-    if options.tcp and options.listen is None:
-        print("error: --tcp requires --listen", file=sys.stderr)
-        return 2
     if options.cluster is not None and options.listen is None:
         print("error: --cluster requires --listen", file=sys.stderr)
         return 2
@@ -724,11 +710,6 @@ def _cluster_parser() -> argparse.ArgumentParser:
         help="also spawn a cluster front end on this address",
     )
     supervise.add_argument(
-        "--front-tcp", action="store_true",
-        help="front end speaks the NDJSON stream protocol instead "
-             "of HTTP",
-    )
-    supervise.add_argument(
         "--replicas", type=int, default=2, metavar="N",
         help="failover-chain length per key (default: 2)",
     )
@@ -786,7 +767,6 @@ def _run_cluster_supervise(options) -> int:
             host=options.host,
             base_port=options.base_port,
             front=options.front,
-            front_tcp=options.front_tcp,
             shard_args=options.shard_arg,
             replicas=options.replicas,
             config_path=options.config_out,
@@ -813,13 +793,12 @@ def _run_cluster_supervise(options) -> int:
         for address in supervisor.addresses:
             print(
                 f"shard {address.shard_id} listening on "
-                f"{address.addr} (tcp)",
+                f"{address.addr} (http)",
                 flush=True,
             )
         if options.front is not None:
             print(
-                f"front end listening on {options.front} "
-                f"({'tcp' if options.front_tcp else 'http'})",
+                f"front end listening on {options.front} (http)",
                 flush=True,
             )
         if options.config_out is not None:
@@ -875,7 +854,7 @@ def _run_cluster_status(options) -> int:
         }
         try:
             with SyncReproClient(
-                shard.host, shard.port, transport="tcp",
+                shard.host, shard.port,
                 timeout=config.health_timeout,
                 connect_timeout=config.connect_timeout,
             ) as client:
@@ -932,10 +911,6 @@ def _trace_parser() -> argparse.ArgumentParser:
         help="address of the server to query",
     )
     parser.add_argument(
-        "--tcp", action="store_true",
-        help="speak the NDJSON stream protocol instead of HTTP",
-    )
-    parser.add_argument(
         "--timeout", type=float, default=10.0, metavar="SECONDS",
         help="per-request timeout (default: 10)",
     )
@@ -979,9 +954,7 @@ def _run_trace(arguments: list[str]) -> int:
         return 2
     try:
         with SyncReproClient(
-            host, port,
-            transport="tcp" if options.tcp else "http",
-            timeout=options.timeout,
+            host, port, timeout=options.timeout
         ) as client:
             payload = (
                 client.traces_summary()

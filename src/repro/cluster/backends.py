@@ -9,8 +9,9 @@ implementations cover the whole local-to-distributed spectrum:
   themselves; the engine executes against their cache and the shard
   exists so routing, stats, and health speak one vocabulary.
 * :class:`RemoteShard` — a shard *server* (another process or host)
-  reached through :class:`~repro.net.ReproClient` over the pipelined
-  NDJSON TCP protocol.  Remote shards run whole micro-batches
+  reached over HTTP through two keep-alive
+  :class:`~repro.net.ReproClient` connections, one for batches and
+  one for probes.  Remote shards run whole micro-batches
   (``run_jobs``), answer health probes, and export their engine
   counters for fleet aggregation.  Reconnection lives in the client;
   this class only tracks health and inflight accounting on top.
@@ -21,7 +22,6 @@ failover policy live in :class:`repro.cluster.ShardPlacement`.
 
 from __future__ import annotations
 
-import asyncio
 import time
 from collections.abc import Sequence
 
@@ -117,7 +117,13 @@ class LocalShard(ShardBackend):
 
 
 class RemoteShard(ShardBackend):
-    """A shard server reached over the NDJSON TCP wire protocol.
+    """A shard server reached over HTTP.
+
+    Batches travel on one keep-alive connection and health probes and
+    stats fetches on a second, so a probe never waits behind a long
+    batch.  A failed probe still closes both: a batch in flight on a
+    black-holed shard then fails over after ``health_timeout``
+    instead of ``request_timeout``.
 
     Args:
         shard_id: Identifier used for ring placement and stats rows.
@@ -127,7 +133,8 @@ class RemoteShard(ShardBackend):
             micro-batches, so size it for synthesis, not for RTT).
         connect_timeout: Bound on connection establishment — kept
             small so a black-holed shard fails over fast.
-        health_timeout: Bound on one health probe round trip.
+        health_timeout: Bound on one health probe or stats fetch
+            round trip.
         fetch_circuits: Whether relayed successes carry the QDASM
             circuit text.  ``False`` keeps duplicate-heavy traffic off
             the wire's largest payloads; front ends that serve
@@ -155,8 +162,13 @@ class RemoteShard(ShardBackend):
         self.client = ReproClient(
             host,
             port,
-            transport="tcp",
             timeout=request_timeout,
+            connect_timeout=connect_timeout,
+        )
+        self._probe = ReproClient(
+            host,
+            port,
+            timeout=health_timeout,
             connect_timeout=connect_timeout,
         )
         self._healthy = True
@@ -258,20 +270,18 @@ class RemoteShard(ShardBackend):
         return rebuilt
 
     async def check_health(self) -> bool:
-        """Active probe: ping under ``health_timeout``.
+        """Active probe: ``GET /healthz`` under ``health_timeout``.
 
-        A failed probe closes the connection so the next request (or
-        probe) reconnects from a clean state instead of inheriting a
-        half-dead socket.
+        A failed probe closes both connections, so an in-flight batch
+        fails now and the next request (or probe) reconnects from a
+        clean state instead of inheriting a half-dead socket.
         """
         try:
-            await asyncio.wait_for(
-                self.client.ping(), self.health_timeout
-            )
-        except (ClientError, asyncio.TimeoutError, OSError):
+            await self._probe.ping()
+        except ClientError:
             self._last_probe_at = time.monotonic()
             self.mark(False)
-            await self.client.aclose()
+            await self.aclose()
             return False
         self._last_probe_at = time.monotonic()
         self.mark(True)
@@ -279,7 +289,8 @@ class RemoteShard(ShardBackend):
 
     async def fetch_stats(self) -> dict:
         """The shard server's ``ServiceStats.to_dict()`` snapshot."""
-        return await self.client.stats()
+        return await self._probe.stats()
 
     async def aclose(self) -> None:
         await self.client.aclose()
+        await self._probe.aclose()

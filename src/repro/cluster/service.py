@@ -412,7 +412,7 @@ class ClusterPreparationService(AsyncPreparationService):
         ]
 
     async def wire_stats(self) -> dict:
-        """Fleet-aggregated stats for ``/v1/stats`` and the TCP op.
+        """Fleet-aggregated stats for ``/v1/stats``.
 
         The front end's own queue counters stay top-level; ``engine``
         becomes the field-wise sum of every reachable shard's engine

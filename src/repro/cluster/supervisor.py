@@ -2,11 +2,11 @@
 
 :class:`ShardSupervisor` turns one machine into a small cluster: it
 spawns ``num_shards`` subprocesses of ``python -m repro serve
---listen host:port --tcp --shards 1`` (each one a single-shard
-TCP shard server), waits until every port accepts connections,
-optionally spawns the cluster front end (``serve --cluster``) over
-them, and then monitors the fleet — a shard that dies unexpectedly is
-restarted on its port, up to a per-shard restart budget.
+--listen host:port --shards 1`` (each one a single-shard HTTP shard
+server), waits until every port accepts connections, optionally
+spawns the cluster front end (``serve --cluster``) over them, and
+then monitors the fleet — a shard that dies unexpectedly is restarted
+on its port, up to a per-shard restart budget.
 
 ``terminate()`` is the graceful path: SIGTERM to every child (each
 drains its in-flight requests, exactly as a standalone server does),
@@ -89,7 +89,6 @@ class ShardSupervisor:
             0 picks free ephemeral ports.
         front: ``host:port`` to serve a cluster front end on, or
             ``None`` for shards only.
-        front_tcp: Whether the front end speaks TCP instead of HTTP.
         shard_args: Extra CLI arguments appended to every shard's
             ``serve`` command (e.g. ``["--cache-capacity", "512"]``).
         replicas: Failover-chain length written to the fleet's
@@ -112,7 +111,6 @@ class ShardSupervisor:
         host: str = "127.0.0.1",
         base_port: int = 0,
         front: str | None = None,
-        front_tcp: bool = False,
         shard_args: list[str] | None = None,
         replicas: int = 2,
         config_path: str | os.PathLike | None = None,
@@ -126,7 +124,6 @@ class ShardSupervisor:
             )
         self.host = host
         self.front = front
-        self.front_tcp = front_tcp
         self.replicas = replicas
         self.restart_limit = restart_limit
         self.startup_timeout = startup_timeout
@@ -174,21 +171,17 @@ class ShardSupervisor:
         return [
             self._python, "-m", "repro", "serve",
             "--listen", f"{address.host}:{address.port}",
-            "--tcp",
             "--shards", "1",
             "--shard-id", address.shard_id,
             *self._shard_args,
         ]
 
     def _front_argv(self, config_path: Path) -> list[str]:
-        argv = [
+        return [
             self._python, "-m", "repro", "serve",
             "--listen", self.front,
             "--cluster", str(config_path),
         ]
-        if self.front_tcp:
-            argv.append("--tcp")
-        return argv
 
     # ------------------------------------------------------------------
     # Lifecycle

@@ -1,23 +1,21 @@
-"""Network front end (HTTP + streaming TCP) over the serving layer.
+"""HTTP front end over the serving layer.
 
 Dependency-free (stdlib ``asyncio`` only), built on
 :class:`repro.service.AsyncPreparationService` — see
 ``docs/serving.md``:
 
-* :mod:`repro.net.protocol` — the versioned JSON wire schema shared
-  by both transports (request/response envelopes, error codes mapped
-  from :mod:`repro.exceptions`, outcome serialisation,
+* :mod:`repro.net.protocol` — the versioned JSON wire schema
+  (request/response envelopes, error codes mapped from
+  :mod:`repro.exceptions`, outcome serialisation,
   ``comparable_wire_outcome``),
 * :mod:`repro.net.http` — :class:`HttpServer`, a minimal HTTP/1.1
   server (``POST /v1/prepare``, ``POST /v1/batch``, ``GET /v1/stats``,
   ``GET /healthz``) with keep-alive, body limits, and graceful drain,
-* :mod:`repro.net.tcp` — :class:`TcpServer`, a persistent
-  newline-delimited-JSON stream with pipelined out-of-order responses,
-* :mod:`repro.net.client` — :class:`ReproClient` (async, both
-  transports) and :class:`SyncReproClient` (blocking facade).
+* :mod:`repro.net.client` — :class:`ReproClient` (async) and
+  :class:`SyncReproClient` (blocking facade).
 
-``python -m repro serve [spec.json] --listen HOST:PORT [--tcp]``
-serves real sockets from the CLI.
+``python -m repro serve [spec.json] --listen HOST:PORT`` serves real
+sockets from the CLI.
 """
 
 from repro.net.client import ClientError, ReproClient, SyncReproClient
@@ -29,7 +27,6 @@ from repro.net.protocol import (
     error_code,
     outcome_to_wire,
 )
-from repro.net.tcp import TcpServer
 
 __all__ = [
     "PROTOCOL_VERSION",
@@ -37,7 +34,6 @@ __all__ = [
     "HttpServer",
     "ReproClient",
     "SyncReproClient",
-    "TcpServer",
     "WireError",
     "comparable_wire_outcome",
     "error_code",

@@ -1,23 +1,14 @@
-"""Clients for the network front end: async ``ReproClient`` and a
-synchronous wrapper.
+"""Clients for the HTTP front end: async ``ReproClient`` and a
+synchronous wrapper::
 
-Both transports are supported behind one surface::
-
-    async with ReproClient("127.0.0.1", 8000) as client:          # HTTP
+    async with ReproClient("127.0.0.1", 8000) as client:
         outcome = await client.prepare(
             {"family": "ghz", "dims": [3, 6, 2]}
         )
 
-    async with ReproClient("127.0.0.1", 9000, transport="tcp") as c:
-        outcomes = await asyncio.gather(                     # pipelined
-            *(c.prepare(job) for job in jobs)
-        )
-
-Over HTTP the client keeps one persistent keep-alive connection and
-serialises requests on it (HTTP/1.1 has no multiplexing); over TCP it
-pipelines — any number of ``prepare``/``batch`` calls may be in
-flight at once, correlated by request id, so ``asyncio.gather`` over
-many calls uses a single socket.
+The client keeps one persistent keep-alive connection and serialises
+requests on it (HTTP/1.1 has no multiplexing); open one client per
+connection you want.
 
 :class:`SyncReproClient` runs a private event loop on a background
 thread so tests, benchmarks, and plain scripts can call the same API
@@ -39,28 +30,18 @@ from urllib.parse import quote
 
 from repro.engine.jobs import PreparationJob
 from repro.exceptions import ReproError
-from repro.net.protocol import (
-    PROTOCOL_VERSION,
-    decode_line,
-    encode_line,
-)
 from repro.obs.tracing import context_to_header
 
 __all__ = ["ClientError", "ReproClient", "SyncReproClient"]
-
-#: Longest response line the client reads (asyncio's ``StreamReader``
-#: limit).  asyncio's default of 64 KiB is below many TCP outcomes that
-#: carry their QDASM circuit: a random state on ``[6, 6, 5, 3, 3]``
-#: already ships a 178 KiB line.
-MAX_RESPONSE_LINE_BYTES = 64 * 1024 * 1024
 
 
 class ClientError(ReproError):
     """The server refused a request (or the transport failed).
 
     Attributes:
-        code: The wire error code (``bad_json``, ``job_spec``, …), or
-            ``transport`` for connection-level failures.
+        code: The wire error code (``bad_json``, ``job_spec``, …),
+            ``transport`` for connection-level failures, or
+            ``bad_response`` for a response the client cannot parse.
     """
 
     def __init__(self, code: str, message: str):
@@ -81,13 +62,11 @@ def _job_to_wire(job) -> dict:
 
 
 class ReproClient:
-    """Async client of the HTTP or TCP front end.
+    """Async client of the HTTP front end.
 
     Args:
         host: Server address.
         port: Server port.
-        transport: ``"http"`` (request/response on one keep-alive
-            connection) or ``"tcp"`` (pipelined NDJSON stream).
         timeout: Per-request timeout in seconds (``None`` disables).
         connect_timeout: Separate bound on connection establishment.
             ``None`` (the default) preserves the historical behavior —
@@ -101,27 +80,17 @@ class ReproClient:
         host: str,
         port: int,
         *,
-        transport: str = "http",
         timeout: float | None = 30.0,
         connect_timeout: float | None = None,
     ):
-        if transport not in ("http", "tcp"):
-            raise ClientError(
-                "bad_request",
-                f"transport must be 'http' or 'tcp', got {transport!r}",
-            )
         self.host = host
         self.port = port
-        self.transport = transport
         self.timeout = timeout
         self.connect_timeout = connect_timeout
         self._reader: asyncio.StreamReader | None = None
         self._writer: asyncio.StreamWriter | None = None
         self._connect_lock = asyncio.Lock()
         self._http_lock = asyncio.Lock()
-        self._next_id = 0
-        self._pending: dict[int, asyncio.Future] = {}
-        self._reader_task: asyncio.Task | None = None
 
     # ------------------------------------------------------------------
     # Lifecycle
@@ -133,15 +102,12 @@ class ReproClient:
     async def connect(self) -> "ReproClient":
         # Serialized: concurrent reconnects (several calls racing
         # after a sibling's timeout closed the connection) must not
-        # open duplicate sockets or spawn two response pumps fighting
-        # over one reader.
+        # open duplicate sockets.
         async with self._connect_lock:
             if self.connected:
                 return self
             try:
-                opening = asyncio.open_connection(
-                    self.host, self.port, limit=MAX_RESPONSE_LINE_BYTES
-                )
+                opening = asyncio.open_connection(self.host, self.port)
                 if self.connect_timeout is not None:
                     opening = asyncio.wait_for(
                         opening, self.connect_timeout
@@ -159,42 +125,23 @@ class ReproClient:
                     f"cannot connect to {self.host}:{self.port}: "
                     f"{error}",
                 )
-            if self.transport == "tcp":
-                self._reader_task = asyncio.ensure_future(
-                    self._pump_responses()
-                )
             return self
 
     async def aclose(self) -> None:
-        # Detach the connection state atomically under the connect
-        # lock, then tear the detached pieces down outside it: a
-        # concurrent reconnect can never have its fresh writer nulled
-        # mid-install by a sibling's timeout-triggered close.
+        # Detach the connection under the connect lock, then close it
+        # outside: a concurrent reconnect can never have its fresh
+        # writer nulled mid-install by a sibling's timeout-triggered
+        # close.  A call reading the detached connection sees EOF.
         async with self._connect_lock:
-            reader_task = self._reader_task
             writer = self._writer
-            pending = list(self._pending.values())
-            self._reader_task = None
             self._writer = None
             self._reader = None
-            self._pending.clear()
-        if reader_task is not None:
-            reader_task.cancel()
-            try:
-                await reader_task
-            except asyncio.CancelledError:
-                pass
         if writer is not None:
             writer.close()
             try:
                 await writer.wait_closed()
             except (ConnectionError, OSError):
                 pass
-        for future in pending:
-            if not future.done():
-                future.set_exception(
-                    ClientError("transport", "connection closed")
-                )
 
     async def __aenter__(self) -> "ReproClient":
         return await self.connect()
@@ -243,41 +190,36 @@ class ReproClient:
         return await self._call("stats", {})
 
     async def ping(self) -> dict:
-        """Liveness probe (``GET /healthz`` over HTTP, ``ping`` op
-        over TCP)."""
+        """Liveness probe (``GET /healthz``)."""
         return await self._call("ping", {})
 
     async def trace(self, trace_id: object) -> dict:
         """The server's retained span tree for ``trace_id``
-        (``GET /v1/trace/<id>`` over HTTP, ``trace`` op over TCP)."""
+        (``GET /v1/trace/<id>``)."""
         return await self._call("trace", {"trace_id": str(trace_id)})
 
     async def traces_summary(self) -> dict:
         """The server's per-stage critical-path/self-time rollup
-        (``GET /v1/traces/summary`` / ``traces_summary`` op)."""
+        (``GET /v1/traces/summary``)."""
         return await self._call("traces_summary", {})
 
     # ------------------------------------------------------------------
     # Transport plumbing
     # ------------------------------------------------------------------
     async def _call(self, op: str, payload: dict, trace=None) -> dict:
-        # Connection establishment happens inside the transport
-        # coroutines, so wait_for covers it: a black-holed host fails
-        # the request after `timeout`, not the OS connect timeout.
-        if self.transport == "http":
-            coroutine = self._call_http(op, payload, trace=trace)
-        else:
-            coroutine = self._call_tcp(op, payload, trace=trace)
+        # Connection establishment happens inside _call_http, so
+        # wait_for covers it: a black-holed host fails the request
+        # after `timeout`, not the OS connect timeout.
+        coroutine = self._call_http(op, payload, trace=trace)
         if self.timeout is None:
             return await coroutine
         try:
             return await asyncio.wait_for(coroutine, self.timeout)
         except asyncio.TimeoutError:
-            # The connection is desynchronised now (an HTTP response
-            # for the abandoned request may still arrive and would be
+            # The connection is desynchronised now (a response for
+            # the abandoned request may still arrive and would be
             # read as the *next* call's answer); drop it so the next
-            # call reconnects cleanly.  TCP correlates by id, but a
-            # fresh connection is the safe state for both transports.
+            # call reconnects cleanly.
             await self.aclose()
             raise ClientError(
                 "transport",
@@ -301,7 +243,6 @@ class ReproClient:
             f"{error.get('message', 'unknown server error')}",
         )
 
-    # -- HTTP ----------------------------------------------------------
     _HTTP_ROUTES = {
         "prepare": ("POST", "/v1/prepare"),
         "batch": ("POST", "/v1/batch"),
@@ -353,106 +294,53 @@ class ReproClient:
         return self._unwrap(envelope)
 
     async def _read_http_response(self, reader) -> dict:
-        status_line = await reader.readline()
-        if not status_line:
-            # Server-side FIN does not flip writer.is_closing(), so
-            # drop the dead connection or every subsequent call would
-            # reuse it and fail the same way instead of reconnecting.
+        """Read one response through ``readline`` and ``readexactly``
+        only; returns its JSON envelope.
+
+        A response it cannot use raises ``ClientError("bad_response")``
+        and drops the connection, whose stream position may be lost.
+        """
+        try:
+            status_line = await reader.readline()
+            if not status_line:
+                # Server-side FIN does not flip writer.is_closing(), so
+                # drop the dead connection or every subsequent call
+                # would reuse it and fail the same way instead of
+                # reconnecting.
+                await self.aclose()
+                raise ClientError(
+                    "transport", "server closed the connection"
+                )
+            headers: dict[str, str] = {}
+            while True:
+                line = await reader.readline()
+                if line in (b"\r\n", b"\n", b""):
+                    break
+                name, _, value = line.decode("latin-1").partition(":")
+                headers[name.strip().lower()] = value.strip()
+            length = int(headers.get("content-length", "0"))
+            if length < 0:
+                raise ValueError(f"negative Content-Length {length}")
+            body = await reader.readexactly(length) if length else b""
+            envelope = json.loads(body)
+            # Every route's result is a JSON object, and so is every
+            # error.
+            if not isinstance(envelope, dict) or not isinstance(
+                envelope.get("result" if envelope.get("ok") else "error"),
+                dict,
+            ):
+                raise ValueError(f"not a response envelope: {body[:80]!r}")
+        except ValueError as error:
+            # int(), json.loads() and the checks above raise
+            # ValueError, and so does readline() for a line beyond
+            # the reader's 64 KiB limit.
             await self.aclose()
             raise ClientError(
-                "transport", "server closed the connection"
+                "bad_response", f"malformed server response: {error}"
             )
-        headers: dict[str, str] = {}
-        while True:
-            line = await reader.readline()
-            if line in (b"\r\n", b"\n", b""):
-                break
-            name, _, value = line.decode("latin-1").partition(":")
-            headers[name.strip().lower()] = value.strip()
-        length = int(headers.get("content-length", "0"))
-        body = await reader.readexactly(length) if length else b""
         if headers.get("connection", "").lower() == "close":
             await self.aclose()
-        try:
-            return json.loads(body)
-        except (json.JSONDecodeError, UnicodeDecodeError) as error:
-            # The stream is desynchronised; a fresh connection is the
-            # only safe state for the next call.
-            await self.aclose()
-            raise ClientError(
-                "transport", f"undecodable server response: {error}"
-            )
-
-    # -- TCP -----------------------------------------------------------
-    async def _call_tcp(self, op: str, payload: dict, trace=None) -> dict:
-        # The connection may have been closed (concurrent timeout)
-        # between _call's connect and this coroutine's first step.
-        await self.connect()
-        self._next_id += 1
-        request_id = self._next_id
-        request = {
-            "v": PROTOCOL_VERSION,
-            "id": request_id,
-            "op": op,
-            **payload,
-        }
-        if trace is not None:
-            request["trace"] = dict(trace)
-        future = asyncio.get_running_loop().create_future()
-        self._pending[request_id] = future
-        try:
-            self._writer.write(encode_line(request))
-            await self._writer.drain()
-        except (ConnectionError, OSError) as error:
-            self._pending.pop(request_id, None)
-            raise ClientError(
-                "transport", f"TCP send failed: {error}"
-            )
-        envelope = await future
-        return self._unwrap(envelope)
-
-    async def _pump_responses(self) -> None:
-        """Read NDJSON responses and resolve them onto their futures."""
-        code, message = "transport", "connection closed by server"
-        try:
-            while True:
-                line = await self._reader.readline()
-                if not line:
-                    break
-                try:
-                    envelope = decode_line(line)
-                except Exception:  # noqa: BLE001 - skip garbage frames
-                    continue
-                future = self._pending.pop(envelope.get("id"), None)
-                if future is not None and not future.done():
-                    future.set_result(envelope)
-        except (ConnectionError, OSError):
-            pass
-        except ValueError:
-            # readline() overran MAX_RESPONSE_LINE_BYTES; the stream
-            # position is lost, so every pending call fails and the
-            # connection is dropped below.
-            code = "too_large"
-            message = (
-                f"server response line exceeds "
-                f"{MAX_RESPONSE_LINE_BYTES} bytes"
-            )
-        finally:
-            for future in self._pending.values():
-                if not future.done():
-                    future.set_exception(ClientError(code, message))
-            self._pending.clear()
-            if self._reader_task is asyncio.current_task():
-                # Server-side EOF (aclose detaches _reader_task
-                # before cancelling, so this is not the aclose path):
-                # drop the half-dead connection so `connected` turns
-                # False and the next call reconnects instead of
-                # writing into a socket nobody reads.
-                self._reader_task = None
-                if self._writer is not None:
-                    self._writer.close()
-                self._writer = None
-                self._reader = None
+        return envelope
 
 
 class SyncReproClient:

@@ -42,7 +42,6 @@ import json
 import time
 from urllib.parse import unquote
 
-from repro.net.base import CLOSING, StreamServer
 from repro.net.protocol import (
     PROTOCOL_VERSION,
     WireError,
@@ -50,7 +49,9 @@ from repro.net.protocol import (
     execute_request,
     result_envelope,
 )
-from repro.obs.tracing import context_from_header
+from repro.obs import log as obs_log
+from repro.obs.metrics import MetricsRegistry
+from repro.obs.tracing import Tracer, context_from_header
 
 __all__ = ["HttpServer"]
 
@@ -120,7 +121,7 @@ class _HttpRequest:
         self.keep_alive = keep_alive
 
 
-class HttpServer(StreamServer):
+class HttpServer:
     """Serve an :class:`~repro.service.AsyncPreparationService` over HTTP.
 
     Untrusted input is bounded everywhere: request lines and header
@@ -130,9 +131,12 @@ class HttpServer(StreamServer):
     connection is closed.
 
     Args:
-        service: A *running* service.  ``stop()`` drains and stops it
-            too (the CLI starts/stops both); do not share one service
-            between independently-stopped servers.
+        service: A *running*
+            :class:`~repro.service.AsyncPreparationService`.  The
+            server considers itself the service's final owner:
+            :meth:`stop` drains and stops it.  Do not share one
+            service between two servers that are stopped
+            independently — the first ``stop()`` drains it for both.
         host: Bind address.
         port: Bind port; 0 picks an ephemeral port (see :attr:`port`).
         max_request_bytes: Hard cap on a request body; larger bodies
@@ -140,14 +144,27 @@ class HttpServer(StreamServer):
         job_defaults: Option defaults layered under every wire job
             (the CLI's ``--pipeline`` config), exactly like the
             batch-spec ``defaults`` merge.
-        drain_timeout: Seconds ``stop()`` waits for in-flight
-            handlers before cancelling them (``None`` = forever).
-        metrics: Registry behind ``GET /metrics`` (see
-            :class:`~repro.net.base.StreamServer`).
-        tracer: Tracer behind ``GET /v1/trace/<id>``.
+        drain_timeout: Seconds :meth:`stop` waits for in-flight
+            connection handlers before cancelling them (``None``
+            waits forever).  Bounds shutdown against a peer that
+            stops reading its socket and parks a handler in
+            ``writer.drain()`` indefinitely.
+        metrics: A :class:`~repro.obs.MetricsRegistry` the server
+            publishes wire metrics into — request counts and latency,
+            the in-flight gauge, and per-error-code counts — and
+            serves on ``GET /metrics``.  Two servers may share one
+            registry (the instrument factories are idempotent).
+            ``None`` leaves the wire un-instrumented.
+        tracer: A :class:`~repro.obs.Tracer`; when given, every
+            ``prepare``/``batch`` request is traced end-to-end under
+            its request id and served on ``GET /v1/trace/<id>``.
+            ``None`` disables tracing.
+        slow_trace_seconds: Requests slower than this many seconds
+            get their full span tree emitted as one structured
+            ``slow_request`` log record (warning level), so tail
+            latency is diagnosable from the logs alone.  ``None``
+            (the default) disables the dump.
     """
-
-    transport = "http"
 
     _MAX_HEADER_LINES = 256
 
@@ -160,19 +177,174 @@ class HttpServer(StreamServer):
         max_request_bytes: int = 1_000_000,
         job_defaults=None,
         drain_timeout: float | None = 30.0,
-        metrics=None,
-        tracer=None,
+        metrics: MetricsRegistry | None = None,
+        tracer: Tracer | None = None,
         slow_trace_seconds: float | None = None,
     ):
-        super().__init__(
-            service, host, port,
-            job_defaults=job_defaults,
-            drain_timeout=drain_timeout,
-            metrics=metrics,
-            tracer=tracer,
-            slow_trace_seconds=slow_trace_seconds,
-        )
+        self.service = service
+        self.host = host
+        self._requested_port = port
         self.max_request_bytes = max_request_bytes
+        self.job_defaults = job_defaults
+        self.drain_timeout = drain_timeout
+        self.metrics = metrics
+        self.tracer = tracer
+        self.slow_trace_seconds = slow_trace_seconds
+        self._server: asyncio.base_events.Server | None = None
+        self._connections: set[asyncio.Task] = set()
+        self._closing: asyncio.Event | None = None
+        self.requests_served = 0
+        self.inflight_requests = 0
+        self._log = obs_log.get_logger("net.http")
+        self._requests_total = None
+        self._request_seconds = None
+        self._errors_total = None
+        self._inflight_gauge = None
+        if metrics is not None:
+            # The ``transport`` label is always "http"; it stays so
+            # that dashboards and queries keep their series.
+            self._requests_total = metrics.counter(
+                "repro_requests_total",
+                "Wire requests served, by transport and operation.",
+                labels=("transport", "op"),
+            )
+            self._request_seconds = metrics.histogram(
+                "repro_request_seconds",
+                "Wall time from request receipt to response written.",
+                labels=("transport",),
+                exemplars=True,
+            )
+            self._errors_total = metrics.counter(
+                "repro_errors_total",
+                "Error envelopes returned, by transport and wire code.",
+                labels=("transport", "code"),
+            )
+            self._inflight_gauge = metrics.gauge(
+                "repro_inflight_requests",
+                "Requests currently being served.",
+            )
+
+    # ------------------------------------------------------------------
+    # Instrumentation hooks (tolerate a None registry everywhere)
+    # ------------------------------------------------------------------
+    def _request_begin(self) -> float:
+        """Mark one request in flight; returns its start instant."""
+        self.inflight_requests += 1
+        if self._inflight_gauge is not None:
+            self._inflight_gauge.inc()
+        return time.perf_counter()
+
+    def _request_end(
+        self,
+        op: str,
+        started: float,
+        *,
+        error_code: str | None = None,
+        trace=None,
+    ) -> None:
+        """Mark a request finished: counters, latency, and one log line."""
+        self.inflight_requests = max(0, self.inflight_requests - 1)
+        elapsed = time.perf_counter() - started
+        if self._inflight_gauge is not None:
+            self._inflight_gauge.dec()
+        if self._requests_total is not None:
+            self._requests_total.labels("http", op).inc()
+            self._request_seconds.labels("http").observe(
+                elapsed,
+                exemplar=(
+                    trace.request_id if trace is not None else None
+                ),
+            )
+            if error_code is not None:
+                self._errors_total.labels("http", error_code).inc()
+        self.requests_served += 1
+        fields = {"op": op, "duration": round(elapsed, 6)}
+        if trace is not None:
+            fields["request_id"] = str(trace.request_id)
+        if error_code is not None:
+            fields["error_code"] = error_code
+            self._log.warning("http_request", **fields)
+        else:
+            self._log.debug("http_request", **fields)
+        if (
+            self.slow_trace_seconds is not None
+            and trace is not None
+            and elapsed >= self.slow_trace_seconds
+        ):
+            self._log.warning(
+                "slow_request",
+                op=op,
+                request_id=trace.request_id,
+                duration=round(elapsed, 6),
+                threshold=self.slow_trace_seconds,
+                trace=trace.to_dict(),
+            )
+
+    # ------------------------------------------------------------------
+    # Lifecycle
+    # ------------------------------------------------------------------
+    @property
+    def port(self) -> int:
+        """The bound port (resolves 0 to the kernel-assigned one)."""
+        if self._server is None:
+            return self._requested_port
+        return self._server.sockets[0].getsockname()[1]
+
+    @property
+    def running(self) -> bool:
+        return self._server is not None and self._server.is_serving()
+
+    async def start(self) -> "HttpServer":
+        if self._server is not None:
+            return self
+        self._closing = asyncio.Event()
+        self._server = await asyncio.start_server(
+            self._handle_connection, self.host, self._requested_port
+        )
+        return self
+
+    async def stop(self) -> None:
+        """Graceful shutdown, in order: stop accepting connections,
+        wake idle handlers, let every in-flight request finish, then
+        drain and stop the underlying service.  No accepted request
+        is dropped."""
+        if self._server is not None:
+            self._server.close()
+        # Wake idle handlers parked in _next_request first; they
+        # would otherwise never notice the shutdown.
+        if self._closing is not None:
+            self._closing.set()
+        # Finish (or, past the deadline, cancel) every handler BEFORE
+        # awaiting wait_closed(): on Python >= 3.12.1 wait_closed()
+        # blocks until every connection drops, so putting it first
+        # would both deadlock against idle handlers waiting on the
+        # closing event and render the drain deadline unreachable for
+        # a handler stuck in writer.drain().
+        if self._connections:
+            _, stuck = await asyncio.wait(
+                list(self._connections), timeout=self.drain_timeout
+            )
+            if stuck:
+                # A peer that stopped reading its socket can park a
+                # handler in writer.drain() forever; past the
+                # deadline, liveness wins over the drain guarantee.
+                for connection in stuck:
+                    connection.cancel()
+                await asyncio.gather(*stuck, return_exceptions=True)
+        if self._server is not None:
+            await self._server.wait_closed()
+            self._server = None
+        await self.service.stop()
+
+    async def __aenter__(self) -> "HttpServer":
+        return await self.start()
+
+    async def __aexit__(self, *exc_info) -> None:
+        await self.stop()
+
+    def __repr__(self) -> str:
+        state = "listening" if self.running else "stopped"
+        return f"HttpServer({state}, {self.host}:{self.port})"
 
     # ------------------------------------------------------------------
     # Connection handling
@@ -237,11 +409,7 @@ class HttpServer(StreamServer):
                 )
                 self._request_end(
                     self._op_label(request.path), started,
-                    error_code=failed_code,
-                    request_id=(
-                        trace.request_id if trace is not None else None
-                    ),
-                    trace=trace,
+                    error_code=failed_code, trace=trace,
                 )
                 if not keep_alive:
                     break
@@ -271,14 +439,29 @@ class HttpServer(StreamServer):
         closing and the connection is idle.
 
         A connection parked in ``readline`` between keep-alive
-        requests would otherwise stall graceful shutdown forever; the
-        race is resolved by :meth:`_read_or_closing` in favour of the
-        request, so nothing already sent is dropped.
+        requests would otherwise stall graceful shutdown forever.  The
+        race between the read and the shutdown signal resolves in
+        favour of the read: a request that arrived before the signal
+        is always returned, never dropped.
         """
-        result = await self._read_or_closing(self._read_request(reader))
-        if result is CLOSING:
+        if self._closing is None or self._closing.is_set():
             return None
-        return result
+        read = asyncio.ensure_future(self._read_request(reader))
+        closing = asyncio.ensure_future(self._closing.wait())
+        try:
+            await asyncio.wait(
+                {read, closing}, return_when=asyncio.FIRST_COMPLETED
+            )
+        finally:
+            closing.cancel()
+        if not read.done():
+            read.cancel()
+            try:
+                await read
+            except (asyncio.CancelledError, asyncio.IncompleteReadError):
+                pass
+            return None
+        return await read
 
     async def _read_request(self, reader) -> _HttpRequest | None:
         try:

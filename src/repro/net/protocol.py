@@ -1,17 +1,15 @@
 """The versioned JSON wire schema of the network front end.
 
-Both transports — the HTTP/1.1 server (:mod:`repro.net.http`) and the
-newline-delimited-JSON stream server (:mod:`repro.net.tcp`) — speak
-the same logical protocol defined here:
+The HTTP/1.1 server (:mod:`repro.net.http`) speaks the protocol
+defined here:
 
-* **Requests** name an operation (``prepare`` / ``batch`` / ``stats``
-  / ``ping``) and carry a payload whose job fields are parsed by the
-  batch-spec machinery of :mod:`repro.engine.spec` — the wire accepts
-  exactly what ``python -m repro batch`` accepts per job.
+* **Requests** name an operation (``prepare`` / ``batch`` / ``stats``,
+  one per route) and carry a payload whose job fields are parsed by
+  the batch-spec machinery of :mod:`repro.engine.spec` — the wire
+  accepts exactly what ``python -m repro batch`` accepts per job.
 * **Responses** are envelopes ``{"v": 1, "ok": true, "result": ...}``
   or ``{"v": 1, "ok": false, "error": {"code", "type", "message"}}``;
-  stream responses additionally echo the request ``id`` so clients can
-  pipeline out of order.
+  they echo the request ``id`` when the client supplied one.
 * **Error codes** are derived mechanically from the library's
   exception hierarchy (:mod:`repro.exceptions`): ``JobSpecError`` →
   ``job_spec``, ``DimensionError`` → ``dimension``, and so on, plus a
@@ -24,14 +22,13 @@ Successful outcomes are serialised with every
 :class:`~repro.core.report.SynthesisReport` field plus the per-stage
 ``stage_timings`` ledger; :func:`comparable_wire_outcome` strips the
 scheduling-dependent fields (wall times, cache flags) in exact analogy
-to :func:`repro.engine.comparable_outcome`, so two transports — or the
-wire and the in-process path — can be compared for equality.
+to :func:`repro.engine.comparable_outcome`, so the wire and the
+in-process path can be compared for equality.
 """
 
 from __future__ import annotations
 
 import dataclasses
-import json
 import re
 from collections.abc import Mapping
 
@@ -47,8 +44,6 @@ __all__ = [
     "PROTOCOL_VERSION",
     "WireError",
     "comparable_wire_outcome",
-    "decode_line",
-    "encode_line",
     "error_code",
     "error_envelope",
     "execute_request",
@@ -74,18 +69,10 @@ _TIMING_REPORT_FIELDS = (
     "dd_nodes",
 )
 
-#: Operations a stream request may name.  The HTTP transport maps its
-#: routes onto the same set (``POST /v1/prepare`` → ``prepare`` …);
-#: ``metrics``, ``trace`` and ``traces_summary`` are the stream
-#: analogues of ``GET /metrics``, ``GET /v1/trace/<id>`` and
-#: ``GET /v1/traces/summary``.
-OPERATIONS = (
-    "prepare", "batch", "stats", "ping", "metrics", "trace",
-    "traces_summary",
-)
-
 #: Envelope fields stripped before a payload reaches the batch-spec
-#: parser: protocol bookkeeping plus the propagated trace context.
+#: parser.  ``op`` and ``trace`` are not read over HTTP (the route
+#: names the operation, a header carries the trace context); they
+#: stay so that a body naming them still parses.
 ENVELOPE_FIELDS = frozenset(
     {"v", "id", "op", "include_circuit", "trace"}
 )
@@ -155,29 +142,6 @@ def error_envelope(error: WireError, request_id: object = None) -> dict:
         "message": str(error),
     }
     return envelope
-
-
-def encode_line(payload: Mapping[str, object]) -> bytes:
-    """One NDJSON frame: compact JSON plus the terminating newline."""
-    return json.dumps(payload, separators=(",", ":")).encode() + b"\n"
-
-
-def decode_line(line: bytes) -> dict:
-    """Parse one NDJSON frame into a request dictionary.
-
-    Raises:
-        WireError: ``bad_json`` for undecodable bytes, ``bad_request``
-            when the frame is not a JSON object.
-    """
-    try:
-        payload = json.loads(line)
-    except (json.JSONDecodeError, UnicodeDecodeError) as error:
-        raise WireError("bad_json", f"request is not valid JSON: {error}")
-    if not isinstance(payload, dict):
-        raise WireError(
-            "bad_request", f"request must be a JSON object, got {payload!r}"
-        )
-    return payload
 
 
 # ----------------------------------------------------------------------
@@ -389,8 +353,8 @@ def comparable_wire_outcome(wire: Mapping[str, object]) -> dict:
     The exact analogue of :func:`repro.engine.comparable_outcome` on
     the serialised form: wall times are zeroed, ``cache_hit`` /
     ``elapsed`` / ``stage_timings`` / ``circuit`` are dropped.  Two
-    executions of the same job — over HTTP, over TCP, or in process —
-    are equivalent exactly when these forms are equal.
+    executions of the same job — over HTTP or in process — are
+    equivalent exactly when these forms are equal.
     """
     comparable = {
         key: value
@@ -407,32 +371,22 @@ def comparable_wire_outcome(wire: Mapping[str, object]) -> dict:
 
 
 # ----------------------------------------------------------------------
-# Shared request execution (both transports call this)
+# Request execution
 # ----------------------------------------------------------------------
 async def execute_request(
     service,
     op: str,
     payload: Mapping[str, object],
     defaults: Mapping[str, object] | None = None,
-    *,
-    registry=None,
-    tracer=None,
 ) -> object:
-    """Run one request against an ``AsyncPreparationService``.
+    """Run one ``prepare``, ``batch`` or ``stats`` request against an
+    ``AsyncPreparationService``.
 
     Returns the ``result`` value of the response envelope; raises
     :class:`WireError` for anything refusable.  Per-job failures do
     *not* raise — they come back as failure outcomes inside the
     result, mirroring ``run_batch``.
-
-    ``registry`` and ``tracer`` back the observability operations:
-    ``metrics`` returns the registry's dict snapshot, ``trace``
-    returns the retained span tree of the request id named by the
-    payload's ``trace_id`` field; both answer ``not_found`` when the
-    server has no registry/tracer attached.
     """
-    if op == "ping":
-        return {"pong": True, "v": PROTOCOL_VERSION}
     if op == "stats":
         # Cluster front ends aggregate fresh stats across the fleet
         # via an async hook; plain services answer synchronously.
@@ -443,36 +397,6 @@ async def execute_request(
             except ReproError as error:
                 raise WireError.from_exception(error)
         return service.stats().to_dict()
-    if op == "metrics":
-        if registry is None:
-            raise WireError(
-                "not_found", "no metrics registry on this server"
-            )
-        return registry.snapshot()
-    if op == "trace":
-        if tracer is None:
-            raise WireError(
-                "not_found", "tracing is not enabled on this server"
-            )
-        trace_id = payload.get("trace_id")
-        if trace_id is None:
-            raise WireError(
-                "bad_request",
-                "the 'trace' operation needs a 'trace_id' field",
-            )
-        trace = tracer.get(trace_id)
-        if trace is None:
-            raise WireError(
-                "not_found",
-                f"no retained trace for request id {trace_id!r}",
-            )
-        return trace.to_dict()
-    if op == "traces_summary":
-        if tracer is None:
-            raise WireError(
-                "not_found", "tracing is not enabled on this server"
-            )
-        return tracer.summary()
     if op == "prepare":
         job, include_circuit = parse_prepare_payload(payload, defaults)
         try:
@@ -495,5 +419,5 @@ async def execute_request(
         }
     raise WireError(
         "unknown_op",
-        f"unknown operation {op!r}; expected one of {list(OPERATIONS)}",
+        f"unknown operation {op!r}; expected prepare, batch or stats",
     )

@@ -1,7 +1,7 @@
 """End-to-end request tracing: one span tree per request id.
 
 A :class:`Trace` is created at the wire layer — keyed by the client's
-envelope ``id`` / ``X-Repro-Request-Id`` header, or a generated id —
+``X-Repro-Request-Id`` header / envelope ``id``, or a generated id —
 and carried across the stack via :data:`contextvars`:
 
 * the request handler task holds :data:`CURRENT_TRACE` while it
@@ -18,12 +18,11 @@ and carried across the stack via :data:`contextvars`:
 
 Traces also cross *process* boundaries:
 
-* a trace context (:meth:`Trace.context` /
-  :func:`context_to_header`) rides the request envelope to a remote
-  shard (``"trace"`` payload field over TCP, ``X-Repro-Trace`` over
-  HTTP); the shard adopts the propagated trace id, records its own
-  span subtree, and ships it back as a flat ledger
-  (:meth:`Trace.export`) in the response envelope;
+* a trace context (:meth:`Trace.context`) rides the request to a
+  remote shard in the ``X-Repro-Trace`` header
+  (:func:`context_to_header`); the shard adopts the propagated trace
+  id, records its own span subtree, and ships it back as a flat
+  ledger (:meth:`Trace.export`) in the response envelope;
 * the cluster front end :meth:`grafts <Trace.graft>` the returned
   ledger under its per-attempt remote-call span, rebasing the remote
   offsets onto the local timeline via the wall-clock ``started_at``
@@ -77,8 +76,8 @@ __all__ = [
     "summarize_traces",
 ]
 
-#: Version of the trace-context wire format (the ``"v"`` field of the
-#: envelope ``trace`` object and the ``X-Repro-Trace`` header).
+#: Version of the trace-context wire format (the ``v`` field of the
+#: ``X-Repro-Trace`` header).
 TRACE_CONTEXT_VERSION = 1
 
 #: The trace of the request being handled in this context, if any.
@@ -492,8 +491,8 @@ class Trace:
 # Trace-context wire format
 # ----------------------------------------------------------------------
 def parse_context(payload: object) -> dict | None:
-    """Validate a propagated trace context (the envelope ``trace``
-    object).
+    """Validate a propagated trace context (the decoded
+    ``X-Repro-Trace`` header, see :func:`context_from_header`).
 
     Returns ``{"trace_id", "parent_span_id", "sampled"}`` or ``None``
     for anything malformed, unversioned, or from a future version —

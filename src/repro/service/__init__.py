@@ -14,8 +14,8 @@ Built on the :mod:`repro.engine` seam (see ``docs/engine.md``,
   partitioned across N independent circuit-cache shards with
   aggregated statistics.
 
-The network front end over this layer lives in :mod:`repro.net`
-(HTTP + streaming TCP; see ``docs/serving.md``).
+The HTTP front end over this layer lives in :mod:`repro.net` (see
+``docs/serving.md``).
 
 Outcomes served through this layer are equivalent to a direct serial
 ``run_batch`` of the same jobs (compare with

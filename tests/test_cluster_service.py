@@ -11,6 +11,9 @@ of the cluster front end:
   resolves with a success (failover) or a structured per-job failure,
 * ``/healthz`` grows per-shard detail in cluster mode while the plain
   service keeps its historical shape.
+
+The shard-link tests (probe connection, malformed shard responses)
+use in-process servers and stubs instead of subprocesses.
 """
 
 from __future__ import annotations
@@ -22,7 +25,10 @@ import time
 import pytest
 
 from repro.cluster import (
+    ClusterConfig,
     ClusterPreparationService,
+    RemoteShard,
+    ShardAddress,
     ShardPlacement,
     ShardSupervisor,
 )
@@ -33,7 +39,7 @@ from repro.engine import (
 )
 from repro.engine.cache import CircuitCache
 from repro.exceptions import ClusterConfigError
-from repro.net import HttpServer, ReproClient
+from repro.net import ClientError, HttpServer, ReproClient
 from repro.service import AsyncPreparationService
 
 pytestmark = pytest.mark.filterwarnings(
@@ -282,15 +288,12 @@ class TestConnectTimeout:
         assert client.connect_timeout is None
 
     def test_connect_timeout_fails_fast_with_transport_error(self):
-        from repro.net import ClientError
-
         # TEST-NET-1 (RFC 5737) is never routable: the connect either
         # hangs (timeout fires) or the network refuses it outright —
         # both must surface as a fast transport ClientError.
         async def scenario():
             client = ReproClient(
-                "192.0.2.1", 9, transport="tcp",
-                connect_timeout=0.5,
+                "192.0.2.1", 9, connect_timeout=0.5,
             )
             try:
                 with pytest.raises(ClientError) as info:
@@ -303,3 +306,202 @@ class TestConnectTimeout:
         error = run(scenario())
         assert error.code == "transport"
         assert time.monotonic() - started < 10.0
+
+
+class TestProbeConnection:
+    """Health probes travel on their own connection to the shard, but
+    a failed probe still closes the batch connection too."""
+
+    def test_probe_does_not_wait_behind_a_slow_batch(self):
+        class SlowBatchService(AsyncPreparationService):
+            async def run_batch(self, jobs):
+                await asyncio.sleep(1.5)
+                return await super().run_batch(jobs)
+
+        async def scenario():
+            service = SlowBatchService()
+            await service.start()
+            async with HttpServer(service) as server:
+                shard = RemoteShard(
+                    "shard-00", "127.0.0.1", server.port,
+                    health_timeout=0.5,
+                )
+                loop = asyncio.get_running_loop()
+                try:
+                    batch = asyncio.ensure_future(
+                        shard.run_jobs([DISTINCT[0]])
+                    )
+                    await asyncio.sleep(0.2)  # the batch is in flight
+                    probing = loop.time()
+                    healthy = await shard.check_health()
+                    probe_seconds = loop.time() - probing
+                    outcomes = await batch
+                finally:
+                    await shard.aclose()
+            return healthy, probe_seconds, outcomes
+
+        healthy, probe_seconds, outcomes = run(scenario())
+        assert healthy is True
+        assert probe_seconds < 0.5
+        assert [outcome.ok for outcome in outcomes] == [True]
+
+    def test_failed_probe_fails_the_inflight_batch(self):
+        # A black-holed shard: connections are accepted, nothing is
+        # ever answered.  The batch must fail over shortly after the
+        # failed probe, not after its 60 s request timeout.
+        async def scenario():
+            async def black_hole(reader, writer):
+                try:
+                    await reader.read()
+                finally:
+                    writer.close()
+
+            listener = await asyncio.start_server(
+                black_hole, "127.0.0.1", 0
+            )
+            port = listener.sockets[0].getsockname()[1]
+            shard = RemoteShard(
+                "shard-00", "127.0.0.1", port,
+                request_timeout=60.0, health_timeout=0.3,
+            )
+            loop = asyncio.get_running_loop()
+            try:
+                batch = asyncio.ensure_future(
+                    shard.run_jobs([DISTINCT[0]])
+                )
+                await asyncio.sleep(0.1)  # the batch is in flight
+                healthy = await shard.check_health()
+                probed = loop.time()
+                with pytest.raises(ClientError) as info:
+                    await asyncio.wait_for(batch, timeout=10.0)
+                failed_after = loop.time() - probed
+            finally:
+                await shard.aclose()
+                listener.close()
+                await listener.wait_closed()
+            return healthy, info.value, failed_after
+
+        healthy, error, failed_after = run(scenario())
+        assert healthy is False
+        assert error.code == "transport"
+        assert failed_after < 2.0
+
+    def test_failed_stats_fetch_leaves_the_batch_alone(self):
+        # Stats travel on the probe connection under health_timeout;
+        # unlike a failed probe, a failed fetch does not touch the
+        # batch connection.
+        async def scenario():
+            async def black_hole(reader, writer):
+                try:
+                    await reader.read()
+                finally:
+                    writer.close()
+
+            listener = await asyncio.start_server(
+                black_hole, "127.0.0.1", 0
+            )
+            port = listener.sockets[0].getsockname()[1]
+            shard = RemoteShard(
+                "shard-00", "127.0.0.1", port,
+                request_timeout=60.0, health_timeout=0.3,
+            )
+            try:
+                batch = asyncio.ensure_future(
+                    shard.run_jobs([DISTINCT[0]])
+                )
+                await asyncio.sleep(0.1)  # the batch is in flight
+                with pytest.raises(ClientError) as info:
+                    await asyncio.wait_for(shard.fetch_stats(), 5.0)
+                batch_pending = not batch.done()
+            finally:
+                await shard.aclose()
+                listener.close()
+                await listener.wait_closed()
+            with pytest.raises(ClientError):
+                await batch
+            return info.value, batch_pending
+
+        error, batch_pending = run(scenario())
+        assert error.code == "transport"
+        assert batch_pending is True
+
+
+class TestMalformedShardResponse:
+    def test_shard_answering_garbage_fails_over(self):
+        # shard-00 passes its health probe but answers every other
+        # request with a body that is not an envelope.  Its groups
+        # must fail over to the replica rather than fail with a raw
+        # parsing exception.
+        jobs = [
+            PreparationJob(
+                dims=(2, 3), family="random", params={"rng": seed}
+            )
+            for seed in range(16)
+        ]
+        healthz = (
+            b'{"v": 1, "ok": true, "result": {"status": "ok"}}'
+        )
+
+        async def garbling_shard(reader, writer):
+            try:
+                while True:
+                    head = await reader.readuntil(b"\r\n\r\n")
+                    length = 0
+                    for line in head.split(b"\r\n"):
+                        name, _, value = line.partition(b":")
+                        if name.strip().lower() == b"content-length":
+                            length = int(value)
+                    await reader.readexactly(length)
+                    body = (
+                        healthz if head.startswith(b"GET /healthz")
+                        else b"[1,2,3]"
+                    )
+                    writer.write(
+                        b"HTTP/1.1 200 OK\r\nContent-Length: %d\r\n\r\n"
+                        % len(body) + body
+                    )
+                    await writer.drain()
+            except (asyncio.IncompleteReadError, ConnectionError):
+                pass
+            finally:
+                writer.close()
+
+        async def scenario():
+            garbler = await asyncio.start_server(
+                garbling_shard, "127.0.0.1", 0
+            )
+            shard_service = AsyncPreparationService()
+            await shard_service.start()
+            replica = await HttpServer(shard_service).start()
+            config = ClusterConfig(
+                shards=(
+                    ShardAddress(
+                        "shard-00", "127.0.0.1",
+                        garbler.sockets[0].getsockname()[1],
+                    ),
+                    ShardAddress("shard-01", "127.0.0.1", replica.port),
+                ),
+                replicas=2,
+                health_interval=60.0,
+            )
+            try:
+                async with ClusterPreparationService(
+                    config=config
+                ) as service:
+                    result = await service.run_batch(jobs)
+                    health = service.shard_health()
+                    stats = await service.wire_stats()
+            finally:
+                await replica.stop()
+                garbler.close()
+                await garbler.wait_closed()
+            return result, health, stats["cluster"]["failovers"]
+
+        result, health, failovers = run(scenario())
+        assert not result.failures
+        reference = PreparationEngine().run_batch(jobs)
+        assert [
+            comparable_outcome(o) for o in result.outcomes
+        ] == [comparable_outcome(o) for o in reference.outcomes]
+        assert failovers >= 1
+        assert health[0]["healthy"] is False

@@ -71,10 +71,8 @@ class TestLifecycle:
             assert supervisor.running_children == 1
 
             # The shard answers the wire protocol.
-            with SyncReproClient(
-                address.host, address.port, transport="tcp"
-            ) as client:
-                assert client.ping()["pong"] is True
+            with SyncReproClient(address.host, address.port) as client:
+                assert client.ping()["status"] == "ok"
 
             # Crash it; one poll revives it on the same port.
             child = supervisor._children[0]

@@ -2,7 +2,7 @@
 
 Covers the cross-process span machinery end to end:
 
-* the versioned trace-context wire format (envelope field + header),
+* the versioned trace-context wire format (``X-Repro-Trace`` header),
 * ledger export / graft with wall-clock rebasing,
 * process-pool worker ledgers (the old "serial executor only"
   limitation is gone),
@@ -34,7 +34,7 @@ from repro.cluster import (
     ShardSupervisor,
 )
 from repro.engine import ParallelExecutor, PreparationEngine, PreparationJob
-from repro.net import HttpServer, ReproClient, TcpServer
+from repro.net import HttpServer, ReproClient
 from repro.obs import MetricsRegistry, Tracer
 from repro.obs.tracing import (
     DISPATCH_TRACES,
@@ -165,7 +165,7 @@ class TestContextWireFormat:
             "parent_span_id": "abc.1f",
         })
         with tracer.request(
-            "local-id", transport="tcp", context=context
+            "local-id", transport="http", context=context
         ) as trace:
             pass
         assert trace.request_id == "upstream-1"
@@ -277,58 +277,6 @@ class TestWorkerLedgers:
 
 
 class TestEnvelopeSubtree:
-    def test_tcp_response_ships_subtree_only_when_propagated(self):
-        async def scenario():
-            service = AsyncPreparationService(num_shards=1)
-            await service.start()
-            server = await TcpServer(
-                service, tracer=Tracer()
-            ).start()
-            try:
-                reader, writer = await asyncio.open_connection(
-                    "127.0.0.1", server.port
-                )
-                try:
-                    async def exchange(payload):
-                        writer.write(
-                            json.dumps(payload).encode() + b"\n"
-                        )
-                        await writer.drain()
-                        return json.loads(await reader.readline())
-
-                    plain = await exchange({
-                        "v": 1, "id": 1, "op": "prepare", "job": JOB,
-                    })
-                    traced = await exchange({
-                        "v": 1, "id": 2, "op": "prepare",
-                        "job": {"family": "w", "dims": [2, 2, 2]},
-                        "trace": {
-                            "v": 1, "trace_id": "up-7",
-                            "parent_span_id": "aa.1",
-                            "sampled": True,
-                        },
-                    })
-                finally:
-                    writer.close()
-                    try:
-                        await writer.wait_closed()
-                    except (ConnectionError, OSError):
-                        pass
-            finally:
-                await server.stop()
-            return plain, traced
-
-        plain, traced = run(scenario())
-        assert plain["ok"] is True
-        assert "trace" not in plain
-        assert traced["ok"] is True
-        subtree = traced["trace"]
-        assert subtree["trace_id"] == "up-7"
-        assert subtree["parent_span_id"] == "aa.1"
-        names = [entry["name"] for entry in subtree["spans"]]
-        assert "request" in names
-        assert "execute" in names
-
     def test_http_header_propagation_and_client_kwarg(self):
         async def scenario():
             service = AsyncPreparationService(num_shards=1)

@@ -11,12 +11,14 @@ import threading
 
 import pytest
 
+from repro.circuit import qasm
 from repro.net import (
     ClientError,
     HttpServer,
     ReproClient,
     SyncReproClient,
 )
+from repro.obs import MetricsRegistry
 from repro.service import AsyncPreparationService
 
 GHZ = {"family": "ghz", "dims": [3, 6, 2]}
@@ -118,14 +120,19 @@ class TestRoutes:
             service = AsyncPreparationService()
             await service.start()
             async with HttpServer(service) as server:
-                return await raw_http(
-                    server.port,
-                    http_blob("POST", "/v1/prepare", b"{oops"),
-                )
+                return [
+                    await raw_http(
+                        server.port,
+                        http_blob("POST", "/v1/prepare", body),
+                    )
+                    for body in (b"{oops", b"[1, 2]")
+                ]
 
-        response = run(scenario())
-        assert response.startswith(b"HTTP/1.1 400")
-        assert b'"bad_json"' in response
+        not_json, not_an_object = run(scenario())
+        assert not_json.startswith(b"HTTP/1.1 400")
+        assert b'"bad_json"' in not_json
+        assert not_an_object.startswith(b"HTTP/1.1 400")
+        assert b'"bad_request"' in not_an_object
 
     def test_oversized_body_is_413(self):
         async def scenario():
@@ -144,6 +151,134 @@ class TestRoutes:
         response = run(scenario())
         assert response.startswith(b"HTTP/1.1 413")
         assert b'"too_large"' in response
+
+    @pytest.mark.parametrize("blob, status, code", [
+        pytest.param(
+            b"NONSENSE\r\n\r\n", 400, "bad_request",
+            id="malformed-request-line",
+        ),
+        pytest.param(
+            b"GET /" + b"a" * (70 * 1024) + b" HTTP/1.1\r\n\r\n",
+            413, "too_large",
+            id="request-line-over-64-kib",
+        ),
+        pytest.param(
+            http_blob(
+                "GET", "/healthz",
+                extra_headers="X-Pad: " + "a" * (70 * 1024) + "\r\n",
+            ),
+            413, "too_large",
+            id="header-line-over-64-kib",
+        ),
+        pytest.param(
+            http_blob("GET", "/healthz", extra_headers="X-A: 1\r\n" * 256),
+            413, "too_large",
+            id="too-many-header-lines",
+        ),
+        pytest.param(
+            http_blob(
+                "POST", "/v1/prepare",
+                extra_headers="Transfer-Encoding: chunked\r\n",
+            ),
+            400, "bad_request",
+            id="chunked-body",
+        ),
+        pytest.param(
+            b"POST /v1/prepare HTTP/1.1\r\nContent-Length: abc\r\n\r\n",
+            400, "bad_request",
+            id="non-numeric-content-length",
+        ),
+    ])
+    def test_broken_request_framing_is_refused_and_closed(
+        self, blob, status, code
+    ):
+        async def scenario():
+            service = AsyncPreparationService()
+            await service.start()
+            async with HttpServer(service) as server:
+                return await raw_http(server.port, blob)
+
+        response = run(scenario())
+        assert response.startswith(f"HTTP/1.1 {status}".encode())
+        assert f'"{code}"'.encode() in response
+        assert b"Connection: close" in response
+
+    @pytest.mark.parametrize("method, path, status, code", [
+        pytest.param(
+            "GET", "/metrics", 404, "not_found",
+            id="metrics-without-registry",
+        ),
+        pytest.param(
+            "GET", "/v1/trace/some-id", 404, "not_found",
+            id="trace-without-tracer",
+        ),
+        pytest.param(
+            "POST", "/v1/trace/some-id", 405, "method_not_allowed",
+            id="trace-by-post",
+        ),
+    ])
+    def test_observability_route_refusals(self, method, path, status, code):
+        async def scenario():
+            service = AsyncPreparationService()
+            await service.start()
+            async with HttpServer(service) as server:
+                return await raw_http(server.port, http_blob(method, path))
+
+        response = run(scenario())
+        assert response.startswith(f"HTTP/1.1 {status}".encode())
+        assert f'"{code}"'.encode() in response
+
+    def test_metrics_exposition_labels_the_http_transport(self):
+        async def scenario():
+            service = AsyncPreparationService()
+            await service.start()
+            async with HttpServer(
+                service, metrics=MetricsRegistry()
+            ) as server:
+                async with ReproClient("127.0.0.1", server.port) as client:
+                    await client.prepare(GHZ)
+                return await raw_http(
+                    server.port, http_blob("GET", "/metrics")
+                )
+
+        head, _, body = run(scenario()).partition(b"\r\n\r\n")
+        assert head.startswith(b"HTTP/1.1 200")
+        assert b"Content-Type: text/plain; version=0.0.4" in head
+        assert (
+            b'repro_requests_total{transport="http",op="prepare"} 1'
+            in body
+        )
+        assert b'repro_request_seconds_count{transport="http"}' in body
+
+    def test_http_1_0_request_gets_connection_close(self):
+        async def scenario():
+            service = AsyncPreparationService()
+            await service.start()
+            async with HttpServer(service) as server:
+                return await raw_http(
+                    server.port, b"GET /healthz HTTP/1.0\r\n\r\n"
+                )
+
+        response = run(scenario())
+        assert response.startswith(b"HTTP/1.1 200")
+        assert b"Connection: close" in response
+
+    def test_job_request_to_a_stopped_service_is_503(self):
+        async def scenario():
+            service = AsyncPreparationService()
+            await service.start()
+            async with HttpServer(service) as server:
+                await service.stop()
+                return await raw_http(
+                    server.port,
+                    http_blob(
+                        "POST", "/v1/prepare", json.dumps(GHZ).encode()
+                    ),
+                )
+
+        response = run(scenario())
+        assert response.startswith(b"HTTP/1.1 503")
+        assert b'"shutting_down"' in response
 
     def test_negative_content_length_is_400(self):
         async def scenario():
@@ -179,6 +314,27 @@ class TestRoutes:
         assert outcome["ok"] is False
         assert outcome["error"]["type"]
 
+    def test_response_larger_than_64_kib_round_trips(self):
+        # A dense random state on [6,6,5,3,3] ships its QDASM circuit
+        # in a body well past asyncio's default 64 KiB line limit;
+        # the client reads bodies with readexactly, which that limit
+        # does not bound.
+        job = {"family": "random", "dims": [6, 6, 5, 3, 3],
+               "params": {"rng": 7}}
+
+        async def scenario():
+            service = AsyncPreparationService()
+            await service.start()
+            async with HttpServer(service) as server:
+                async with ReproClient("127.0.0.1", server.port) as client:
+                    return await client.prepare(job, include_circuit=True)
+
+        outcome = run(scenario())
+        assert outcome["ok"] is True
+        assert len(outcome["circuit"]) > 64 * 1024
+        circuit = qasm.loads(outcome["circuit"])
+        assert circuit.num_operations == outcome["report"]["operations"]
+
     def test_unparsable_job_raises_client_error(self):
         async def scenario():
             service = AsyncPreparationService()
@@ -191,6 +347,142 @@ class TestRoutes:
 
         error = run(scenario())
         assert error.code == "job_spec"
+
+
+def http_response(body: bytes, headers: bytes = b"") -> bytes:
+    """A 200 response carrying ``body`` with a matching Content-Length."""
+    return (
+        b"HTTP/1.1 200 OK\r\n" + headers
+        + b"Content-Length: %d\r\n\r\n" % len(body) + body
+    )
+
+
+#: Well-formed answer the stub server gives every connection after the
+#: first.
+GOOD_RESPONSE = http_response(b'{"v": 1, "ok": true, "result": {"up": 1}}')
+
+
+async def ping_stub_twice(first_answer: bytes, close: bool = False):
+    """Ping a stub server twice with one client.
+
+    The stub answers every request on its first connection with
+    ``first_answer`` (closing that connection after the first answer
+    when ``close``) and every later connection with
+    :data:`GOOD_RESPONSE`.  Returns the first ping's result or
+    :class:`ClientError`, whether the client still held a connection
+    after it, the second ping's result, and the connections the stub
+    accepted.
+    """
+    connections = 0
+
+    async def stub(reader, writer):
+        nonlocal connections
+        connections += 1
+        answer = first_answer if connections == 1 else GOOD_RESPONSE
+        try:
+            while await reader.readuntil(b"\r\n\r\n"):
+                writer.write(answer)
+                await writer.drain()
+                if close and answer is first_answer:
+                    break
+        except (asyncio.IncompleteReadError, ConnectionError):
+            pass
+        finally:
+            writer.close()
+
+    server = await asyncio.start_server(stub, "127.0.0.1", 0)
+    port = server.sockets[0].getsockname()[1]
+    client = ReproClient("127.0.0.1", port, timeout=5)
+    try:
+        try:
+            first = await client.ping()
+        except ClientError as error:
+            first = error
+        connected = client.connected
+        second = await client.ping()
+    finally:
+        await client.aclose()
+        server.close()
+        await server.wait_closed()
+    return first, connected, second, connections
+
+
+class TestResponseParsing:
+    """A response the client cannot use raises :class:`ClientError`
+    and drops the connection, so the next call reconnects instead of
+    reading leftover bytes as its answer.  Both codes it raises,
+    ``bad_response`` and ``transport``, make a cluster front end fail
+    over to a replica."""
+
+    @pytest.mark.parametrize("response", [
+        pytest.param(
+            b"HTTP/1.1 200 OK\r\nContent-Length: abc\r\n\r\n{}",
+            id="non-numeric-content-length",
+        ),
+        pytest.param(
+            b"HTTP/1.1 200 OK\r\nContent-Length: -5\r\n\r\n{}",
+            id="negative-content-length",
+        ),
+        pytest.param(
+            http_response(b"[1,2,3]"), id="body-not-an-object",
+        ),
+        pytest.param(
+            http_response(
+                b"{}", headers=b"X-Pad: " + b"a" * (70 * 1024) + b"\r\n"
+            ),
+            id="header-line-over-64-kib",
+        ),
+        pytest.param(http_response(b"{oops"), id="body-not-json"),
+        pytest.param(http_response(b"\xff"), id="body-not-utf-8"),
+        pytest.param(
+            http_response(b'{"v": 1, "ok": true}'),
+            id="success-without-result",
+        ),
+        pytest.param(
+            http_response(b'{"v": 1, "ok": false, "error": "boom"}'),
+            id="error-not-an-object",
+        ),
+    ])
+    def test_malformed_response_is_bad_response(self, response):
+        first, connected, second, connections = run(
+            ping_stub_twice(response)
+        )
+        assert isinstance(first, ClientError)
+        assert first.code == "bad_response"
+        assert connected is False
+        assert second == {"up": 1}
+        assert connections == 2
+
+    @pytest.mark.parametrize("response", [
+        pytest.param(b"", id="closed-before-status-line"),
+        pytest.param(
+            b"HTTP/1.1 200 OK\r\nContent-Length: 100\r\n\r\n{",
+            id="closed-mid-body",
+        ),
+    ])
+    def test_connection_lost_mid_response_is_transport(self, response):
+        first, connected, second, connections = run(
+            ping_stub_twice(response, close=True)
+        )
+        assert isinstance(first, ClientError)
+        assert first.code == "transport"
+        assert connected is False
+        assert second == {"up": 1}
+        assert connections == 2
+
+    def test_connection_close_header_drops_the_connection(self):
+        # The stub keeps the socket open; the header alone must make
+        # the client reconnect for its next call.
+        first, connected, second, connections = run(ping_stub_twice(
+            http_response(
+                b'{"v": 1, "ok": true, "result": {"up": 0}}',
+                headers=b"Connection: close\r\n",
+            )
+        ))
+        assert first == {"up": 0}
+        assert connected is False
+        assert second == {"up": 1}
+        assert connections == 2
 
 
 class TestConnections:
@@ -404,7 +696,7 @@ class TestGracefulShutdown:
             ).start()
 
             async def big_respond(request):
-                return 200, {"blob": "x" * (8 << 20)}
+                return 200, {"blob": "x" * (8 << 20)}, None
 
             server._respond = big_respond
             reader, writer = await asyncio.open_connection(
@@ -413,10 +705,50 @@ class TestGracefulShutdown:
             writer.write(http_blob("GET", "/healthz"))
             await writer.drain()
             await asyncio.sleep(0.1)  # handler parks in drain
+            head = await reader.readexactly(12)
+            loop = asyncio.get_running_loop()
+            started = loop.time()
+            await asyncio.wait_for(server.stop(), timeout=5)
+            elapsed = loop.time() - started
+            writer.close()
+            return head, elapsed
+
+        head, elapsed = run(scenario())
+        # The big body was really sent, so stop() ran the deadline
+        # path rather than finishing a small error response.
+        assert head == b"HTTP/1.1 200"
+        assert elapsed >= 0.19
+
+    def test_stop_cancels_handlers_stuck_past_drain_timeout(self):
+        # A handler that never finishes its response must not hang
+        # shutdown: stop() cancels it once drain_timeout has passed.
+        async def scenario():
+            service = AsyncPreparationService()
+            await service.start()
+            server = await HttpServer(
+                service, drain_timeout=0.2
+            ).start()
+            cancelled = asyncio.Event()
+
+            async def stuck_respond(request):
+                try:
+                    await asyncio.Event().wait()  # parked forever
+                except asyncio.CancelledError:
+                    cancelled.set()
+                    raise
+
+            server._respond = stuck_respond
+            reader, writer = await asyncio.open_connection(
+                "127.0.0.1", server.port
+            )
+            writer.write(http_blob("GET", "/healthz"))
+            await writer.drain()
+            await asyncio.sleep(0.05)  # request reaches the handler
             await asyncio.wait_for(server.stop(), timeout=5)
             writer.close()
+            return cancelled.is_set()
 
-        run(scenario())
+        assert run(scenario()) is True
 
     def test_stopped_server_refuses_new_connections(self):
         async def scenario():

@@ -2,8 +2,8 @@
 concurrent clients, equivalence with the in-process path.
 
 The contract (see ISSUE 5 / docs/serving.md): a duplicate-heavy
-workload submitted by >= 16 concurrent remote clients — over HTTP and
-over TCP — yields outcomes identical to an in-process
+workload submitted by >= 16 concurrent remote HTTP clients yields
+outcomes identical to an in-process
 ``PreparationEngine.run_batch`` of the same job multiset modulo
 timings, with *identical* cache hit counts, and a shutdown in mid-air
 drains every accepted request exactly once.
@@ -13,14 +13,11 @@ from __future__ import annotations
 
 import asyncio
 
-import pytest
-
 from repro.cluster import ShardPlacement
 from repro.engine import PreparationEngine, PreparationJob
 from repro.net import (
     HttpServer,
     ReproClient,
-    TcpServer,
     comparable_wire_outcome,
     outcome_to_wire,
 )
@@ -72,21 +69,13 @@ def reference_cache_counts() -> tuple[int, int]:
     return stats.cache_hits, stats.cache_misses
 
 
-async def serve_and_query(transport: str):
+async def serve_and_query():
     service = AsyncPreparationService(num_shards=4)
     await service.start()
-    server_type = TcpServer if transport == "tcp" else HttpServer
-    server = await server_type(service).start()
+    server = await HttpServer(service).start()
 
     async def one_client():
-        async with ReproClient(
-            "127.0.0.1", server.port, transport=transport
-        ) as client:
-            if transport == "tcp":
-                # Pipelined single-job requests on one socket.
-                return list(await asyncio.gather(*(
-                    client.prepare(raw) for raw in WORKLOAD
-                )))
+        async with ReproClient("127.0.0.1", server.port) as client:
             result = await client.batch(WORKLOAD)
             return result["outcomes"]
 
@@ -94,18 +83,15 @@ async def serve_and_query(transport: str):
         per_client = await asyncio.gather(
             *(one_client() for _ in range(NUM_CLIENTS))
         )
-        async with ReproClient(
-            "127.0.0.1", server.port, transport=transport
-        ) as client:
+        async with ReproClient("127.0.0.1", server.port) as client:
             stats = await client.stats()
     finally:
         await server.stop()
     return per_client, stats
 
 
-@pytest.mark.parametrize("transport", ["http", "tcp"])
-def test_concurrent_remote_clients_match_in_process(transport):
-    per_client, stats = asyncio.run(serve_and_query(transport))
+def test_concurrent_remote_clients_match_in_process():
+    per_client, stats = asyncio.run(serve_and_query())
     expected = reference_wire_outcomes()
 
     assert len(per_client) == NUM_CLIENTS
@@ -131,22 +117,18 @@ def test_concurrent_remote_clients_match_in_process(transport):
     )
 
 
-@pytest.mark.parametrize("transport", ["http", "tcp"])
-def test_shutdown_drains_without_drops_or_duplicates(transport):
+def test_shutdown_drains_without_drops_or_duplicates():
     async def scenario():
         service = AsyncPreparationService(
             num_shards=4, max_batch_delay=0.05
         )
         await service.start()
-        server_type = TcpServer if transport == "tcp" else HttpServer
-        server = await server_type(service).start()
+        server = await HttpServer(service).start()
 
         clients = []
         inflight = []
         for _ in range(8):
-            client = ReproClient(
-                "127.0.0.1", server.port, transport=transport
-            )
+            client = ReproClient("127.0.0.1", server.port)
             await client.connect()
             clients.append(client)
             inflight.append(asyncio.ensure_future(

@@ -12,8 +12,6 @@ from repro.net.protocol import (
     PROTOCOL_VERSION,
     WireError,
     comparable_wire_outcome,
-    decode_line,
-    encode_line,
     error_code,
     error_envelope,
     execute_request,
@@ -78,19 +76,6 @@ class TestEnvelopes:
         assert envelope["id"] == "abc"
         assert envelope["error"]["code"] == "bad_json"
         assert envelope["error"]["message"] == "nope"
-
-    def test_line_codec_round_trip(self):
-        line = encode_line({"op": "ping", "id": 3})
-        assert line.endswith(b"\n")
-        assert decode_line(line) == {"op": "ping", "id": 3}
-
-    def test_decode_rejects_garbage(self):
-        with pytest.raises(WireError) as info:
-            decode_line(b"{not json}\n")
-        assert info.value.code == "bad_json"
-        with pytest.raises(WireError) as info:
-            decode_line(b"[1, 2]\n")
-        assert info.value.code == "bad_request"
 
 
 class TestPayloadParsing:
@@ -210,18 +195,16 @@ class TestOutcomeWire:
 
 
 class TestExecuteRequest:
-    def test_prepare_stats_and_ping(self):
+    def test_prepare_and_stats(self):
         async def scenario():
             async with AsyncPreparationService() as service:
-                pong = await execute_request(service, "ping", {})
                 outcome = await execute_request(
                     service, "prepare", {"job": ghz_dict()}
                 )
                 stats = await execute_request(service, "stats", {})
-            return pong, outcome, stats
+            return outcome, stats
 
-        pong, outcome, stats = asyncio.run(scenario())
-        assert pong["pong"] is True
+        outcome, stats = asyncio.run(scenario())
         assert outcome["ok"] is True
         assert stats["requests"] == 1
         assert stats["engine"]["jobs_submitted"] == 1

@@ -2,9 +2,9 @@
 
 The observability contract (ISSUE 6): a client-supplied request id
 must be traceable through the whole stack — it names the span tree
-served by ``GET /v1/trace/<id>`` (HTTP) / the ``trace`` op (TCP),
-shows up in the structured log records of the request, and is echoed
-in the envelope of a failing job.
+served by ``GET /v1/trace/<id>``, shows up in the structured log
+records of the request, and is echoed in the envelope of a failing
+job.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ import json
 
 import pytest
 
-from repro.net import HttpServer, TcpServer
+from repro.net import HttpServer
 from repro.obs import MetricsRegistry, Tracer, log
 from repro.service import AsyncPreparationService
 
@@ -198,87 +198,3 @@ class TestHttpTracePropagation:
         assert "client-fail" in [
             record.get("request_id") for record in records
         ]
-
-
-class TestTcpTracePropagation:
-    @staticmethod
-    async def _exchange(writer, reader, payload: dict) -> dict:
-        writer.write(json.dumps(payload).encode() + b"\n")
-        await writer.drain()
-        return json.loads(await reader.readline())
-
-    def test_client_request_id_traces_end_to_end(self, log_buffer):
-        async def scenario():
-            service = AsyncPreparationService(num_shards=2)
-            await service.start()
-            server = await TcpServer(
-                service,
-                metrics=MetricsRegistry(),
-                tracer=Tracer(),
-            ).start()
-            try:
-                reader, writer = await asyncio.open_connection(
-                    "127.0.0.1", server.port
-                )
-                try:
-                    ok = await self._exchange(writer, reader, {
-                        "v": 1, "id": "tcp-abc", "op": "prepare",
-                        "job": JOB,
-                    })
-                    failed = await self._exchange(writer, reader, {
-                        "v": 1, "id": "tcp-fail", "op": "prepare",
-                        "job": FAILING_JOB,
-                    })
-                    ok_trace = await self._exchange(writer, reader, {
-                        "v": 1, "id": 90, "op": "trace",
-                        "trace_id": "tcp-abc",
-                    })
-                    failed_trace = await self._exchange(
-                        writer, reader, {
-                            "v": 1, "id": 91, "op": "trace",
-                            "trace_id": "tcp-fail",
-                        },
-                    )
-                    missing = await self._exchange(writer, reader, {
-                        "v": 1, "id": 92, "op": "trace",
-                        "trace_id": "never-seen",
-                    })
-                finally:
-                    writer.close()
-                    try:
-                        await writer.wait_closed()
-                    except (ConnectionError, OSError):
-                        pass
-            finally:
-                await server.stop()
-            return ok, failed, ok_trace, failed_trace, missing
-
-        ok, failed, ok_trace, failed_trace, missing = asyncio.run(
-            scenario()
-        )
-
-        assert ok["ok"] is True
-        assert ok["id"] == "tcp-abc"
-        assert ok["result"]["ok"] is True
-
-        assert ok_trace["ok"] is True
-        assert_full_span_tree(ok_trace["result"], "tcp-abc", "tcp")
-
-        # Failing job: the envelope still correlates by id and the
-        # retained trace records the error.
-        assert failed["id"] == "tcp-fail"
-        assert failed["result"]["ok"] is False
-        assert failed["result"]["error"]["code"] == "dimension"
-        assert failed_trace["result"]["error"]["code"] == "dimension"
-
-        assert missing["ok"] is False
-        assert missing["error"]["code"] == "not_found"
-        assert missing["id"] == 92
-
-        records = [
-            record for record in log_records(log_buffer)
-            if record["event"] == "tcp_request"
-        ]
-        seen_ids = [record.get("request_id") for record in records]
-        assert "tcp-abc" in seen_ids
-        assert "tcp-fail" in seen_ids

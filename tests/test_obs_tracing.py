@@ -165,10 +165,10 @@ class TestTracer:
     def test_request_installs_and_restores_context(self):
         tracer = Tracer()
         assert current_trace() is None
-        with tracer.request("r1", transport="tcp") as trace:
+        with tracer.request("r1", transport="http") as trace:
             assert current_trace() is trace
             assert CURRENT_SPAN.get().name == "request"
-            assert trace.transport == "tcp"
+            assert trace.transport == "http"
         assert current_trace() is None
         assert CURRENT_SPAN.get() is None
         root = trace.find("request")

@@ -195,41 +195,6 @@ class TestListenMode:
         assert "drained cleanly" in output
         assert "service_stats" in output
 
-    def test_tcp_listen_round_trip(self, spec_path):
-        import json as json_module
-        import signal
-        import socket
-
-        process, port = self._spawn(spec_path, "--tcp")
-        try:
-            with socket.create_connection(
-                ("127.0.0.1", port), timeout=10
-            ) as connection:
-                connection.sendall(json_module.dumps({
-                    "v": 1, "id": 1, "op": "prepare",
-                    "job": {"family": "w", "dims": [2, 2, 2]},
-                }).encode() + b"\n")
-                connection.settimeout(30)
-                blob = b""
-                while not blob.endswith(b"\n"):
-                    chunk = connection.recv(65536)
-                    if not chunk:
-                        break
-                    blob += chunk
-            response = json_module.loads(blob)
-            assert response["ok"] is True
-            assert response["id"] == 1
-            assert response["result"]["ok"] is True
-        finally:
-            process.send_signal(signal.SIGTERM)
-            output, _ = process.communicate(timeout=30)
-        assert process.returncode == 0, output[-2000:]
-        assert "drained cleanly" in output
-
-    def test_tcp_without_listen_rejected(self, spec_path, capsys):
-        assert main(["serve", spec_path, "--tcp"]) == 2
-        assert "--tcp requires --listen" in capsys.readouterr().err
-
     def test_replay_without_spec_rejected(self, capsys):
         assert main(["serve"]) == 2
         assert "replay mode needs a spec" in capsys.readouterr().err
