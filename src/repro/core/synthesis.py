@@ -1,22 +1,47 @@
 """Circuit synthesis from decision diagrams (Section 4.2 of the paper).
 
-The routine traverses the decision diagram once and, for every visited
-node of dimension ``d``, emits a ladder of ``d - 1`` two-level Givens
-rotations followed by one two-level phase rotation, each controlled on
-the root-to-node path (one ``(qudit, level)`` control per ancestor
-edge).  The emitted circuit *disentangles* the represented state down
-to ``|0...0>``; the preparation circuit is its reversed adjoint.
-Complexity is linear in the number of path-expanded DD nodes, matching
-the paper's complexity claim.
+For every visited node of dimension ``d`` the synthesis emits a ladder
+of ``d - 1`` two-level Givens rotations followed by one two-level phase
+rotation, each controlled on the root-to-node path (one
+``(qudit, level)`` control per ancestor edge).  The emitted circuit
+*disentangles* the represented state down to ``|0...0>``; the
+preparation circuit is its reversed adjoint.  Complexity is linear in
+the number of path-expanded DD nodes, matching the paper's complexity
+claim.
 
-The tensor-product rule of Section 4.3 is applied on the fly: when all
+The tensor-product rule of Section 4.3 is applied per node: when all
 non-zero edges of a node point to the same child, the subtree is
 synthesised once *without* a control on that node's qudit.
 
-The circuit is emitted as a :class:`~repro.circuit.table.CircuitTable`:
-one block of rows per visited node, under one control row.  A node's
-ladder is computed once per distinct node and reused on every path
-through it, and no :class:`~repro.circuit.gate.Gate` object is built.
+The circuit is emitted level by level, deepest level first, as
+Mozafari et al. do; within a level, visits follow their root paths in
+lexicographic order.  Compared with a depth-first post-order walk,
+this stably sorts the blocks by target level, so a block only moves
+past blocks that are neither its ancestors nor its descendants.  Two
+such visits split on some level where their parent was not elided, so
+they carry explicit, different controls on that qudit: they act on
+disjoint subspaces and commute.  A tensor-elided level has one child
+visit, so root paths never split there.
+
+Synthesis is an array program over the diagram's level arrays
+(:attr:`~repro.dd.diagram.DecisionDiagram.levels`) and reads no
+:class:`~repro.dd.node.DDNode`:
+
+* the visits of a level are the followed edges of the visits one level
+  up, in parent order and then digit order (``np.nonzero`` over the
+  parents' edge masks); each child's control row is its parent's plus
+  its digit, or its parent's alone when the parent row is elided;
+* one vectorised ladder (:func:`_ladders`) covers every distinct node
+  of every level of one dimension, and every visit gathers its node's
+  rows;
+* the result is one :class:`~repro.circuit.table.CircuitTable`, one
+  block per visit, and no :class:`~repro.circuit.gate.Gate` is built.
+
+Angles agree with the scalar
+:func:`~repro.core.angles.disentangling_rotation` to within rounding
+(NumPy's ``arctan2`` and ``hypot`` may differ from ``math``'s in the
+last bit).  The gate-by-gate depth-first synthesis is the test oracle
+``tests/synthesis_oracle.py``.
 """
 
 from __future__ import annotations
@@ -27,38 +52,107 @@ import numpy as np
 
 from repro.circuit.circuit import Circuit
 from repro.circuit.table import GIVENS, PHASE, CircuitTable
-from repro.core.angles import disentangling_rotation
+from repro.core.angles import MERGE_CUTOFF
 from repro.dd.diagram import DecisionDiagram
-from repro.dd.node import DDNode
+from repro.dd.edge import WEIGHT_ZERO_CUTOFF
 from repro.exceptions import SynthesisError
 
-__all__ = ["synthesize_unpreparation", "synthesize_preparation"]
+__all__ = [
+    "CIRCUIT_FORMAT",
+    "synthesize_unpreparation",
+    "synthesize_preparation",
+]
+
+#: Names the layout of the circuits synthesis emits.  Content keys
+#: include it, so cached circuits of an older layout miss once instead
+#: of being served; change it whenever synthesis output changes.
+CIRCUIT_FORMAT = "level-major"
+
+#: Angles at or below this magnitude are identity rotations, which
+#: ``emit_identity_rotations=False`` drops.
+_IDENTITY_ANGLE = 1e-14
 
 
-def _node_ladder(
-    node: DDNode, emit_identity_rotations: bool
-) -> list[tuple[int, int, int, float, float]]:
-    """Rows ``(kind, lower, upper, theta, phi)`` merging ``node``'s
-    weights into level 0."""
-    rows = []
-    weights = list(node.weights)
-    for upper in range(node.dimension - 1, 0, -1):
-        lower = upper - 1
-        theta, phi, merged = disentangling_rotation(
-            weights[lower], weights[upper]
+def _ladders(
+    weights: np.ndarray, emit_identity_rotations: bool
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The ladders of ``(m, d)`` weight rows, as ``(m, d)`` columns.
+
+    Column ``k < d - 1`` is the Givens rotation merging level
+    ``d - 1 - k`` into level ``d - 2 - k``; column ``d - 1`` is the
+    phase rotation of the residual phase on level 0.  This is
+    :func:`~repro.core.angles.disentangling_rotation` applied down each
+    row, vectorised over the rows.
+
+    Returns:
+        ``(theta, phi, keep)``: the angles and which rows are emitted.
+    """
+    rows, dimension = weights.shape
+    theta = np.zeros((rows, dimension))
+    phi = np.zeros((rows, dimension))
+    carried = weights[:, dimension - 1]
+    for column, upper in enumerate(range(dimension - 1, 0, -1)):
+        kept = weights[:, upper - 1]
+        magnitude_a = np.hypot(kept.real, kept.imag)
+        magnitude_b = np.hypot(carried.real, carried.imag)
+        merging = magnitude_b > MERGE_CUTOFF
+        arg_a = np.where(
+            magnitude_a > MERGE_CUTOFF,
+            np.arctan2(kept.imag, kept.real),
+            0.0,
         )
-        weights[lower] = merged
-        weights[upper] = 0.0
-        if emit_identity_rotations or abs(theta) > 1e-14:
-            rows.append((GIVENS, lower, upper, theta, phi))
+        arg_b = np.arctan2(carried.imag, carried.real)
+        theta[:, column] = np.where(
+            merging, 2.0 * np.arctan2(magnitude_b, magnitude_a), 0.0
+        )
+        phi[:, column] = np.where(
+            merging, arg_b - arg_a - np.pi / 2.0, 0.0
+        )
+        merged_magnitude = np.hypot(magnitude_a, magnitude_b)
+        merged = np.empty(rows, dtype=np.complex128)
+        merged.real = np.cos(arg_a) * merged_magnitude
+        merged.imag = np.sin(arg_a) * merged_magnitude
+        carried = np.where(merging, merged, kept)
     # The residual phase on level 0; for canonically normalised nodes
     # (first non-zero weight real positive) this is exactly zero, but
     # it is computed -- not assumed -- so non-canonical diagrams stay
     # correct.
-    residual_phase = cmath.phase(weights[0]) if weights[0] != 0 else 0.0
-    if emit_identity_rotations or abs(residual_phase) > 1e-14:
-        rows.append((PHASE, 0, 1, 2.0 * residual_phase, 0.0))
-    return rows
+    residual = np.where(
+        carried != 0, np.arctan2(carried.imag, carried.real), 0.0
+    )
+    theta[:, dimension - 1] = 2.0 * residual
+    if emit_identity_rotations:
+        keep = np.ones((rows, dimension), dtype=bool)
+    else:
+        keep = np.abs(theta) > _IDENTITY_ANGLE
+        keep[:, dimension - 1] = np.abs(residual) > _IDENTITY_ANGLE
+    return theta, phi, keep
+
+
+def _followed_edges(
+    weights: np.ndarray, children: np.ndarray, tensor_elision: bool
+) -> tuple[np.ndarray, np.ndarray]:
+    """Which edges of each row lead to a child visit.
+
+    An edge is followed when it is non-zero (``abs(w) > cutoff``, the
+    test of :attr:`~repro.dd.edge.Edge.is_zero`) and its child is not
+    the terminal.  A row is elided when all its non-zero edges share
+    one child row; it follows its first non-zero edge only.
+
+    Returns:
+        ``(follow, elided)``: an ``(m, d)`` and an ``(m,)`` mask.
+    """
+    nonzero = np.hypot(weights.real, weights.imag) > WEIGHT_ZERO_CUTOFF
+    follow = nonzero & (children >= 0)
+    if not tensor_elision:
+        return follow, np.zeros(weights.shape[0], dtype=bool)
+    first = np.argmax(nonzero, axis=1)[:, None]
+    shared = np.take_along_axis(children, first, axis=1)
+    elided = np.all((children == shared) | ~nonzero, axis=1)
+    follow &= ~elided[:, None] | (
+        np.arange(weights.shape[1]) == first
+    )
+    return follow, elided
 
 
 def _unpreparation_table(
@@ -66,76 +160,93 @@ def _unpreparation_table(
     tensor_elision: bool,
     emit_identity_rotations: bool,
 ) -> CircuitTable:
-    """The disentangling circuit of ``dd`` as a table.
+    """The disentangling circuit of ``dd`` as a table, deepest level
+    first, one block per visit.
 
-    The walk is post-order: a node's block follows the blocks of its
-    subtree.  Each distinct node's ladder is stored once; every visit
-    records the ladder's id and the current root-path control row,
-    and the rows are gathered from the ladders in one vectorised pass.
+    The ladders and edge masks are computed once per distinct
+    dimension, over the rows of all its levels.  Ladders sit
+    right-aligned in ``width = max(dims)`` columns, so column ``c``
+    rotates levels ``(width - 2 - c, width - 1 - c)`` on every level
+    and the last column is the phase rotation.
     """
     if dd.root.is_zero:
         raise SynthesisError("cannot synthesise the zero state")
-    ladder_ids: dict[DDNode, int] = {}
-    ladder_rows: list[tuple[int, int, int, float, float]] = []
-    ladder_starts = [0]
-    ladder_targets: list[int] = []
-    visits: list[int] = []
-    control_rows: list[int] = []
-    path = [-1] * len(dd.dims)
-
-    def unprepare(node: DDNode) -> None:
-        shared_child = (
-            node.unique_nonzero_child() if tensor_elision else None
+    levels = dd.levels
+    dims = dd.dims
+    num_qudits = len(dims)
+    width = max(dims)
+    counts = [weights.shape[0] for weights in levels.weights]
+    base = np.zeros(num_qudits + 1, dtype=np.intp)
+    np.cumsum(counts, out=base[1:])
+    theta = np.zeros((base[-1], width))
+    phi = np.zeros((base[-1], width))
+    keep = np.zeros((base[-1], width), dtype=bool)
+    row_dims = np.repeat(dims, counts)
+    follows: list[np.ndarray] = [None] * num_qudits
+    elisions: list[np.ndarray] = [None] * num_qudits
+    for dimension in set(dims):
+        group = [
+            level for level in range(num_qudits) if dims[level] == dimension
+        ]
+        weights = np.concatenate([levels.weights[level] for level in group])
+        rows = np.flatnonzero(row_dims == dimension)
+        columns = slice(width - dimension, None)
+        theta[rows, columns], phi[rows, columns], keep[rows, columns] = (
+            _ladders(weights, emit_identity_rotations)
         )
-        if shared_child is not None:
-            if not shared_child.is_terminal:
-                # Tensor-product rule: one uncontrolled-by-this-qudit
-                # recursion covers every non-zero branch.
-                unprepare(shared_child)
-        else:
-            level = node.level
-            for digit, edge in node.nonzero_edges():
-                if not edge.node.is_terminal:
-                    path[level] = digit
-                    unprepare(edge.node)
-            path[level] = -1
-        ladder = ladder_ids.get(node)
-        if ladder is None:
-            ladder = ladder_ids[node] = len(ladder_targets)
-            ladder_rows.extend(_node_ladder(node, emit_identity_rotations))
-            ladder_starts.append(len(ladder_rows))
-            ladder_targets.append(node.level)
-        visits.append(ladder)
-        control_rows.extend(path)
+        follow, elided = _followed_edges(
+            weights,
+            np.concatenate([levels.children[level] for level in group]),
+            tensor_elision,
+        )
+        offset = 0
+        for level in group:
+            follows[level] = follow[offset:offset + counts[level]]
+            elisions[level] = elided[offset:offset + counts[level]]
+            offset += counts[level]
 
-    unprepare(dd.root.node)
+    # Visits level by level: each followed edge of a visit is a visit
+    # one level down, in parent order and then digit order.
+    visit_rows = [np.zeros(1, dtype=np.intp)]
+    visit_controls = [np.full((1, num_qudits), -1, dtype=np.int16)]
+    for level in range(num_qudits - 1):
+        parent, digit = np.nonzero(follows[level][visit_rows[level]])
+        parent_rows = visit_rows[level][parent]
+        visit_rows.append(levels.children[level][parent_rows, digit])
+        controls = visit_controls[level][parent]
+        controls[:, level] = np.where(
+            elisions[level][parent_rows], -1, digit
+        )
+        visit_controls.append(controls)
 
-    starts = np.asarray(ladder_starts, dtype=np.int64)
-    visit = np.asarray(visits, dtype=np.int64)
-    lengths = starts[visit + 1] - starts[visit]
-    offsets = np.zeros(visit.size + 1, dtype=np.int64)
+    deepest_first = range(num_qudits - 1, -1, -1)
+    rows = np.concatenate(
+        [visit_rows[level] + base[level] for level in deepest_first]
+    )
+    emitted = keep[rows]
+    lengths = np.count_nonzero(emitted, axis=1)
+    offsets = np.zeros(rows.size + 1, dtype=np.int64)
     np.cumsum(lengths, out=offsets[1:])
-    source = np.repeat(starts[visit] - offsets[:-1], lengths) + np.arange(
-        offsets[-1]
-    )
-    columns = (
-        np.array(ladder_rows, dtype=np.float64).reshape(-1, 5)
-        if ladder_rows
-        else np.zeros((0, 5))
-    )
+    kind = np.full(width, GIVENS, dtype=np.uint8)
+    kind[-1] = PHASE
+    upper = np.arange(width - 1, -1, -1, dtype=np.int32)
+    upper[-1] = 1
+    lower = upper - 1
+    lower[-1] = 0
+    visits = np.array([visit_rows[level].size for level in deepest_first])
     return CircuitTable(
-        dd.dims,
-        kind=columns[source, 0].astype(np.uint8),
+        dims,
+        kind=np.broadcast_to(kind, emitted.shape)[emitted],
         target=np.repeat(
-            np.asarray(ladder_targets, dtype=np.int32)[visit], lengths
+            np.repeat(np.arange(num_qudits - 1, -1, -1), visits), lengths
         ),
-        lower=columns[source, 1].astype(np.int32),
-        upper=columns[source, 2].astype(np.int32),
-        theta=columns[source, 3],
-        phi=columns[source, 4],
+        lower=np.broadcast_to(lower, emitted.shape)[emitted],
+        upper=np.broadcast_to(upper, emitted.shape)[emitted],
+        theta=theta[rows][emitted],
+        phi=phi[rows][emitted],
         offsets=offsets,
-        controls=np.asarray(control_rows, dtype=np.int16).reshape(
-            visit.size, len(dd.dims)
+        controls=np.concatenate(
+            [visit_controls[level] for level in deepest_first]
         ),
     )
 
@@ -146,6 +257,9 @@ def synthesize_unpreparation(
     emit_identity_rotations: bool = True,
 ) -> Circuit:
     """Synthesise the circuit mapping the DD's state to ``|0...0>``.
+
+    Blocks are emitted deepest level first, in root-path order within a
+    level (see the module docstring).
 
     Args:
         dd: Decision diagram of the state (canonical, non-zero).
@@ -176,9 +290,10 @@ def synthesize_preparation(
     """Synthesise the circuit preparing the DD's state from ``|0...0>``.
 
     The reversed adjoint of :func:`synthesize_unpreparation` (its
-    table reversed, with ``theta`` and ``delta`` negated), with the
-    root weight's phase applied as a global phase so the prepared
-    state matches the diagram exactly (not merely up to phase).
+    table reversed, with ``theta`` and ``delta`` negated), so it runs
+    shallowest level first, with the root weight's phase applied as a
+    global phase so the prepared state matches the diagram exactly
+    (not merely up to phase).
 
     Returns:
         Circuit ``P`` with ``P|0...0> = |psi> / ||psi||``.

@@ -4,8 +4,10 @@ Verification is the one dense simulation every exact pipeline run
 pays, as in the paper: the synthesised rotation circuit runs on
 ``|0...0>`` through the in-place kernel
 :func:`~repro.simulator.statevector_sim.simulate_inplace` (one d x d
-matrix per block of its table, in emitted order), and the result is
-compared with the target.
+matrix per block of its table, in emitted order; the level-major
+synthesis emits each level's blocks together, so the many small
+blocks of a deep level run as a few batched matmuls), and the result
+is compared with the target.
 """
 
 from __future__ import annotations

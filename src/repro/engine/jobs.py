@@ -12,9 +12,11 @@ The content key is computed from the *resolved* target state, not from
 the job description, so ``{"family": "ghz", "dims": [2, 2]}`` and the
 equivalent raw-amplitude job address the same cached circuit.  The key
 also folds in the full pipeline configuration (every field of
-:class:`~repro.pipeline.PipelineConfig`) and, when the engine runs a
-custom pipeline, that pipeline's signature — so a transpiled and a
-plain run of the same state can never alias.
+:class:`~repro.pipeline.PipelineConfig`), the layout synthesis emits
+(:data:`~repro.core.synthesis.CIRCUIT_FORMAT`) and, when the engine
+runs a custom pipeline, that pipeline's signature — so a transpiled
+and a plain run of the same state can never alias, and a disk entry
+written by an older synthesis is never served.
 """
 
 from __future__ import annotations
@@ -25,6 +27,7 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
+from repro.core.synthesis import CIRCUIT_FORMAT
 from repro.exceptions import JobSpecError, PipelineConfigError
 from repro.pipeline.config import PipelineConfig
 from repro.registers.register import QuditRegister
@@ -215,10 +218,12 @@ def content_key(
     configuration — regardless of how the state was described (family
     vs. raw amplitudes).  Every config field participates (via
     ``canonical()``), so e.g. a transpiled and a plain run never
-    alias.  An engine running a custom pipeline passes that pipeline's
-    ``signature()`` so its entries stay distinct from the default
-    pipeline's.  The key is a hex SHA-256 digest, safe as a filename
-    for the on-disk cache.
+    alias.  The synthesis output layout
+    (:data:`~repro.core.synthesis.CIRCUIT_FORMAT`) participates too, so
+    entries cached before a layout change miss.  An engine running a
+    custom pipeline passes that pipeline's ``signature()`` so its
+    entries stay distinct from the default pipeline's.  The key is a
+    hex SHA-256 digest, safe as a filename for the on-disk cache.
     """
     digest = hashlib.sha256()
     digest.update(",".join(str(d) for d in state.dims).encode())
@@ -226,6 +231,8 @@ def content_key(
     digest.update(np.ascontiguousarray(state.amplitudes).tobytes())
     digest.update(b"|")
     digest.update(options.canonical().encode())
+    digest.update(b"|format=")
+    digest.update(CIRCUIT_FORMAT.encode())
     if pipeline_signature is not None:
         digest.update(b"|pipeline=")
         digest.update(pipeline_signature.encode())

@@ -4,7 +4,8 @@ Two independent execution paths are provided:
 
 * :mod:`repro.simulator.statevector_sim` — dense numpy simulation,
   the reference implementation used for verification (one in-place
-  kernel applies the circuit block by block, in emitted order), and
+  kernel applies the circuit block by block, in emitted order, and a
+  table's small disjoint same-target blocks in batches), and
 * :mod:`repro.simulator.dd_sim` — simulation directly on decision
   diagrams (in the spirit of [Mato/Hillmich/Wille, QCE 2023], the
   paper's reference [12]), exercising the DD arithmetic layer.

@@ -102,17 +102,55 @@ def sample_circuit() -> Circuit:
     return circuit
 
 
+def repeating_stretch(dims, rng) -> list:
+    """Blocks on one target whose control rows share a mask and repeat
+    non-adjacently, with blocks of a second mask interleaved.
+
+    The block kernel applies a stretch of one target and one mask as
+    one batch, which is only exact while its control rows differ: a
+    repeated row must end the batch before it.
+    """
+    target = int(rng.integers(len(dims)))
+    others = [qudit for qudit in range(len(dims)) if qudit != target]
+    pools = []
+    for _ in range(2):
+        mask = [qudit for qudit in others if rng.random() < 0.6]
+        mask = mask or [int(rng.choice(others))]
+        pools.append([
+            {qudit: int(rng.integers(dims[qudit])) for qudit in mask}
+            for _ in range(3)
+        ])
+    blocks = []
+    for _ in range(int(rng.integers(4, 10))):
+        pool = pools[0] if rng.random() < 0.75 else pools[1]
+        rows = []
+        for _ in range(int(rng.integers(1, 3))):
+            lower, upper = (
+                int(level)
+                for level in rng.choice(dims[target], 2, replace=False)
+            )
+            rows.append((
+                int(rng.integers(2)), target, lower, upper,
+                float(rng.uniform(-2 * math.pi, 2 * math.pi)),
+                float(rng.uniform(-math.pi, math.pi)),
+            ))
+        blocks.append((dict(pool[int(rng.integers(3))]), rows))
+    return blocks
+
+
 @st.composite
 def random_tables(draw):
     """Tables with random blocks, runs, empty blocks and repeats.
 
     A block may copy the previous block's control row, so a run of
-    equal (target, control row) crosses block boundaries.
+    equal (target, control row) crosses block boundaries.  Some tables
+    also hold a :func:`repeating_stretch`.
     """
     dims = tuple(
         draw(st.lists(st.integers(2, 4), min_size=1, max_size=4))
     )
     seed = draw(st.integers(0, 2**31 - 1))
+    stretch = len(dims) > 1 and draw(st.booleans())
     rng = np.random.default_rng(seed)
     blocks = []
     previous: dict[int, int] | None = None
@@ -146,9 +184,25 @@ def random_tables(draw):
             ))
         blocks.append((controls, rows))
         previous = controls
+    if stretch:
+        position = int(rng.integers(len(blocks) + 1))
+        blocks[position:position] = repeating_stretch(dims, rng)
     circuit = Circuit.from_table(make_table(dims, blocks))
     circuit.global_phase = float(rng.uniform(-math.pi, math.pi))
     return circuit, seed
+
+
+#: Five blocks on (3, 2, 3), all on qudit 2: the first three share the
+#: mask {0} and the first and third share a control row, then a block
+#: of another mask and one more of mask {0}.  Applying the first three
+#: as one batch would apply the repeated row's subspace once.
+REPEATED_ROW_BLOCKS = [
+    ({0: 1}, [(GIVENS, 2, 0, 1, 0.7, 0.2), (GIVENS, 2, 1, 2, -1.1, 0.5)]),
+    ({0: 2}, [(GIVENS, 2, 0, 2, 0.9, -0.4)]),
+    ({0: 1}, [(PHASE, 2, 0, 1, 1.3, 0.0), (GIVENS, 2, 0, 1, 0.4, 1.0)]),
+    ({0: 1, 1: 0}, [(GIVENS, 2, 1, 2, 0.8, -0.6)]),
+    ({0: 0}, [(GIVENS, 2, 0, 1, -0.5, 0.3)]),
+]
 
 
 def random_initial(dims, seed) -> StateVector:
@@ -368,6 +422,19 @@ class TestColumnReaders:
         reference = simulate_reference(circuit, initial)
         assert np.allclose(
             produced.amplitudes, reference.amplitudes, rtol=0, atol=1e-12
+        )
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_block_kernel_on_a_repeated_control_row(self, seed):
+        circuit = Circuit.from_table(
+            make_table((3, 2, 3), REPEATED_ROW_BLOCKS)
+        )
+        initial = random_initial(circuit.dims, seed)
+        assert np.allclose(
+            simulate(circuit, initial).amplitudes,
+            simulate_reference(circuit, initial).amplitudes,
+            rtol=0,
+            atol=1e-12,
         )
 
     @given(random_tables())

@@ -28,6 +28,17 @@ def ghz_job(dims=(3, 6, 2), **kwargs) -> PreparationJob:
     return PreparationJob(dims=dims, family="ghz", **kwargs)
 
 
+#: |2, 1> on (3, 2): amplitudes of exactly 0 and 1.
+BASIS_JOB = PreparationJob(
+    dims=(3, 2), family="basis", params={"digits": [2, 1]}
+)
+
+#: BASIS_JOB's content key before keys named the circuit format.
+PRE_FORMAT_KEY = (
+    "70035875e7a2a44e2e1c7947d1c95b4e6a802efcc22f7115063d1af844300356"
+)
+
+
 MIXED_BATCH = [
     PreparationJob(dims=(3, 6, 2), family="ghz"),
     PreparationJob(dims=(2, 2, 2), family="w"),
@@ -149,6 +160,35 @@ class TestContentKey:
         assert content_key(ghz_state((2, 2)), options) != content_key(
             ghz_state((3, 3)), options
         )
+
+    def test_key_is_pinned(self):
+        # Amplitudes of exactly 0 and 1 leave no rounding to move this
+        # key: it changes only when the key's inputs do, the circuit
+        # format among them, so a change of synthesis output must
+        # change CIRCUIT_FORMAT on purpose.
+        job = BASIS_JOB
+        assert content_key(job.resolve_state(), job.options) == (
+            "d3cb3fe67e68e44ebb78927a029d03b5a002642f7b87d6e848b855a02f7509c2"
+        )
+
+    def test_entry_of_an_older_circuit_format_misses(self, tmp_path):
+        # A disk entry stored under the key the job had before keys
+        # named the circuit format (when synthesis emitted blocks in
+        # depth-first post-order) is never served.
+        stale = PreparationEngine().submit(BASIS_JOB)
+        CircuitCache(disk_dir=tmp_path).put(
+            CacheEntry(
+                key=PRE_FORMAT_KEY, circuit=stale.circuit, report=stale.report
+            )
+        )
+        assert CircuitCache(disk_dir=tmp_path).get(PRE_FORMAT_KEY) is not None
+        engine = PreparationEngine(cache=CircuitCache(disk_dir=tmp_path))
+        outcome = engine.submit(BASIS_JOB)
+        assert outcome.ok and not outcome.cache_hit
+        assert outcome.key != PRE_FORMAT_KEY
+        assert engine.stats().disk_hits == 0
+        assert engine.stats().jobs_executed == 1
+        assert CircuitCache(disk_dir=tmp_path).get(outcome.key) is not None
 
 
 class TestCircuitCache:

@@ -13,15 +13,24 @@ replacements for the scalar oracles of ``tests/kernel_oracles.py``:
   the near-tolerance-collision caveat),
   and bit-for-bit identical statevectors from :func:`simulate`,
   :func:`simulate_inplace` and :func:`simulate_reference`;
-* a loose speedup floor — the vectorised kernels must stay at least
-  1.5x faster than the references on a 12-qudit dense random state
-  (the benchmark harness tracks the real, larger factors).
+* loose speedup floors — the vectorised kernels must stay at least
+  1.5x faster than the references on a dense random state, and the
+  level-major synthesis at least 10x faster than the gate-by-gate
+  oracle of ``tests/synthesis_oracle.py`` (the benchmark harness
+  tracks the real, larger factors);
+* a first job in a fresh interpreter leaves ``numpy.ma`` unimported
+  (``np.unique`` imports it on first use, which costs every process
+  start-up ~10 ms).
 """
 
 from __future__ import annotations
 
 import gc
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -36,6 +45,7 @@ from repro.circuit.gates import (
     ShiftGate,
 )
 from repro.core.preparation import prepare_state
+from repro.core.synthesis import synthesize_preparation
 from repro.core.verification import verify_preparation
 from repro.dd import metrics
 from repro.dd.builder import build_dd
@@ -63,6 +73,7 @@ from tests.kernel_oracles import (
     simulate_reference,
     stats_reference,
 )
+from tests.synthesis_oracle import oracle_preparation
 
 DIMS = st.lists(
     st.integers(min_value=2, max_value=5), min_size=1, max_size=5
@@ -456,8 +467,19 @@ def dense_12q_state() -> StateVector:
     )
 
 
+@pytest.fixture(scope="module")
+def dense_10q_state() -> StateVector:
+    dims = (2, 3, 2, 2, 3, 2, 2, 2, 3, 2)
+    rng = np.random.default_rng(11)
+    size = int(np.prod(dims))
+    amplitudes = rng.normal(size=size) + 1j * rng.normal(size=size)
+    return StateVector(
+        amplitudes / np.linalg.norm(amplitudes), dims
+    )
+
+
 class TestLooseSpeedupFloor:
-    """Loose (>=1.5x) floors; bench_hotpaths.py tracks the real factors."""
+    """Loose floors; bench_hotpaths.py tracks the real factors."""
 
     def test_build_dd_at_least_1_5x_faster_than_reference(
         self, dense_12q_state
@@ -470,14 +492,10 @@ class TestLooseSpeedupFloor:
             "vectorized builder vs scalar reference",
         )
 
-    def test_verify_at_least_1_5x_faster_than_reference(self):
-        dims = (2, 3, 2, 2, 3, 2, 2, 2, 3, 2)
-        rng = np.random.default_rng(11)
-        size = int(np.prod(dims))
-        amplitudes = rng.normal(size=size) + 1j * rng.normal(size=size)
-        state = StateVector(
-            amplitudes / np.linalg.norm(amplitudes), dims
-        )
+    def test_verify_at_least_1_5x_faster_than_reference(
+        self, dense_10q_state
+    ):
+        state = dense_10q_state
         circuit = prepare_state(state, verify=False).circuit
         verify_preparation(circuit, state)  # warm caches
         _assert_speedup(
@@ -488,3 +506,50 @@ class TestLooseSpeedupFloor:
             1.5,
             "in-place verification vs reference simulation",
         )
+
+    def test_synthesize_at_least_10x_faster_than_oracle(
+        self, dense_10q_state
+    ):
+        dd = build_dd(dense_10q_state)
+        synthesize_preparation(dd)  # warm caches
+        _assert_speedup(
+            lambda: synthesize_preparation(dd),
+            lambda: oracle_preparation(dd),
+            10.0,
+            "level-major synthesis vs gate-by-gate oracle",
+        )
+
+
+#: A first job in a fresh interpreter: ``prepare_state`` and one engine
+#: batch, then report whether ``numpy.ma`` was imported.
+FIRST_JOB = """
+import sys
+from repro.core.preparation import prepare_state
+from repro.engine import PreparationEngine, job_from_dict
+from repro.states.random_states import random_state
+prepare_state(random_state((3, 6, 2), rng=5))
+batch = PreparationEngine().run_batch(
+    [job_from_dict({"family": "random", "dims": [3, 6, 2], "params": {"rng": 6}})]
+)
+assert all(outcome.ok for outcome in batch.outcomes)
+print("numpy.ma" in sys.modules)
+"""
+
+
+class TestFirstJobImportFootprint:
+    def test_first_job_leaves_numpy_ma_unimported(self):
+        source = Path(__file__).resolve().parent.parent / "src"
+        path = os.environ.get("PYTHONPATH")
+        env = dict(
+            os.environ,
+            PYTHONPATH=str(source) + (os.pathsep + path if path else ""),
+        )
+        result = subprocess.run(
+            [sys.executable, "-c", FIRST_JOB],
+            capture_output=True,
+            text=True,
+            env=env,
+            timeout=120,
+        )
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.strip() == "False"

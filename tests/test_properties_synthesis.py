@@ -6,8 +6,11 @@ These are the headline invariants of the reproduction:
   mixed-dimensional register;
 * approximate synthesis never violates the requested fidelity floor;
 * the emitted operation count matches the closed-form predictor;
-* the columnar synthesis writes the same QDASM, byte for byte, as the
-  gate-by-gate oracle in ``tests/synthesis_oracle.py``.
+* the level-major synthesis emits the blocks of the gate-by-gate,
+  depth-first oracle in ``tests/synthesis_oracle.py`` stably sorted by
+  target level, deepest first (angles within 1e-12), every pair of
+  blocks it reorders carries conflicting controls, and it reads no
+  decision-diagram node.
 """
 
 import numpy as np
@@ -21,8 +24,11 @@ from repro.core.synthesis import (
     synthesize_preparation,
     synthesize_unpreparation,
 )
+from repro.dd import diagram as diagram_module
 from repro.dd.approximation import approximate
 from repro.dd.builder import build_dd
+from repro.dd.diagram import DecisionDiagram
+from repro.dd.node import DDNode
 from repro.dd.metrics import synthesis_operation_count
 from repro.simulator.statevector_sim import simulate
 from repro.states.fidelity import fidelity
@@ -36,7 +42,12 @@ from repro.states.library import (
 from repro.states.random_states import random_sparse_state, random_state
 from repro.states.statevector import StateVector
 
-from tests.synthesis_oracle import oracle_preparation, oracle_unpreparation
+from tests.synthesis_oracle import (
+    level_major_mismatches,
+    oracle_preparation,
+    oracle_unpreparation,
+    oracle_visits,
+)
 
 DIMS = st.lists(
     st.integers(min_value=2, max_value=4), min_size=1, max_size=3
@@ -157,21 +168,59 @@ def synthesis_diagrams(draw):
     return build_dd(FAMILIES[kind](dims))
 
 
+def moved_pairs_commute(targets, controls):
+    """For every pair of visits (in post-order) whose order the
+    deepest-first sort swaps, whether they have explicit, different
+    controls on some qudit, so that their blocks commute.
+
+    A visit precedes a deeper one in post-order and follows it after
+    the sort.
+    """
+    first, second = np.triu_indices(targets.size, 1)
+    moved = targets[second] > targets[first]
+    a, b = controls[first[moved]], controls[second[moved]]
+    return np.any((a >= 0) & (b >= 0) & (a != b), axis=1)
+
+
+def assert_legal_reordering(dd, elision, table):
+    """The table's blocks are the oracle's visits stably sorted by
+    target level, deepest first, and every pair of blocks whose order
+    differs from the oracle's commutes.  Returns the number of such
+    pairs."""
+    targets, controls = oracle_visits(dd, elision)
+    order = np.argsort(-targets, kind="stable")
+    assert np.array_equal(table.controls, controls[order])
+    filled = np.flatnonzero(table.block_lengths())
+    assert np.array_equal(
+        table.target[table.offsets[filled]], targets[order][filled]
+    )
+    commute = moved_pairs_commute(targets, controls)
+    assert commute.all()
+    return commute.size
+
+
 def assert_same_as_oracle(dd, elision, identities):
-    columnar = synthesize_preparation(dd, elision, identities)
-    oracle = oracle_preparation(dd, elision, identities)
-    assert qasm.dumps(columnar) == qasm.dumps(oracle)
-    assert columnar.global_phase == oracle.global_phase
-    assert qasm.dumps(
-        synthesize_unpreparation(dd, elision, identities)
-    ) == qasm.dumps(oracle_unpreparation(dd, elision, identities))
-    return columnar
+    """The level-major contract against the oracle, the legality of
+    the reordering, and the preparation as the table's inverse."""
+    unpreparation = synthesize_unpreparation(dd, elision, identities)
+    oracle = oracle_unpreparation(dd, elision, identities)
+    assert level_major_mismatches(unpreparation.table, oracle) == []
+    assert_legal_reordering(dd, elision, unpreparation.table)
+    preparation = synthesize_preparation(dd, elision, identities)
+    assert preparation.table.same_operations(unpreparation.table.inverse())
+    assert preparation.global_phase == (
+        oracle_preparation(dd, elision, identities).global_phase
+    )
+    return preparation
 
 
 class TestColumnarSynthesisMatchesOracle:
+    """Synthesis emits the oracle's blocks level by level, deepest
+    first: its rows are the oracle's stably sorted by target."""
+
     @given(synthesis_diagrams(), st.booleans(), st.booleans())
     @settings(max_examples=120, deadline=None)
-    def test_qdasm_byte_identical(self, dd, elision, identities):
+    def test_level_major_contract(self, dd, elision, identities):
         assert_same_as_oracle(dd, elision, identities)
 
     @pytest.mark.parametrize("family", sorted(FAMILIES))
@@ -187,3 +236,106 @@ class TestColumnarSynthesisMatchesOracle:
         circuit = assert_same_as_oracle(dd, elision, False)
         assert circuit.num_operations == 0
         assert circuit.table is not None
+
+    def test_legality_check_bites(self):
+        # Two visits on (3, 2, 2, 2) that the sort swaps: controls on
+        # different qudits do not make them commute, a different level
+        # on one qudit does.
+        targets = np.array([1, 2])
+        unrelated = np.array([[0, -1, -1, -1], [-1, 1, -1, -1]])
+        split = np.array([[0, -1, -1, -1], [1, 0, -1, -1]])
+        assert moved_pairs_commute(targets, unrelated).tolist() == [False]
+        assert moved_pairs_commute(targets, split).tolist() == [True]
+        assert moved_pairs_commute(targets[::-1], unrelated).size == 0
+
+    def test_blocks_do_move(self):
+        # A dense state's blocks leave post-order: the legality check
+        # has pairs to check.
+        dd = build_dd(random_state((2, 3, 2), rng=3))
+        table = synthesize_unpreparation(dd).table
+        assert assert_legal_reordering(dd, True, table) > 0
+        assert level_major_mismatches(
+            table, oracle_unpreparation(dd)
+        ) == []
+        # Post-order itself is not level-major.
+        assert qasm.dumps(synthesize_unpreparation(dd)) != qasm.dumps(
+            oracle_unpreparation(dd)
+        )
+
+
+@pytest.fixture
+def no_node_walks(monkeypatch):
+    """Run a callable with the node walks made to raise.
+
+    ``DecisionDiagram.nodes``, the level walk,
+    ``DDNode.nonzero_edges`` and ``DDNode.unique_nonzero_child`` raise
+    while the callable runs.
+    """
+    depth = []
+
+    def guarded(function, *args, **kwargs):
+        depth.append(None)
+        try:
+            return function(*args, **kwargs)
+        finally:
+            depth.pop()
+
+    def refuse(function):
+        def refusing(*args, **kwargs):
+            if depth:
+                raise AssertionError(f"synthesis called {function.__name__}")
+            return function(*args, **kwargs)
+
+        return refusing
+
+    for owner, name in [
+        (DecisionDiagram, "nodes"),
+        (diagram_module, "walk_levels"),
+        (DDNode, "nonzero_edges"),
+        (DDNode, "unique_nonzero_child"),
+    ]:
+        monkeypatch.setattr(owner, name, refuse(getattr(owner, name)))
+    return guarded
+
+
+class TestSynthesisWalksNoNodes:
+    def test_guard_is_armed(self, no_node_walks):
+        dd = build_dd(random_state((3, 2), rng=70))
+        with pytest.raises(AssertionError, match="unique_nonzero_child"):
+            no_node_walks(oracle_unpreparation, dd)
+        fresh = DecisionDiagram(dd.root, dd.register, dd.unique_table)
+        with pytest.raises(AssertionError, match="walk_levels"):
+            no_node_walks(synthesize_preparation, fresh)
+
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda state: build_dd(state),
+            lambda state: approximate(build_dd(state), 0.9).diagram,
+        ],
+        ids=["build_dd", "approximate"],
+    )
+    @pytest.mark.parametrize(
+        "state",
+        [
+            random_state((4, 7, 4), rng=71),
+            random_sparse_state((3, 3, 2, 2), 12, rng=72),
+            w_state((3, 6, 2)),
+            ghz_state((2, 3, 2)),
+            random_state((5,), rng=73),
+        ],
+        ids=["random", "sparse", "w", "ghz", "single-qudit"],
+    )
+    @pytest.mark.parametrize("elision", [True, False])
+    def test_synthesis(self, no_node_walks, make, state, elision):
+        dd = make(state)
+        preparation = no_node_walks(
+            synthesize_preparation, dd, tensor_elision=elision
+        )
+        unpreparation = no_node_walks(
+            synthesize_unpreparation, dd, tensor_elision=elision
+        )
+        assert preparation.num_operations == unpreparation.num_operations
+        assert level_major_mismatches(
+            unpreparation.table, oracle_unpreparation(dd, elision)
+        ) == []
