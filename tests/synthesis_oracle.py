@@ -20,7 +20,7 @@ legality check of the reordering.
 from __future__ import annotations
 
 import cmath
-from collections.abc import Iterator
+from collections.abc import Callable
 
 import numpy as np
 
@@ -46,30 +46,32 @@ ANGLE_TOLERANCE = 1e-12
 
 
 def _post_order(
-    dd: DecisionDiagram, tensor_elision: bool
-) -> Iterator[tuple[DDNode, tuple[Control, ...]]]:
-    """Every visit ``(node, controls)`` of the depth-first walk, each
-    after the visits of its subtree."""
+    dd: DecisionDiagram,
+    tensor_elision: bool,
+    visit: Callable[[DDNode, tuple[Control, ...]], None],
+) -> None:
+    """Call ``visit(node, controls)`` for every visit of the depth-first
+    walk, each after the visits of its subtree."""
     if dd.root.is_zero:
         raise SynthesisError("cannot synthesise the zero state")
 
-    def unprepare(node: DDNode, controls: tuple[Control, ...]):
+    def unprepare(node: DDNode, controls: tuple[Control, ...]) -> None:
         shared_child = (
             node.unique_nonzero_child() if tensor_elision else None
         )
         if shared_child is not None:
             if not shared_child.is_terminal:
-                yield from unprepare(shared_child, controls)
+                unprepare(shared_child, controls)
         else:
             for digit, edge in node.nonzero_edges():
                 if not edge.node.is_terminal:
-                    yield from unprepare(
+                    unprepare(
                         edge.node,
                         controls + (Control(node.level, digit),),
                     )
-        yield node, controls
+        visit(node, controls)
 
-    yield from unprepare(dd.root.node, ())
+    unprepare(dd.root.node, ())
 
 
 def _emit_node_ladder(
@@ -110,12 +112,15 @@ def oracle_visits(
     """
     targets = []
     rows = []
-    for node, controls in _post_order(dd, tensor_elision):
+
+    def visit(node: DDNode, controls: tuple[Control, ...]) -> None:
         row = [-1] * len(dd.dims)
         for control in controls:
             row[control.qudit] = control.level
         targets.append(node.level)
         rows.append(row)
+
+    _post_order(dd, tensor_elision, visit)
     return (
         np.array(targets, dtype=np.int64),
         np.array(rows, dtype=np.int64).reshape(-1, len(dd.dims)),
@@ -129,10 +134,13 @@ def oracle_unpreparation(
 ) -> Circuit:
     """The circuit mapping the DD's state to ``|0...0>``, gate by gate."""
     circuit = Circuit(dd.register)
-    for node, controls in _post_order(dd, tensor_elision):
-        _emit_node_ladder(
+    _post_order(
+        dd,
+        tensor_elision,
+        lambda node, controls: _emit_node_ladder(
             circuit, node, controls, emit_identity_rotations
-        )
+        ),
+    )
     return circuit
 
 
