@@ -38,9 +38,10 @@ Synthesis is an array program over the diagram's level arrays
   block per visit, and no :class:`~repro.circuit.gate.Gate` is built.
 
 Angles agree with the scalar
-:func:`~repro.core.angles.disentangling_rotation` to within rounding
-(NumPy's ``arctan2`` and ``hypot`` may differ from ``math``'s in the
-last bit).  The gate-by-gate depth-first synthesis is the test oracle
+:func:`~repro.core.angles.disentangling_rotation` to within rounding:
+NumPy's ``arctan2`` and ``hypot`` may differ from ``math``'s in the
+last bit, and the ladder carries each merged weight in polar form
+instead of rebuilding it as a complex number.  The gate-by-gate depth-first synthesis is the test oracle
 ``tests/synthesis_oracle.py``.
 """
 
@@ -90,36 +91,32 @@ def _ladders(
     rows, dimension = weights.shape
     theta = np.zeros((rows, dimension))
     phi = np.zeros((rows, dimension))
-    carried = weights[:, dimension - 1]
+    magnitudes = np.hypot(weights.real, weights.imag)
+    arguments = np.arctan2(weights.imag, weights.real)
+    # The phase a merge keeps: weights at or below the cutoff count as
+    # zero, so their merges come out real positive.
+    kept_arguments = np.where(magnitudes > MERGE_CUTOFF, arguments, 0.0)
+    # The weight carried down the ladder, in polar form: a merge leaves
+    # hypot(|a|, |b|) with a's kept phase, a skipped merge leaves a.
+    magnitude_b = magnitudes[:, dimension - 1]
+    arg_b = arguments[:, dimension - 1]
     for column, upper in enumerate(range(dimension - 1, 0, -1)):
-        kept = weights[:, upper - 1]
-        magnitude_a = np.hypot(kept.real, kept.imag)
-        magnitude_b = np.hypot(carried.real, carried.imag)
+        magnitude_a = magnitudes[:, upper - 1]
+        arg_a = kept_arguments[:, upper - 1]
         merging = magnitude_b > MERGE_CUTOFF
-        arg_a = np.where(
-            magnitude_a > MERGE_CUTOFF,
-            np.arctan2(kept.imag, kept.real),
-            0.0,
-        )
-        arg_b = np.arctan2(carried.imag, carried.real)
         theta[:, column] = np.where(
             merging, 2.0 * np.arctan2(magnitude_b, magnitude_a), 0.0
         )
-        phi[:, column] = np.where(
-            merging, arg_b - arg_a - np.pi / 2.0, 0.0
+        phi[:, column] = np.where(merging, arg_b - arg_a - np.pi / 2.0, 0.0)
+        magnitude_b = np.where(
+            merging, np.hypot(magnitude_a, magnitude_b), magnitude_a
         )
-        merged_magnitude = np.hypot(magnitude_a, magnitude_b)
-        merged = np.empty(rows, dtype=np.complex128)
-        merged.real = np.cos(arg_a) * merged_magnitude
-        merged.imag = np.sin(arg_a) * merged_magnitude
-        carried = np.where(merging, merged, kept)
+        arg_b = np.where(merging, arg_a, arguments[:, upper - 1])
     # The residual phase on level 0; for canonically normalised nodes
     # (first non-zero weight real positive) this is exactly zero, but
     # it is computed -- not assumed -- so non-canonical diagrams stay
     # correct.
-    residual = np.where(
-        carried != 0, np.arctan2(carried.imag, carried.real), 0.0
-    )
+    residual = np.where(magnitude_b > 0.0, arg_b, 0.0)
     theta[:, dimension - 1] = 2.0 * residual
     if emit_identity_rotations:
         keep = np.ones((rows, dimension), dtype=bool)
@@ -146,11 +143,11 @@ def _followed_edges(
     follow = nonzero & (children >= 0)
     if not tensor_elision:
         return follow, np.zeros(weights.shape[0], dtype=bool)
-    first = np.argmax(nonzero, axis=1)[:, None]
-    shared = np.take_along_axis(children, first, axis=1)
-    elided = np.all((children == shared) | ~nonzero, axis=1)
+    first = np.argmax(nonzero, axis=1)
+    shared = children[np.arange(first.size), first]
+    elided = np.all((children == shared[:, None]) | ~nonzero, axis=1)
     follow &= ~elided[:, None] | (
-        np.arange(weights.shape[1]) == first
+        np.arange(weights.shape[1]) == first[:, None]
     )
     return follow, elided
 
@@ -227,6 +224,8 @@ def _unpreparation_table(
     lengths = np.count_nonzero(emitted, axis=1)
     offsets = np.zeros(rows.size + 1, dtype=np.int64)
     np.cumsum(lengths, out=offsets[1:])
+    visit, column = np.nonzero(emitted)
+    row = rows[visit]
     kind = np.full(width, GIVENS, dtype=np.uint8)
     kind[-1] = PHASE
     upper = np.arange(width - 1, -1, -1, dtype=np.int32)
@@ -236,14 +235,14 @@ def _unpreparation_table(
     visits = np.array([visit_rows[level].size for level in deepest_first])
     return CircuitTable(
         dims,
-        kind=np.broadcast_to(kind, emitted.shape)[emitted],
+        kind=kind[column],
         target=np.repeat(
             np.repeat(np.arange(num_qudits - 1, -1, -1), visits), lengths
         ),
-        lower=np.broadcast_to(lower, emitted.shape)[emitted],
-        upper=np.broadcast_to(upper, emitted.shape)[emitted],
-        theta=theta[rows][emitted],
-        phi=phi[rows][emitted],
+        lower=lower[column],
+        upper=upper[column],
+        theta=theta[row, column],
+        phi=phi[row, column],
         offsets=offsets,
         controls=np.concatenate(
             [visit_controls[level] for level in deepest_first]
