@@ -41,8 +41,8 @@ Angles agree with the scalar
 :func:`~repro.core.angles.disentangling_rotation` to within rounding:
 NumPy's ``arctan2`` and ``hypot`` may differ from ``math``'s in the
 last bit, and the ladder carries each merged weight in polar form
-instead of rebuilding it as a complex number.  The gate-by-gate depth-first synthesis is the test oracle
-``tests/synthesis_oracle.py``.
+instead of rebuilding it as a complex number.  The gate-by-gate
+depth-first synthesis is the test oracle ``tests/synthesis_oracle.py``.
 """
 
 from __future__ import annotations
