@@ -20,7 +20,8 @@ subsequent PRs have a perf trajectory to compare against:
 Scenarios cover qubit-only, qutrit-only and mixed-radix registers with
 GHZ, W, dense-random and sparse-random states.  Per scenario the
 harness times DD construction (the vectorized kernel and the two
-baselines), cold synthesis (the level-major ``synthesize_preparation``
+baselines, and apart from them making the node graph from the level
+arrays, which the build no longer does), cold synthesis (the level-major ``synthesize_preparation``
 against the gate-by-gate oracle of ``tests/synthesis_oracle.py``),
 preparation verification (the block kernel on the synthesised table,
 the same circuit as a gate list, and the two baselines),
@@ -33,6 +34,12 @@ levels, angles within 1e-12), the statistics that ``build_dd`` and
 ``approximate`` store on their diagrams against the oracle of
 ``tests/kernel_oracles.py``, and every ``approximate`` result against
 the scalar oracle's, and exits 1 on any mismatch.
+A second grid times the build alone, statistics included, on the two
+paths it takes: random states, whose kept weights lie apart and skip
+the complex table, and W, uniform and Dicke states on wide registers,
+whose near-equal weights mostly replay it over those weights; each row
+records the path taken and also times making the node graph, and the
+run fails if a random state leaves the fast path.
 ``--smoke`` runs a CI-sized grid and also fails unless block-kernel
 verify is no slower than gate-list verify on the smoke scenario with
 the most operations.
@@ -85,7 +92,13 @@ from repro.pipeline import (  # noqa: E402
     finalize,
 )
 from repro.states.fidelity import fidelity  # noqa: E402
-from repro.states.library import ghz_state, w_state  # noqa: E402
+from repro.linalg.complex_table import ComplexTable  # noqa: E402
+from repro.states.library import (  # noqa: E402
+    dicke_state,
+    ghz_state,
+    uniform_state,
+    w_state,
+)
 from repro.states.random_states import (  # noqa: E402
     random_sparse_state,
     random_state,
@@ -309,6 +322,91 @@ def _scenarios(smoke: bool) -> list[dict]:
     ]
 
 
+def _build_path_scenarios(smoke: bool) -> list[dict]:
+    """The build grid: random states, which must take the fast path,
+    and W, uniform and Dicke states on wide registers, whose
+    near-equal weights mostly make the build replay the complex
+    table."""
+    rng = np.random.default_rng(2025)
+    if smoke:
+        fast_dims = [(2, 3, 2, 2, 3, 2, 2, 2)]
+        wide = [(2,) * 6 + (3,) * 2]
+    else:
+        fast_dims = [
+            (6, 6, 5, 3, 3),
+            (4, 7, 4, 4, 3, 5),
+            (2, 3, 2, 2, 3, 2, 2, 2, 3, 2, 2, 2),
+        ]
+        wide = [(2,) * 8 + (3,) * 4 + (5,), (2,) * 12 + (3,) * 4]
+    grid = [
+        (f"random-{'x'.join(map(str, dims))}", "random", dims,
+         random_state(dims, rng=rng, distribution="gaussian"))
+        for dims in fast_dims
+    ]
+    for dims in wide:
+        label = f"{len(dims)}q"
+        grid += [
+            (f"w-{label}", "structured", dims, w_state(dims)),
+            (f"uniform-{label}", "structured", dims, uniform_state(dims)),
+            (f"dicke2-{label}", "structured", dims, dicke_state(dims, 2)),
+        ]
+    return [
+        {"name": name, "kind": kind, "dims": dims, "state": state}
+        for name, kind, dims, state in grid
+    ]
+
+
+def build_path_of(state: StateVector) -> str:
+    """``"replay"`` when building ``state`` consults a complex table,
+    else ``"fast"``."""
+    calls = []
+    lookup_many = ComplexTable.lookup_many
+
+    def counting(table, values):
+        calls.append(None)
+        return lookup_many(table, values)
+
+    ComplexTable.lookup_many = counting
+    try:
+        build_dd(state)
+    finally:
+        ComplexTable.lookup_many = lookup_many
+    return "replay" if calls else "fast"
+
+
+def run_build_paths(smoke: bool, repeats: int) -> list[dict]:
+    """Build plus statistics, and making the nodes, per path."""
+    rows = []
+    for scenario in _build_path_scenarios(smoke):
+        state = scenario["state"]
+
+        def build_with_stats():
+            return build_dd(state).stats
+
+        build_s = _best_of(build_with_stats, repeats)
+        materialize_s = _best_of_cold(
+            lambda: build_dd(state),
+            lambda dd: dd.level_nodes(),
+            repeats,
+        )
+        row = {
+            "name": scenario["name"],
+            "dims": list(scenario["dims"]),
+            "size": state.size,
+            "kind": scenario["kind"],
+            "path": build_path_of(state),
+            "build_s": round(build_s, 6),
+            "materialize_s": round(materialize_s, 6),
+            "dag_nodes": build_dd(state).stats.num_nodes,
+        }
+        print(f"[build {row['name']}] {row['path']:8s} build+stats "
+              f"{build_s * 1e3:8.2f} ms | make nodes "
+              f"{materialize_s * 1e3:8.2f} ms | "
+              f"{row['dag_nodes']} nodes", flush=True)
+        rows.append(row)
+    return rows
+
+
 def _best_of(callable_, repeats: int) -> float:
     """Minimum wall time over ``repeats`` runs, GC parked."""
     best = math.inf
@@ -337,6 +435,12 @@ def _best_of_cold(make_input, callable_, repeats: int) -> float:
         gc.enable()
         best = min(best, elapsed)
     return best
+
+
+def _with_nodes(dd):
+    """``dd`` with its node graph made, for the node-walking oracles."""
+    dd.level_nodes()
+    return dd
 
 
 def _round_speedup(baseline: float, new: float) -> float:
@@ -402,9 +506,15 @@ def run(smoke: bool, repeats: int) -> dict:
             lambda: build_dd_reference(state), repeats
         )
         seed_s = _best_of(lambda: seed_build_dd(state), repeats)
+        materialize_s = _best_of_cold(
+            lambda: build_dd(state), lambda dd: dd.level_nodes(), repeats
+        )
         diagram = build_dd(state)
+        # The oracles walk nodes: make them outside every timed interval.
+        diagram.level_nodes()
         build = {
             "vectorized_s": round(vector_s, 6),
+            "materialize_s": round(materialize_s, 6),
             "reference_s": round(reference_s, 6),
             "seed_s": round(seed_s, 6),
             "speedup_vs_reference": _round_speedup(reference_s, vector_s),
@@ -412,6 +522,7 @@ def run(smoke: bool, repeats: int) -> dict:
             "dag_nodes": diagram.stats.num_nodes,
         }
         print(f"  build: vectorized {vector_s * 1e3:8.2f} ms"
+              f" | make nodes {materialize_s * 1e3:8.2f} ms"
               f" | reference {reference_s * 1e3:8.2f} ms"
               f" ({build['speedup_vs_reference']:.2f}x)"
               f" | seed {seed_s * 1e3:8.2f} ms"
@@ -479,15 +590,14 @@ def run(smoke: bool, repeats: int) -> dict:
               f" | seed {seed_verify_s * 1e3:7.2f} ms"
               f" ({verify['speedup_vs_seed']:.2f}x)", flush=True)
 
-        # Cold: each run approximates a freshly built diagram, whose
-        # complex table has not yet seen the pruned weights.
+        # Cold: each run approximates a freshly built diagram.
         arrays_s = _best_of_cold(
             lambda: build_dd(state),
             lambda dd: approximate(dd, 0.98),
             repeats,
         )
         approx_oracle_s = _best_of_cold(
-            lambda: build_dd(state),
+            lambda: _with_nodes(build_dd(state)),
             lambda dd: approximate_oracle(dd, 0.98),
             repeats,
         )
@@ -573,6 +683,7 @@ def run(smoke: bool, repeats: int) -> dict:
                 headline_row["approximate"]["speedup_vs_oracle"],
         },
         "scenarios": results,
+        "build_paths": run_build_paths(smoke, repeats),
     }
     return payload
 
@@ -642,6 +753,21 @@ def approximation_check(payload: dict) -> str | None:
     return None
 
 
+def build_path_check(payload: dict) -> str | None:
+    """Every random state of the build grid took the fast path.
+
+    Returns the failure message, or ``None`` when all did.
+    """
+    failures = [
+        f"{row['name']} took the {row['path']} path"
+        for row in payload["build_paths"]
+        if row["kind"] == "random" and row["path"] != "fast"
+    ]
+    if failures:
+        return "; ".join(failures)
+    return None
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument(
@@ -697,6 +823,11 @@ def main(argv: list[str] | None = None) -> int:
         print(f"APPROXIMATION CHECK FAILED: {failure}", file=sys.stderr)
         return 1
     print("approximation check held: approximate agrees with the oracle")
+    failure = build_path_check(payload)
+    if failure is not None:
+        print(f"BUILD PATH CHECK FAILED: {failure}", file=sys.stderr)
+        return 1
+    print("build path check held: random states skip the complex table")
     if options.smoke:
         failure = verify_floor(payload)
         if failure is not None:

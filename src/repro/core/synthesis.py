@@ -166,7 +166,7 @@ def _unpreparation_table(
     rotates levels ``(width - 2 - c, width - 1 - c)`` on every level
     and the last column is the phase rotation.
     """
-    if dd.root.is_zero:
+    if abs(dd.root_weight) <= WEIGHT_ZERO_CUTOFF:
         raise SynthesisError("cannot synthesise the zero state")
     levels = dd.levels
     dims = dd.dims
@@ -301,5 +301,5 @@ def synthesize_preparation(
         dd, tensor_elision, emit_identity_rotations
     )
     preparation = Circuit.from_table(table.inverse())
-    preparation.global_phase = cmath.phase(dd.root.weight)
+    preparation.global_phase = cmath.phase(dd.root_weight)
     return preparation

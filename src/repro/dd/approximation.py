@@ -32,11 +32,12 @@ prepare states level by level:
   :func:`~repro.dd.builder.normalize_edges` gives it, computed bit for
   bit by mapping the same Python operations over the rows.  Only the
   rows that lost an edge, have such a row below them, or whose
-  renormalised weights leave their own are normalised and interned
-  again, with one ``lookup_many`` in the per-node rebuild's probe
-  order; every other node is reused, so the result shares the input's
-  unique table and most of its nodes, and its weights, root weight
-  included, equal the per-node rebuild's.
+  renormalised weights leave their own are normalised again and
+  written in place, with one ``lookup_many`` in the per-node rebuild's
+  probe order; the table is a fresh one that holds only the input's
+  weights a quotient could meet, so the weights, root weight included,
+  equal the per-node rebuild's.  Rows that became one node are merged
+  by row key.  No node is made, and no table is shared with the input.
 * **Fidelity.**  ``|<original|approximated>|^2`` is computed exactly,
   level by level over the pairs of rows the two diagrams reach
   together, with the recursive inner product's arithmetic.  The result
@@ -54,10 +55,16 @@ from math import fsum
 import numpy as np
 
 from repro.dd.diagram import DecisionDiagram, level_stats
-from repro.dd.edge import WEIGHT_ZERO_CUTOFF, Edge
-from repro.dd.levels import compact_levels
-from repro.dd.node import TERMINAL, DDNode
+from repro.dd.edge import WEIGHT_ZERO_CUTOFF
+from repro.dd.levels import (
+    DiagramLevels,
+    compact_levels,
+    preorder_positions,
+    row_keys,
+)
+from repro.dd.node import DDNode
 from repro.exceptions import ApproximationError
+from repro.linalg.complex_table import DEFAULT_TOLERANCE, ComplexTable
 
 __all__ = [
     "ApproximationResult",
@@ -96,72 +103,15 @@ class ApproximationResult:
     removal_log: list[float] = field(default_factory=list)
 
 
-def _scan_positions(children: list[np.ndarray]) -> list[np.ndarray]:
-    """Every row's index in reversed depth-first post-order.
+def _in_scan_order(levels: DiagramLevels):
+    """The level arrays with each level's rows in scan order.
 
-    A depth-first walk from the root that takes children in digit order
-    first reaches each node through its lexicographically smallest
-    root path, so a level's path ranks follow from the level above
-    (``rank * d + digit``, minimised over in-edges), and that minimum
-    names the node's tree parent and digit.  Reversed post-order is
-    the tree's pre-order with children taken in reverse digit order:
-    a node sits one after its tree parent plus the subtree sizes of
-    its siblings with larger digits.
+    Scan order is reversed depth-first post-order (children in digit
+    order), the order of the scalar implementation.  Returns
+    ``(weights, children, positions, orders)`` lists, one entry per
+    level; ``orders[level][i]`` is the input row that went to row ``i``.
     """
-    num_levels = len(children)
-    counts = [level.shape[0] for level in children]
-    rank = [np.zeros(1, dtype=np.intp)]
-    tree_parent: list[np.ndarray] = [np.zeros(0, dtype=np.intp)]
-    tree_digit: list[np.ndarray] = [np.zeros(0, dtype=np.intp)]
-    for level in range(num_levels - 1):
-        child = children[level]
-        rows, digits = np.nonzero(child >= 0)
-        keys = rank[level][rows] * child.shape[1] + digits
-        first = np.full(counts[level + 1], np.iinfo(np.intp).max)
-        np.minimum.at(first, child[rows, digits], keys)
-        below = np.empty(counts[level + 1], dtype=np.intp)
-        below[np.argsort(first)] = np.arange(counts[level + 1])
-        rank.append(below)
-        row_of_rank = np.empty(counts[level], dtype=np.intp)
-        row_of_rank[rank[level]] = np.arange(counts[level])
-        tree_parent.append(row_of_rank[first // child.shape[1]])
-        tree_digit.append(first % child.shape[1])
-
-    size = np.ones(counts[-1], dtype=np.int64)
-    sizes = [size]
-    for level in range(num_levels - 1, 0, -1):
-        size = 1 + np.bincount(
-            tree_parent[level], weights=size, minlength=counts[level - 1]
-        ).astype(np.int64)
-        sizes.append(size)
-    sizes.reverse()
-
-    positions = [np.zeros(1, dtype=np.int64)]
-    for level in range(1, num_levels):
-        order = np.lexsort((-tree_digit[level], tree_parent[level]))
-        parent = tree_parent[level][order]
-        size = sizes[level][order]
-        before = np.cumsum(size) - size
-        starts = np.flatnonzero(
-            np.concatenate(([True], parent[1:] != parent[:-1]))
-        )
-        group_base = np.repeat(
-            before[starts], np.diff(np.append(starts, order.size))
-        )
-        position = np.empty(order.size, dtype=np.int64)
-        position[order] = positions[level - 1][parent] + 1 + before - group_base
-        positions.append(position)
-    return positions
-
-
-def _in_scan_order(dd: DecisionDiagram):
-    """The diagram's level arrays with each level's rows in scan order.
-
-    Returns ``(weights, children, nodes, positions)`` lists, one entry
-    per level.
-    """
-    levels = dd.levels
-    positions = _scan_positions(list(levels.children))
+    positions = preorder_positions(list(levels.children), reverse_digits=True)
     orders = [np.argsort(position) for position in positions]
     new_rows = []
     for order in orders:
@@ -179,11 +129,8 @@ def _in_scan_order(dd: DecisionDiagram):
     return (
         [weights[order] for weights, order in zip(levels.weights, orders)],
         children,
-        [
-            [nodes[row] for row in order.tolist()]
-            for nodes, order in zip(levels.nodes, orders)
-        ],
         [position[order] for position, order in zip(positions, orders)],
+        orders,
     )
 
 
@@ -297,14 +244,16 @@ def fidelity_contributions(dd: DecisionDiagram) -> dict[DDNode, float]:
     amplitudes whose path crosses the node (Section 4.3 of the paper).
     For a normalised state the root contributes 1.
     """
-    weights, children, nodes, _ = _in_scan_order(dd)
+    weights, children, _, orders = _in_scan_order(dd.levels)
     magnitudes = [_squared_magnitudes(level) for level in weights]
-    influx = _influxes(magnitudes, children, abs(dd.root.weight) ** 2)
+    influx = _influxes(magnitudes, children, abs(dd.root_weight) ** 2)
     masses = _masses(magnitudes, children)
     return {
-        node: value
-        for level_nodes, incoming, mass in zip(nodes, influx, masses)
-        for node, value in zip(level_nodes, (incoming * mass).tolist())
+        level_nodes[row]: value
+        for level_nodes, order, incoming, mass in zip(
+            dd.level_nodes(), orders, influx, masses
+        )
+        for row, value in zip(order.tolist(), (incoming * mass).tolist())
     }
 
 
@@ -415,12 +364,100 @@ def _in_edge_factors(raw: np.ndarray, magnitudes: np.ndarray) -> np.ndarray:
     return factors
 
 
+def _table_near(values: np.ndarray, quotients: np.ndarray) -> ComplexTable:
+    """A fresh complex table holding the entries of ``values`` that lie
+    within twice its tolerance of some quotient.
+
+    A lookup only returns a stored value within the tolerance of its
+    input, and only a stored value that close can share its grid cell,
+    so looking the quotients up here gives what a table holding every
+    entry of ``values`` would give.
+    """
+    table = ComplexTable(DEFAULT_TOLERANCE)
+    gap = 2.0 * DEFAULT_TOLERANCE
+    order = np.argsort(values.real)
+    real = values.real[order]
+    # Per quotient, the values within the gap in the real part.
+    low = np.searchsorted(real, quotients.real - gap, side="left")
+    spans = np.searchsorted(real, quotients.real + gap, side="right") - low
+    found = np.flatnonzero(spans)
+    if found.size:
+        counts = spans[found]
+        quotient_of = np.repeat(found, counts)
+        value_of = order[
+            np.repeat(low[found] - np.cumsum(counts) + counts, counts)
+            + np.arange(quotient_of.size)
+        ]
+        near = np.zeros(values.size, dtype=bool)
+        near[value_of[
+            np.abs(values.imag[value_of] - quotients.imag[quotient_of]) <= gap
+        ]] = True
+        table.lookup_many(values[near])
+    return table
+
+
+#: Odd multiplier of :func:`_merged_labels`' row hash (64-bit wraparound).
+_HASH_STEP = 0x9E3779B97F4A7C15
+
+
+def _merged_labels(
+    weights: np.ndarray,
+    children: np.ndarray,
+    dirty: np.ndarray,
+    reached: np.ndarray,
+    below: np.ndarray | None,
+) -> np.ndarray | None:
+    """Labels of one level's rows after a rebuild, equal for one node.
+
+    Rows that were not rebuilt are distinct nodes, so only a rebuilt
+    (``dirty``) row can equal another row.  A 64-bit hash of every
+    reachable row picks the untouched rows that could equal a rebuilt
+    one; those and the rebuilt rows are keyed exactly.  ``below`` holds
+    the next level's labels (``None``: every row its own node).  Each
+    row is labelled with the first row of its node; returns ``None``
+    when every row is its own node.
+    """
+    if below is not None:
+        children = np.where(children >= 0, below[np.maximum(children, 0)], -1)
+    if not dirty.size:
+        return None
+    width = weights.shape[1]
+    multipliers = (
+        np.arange(1, 3 * width + 1, dtype=np.uint64) * np.uint64(_HASH_STEP)
+    ) | np.uint64(1)
+    rows = np.flatnonzero(reached)
+    hashes = (
+        (weights[rows] + 0.0).view(np.uint64) * multipliers[: 2 * width]
+    ).sum(axis=1) + (
+        children[rows].astype(np.uint64) * multipliers[2 * width:]
+    ).sum(axis=1)
+    candidate = np.zeros(weights.shape[0], dtype=bool)
+    candidate[dirty] = True
+    rebuilt = candidate[rows]
+    dirty_hashes = np.sort(hashes[rebuilt])
+    clean_hashes = hashes[~rebuilt]
+    found = np.minimum(
+        np.searchsorted(dirty_hashes, clean_hashes), dirty_hashes.size - 1
+    )
+    candidate[rows[~rebuilt][dirty_hashes[found] == clean_hashes]] = True
+    candidates = np.flatnonzero(candidate)
+    _, first, inverse = np.unique(
+        row_keys(weights[candidates], children[candidates]),
+        return_index=True,
+        return_inverse=True,
+    )
+    if first.size == candidates.size:
+        return None
+    labels = np.arange(weights.shape[0])
+    labels[candidates] = candidates[first][inverse.ravel()]
+    return labels
+
+
 def _rebuild(
-    dd: DecisionDiagram,
     weights: list[np.ndarray],
     children: list[np.ndarray],
-    nodes: list[list[DDNode]],
     lost: list[np.ndarray],
+    values: np.ndarray,
 ):
     """Renormalise the pruned diagram bottom-up.
 
@@ -428,15 +465,16 @@ def _rebuild(
     per-node rebuild through :func:`~repro.dd.builder.normalize_edges`
     gives it, bit for bit.  Only rows that lost an edge, have such a
     row below them, or whose renormalised weights leave their own are
-    normalised and interned again; every other row keeps its node.
-    Their quotients go through one ``lookup_many`` in
-    the order the per-node rebuild probes them (depth-first
-    post-order), so the complex table picks the same representatives.
-    Rows are rebuilt in place.  Returns the root row's factor (0 when
-    nothing is left) and the result's level arrays, the input's own when
-    no row was interned again.
+    normalised again, and written in place; every other row stays as
+    it is.  Their quotients go through one ``lookup_many`` in the order
+    the per-node rebuild probes them (depth-first post-order), so the
+    complex table picks the same representatives.  The table holds the
+    input's edge weights ``values`` that a quotient could meet (see
+    :func:`_table_near`).  Rows that became one node are merged by
+    key.  Returns the root row's factor (0 when nothing is left) and
+    the result's level arrays, ``None`` when no row was normalised
+    again.
     """
-    table = dd.unique_table
     num_levels = len(children)
     reach = [np.ones(1, dtype=bool)]
     for level in range(num_levels - 1):
@@ -446,7 +484,7 @@ def _rebuild(
         reach.append(mark)
 
     # Bottom-up: factors of the reachable rows, and the quotients of
-    # the rows to intern again.
+    # the rows to normalise again.
     factors: list[np.ndarray] = [np.zeros(0)] * num_levels
     dirty_rows: list[np.ndarray] = [np.zeros(0, dtype=np.intp)] * num_levels
     slots: list[np.ndarray] = [np.zeros(0, dtype=np.intp)] * num_levels
@@ -484,9 +522,9 @@ def _rebuild(
         quotient[
             np.hypot(quotient.real, quotient.imag) <= WEIGHT_ZERO_CUTOFF
         ] = 0.0
-        # A row is interned again when it lost an edge, when a row below
-        # it was, or when its quotients are not its own weights up to
-        # rounding (a weight the scalar rebuild would move off its
+        # A row is normalised again when it lost an edge, when a row
+        # below it was, or when its quotients are not its own weights up
+        # to rounding (a weight the scalar rebuild would move off its
         # complex-table entry).
         drift = quotient - weight
         dirty = lost[level][rows] | (
@@ -505,18 +543,19 @@ def _rebuild(
         quotients[level] = kept[slots[level]]
 
     if not any(rows.size for rows in dirty_rows):
-        return complex(factors[0][0]), dd.levels
+        return complex(factors[0][0]), None
 
     # One lookup batch, rows in depth-first post-order of the pruned
     # diagram (the reverse of its scan order), digits in order.
     batch = np.concatenate(quotients)
+    table = _table_near(values, batch)
     if sum(rows.size for rows in dirty_rows) > 1:
         remap = []
         for mark in reach:
             index = np.full(mark.size, -1, dtype=np.intp)
             index[mark] = np.arange(int(mark.sum()))
             remap.append(index)
-        positions = _scan_positions([
+        positions = preorder_positions([
             np.where(
                 child >= 0,
                 remap[level + 1][np.maximum(child, 0)]
@@ -524,7 +563,7 @@ def _rebuild(
                 -1,
             )[reach[level]]
             for level, child in enumerate(children)
-        ])
+        ], reverse_digits=True)
         order = np.lexsort((
             np.concatenate([
                 slot % child.shape[1] for slot, child in zip(slots, children)
@@ -537,17 +576,16 @@ def _rebuild(
             ]),
         ))
         canonical = np.empty_like(batch)
-        canonical[order] = table.complex_table.lookup_many(batch[order])
+        canonical[order] = table.lookup_many(batch[order])
     else:
-        canonical = table.complex_table.lookup_many(batch)
+        canonical = table.lookup_many(batch)
 
-    # Bottom-up again: intern the dirty rows, in place.
-    get_node_canonical = table.get_node_canonical
-    zero_edge = Edge.zero()
-    new_nodes: list[list[DDNode | None]] = [[]] * num_levels
+    # Bottom-up again: write the rebuilt rows in place (zero edges point
+    # nowhere) and label the rows that became one node.
+    classes: list[np.ndarray | None] = [None] * num_levels
+    labels = None
     start = canonical.size
     for level in range(num_levels - 1, -1, -1):
-        level_nodes: list[DDNode | None] = list(nodes[level])
         rows = dirty_rows[level]
         start -= slots[level].size
         if rows.size:
@@ -555,29 +593,19 @@ def _rebuild(
             canon = np.zeros(rows.size * width, dtype=np.complex128)
             canon[slots[level]] = canonical[start:start + slots[level].size]
             canon = canon.reshape(rows.size, width)
-            kept_kids = np.where(canon != 0, children[level][rows], -1)
-            nodes_below = new_nodes[level + 1] if level + 1 < num_levels else []
-            for row, alive, weight_row, id_row in zip(
-                rows.tolist(),
-                (factors[level][rows] != 0).tolist(),
-                canon.tolist(),
-                kept_kids.tolist(),
-            ):
-                if not alive:
-                    level_nodes[row] = None
-                    continue
-                edges = [
-                    Edge(w, TERMINAL if kid < 0 else nodes_below[kid])
-                    if w
-                    else zero_edge
-                    for w, kid in zip(weight_row, id_row)
-                ]
-                level_nodes[row] = get_node_canonical(level, edges)
             weights[level][rows] = canon
-            children[level][rows] = kept_kids
-        new_nodes[level] = level_nodes
+            children[level][rows] = np.where(
+                canon != 0, children[level][rows], -1
+            )
+        labels = classes[level] = _merged_labels(
+            weights[level],
+            children[level],
+            rows[factors[level][rows] != 0],
+            reach[level],
+            labels,
+        )
     return complex(factors[0][0]), compact_levels(
-        weights, children, new_nodes, 0
+        weights, children, 0, classes
     )
 
 
@@ -650,8 +678,8 @@ def approximate(
     Returns:
         An :class:`ApproximationResult`; its ``fidelity`` field is the
         exact achieved fidelity, always >= ``min_fidelity``.  The
-        result shares the input's unique table and reuses its
-        untouched nodes.
+        result's diagram holds level arrays only; its nodes are made
+        when first read.
 
     Raises:
         ApproximationError: If ``min_fidelity`` is out of range, the
@@ -674,14 +702,15 @@ def approximate(
             removed_nodes=0,
             removed_leaves=0,
         )
-    if dd.root.is_zero:
+    if abs(dd.root_weight) <= WEIGHT_ZERO_CUTOFF:
         raise ApproximationError("cannot approximate the zero diagram")
-    original_weights, original_children, nodes, positions = _in_scan_order(dd)
+    levels = dd.levels
+    original_weights, original_children, positions, _ = _in_scan_order(levels)
     weights = [level.copy() for level in original_weights]
     children = [level.copy() for level in original_children]
     magnitudes = [_squared_magnitudes(level) for level in weights]
     lost = [np.zeros(level.shape[0], dtype=bool) for level in weights]
-    root_magnitude = abs(dd.root.weight) ** 2
+    root_magnitude = abs(dd.root_weight) ** 2
     all_positions = np.concatenate(positions[1:] or [np.zeros(0, np.int64)])
     links = None
     # A relative slack keeps boundary removals (contribution exactly
@@ -765,24 +794,30 @@ def approximate(
         if not progressed:
             break
 
-    root_factor, levels = _rebuild(dd, weights, children, nodes, lost)
+    root_factor, rebuilt_levels = _rebuild(
+        weights,
+        children,
+        lost,
+        np.concatenate([level[level != 0] for level in levels.weights]),
+    )
     if root_factor == 0:  # pragma: no cover - budget < 1 guards
         raise ApproximationError("approximation removed the entire state")
-    rebuilt = root_factor * dd.root.weight
-    root = Edge(rebuilt / abs(rebuilt), levels.nodes[0][0])
-    result_dd = DecisionDiagram(
-        root,
+    if rebuilt_levels is None:
+        rebuilt_levels = levels
+    rebuilt = root_factor * dd.root_weight
+    root_weight = rebuilt / abs(rebuilt)
+    result_dd = DecisionDiagram.from_levels(
+        root_weight,
+        rebuilt_levels,
         dd.register,
-        dd.unique_table,
-        level_stats(levels, root),
-        levels,
+        level_stats(rebuilt_levels, root_weight),
     )
     overlap = (
-        dd.root.weight.conjugate()
-        * root.weight
+        dd.root_weight.conjugate()
+        * root_weight
         * _overlap(
             (original_weights, original_children),
-            (list(levels.weights), list(levels.children)),
+            (list(rebuilt_levels.weights), list(rebuilt_levels.children)),
         )
     )
     fidelity = abs(overlap) ** 2

@@ -11,32 +11,40 @@ identical sub-states and the diagram is maximally reduced.
 :func:`build_dd` is the vectorised level-by-level kernel: the
 amplitude array is reshaped to ``(num_blocks, d_level)``, block norms
 and pivot phases are computed with vectorised NumPy reductions, and
-every live block is keyed on its quantised weights and children
-*before* any per-node work.  Only the first block with each key has
-its weights canonicalised through the complex table, is converted to
-Python values and is interned as a heap ``DDNode``, so the per-node
-Python cost and memory are paid once per distinct node instead of
-once per tree block.  The diagram keeps the distinct rows as its
+every live block is keyed on its quantised weights and children; the
+first block with each key is one of the level's distinct rows.  The
+build makes level arrays only, no ``DDNode`` and no ``Edge``: the
+diagram keeps the distinct rows as its
 :class:`~repro.dd.levels.DiagramLevels` (one top-down pass keeps the
-rows reachable through kept edges, one per node), and its
-:class:`~repro.dd.diagram.DiagramStats` are counted from them, so
-nothing walks the finished diagram.  The original per-amplitude recursive
-kernel is kept as a test oracle in ``tests/kernel_oracles.py``; the
-equivalence tests in ``tests/test_hotpaths.py`` assert that both
-kernels produce the same diagram (DAG size, root weight, per-node
-weights, amplitudes) on random mixed-radix states.
+rows reachable through kept edges, one per node) with its root weight,
+its :class:`~repro.dd.diagram.DiagramStats` are counted from them, and
+its node graph is made from them only when something reads it.
 
-The kernel canonicalises every interned edge weight through the
-table's shared complex table, like the oracle.  One
-caveat: weights are uniqued at a tolerance (~1e-12), so for
-adversarial states whose distinct weights sit *within the uniquing
-tolerance of each other*, near-boundary values may land in different
-grid cells (or chain to different canonical representatives) and the
-diagrams can differ by a node.  Any state whose distinct weights are
-separated by more than the tolerance — i.e. everything outside
-deliberately constructed collisions — produces identical diagrams
-(:func:`normalize_edges` stays as the scalar reference for the
-normalisation semantics).
+The complex table that uniques weights at a tolerance (~1e-12) is
+replayed only where it can change a weight.  A fresh table returns a
+kept weight unchanged unless another one crowds it (lies within twice
+the tolerance, or equals it with a zero of the other sign), and the
+entries a crowded weight can meet are crowded too; so only the crowded
+weights go through
+:meth:`~repro.linalg.complex_table.ComplexTable.lookup_many`, deepest
+level first, row-major, as a full replay would send them, and rows
+whose canonical weights and children then coincide are merged.  With
+no crowded weight (random states) the table is skipped and rows with
+distinct keys are distinct nodes.  A unique table the caller passes
+gets every weight.
+
+The original per-amplitude recursive kernel is kept as a test oracle
+in ``tests/kernel_oracles.py``; the equivalence tests in
+``tests/test_hotpaths.py`` assert that both kernels produce the same
+diagram (DAG size, root weight, per-node weights, amplitudes) on
+random mixed-radix states.  One caveat: for adversarial states whose
+distinct weights sit *within the uniquing tolerance of each other*,
+near-boundary values may land in different grid cells (or chain to
+different canonical representatives) and the diagrams can differ by a
+node.  Any state whose distinct weights are separated by more than the
+tolerance — i.e. everything outside deliberately constructed
+collisions — produces identical diagrams (:func:`normalize_edges` stays
+as the scalar reference for the normalisation semantics).
 """
 
 from __future__ import annotations
@@ -47,10 +55,10 @@ import numpy as np
 
 from repro.dd.diagram import DecisionDiagram, level_stats
 from repro.dd.edge import WEIGHT_ZERO_CUTOFF, Edge
-from repro.dd.levels import compact_levels
-from repro.dd.node import TERMINAL, DDNode
+from repro.dd.levels import compact_levels, row_keys
 from repro.dd.unique_table import UniqueTable
 from repro.exceptions import StateError
+from repro.linalg.complex_table import DEFAULT_TOLERANCE, ComplexTable
 from repro.registers.register import as_register
 from repro.states.statevector import StateVector
 
@@ -141,6 +149,79 @@ def _normalize_level(
     return live_rows, factor, normalized, kept_ids
 
 
+def _crowded(values: np.ndarray, gap: float):
+    """Which entries of ``values`` a complex table might change.
+
+    A table with tolerance ``gap / 2`` fed ``values`` in any order
+    returns an entry unchanged unless an entry of another value lies
+    within ``gap`` of it in both parts, or an equal one differs from it
+    in the sign of a zero (the table returns the first of two such
+    twins for both).  Sorted by real part, runs of entries whose real
+    parts step by at most ``gap`` hold every pair close in the real
+    part; sorted by imaginary part within a run, every entry between
+    two close ones is within ``gap`` of its neighbours, so marking both
+    entries of each such neighbour pair whose bytes differ never misses
+    one (it may mark entries close in one part only).  Entries with
+    equal bytes, adjacent in that order, share the mark.
+
+    Returns the mark of every entry and the distinct entries.
+    """
+    by_real = np.argsort(values.real, kind="stable")
+    run = np.concatenate(
+        ([0], np.cumsum(np.diff(values.real[by_real]) > gap))
+    )
+    lex = np.lexsort((values.imag[by_real], run))
+    order = by_real[lex]
+    ordered = values[order]
+    bits = ordered.view(np.int64).reshape(-1, 2)
+    differ = (bits[1:] != bits[:-1]).any(axis=1)
+    close = (
+        differ
+        & (run[lex][1:] == run[lex][:-1])
+        & (np.abs(np.diff(ordered.imag)) <= gap)
+    )
+    mark = np.zeros(values.size, dtype=bool)
+    mark[1:] |= close
+    mark[:-1] |= close
+    group = np.concatenate(([0], np.cumsum(differ)))
+    crowded = np.empty(values.size, dtype=bool)
+    crowded[order] = np.bincount(group, weights=mark)[group] > 0
+    return crowded, ordered[np.concatenate(([True], differ))[: values.size]]
+
+
+def _merge_rows(
+    weights: list[np.ndarray],
+    children: list[np.ndarray],
+    changed: list[bool],
+) -> list[np.ndarray | None]:
+    """Label the rows that are one node, bottom-up.
+
+    Two rows are one node when their weights are equal and their
+    children are one node.  Rows of distinct keys can only become equal
+    on a level where the complex table changed a weight (``changed``)
+    or rows below were merged.  Returns per level the rows' labels
+    (equal labels for one node) or ``None`` when every row is its own
+    node.
+    """
+    classes: list[np.ndarray | None] = [None] * len(weights)
+    below = None
+    for level in range(len(weights) - 1, -1, -1):
+        if below is None and not changed[level]:
+            continue
+        child = children[level]
+        if below is not None:
+            child = np.where(child >= 0, below[np.maximum(child, 0)], -1)
+        _, first, labels = np.unique(
+            row_keys(weights[level], child),
+            return_index=True,
+            return_inverse=True,
+        )
+        below = None
+        if first.size < labels.size:
+            classes[level] = below = labels.ravel()
+    return classes
+
+
 def build_dd(
     state: StateVector, table: UniqueTable | None = None
 ) -> DecisionDiagram:
@@ -154,7 +235,9 @@ def build_dd(
             absorbs the global norm and phase).
         table: Optional unique table to intern into; sharing a table
             across diagrams lets equal sub-states of different
-            diagrams share nodes.
+            diagrams share nodes.  The nodes are interned when the
+            build ends; without a table, no node is made until one is
+            read.
 
     Returns:
         The decision diagram; ``dd.to_statevector()`` reproduces the
@@ -163,26 +246,24 @@ def build_dd(
     Raises:
         StateError: If the state vector is entirely zero.
     """
-    if table is None:
-        table = UniqueTable()
     register = as_register(state.register)
     dims = register.dims
 
     # Upward-flowing per-block edge state: ``weights[b]`` is the edge
-    # weight of block ``b`` and ``node_ids[b]`` indexes ``child_nodes``
-    # (0 is the terminal; zero-weight blocks always carry id 0).
+    # weight of block ``b`` and ``node_ids[b]`` its row among the
+    # level below's distinct rows plus one (0 for the terminal; zero-
+    # weight blocks always carry id 0).
     weights = np.array(state.amplitudes, dtype=np.complex128, copy=True)
     weights[weights.real**2 + weights.imag**2 <= _CUTOFF_SQ] = 0.0
     node_ids = np.zeros(weights.shape[0], dtype=np.intp)
-    child_nodes: list[DDNode] = [TERMINAL]
 
-    complex_table = table.complex_table
-    inv_quantum = 1.0 / complex_table.tolerance
-    zero_edge = Edge.zero()
-    get_node_canonical = table.get_node_canonical
-    # Per level, deepest first: the canonical weight rows, child ids
-    # and nodes of its distinct rows, kept for the level arrays.
-    level_rows: list[tuple[np.ndarray, np.ndarray, list[DDNode]]] = []
+    tolerance = (
+        DEFAULT_TOLERANCE if table is None else table.complex_table.tolerance
+    )
+    inv_quantum = 1.0 / tolerance
+    # Per level, deepest first: the weight rows and child rows of its
+    # distinct rows.
+    level_rows: list[tuple[np.ndarray, np.ndarray]] = []
 
     for level in range(len(dims) - 1, -1, -1):
         dimension = dims[level]
@@ -200,43 +281,26 @@ def build_dd(
         # order (np.unique sorts the keys; restoring row order keeps
         # the complex table's representatives independent of that
         # sort) and ``row_node_ids`` maps every row to its key's
-        # 1-based index.  Boundary stragglers with differing keys
-        # still merge inside the unique table via their canonical
-        # weights.
+        # 1-based index.
         key_matrix = np.empty((factor.size, 3 * dimension), np.int64)
         key_matrix[:, :dimension] = np.rint(normalized.real * inv_quantum)
         key_matrix[:, dimension:2 * dimension] = np.rint(
             normalized.imag * inv_quantum
         )
         key_matrix[:, 2 * dimension:] = kept_ids
-        row_keys = key_matrix.view(
+        keys = key_matrix.view(
             np.dtype((np.void, key_matrix.itemsize * 3 * dimension))
         ).ravel()
         _, first, key_index = np.unique(
-            row_keys, return_index=True, return_inverse=True
+            keys, return_index=True, return_inverse=True
         )
         order = np.argsort(first)
         first = first[order]
         row_node_ids = np.argsort(order)[key_index] + 1
-
-        # Canonicalise, list and intern the first row of each key only
-        # (zero entries stay exact zeros, as in get_node, so the weight
-        # row alone distinguishes kept from dropped edges).
-        distinct = normalized[first]
-        canon_flat = distinct.ravel()
-        kept_positions = np.flatnonzero(canon_flat)
-        canon_flat[kept_positions] = complex_table.lookup_many(
-            canon_flat[kept_positions]
-        )
-        child_rows = kept_ids[first]
-        new_nodes: list[DDNode] = [TERMINAL]
-        for weight_row, id_row in zip(distinct.tolist(), child_rows.tolist()):
-            edges = [
-                Edge(weight, child_nodes[child]) if weight else zero_edge
-                for weight, child in zip(weight_row, id_row)
-            ]
-            new_nodes.append(get_node_canonical(level, edges))
-        level_rows.append((distinct, child_rows - 1, new_nodes[1:]))
+        # The first row of each key is its distinct row (zero entries
+        # stay exact zeros, so the weight row alone tells kept from
+        # dropped edges).
+        level_rows.append((normalized[first], kept_ids[first] - 1))
 
         if live_rows is None:
             weights = factor
@@ -246,20 +310,61 @@ def build_dd(
             weights[live_rows] = factor
             node_ids = np.zeros(num_blocks, dtype=np.intp)
             node_ids[live_rows] = row_node_ids
-        child_nodes = new_nodes
 
     root_weight = complex(weights[0])
     if abs(root_weight) <= WEIGHT_ZERO_CUTOFF:
         raise StateError("cannot build a decision diagram of the zero state")
-    root_id = int(node_ids[0])
-    root = Edge(root_weight, child_nodes[root_id])
+    root_row = int(node_ids[0]) - 1
+
+    # The complex table would see the kept weights of the distinct rows,
+    # deepest level first, row-major.  A weight no other weight crowds
+    # (see _crowded) comes back unchanged, and a table entry a crowded
+    # weight can meet is crowded too, so the table is replayed, in that
+    # order, over the crowded weights only.  With none, distinct rows
+    # are distinct nodes; otherwise rows whose canonical weights and
+    # children coincide are merged.  A caller's table may hold entries
+    # near any weight, so every weight goes through it.
+    flats = [distinct.reshape(-1) for distinct, _ in level_rows]
+    positions = [np.flatnonzero(flat) for flat in flats]
+    crowded, apart = _crowded(
+        np.concatenate([flat[kept] for flat, kept in zip(flats, positions)]),
+        2.0 * tolerance,
+    )
+    if table is not None:
+        crowded[:] = True
     top_down = level_rows[::-1]
-    levels = compact_levels(
-        [distinct for distinct, _, _ in top_down],
-        [child_rows for _, child_rows, _ in top_down],
-        [nodes for _, _, nodes in top_down],
-        root_id - 1,
+    weight_rows = [distinct for distinct, _ in top_down]
+    child_rows = [children for _, children in top_down]
+    classes = None
+    if crowded.any():
+        complex_table = (
+            ComplexTable(tolerance) if table is None else table.complex_table
+        )
+        changed = []
+        start = 0
+        for flat, kept in zip(flats, positions):
+            replayed = kept[crowded[start:start + kept.size]]
+            start += kept.size
+            values = flat[replayed]
+            canonical = complex_table.lookup_many(values)
+            changed.append(not np.array_equal(
+                canonical.view(np.int64), values.view(np.int64)
+            ))
+            flat[replayed] = canonical
+        classes = _merge_rows(weight_rows, child_rows, changed[::-1])
+        apart = None
+    levels = compact_levels(weight_rows, child_rows, root_row, classes)
+    if apart is not None and sum(map(len, levels.weights)) < sum(
+        map(len, weight_rows)
+    ):
+        apart = None  # the dropped rows' values are not the diagram's
+    diagram = DecisionDiagram.from_levels(
+        root_weight,
+        levels,
+        register,
+        level_stats(levels, root_weight, apart),
+        table,
     )
-    return DecisionDiagram(
-        root, register, table, level_stats(levels, root), levels
-    )
+    if table is not None:
+        diagram.level_nodes()
+    return diagram

@@ -1,11 +1,18 @@
 """The :class:`DecisionDiagram` facade.
 
-Bundles a root edge, the register it is defined over, the unique
-table its nodes live in and its structural statistics
-(:class:`DiagramStats`: the DAG size, the path-expanded visited size
-and the DistinctC count of Table 1), and exposes queries (amplitudes,
-vector reconstruction) and traversal helpers used by the synthesis
-and approximation routines.
+Bundles a root weight, the register the diagram is defined over, its
+level arrays (:class:`~repro.dd.levels.DiagramLevels`) and its
+structural statistics (:class:`DiagramStats`: the DAG size, the
+path-expanded visited size and the DistinctC count of Table 1), and
+exposes queries (amplitudes, vector reconstruction) and traversal
+helpers.
+
+A diagram made by :func:`~repro.dd.builder.build_dd` or
+:func:`~repro.dd.approximation.approximate` holds no nodes: its root
+edge, its nodes and its unique table are made from the level arrays,
+by :func:`~repro.dd.levels.make_nodes`, the first time one of them is
+read.  A diagram made by hand from a root edge derives its level arrays
+with one walk instead.
 """
 
 from __future__ import annotations
@@ -15,8 +22,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.dd.edge import Edge
-from repro.dd.levels import DiagramLevels, walk_levels
+from repro.dd.edge import WEIGHT_ZERO_CUTOFF, Edge
+from repro.dd.levels import (
+    DiagramLevels,
+    make_nodes,
+    path_expanded_size,
+    preorder_positions,
+    walk_levels,
+)
 from repro.dd.node import DDNode
 from repro.dd.unique_table import UniqueTable
 from repro.exceptions import DecisionDiagramError, DimensionError
@@ -36,7 +49,7 @@ class DiagramStats:
     (:attr:`DecisionDiagram.levels`):
     :func:`~repro.dd.builder.build_dd` and
     :func:`~repro.dd.approximation.approximate` when they make the
-    nodes, every other diagram on the first read of
+    arrays, every other diagram on the first read of
     :attr:`DecisionDiagram.stats`.
 
     Attributes:
@@ -93,79 +106,98 @@ def _root_finds(values: np.ndarray, root: complex, tolerance: float) -> bool:
     ))
 
 
-def count_distinct_complex(edge_values: np.ndarray, root: Edge) -> int:
-    """DistinctC of the diagram under ``root``.
+def count_distinct_complex(
+    levels: DiagramLevels,
+    root_weight: complex,
+    apart: np.ndarray | None = None,
+) -> int:
+    """DistinctC of the diagram with these level arrays and root weight.
 
-    ``edge_values`` holds every edge weight of the reachable nodes,
-    repeats allowed.  The definition feeds a fresh complex table the
-    root weight, then the edge weights in :meth:`DecisionDiagram.nodes`
-    pre-order.  When no two distinct edge values lie within twice the
-    tolerance of each other, the table keeps each of them whatever the
-    order, apart from the one (there can be no second) that the root
-    entry, stored first, absorbs; at most one edge value lies within
-    twice the tolerance of the root in that case, and it is absorbed
-    exactly when a table holding only the root finds it.  Otherwise
-    (ties that straddle the tolerance, kept weights below it next to
-    ``0j``, or several edge values near the root) the count replays
-    the table in the definition's order.
+    The definition feeds a fresh complex table the root weight, then
+    the edge weights in :meth:`DecisionDiagram.nodes` pre-order.  When
+    no two distinct edge values lie within twice the tolerance of each
+    other, the table keeps each of them whatever the order, apart from
+    the one (there can be no second) that the root entry, stored first,
+    absorbs; at most one edge value lies within twice the tolerance of
+    the root in that case, and it is absorbed exactly when a table
+    holding only the root finds it.  Otherwise (ties that straddle the
+    tolerance, kept weights below it next to ``0j``, or several edge
+    values near the root) the count replays the table in the
+    definition's order, which the level arrays give: that pre-order
+    lists nodes by their lexicographically smallest root paths.
+
+    ``apart``, when given, holds the distinct non-zero edge values, no
+    two within twice the tolerance of each other (a build that checked
+    them passes them on), so only ``0j`` is left to check.
     """
     tolerance = DEFAULT_TOLERANCE
     gap = 2.0 * tolerance
-    values = np.sort(np.asarray(edge_values, dtype=np.complex128))
-    distinct = values[
-        np.concatenate(([True], values[1:] != values[:-1]))[: values.size]
-    ]
-    root_weight = complex(root.weight)
+    if apart is None:
+        values = np.sort(
+            np.concatenate([row.ravel() for row in levels.weights])
+        )
+        distinct = values[
+            np.concatenate(([True], values[1:] != values[:-1]))[: values.size]
+        ]
+        close = _has_close_pair(distinct, gap)
+    else:
+        distinct = apart
+        close = False
+        if not all(row.all() for row in levels.weights):
+            distinct = np.concatenate((apart, [0j]))
+            close = bool(np.any(
+                (np.abs(apart.real) <= gap) & (np.abs(apart.imag) <= gap)
+            ))
+    root_weight = complex(root_weight)
     near = distinct[
         (np.abs(distinct.real - root_weight.real) <= gap)
         & (np.abs(distinct.imag - root_weight.imag) <= gap)
     ]
-    if near.size <= 1 and not _has_close_pair(distinct, gap):
+    if near.size <= 1 and not close:
         return 1 + distinct.size - int(_root_finds(near, root_weight, tolerance))
+    positions = preorder_positions(list(levels.children))
+    order = np.lexsort((
+        np.concatenate([
+            np.tile(np.arange(row.shape[1]), row.shape[0])
+            for row in levels.weights
+        ]),
+        np.concatenate([
+            np.repeat(position, row.shape[1])
+            for position, row in zip(positions, levels.weights)
+        ]),
+    ))
+    # Only first occurrences insert, so the batch's memo of repeated
+    # values leaves the count as scalar lookups would.
     table = ComplexTable(tolerance)
     table.lookup(root_weight)
-    for node in _preorder(root):
-        for weight in node.weights:
-            table.lookup(weight)
+    table.lookup_many(
+        np.concatenate([row.ravel() for row in levels.weights])[order]
+    )
     return len(table)
 
 
-#: Largest visited count that may still grow by a factor of ``d`` and
-#: one more without leaving int64.
-_INT64_HEADROOM = 2**62
+def level_stats(
+    levels: DiagramLevels,
+    root_weight: complex,
+    apart: np.ndarray | None = None,
+) -> DiagramStats:
+    """The statistics of a diagram from its level arrays and root weight.
 
-
-def level_stats(levels: DiagramLevels, root: Edge) -> DiagramStats:
-    """The statistics of the diagram under ``root`` from its level arrays.
-
-    Visited sizes run bottom-up, one row per node: the node itself
-    plus, per out-edge, the child's visited size or one terminal
-    endpoint for a zero or terminal edge.  Counts that could overflow
-    int64 switch to Python integers.
+    ``apart`` is passed on to :func:`count_distinct_complex`.
     """
     histogram: dict[int, int] = {}
     num_edges = 0
-    visited = np.ones(1, dtype=np.int64)
-    for level in range(len(levels.weights) - 1, -1, -1):
-        rows, dimension = levels.weights[level].shape
+    for level, weights in enumerate(levels.weights):
+        rows, dimension = weights.shape
         if rows:
             histogram[level] = rows
             num_edges += rows * dimension
-        if visited.dtype != object and int(visited.max()) > (
-            _INT64_HEADROOM // dimension
-        ):
-            visited = visited.astype(object)
-        visited = np.concatenate(
-            ([1], 1 + visited[levels.children[level] + 1].sum(axis=1))
-        )
     return DiagramStats(
         num_nodes=sum(histogram.values()),
         num_edges=num_edges,
-        distinct_complex=count_distinct_complex(
-            np.concatenate([row.ravel() for row in levels.weights]), root
-        ),
-        visited_nodes=int(visited[1]) if visited.size > 1 else 0,
-        nodes_per_level=dict(sorted(histogram.items())),
+        distinct_complex=count_distinct_complex(levels, root_weight, apart),
+        visited_nodes=path_expanded_size(levels.children, 1),
+        nodes_per_level=histogram,
     )
 
 
@@ -186,6 +218,24 @@ def _preorder(root: Edge) -> Iterator[DDNode]:
                 stack.append(edge.node)
 
 
+def _nodes_of_rows(
+    levels: DiagramLevels, root: Edge
+) -> tuple[list[DDNode], ...]:
+    """The node of every row of ``levels``, found from ``root`` along
+    the child arrays."""
+    nodes: list[list[DDNode]] = [[] if root.is_zero else [root.node]]
+    for level in range(len(levels.children) - 1):
+        below: list[DDNode] = [None] * levels.weights[level + 1].shape[0]
+        for node, child_row in zip(
+            nodes[level], levels.children[level].tolist()
+        ):
+            for edge, row in zip(node.edges, child_row):
+                if row >= 0:
+                    below[row] = edge.node
+        nodes.append(below)
+    return tuple(nodes)
+
+
 def _rebuild_object_diagram(text: str) -> "DecisionDiagram":
     """Pickle hook: reload a diagram from DDTXT."""
     from repro.dd import io
@@ -197,15 +247,25 @@ class DecisionDiagram:
     """An edge-weighted decision diagram over a mixed-dimensional register.
 
     Instances are produced by :func:`repro.dd.builder.build_dd` and by
-    :func:`repro.dd.approximation.approximate`, which also pass the
-    level arrays and :class:`DiagramStats` they made with the nodes;
-    direct construction is possible when the root edge already
-    satisfies the canonical invariants, and such a diagram derives its
-    level arrays with one walk when they or its statistics are first
-    read.
+    :func:`repro.dd.approximation.approximate` through
+    :meth:`from_levels`, with the level arrays and
+    :class:`DiagramStats` they made; their nodes are made on the first
+    read of :attr:`root`, :meth:`nodes`, :attr:`unique_table`,
+    :meth:`amplitude` or :meth:`level_nodes`.  Direct construction from
+    a root edge is possible when it already satisfies the canonical
+    invariants; such a diagram derives its level arrays with one walk
+    when they or its statistics are first read.
     """
 
-    __slots__ = ("_root", "_register", "_table", "_stats", "_levels")
+    __slots__ = (
+        "_root",
+        "_root_weight",
+        "_register",
+        "_table",
+        "_stats",
+        "_levels",
+        "_level_nodes",
+    )
 
     def __init__(
         self,
@@ -216,10 +276,12 @@ class DecisionDiagram:
         levels: DiagramLevels | None = None,
     ):
         self._root = root
+        self._root_weight = root.weight
         self._register = as_register(register)
         self._table = table
         self._stats = stats
         self._levels = levels
+        self._level_nodes = None
         if not root.is_zero and root.node.is_terminal:
             raise DecisionDiagramError(
                 "root edge of a non-trivial diagram must point to a node"
@@ -229,13 +291,52 @@ class DecisionDiagram:
                 f"root node must be at level 0, got {root.node.level}"
             )
 
+    @classmethod
+    def from_levels(
+        cls,
+        root_weight: complex,
+        levels: DiagramLevels,
+        register: RegisterLike,
+        stats: DiagramStats | None = None,
+        table: UniqueTable | None = None,
+    ) -> "DecisionDiagram":
+        """A diagram given by its root weight and level arrays alone.
+
+        Its nodes are made when first read, interned into ``table``
+        (a fresh table when ``None``).
+        """
+        diagram = cls.__new__(cls)
+        diagram._root = None
+        diagram._root_weight = complex(root_weight)
+        diagram._register = as_register(register)
+        diagram._table = table
+        diagram._stats = stats
+        diagram._levels = levels
+        diagram._level_nodes = None
+        return diagram
+
+    def _make_nodes(self) -> None:
+        """Make the node graph from the level arrays."""
+        if self._table is None:
+            self._table = UniqueTable()
+        self._level_nodes = make_nodes(self._levels, self._table)
+        top = self._level_nodes[0]
+        self._root = Edge(self._root_weight, top[0]) if top else Edge.zero()
+
     # ------------------------------------------------------------------
     # Properties
     # ------------------------------------------------------------------
     @property
     def root(self) -> Edge:
         """The root edge (its weight carries global norm and phase)."""
+        if self._root is None:
+            self._make_nodes()
         return self._root
+
+    @property
+    def root_weight(self) -> complex:
+        """The root edge's weight, read without making any node."""
+        return self._root_weight
 
     @property
     def register(self) -> QuditRegister:
@@ -250,6 +351,8 @@ class DecisionDiagram:
     @property
     def unique_table(self) -> UniqueTable:
         """The unique table interning the diagram's nodes."""
+        if self._root is None:
+            self._make_nodes()
         return self._table
 
     @property
@@ -277,8 +380,17 @@ class DecisionDiagram:
         diagram is made or on the first read, and kept.
         """
         if self._stats is None:
-            self._stats = level_stats(self.levels, self._root)
+            self._stats = level_stats(self.levels, self._root_weight)
         return self._stats
+
+    def level_nodes(self) -> tuple[list[DDNode], ...]:
+        """The node of every row of :attr:`levels`, level by level."""
+        if self._level_nodes is None:
+            if self._root is None:
+                self._make_nodes()
+            else:
+                self._level_nodes = _nodes_of_rows(self.levels, self._root)
+        return self._level_nodes
 
     # ------------------------------------------------------------------
     # Queries
@@ -294,11 +406,12 @@ class DecisionDiagram:
                 f"expected {self._register.num_qudits} digits, "
                 f"got {len(digits)}"
             )
-        value = self._root.weight
-        node = self._root.node
+        root = self.root
+        value = root.weight
+        node = root.node
         for level, digit in enumerate(digits):
             if node.is_terminal:
-                return 0.0 if self._root.is_zero else value
+                return 0.0 if root.is_zero else value
             if not 0 <= digit < node.dimension:
                 raise DimensionError(
                     f"digit {digit} out of range at level {level}"
@@ -311,38 +424,39 @@ class DecisionDiagram:
         return value
 
     def to_statevector(self) -> StateVector:
-        """Reconstruct the dense state vector represented by the DD."""
-        cache: dict[DDNode, np.ndarray] = {}
-        dims = self.dims
+        """Reconstruct the dense state vector represented by the DD.
 
-        def expand(node: DDNode, level: int) -> np.ndarray:
-            if node in cache:
-                return cache[node]
-            size = 1
-            for dim in dims[level + 1 :]:
-                size *= dim
-            parts = []
-            for edge in node.edges:
-                if edge.is_zero:
-                    parts.append(np.zeros(size, dtype=np.complex128))
-                elif edge.node.is_terminal:
-                    parts.append(
-                        np.array([edge.weight], dtype=np.complex128)
-                    )
-                else:
-                    parts.append(edge.weight * expand(edge.node, level + 1))
-            vector = np.concatenate(parts)
-            cache[node] = vector
-            return vector
-
-        if self._root.is_zero:
+        Expands the level arrays bottom-up: a row's vector is its
+        weights times its children's vectors, digit by digit, and the
+        root row's vector times the root weight is the state.
+        """
+        levels = self.levels
+        if abs(self._root_weight) <= WEIGHT_ZERO_CUTOFF or not len(
+            levels.weights[0]
+        ):
             return StateVector(
                 np.zeros(self._register.size, dtype=np.complex128),
                 self._register,
             )
-        return StateVector(
-            self._root.weight * expand(self._root.node, 0), self._register
-        )
+        below = None
+        for level in range(len(levels.weights) - 1, -1, -1):
+            weights = levels.weights[level]
+            if below is None:
+                vectors = np.where(
+                    np.abs(weights) > WEIGHT_ZERO_CUTOFF, weights, 0j
+                )
+            else:
+                # Row 0 of the padded block is the zero vector of the
+                # -1 (zero-edge) children.
+                padded = np.zeros(
+                    (below.shape[0] + 1, below.shape[1]), dtype=np.complex128
+                )
+                padded[1:] = below
+                vectors = (
+                    weights[:, :, None] * padded[levels.children[level] + 1]
+                ).reshape(weights.shape[0], -1)
+            below = vectors
+        return StateVector(self._root_weight * below[0], self._register)
 
     # ------------------------------------------------------------------
     # Traversal and statistics
@@ -353,7 +467,7 @@ class DecisionDiagram:
         Nodes are yielded in depth-first pre-order; each shared node is
         visited once (DAG traversal, not tree expansion).
         """
-        return _preorder(self._root)
+        return _preorder(self.root)
 
     def num_nodes(self) -> int:
         """Number of distinct reachable non-terminal nodes (DAG size)."""
@@ -377,5 +491,5 @@ class DecisionDiagram:
     def __repr__(self) -> str:
         return (
             f"DecisionDiagram(dims={list(self.dims)}, "
-            f"root={self._root!r})"
+            f"root_weight={self._root_weight:.6g})"
         )

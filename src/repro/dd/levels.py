@@ -2,19 +2,19 @@
 
 Every edge of a canonical diagram goes exactly one level down, so the
 reachable distinct nodes of each level form one block of rows:
-:class:`DiagramLevels` holds, per level, their canonical weight rows,
-the row of each edge's child on the next level (``-1`` for zero and
-terminal edges) and the :class:`~repro.dd.node.DDNode` objects.  The
-root node is row 0 of level 0.
+:class:`DiagramLevels` holds, per level, their canonical weight rows
+and the row of each edge's child on the next level (``-1`` for zero
+and terminal edges).  The root node is row 0 of level 0.
 
 :func:`~repro.dd.builder.build_dd` and
-:func:`~repro.dd.approximation.approximate` make these arrays while
-they make the nodes and hand them to the diagram through
-:func:`compact_levels`; any other diagram derives them with
-:func:`walk_levels` on first use of
-:attr:`~repro.dd.diagram.DecisionDiagram.levels`.  The diagram's
-statistics, its approximation and its fidelity are array programs over
-them.
+:func:`~repro.dd.approximation.approximate` make only these arrays and
+a root weight, and keep the rows the root reaches, one per distinct
+node, with :func:`compact_levels`.  The diagram's statistics, its
+synthesis, its approximation and its fidelity are array programs over
+them.  The node graph is made from them on demand by
+:func:`make_nodes`, the one place the nodes of built and approximated
+diagrams are made; a diagram made by hand from nodes derives its
+arrays with :func:`walk_levels`.
 """
 
 from __future__ import annotations
@@ -25,10 +25,23 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.dd.edge import WEIGHT_ZERO_CUTOFF, Edge
-from repro.dd.node import DDNode
+from repro.dd.node import TERMINAL, DDNode
+from repro.dd.unique_table import UniqueTable
 from repro.exceptions import DecisionDiagramError
 
-__all__ = ["DiagramLevels", "compact_levels", "walk_levels"]
+__all__ = [
+    "DiagramLevels",
+    "compact_levels",
+    "make_nodes",
+    "path_expanded_size",
+    "preorder_positions",
+    "row_keys",
+    "walk_levels",
+]
+
+#: Largest count that may still grow by a factor of ``d`` and one more
+#: without leaving int64.
+_INT64_HEADROOM = 2**62
 
 
 @dataclass(frozen=True, eq=False)
@@ -37,17 +50,16 @@ class DiagramLevels:
 
     Attributes:
         weights: Per level, a ``(m, d)`` complex array; row ``i`` holds
-            the out-edge weights of node ``i``.
+            the out-edge weights of node ``i`` (exact ``0j`` on zero
+            edges).  Level 0 holds the root node alone (nothing for a
+            zero diagram).
         children: Per level, a ``(m, d)`` integer array; entry
             ``[i, j]`` is the row of edge ``j``'s child on the next
             level, ``-1`` for zero and terminal edges.
-        nodes: Per level, the ``m`` nodes, one per row.  Level 0 holds
-            the root node alone (nothing for a zero diagram).
     """
 
     weights: tuple[np.ndarray, ...]
     children: tuple[np.ndarray, ...]
-    nodes: tuple[list[DDNode], ...]
 
 
 def walk_levels(root: Edge, dims: Sequence[int]) -> DiagramLevels:
@@ -63,7 +75,6 @@ def walk_levels(root: Edge, dims: Sequence[int]) -> DiagramLevels:
     """
     weights = []
     children = []
-    nodes = []
     level_nodes = [] if root.is_zero else [root.node]
     for level, dimension in enumerate(dims):
         below: dict[int, int] = {}
@@ -101,50 +112,60 @@ def walk_levels(root: Edge, dims: Sequence[int]) -> DiagramLevels:
         children.append(
             np.array(child_rows, dtype=np.intp).reshape(-1, dimension)
         )
-        nodes.append(level_nodes)
         level_nodes = next_nodes
-    return DiagramLevels(tuple(weights), tuple(children), tuple(nodes))
+    return DiagramLevels(tuple(weights), tuple(children))
+
+
+def row_keys(weights: np.ndarray, children: np.ndarray) -> np.ndarray:
+    """One opaque key per row: equal keys are equal nodes.
+
+    A node's identity compares its weights with ``==``, so ``-0.0`` is
+    folded to ``+0.0`` before the weights' bytes enter the key.
+    """
+    rows, dimension = weights.shape
+    key = np.empty((rows, 3 * dimension), dtype=np.int64)
+    key[:, : 2 * dimension] = (weights + 0.0).view(np.int64)
+    key[:, 2 * dimension:] = children
+    return key.view(np.dtype((np.void, key.itemsize * 3 * dimension))).ravel()
 
 
 def compact_levels(
     weights: Sequence[np.ndarray],
     children: Sequence[np.ndarray],
-    nodes: Sequence[Sequence[DDNode | None]],
     root_row: int,
+    classes: Sequence[np.ndarray | None] | None = None,
 ) -> DiagramLevels:
     """Keep the rows reachable from ``root_row``, one per distinct node.
 
     The inputs are level arrays as made by a build or a rebuild: they
-    may hold rows that no kept edge reaches, and two rows whose nodes
-    are one object (keys that interned to one node).  Such rows are
-    equal, so the first reachable one stands for both; kept rows stay
-    in their input order.
+    may hold rows that no kept edge reaches, and rows that are one node
+    (``classes[level]`` gives them one label; ``None`` means every row
+    of the level is its own node).  Equal rows stand for one node, so
+    the first reachable one stands for all of them; kept rows stay in
+    their input order.
     """
     kept_rows: list[np.ndarray] = []
-    kept_nodes: list[list[DDNode]] = []
     remaps: list[np.ndarray] = []
     reached = np.array([root_row], dtype=np.intp)
-    for level, level_nodes in enumerate(nodes):
-        mark = np.zeros(len(level_nodes), dtype=bool)
+    for level, level_weights in enumerate(weights):
+        count = level_weights.shape[0]
+        mark = np.zeros(count, dtype=bool)
         mark[reached] = True
         rows = np.flatnonzero(mark)
-        remap = np.full(len(level_nodes), -1, dtype=np.intp)
-        if rows.size == len(level_nodes):
-            row_nodes = list(level_nodes)
-        else:
-            row_nodes = [level_nodes[row] for row in rows.tolist()]
-        if len(set(map(id, row_nodes))) == len(row_nodes):
+        remap = np.full(count, -1, dtype=np.intp)
+        labels = None if classes is None else classes[level]
+        if labels is None:
             remap[rows] = np.arange(rows.size)
         else:
-            first: dict[int, int] = {}
-            remap[rows] = [
-                first.setdefault(id(node), len(first)) for node in row_nodes
-            ]
-            keep = np.unique(remap[rows], return_index=True)[1]
-            rows = rows[keep]
-            row_nodes = [row_nodes[index] for index in keep.tolist()]
+            _, first, inverse = np.unique(
+                labels[rows], return_index=True, return_inverse=True
+            )
+            # Number the nodes in the order of their first rows.
+            rank = np.empty(first.size, dtype=np.intp)
+            rank[np.argsort(first)] = np.arange(first.size)
+            remap[rows] = rank[inverse.ravel()]
+            rows = rows[np.sort(first)]
         kept_rows.append(rows)
-        kept_nodes.append(row_nodes)
         remaps.append(remap)
         below = children[level][rows]
         reached = below[below >= 0]
@@ -159,5 +180,114 @@ def compact_levels(
     return DiagramLevels(
         tuple(weights[level][rows] for level, rows in enumerate(kept_rows)),
         tuple(compact_children),
-        tuple(kept_nodes),
     )
+
+
+def make_nodes(
+    levels: DiagramLevels, table: UniqueTable
+) -> tuple[list[DDNode], ...]:
+    """The node of every row, interned into ``table``, level by level.
+
+    Nodes are made bottom-up, one per row, each through
+    :meth:`UniqueTable.get_node`; the weights are already canonical,
+    so the table keeps them and its complex table ends up holding them.
+    """
+    zero_edge = Edge.zero()
+    made: list[list[DDNode]] = []
+    below: list[DDNode] = []
+    for level in range(len(levels.weights) - 1, -1, -1):
+        level_nodes = [
+            table.get_node(level, [
+                Edge(weight, TERMINAL if child < 0 else below[child])
+                if weight
+                else zero_edge
+                for weight, child in zip(weight_row, child_row)
+            ])
+            for weight_row, child_row in zip(
+                levels.weights[level].tolist(),
+                levels.children[level].tolist(),
+            )
+        ]
+        made.append(level_nodes)
+        below = level_nodes
+    return tuple(made[::-1])
+
+
+def preorder_positions(
+    children: Sequence[np.ndarray], reverse_digits: bool = False
+) -> list[np.ndarray]:
+    """Every row's index in a depth-first pre-order of the diagram.
+
+    A depth-first walk from the root that takes children in digit order
+    first reaches each node through its lexicographically smallest
+    root path, so a level's path ranks follow from the level above
+    (``rank * d + digit``, minimised over in-edges), and that minimum
+    names the node's tree parent and digit.  In pre-order a node sits
+    one after its tree parent plus the subtree sizes of its earlier
+    siblings: those with smaller digits, or with larger digits when
+    ``reverse_digits`` is set (which gives reversed post-order).
+    """
+    num_levels = len(children)
+    counts = [level.shape[0] for level in children]
+    rank = [np.zeros(1, dtype=np.intp)]
+    tree_parent: list[np.ndarray] = [np.zeros(0, dtype=np.intp)]
+    tree_digit: list[np.ndarray] = [np.zeros(0, dtype=np.intp)]
+    for level in range(num_levels - 1):
+        child = children[level]
+        rows, digits = np.nonzero(child >= 0)
+        keys = rank[level][rows] * child.shape[1] + digits
+        first = np.full(counts[level + 1], np.iinfo(np.intp).max)
+        np.minimum.at(first, child[rows, digits], keys)
+        below = np.empty(counts[level + 1], dtype=np.intp)
+        below[np.argsort(first)] = np.arange(counts[level + 1])
+        rank.append(below)
+        row_of_rank = np.empty(counts[level], dtype=np.intp)
+        row_of_rank[rank[level]] = np.arange(counts[level])
+        tree_parent.append(row_of_rank[first // child.shape[1]])
+        tree_digit.append(first % child.shape[1])
+
+    size = np.ones(counts[-1], dtype=np.int64)
+    sizes = [size]
+    for level in range(num_levels - 1, 0, -1):
+        size = 1 + np.bincount(
+            tree_parent[level], weights=size, minlength=counts[level - 1]
+        ).astype(np.int64)
+        sizes.append(size)
+    sizes.reverse()
+
+    positions = [np.zeros(1, dtype=np.int64)]
+    for level in range(1, num_levels):
+        digit = tree_digit[level]
+        order = np.lexsort(
+            (-digit if reverse_digits else digit, tree_parent[level])
+        )
+        parent = tree_parent[level][order]
+        size = sizes[level][order]
+        before = np.cumsum(size) - size
+        starts = np.flatnonzero(
+            np.concatenate(([True], parent[1:] != parent[:-1]))
+        )
+        group_base = np.repeat(
+            before[starts], np.diff(np.append(starts, order.size))
+        )
+        position = np.empty(order.size, dtype=np.int64)
+        position[order] = positions[level - 1][parent] + 1 + before - group_base
+        positions.append(position)
+    return positions
+
+
+def path_expanded_size(children: Sequence[np.ndarray], endpoint: int) -> int:
+    """Size of the diagram's tree expansion: every node once per root
+    path, plus ``endpoint`` per zero or terminal out-edge of each.
+
+    Runs bottom-up, one row per node.  Counts that could overflow int64
+    switch to Python integers.  0 for a diagram without rows.
+    """
+    size = np.array([endpoint], dtype=np.int64)
+    for child in reversed(children):
+        if size.dtype != object and int(size.max()) > (
+            _INT64_HEADROOM // child.shape[1]
+        ):
+            size = size.astype(object)
+        size = np.concatenate(([endpoint], 1 + size[child + 1].sum(axis=1)))
+    return int(size[1]) if size.size > 1 else 0

@@ -25,7 +25,7 @@ from __future__ import annotations
 from collections.abc import Sequence
 
 from repro.dd.diagram import DecisionDiagram
-from repro.dd.node import DDNode
+from repro.dd.levels import path_expanded_size
 from repro.registers.mixed_radix import validate_dims
 
 __all__ = [
@@ -65,33 +65,18 @@ def visited_tree_size(dd: DecisionDiagram) -> int:
     return dd.stats.visited_nodes
 
 
-def _operations_of(node: DDNode, cache: dict[int, int]) -> int:
-    """Operations emitted for ``node``'s subtree (path-expanded)."""
-    cached = cache.get(id(node))
-    if cached is not None:
-        return cached
-    # Each visited node of dimension d emits (d - 1) Givens rotations
-    # plus one phase rotation (identity rotations included), matching
-    # the paper's operation counts.
-    total = node.dimension
-    for edge in node.edges:
-        if not edge.is_zero and not edge.node.is_terminal:
-            total += _operations_of(edge.node, cache)
-    cache[id(node)] = total
-    return total
-
-
 def synthesis_operation_count(dd: DecisionDiagram) -> int:
     """Number of controlled rotations the synthesis will emit.
 
     Closed-form companion of the synthesis routine: every visited node
     of dimension ``d`` contributes ``d`` operations (``d - 1`` Givens
     plus one phase rotation), summed over the path-expanded non-zero
-    tree.  Matches the "Operations" column of Table 1.
+    tree.  Each of those ``d`` out-edges ends in one visited node or
+    one terminal endpoint, and every visit but the root's is such an
+    end, so the count is ``visited_tree_size(dd) - 1`` (0 for a zero
+    diagram).  Matches the "Operations" column of Table 1.
     """
-    if dd.root.is_zero:
-        return 0
-    return _operations_of(dd.root.node, {})
+    return max(dd.stats.visited_nodes - 1, 0)
 
 
 def path_expanded_node_count(dd: DecisionDiagram) -> int:
@@ -99,21 +84,7 @@ def path_expanded_node_count(dd: DecisionDiagram) -> int:
 
     Shared nodes are counted once per incoming path; terminals are not
     counted.  Useful for quantifying how much sharing the diagram
-    achieves versus its tree expansion.
+    achieves versus its tree expansion.  One bottom-up pass over the
+    level arrays.
     """
-    cache: dict[int, int] = {}
-
-    def visits(node: DDNode) -> int:
-        cached = cache.get(id(node))
-        if cached is not None:
-            return cached
-        total = 1
-        for edge in node.edges:
-            if not edge.is_zero and not edge.node.is_terminal:
-                total += visits(edge.node)
-        cache[id(node)] = total
-        return total
-
-    if dd.root.is_zero:
-        return 0
-    return visits(dd.root.node)
+    return path_expanded_size(dd.levels.children, 0)

@@ -9,6 +9,13 @@ sub-trees, that would be otherwise stored twice" (Section 4.3).
 Weights are canonicalised through a :class:`ComplexTable` before they
 participate in the hash key, which makes sharing robust against
 floating-point noise from different construction orders.
+
+:func:`~repro.dd.builder.build_dd` and
+:func:`~repro.dd.approximation.approximate` make level arrays, not
+nodes; :func:`~repro.dd.levels.make_nodes` interns their rows through
+:meth:`UniqueTable.get_node` when a diagram's node graph is first
+read.  The other node-making code (DDTXT loading, arithmetic, DD
+simulation, measurement) calls :meth:`UniqueTable.get_node` itself.
 """
 
 from __future__ import annotations
@@ -84,33 +91,6 @@ class UniqueTable:
             return node
         self._misses += 1
         node = DDNode(level, canonical_edges)
-        self._nodes[key] = node
-        return node
-
-    def get_node_canonical(
-        self, level: int, edges: Sequence[Edge]
-    ) -> DDNode:
-        """Intern a node whose edges are already canonical.
-
-        Fast path for the vectorised builder, which canonicalises all
-        edge weights of a level in one :meth:`ComplexTable.lookup_many`
-        batch before interning.  The caller guarantees that every
-        weight is a canonical representative of this table's complex
-        table and that zero edges are exact :meth:`Edge.zero` edges;
-        under those preconditions this produces exactly the node
-        :meth:`get_node` would, without re-probing the complex table
-        per edge.
-        """
-        key = (
-            level,
-            tuple([(edge.weight, id(edge.node)) for edge in edges]),
-        )
-        node = self._nodes.get(key)
-        if node is not None:
-            self._hits += 1
-            return node
-        self._misses += 1
-        node = DDNode(level, edges)
         self._nodes[key] = node
         return node
 

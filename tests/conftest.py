@@ -2,9 +2,14 @@
 
 from __future__ import annotations
 
+import contextlib
+from unittest import mock
+
 import numpy as np
 import pytest
 
+from repro.dd.edge import Edge
+from repro.dd.node import DDNode
 from repro.states.statevector import StateVector
 
 
@@ -12,6 +17,19 @@ from repro.states.statevector import StateVector
 def rng() -> np.random.Generator:
     """A fixed-seed random generator for deterministic tests."""
     return np.random.default_rng(12345)
+
+
+@contextlib.contextmanager
+def no_nodes():
+    """Make ``DDNode`` and ``Edge`` construction raise inside the block."""
+
+    def refuse(self, *args, **kwargs):
+        raise AssertionError(f"made a {type(self).__name__}")
+
+    with mock.patch.object(DDNode, "__init__", refuse), mock.patch.object(
+        Edge, "__init__", refuse
+    ):
+        yield
 
 
 def random_statevector(

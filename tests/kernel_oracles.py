@@ -12,6 +12,12 @@ of the diagram statistics and of the in-place statevector simulator.
   recursive path-expanded visited count.  ``build_dd``,
   ``approximate`` and the one-walk fallback of
   :attr:`~repro.dd.diagram.DecisionDiagram.stats` must all equal it.
+* :func:`statevector_reference`, :func:`operation_count_reference`
+  and :func:`path_expanded_reference` — the node recursions that
+  :meth:`~repro.dd.diagram.DecisionDiagram.to_statevector`,
+  :func:`repro.dd.metrics.synthesis_operation_count` and
+  :func:`repro.dd.metrics.path_expanded_node_count` replaced with
+  passes over the level arrays.
 * :func:`simulate_reference` — the seed's per-gate-copy loop behind
   :func:`repro.simulator.statevector_sim.simulate`: it chains
   :func:`~repro.simulator.statevector_sim.apply_gate`, allocating a
@@ -42,7 +48,14 @@ from repro.registers.register import as_register
 from repro.simulator.statevector_sim import apply_gate
 from repro.states.statevector import StateVector
 
-__all__ = ["build_dd_reference", "simulate_reference", "stats_reference"]
+__all__ = [
+    "build_dd_reference",
+    "operation_count_reference",
+    "path_expanded_reference",
+    "simulate_reference",
+    "statevector_reference",
+    "stats_reference",
+]
 
 
 def build_dd_reference(
@@ -122,6 +135,67 @@ def stats_reference(
         ),
         nodes_per_level=histogram,
     )
+
+
+def statevector_reference(dd: DecisionDiagram) -> StateVector:
+    """The dense vector of ``dd`` by the node recursion: a node's vector
+    is the concatenation, digit by digit, of each edge weight times its
+    child's vector (zeros for a zero edge), one expansion per node."""
+    cache: dict[DDNode, np.ndarray] = {}
+    dims = dd.dims
+
+    def expand(node: DDNode, level: int) -> np.ndarray:
+        if node in cache:
+            return cache[node]
+        size = 1
+        for dim in dims[level + 1 :]:
+            size *= dim
+        parts = []
+        for edge in node.edges:
+            if edge.is_zero:
+                parts.append(np.zeros(size, dtype=np.complex128))
+            elif edge.node.is_terminal:
+                parts.append(np.array([edge.weight], dtype=np.complex128))
+            else:
+                parts.append(edge.weight * expand(edge.node, level + 1))
+        vector = np.concatenate(parts)
+        cache[node] = vector
+        return vector
+
+    if dd.root.is_zero:
+        return StateVector(
+            np.zeros(dd.register.size, dtype=np.complex128), dd.register
+        )
+    return StateVector(dd.root.weight * expand(dd.root.node, 0), dd.register)
+
+
+def _path_expanded(node: DDNode, cache: dict[int, int], own) -> int:
+    """Sum of ``own(node)`` over the path-expanded tree under ``node``."""
+    cached = cache.get(id(node))
+    if cached is not None:
+        return cached
+    total = own(node)
+    for edge in node.edges:
+        if not edge.is_zero and not edge.node.is_terminal:
+            total += _path_expanded(edge.node, cache, own)
+    cache[id(node)] = total
+    return total
+
+
+def operation_count_reference(dd: DecisionDiagram) -> int:
+    """Operations of the synthesis by the node recursion: ``d`` per
+    visited node of dimension ``d``."""
+    if dd.root.is_zero:
+        return 0
+    return _path_expanded(dd.root.node, {}, lambda node: node.dimension)
+
+
+def path_expanded_reference(dd: DecisionDiagram) -> int:
+    """Internal node visits of the path-expanded tree, by the node
+    recursion."""
+    if dd.root.is_zero:
+        return 0
+    return _path_expanded(dd.root.node, {}, lambda node: 1)
 
 
 def simulate_reference(

@@ -23,7 +23,7 @@ from hypothesis import strategies as st
 from repro.dd import diagram as diagram_module
 from repro.dd import io as dd_io
 from repro.dd.approximation import approximate
-from repro.dd.builder import build_dd
+from repro.dd.builder import _crowded, build_dd
 from repro.dd.diagram import DecisionDiagram, _has_close_pair, level_stats
 from repro.dd.edge import Edge
 from repro.dd.levels import compact_levels
@@ -35,10 +35,16 @@ from repro.exceptions import DecisionDiagramError
 from repro.linalg.complex_table import ComplexTable
 from repro.pipeline import PipelineConfig, default_pipeline, run_pipeline
 from repro.pipeline import pipeline as pipeline_module
-from repro.states.library import embedded_w_state, ghz_state, w_state
+from repro.states.library import (
+    dicke_state,
+    embedded_w_state,
+    ghz_state,
+    uniform_state,
+    w_state,
+)
 from repro.states.statevector import StateVector
 
-from tests.conftest import random_statevector
+from tests.conftest import no_nodes, random_statevector
 from tests.kernel_oracles import stats_reference
 
 DIMS = st.lists(
@@ -98,6 +104,38 @@ class TestStatsMatchOracle:
     @settings(max_examples=120, deadline=None)
     def test_build_dd(self, state):
         assert_matches_oracle(build_dd(state))
+
+    @given(stats_states())
+    @settings(max_examples=80, deadline=None)
+    def test_build_dd_makes_no_nodes(self, state):
+        # Near ties send the build through the complex-table replay and
+        # DistinctC through its pre-order replay, both on level arrays.
+        with no_nodes():
+            dd = build_dd(state)
+            stats = dd.stats
+        assert stats == stats_reference(dd)
+
+    @pytest.mark.parametrize(
+        "family",
+        [
+            ghz_state,
+            w_state,
+            embedded_w_state,
+            uniform_state,
+            lambda dims: dicke_state(dims, 2),
+        ],
+        ids=["ghz", "w", "embedded-w", "uniform", "dicke"],
+    )
+    @pytest.mark.parametrize(
+        "dims", [(3, 6, 2), (2, 3, 2, 2, 3), (2,) * 8 + (3,) * 2 + (5,)]
+    )
+    def test_structured_families_make_no_nodes(self, family, dims):
+        with no_nodes():
+            dd = build_dd(family(dims))
+            stats = dd.stats
+            approximated = approximate(dd, 0.9).diagram
+        assert stats == stats_reference(dd)
+        assert approximated.stats == stats_reference(approximated)
 
     @given(
         stats_states(),
@@ -182,17 +220,30 @@ class TestStatsMatchOracle:
         # whose in-edges all vanished; the level arrays keep only the
         # rows the root reaches.
         leaf = DDNode(1, (Edge(1.0, TERMINAL), Edge.zero()))
-        stray = DDNode(1, (Edge.zero(), Edge(1.0, TERMINAL)))
         root = DDNode(0, (Edge(1.0, leaf), Edge.zero()))
         levels = compact_levels(
             [np.array([[1.0, 0.0]], complex), np.array([[0, 1], [1, 0]], complex)],
             [np.array([[1, -1]]), np.full((2, 2), -1)],
-            [[root], [stray, leaf]],
             0,
         )
         dd = DecisionDiagram(Edge(1.0, root), (2, 2), UniqueTable())
-        assert levels.nodes[1] == [leaf]
-        assert level_stats(levels, dd.root) == stats_reference(dd)
+        assert levels.weights[1].tolist() == [[1, 0]]
+        assert level_stats(levels, dd.root.weight) == stats_reference(dd)
+
+    def test_rows_of_one_node_are_kept_once(self):
+        # Rows 0 and 1 of level 1 are one node (one label): the first
+        # reachable one stands for both, and both edges point to it.
+        levels = compact_levels(
+            [
+                np.array([[0.6, 0.8]], complex),
+                np.array([[0, 1], [0, 1], [1, 0]], complex),
+            ],
+            [np.array([[1, 0]]), np.full((3, 2), -1)],
+            0,
+            [None, np.array([5, 5, 7])],
+        )
+        assert levels.weights[1].tolist() == [[0, 1]]
+        assert levels.children[0].tolist() == [[0, 0]]
 
     def test_child_above_its_parent_is_refused(self):
         child = DDNode(0, (Edge(1.0, TERMINAL), Edge.zero()))
@@ -214,7 +265,7 @@ class TestStatsMatchOracle:
         leaf = DDNode(1, (Edge(1.0, TERMINAL), Edge.zero()))
         root = DDNode(0, (Edge(0.6, leaf), Edge(0.8, leaf)))
         dd = DecisionDiagram(Edge(1.0, root), (2, 2), UniqueTable())
-        assert dd.levels.nodes == ([root], [leaf])
+        assert dd.level_nodes() == ([root], [leaf])
         assert dd.levels.children[0].tolist() == [[0, 0]]
         assert dd.levels.children[1].tolist() == [[-1, -1]]
         assert dd.levels.weights[0].tolist() == [[0.6, 0.8]]
@@ -278,6 +329,41 @@ class TestCloseValueGuard:
     def test_separated_values_pass(self):
         values = np.unique(np.array([0.0, 0.5, 0.5 + 0.5j, 1.0, 1.0j]))
         assert not _has_close_pair(values, 2.0 * TOLERANCE)
+
+    @given(crowded_values(), st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_crowded_marks_every_close_or_twin_entry(self, values, data):
+        # Conjugating flips the sign of a zero imaginary part, so equal
+        # entries can differ in their bytes (twins).
+        flip = np.array(data.draw(
+            st.lists(st.booleans(), min_size=values.size, max_size=values.size)
+        ))
+        values = np.where(flip, values.conj(), values)
+        crowded, _ = _crowded(values, 2.0 * TOLERANCE)
+        gap = 2.0 * TOLERANCE
+        for i, j in itertools.combinations(range(values.size), 2):
+            a, b = values[i], values[j]
+            if a.tobytes() != b.tobytes() and (
+                abs(a.real - b.real) <= gap and abs(a.imag - b.imag) <= gap
+            ):
+                assert crowded[i] and crowded[j]
+
+    @given(crowded_values(), st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_replaying_crowded_entries_matches_a_full_replay(
+        self, values, data
+    ):
+        # The build replays the complex table over the crowded weights
+        # only; the rest must come back unchanged from a full replay.
+        flip = np.array(data.draw(
+            st.lists(st.booleans(), min_size=values.size, max_size=values.size)
+        ))
+        values = np.where(flip, values.conj(), values)
+        full = ComplexTable(TOLERANCE).lookup_many(values)
+        crowded, _ = _crowded(values, 2.0 * TOLERANCE)
+        partial = values.copy()
+        partial[crowded] = ComplexTable(TOLERANCE).lookup_many(values[crowded])
+        assert partial.tobytes() == full.tobytes()
 
 
 @pytest.fixture
