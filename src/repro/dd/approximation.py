@@ -59,8 +59,8 @@ from repro.dd.edge import WEIGHT_ZERO_CUTOFF
 from repro.dd.levels import (
     DiagramLevels,
     compact_levels,
+    merge_labels,
     preorder_positions,
-    row_keys,
 )
 from repro.dd.node import DDNode
 from repro.exceptions import ApproximationError
@@ -405,20 +405,17 @@ def _merged_labels(
     children: np.ndarray,
     dirty: np.ndarray,
     reached: np.ndarray,
-    below: np.ndarray | None,
 ) -> np.ndarray | None:
     """Labels of one level's rows after a rebuild, equal for one node.
 
     Rows that were not rebuilt are distinct nodes, so only a rebuilt
     (``dirty``) row can equal another row.  A 64-bit hash of every
     reachable row picks the untouched rows that could equal a rebuilt
-    one; those and the rebuilt rows are keyed exactly.  ``below`` holds
-    the next level's labels (``None``: every row its own node).  Each
-    row is labelled with the first row of its node; returns ``None``
-    when every row is its own node.
+    one; those and the rebuilt rows are compared exactly
+    (:func:`~repro.dd.levels.merge_labels`).  ``children`` holds the
+    next level's labels.  Returns ``None`` when every row is its own
+    node.
     """
-    if below is not None:
-        children = np.where(children >= 0, below[np.maximum(children, 0)], -1)
     if not dirty.size:
         return None
     width = weights.shape[1]
@@ -440,17 +437,7 @@ def _merged_labels(
         np.searchsorted(dirty_hashes, clean_hashes), dirty_hashes.size - 1
     )
     candidate[rows[~rebuilt][dirty_hashes[found] == clean_hashes]] = True
-    candidates = np.flatnonzero(candidate)
-    _, first, inverse = np.unique(
-        row_keys(weights[candidates], children[candidates]),
-        return_index=True,
-        return_inverse=True,
-    )
-    if first.size == candidates.size:
-        return None
-    labels = np.arange(weights.shape[0])
-    labels[candidates] = candidates[first][inverse.ravel()]
-    return labels
+    return merge_labels(weights, children, np.flatnonzero(candidate))
 
 
 def _rebuild(
@@ -597,12 +584,11 @@ def _rebuild(
             children[level][rows] = np.where(
                 canon != 0, children[level][rows], -1
             )
+        child = children[level]
+        if labels is not None:
+            child = np.where(child >= 0, labels[np.maximum(child, 0)], -1)
         labels = classes[level] = _merged_labels(
-            weights[level],
-            children[level],
-            rows[factors[level][rows] != 0],
-            reach[level],
-            labels,
+            weights[level], child, rows[factors[level][rows] != 0], reach[level]
         )
     return complex(factors[0][0]), compact_levels(
         weights, children, 0, classes

@@ -55,7 +55,7 @@ import numpy as np
 
 from repro.dd.diagram import DecisionDiagram, level_stats
 from repro.dd.edge import WEIGHT_ZERO_CUTOFF, Edge
-from repro.dd.levels import compact_levels, row_keys
+from repro.dd.levels import compact_levels, merge_labels
 from repro.dd.unique_table import UniqueTable
 from repro.exceptions import StateError
 from repro.linalg.complex_table import DEFAULT_TOLERANCE, ComplexTable
@@ -211,14 +211,9 @@ def _merge_rows(
         child = children[level]
         if below is not None:
             child = np.where(child >= 0, below[np.maximum(child, 0)], -1)
-        _, first, labels = np.unique(
-            row_keys(weights[level], child),
-            return_index=True,
-            return_inverse=True,
+        below = classes[level] = merge_labels(
+            weights[level], child, np.arange(child.shape[0])
         )
-        below = None
-        if first.size < labels.size:
-            classes[level] = below = labels.ravel()
     return classes
 
 

@@ -33,9 +33,9 @@ __all__ = [
     "DiagramLevels",
     "compact_levels",
     "make_nodes",
+    "merge_labels",
     "path_expanded_size",
     "preorder_positions",
-    "row_keys",
     "walk_levels",
 ]
 
@@ -116,7 +116,7 @@ def walk_levels(root: Edge, dims: Sequence[int]) -> DiagramLevels:
     return DiagramLevels(tuple(weights), tuple(children))
 
 
-def row_keys(weights: np.ndarray, children: np.ndarray) -> np.ndarray:
+def _row_keys(weights: np.ndarray, children: np.ndarray) -> np.ndarray:
     """One opaque key per row: equal keys are equal nodes.
 
     A node's identity compares its weights with ``==``, so ``-0.0`` is
@@ -127,6 +127,28 @@ def row_keys(weights: np.ndarray, children: np.ndarray) -> np.ndarray:
     key[:, : 2 * dimension] = (weights + 0.0).view(np.int64)
     key[:, 2 * dimension:] = children
     return key.view(np.dtype((np.void, key.itemsize * 3 * dimension))).ravel()
+
+
+def merge_labels(
+    weights: np.ndarray, children: np.ndarray, rows: np.ndarray
+) -> np.ndarray | None:
+    """Labels of one level's rows, equal for rows that are one node.
+
+    Only ``rows`` are compared, on their weights and ``children`` (rows
+    of the next level, or its labels); each is labelled with the first
+    of its equals, every other row with itself.  Returns ``None`` when
+    no two of them are one node.
+    """
+    _, first, inverse = np.unique(
+        _row_keys(weights[rows], children[rows]),
+        return_index=True,
+        return_inverse=True,
+    )
+    if first.size == rows.size:
+        return None
+    labels = np.arange(weights.shape[0])
+    labels[rows] = rows[first][inverse.ravel()]
+    return labels
 
 
 def compact_levels(
