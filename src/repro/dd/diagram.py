@@ -17,6 +17,7 @@ with one walk instead.
 
 from __future__ import annotations
 
+import threading
 from collections.abc import Iterator, Sequence
 from dataclasses import dataclass, field
 
@@ -236,6 +237,11 @@ def _nodes_of_rows(
     return tuple(nodes)
 
 
+#: Serialises making node graphs from level arrays, so threads reading
+#: one diagram's nodes for the first time get the same objects.
+_NODES_LOCK = threading.Lock()
+
+
 def _rebuild_object_diagram(text: str) -> "DecisionDiagram":
     """Pickle hook: reload a diagram from DDTXT."""
     from repro.dd import io
@@ -316,12 +322,21 @@ class DecisionDiagram:
         return diagram
 
     def _make_nodes(self) -> None:
-        """Make the node graph from the level arrays."""
-        if self._table is None:
-            self._table = UniqueTable()
-        self._level_nodes = make_nodes(self._levels, self._table)
-        top = self._level_nodes[0]
-        self._root = Edge(self._root_weight, top[0]) if top else Edge.zero()
+        """Make the node graph from the level arrays, once.
+
+        Concurrent first reads of one diagram share one graph: the root
+        edge is set last, under the lock, and only while still unset.
+        """
+        with _NODES_LOCK:
+            if self._root is not None:
+                return
+            if self._table is None:
+                self._table = UniqueTable()
+            self._level_nodes = make_nodes(self._levels, self._table)
+            top = self._level_nodes[0]
+            self._root = (
+                Edge(self._root_weight, top[0]) if top else Edge.zero()
+            )
 
     # ------------------------------------------------------------------
     # Properties

@@ -1,6 +1,8 @@
 """Tests for DecisionDiagram queries and statistics."""
 
 import math
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -116,3 +118,36 @@ class TestConstructionValidation:
     def test_repr_contains_dims(self):
         dd = build_dd(ghz_state((3, 3)))
         assert "3, 3" in repr(dd)
+
+
+class TestNodesMadeOnDemand:
+    def test_built_diagram_makes_nodes_once(self):
+        dd = build_dd(random_statevector((3, 2, 4), seed=3))
+        assert dd.root is dd.root
+        assert dd.level_nodes()[0] == [dd.root.node]
+        assert sum(map(len, dd.level_nodes())) == dd.stats.num_nodes
+
+    def test_concurrent_first_reads_share_one_graph(self):
+        # Eight threads read the root of one fresh diagram at once; a
+        # lost check-then-act would hand them different node graphs.
+        dd = build_dd(random_statevector((4, 3, 3, 2, 2), seed=4))
+        barrier = threading.Barrier(8)
+        roots = []
+
+        def read():
+            barrier.wait(timeout=10)
+            roots.append(dd.root)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=read) for _ in range(8)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=30)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert len(roots) == 8
+        assert all(root is roots[0] for root in roots)
