@@ -374,7 +374,8 @@ class TestBuilderEquivalence:
 
 
 def _serve_path_states():
-    """Fast-path (random) and fallback (W, uniform, Dicke) states."""
+    """States whose builds skip the complex table (random) and replay
+    it over their crowded weights (sparse, W, uniform, Dicke)."""
     rng = np.random.default_rng(31)
     mixed = (3, 2, 4, 2)
     return [
