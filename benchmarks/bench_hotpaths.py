@@ -34,12 +34,17 @@ levels, angles within 1e-12), the statistics that ``build_dd`` and
 ``approximate`` store on their diagrams against the oracle of
 ``tests/kernel_oracles.py``, and every ``approximate`` result against
 the scalar oracle's, and exits 1 on any mismatch.
+Each scenario records whether ``approximate(..., 0.98)`` consulted a
+complex table (``approximate.path``), and the run fails if
+approximating a random state of the grid (real amplitudes, as in the
+paper) did.
 A second grid times the build alone, statistics included, on the two
 paths it takes: random states, whose kept weights lie apart and skip
 the complex table, and W, uniform and Dicke states on wide registers,
 whose near-equal weights mostly replay it over those weights; each row
-records the path taken and also times making the node graph, and the
-run fails if a random state leaves the fast path.
+records the path taken (and approximate's path, ``approximate_path``)
+and also times making the node graph, and the run fails if a random
+state's build leaves the fast path.
 ``--smoke`` runs a CI-sized grid and also fails unless block-kernel
 verify is no slower than gate-list verify on the smoke scenario with
 the most operations.
@@ -316,8 +321,14 @@ def _scenarios(smoke: bool) -> list[dict]:
             ("sparse-random-mixed-12", mixed12, sparse),
             ("sparse-random-qubit-12", (2,) * 12, sparse),
         ]
+    kinds = {dense: "random", sparse: "sparse"}
     return [
-        {"name": name, "dims": dims, "state": builder(dims)}
+        {
+            "name": name,
+            "dims": dims,
+            "state": builder(dims),
+            "kind": kinds.get(builder, "structured"),
+        }
         for name, dims, builder in grid
     ]
 
@@ -356,9 +367,9 @@ def _build_path_scenarios(smoke: bool) -> list[dict]:
     ]
 
 
-def build_path_of(state: StateVector) -> str:
-    """``"replay"`` when building ``state`` consults a complex table,
-    else ``"fast"``."""
+def path_of(call) -> str:
+    """``"replay"`` when ``call()`` consults a complex table, else
+    ``"fast"``."""
     calls = []
     lookup_many = ComplexTable.lookup_many
 
@@ -368,10 +379,22 @@ def build_path_of(state: StateVector) -> str:
 
     ComplexTable.lookup_many = counting
     try:
-        build_dd(state)
+        call()
     finally:
         ComplexTable.lookup_many = lookup_many
     return "replay" if calls else "fast"
+
+
+def build_path_of(state: StateVector) -> str:
+    """The path building ``state`` takes (see :func:`path_of`)."""
+    return path_of(lambda: build_dd(state))
+
+
+def approximate_path_of(state: StateVector, min_fidelity: float = 0.98) -> str:
+    """The path approximating ``state``'s diagram takes, statistics of
+    the result included; the build runs outside the count."""
+    diagram = build_dd(state)
+    return path_of(lambda: approximate(diagram, min_fidelity))
 
 
 def run_build_paths(smoke: bool, repeats: int) -> list[dict]:
@@ -395,6 +418,7 @@ def run_build_paths(smoke: bool, repeats: int) -> list[dict]:
             "size": state.size,
             "kind": scenario["kind"],
             "path": build_path_of(state),
+            "approximate_path": approximate_path_of(state),
             "build_s": round(build_s, 6),
             "materialize_s": round(materialize_s, 6),
             "dag_nodes": build_dd(state).stats.num_nodes,
@@ -402,7 +426,8 @@ def run_build_paths(smoke: bool, repeats: int) -> list[dict]:
         print(f"[build {row['name']}] {row['path']:8s} build+stats "
               f"{build_s * 1e3:8.2f} ms | make nodes "
               f"{materialize_s * 1e3:8.2f} ms | "
-              f"{row['dag_nodes']} nodes", flush=True)
+              f"{row['dag_nodes']} nodes | approximate "
+              f"{row['approximate_path']}", flush=True)
         rows.append(row)
     return rows
 
@@ -550,8 +575,8 @@ def run(smoke: bool, repeats: int) -> dict:
         config = PipelineConfig(verify=False)
         context = default_pipeline(config).run(state, config=config)
         circuit = finalize(context).circuit
-        # The same operations as a gate list: per-gate verify with a
-        # fresh (cold) matrix cache per call.
+        # The same operations as a gate list: per-gate verify, each
+        # call building its gate matrices.
         gate_list = Circuit(circuit.register)
         gate_list.extend(circuit.gates)
         gate_list.global_phase = circuit.global_phase
@@ -606,11 +631,13 @@ def run(smoke: bool, repeats: int) -> dict:
             "oracle_s": round(approx_oracle_s, 6),
             "speedup_vs_oracle": _round_speedup(approx_oracle_s, arrays_s),
             "removed_nodes": approximate(build_dd(state), 0.98).removed_nodes,
+            "path": approximate_path_of(state),
             "oracle_mismatches": approximation_mismatches(state),
         }
         print(f"  approximate: arrays {arrays_s * 1e3:7.2f} ms"
               f" | oracle {approx_oracle_s * 1e3:7.2f} ms"
               f" ({approximation['speedup_vs_oracle']:.2f}x)"
+              f" | {approximation['path']}"
               f" | mismatches: {approximation['oracle_mismatches']}",
               flush=True)
 
@@ -633,6 +660,7 @@ def run(smoke: bool, repeats: int) -> dict:
 
         results.append({
             "name": name,
+            "kind": scenario["kind"],
             "dims": list(dims),
             "size": state.size,
             "build": build,
@@ -768,6 +796,22 @@ def build_path_check(payload: dict) -> str | None:
     return None
 
 
+def approximate_path_check(payload: dict) -> str | None:
+    """Approximating a random state of the scenario grid (real
+    amplitudes, as in the paper) consulted no complex table.
+
+    Returns the failure message, or ``None`` when none did.
+    """
+    failures = [
+        f"{row['name']} took the {row['approximate']['path']} path"
+        for row in payload["scenarios"]
+        if row["kind"] == "random" and row["approximate"]["path"] != "fast"
+    ]
+    if failures:
+        return "; ".join(failures)
+    return None
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument(
@@ -828,6 +872,12 @@ def main(argv: list[str] | None = None) -> int:
         print(f"BUILD PATH CHECK FAILED: {failure}", file=sys.stderr)
         return 1
     print("build path check held: random states skip the complex table")
+    failure = approximate_path_check(payload)
+    if failure is not None:
+        print(f"APPROXIMATE PATH CHECK FAILED: {failure}", file=sys.stderr)
+        return 1
+    print("approximate path check held: approximating random states "
+          "skips the complex table")
     if options.smoke:
         failure = verify_floor(payload)
         if failure is not None:

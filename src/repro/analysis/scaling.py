@@ -11,6 +11,11 @@ Two experiment drivers used by the benchmark suite and the examples:
   quantifying the "finely controlled trade-off between accuracy,
   memory complexity and number of operations" of the abstract.
 
+Both report ``operations`` as
+:func:`~repro.dd.metrics.synthesis_operation_count`: the rotations the
+synthesis emits without the tensor-product rule, as Table 1 counts
+them.  The default pipeline (``tensor_elision=True``) may emit fewer.
+
 Both drivers are built from the pipeline passes of
 :mod:`repro.pipeline` rather than re-chaining the stages by hand: the
 front half (coerce + build) runs once per state, and the stage under
@@ -62,7 +67,11 @@ _FRONT = Pipeline([CoercePass(), BuildPass()])
 
 @dataclass(frozen=True)
 class ScalingPoint:
-    """One measurement of the linear-complexity experiment."""
+    """One measurement of the linear-complexity experiment.
+
+    ``operations`` counts the rotations without the tensor-product
+    rule (:func:`~repro.dd.metrics.synthesis_operation_count`).
+    """
 
     dims: tuple[int, ...]
     visited_nodes: int
@@ -104,7 +113,11 @@ def synthesis_scaling(
 
 @dataclass(frozen=True)
 class TradeoffPoint:
-    """One point of the fidelity/size trade-off curve."""
+    """One point of the fidelity/size trade-off curve.
+
+    ``operations`` counts the rotations without the tensor-product
+    rule (:func:`~repro.dd.metrics.synthesis_operation_count`).
+    """
 
     min_fidelity: float
     achieved_fidelity: float

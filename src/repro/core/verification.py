@@ -7,7 +7,9 @@ pays, as in the paper: the synthesised rotation circuit runs on
 matrix per block of its table, in emitted order; the level-major
 synthesis emits each level's blocks together, so the many small
 blocks of a deep level run as a few batched matmuls), and the result
-is compared with the target.
+is compared with the target.  A gate-list circuit (hand-built, parsed
+or transpiled) runs gate by gate, with each distinct local matrix
+built once per call.
 """
 
 from __future__ import annotations
@@ -17,41 +19,24 @@ import numpy as np
 from repro.circuit.circuit import Circuit
 from repro.states.fidelity import fidelity
 from repro.states.statevector import StateVector
-from repro.simulator.statevector_sim import (
-    GateMatrixCache,
-    simulate_inplace,
-)
+from repro.simulator.statevector_sim import simulate_inplace
 
 __all__ = ["verify_preparation", "prepared_state"]
 
 
-def prepared_state(
-    circuit: Circuit,
-    matrix_cache: GateMatrixCache | None = None,
-) -> StateVector:
-    """Simulate the circuit on ``|0...0>`` and return the result.
-
-    Args:
-        circuit: The preparation circuit.
-        matrix_cache: Gate-matrix memo to reuse across calls for
-            gate-list circuits; a fresh one per call when ``None``.
-    """
+def prepared_state(circuit: Circuit) -> StateVector:
+    """Simulate the circuit on ``|0...0>`` and return the result."""
     buffer = np.zeros(circuit.register.size, dtype=np.complex128)
     buffer[0] = 1.0
-    simulate_inplace(circuit, buffer, matrix_cache)
+    simulate_inplace(circuit, buffer)
     return StateVector(buffer, circuit.register)
 
 
-def verify_preparation(
-    circuit: Circuit,
-    target: StateVector,
-    matrix_cache: GateMatrixCache | None = None,
-) -> float:
+def verify_preparation(circuit: Circuit, target: StateVector) -> float:
     """Return ``|<target|circuit(0...0)>|^2``.
 
     The target is normalised before comparison, so callers may pass
-    unnormalised amplitude vectors.  ``matrix_cache`` is forwarded to
-    :func:`prepared_state`.
+    unnormalised amplitude vectors.
     """
-    produced = prepared_state(circuit, matrix_cache)
+    produced = prepared_state(circuit)
     return fidelity(target.normalized(), produced)

@@ -33,11 +33,15 @@ prepare states level by level:
   bit by mapping the same Python operations over the rows.  Only the
   rows that lost an edge, have such a row below them, or whose
   renormalised weights leave their own are normalised again and
-  written in place, with one ``lookup_many`` in the per-node rebuild's
-  probe order; the table is a fresh one that holds only the input's
-  weights a quotient could meet, so the weights, root weight included,
-  equal the per-node rebuild's.  Rows that became one node are merged
-  by row key.  No node is made, and no table is shared with the input.
+  written in place.  Their quotients get what a fresh complex table
+  holding the input's weights gives in the per-node rebuild's probe
+  order, so the weights, root weight included, equal the per-node
+  rebuild's; as in the build, only the crowded ones
+  (:func:`~repro.linalg.complex_table.crowded`) are looked up, after
+  the crowded input weights, and with none crowded (random states
+  with real amplitudes) no table is made.  Rows that became one node
+  are merged by row key.  No node is made, and no table is shared
+  with the input.
 * **Fidelity.**  ``|<original|approximated>|^2`` is computed exactly,
   level by level over the pairs of rows the two diagrams reach
   together, with the recursive inner product's arithmetic.  The result
@@ -64,7 +68,11 @@ from repro.dd.levels import (
 )
 from repro.dd.node import DDNode
 from repro.exceptions import ApproximationError
-from repro.linalg.complex_table import DEFAULT_TOLERANCE, ComplexTable
+from repro.linalg.complex_table import (
+    DEFAULT_TOLERANCE,
+    ComplexTable,
+    crowded,
+)
 
 __all__ = [
     "ApproximationResult",
@@ -364,38 +372,6 @@ def _in_edge_factors(raw: np.ndarray, magnitudes: np.ndarray) -> np.ndarray:
     return factors
 
 
-def _table_near(values: np.ndarray, quotients: np.ndarray) -> ComplexTable:
-    """A fresh complex table holding the entries of ``values`` that lie
-    within twice its tolerance of some quotient.
-
-    A lookup only returns a stored value within the tolerance of its
-    input, and only a stored value that close can share its grid cell,
-    so looking the quotients up here gives what a table holding every
-    entry of ``values`` would give.
-    """
-    table = ComplexTable(DEFAULT_TOLERANCE)
-    gap = 2.0 * DEFAULT_TOLERANCE
-    order = np.argsort(values.real)
-    real = values.real[order]
-    # Per quotient, the values within the gap in the real part.
-    low = np.searchsorted(real, quotients.real - gap, side="left")
-    spans = np.searchsorted(real, quotients.real + gap, side="right") - low
-    found = np.flatnonzero(spans)
-    if found.size:
-        counts = spans[found]
-        quotient_of = np.repeat(found, counts)
-        value_of = order[
-            np.repeat(low[found] - np.cumsum(counts) + counts, counts)
-            + np.arange(quotient_of.size)
-        ]
-        near = np.zeros(values.size, dtype=bool)
-        near[value_of[
-            np.abs(values.imag[value_of] - quotients.imag[quotient_of]) <= gap
-        ]] = True
-        table.lookup_many(values[near])
-    return table
-
-
 #: Odd multiplier of :func:`_merged_labels`' row hash (64-bit wraparound).
 _HASH_STEP = 0x9E3779B97F4A7C15
 
@@ -440,6 +416,46 @@ def _merged_labels(
     return merge_labels(weights, children, np.flatnonzero(candidate))
 
 
+def _in_probe_order(
+    entries: np.ndarray,
+    children: list[np.ndarray],
+    reach: list[np.ndarray],
+    dirty_rows: list[np.ndarray],
+    slots: list[np.ndarray],
+) -> np.ndarray:
+    """``entries`` of the rebuild's quotient batch, sorted into the
+    order the per-node rebuild probes them: rows in depth-first
+    post-order of the pruned diagram (the reverse of its scan order),
+    digits in order.  The batch holds, level by level, the non-zero
+    quotients (``slots``, row-major) of the ``dirty_rows``.
+    """
+    num_levels = len(children)
+    remap = []
+    for mark in reach:
+        index = np.full(mark.size, -1, dtype=np.intp)
+        index[mark] = np.arange(int(mark.sum()))
+        remap.append(index)
+    positions = preorder_positions([
+        np.where(
+            child >= 0,
+            remap[level + 1][np.maximum(child, 0)]
+            if level + 1 < num_levels else -1,
+            -1,
+        )[reach[level]]
+        for level, child in enumerate(children)
+    ], reverse_digits=True)
+    digits = np.concatenate([
+        slot % child.shape[1] for slot, child in zip(slots, children)
+    ])
+    row_positions = np.concatenate([
+        positions[level][
+            remap[level][dirty_rows[level][slot // child.shape[1]]]
+        ]
+        for level, (slot, child) in enumerate(zip(slots, children))
+    ])
+    return entries[np.lexsort((digits[entries], -row_positions[entries]))]
+
+
 def _rebuild(
     weights: list[np.ndarray],
     children: list[np.ndarray],
@@ -453,11 +469,12 @@ def _rebuild(
     gives it, bit for bit.  Only rows that lost an edge, have such a
     row below them, or whose renormalised weights leave their own are
     normalised again, and written in place; every other row stays as
-    it is.  Their quotients go through one ``lookup_many`` in the order
-    the per-node rebuild probes them (depth-first post-order), so the
-    complex table picks the same representatives.  The table holds the
-    input's edge weights ``values`` that a quotient could meet (see
-    :func:`_table_near`).  Rows that became one node are merged by
+    it is.  Their quotients get the representatives a complex table
+    holding the input's non-zero edge weights ``values`` gives when it
+    sees them in the order the per-node rebuild probes them
+    (depth-first post-order); only the crowded ones
+    (:func:`~repro.linalg.complex_table.crowded`) are looked up, after
+    the crowded weights.  Rows that became one node are merged by
     key.  Returns the root row's factor (0 when nothing is left) and
     the result's level arrays, ``None`` when no row was normalised
     again.
@@ -532,40 +549,21 @@ def _rebuild(
     if not any(rows.size for rows in dirty_rows):
         return complex(factors[0][0]), None
 
-    # One lookup batch, rows in depth-first post-order of the pruned
-    # diagram (the reverse of its scan order), digits in order.
-    batch = np.concatenate(quotients)
-    table = _table_near(values, batch)
-    if sum(rows.size for rows in dirty_rows) > 1:
-        remap = []
-        for mark in reach:
-            index = np.full(mark.size, -1, dtype=np.intp)
-            index[mark] = np.arange(int(mark.sum()))
-            remap.append(index)
-        positions = preorder_positions([
-            np.where(
-                child >= 0,
-                remap[level + 1][np.maximum(child, 0)]
-                if level + 1 < num_levels else -1,
-                -1,
-            )[reach[level]]
-            for level, child in enumerate(children)
-        ], reverse_digits=True)
-        order = np.lexsort((
-            np.concatenate([
-                slot % child.shape[1] for slot, child in zip(slots, children)
-            ]),
-            np.concatenate([
-                -positions[level][
-                    remap[level][dirty_rows[level][slot // child.shape[1]]]
-                ]
-                for level, (slot, child) in enumerate(zip(slots, children))
-            ]),
-        ))
-        canonical = np.empty_like(batch)
-        canonical[order] = table.lookup_many(batch[order])
-    else:
-        canonical = table.lookup_many(batch)
+    # The per-node rebuild looks the quotients up in a table holding the
+    # input's weights, in its probe order.  Only a crowded quotient can
+    # come back changed, and only crowded entries can change it, so the
+    # table holds the crowded weights and sees the crowded quotients
+    # only, in that order.
+    canonical = np.concatenate(quotients)
+    marks, _ = crowded(
+        np.concatenate((values, canonical)), 2.0 * DEFAULT_TOLERANCE
+    )
+    replay = np.flatnonzero(marks[values.size:])
+    if replay.size:
+        table = ComplexTable(DEFAULT_TOLERANCE)
+        table.lookup_many(values[marks[:values.size]])
+        replay = _in_probe_order(replay, children, reach, dirty_rows, slots)
+        canonical[replay] = table.lookup_many(canonical[replay])
 
     # Bottom-up again: write the rebuilt rows in place (zero edges point
     # nowhere) and label the rows that became one node.

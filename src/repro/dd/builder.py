@@ -22,8 +22,9 @@ its node graph is made from them only when something reads it.
 
 The complex table that uniques weights at a tolerance (~1e-12) is
 replayed only where it can change a weight.  A fresh table returns a
-kept weight unchanged unless another one crowds it (lies within twice
-the tolerance, or equals it with a zero of the other sign), and the
+kept weight unchanged unless another one crowds it
+(:func:`~repro.linalg.complex_table.crowded`: lies within twice the
+tolerance, or equals it with a zero of the other sign), and the
 entries a crowded weight can meet are crowded too; so only the crowded
 weights go through
 :meth:`~repro.linalg.complex_table.ComplexTable.lookup_many`, deepest
@@ -58,7 +59,11 @@ from repro.dd.edge import WEIGHT_ZERO_CUTOFF, Edge
 from repro.dd.levels import compact_levels, merge_labels
 from repro.dd.unique_table import UniqueTable
 from repro.exceptions import StateError
-from repro.linalg.complex_table import DEFAULT_TOLERANCE, ComplexTable
+from repro.linalg.complex_table import (
+    DEFAULT_TOLERANCE,
+    ComplexTable,
+    crowded,
+)
 from repro.registers.register import as_register
 from repro.states.statevector import StateVector
 
@@ -147,46 +152,6 @@ def _normalize_level(
     normalized = np.where(keep, normalized, 0.0)
     kept_ids = np.where(keep, block_ids, 0)
     return live_rows, factor, normalized, kept_ids
-
-
-def _crowded(values: np.ndarray, gap: float):
-    """Which entries of ``values`` a complex table might change.
-
-    A table with tolerance ``gap / 2`` fed ``values`` in any order
-    returns an entry unchanged unless an entry of another value lies
-    within ``gap`` of it in both parts, or an equal one differs from it
-    in the sign of a zero (the table returns the first of two such
-    twins for both).  Sorted by real part, runs of entries whose real
-    parts step by at most ``gap`` hold every pair close in the real
-    part; sorted by imaginary part within a run, every entry between
-    two close ones is within ``gap`` of its neighbours, so marking both
-    entries of each such neighbour pair whose bytes differ never misses
-    one (it may mark entries close in one part only).  Entries with
-    equal bytes, adjacent in that order, share the mark.
-
-    Returns the mark of every entry and the distinct entries.
-    """
-    by_real = np.argsort(values.real, kind="stable")
-    run = np.concatenate(
-        ([0], np.cumsum(np.diff(values.real[by_real]) > gap))
-    )
-    lex = np.lexsort((values.imag[by_real], run))
-    order = by_real[lex]
-    ordered = values[order]
-    bits = ordered.view(np.int64).reshape(-1, 2)
-    differ = (bits[1:] != bits[:-1]).any(axis=1)
-    close = (
-        differ
-        & (run[lex][1:] == run[lex][:-1])
-        & (np.abs(np.diff(ordered.imag)) <= gap)
-    )
-    mark = np.zeros(values.size, dtype=bool)
-    mark[1:] |= close
-    mark[:-1] |= close
-    group = np.concatenate(([0], np.cumsum(differ)))
-    crowded = np.empty(values.size, dtype=bool)
-    crowded[order] = np.bincount(group, weights=mark)[group] > 0
-    return crowded, ordered[np.concatenate(([True], differ))[: values.size]]
 
 
 def _merge_rows(
@@ -313,7 +278,7 @@ def build_dd(
 
     # The complex table would see the kept weights of the distinct rows,
     # deepest level first, row-major.  A weight no other weight crowds
-    # (see _crowded) comes back unchanged, and a table entry a crowded
+    # (see crowded) comes back unchanged, and a table entry a crowded
     # weight can meet is crowded too, so the table is replayed, in that
     # order, over the crowded weights only.  With none, distinct rows
     # are distinct nodes; otherwise rows whose canonical weights and
@@ -321,24 +286,24 @@ def build_dd(
     # near any weight, so every weight goes through it.
     flats = [distinct.reshape(-1) for distinct, _ in level_rows]
     positions = [np.flatnonzero(flat) for flat in flats]
-    crowded, apart = _crowded(
+    marks, apart = crowded(
         np.concatenate([flat[kept] for flat, kept in zip(flats, positions)]),
         2.0 * tolerance,
     )
     if table is not None:
-        crowded[:] = True
+        marks[:] = True
     top_down = level_rows[::-1]
     weight_rows = [distinct for distinct, _ in top_down]
     child_rows = [children for _, children in top_down]
     classes = None
-    if crowded.any():
+    if marks.any():
         complex_table = (
             ComplexTable(tolerance) if table is None else table.complex_table
         )
         changed = []
         start = 0
         for flat, kept in zip(flats, positions):
-            replayed = kept[crowded[start:start + kept.size]]
+            replayed = kept[marks[start:start + kept.size]]
             start += kept.size
             values = flat[replayed]
             canonical = complex_table.lookup_many(values)

@@ -13,6 +13,12 @@ edge, its nodes and its unique table are made from the level arrays,
 by :func:`~repro.dd.levels.make_nodes`, the first time one of them is
 read.  A diagram made by hand from a root edge derives its level arrays
 with one walk instead.
+
+:func:`count_distinct_complex` counts DistinctC from the level arrays:
+by the distinct values when
+:func:`~repro.linalg.complex_table.crowded` (the build's and the
+approximation's crowding test) marks no edge value, else by replaying
+a complex table in the definition's order.
 """
 
 from __future__ import annotations
@@ -34,7 +40,11 @@ from repro.dd.levels import (
 from repro.dd.node import DDNode
 from repro.dd.unique_table import UniqueTable
 from repro.exceptions import DecisionDiagramError, DimensionError
-from repro.linalg.complex_table import DEFAULT_TOLERANCE, ComplexTable
+from repro.linalg.complex_table import (
+    DEFAULT_TOLERANCE,
+    ComplexTable,
+    crowded,
+)
 from repro.registers import QuditRegister
 from repro.registers.register import RegisterLike, as_register
 from repro.states.statevector import StateVector
@@ -73,24 +83,6 @@ class DiagramStats:
     nodes_per_level: dict[int, int] = field(default_factory=dict)
 
 
-def _has_close_pair(values: np.ndarray, gap: float) -> bool:
-    """Whether two entries of ``values`` may lie within ``gap`` of each other.
-
-    ``values`` must be sorted by real part, as ``np.sort`` orders
-    complex values.  Runs of entries whose consecutive real parts are
-    within ``gap`` hold every pair that is close in the real part;
-    sorted by imaginary part, a run holding a close pair has two
-    neighbours within ``gap``.  Never misses a close pair; may flag
-    neighbours that are close in the imaginary part only.
-    """
-    if values.size < 2:
-        return False
-    run = np.concatenate(([0], np.cumsum(np.diff(values.real) > gap)))
-    order = np.lexsort((values.imag, run))
-    same_run = run[order][1:] == run[order][:-1]
-    return bool(np.any(same_run & (np.diff(values.imag[order]) <= gap)))
-
-
 def _root_finds(values: np.ndarray, root: complex, tolerance: float) -> bool:
     """Whether a complex table holding only ``root`` finds an entry.
 
@@ -116,39 +108,36 @@ def count_distinct_complex(
 
     The definition feeds a fresh complex table the root weight, then
     the edge weights in :meth:`DecisionDiagram.nodes` pre-order.  When
-    no two distinct edge values lie within twice the tolerance of each
-    other, the table keeps each of them whatever the order, apart from
-    the one (there can be no second) that the root entry, stored first,
-    absorbs; at most one edge value lies within twice the tolerance of
-    the root in that case, and it is absorbed exactly when a table
-    holding only the root finds it.  Otherwise (ties that straddle the
-    tolerance, kept weights below it next to ``0j``, or several edge
-    values near the root) the count replays the table in the
-    definition's order, which the level arrays give: that pre-order
-    lists nodes by their lexicographically smallest root paths.
+    no edge value is crowded (:func:`~repro.linalg.complex_table.crowded`,
+    with ``0j`` counted as a value when an edge is zero), the table
+    keeps each of them whatever the order, apart from the one (there
+    can be no second) that the root entry, stored first, absorbs; at
+    most one edge value lies within twice the tolerance of the root in
+    that case, and it is absorbed exactly when a table holding only the
+    root finds it.  Otherwise (ties that straddle the tolerance, kept
+    weights below it next to ``0j``, or several edge values near the
+    root) the count replays the table in the definition's order, which
+    the level arrays give: that pre-order lists nodes by their
+    lexicographically smallest root paths.
 
-    ``apart``, when given, holds the distinct non-zero edge values, no
-    two within twice the tolerance of each other (a build that checked
-    them passes them on), so only ``0j`` is left to check.
+    ``apart``, when given, holds the distinct non-zero edge values,
+    none crowded (a build that checked them passes them on), so only
+    ``0j`` is left to check.
     """
     tolerance = DEFAULT_TOLERANCE
     gap = 2.0 * tolerance
+    close = False
     if apart is None:
-        values = np.sort(
-            np.concatenate([row.ravel() for row in levels.weights])
+        marks, apart = crowded(
+            np.concatenate([row[row != 0] for row in levels.weights]), gap
         )
-        distinct = values[
-            np.concatenate(([True], values[1:] != values[:-1]))[: values.size]
-        ]
-        close = _has_close_pair(distinct, gap)
-    else:
-        distinct = apart
-        close = False
-        if not all(row.all() for row in levels.weights):
-            distinct = np.concatenate((apart, [0j]))
-            close = bool(np.any(
-                (np.abs(apart.real) <= gap) & (np.abs(apart.imag) <= gap)
-            ))
+        close = bool(marks.any())
+    distinct = apart
+    if not all(row.all() for row in levels.weights):
+        distinct = np.concatenate((apart, [0j]))
+        close = close or bool(np.any(
+            (np.abs(apart.real) <= gap) & (np.abs(apart.imag) <= gap)
+        ))
     root_weight = complex(root_weight)
     near = distinct[
         (np.abs(distinct.real - root_weight.real) <= gap)

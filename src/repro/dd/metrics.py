@@ -66,15 +66,21 @@ def visited_tree_size(dd: DecisionDiagram) -> int:
 
 
 def synthesis_operation_count(dd: DecisionDiagram) -> int:
-    """Number of controlled rotations the synthesis will emit.
+    """Number of controlled rotations the synthesis emits without the
+    tensor-product rule.
 
-    Closed-form companion of the synthesis routine: every visited node
-    of dimension ``d`` contributes ``d`` operations (``d - 1`` Givens
-    plus one phase rotation), summed over the path-expanded non-zero
-    tree.  Each of those ``d`` out-edges ends in one visited node or
-    one terminal endpoint, and every visit but the root's is such an
-    end, so the count is ``visited_tree_size(dd) - 1`` (0 for a zero
-    diagram).  Matches the "Operations" column of Table 1.
+    Closed-form companion of the synthesis routine run with
+    ``tensor_elision=False`` (the Table-1 harness's setting): every
+    visited node of dimension ``d`` contributes ``d`` operations
+    (``d - 1`` Givens plus one phase rotation), summed over the
+    path-expanded non-zero tree.  Each of those ``d`` out-edges ends in
+    one visited node or one terminal endpoint, and every visit but the
+    root's is such an end, so the count is ``visited_tree_size(dd) - 1``
+    (0 for a zero diagram).  Matches the "Operations" column of Table 1.
+    With the pipeline's default ``tensor_elision=True``, a node whose
+    non-zero edges all share one child has that child synthesised once,
+    so the emitted circuit can be shorter; this count is then an upper
+    bound.
     """
     return max(dd.stats.visited_nodes - 1, 0)
 

@@ -18,6 +18,15 @@ neighbouring cells, which guarantees that any two numbers within
 representative.  Distinct canonical values can never share a cell:
 two values in the same cell differ by less than the tolerance in both
 components, so the second would have been merged into the first.
+
+A table returns a value unchanged, and stores it without changing any
+other lookup, unless another value *crowds* it (lies within twice the
+tolerance, or equals it with a zero of the other sign); :func:`crowded`
+is the one test of that, and the DD build, the approximation's rebuild
+and the DistinctC count use it to replay a table over the crowded
+values only, or to skip it.
+:meth:`ComplexTable.lookup_many` is a memoised loop over
+:meth:`ComplexTable.lookup`.
 """
 
 from __future__ import annotations
@@ -26,7 +35,7 @@ from collections.abc import Iterator
 
 import numpy as np
 
-__all__ = ["ComplexTable"]
+__all__ = ["ComplexTable", "crowded"]
 
 #: Default snapping tolerance; DD weights are normalised so their
 #: magnitudes are O(1), making an absolute tolerance appropriate.
@@ -39,18 +48,6 @@ _NEIGHBOUR_OFFSETS = (
     (0, -1), (0, 1),
     (1, -1), (1, 0), (1, 1),
 )
-
-#: Offsets of the full 3x3 neighbourhood (own cell first), used by the
-#: batched prefilter in :meth:`ComplexTable.lookup_many`.
-_NEIGHBOURHOOD = ((0, 0),) + _NEIGHBOUR_OFFSETS
-
-#: Multipliers of the cell-occupancy hash (64-bit wraparound).  The
-#: batched lookup computes these hashes with NumPy uint64 arithmetic;
-#: :meth:`ComplexTable._hash_cell` is the scalar twin and must stay
-#: bit-identical.
-_HASH_RE = 0x9E3779B97F4A7C15
-_HASH_IM = 0xC2B2AE3D27D4EB4F
-_HASH_MASK = (1 << 64) - 1
 
 
 class ComplexTable:
@@ -66,7 +63,7 @@ class ComplexTable:
         1
     """
 
-    __slots__ = ("_tolerance", "_cells", "_values", "_occupied")
+    __slots__ = ("_tolerance", "_cells", "_values")
 
     def __init__(self, tolerance: float = DEFAULT_TOLERANCE):
         if tolerance <= 0:
@@ -75,10 +72,6 @@ class ComplexTable:
         # Maps grid cell -> the canonical value snapped into that cell.
         self._cells: dict[tuple[int, int], complex] = {}
         self._values: list[complex] = []
-        # Occupancy hashes of all stored cells: lets the batched lookup
-        # dismiss a value's whole 3x3 neighbourhood with one set
-        # operation (collisions only cause a harmless slow-path probe).
-        self._occupied: set[int] = set()
 
     @property
     def tolerance(self) -> float:
@@ -115,13 +108,6 @@ class ComplexTable:
                 return stored
         return None
 
-    @staticmethod
-    def _hash_cell(cell_re: int, cell_im: int) -> int:
-        """Occupancy hash of a grid cell (matches the NumPy batch)."""
-        return (
-            (cell_re * _HASH_RE) & _HASH_MASK
-        ) ^ ((cell_im * _HASH_IM) & _HASH_MASK)
-
     def lookup(self, value: complex) -> complex:
         """Return the canonical representative of ``value``.
 
@@ -135,85 +121,33 @@ class ComplexTable:
             return found
         self._cells[cell] = value
         self._values.append(value)
-        self._occupied.add(self._hash_cell(*cell))
         return value
 
     def lookup_many(self, values: np.ndarray) -> np.ndarray:
-        """Vectorised :meth:`lookup` over an array of values.
+        """:meth:`lookup` of every entry of ``values``, in order.
 
-        Grid cells and 3x3-neighbourhood occupancy hashes are computed
-        for the whole array in one NumPy pass; per value, one
-        ``set.isdisjoint`` call then decides whether the neighbourhood
-        can possibly hold a representative.  Fresh values (the common
-        case during decision-diagram construction) insert without any
-        dictionary probing; the rest fall back to the exact
-        :meth:`lookup` probe, so the merge semantics — including
-        insertion order — are identical.  Repeated identical inputs
-        are resolved through a batch-local memo.  Intended for O(1)
-        magnitudes, where the grid coordinates fit int64.
+        Repeated identical inputs are resolved through a batch-local
+        memo: a repeat gets its first occurrence's representative, even
+        where a closer entry was stored in between (scalar lookups
+        would return that one).  Only first occurrences can insert, so
+        the table ends up holding what scalar lookups would store.
 
         Returns:
             An array of the same shape whose entries are the canonical
             representatives of the inputs.
         """
         flat = np.ascontiguousarray(values, dtype=np.complex128).ravel()
-        out: np.ndarray | None = None  # copy-on-write of ``flat``
-        scale = 1.0 / self._tolerance
-        cells_re = np.rint(flat.real * scale).astype(np.int64)
-        cells_im = np.rint(flat.imag * scale).astype(np.int64)
-        offsets_re = np.array(
-            [o[0] for o in _NEIGHBOURHOOD], dtype=np.int64
-        )
-        offsets_im = np.array(
-            [o[1] for o in _NEIGHBOURHOOD], dtype=np.int64
-        )
-        hashes = (
-            (cells_re[:, None] + offsets_re[None, :]).astype(np.uint64)
-            * np.uint64(_HASH_RE)
-        ) ^ (
-            (cells_im[:, None] + offsets_im[None, :]).astype(np.uint64)
-            * np.uint64(_HASH_IM)
-        )
-        hash_rows = hashes.tolist()
-        cells_re_list = cells_re.tolist()
-        cells_im_list = cells_im.tolist()
-        values_list = flat.tolist()
-        cells = self._cells
-        occupied = self._occupied
-        occupied_isdisjoint = occupied.isdisjoint
-        occupied_add = occupied.add
-        values_append = self._values.append
-        find = self._find
+        lookup = self.lookup
         memo: dict[complex, complex] = {}
-        memo_get = memo.get
-        position = -1
-        for value, neighbourhood, cell_re, cell_im in zip(
-            values_list, hash_rows, cells_re_list, cells_im_list
-        ):
-            position += 1
-            canonical = memo_get(value)
-            if canonical is None:
-                if occupied_isdisjoint(neighbourhood):
-                    cells[(cell_re, cell_im)] = value
-                    values_append(value)
-                    occupied_add(neighbourhood[0])
-                    memo[value] = value
-                    continue
-                canonical = find(value, (cell_re, cell_im))
-                if canonical is None:
-                    cells[(cell_re, cell_im)] = value
-                    values_append(value)
-                    occupied_add(neighbourhood[0])
-                    canonical = value
-                memo[value] = canonical
-            if canonical is not value:
-                if out is None:
-                    out = flat.copy()
-                out[position] = canonical
-        if out is None:
-            aliases_input = flat is values or flat.base is not None
-            out = flat.copy() if aliases_input else flat
-        return out.reshape(np.shape(values))
+        canonical = []
+        for value in flat.tolist():
+            found = memo.get(value)
+            if found is None:
+                found = memo[value] = lookup(value)
+            canonical.append(found)
+        return np.array(canonical, dtype=np.complex128).reshape(
+            np.shape(values)
+        )
 
     def __contains__(self, value: complex) -> bool:
         value = complex(value)
@@ -231,3 +165,49 @@ class ComplexTable:
             f"ComplexTable(tolerance={self._tolerance!r}, "
             f"entries={len(self._values)})"
         )
+
+
+def crowded(values: np.ndarray, gap: float) -> tuple[np.ndarray, np.ndarray]:
+    """Which entries of ``values`` a complex table might change.
+
+    A table with tolerance ``gap / 2`` fed ``values`` in any order
+    returns an entry unchanged unless an entry of another value lies
+    within ``gap`` of it in both parts, or an equal one differs from it
+    in the sign of a zero (the table returns the first of two such
+    twins for both).  Storing an uncrowded entry changes no other
+    lookup either, so replaying a table over the crowded entries only,
+    in their order, gives a full replay's answers.
+
+    Sorted by real part, runs of entries whose real parts step by at
+    most ``gap`` hold every pair close in the real part; sorted by
+    imaginary part within a run, every entry between two close ones is
+    within ``gap`` of its neighbours, so marking both entries of each
+    such neighbour pair whose bytes differ never misses one (it may
+    mark entries close in one part only).  Entries with equal bytes,
+    adjacent in that order, share the mark.
+
+    Returns the mark of every entry and the distinct entries.
+    """
+    if not values.size:
+        return np.zeros(0, dtype=bool), values
+    by_real = np.argsort(values.real, kind="stable")
+    run = np.concatenate(
+        ([0], np.cumsum(np.diff(values.real[by_real]) > gap))
+    )
+    lex = np.lexsort((values.imag[by_real], run))
+    order = by_real[lex]
+    ordered = values[order]
+    bits = ordered.view(np.int64).reshape(-1, 2)
+    differ = (bits[1:] != bits[:-1]).any(axis=1)
+    close = (
+        differ
+        & (run[lex][1:] == run[lex][:-1])
+        & (np.abs(np.diff(ordered.imag)) <= gap)
+    )
+    mark = np.zeros(values.size, dtype=bool)
+    mark[1:] |= close
+    mark[:-1] |= close
+    group = np.concatenate(([0], np.cumsum(differ)))
+    marks = np.empty(values.size, dtype=bool)
+    marks[order] = np.bincount(group, weights=mark)[group] > 0
+    return marks, ordered[np.concatenate(([True], differ))]

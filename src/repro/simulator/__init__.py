@@ -15,7 +15,6 @@ Having both lets the test suite cross-validate every gate type.
 
 from repro.simulator.dd_sim import apply_gate_dd, simulate_dd
 from repro.simulator.statevector_sim import (
-    GateMatrixCache,
     apply_gate,
     apply_gate_inplace,
     simulate,
@@ -24,7 +23,6 @@ from repro.simulator.statevector_sim import (
 from repro.simulator.unitary_builder import circuit_unitary, gate_unitary
 
 __all__ = [
-    "GateMatrixCache",
     "apply_gate",
     "apply_gate_dd",
     "apply_gate_inplace",

@@ -24,9 +24,10 @@ Two entry points share one kernel:
   control rows act on disjoint subspaces, and where their subspaces
   are small they run as one *batch*: one gather, one
   ``(k, d, d) @ (k, d, rest)`` matmul and one scatter.  For a gate
-  list, each gate is applied with its matrix from a
-  :class:`GateMatrixCache`.  Nothing is reordered or scheduled, so the
-  kernel is exact for any circuit.
+  list, each gate is applied with its local matrix, built once per
+  simulation for all gates of equal parameters on qudits of one
+  dimension.  Nothing is reordered or scheduled, so the kernel is
+  exact for any circuit.
 
 The seed's per-gate-copy loop is kept as a test oracle in
 ``tests/kernel_oracles.py``, which the equivalence tests and
@@ -36,8 +37,6 @@ The seed's per-gate-copy loop is kept as a test oracle in
 from __future__ import annotations
 
 import cmath
-import threading
-from collections import OrderedDict
 
 import numpy as np
 
@@ -49,83 +48,11 @@ from repro.registers.mixed_radix import strides
 from repro.states.statevector import StateVector
 
 __all__ = [
-    "GateMatrixCache",
     "apply_gate",
     "apply_gate_inplace",
     "simulate",
     "simulate_inplace",
 ]
-
-
-class GateMatrixCache:
-    """Memo of local gate matrices keyed by gate identity and dimension.
-
-    The key reuses the gate's equality contract (class, parameters —
-    controls and target excluded, they do not affect the local
-    matrix), so two equal-parameter rotations on different qudits of
-    the same dimension share one matrix.  Matrices are marked
-    read-only before being handed out; the simulation kernels never
-    write to them.
-
-    The memo is a bounded LRU and serves gate-list circuits only
-    (hand-built, parsed and transpiled ones): a synthesised circuit is
-    a table, whose block matrices are built from its columns without
-    this cache.  Each simulation makes a fresh cache unless the caller
-    passes one in, and a caller that keeps one cache across many
-    circuits would otherwise grow it without limit: rotation angles
-    almost never repeat.  Thread-safe, so concurrent simulations may
-    share one instance.
-
-    Args:
-        maxsize: Entry cap; least-recently-used matrices are evicted
-            past it.
-    """
-
-    __slots__ = ("_matrices", "_maxsize", "_lock")
-
-    #: Default entry cap.  It bounds the memory of a long-lived shared
-    #: cache; a gate circuit with more distinct matrices than this
-    #: evicts while it runs and only rebuilds matrices.
-    DEFAULT_MAXSIZE = 16384
-
-    def __init__(self, maxsize: int = DEFAULT_MAXSIZE):
-        if maxsize < 1:
-            raise SimulationError(
-                f"maxsize must be >= 1, got {maxsize}"
-            )
-        self._matrices: OrderedDict[tuple, np.ndarray] = OrderedDict()
-        self._maxsize = maxsize
-        self._lock = threading.Lock()
-
-    def matrix(self, gate: Gate, dimension: int) -> np.ndarray:
-        """Return (and memoise) ``gate.matrix(dimension)``."""
-        key = (gate.__class__, gate._parameters(), dimension)
-        with self._lock:
-            matrix = self._matrices.get(key)
-            if matrix is not None:
-                self._matrices.move_to_end(key)
-                return matrix
-        matrix = np.asarray(gate.matrix(dimension), dtype=np.complex128)
-        matrix.setflags(write=False)
-        with self._lock:
-            self._matrices[key] = matrix
-            self._matrices.move_to_end(key)
-            while len(self._matrices) > self._maxsize:
-                self._matrices.popitem(last=False)
-        return matrix
-
-    @property
-    def maxsize(self) -> int:
-        """The entry cap of this cache."""
-        return self._maxsize
-
-    def clear(self) -> None:
-        """Drop every memoised matrix."""
-        with self._lock:
-            self._matrices.clear()
-
-    def __len__(self) -> int:
-        return len(self._matrices)
 
 
 def _apply_subspace(
@@ -169,7 +96,7 @@ def apply_gate_inplace(
             validated it against the register (as
             :func:`simulate_inplace` does once per circuit).
         matrix: The gate's local matrix, if the caller already holds
-            it (e.g. from a :class:`GateMatrixCache`).
+            it.
     """
     if matrix is None:
         matrix = gate.matrix(tensor.shape[gate.target])
@@ -430,24 +357,19 @@ def _run_table(tensor: np.ndarray, table: CircuitTable) -> None:
             )
 
 
-def simulate_inplace(
-    circuit: Circuit,
-    amplitudes: np.ndarray,
-    matrix_cache: GateMatrixCache | None = None,
-) -> np.ndarray:
+def simulate_inplace(circuit: Circuit, amplitudes: np.ndarray) -> np.ndarray:
     """Run a circuit on a caller-owned amplitude buffer, in place.
 
     Blocks run in emitted order: the runs of a table circuit, one by
     one or in batches (see :func:`_run_table`), or the gates of a gate
-    list, one by one.
+    list, one by one.  A gate list's local matrices are memoised for
+    the call, keyed by gate class, parameters and dimension (target and
+    controls do not change the matrix).
 
     Args:
         circuit: The circuit to execute (its global phase is applied).
         amplitudes: Writable, C-contiguous complex128 vector of size
             ``circuit.register.size``; mutated to the output state.
-        matrix_cache: Optional shared gate-matrix memo for gate-list
-            circuits; pass one cache across calls to reuse matrices
-            between circuits.  Table circuits do not use it.
 
     Returns:
         The same ``amplitudes`` array, for chaining.
@@ -468,8 +390,6 @@ def simulate_inplace(
         # A table was validated when it was built.
         _run_table(tensor, table)
     else:
-        if matrix_cache is None:
-            matrix_cache = GateMatrixCache()
         # One per-circuit validation pass instead of one validate()
         # per gate per call: Circuit.append validated every gate
         # against this register on entry, so the memoised pass is free
@@ -477,10 +397,16 @@ def simulate_inplace(
         # only when the gate list was manipulated behind the
         # container's back.
         circuit.ensure_validated()
+        matrices: dict[tuple, np.ndarray] = {}
         for gate in circuit.gates:
-            apply_gate_inplace(
-                tensor, gate, matrix_cache.matrix(gate, dims[gate.target])
-            )
+            dimension = dims[gate.target]
+            key = (gate.__class__, gate._parameters(), dimension)
+            matrix = matrices.get(key)
+            if matrix is None:
+                matrix = matrices[key] = np.asarray(
+                    gate.matrix(dimension), dtype=np.complex128
+                )
+            apply_gate_inplace(tensor, gate, matrix)
     if circuit.global_phase:
         amplitudes *= cmath.exp(1j * circuit.global_phase)
     return amplitudes

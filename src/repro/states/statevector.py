@@ -140,13 +140,23 @@ class StateVector:
     def normalized(self) -> "StateVector":
         """Return the unit-norm copy of this state.
 
+        Amplitudes whose sum of squares overflows (magnitudes above
+        about 1e154) are divided by their largest part first.
+
         Raises:
             NormalizationError: If the vector is (numerically) zero.
         """
-        norm = self.norm()
+        amplitudes = self._amplitudes
+        with np.errstate(over="ignore"):
+            norm = self.norm()
+        if norm == np.inf:
+            amplitudes = amplitudes / max(
+                np.abs(amplitudes.real).max(), np.abs(amplitudes.imag).max()
+            )
+            norm = float(np.linalg.norm(amplitudes))
         if norm <= ZERO_CUTOFF:
             raise NormalizationError("cannot normalise the zero vector")
-        return StateVector(self._amplitudes / norm, self._register)
+        return StateVector(amplitudes / norm, self._register)
 
     def tensor(self, other: "StateVector") -> "StateVector":
         """Return the tensor product ``self (x) other``.

@@ -1,5 +1,6 @@
 """Tests for tolerance-based complex uniquing."""
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -110,3 +111,51 @@ class TestProperties:
         first = table.lookup(value)
         second = table.lookup(value + epsilon)
         assert first == second
+
+
+class TestLookupMany:
+    @given(
+        st.lists(
+            st.tuples(
+                st.integers(min_value=-6, max_value=6),
+                st.integers(min_value=-6, max_value=6),
+                st.sampled_from([0.0, 0.5, 0.5 - 0.25j]),
+            ),
+            max_size=30,
+            unique_by=lambda entry: entry,
+        )
+    )
+    def test_matches_scalar_lookups_without_repeats(self, entries):
+        # Values a few tolerances apart, so lookups merge and chain.
+        values = np.array(
+            [complex(re, im) * 4e-13 + base for re, im, base in entries],
+            dtype=np.complex128,
+        )
+        values = values[np.sort(np.unique(values, return_index=True)[1])]
+        scalar = ComplexTable(tolerance=1e-12)
+        expected = np.array(
+            [scalar.lookup(value) for value in values.tolist()],
+            dtype=np.complex128,
+        )
+        batch = ComplexTable(tolerance=1e-12)
+        assert batch.lookup_many(values).tobytes() == expected.tobytes()
+        assert list(batch) == list(scalar)
+
+    def test_repeat_keeps_its_first_representative(self):
+        # The memo answers the second 0 with the representative the
+        # first one got, though -4e-13 was stored in 0's own cell in
+        # between; scalar lookups find that closer entry.
+        values = np.array([9e-13, 0.0, -4e-13, 0.0], dtype=np.complex128)
+        batch = ComplexTable(tolerance=1e-12).lookup_many(values)
+        assert batch.tolist() == [9e-13, 9e-13, -4e-13, 9e-13]
+        scalar = ComplexTable(tolerance=1e-12)
+        assert [scalar.lookup(value) for value in values.tolist()] == [
+            9e-13, 9e-13, -4e-13, -4e-13,
+        ]
+
+    def test_keeps_the_shape(self):
+        table = ComplexTable()
+        out = table.lookup_many(np.array([[0.5, 0.5 + 1e-15], [1j, 0.5]]))
+        assert out.shape == (2, 2)
+        assert out[0, 1] == 0.5 and out[1, 1] == 0.5
+        assert table.lookup_many(np.zeros(0)).shape == (0,)

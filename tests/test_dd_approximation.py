@@ -20,6 +20,7 @@ from repro.dd.builder import build_dd
 from repro.dd.diagram import DecisionDiagram
 from repro.dd.metrics import visited_tree_size
 from repro.exceptions import ApproximationError, DecisionDiagramError
+from repro.linalg.complex_table import ComplexTable
 from repro.states.fidelity import fidelity
 from repro.states.library import (
     dicke_state,
@@ -457,6 +458,174 @@ class TestApproximateWalksNoNodes:
         result = no_scalar_paths(approximate, dd, 0.7, granularity=granularity)
         assert result.fidelity >= 0.7 - 1e-9
         assert result.diagram.stats == stats_reference(result.diagram)
+
+#: Registers of the random-state rows of the paper's Table 1.
+TABLE1_RANDOM = [
+    (3, 6, 2),
+    (9, 5, 6, 3),
+    (6, 6, 5, 3, 3),
+    (5, 4, 2, 5, 5, 2),
+    (4, 7, 4, 4, 3, 5),
+]
+
+
+def record_tables(monkeypatch) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Record every batch sent to a complex table that ``approximate``
+    makes, with the representatives it got back."""
+    batches = []
+
+    class RecordingTable(ComplexTable):
+        def lookup_many(self, values):
+            canonical = super().lookup_many(values)
+            batches.append((np.array(values), canonical))
+            return canonical
+
+    monkeypatch.setattr(approximation_module, "ComplexTable", RecordingTable)
+    return batches
+
+
+def mark_everything(values, gap):
+    """A crowding test that marks every entry.  ``approximate``'s table
+    then holds every input weight and sees every quotient: the full
+    replay, which the crowded-only one must reproduce."""
+    return np.ones(values.size, dtype=bool), values
+
+
+def assert_same_result(result, expected):
+    """Bit-identical approximation results."""
+    assert repr(result.fidelity) == repr(expected.fidelity)
+    assert repr(result.removal_log) == repr(expected.removal_log)
+    assert repr(result.diagram.root_weight) == repr(
+        expected.diagram.root_weight
+    )
+    assert result.diagram.stats == expected.diagram.stats
+    for ours, theirs in zip(
+        result.diagram.levels.weights + result.diagram.levels.children,
+        expected.diagram.levels.weights + expected.diagram.levels.children,
+    ):
+        assert ours.tobytes() == theirs.tobytes()
+
+
+@st.composite
+def replay_states(draw):
+    """Sparse random states and the near-tie states of
+    ``tests/test_dd_stats.py``, whose approximations crowd quotients."""
+    if draw(st.booleans()):
+        return draw(stats_states()).normalized()
+    dims = draw(ORACLE_DIMS)
+    size = int(np.prod(dims))
+    terms = draw(st.integers(min_value=1, max_value=max(1, size // 2)))
+    seed = draw(st.integers(min_value=0, max_value=2**31 - 1))
+    return random_sparse_state(dims, terms, rng=seed)
+
+
+def _near_ties(dims, seed):
+    """Amplitudes drawn from three values, each jittered by up to three
+    complex-table tolerances."""
+    rng = np.random.default_rng(seed)
+    size = int(np.prod(dims))
+    base = rng.normal(size=3) + 1j * rng.normal(size=3)
+    jitter = rng.integers(-3, 4, size=(2, size)) * 1e-12
+    amplitudes = (
+        base[rng.integers(0, 3, size=size)] + jitter[0] + 1j * jitter[1]
+    )
+    return StateVector(amplitudes, dims).normalized()
+
+
+class TestCrowdedReplay:
+    """``approximate`` replays the complex table over its crowded
+    quotients only, after the crowded input weights."""
+
+    @pytest.mark.parametrize("granularity", ["nodes", "amplitudes"])
+    @pytest.mark.parametrize("min_fidelity", [0.98, 0.9])
+    @pytest.mark.parametrize("dims", TABLE1_RANDOM)
+    def test_random_states_make_no_table(
+        self, monkeypatch, dims, min_fidelity, granularity
+    ):
+        # The paper's random states (real amplitudes) crowd nothing:
+        # no table is made and nothing is looked up, DistinctC's count
+        # of the result included.
+        dd = build_dd(random_state(dims, rng=71))
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("approximate consulted a complex table")
+
+        monkeypatch.setattr(approximation_module, "ComplexTable", refuse)
+        monkeypatch.setattr(ComplexTable, "lookup_many", refuse)
+        result = approximate(dd, min_fidelity, granularity=granularity)
+        monkeypatch.undo()
+        assert result.removed_nodes + result.removed_leaves > 0
+        assert result.diagram.stats == stats_reference(result.diagram)
+
+    @pytest.mark.parametrize("granularity", ["nodes", "amplitudes"])
+    @pytest.mark.parametrize("dims", TABLE1_RANDOM)
+    def test_complex_random_states_replay_only_near_one(
+        self, monkeypatch, dims, granularity
+    ):
+        # A row left with one edge gets a weight 1 up to rounding, whose
+        # last bits and sign of zero vary from row to row; the table
+        # settles those quotients, and sees nothing else of a Gaussian
+        # random state.
+        batches = record_tables(monkeypatch)
+        approximate(
+            build_dd(random_state(dims, rng=72, distribution="gaussian")),
+            0.9,
+            granularity=granularity,
+        )
+        for values, _ in batches:
+            assert np.all(np.abs(values - 1.0) <= 1e-15)
+
+    @pytest.mark.parametrize(
+        "state, min_fidelity, granularity",
+        [
+            (random_sparse_state((3, 3, 2, 2), 12, rng=61), 0.9, "nodes"),
+            (random_sparse_state((3, 2, 4, 2), 10, rng=31), 0.9,
+             "amplitudes"),
+            (random_sparse_state((2, 2, 3, 3, 2), 30, rng=8), 0.7,
+             "amplitudes"),
+            (random_sparse_state((4, 3, 3), 9, rng=7), 0.7, "nodes"),
+            (_near_ties((3, 2, 2), 1), 0.6, "nodes"),
+            (_near_ties((2, 3, 3), 2), 0.9, "amplitudes"),
+            (_near_ties((4, 3, 2), 5), 0.9, "nodes"),
+            (_near_ties((3, 2, 3, 2), 6), 0.6, "amplitudes"),
+        ],
+    )
+    def test_crowded_quotients_match_a_full_replay(
+        self, monkeypatch, state, min_fidelity, granularity
+    ):
+        batches = record_tables(monkeypatch)
+        result = approximate(
+            build_dd(state), min_fidelity, granularity=granularity
+        )
+        # The table changed a crowded quotient, so the replay matters.
+        assert any(
+            values.tobytes() != canonical.tobytes()
+            for values, canonical in batches
+        )
+        monkeypatch.setattr(approximation_module, "crowded", mark_everything)
+        assert_same_result(
+            result,
+            approximate(
+                build_dd(state), min_fidelity, granularity=granularity
+            ),
+        )
+
+    @given(
+        replay_states(),
+        st.sampled_from([0.99, 0.9, 0.6]),
+        st.sampled_from(["nodes", "amplitudes"]),
+    )
+    @settings(max_examples=120, deadline=None)
+    def test_matches_a_full_replay(self, state, min_fidelity, granularity):
+        result = approximate(
+            build_dd(state), min_fidelity, granularity=granularity
+        )
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(approximation_module, "crowded", mark_everything)
+            expected = approximate(
+                build_dd(state), min_fidelity, granularity=granularity
+            )
+        assert_same_result(result, expected)
 
 
 class TestPythonArithmetic:

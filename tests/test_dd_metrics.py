@@ -4,8 +4,10 @@ The expected values in this file are taken directly from the paper's
 Table 1; they pin down the reverse-engineered metric definitions.
 """
 
+import numpy as np
 import pytest
 
+from repro.core.preparation import prepare_state
 from repro.dd.builder import build_dd
 from repro.dd.metrics import (
     decomposition_tree_size,
@@ -13,12 +15,14 @@ from repro.dd.metrics import (
     synthesis_operation_count,
     visited_tree_size,
 )
+from repro.pipeline import PipelineConfig
 from repro.states.library import (
     embedded_w_state,
     ghz_state,
     uniform_state,
     w_state,
 )
+from repro.states.random_states import random_sparse_state
 
 from tests.conftest import SMALL_MIXED_DIMS, random_statevector
 
@@ -69,6 +73,18 @@ class TestOperationCounts:
     def test_random_state_ops_equals_tree_minus_one(self, dims, tree):
         dd = build_dd(random_statevector(dims, seed=1))
         assert synthesis_operation_count(dd) == tree - 1
+
+    def test_counts_the_synthesis_without_tensor_elision(self):
+        # A node whose non-zero edges share one child: the default
+        # synthesis visits that child once, and emits fewer rotations.
+        state = random_sparse_state(
+            (3, 2, 4, 2), num_terms=10, rng=np.random.default_rng(31)
+        )
+        assert synthesis_operation_count(build_dd(state)) == 45
+        assert prepare_state(state).circuit.num_operations == 43
+        assert prepare_state(
+            state, config=PipelineConfig(tensor_elision=False)
+        ).circuit.num_operations == 45
 
 
 class TestVisitedTreeSize:

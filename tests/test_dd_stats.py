@@ -23,8 +23,8 @@ from hypothesis import strategies as st
 from repro.dd import diagram as diagram_module
 from repro.dd import io as dd_io
 from repro.dd.approximation import approximate
-from repro.dd.builder import _crowded, build_dd
-from repro.dd.diagram import DecisionDiagram, _has_close_pair, level_stats
+from repro.dd.builder import build_dd
+from repro.dd.diagram import DecisionDiagram, level_stats
 from repro.dd.edge import Edge
 from repro.dd.levels import compact_levels
 from repro.dd.node import TERMINAL, DDNode
@@ -32,7 +32,7 @@ from repro.dd.unique_table import UniqueTable
 from repro.engine import PreparationEngine
 from repro.engine.spec import job_from_dict
 from repro.exceptions import DecisionDiagramError
-from repro.linalg.complex_table import ComplexTable
+from repro.linalg.complex_table import ComplexTable, crowded
 from repro.pipeline import PipelineConfig, default_pipeline, run_pipeline
 from repro.pipeline import pipeline as pipeline_module
 from repro.states.library import (
@@ -324,11 +324,16 @@ class TestCloseValueGuard:
             for a, b in itertools.combinations(distinct.tolist(), 2)
         )
         if close:
-            assert _has_close_pair(distinct, gap)
+            assert crowded(distinct, gap)[0].any()
 
     def test_separated_values_pass(self):
         values = np.unique(np.array([0.0, 0.5, 0.5 + 0.5j, 1.0, 1.0j]))
-        assert not _has_close_pair(values, 2.0 * TOLERANCE)
+        assert not crowded(values, 2.0 * TOLERANCE)[0].any()
+
+    def test_empty_values_have_empty_marks(self):
+        marks, distinct = crowded(np.zeros(0, dtype=np.complex128), 1e-12)
+        assert marks.shape == (0,) and marks.dtype == bool
+        assert distinct.size == 0
 
     @given(crowded_values(), st.data())
     @settings(max_examples=200, deadline=None)
@@ -339,14 +344,14 @@ class TestCloseValueGuard:
             st.lists(st.booleans(), min_size=values.size, max_size=values.size)
         ))
         values = np.where(flip, values.conj(), values)
-        crowded, _ = _crowded(values, 2.0 * TOLERANCE)
+        marks, _ = crowded(values, 2.0 * TOLERANCE)
         gap = 2.0 * TOLERANCE
         for i, j in itertools.combinations(range(values.size), 2):
             a, b = values[i], values[j]
             if a.tobytes() != b.tobytes() and (
                 abs(a.real - b.real) <= gap and abs(a.imag - b.imag) <= gap
             ):
-                assert crowded[i] and crowded[j]
+                assert marks[i] and marks[j]
 
     @given(crowded_values(), st.data())
     @settings(max_examples=200, deadline=None)
@@ -360,9 +365,9 @@ class TestCloseValueGuard:
         ))
         values = np.where(flip, values.conj(), values)
         full = ComplexTable(TOLERANCE).lookup_many(values)
-        crowded, _ = _crowded(values, 2.0 * TOLERANCE)
+        marks, _ = crowded(values, 2.0 * TOLERANCE)
         partial = values.copy()
-        partial[crowded] = ComplexTable(TOLERANCE).lookup_many(values[crowded])
+        partial[marks] = ComplexTable(TOLERANCE).lookup_many(values[marks])
         assert partial.tobytes() == full.tobytes()
 
 

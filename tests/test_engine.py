@@ -420,6 +420,18 @@ class TestPreparationEngine:
                 1.0, abs=1e-9
             )
 
+    def test_amplitudes_whose_squares_overflow_prepare(self):
+        # |a|^2 overflows above about 1e154; the amplitudes are finite.
+        job = PreparationJob(dims=(2, 2), amplitudes=[1e200, 1e200, 0, 0])
+        outcome = PreparationEngine().run_batch([job]).outcomes[0]
+        assert outcome.ok
+        assert outcome.report.fidelity >= 1.0 - 1e-10
+        prepared = simulate(outcome.circuit)
+        assert fidelity(
+            prepared, PreparationJob(dims=(2, 2), amplitudes=[1, 1, 0, 0])
+            .resolve_state()
+        ) >= 1.0 - 1e-10
+
     def test_intra_batch_dedup_reports_cache_hits(self):
         engine = PreparationEngine()
         batch = engine.run_batch([ghz_job(), ghz_job(), ghz_job()])

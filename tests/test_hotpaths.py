@@ -55,11 +55,7 @@ from repro.dd.approximation import approximate
 from repro.dd.builder import build_dd
 from repro.dd.unique_table import UniqueTable
 from repro.linalg.complex_table import ComplexTable
-from repro.simulator.statevector_sim import (
-    GateMatrixCache,
-    simulate,
-    simulate_inplace,
-)
+from repro.simulator.statevector_sim import simulate, simulate_inplace
 from repro.states.fidelity import fidelity
 from repro.states.library import (
     dicke_state,
@@ -481,7 +477,7 @@ class TestSimulationEquivalence:
         expected = simulate(circuit)
         buffer = np.zeros(circuit.register.size, dtype=np.complex128)
         buffer[0] = 1.0
-        simulate_inplace(circuit, buffer, GateMatrixCache())
+        simulate_inplace(circuit, buffer)
         assert np.array_equal(buffer, expected.amplitudes)
 
     @pytest.mark.parametrize("dims", [(2, 2), (3, 2, 2), (2, 3, 4), (5, 2)])

@@ -1,6 +1,7 @@
 """Tests for :class:`repro.states.StateVector`."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -90,6 +91,23 @@ class TestNormalization:
     def test_zero_vector_rejected(self):
         with pytest.raises(NormalizationError):
             StateVector([0, 0], (2,)).normalized()
+
+    def test_amplitudes_whose_squares_overflow(self):
+        state = StateVector([1e200, -1e200j, 0, 0], (2, 2))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            normalized = state.normalized()
+        assert np.allclose(
+            normalized.amplitudes, [2**-0.5, -1j * 2**-0.5, 0, 0]
+        )
+        assert np.isclose(normalized.norm(), 1.0)
+
+    def test_finite_norm_keeps_the_bytes(self):
+        rng = np.random.default_rng(83)
+        amplitudes = 3.7 * (rng.normal(size=24) + 1j * rng.normal(size=24))
+        expected = amplitudes / np.linalg.norm(amplitudes)
+        normalized = StateVector(amplitudes, (2, 3, 4)).normalized()
+        assert normalized.amplitudes.tobytes() == expected.tobytes()
 
     def test_is_normalized_tolerance(self):
         sv = StateVector([1.0 + 1e-12, 0], (2,))

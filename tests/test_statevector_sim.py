@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from repro.circuit.circuit import Circuit
+from repro.circuit.gate import Gate
 from repro.circuit.gates import (
     FourierGate,
     GivensRotation,
@@ -14,7 +15,6 @@ from repro.circuit.gates import (
 )
 from repro.exceptions import SimulationError
 from repro.simulator.statevector_sim import (
-    GateMatrixCache,
     apply_gate,
     simulate,
     simulate_inplace,
@@ -23,6 +23,7 @@ from repro.simulator.unitary_builder import gate_unitary
 from repro.states.statevector import StateVector
 
 from tests.conftest import SMALL_MIXED_DIMS, random_statevector
+from tests.kernel_oracles import simulate_reference
 
 
 class TestApplyGate:
@@ -141,77 +142,59 @@ class TestSimulate:
         assert np.isclose(result.amplitude(1), 1j * -1j * 1j)
 
 
-class TestGateMatrixCache:
-    def test_lru_bound(self):
-        cache = GateMatrixCache(maxsize=2)
-        for k in range(4):
-            cache.matrix(GivensRotation(0, 0, 1, 0.1 * k, 0.0), 2)
-        assert len(cache) == 2
-        assert cache.maxsize == 2
-        cache.clear()
-        assert len(cache) == 0
+class TestGateMatrixMemo:
+    """A gate list's local matrices are built once per simulation for
+    gates of equal parameters on qudits of one dimension."""
 
-    def test_rejects_bad_maxsize(self):
-        with pytest.raises(SimulationError):
-            GateMatrixCache(maxsize=0)
+    @staticmethod
+    def count_matrices(monkeypatch) -> list[tuple[str, int]]:
+        built = []
+        matrix = Gate.matrix
 
-    def test_hit_returns_the_same_read_only_matrix(self):
-        cache = GateMatrixCache()
-        gate = GivensRotation(0, 0, 2, 0.3, 0.2)
-        first = cache.matrix(gate, 3)
-        assert cache.matrix(gate, 3) is first
-        assert len(cache) == 1
-        assert not first.flags.writeable
-        assert np.array_equal(first, gate.matrix(3))
+        def counting(gate, dimension):
+            built.append((type(gate).__name__, dimension))
+            return matrix(gate, dimension)
 
-    def test_equal_rotations_on_other_qudits_share_an_entry(self):
+        monkeypatch.setattr(Gate, "matrix", counting)
+        return built
+
+    @staticmethod
+    def run(circuit: Circuit) -> np.ndarray:
+        buffer = np.zeros(circuit.register.size, dtype=np.complex128)
+        buffer[0] = 1.0
+        return simulate_inplace(circuit, buffer)
+
+    def test_equal_rotations_on_other_qudits_share_a_matrix(
+        self, monkeypatch
+    ):
         # Target and controls do not change the local matrix.
-        cache = GateMatrixCache()
-        free = cache.matrix(GivensRotation(0, 0, 1, 0.5, 0.1), 2)
-        controlled = cache.matrix(
-            GivensRotation(2, 0, 1, 0.5, 0.1, controls=[(0, 1)]), 2
+        circuit = Circuit((2, 3, 2))
+        circuit.append(GivensRotation(0, 0, 1, 0.5, 0.1))
+        circuit.append(
+            GivensRotation(2, 0, 1, 0.5, 0.1, controls=[(0, 1)])
         )
-        assert controlled is free
-        assert len(cache) == 1
+        circuit.append(GivensRotation(2, 0, 1, 0.25, 0.1))
+        expected = simulate_reference(circuit).amplitudes
+        built = self.count_matrices(monkeypatch)
+        assert np.array_equal(self.run(circuit), expected)
+        assert built == [("GivensRotation", 2), ("GivensRotation", 2)]
 
-    def test_dimension_is_part_of_the_key(self):
-        cache = GateMatrixCache()
-        qubit = cache.matrix(FourierGate(0), 2)
-        qutrit = cache.matrix(FourierGate(0), 3)
-        assert qubit.shape == (2, 2) and qutrit.shape == (3, 3)
-        assert len(cache) == 2
+    def test_dimension_is_part_of_the_key(self, monkeypatch):
+        circuit = Circuit((2, 3, 2))
+        for target in (0, 1, 2):
+            circuit.append(FourierGate(target))
+        built = self.count_matrices(monkeypatch)
+        self.run(circuit)
+        assert built == [("FourierGate", 2), ("FourierGate", 3)]
 
-    def test_recently_used_entry_survives_eviction(self):
-        # Shift matrices are built afresh on every call, so object
-        # identity tells a cache hit from a rebuilt entry.
-        cache = GateMatrixCache(maxsize=2)
-        old, young, new = (ShiftGate(0, amount) for amount in (1, 2, 3))
-        kept = cache.matrix(old, 4)
-        evicted = cache.matrix(young, 4)
-        cache.matrix(old, 4)  # touch: ``young`` is now least recent
-        cache.matrix(new, 4)
-        assert len(cache) == 2
-        assert cache.matrix(old, 4) is kept
-        assert cache.matrix(young, 4) is not evicted
+    def test_each_simulation_builds_its_own(self, monkeypatch):
+        circuit = Circuit((3, 2))
+        circuit.append(FourierGate(0))
+        circuit.append(PhaseRotation(0, 0, 2, 0.7))
+        circuit.append(FourierGate(0, controls=[(1, 1)]))
+        built = self.count_matrices(monkeypatch)
+        first = self.run(circuit)
+        assert len(built) == 2
+        assert np.array_equal(self.run(circuit), first)
+        assert len(built) == 4
 
-    def test_cache_shared_across_circuits_matches_fresh_caches(self):
-        circuits = []
-        for seed in range(3):
-            circuit = Circuit((3, 2))
-            circuit.append(FourierGate(0))
-            circuit.append(
-                GivensRotation(1, 0, 1, 0.2 * seed, 0.4, controls=[(0, 2)])
-            )
-            circuit.append(PhaseRotation(0, 0, 2, 0.7))
-            circuits.append(circuit)
-        shared = GateMatrixCache()
-        for circuit in circuits:
-            with_shared = np.zeros(6, dtype=np.complex128)
-            with_shared[0] = 1.0
-            simulate_inplace(circuit, with_shared, shared)
-            assert np.array_equal(
-                with_shared, simulate(circuit).amplitudes
-            )
-        # Fourier and the phase rotation repeat in every circuit; only
-        # the Givens angle is new each time.
-        assert len(shared) == 2 + len(circuits)

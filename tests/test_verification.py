@@ -20,6 +20,7 @@ from hypothesis import strategies as st
 from tests.conftest import random_statevector
 from repro.circuit.circuit import Circuit
 from repro.circuit.controls import Control
+from repro.circuit.gate import Gate
 from repro.circuit.gates import (
     ClockGate,
     FourierGate,
@@ -35,11 +36,7 @@ from repro.core.verification import prepared_state, verify_preparation
 from repro.dd.builder import build_dd
 from repro.exceptions import CircuitError, SimulationError
 from repro.pipeline.config import PipelineConfig
-from repro.simulator.statevector_sim import (
-    GateMatrixCache,
-    simulate,
-    simulate_inplace,
-)
+from repro.simulator.statevector_sim import simulate, simulate_inplace
 from repro.simulator.unitary_builder import gate_unitary
 from repro.states.fidelity import fidelity
 from repro.states.library import basis_state, ghz_state, w_state
@@ -361,29 +358,19 @@ class TestVerifyPreparation:
             0.0, abs=1e-12
         )
 
-    def test_reuses_a_passed_matrix_cache(self):
-        # The cache serves gate-list circuits; a synthesised circuit is
-        # a table, so run its gates as a hand-built list.
-        target = random_statevector((3, 2, 2), seed=43)
-        synthesised = synthesize_preparation(build_dd(target))
-        circuit = Circuit(synthesised.register)
-        circuit.extend(synthesised.gates)
-        circuit.global_phase = synthesised.global_phase
-        cache = GateMatrixCache()
-        first = verify_preparation(circuit, target, cache)
-        filled = len(cache)
-        assert 0 < filled <= circuit.num_operations
-        assert verify_preparation(circuit, target, cache) == first
-        assert len(cache) == filled
-
-    def test_table_circuit_leaves_the_matrix_cache_alone(self):
+    def test_table_circuit_builds_no_gate_matrix(self, monkeypatch):
+        # A synthesised circuit is a table: its block matrices come from
+        # its columns, not from gates.
         target = random_statevector((3, 2, 2), seed=43)
         circuit = synthesize_preparation(build_dd(target))
-        cache = GateMatrixCache()
-        assert verify_preparation(circuit, target, cache) == pytest.approx(
+
+        def refuse(gate, dimension):
+            raise AssertionError("verify built a gate matrix")
+
+        monkeypatch.setattr(Gate, "matrix", refuse)
+        assert verify_preparation(circuit, target) == pytest.approx(
             1.0, abs=1e-12
         )
-        assert len(cache) == 0
 
 
 class TestPipelineVerification:
@@ -416,21 +403,25 @@ class TestPipelineVerification:
 
 
 class TestConcurrentVerification:
-    def test_threads_sharing_one_matrix_cache(self):
+    def test_concurrent_simulations_match_sequential(self):
+        # Tables and gate lists (whose matrices each call builds) alike.
         targets = [
             random_statevector((3, 2, 2), seed=seed) for seed in range(4)
         ]
         circuits = [
             synthesize_preparation(build_dd(target)) for target in targets
         ]
+        for synthesised in circuits[:4]:
+            gate_list = Circuit(synthesised.register)
+            gate_list.extend(synthesised.gates)
+            gate_list.global_phase = synthesised.global_phase
+            circuits.append(gate_list)
         expected = [prepared_state(circuit) for circuit in circuits]
-        cache = GateMatrixCache()
         results: dict[int, list[np.ndarray]] = {}
 
         def worker(slot: int) -> None:
             results[slot] = [
-                prepared_state(circuit, cache).amplitudes
-                for circuit in circuits
+                prepared_state(circuit).amplitudes for circuit in circuits
             ]
 
         threads = [
