@@ -127,11 +127,15 @@ async def _bench_inprocess(
             comparable_outcome(o) for o in result.outcomes
         ] == expected
     if instrumented:
-        # The instrumented run really did instrument: every job's
-        # queue wait was observed.
+        # The instrumented run really did instrument: every queued
+        # job's wait was observed, and every queued job rode one
+        # measured batch.  Hits answered at the service door never
+        # queue, so fewer than all jobs do.
+        queued = registry.histogram("repro_queue_wait_seconds").count()
+        assert 0 < queued <= calls * len(jobs)
         assert registry.histogram(
-            "repro_queue_wait_seconds"
-        ).count() == calls * len(jobs)
+            "repro_batch_size"
+        ).snapshot()["sum"] == queued
     if traced:
         assert len(tracer.ids()) > 0
     requests = calls * len(jobs)

@@ -15,7 +15,8 @@ Controls are ``qudit:level`` pairs separated by commas.  Angles are
 plain floats (radians); parsing uses ``repr`` round-trippable output.
 A circuit stored as a :class:`~repro.circuit.table.CircuitTable` is
 written straight from its columns, with the same text a gate list of
-the same operations gives.
+the same operations gives.  :func:`dumps_once` keeps a circuit's text
+on the circuit, for circuits that are written many times.
 """
 
 from __future__ import annotations
@@ -35,7 +36,7 @@ from repro.circuit.gates import (
 from repro.circuit.table import GIVENS, CircuitTable
 from repro.exceptions import SerializationError
 
-__all__ = ["dumps", "loads"]
+__all__ = ["dumps", "dumps_once", "loads"]
 
 _HEADER = "QDASM 1.0"
 
@@ -123,6 +124,22 @@ def dumps(circuit: Circuit) -> str:
     if circuit.global_phase:
         lines.append(f"globalphase {circuit.global_phase!r}")
     return "\n".join(lines) + "\n"
+
+
+def dumps_once(circuit: Circuit) -> str:
+    """:func:`dumps`, made on the first call and kept on ``circuit``.
+
+    Later calls return that same string until the circuit changes.
+    The text lives as long as the circuit does: for a cached circuit,
+    as long as its cache entry.
+
+    Raises:
+        SerializationError: As :func:`dumps`.
+    """
+    text = circuit._qdasm
+    if text is None:
+        text = circuit._qdasm = dumps(circuit)
+    return text
 
 
 def _parse_angle(text: str, name: str, line_no: int) -> float:

@@ -4,20 +4,22 @@
 :class:`~repro.service.AsyncPreparationService` whose execution seam
 (``_dispatch_group``) ships each per-shard group of a micro-batch to
 a :class:`~repro.cluster.RemoteShard` backend instead of running the
-in-process engine.  Everything above the seam — the micro-batch
-queue, slot accounting, grouping by owner shard, per-shard dispatch
-locks, tracing spans, stats counters — is the plain service,
-unchanged.
+in-process engine.  Everything above the seam — the door that keys
+each request once, the micro-batch queue, slot accounting, grouping
+by owner shard, per-shard dispatch locks, tracing spans, stats
+counters — is the plain service, unchanged.  The front end holds no
+circuits, so its door answers nothing: every request is queued and
+forwarded.
 
 Routing is by content key on a consistent-hash ring, so duplicate
 requests (the common case for DD preparation workloads) always land
 on the shard that already holds their circuit.  Key derivation costs
-a state resolution, so the front end keeps a small LRU from canonical
-job payloads to keys — duplicate-heavy traffic routes at dict-lookup
-cost.  The cached key is used *only* for routing: each shard computes
-its own content keys from the payload it receives, so an unseeded
-random job colocating with a payload-identical sibling still
-synthesises independently.
+a state resolution, so the door keys through a small LRU from
+canonical job payloads to keys — duplicate-heavy traffic routes at
+dict-lookup cost.  The cached key is used *only* for routing: each
+shard computes its own content keys from the payload it receives, so
+an unseeded random job colocating with a payload-identical sibling
+still synthesises independently.
 
 Failover: each key has a preference chain (owner plus
 ``replicas - 1`` distinct ring successors).  A shard that refuses the
@@ -195,6 +197,8 @@ class ClusterPreparationService(AsyncPreparationService):
     def _routing_key(self, job: PreparationJob) -> str | None:
         """Content key of ``job`` for placement, via the payload LRU.
 
+        Called once per request, at the door, on an executor thread.
+
         The canonical payload (label excluded — labels never affect
         the computation) keys the LRU; misses resolve the state and
         derive the true content key.  Only routing consumes this key,
@@ -255,12 +259,12 @@ class ClusterPreparationService(AsyncPreparationService):
         chain: tuple[int, ...],
         positions: list[int],
         batch: list[QueuedJob],
-        keys,
         traces,
     ) -> None:
         """Run one shard group, failing over along its chain.
 
-        ``keys`` are ignored: each shard keys the payloads it receives.
+        The queued keys only routed the group: each shard keys the
+        payloads it receives.
         """
         jobs = [batch[position].job for position in positions]
         group_traces = self._group_traces(positions, traces)

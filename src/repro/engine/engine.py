@@ -151,7 +151,8 @@ class EngineStats:
     """Lifetime counters of one engine instance.
 
     Attributes:
-        jobs_submitted: Jobs seen across all batches.
+        jobs_submitted: Jobs seen across all batches, plus the hits
+            served by :meth:`PreparationEngine.cached_outcome`.
         jobs_executed: Jobs that actually ran synthesis (cache misses
             after deduplication).
         jobs_failed: Jobs that ended in a :class:`JobFailure`.
@@ -287,11 +288,36 @@ class PreparationEngine:
         Resolves the target state (so it raises whatever
         ``resolve_state`` raises for an impossible job) and folds in
         the engine's custom-pipeline signature, exactly as
-        ``run_batch`` keys the job.  The serving layer uses this to
-        route batches to cache shards before dispatch.
+        ``run_batch`` keys the job.  The serving layer keys each
+        request with this once, when it arrives.
         """
         return content_key(
             job.resolve_state(), job.options, self._pipeline_signature
+        )
+
+    def cached_outcome(
+        self, job: PreparationJob, key: str
+    ) -> JobSuccess | None:
+        """``job`` served from the cache alone; ``None`` if ``key`` is
+        not cached.
+
+        ``key`` is :meth:`job_key` of ``job``.  A hit counts as a
+        submitted job and a cache hit, as inside :meth:`run_batch`;
+        an absent key counts nothing, so the ``run_batch`` that then
+        serves the job counts its one lookup.  The serving layer
+        answers warm requests with this before they are queued.
+        """
+        entry = self.cache.get_if_present(key)
+        if entry is None:
+            return None
+        with self._stats_lock:
+            self._jobs_submitted += 1
+        return JobSuccess(
+            job=job,
+            key=key,
+            circuit=entry.circuit,
+            report=entry.report,
+            cache_hit=True,
         )
 
     def run_batch(
@@ -311,8 +337,8 @@ class PreparationEngine:
             keys: Optional precomputed content keys (as returned by
                 :meth:`job_key`), parallel to ``jobs``; ``None``
                 entries are computed here.  A caller that already
-                keyed the jobs — the serving layer keys them for
-                shard routing — avoids a second state resolution:
+                keyed the jobs — the serving layer keys each request
+                when it arrives — avoids a second state resolution:
                 slots with a provided key only resolve their state if
                 they miss the cache.
 
@@ -572,7 +598,8 @@ class PreparationEngine:
             dd_nodes = self._last_dd_nodes
         return [
             ("repro_jobs_submitted_total", "counter",
-             "Jobs seen across all batches.", stats.jobs_submitted),
+             "Jobs seen across all batches and cache-only hits.",
+             stats.jobs_submitted),
             ("repro_jobs_executed_total", "counter",
              "Jobs that ran synthesis (cache misses after dedup).",
              stats.jobs_executed),

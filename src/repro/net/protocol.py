@@ -30,7 +30,8 @@ from __future__ import annotations
 
 import dataclasses
 import re
-from collections.abc import Mapping
+from collections.abc import Mapping, Sequence
+from contextlib import nullcontext
 
 from repro.circuit import qasm
 from repro.core.report import SynthesisReport
@@ -38,6 +39,7 @@ from repro.engine.jobs import PreparationJob
 from repro.engine.results import JobFailure, JobOutcome, JobSuccess
 from repro.engine.spec import job_from_dict, jobs_from_spec
 from repro.exceptions import ReproError
+from repro.obs.tracing import current_trace
 
 __all__ = [
     "ENVELOPE_FIELDS",
@@ -238,7 +240,10 @@ def outcome_to_wire(
     :class:`~repro.core.report.SynthesisReport` field), the cache
     flag, the worker wall time, and the per-stage ``stage_timings``
     ledger; with ``include_circuit`` the QDASM text of the circuit
-    rides along.  Failures carry the mapped error code plus the
+    rides along.  A cache hit's circuit is its cache entry's, so its
+    text is made once and kept with the entry for every later hit;
+    a miss's text is not kept, since most never-seen states are never
+    asked for again.  Failures carry the mapped error code plus the
     original type and message.
     """
     wire: dict[str, object] = {
@@ -258,7 +263,10 @@ def outcome_to_wire(
         # circuit (cluster mode, fetch_circuits=False); only serialise
         # what we actually hold.
         if include_circuit and outcome.circuit is not None:
-            wire["circuit"] = qasm.dumps(outcome.circuit)
+            wire["circuit"] = (
+                qasm.dumps_once(outcome.circuit)
+                if outcome.cache_hit else qasm.dumps(outcome.circuit)
+            )
     else:
         wire["error"] = {
             "code": error_code(outcome.error_type),
@@ -373,6 +381,22 @@ def comparable_wire_outcome(wire: Mapping[str, object]) -> dict:
 # ----------------------------------------------------------------------
 # Request execution
 # ----------------------------------------------------------------------
+def _encode(
+    outcomes: Sequence[JobOutcome], include_circuit: bool
+) -> list[dict]:
+    """Wire forms of ``outcomes``, under an ``encode`` span of the
+    request when it is traced (QDASM text is made here)."""
+    trace = current_trace()
+    with (
+        trace.span("encode", outcomes=len(outcomes))
+        if trace is not None else nullcontext()
+    ):
+        return [
+            outcome_to_wire(outcome, include_circuit=include_circuit)
+            for outcome in outcomes
+        ]
+
+
 async def execute_request(
     service,
     op: str,
@@ -403,7 +427,8 @@ async def execute_request(
             outcome = await service.submit(job)
         except ReproError as error:
             raise WireError.from_exception(error)
-        return outcome_to_wire(outcome, include_circuit=include_circuit)
+        (wire,) = _encode([outcome], include_circuit)
+        return wire
     if op == "batch":
         jobs, include_circuit = parse_batch_payload(payload, defaults)
         try:
@@ -411,10 +436,7 @@ async def execute_request(
         except ReproError as error:
             raise WireError.from_exception(error)
         return {
-            "outcomes": [
-                outcome_to_wire(outcome, include_circuit=include_circuit)
-                for outcome in batch.outcomes
-            ],
+            "outcomes": _encode(batch.outcomes, include_circuit),
             "wall_time": batch.wall_time,
         }
     raise WireError(

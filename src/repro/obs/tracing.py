@@ -37,10 +37,11 @@ Span ids are prefixed with the recording process id
 which process produced each span.
 
 Span taxonomy (see ``docs/observability.md``): the root ``request``
-span contains ``parse``, ``queue_wait``, ``dispatch`` and
-``serialize``; ``dispatch`` contains ``execute`` (a cache miss running
-the pipeline — with one child span per pipeline pass) or
-``cache_hit``; on a cluster front end ``dispatch`` contains
+span contains ``parse``; then ``cache_hit`` for a hit answered at the
+service door, or ``queue_wait`` and ``dispatch`` for a miss; then
+``encode`` and ``serialize``.  ``dispatch`` contains ``execute`` (a
+cache miss running the pipeline — with one child span per pipeline
+pass) or ``cache_hit``; on a cluster front end ``dispatch`` contains
 ``remote_call`` spans (one per attempt, failovers included) whose
 grafted children are the shard's own subtree.
 

@@ -4,10 +4,11 @@ Built on the :mod:`repro.engine` seam (see ``docs/engine.md``,
 "Serving"):
 
 * :mod:`repro.service.batching` — :class:`MicroBatchQueue`, coalescing
-  concurrent single-job requests into bounded micro-batches,
+  concurrent cache misses into bounded micro-batches,
 * :mod:`repro.service.service` — :class:`AsyncPreparationService`,
-  the asyncio front end splitting each micro-batch into per-shard
-  groups and dispatching every group to
+  the asyncio front end that keys each request once, answers cache
+  hits at once, splits each micro-batch of misses into per-shard
+  groups and dispatches every group to
   ``PreparationEngine.run_batch`` on an executor thread under its
   own shard's dispatch lock.  Its default cache is
   :meth:`repro.cluster.ShardPlacement.local`: content keys

@@ -32,6 +32,9 @@ class QueuedJob:
     Attributes:
         job: The submitted job.
         future: Resolved with the job's outcome by the dispatcher.
+        key: The job's content key, made once when the request
+            entered the service (``None`` if the job could not be
+            keyed: the engine then reports its failure).
         trace: The request's :class:`~repro.obs.Trace` when the
             submitting context was traced (captured at enqueue time,
             so the dispatcher — a different task — can keep recording
@@ -44,6 +47,7 @@ class QueuedJob:
 
     job: PreparationJob
     future: asyncio.Future
+    key: str | None = None
     trace: Trace | None = None
     queue_span: Span | None = None
     enqueued_at: float = 0.0
@@ -125,8 +129,11 @@ class MicroBatchQueue:
             0, self._queue.qsize() - (1 if self._closed else 0)
         )
 
-    def put(self, job: PreparationJob) -> asyncio.Future:
-        """Enqueue a job; returns the future its outcome will land on."""
+    def put(
+        self, job: PreparationJob, key: str | None = None
+    ) -> asyncio.Future:
+        """Enqueue a job and its content key; returns the future its
+        outcome will land on."""
         if self._closed:
             raise EngineError(
                 "micro-batch queue is closed; no new jobs accepted"
@@ -140,6 +147,7 @@ class MicroBatchQueue:
         self._queue.put_nowait(QueuedJob(
             job=job,
             future=future,
+            key=key,
             trace=trace,
             queue_span=queue_span,
             enqueued_at=time.perf_counter(),

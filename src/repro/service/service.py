@@ -2,16 +2,18 @@
 
 :class:`AsyncPreparationService` turns the blocking, batch-oriented
 engine into a concurrent server: any number of client coroutines
-``await submit(job)`` (or ``run_batch(jobs)``), their requests are
-coalesced by a :class:`~repro.service.batching.MicroBatchQueue`, and
-the dispatch loop splits each micro-batch into one group per owning
-cache shard and ships every group to ``engine.run_batch`` on an
-executor thread (``asyncio.to_thread``), keeping the event loop free
-while synthesis runs.  Each group holds only its own shard's dispatch
-lock: groups on different shards run concurrently — a warm group
-never waits for a cold compile on another shard — while groups
-sharing a shard serialise on it, so cache counters stay identical to
-serial dispatch.
+``await submit(job)`` (or ``run_batch(jobs)``).  Each call passes the
+*door* once: one executor thread (``asyncio.to_thread``) keys its
+jobs and probes each key's owning cache shard, and a hit is answered
+there, as a counted cache hit, without waiting for a batch.  Only
+misses, each carrying its key, are coalesced by a
+:class:`~repro.service.batching.MicroBatchQueue`; the dispatch loop
+splits each micro-batch into one group per owning cache shard and
+ships every group to ``engine.run_batch`` on an executor thread,
+keeping the event loop free while synthesis runs.  Each group holds
+only its own shard's dispatch lock: groups on different shards run
+concurrently, while groups sharing a shard serialise on it, so cache
+counters stay identical to serial dispatch.
 
 Determinism: the engine itself guarantees that a job's outcome does
 not depend on batch composition (content-addressed caching plus
@@ -57,7 +59,7 @@ from repro.engine.results import BatchResult, JobOutcome
 from repro.exceptions import EngineError
 from repro.obs import log as obs_log
 from repro.obs.metrics import BATCH_SIZE_BUCKETS, MetricsRegistry
-from repro.obs.tracing import DISPATCH_TRACES, Span, Trace
+from repro.obs.tracing import DISPATCH_TRACES, Span, Trace, current_trace
 from repro.service.batching import (
     BatchQueueStats,
     MicroBatchQueue,
@@ -98,8 +100,10 @@ class ServiceStats:
     """Snapshot of the serving layer plus the engine underneath.
 
     Attributes:
-        requests: Jobs accepted by ``submit`` / ``run_batch``.
-        batches_dispatched: Micro-batches shipped to the engine.
+        requests: Jobs accepted by ``submit`` / ``run_batch``, hits
+            answered at the door included.
+        batches_dispatched: Micro-batches shipped to the engine.  Only
+            misses travel in one, so a door hit never adds a batch.
         largest_batch: Biggest micro-batch formed so far.
         full_batches: Micro-batches cut by size, not by the delay.
         engine: Lifetime engine counters (cache traffic included).
@@ -184,8 +188,9 @@ class AsyncPreparationService:
 
     The service must be running before ``submit`` is called: either
     ``await service.start()`` / ``await service.stop()`` explicitly,
-    or use it as an async context manager.  ``stop()`` drains queued
-    jobs before returning — no accepted request is dropped.
+    or use it as an async context manager.  ``stop()`` lets requests
+    already inside the door queue their misses, then drains the
+    queue before returning — no accepted request is dropped.
     """
 
     def __init__(
@@ -271,6 +276,12 @@ class AsyncPreparationService:
         # lifetime-cumulative across stop()/start() cycles, matching
         # the engine counters it is reported next to.
         self._retired_stats = BatchQueueStats()
+        # Jobs accepted at the door, hits and misses alike.
+        self._requests = 0
+        # Calls between the door's running check and the queueing of
+        # their misses; stop() waits until there are none.
+        self._inside_door = 0
+        self._door_idle: asyncio.Event | None = None
 
     # ------------------------------------------------------------------
     # Lifecycle
@@ -298,25 +309,38 @@ class AsyncPreparationService:
             max_batch_size=self._max_batch_size,
             max_delay=self._max_batch_delay,
         )
-        # Per-shard dispatch locks and the in-flight bound live on the
-        # running loop, so (re)create them at start time.
+        # Per-shard dispatch locks, the in-flight bound and the door's
+        # idle event live on the running loop, so (re)create them at
+        # start time.
         self._shard_locks = [
             asyncio.Lock() for _ in range(self.placement.num_shards)
         ]
         self._batch_slots = asyncio.Semaphore(
             self._max_concurrent_batches
         )
+        self._door_idle = asyncio.Event()
+        if not self._inside_door:
+            self._door_idle.set()
         self._dispatcher = asyncio.get_running_loop().create_task(
             self._dispatch_loop(self._queue)
         )
         return self
 
     async def stop(self) -> None:
-        """Drain queued jobs, then stop the dispatch loop."""
+        """Queue the misses of requests inside the door, drain queued
+        jobs, then stop the dispatch loop."""
         if self._queue is None or self._dispatcher is None:
             return
-        self._queue.close()
+        # From here on the service is not running: new requests are
+        # refused at the door.
         dispatcher, self._dispatcher = self._dispatcher, None
+        try:
+            # Requests already past the running check are being keyed
+            # on worker threads; their misses join the queue before it
+            # closes, so the drain below answers them.
+            await self._door_idle.wait()
+        finally:
+            self._queue.close()
         try:
             await dispatcher
         except asyncio.CancelledError:
@@ -348,42 +372,103 @@ class AsyncPreparationService:
     # Serving
     # ------------------------------------------------------------------
     async def submit(self, job: PreparationJob) -> JobOutcome:
-        """Serve one job; concurrent submissions share micro-batches.
+        """Serve one job: a cache hit at once, a miss in a micro-batch
+        shared with concurrent submissions.
 
         Per-job errors come back as
         :class:`~repro.engine.JobFailure` outcomes exactly as from
         ``engine.run_batch``; only infrastructure-level errors (e.g. a
         dead worker pool) raise.
         """
-        if not self.running:
-            raise EngineError(
-                "service is not running; use 'async with' or call "
-                "start() before submit()"
-            )
-        return await self._queue.put(job)
+        self._require_running("submit()")
+        (answer,) = await self._door([job])
+        return await answer
 
     async def run_batch(
         self, jobs: Iterable[PreparationJob]
     ) -> BatchResult:
         """Serve a batch concurrently, preserving submission order.
 
-        The jobs enter the shared micro-batch queue individually, so
-        batches from several concurrent clients coalesce; outcomes
-        come back in this call's submission order regardless.
+        The jobs pass the door together; their misses enter the
+        shared micro-batch queue individually, so batches from
+        several concurrent clients coalesce.  Outcomes come back in
+        this call's submission order regardless.
         """
         jobs = list(jobs)
         start = time.perf_counter()
-        if not self.running:
-            raise EngineError(
-                "service is not running; use 'async with' or call "
-                "start() before run_batch()"
-            )
-        futures = [self._queue.put(job) for job in jobs]
-        outcomes = await asyncio.gather(*futures)
+        self._require_running("run_batch()")
+        answers = await self._door(jobs)
+        outcomes = await asyncio.gather(*answers)
         return BatchResult(
             outcomes=tuple(outcomes),
             wall_time=time.perf_counter() - start,
         )
+
+    def _require_running(self, call: str) -> None:
+        if not self.running:
+            raise EngineError(
+                "service is not running; use 'async with' or call "
+                f"start() before {call}"
+            )
+
+    async def _door(
+        self, jobs: list[PreparationJob]
+    ) -> list[asyncio.Future]:
+        """Key ``jobs`` once, answer their hits, queue their misses.
+
+        One executor thread keys the jobs and probes their owning
+        shards.  A hit is resolved at once (traced as a zero-duration
+        ``cache_hit`` span of the request); a miss enters the
+        micro-batch queue with its key.  Returns one future per job,
+        in order.
+        """
+        self._requests += len(jobs)
+        self._inside_door += 1
+        self._door_idle.clear()
+        try:
+            looked_up = await asyncio.to_thread(self._look_up, jobs)
+            loop = asyncio.get_running_loop()
+            trace = current_trace()
+            answers = []
+            for job, (key, hit) in zip(jobs, looked_up):
+                if hit is None:
+                    answers.append(self._queue.put(job, key))
+                    continue
+                if trace is not None:
+                    trace.add_span(
+                        "cache_hit",
+                        start=trace.offset(),
+                        duration=0.0,
+                        key=key[:16],
+                    )
+                answer = loop.create_future()
+                answer.set_result(hit)
+                answers.append(answer)
+            return answers
+        finally:
+            self._inside_door -= 1
+            if not self._inside_door:
+                self._door_idle.set()
+
+    def _look_up(
+        self, jobs: list[PreparationJob]
+    ) -> list[tuple[str | None, JobOutcome | None]]:
+        """``(key, hit)`` per job: its content key and its cached
+        outcome, ``None`` on a miss.
+
+        Runs on an executor thread.  Shards that live in another
+        process are not probed: every job is a miss for them.
+        """
+        probe = self.placement.is_local
+        looked_up = []
+        for job in jobs:
+            key = self._routing_key(job)
+            hit = (
+                self.engine.cached_outcome(job, key)
+                if probe and key is not None else None
+            )
+            looked_up.append((key, hit))
+        return looked_up
 
     def uptime(self) -> float:
         """Seconds since the service first started (0.0 before)."""
@@ -392,7 +477,7 @@ class AsyncPreparationService:
         return time.monotonic() - self._started_monotonic
 
     def queue_depth(self) -> int:
-        """Jobs accepted but not yet handed to a dispatch task."""
+        """Misses queued but not yet handed to a dispatch task."""
         return self._queue.pending() if self._queue is not None else 0
 
     def _collect_samples(self):
@@ -421,7 +506,7 @@ class AsyncPreparationService:
             else BatchQueueStats()
         )
         return ServiceStats(
-            requests=queue_stats.jobs_enqueued,
+            requests=self._requests,
             batches_dispatched=queue_stats.batches_formed,
             largest_batch=queue_stats.largest_batch,
             full_batches=queue_stats.full_batches,
@@ -561,42 +646,30 @@ class AsyncPreparationService:
             next_batch.add_done_callback(cls._fail_orphaned_batch)
 
     def _routing_key(self, job: PreparationJob) -> str | None:
-        """Content key of ``job`` for routing; ``None`` if unkeyable.
+        """Content key of ``job``, made once at the door; ``None`` if
+        unkeyable.
 
-        Deliberately keyed per job, not memoized by payload: the key
-        IS the state resolution, and two unseeded random jobs with
-        identical payloads must resolve (and key) independently — a
-        shared key would make ``run_batch`` serve the second job the
-        first one's circuit as an intra-batch duplicate.  (An unseeded
-        random job may still resolve differently here and in the
-        engine, which re-keys the state it actually synthesises; only
-        deterministic jobs get deterministic counters.)  A job whose
-        state cannot even be resolved gets ``None``; ``run_batch``
-        turns it into a :class:`~repro.engine.JobFailure`.
+        The key picks the owning shard, probes its cache and travels
+        with a miss to dispatch, so ``run_batch`` does not resolve a
+        hit's state again.  Deliberately keyed per job, not memoized
+        by payload: the key IS the state resolution, and two unseeded
+        random jobs with identical payloads must resolve (and key)
+        independently — a shared key would make ``run_batch`` serve
+        the second job the first one's circuit as an intra-batch
+        duplicate.  (An unseeded random job may still resolve
+        differently here and in the engine, which re-keys the state
+        it actually synthesises; only deterministic jobs get
+        deterministic counters.)  A job whose state cannot even be
+        resolved gets ``None``; ``run_batch`` turns it into a
+        :class:`~repro.engine.JobFailure`.
         """
         try:
             return self.engine.job_key(job)
         except Exception:  # noqa: BLE001 - failure handled in run_batch
             return None
 
-    def _route_batch(
-        self, jobs: list[PreparationJob]
-    ) -> list[str | None] | None:
-        """Content keys of a batch, positionally; ``None`` if unsharded.
-
-        One shard needs no routing, so nothing is keyed (the engine
-        keys each job itself).  Otherwise the keys are handed on to
-        ``run_batch`` so routing does not cost a second state
-        resolution.
-        """
-        if self.placement.num_shards <= 1:
-            return None
-        return [self._routing_key(job) for job in jobs]
-
     def _group_batch(
-        self,
-        batch: list[QueuedJob],
-        keys: list[str | None] | None,
+        self, batch: list[QueuedJob]
     ) -> list[tuple[tuple[int, ...], list[int]]]:
         """Split a batch into per-owner groups with failover chains.
 
@@ -606,29 +679,21 @@ class AsyncPreparationService:
         be derived go to the key-space origin (any shard reproduces
         the failure identically).
         """
-        if keys is None:
-            chain = tuple(self.placement.preference(""))
-            return [(chain, list(range(len(batch))))]
         groups: dict[int, tuple[tuple[int, ...], list[int]]] = {}
-        for position, key in enumerate(keys):
-            chain = tuple(self.placement.preference(key or ""))
+        for position, queued in enumerate(batch):
+            chain = tuple(self.placement.preference(queued.key or ""))
             groups.setdefault(chain[0], (chain, []))[1].append(position)
         return list(groups.values())
 
     async def _dispatch_sharded(self, batch: list[QueuedJob]) -> None:
         """Run one micro-batch as concurrent per-shard groups."""
         try:
-            keys = await asyncio.to_thread(
-                self._route_batch, [queued.job for queued in batch]
-            )
             traces, spans = self._begin_dispatch(batch)
             started = time.perf_counter()
             try:
-                groups = self._group_batch(batch, keys)
+                groups = self._group_batch(batch)
                 await asyncio.gather(*(
-                    self._dispatch_group(
-                        chain, positions, batch, keys, traces
-                    )
+                    self._dispatch_group(chain, positions, batch, traces)
                     for chain, positions in groups
                 ))
             finally:
@@ -641,8 +706,8 @@ class AsyncPreparationService:
                 duration=round(time.perf_counter() - started, 6),
             )
         except BaseException as error:  # noqa: BLE001 - fan out to waiters
-            # Failures outside a group (key resolution, cancellation at
-            # teardown) would otherwise strand the batch's waiters.
+            # Failures outside a group (cancellation at teardown)
+            # would otherwise strand the batch's waiters.
             if isinstance(error, Exception):
                 for queued in batch:
                     _set_exception_if_pending(queued.future, error)
@@ -660,7 +725,6 @@ class AsyncPreparationService:
         chain: tuple[int, ...],
         positions: list[int],
         batch: list[QueuedJob],
-        keys: list[str | None] | None,
         traces: list["tuple[Trace, Span] | None"],
     ) -> None:
         """Run one shard group on the engine under its owner's lock.
@@ -670,10 +734,7 @@ class AsyncPreparationService:
         ``Exception`` fails only this group's waiters.
         """
         jobs = [batch[position].job for position in positions]
-        group_keys = (
-            [keys[position] for position in positions]
-            if keys is not None else None
-        )
+        keys = [batch[position].key for position in positions]
         group_traces = tuple(traces[position] for position in positions)
         async with self._shard_locks[chain[0]]:
             # Plant the group's traces in this context: asyncio.to_thread
@@ -684,7 +745,7 @@ class AsyncPreparationService:
             )
             try:
                 result = await asyncio.to_thread(
-                    self.engine.run_batch, jobs, keys=group_keys
+                    self.engine.run_batch, jobs, keys=keys
                 )
             except Exception as error:  # noqa: BLE001 - fan out to waiters
                 for position in positions:

@@ -95,8 +95,31 @@ class StateVector:
         return self._amplitudes.shape[0]
 
     def norm(self) -> float:
-        """Euclidean norm of the amplitude vector."""
-        return float(np.linalg.norm(self._amplitudes))
+        """Euclidean norm of the amplitude vector.
+
+        Finite whenever the norm itself is: amplitudes whose sum of
+        squares overflows (magnitudes above about 1e154) are divided
+        by their largest part first.
+        """
+        scale, norm = self._scaled_norm()
+        return scale * norm
+
+    def _scaled_norm(self) -> tuple[float, float]:
+        """``(scale, norm)``: the norm is ``scale * norm``.
+
+        ``scale`` is 1 unless the sum of squares overflows; then it
+        is the largest real or imaginary part of any amplitude, and
+        ``norm`` is the norm of the amplitudes divided by it.
+        """
+        amplitudes = self._amplitudes
+        with np.errstate(over="ignore"):
+            norm = float(np.linalg.norm(amplitudes))
+        if norm != np.inf:
+            return 1.0, norm
+        scale = max(
+            np.abs(amplitudes.real).max(), np.abs(amplitudes.imag).max()
+        )
+        return float(scale), float(np.linalg.norm(amplitudes / scale))
 
     def is_normalized(self, tolerance: float = 1e-9) -> bool:
         """Whether the squared norm is within ``tolerance`` of 1."""
@@ -146,16 +169,12 @@ class StateVector:
         Raises:
             NormalizationError: If the vector is (numerically) zero.
         """
-        amplitudes = self._amplitudes
-        with np.errstate(over="ignore"):
-            norm = self.norm()
-        if norm == np.inf:
-            amplitudes = amplitudes / max(
-                np.abs(amplitudes.real).max(), np.abs(amplitudes.imag).max()
-            )
-            norm = float(np.linalg.norm(amplitudes))
+        scale, norm = self._scaled_norm()
         if norm <= ZERO_CUTOFF:
             raise NormalizationError("cannot normalise the zero vector")
+        amplitudes = self._amplitudes
+        if scale != 1.0:
+            amplitudes = amplitudes / scale
         return StateVector(amplitudes / norm, self._register)
 
     def tensor(self, other: "StateVector") -> "StateVector":

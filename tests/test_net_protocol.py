@@ -235,6 +235,129 @@ class TestExecuteRequest:
         assert "code" in result["outcomes"][1]["error"]
 
 
+RANDOM_JOB = {"family": "random", "dims": [3, 6, 2], "params": {"rng": 5}}
+
+
+def fresh_wire(job_dict: dict) -> dict:
+    """Wire form of a fresh in-process compile: its QDASM text is made
+    by ``qasm.dumps`` and kept nowhere."""
+    job, _ = parse_prepare_payload({"job": job_dict})
+    return outcome_to_wire(
+        PreparationEngine().submit(job), include_circuit=True
+    )
+
+
+def prepare_with_circuit(service, job_dict: dict):
+    return execute_request(
+        service, "prepare", {"job": job_dict, "include_circuit": True}
+    )
+
+
+class TestCircuitTextReuse:
+    """A cache entry's QDASM text is made by its first hit that asks
+    for the circuit, and every later hit reuses that string."""
+
+    def test_miss_keeps_no_text_and_hits_share_one_string(self):
+        async def scenario():
+            async with AsyncPreparationService() as service:
+                miss = await prepare_with_circuit(service, RANDOM_JOB)
+                entry = service.engine.cache.peek(miss["key"])
+                after_miss = entry.circuit._qdasm
+                await execute_request(
+                    service, "prepare", {"job": RANDOM_JOB}
+                )
+                after_plain_hit = entry.circuit._qdasm
+                first = await prepare_with_circuit(service, RANDOM_JOB)
+                second = await prepare_with_circuit(service, RANDOM_JOB)
+                return (
+                    miss, after_miss, after_plain_hit, first, second,
+                    entry.circuit._qdasm,
+                )
+
+        miss, after_miss, after_plain_hit, first, second, kept = (
+            asyncio.run(scenario())
+        )
+        assert miss["cache_hit"] is False
+        assert after_miss is None and after_plain_hit is None
+        assert first["cache_hit"] is True and second["cache_hit"] is True
+        assert first["circuit"] is kept
+        assert second["circuit"] is kept
+        reference = fresh_wire(RANDOM_JOB)
+        for wire in (miss, first, second):
+            assert wire["circuit"] == reference["circuit"]
+            assert comparable_wire_outcome(wire) == (
+                comparable_wire_outcome(reference)
+            )
+
+    def test_disk_hit_text_matches_a_fresh_compile(self, tmp_path):
+        async def serve(*job_dicts):
+            async with AsyncPreparationService(
+                disk_dir=tmp_path
+            ) as service:
+                wires = [
+                    await prepare_with_circuit(service, job_dict)
+                    for job_dict in job_dicts
+                ]
+                return wires, service.stats()
+
+        (miss,), _ = asyncio.run(serve(RANDOM_JOB))
+        (first, second), stats = asyncio.run(
+            serve(RANDOM_JOB, RANDOM_JOB)
+        )
+        assert miss["cache_hit"] is False
+        assert first["cache_hit"] is True and second["cache_hit"] is True
+        assert stats.engine.disk_hits == 1
+        assert stats.batches_dispatched == 0
+        assert second["circuit"] is first["circuit"]
+        reference = fresh_wire(RANDOM_JOB)
+        assert first["circuit"] == reference["circuit"]
+        assert comparable_wire_outcome(first) == (
+            comparable_wire_outcome(reference)
+        )
+
+    def test_cluster_relayed_hit_matches_a_fresh_compile(self):
+        from repro.cluster import (
+            ClusterConfig,
+            ClusterPreparationService,
+            ShardAddress,
+        )
+        from repro.net import HttpServer
+
+        async def scenario():
+            shard_service = AsyncPreparationService()
+            await shard_service.start()
+            shard = await HttpServer(shard_service).start()
+            config = ClusterConfig(
+                shards=(ShardAddress("shard-00", "127.0.0.1", shard.port),),
+                health_interval=60.0,
+            )
+            try:
+                async with ClusterPreparationService(
+                    config=config
+                ) as front:
+                    wires = [
+                        await prepare_with_circuit(front, RANDOM_JOB)
+                        for _ in range(2)
+                    ]
+                    stats = front.stats()
+            finally:
+                await shard.stop()
+            return wires, stats, shard_service.stats()
+
+        (miss, hit), front_stats, shard_stats = asyncio.run(scenario())
+        # The front end holds no circuits: it forwards every request,
+        # and the shard answers the repeat at its door.
+        assert front_stats.batches_dispatched == 2
+        assert shard_stats.batches_dispatched == 1
+        assert miss["cache_hit"] is False and hit["cache_hit"] is True
+        reference = fresh_wire(RANDOM_JOB)
+        for wire in (miss, hit):
+            assert wire["circuit"] == reference["circuit"]
+            assert comparable_wire_outcome(wire) == (
+                comparable_wire_outcome(reference)
+            )
+
+
 class TestOutcomeFromWire:
     """Round-tripping outcomes through the wire (cluster relay path)."""
 

@@ -198,3 +198,49 @@ class TestHttpTracePropagation:
         assert "client-fail" in [
             record.get("request_id") for record in records
         ]
+
+
+class TestDoorHitTrace:
+    def test_door_hit_records_cache_hit_under_request(self):
+        # A warm request never enters the micro-batch queue: its tree
+        # is parse, a zero-duration cache_hit, the outcome's encode
+        # (where QDASM is made) and serialize, all under request.
+        payload = {"job": JOB, "include_circuit": True}
+
+        async def scenario():
+            service = AsyncPreparationService(num_shards=2)
+            await service.start()
+            server = await HttpServer(
+                service, metrics=MetricsRegistry(), tracer=Tracer()
+            ).start()
+            try:
+                for request_id in ("cold", "warm"):
+                    status, _, _ = await http_call(
+                        server.port, "/v1/prepare", payload,
+                        headers=[("X-Repro-Request-Id", request_id)],
+                    )
+                    assert status == 200
+                traces = [
+                    (await http_call(
+                        server.port, f"/v1/trace/{request_id}"
+                    ))[2]["result"]
+                    for request_id in ("cold", "warm")
+                ]
+            finally:
+                await server.stop()
+            return traces
+
+        cold, warm = asyncio.run(scenario())
+        assert_full_span_tree(cold, "cold", "http")
+        (root,) = cold["spans"]
+        assert "encode" in [child["name"] for child in root["children"]]
+
+        (root,) = warm["spans"]
+        children = {child["name"]: child for child in root["children"]}
+        assert sorted(children) == [
+            "cache_hit", "encode", "parse", "serialize",
+        ]
+        assert children["cache_hit"]["duration"] == 0.0
+        assert "children" not in children["cache_hit"]
+        names = flatten_span_names(warm["spans"])
+        assert "queue_wait" not in names and "dispatch" not in names

@@ -386,9 +386,66 @@ class TestAsyncPreparationService:
 
         stats = asyncio.run(scenario())
         # Serving counters are lifetime-cumulative across restarts,
-        # like the engine counters they sit next to.
+        # like the engine counters they sit next to.  The warm second
+        # request is answered at the door, so only the first one rode
+        # a micro-batch.
         assert stats.requests == 2
-        assert stats.batches_dispatched == 2
+        assert stats.batches_dispatched == 1
+
+    def test_door_hits_count_requests_not_batches(self):
+        # A warm request is answered at the door: it counts as a
+        # request and a cache hit, but rides no micro-batch.
+        async def scenario():
+            async with AsyncPreparationService() as service:
+                await service.submit(ghz_job())
+                cold = service.stats()
+                hits = [await service.submit(ghz_job()) for _ in range(3)]
+                batch = await service.run_batch([ghz_job(), ghz_job()])
+                return cold, hits + list(batch.outcomes), service.stats()
+
+        cold, hits, warm = asyncio.run(scenario())
+        assert (cold.requests, cold.batches_dispatched) == (1, 1)
+        assert all(outcome.cache_hit for outcome in hits)
+        assert warm.requests == 6
+        assert warm.batches_dispatched == 1
+        assert warm.engine.cache_hits == 5
+        assert warm.engine.cache_misses == 1
+        assert warm.engine.jobs_submitted == 6
+
+    def test_stop_answers_requests_inside_the_door(self, monkeypatch):
+        # stop() begins while three requests are still being keyed on
+        # worker threads: their misses are queued and answered, and a
+        # request arriving after stop() began is refused.
+        async def scenario():
+            service = AsyncPreparationService()
+            job_key = service.engine.job_key
+
+            def slow_job_key(job):
+                time.sleep(0.1)
+                return job_key(job)
+
+            monkeypatch.setattr(service.engine, "job_key", slow_job_key)
+            await service.start()
+            waiters = [
+                asyncio.ensure_future(service.submit(ghz_job(dims)))
+                for dims in [(2, 2), (2, 3), (3, 2)]
+            ]
+            await asyncio.sleep(0)   # every submit is inside the door
+            stopping = asyncio.ensure_future(service.stop())
+            await asyncio.sleep(0)
+            with pytest.raises(EngineError, match="not running"):
+                await service.submit(ghz_job())
+            await stopping
+            outcomes = await asyncio.wait_for(
+                asyncio.gather(*waiters), timeout=5.0
+            )
+            return outcomes, service.stats()
+
+        outcomes, stats = asyncio.run(scenario())
+        assert all(outcome.ok for outcome in outcomes)
+        assert not any(outcome.cache_hit for outcome in outcomes)
+        assert stats.requests == 3
+        assert stats.engine.jobs_executed == 3
 
     def test_invalid_shard_count_rejected(self):
         with pytest.raises(EngineError, match="num_shards"):

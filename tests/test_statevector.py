@@ -102,6 +102,13 @@ class TestNormalization:
         )
         assert np.isclose(normalized.norm(), 1.0)
 
+    def test_norm_whose_squares_overflow(self):
+        state = StateVector([1e200, 1e200, 0, 0], (2, 2))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            norm = state.norm()
+        assert norm == math.sqrt(2) * 1e200
+
     def test_finite_norm_keeps_the_bytes(self):
         rng = np.random.default_rng(83)
         amplitudes = 3.7 * (rng.normal(size=24) + 1j * rng.normal(size=24))
