@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import asyncio
+import sys
 import time
 
 import pytest
@@ -832,6 +833,42 @@ class TestPerShardDispatch:
         # every distinct key one miss, despite concurrent dispatch.
         assert stats.engine.cache_misses == 3
         assert stats.engine.cache_hits == 8 * len(jobs) - 3
+
+    def test_counters_hold_when_door_threads_contend(self):
+        # More callers than executor threads and a short switch
+        # interval: door threads count hits on the shared engine and
+        # cache counters together, and no update may be lost.
+        distinct = [
+            ghz_job(dims=dims)
+            for dims in [(2, 2), (2, 3), (3, 2), (2, 2, 2)]
+        ]
+        jobs = distinct * 16
+        clients = 64
+
+        async def scenario():
+            async with AsyncPreparationService(num_shards=4) as service:
+                await service.run_batch(distinct)
+                results = await asyncio.wait_for(
+                    asyncio.gather(*(
+                        service.run_batch(jobs) for _ in range(clients)
+                    )),
+                    timeout=60.0,
+                )
+            return results, service.stats()
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            results, stats = asyncio.run(scenario())
+        finally:
+            sys.setswitchinterval(interval)
+        assert all(result.num_cache_hits == len(jobs) for result in results)
+        total = clients * len(jobs) + len(distinct)
+        assert stats.requests == total
+        assert stats.batches_dispatched == 1
+        assert stats.engine.jobs_submitted == total
+        assert stats.engine.cache_lookups == total
+        assert stats.engine.cache_misses == len(distinct)
 
     def test_fast_group_does_not_wait_for_slow_group(self):
         # One micro-batch, two shards: each shard group runs on its
