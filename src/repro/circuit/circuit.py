@@ -46,9 +46,9 @@ class Circuit:
         self._table: CircuitTable | None = None
         # Gates built from the table on demand; never pickled.
         self._views: list[Gate] | None = None
-        # QDASM text kept by ``qasm.dumps_once``; dropped by every
-        # change and never pickled.
-        self._qdasm: str | None = None
+        # QDASM JSON literal kept by ``qasm.literal_once``; dropped by
+        # every change and never pickled.
+        self._literal = None
         self._global_phase = 0.0
         # Number of leading gates known valid for this register;
         # append keeps it current, so ensure_validated() is O(1) for
@@ -110,7 +110,7 @@ class Circuit:
     @global_phase.setter
     def global_phase(self, value: float) -> None:
         self._global_phase = math.remainder(float(value), 2.0 * math.pi)
-        self._qdasm = None
+        self._literal = None
 
     def _gate_list(self) -> list[Gate]:
         table = self._table
@@ -134,7 +134,7 @@ class Circuit:
             CircuitError: If the gate does not fit the register.
         """
         gate.validate(self.dims)
-        self._qdasm = None
+        self._literal = None
         if self._table is not None:
             self._gates = list(self._gate_list())
             self._validated_operations = len(self._gates)
@@ -277,7 +277,7 @@ class Circuit:
         # A table circuit pickles as its columns, never as gates.
         state = self.__dict__.copy()
         state["_views"] = None
-        state["_qdasm"] = None
+        state["_literal"] = None
         return state
 
     def __eq__(self, other: object) -> bool:

@@ -15,12 +15,14 @@ Controls are ``qudit:level`` pairs separated by commas.  Angles are
 plain floats (radians); parsing uses ``repr`` round-trippable output.
 A circuit stored as a :class:`~repro.circuit.table.CircuitTable` is
 written straight from its columns, with the same text a gate list of
-the same operations gives.  :func:`dumps_once` keeps a circuit's text
-on the circuit, for circuits that are written many times.
+the same operations gives.  :func:`literal_once` keeps a circuit's
+text on the circuit as a :class:`QdasmLiteral`, its JSON string
+literal, for circuits that are written into many JSON documents.
 """
 
 from __future__ import annotations
 
+import json
 import math
 
 from repro.circuit.circuit import Circuit
@@ -36,7 +38,7 @@ from repro.circuit.gates import (
 from repro.circuit.table import GIVENS, CircuitTable
 from repro.exceptions import SerializationError
 
-__all__ = ["dumps", "dumps_once", "loads"]
+__all__ = ["QdasmLiteral", "dumps", "literal_once", "loads"]
 
 _HEADER = "QDASM 1.0"
 
@@ -126,20 +128,42 @@ def dumps(circuit: Circuit) -> str:
     return "\n".join(lines) + "\n"
 
 
-def dumps_once(circuit: Circuit) -> str:
-    """:func:`dumps`, made on the first call and kept on ``circuit``.
+class QdasmLiteral:
+    """QDASM text held as its JSON string literal.
 
-    Later calls return that same string until the circuit changes.
-    The text lives as long as the circuit does: for a cached circuit,
-    as long as its cache entry.
+    ``json`` is ``json.dumps(text).encode()``: the quoted, escaped,
+    UTF-8 form a JSON document splices in as is
+    (:func:`repro.net.protocol.encode_envelope` does).  ``str()``
+    decodes it back to the text.
+    """
+
+    __slots__ = ("json",)
+
+    def __init__(self, text: str):
+        self.json = json.dumps(text).encode()
+
+    def __str__(self) -> str:
+        return json.loads(self.json)
+
+    def __repr__(self) -> str:
+        return f"QdasmLiteral({len(self.json)} bytes)"
+
+
+def literal_once(circuit: Circuit) -> QdasmLiteral:
+    """:func:`dumps` as a :class:`QdasmLiteral`, made on the first call
+    and kept on ``circuit``.
+
+    Later calls return that same object until the circuit changes.
+    It lives as long as the circuit does: for a cached circuit, as
+    long as its cache entry.
 
     Raises:
         SerializationError: As :func:`dumps`.
     """
-    text = circuit._qdasm
-    if text is None:
-        text = circuit._qdasm = dumps(circuit)
-    return text
+    literal = circuit._literal
+    if literal is None:
+        literal = circuit._literal = QdasmLiteral(dumps(circuit))
+    return literal
 
 
 def _parse_angle(text: str, name: str, line_no: int) -> float:

@@ -275,6 +275,9 @@ class ShardPlacement:
     def get_if_present(self, key: str) -> CacheEntry | None:
         return self._local_cache_for(key).get_if_present(key)
 
+    def get_in_memory(self, key: str) -> CacheEntry | None:
+        return self._local_cache_for(key).get_in_memory(key)
+
     def put(self, entry: CacheEntry) -> None:
         self._local_cache_for(entry.key).put(entry)
 

@@ -14,12 +14,12 @@ forwarded.
 Routing is by content key on a consistent-hash ring, so duplicate
 requests (the common case for DD preparation workloads) always land
 on the shard that already holds their circuit.  Key derivation costs
-a state resolution, so the door keys through a small LRU from
-canonical job payloads to keys — duplicate-heavy traffic routes at
-dict-lookup cost.  The cached key is used *only* for routing: each
-shard computes its own content keys from the payload it receives, so
-an unseeded random job colocating with a payload-identical sibling
-still synthesises independently.
+a state resolution, so the front end's keying engine memoises the
+key of every description that fixes its state
+(:meth:`~repro.engine.PreparationEngine.job_key`), and the door
+queues such a repeat from the event loop — duplicate-heavy traffic
+routes at dict-lookup cost.  The key is used *only* for routing: each
+shard computes its own content keys from the payload it receives.
 
 Failover: each key has a preference chain (owner plus
 ``replicas - 1`` distinct ring successors).  A shard that refuses the
@@ -33,14 +33,10 @@ traffic prefers healthy replicas and recovered shards rejoin.
 from __future__ import annotations
 
 import asyncio
-import json
-import threading
 import time
-from collections import OrderedDict
 
 from ..engine.cache import CircuitCache
 from ..engine.engine import EngineStats, PreparationEngine
-from ..engine.jobs import PreparationJob
 from ..engine.results import JobFailure
 from ..exceptions import ClusterConfigError
 from ..net.client import ClientError
@@ -55,9 +51,6 @@ from .placement import ShardPlacement
 __all__ = ["ClusterPreparationService"]
 
 _LOGGER = obs_log.get_logger("cluster")
-
-#: Bound on the canonical-payload → content-key routing LRU.
-_ROUTING_CACHE_SIZE = 4096
 
 
 class ClusterPreparationService(AsyncPreparationService):
@@ -106,8 +99,9 @@ class ClusterPreparationService(AsyncPreparationService):
             config.health_interval if config is not None else 2.0
         )
         # The front-end engine exists only to derive content keys for
-        # routing (cache misses resolve the state once); capacity 0
-        # keeps it from shadow-caching circuits the shards own.
+        # routing (its key memo resolves each deterministic
+        # description once); capacity 0 keeps it from shadow-caching
+        # circuits the shards own.
         engine = PreparationEngine(cache=CircuitCache(capacity=0))
         super().__init__(
             engine,
@@ -121,8 +115,6 @@ class ClusterPreparationService(AsyncPreparationService):
             metrics=metrics,
             placement=placement,
         )
-        self._routing_cache: OrderedDict[str, str] = OrderedDict()
-        self._routing_lock = threading.Lock()
         self._health_task: asyncio.Task | None = None
         self._failover_count = 0
         self._shard_requests = None
@@ -190,45 +182,6 @@ class ClusterPreparationService(AsyncPreparationService):
                         1.0 if healthy else 0.0, backend.shard_id
                     )
             await asyncio.sleep(self._health_interval)
-
-    # ------------------------------------------------------------------
-    # Routing
-    # ------------------------------------------------------------------
-    def _routing_key(self, job: PreparationJob) -> str | None:
-        """Content key of ``job`` for placement, via the payload LRU.
-
-        Called once per request, at the door, on an executor thread.
-
-        The canonical payload (label excluded — labels never affect
-        the computation) keys the LRU; misses resolve the state and
-        derive the true content key.  Only routing consumes this key,
-        so payload-identical unseeded random jobs sharing one entry is
-        sound: they colocate, and the shard still keys each
-        independently.
-        """
-        payload = {
-            name: value
-            for name, value in job.describe().items()
-            if name != "label"
-        }
-        canonical = json.dumps(
-            payload, sort_keys=True, separators=(",", ":"), default=str
-        )
-        with self._routing_lock:
-            key = self._routing_cache.get(canonical)
-            if key is not None:
-                self._routing_cache.move_to_end(canonical)
-                return key
-        try:
-            key = self.engine.job_key(job)
-        except Exception:  # noqa: BLE001 - shard reports the failure
-            return None
-        with self._routing_lock:
-            self._routing_cache[canonical] = key
-            self._routing_cache.move_to_end(canonical)
-            while len(self._routing_cache) > _ROUTING_CACHE_SIZE:
-                self._routing_cache.popitem(last=False)
-        return key
 
     # ------------------------------------------------------------------
     # Dispatch (the base class groups each batch by owner shard; each

@@ -43,7 +43,8 @@ class CacheStats:
     ``lookups`` is the derived sum, not an independent counter, so no
     interleaving of concurrent updates and snapshot reads can tear it.
     Only counted lookups (:meth:`CircuitCache.get` /
-    :meth:`CircuitCache.get_if_present`) touch the counters;
+    :meth:`CircuitCache.get_if_present` /
+    :meth:`CircuitCache.get_in_memory`) touch the counters;
     :meth:`CircuitCache.peek` and ``in`` touch none.
 
     Attributes:
@@ -221,6 +222,25 @@ class CircuitCache:
                 self._insert_memory(entry)
                 return entry
             return None
+
+    def get_in_memory(self, key: str) -> CacheEntry | None:
+        """:meth:`get_if_present` of the memory layer, without waiting.
+
+        Never reads disk and never blocks: when another thread holds
+        :attr:`lock`, this returns ``None`` at once.  A hit is counted
+        as in :meth:`get_if_present`; ``None`` counts nothing, so the
+        caller can still make its one counted lookup elsewhere.
+        """
+        if not self.lock.acquire(blocking=False):
+            return None
+        try:
+            entry = self._entries.get(key)
+            if entry is not None:
+                self._entries.move_to_end(key)
+                self.stats.hits += 1
+            return entry
+        finally:
+            self.lock.release()
 
     def put(self, entry: CacheEntry) -> None:
         """Store an entry in every configured layer."""

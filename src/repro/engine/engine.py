@@ -21,8 +21,10 @@ Typical use::
 
 from __future__ import annotations
 
+import json
 import threading
 import time
+from collections import OrderedDict
 from collections.abc import Iterable, Mapping
 from dataclasses import asdict, dataclass, fields
 
@@ -47,6 +49,36 @@ __all__ = ["EngineStats", "PreparationEngine"]
 
 
 _LOGGER = obs_log.get_logger("engine")
+
+#: Bound on each engine's description -> content-key memo.
+_KEY_MEMO_SIZE = 4096
+
+#: Families whose state is drawn from ``params["rng"]``: without a
+#: seed, two equal descriptions are two different states.
+_SEEDED_FAMILIES = frozenset({"random", "random_sparse"})
+
+
+def _memo_description(job: PreparationJob) -> str | None:
+    """Canonical JSON of ``job`` without its label, or ``None`` when
+    the description does not fix the state.
+
+    ``None`` for raw amplitudes (their key is their hash), for an
+    unseeded random family, and for params that do not encode as JSON
+    (a ``numpy.random.Generator``, complex factors): only a
+    description that names one state may share a key.
+    """
+    if job.family is None:
+        return None
+    if job.family in _SEEDED_FAMILIES and job.params.get("rng") is None:
+        return None
+    description = job.describe()
+    del description["label"]
+    try:
+        return json.dumps(
+            description, sort_keys=True, separators=(",", ":")
+        )
+    except (TypeError, ValueError):
+        return None
 
 
 def _execute_job(
@@ -207,8 +239,8 @@ class PreparationEngine:
 
     Args:
         cache: A :class:`CircuitCache` — or any object with the same
-            ``get`` / ``get_if_present`` / ``peek`` / ``put`` /
-            ``clear`` / ``stats`` surface, such as
+            ``get`` / ``get_if_present`` / ``get_in_memory`` /
+            ``peek`` / ``put`` / ``clear`` / ``stats`` surface, such as
             :meth:`repro.cluster.ShardPlacement.local` builds — or
             ``None`` for a default in-memory cache.
         executor: An :class:`ExecutionBackend`, ``"serial"``,
@@ -261,6 +293,10 @@ class PreparationEngine:
         # run_batch calls proceed in parallel instead of serialising
         # on one engine-wide lock.
         self._stats_lock = threading.Lock()
+        # Description -> content key of deterministic family jobs, so
+        # a repeat is keyed without resolving its state again.
+        self._key_memo: OrderedDict[str, str] = OrderedDict()
+        self._key_memo_lock = threading.Lock()
 
     # ------------------------------------------------------------------
     # Public API
@@ -288,12 +324,48 @@ class PreparationEngine:
         Resolves the target state (so it raises whatever
         ``resolve_state`` raises for an impossible job) and folds in
         the engine's custom-pipeline signature, exactly as
-        ``run_batch`` keys the job.  The serving layer keys each
-        request with this once, when it arrives.
+        ``run_batch`` keys the job.  A family job whose description
+        fixes its state is keyed once: later jobs with an equal
+        description (labels aside) read the key from a bounded memo
+        without resolving.  The serving layer keys each request with
+        this once, when it arrives.
         """
-        return content_key(
-            job.resolve_state(), job.options, self._pipeline_signature
-        )
+        return self._key_and_state(job)[0]
+
+    def memoised_key(self, job: PreparationJob) -> str | None:
+        """:meth:`job_key` of ``job`` if the memo holds it, else
+        ``None``; never resolves a state."""
+        description = _memo_description(job)
+        if description is None:
+            return None
+        return self._recall(description)
+
+    def _recall(self, description: str) -> str | None:
+        with self._key_memo_lock:
+            key = self._key_memo.get(description)
+            if key is not None:
+                self._key_memo.move_to_end(description)
+            return key
+
+    def _key_and_state(
+        self, job: PreparationJob
+    ) -> tuple[str, StateVector | None]:
+        """``job``'s content key, plus its resolved state when keying
+        had to resolve it (``None`` when the memo answered)."""
+        description = _memo_description(job)
+        if description is not None:
+            key = self._recall(description)
+            if key is not None:
+                return key, None
+        state = job.resolve_state()
+        key = content_key(state, job.options, self._pipeline_signature)
+        if description is not None:
+            with self._key_memo_lock:
+                self._key_memo[description] = key
+                self._key_memo.move_to_end(description)
+                if len(self._key_memo) > _KEY_MEMO_SIZE:
+                    self._key_memo.popitem(last=False)
+        return key, state
 
     def cached_outcome(
         self, job: PreparationJob, key: str
@@ -307,7 +379,19 @@ class PreparationEngine:
         serves the job counts its one lookup.  The serving layer
         answers warm requests with this before they are queued.
         """
-        entry = self.cache.get_if_present(key)
+        return self._hit(job, key, self.cache.get_if_present(key))
+
+    def memory_hit(
+        self, job: PreparationJob, key: str
+    ) -> JobSuccess | None:
+        """:meth:`cached_outcome` from the memory layer alone, without
+        waiting: ``None`` also when the entry is only on disk or its
+        shard's lock is held.  Safe to call on an event loop."""
+        return self._hit(job, key, self.cache.get_in_memory(key))
+
+    def _hit(
+        self, job: PreparationJob, key: str, entry: CacheEntry | None
+    ) -> JobSuccess | None:
         if entry is None:
             return None
         with self._stats_lock:
@@ -385,8 +469,9 @@ class PreparationEngine:
             return traces[position]
 
         # Key every job up front — from the caller where provided,
-        # else by resolving the state here; a job whose state cannot
-        # even be built fails here without touching a worker.
+        # else from the key memo or by resolving the state here; a job
+        # whose state cannot even be built fails here without
+        # touching a worker.
         keys: list[str | None] = [None] * len(jobs)
         states: list[StateVector | None] = [None] * len(jobs)
         for position, job in enumerate(jobs):
@@ -397,11 +482,8 @@ class PreparationEngine:
                 keys[position] = provided_keys[position]
                 continue
             try:
-                states[position] = job.resolve_state()
-                keys[position] = content_key(
-                    states[position],
-                    job.options,
-                    self._pipeline_signature,
+                keys[position], states[position] = (
+                    self._key_and_state(job)
                 )
             except Exception as error:  # noqa: BLE001
                 outcomes[position] = JobFailure(
@@ -449,7 +531,7 @@ class PreparationEngine:
                 dispatch[key] = position
 
         # Execute the unique misses on the configured backend.  A job
-        # that arrived with a precomputed key resolves its state only
+        # keyed by its caller or by the memo resolves its state only
         # now — cache hits never needed it.  The key is then
         # recomputed from the state actually resolved, so a
         # nondeterministic builder (an unseeded random family) can

@@ -45,6 +45,7 @@ from urllib.parse import unquote
 from repro.net.protocol import (
     PROTOCOL_VERSION,
     WireError,
+    encode_envelope,
     error_envelope,
     execute_request,
     result_envelope,
@@ -727,7 +728,7 @@ class HttpServer:
             body = payload.body
             content_type = payload.content_type
         else:
-            body = json.dumps(payload).encode()
+            body = encode_envelope(payload)
             content_type = "application/json"
         request_id_header = ""
         if trace is not None:

@@ -29,6 +29,7 @@ in-process path can be compared for equality.
 from __future__ import annotations
 
 import dataclasses
+import json
 import re
 from collections.abc import Mapping, Sequence
 from contextlib import nullcontext
@@ -46,6 +47,7 @@ __all__ = [
     "PROTOCOL_VERSION",
     "WireError",
     "comparable_wire_outcome",
+    "encode_envelope",
     "error_code",
     "error_envelope",
     "execute_request",
@@ -77,6 +79,13 @@ _TIMING_REPORT_FIELDS = (
 #: stay so that a body naming them still parses.
 ENVELOPE_FIELDS = frozenset(
     {"v", "id", "op", "include_circuit", "trace"}
+)
+
+
+#: :class:`~repro.core.report.SynthesisReport` fields, in order: every
+#: one is a number but ``dims``, so a report's wire form is a flat copy.
+_REPORT_FIELDS = tuple(
+    field.name for field in dataclasses.fields(SynthesisReport)
 )
 
 
@@ -241,10 +250,12 @@ def outcome_to_wire(
     flag, the worker wall time, and the per-stage ``stage_timings``
     ledger; with ``include_circuit`` the QDASM text of the circuit
     rides along.  A cache hit's circuit is its cache entry's, so its
-    text is made once and kept with the entry for every later hit;
-    a miss's text is not kept, since most never-seen states are never
-    asked for again.  Failures carry the mapped error code plus the
-    original type and message.
+    text is made once, as the :class:`~repro.circuit.qasm.QdasmLiteral`
+    kept with the entry for every later hit, and rides as that object:
+    :func:`encode_envelope` splices its JSON in, ``str()`` gives the
+    text.  A miss's text is a plain ``str`` and is not kept, since
+    most never-seen states are never asked for again.  Failures carry
+    the mapped error code plus the original type and message.
     """
     wire: dict[str, object] = {
         "label": outcome.job.label,
@@ -253,7 +264,9 @@ def outcome_to_wire(
         "key": outcome.key,
     }
     if outcome.ok:
-        report = dataclasses.asdict(outcome.report)
+        report = {
+            name: getattr(outcome.report, name) for name in _REPORT_FIELDS
+        }
         report["dims"] = list(report["dims"])
         wire["report"] = report
         wire["cache_hit"] = outcome.cache_hit
@@ -264,7 +277,7 @@ def outcome_to_wire(
         # what we actually hold.
         if include_circuit and outcome.circuit is not None:
             wire["circuit"] = (
-                qasm.dumps_once(outcome.circuit)
+                qasm.literal_once(outcome.circuit)
                 if outcome.cache_hit else qasm.dumps(outcome.circuit)
             )
     else:
@@ -316,9 +329,9 @@ def outcome_from_wire(
         raise WireError(
             "bad_response", "success outcome lacks 'key' or 'report'"
         )
-    known = {field.name for field in dataclasses.fields(SynthesisReport)}
     report_fields = {
-        name: value for name, value in raw_report.items() if name in known
+        name: value for name, value in raw_report.items()
+        if name in _REPORT_FIELDS
     }
     try:
         report_fields["dims"] = tuple(report_fields["dims"])
@@ -378,6 +391,52 @@ def comparable_wire_outcome(wire: Mapping[str, object]) -> dict:
     return comparable
 
 
+#: What :func:`encode_envelope` writes in place of each kept literal
+#: before splicing; its JSON form is searched for in the encoded text.
+_SPLICE_MARK = "\x00qdasm\x00"
+_SPLICE_TOKEN = json.dumps(_SPLICE_MARK)
+
+
+def _text_of(value: object) -> str:
+    if isinstance(value, qasm.QdasmLiteral):
+        return str(value)
+    raise TypeError(
+        f"Object of type {type(value).__name__} is not JSON serializable"
+    )
+
+
+def encode_envelope(envelope: Mapping[str, object]) -> bytes:
+    """The response body of ``envelope``: ``json.dumps(envelope)
+    .encode()`` with every :class:`~repro.circuit.qasm.QdasmLiteral`
+    written as its text.
+
+    The bytes are those of the plain encoding, but a kept literal is
+    spliced in as is, never escaped or encoded again.  Should the
+    splice mark also occur elsewhere in the document (a client's id
+    may hold anything), the literals are encoded as their text
+    instead.
+    """
+    literals: list[bytes] = []
+
+    def mark(value: object) -> str:
+        if isinstance(value, qasm.QdasmLiteral):
+            literals.append(value.json)
+            return _SPLICE_MARK
+        return _text_of(value)
+
+    text = json.dumps(envelope, default=mark)
+    if not literals:
+        return text.encode()
+    parts = text.split(_SPLICE_TOKEN)
+    if len(parts) != len(literals) + 1:
+        return json.dumps(envelope, default=_text_of).encode()
+    chunks = [parts[0].encode()]
+    for literal, part in zip(literals, parts[1:]):
+        chunks.append(literal)
+        chunks.append(part.encode())
+    return b"".join(chunks)
+
+
 # ----------------------------------------------------------------------
 # Request execution
 # ----------------------------------------------------------------------
@@ -385,7 +444,8 @@ def _encode(
     outcomes: Sequence[JobOutcome], include_circuit: bool
 ) -> list[dict]:
     """Wire forms of ``outcomes``, under an ``encode`` span of the
-    request when it is traced (QDASM text is made here)."""
+    request when it is traced (QDASM text and kept literals are made
+    here)."""
     trace = current_trace()
     with (
         trace.span("encode", outcomes=len(outcomes))

@@ -3,9 +3,11 @@
 :class:`AsyncPreparationService` turns the blocking, batch-oriented
 engine into a concurrent server: any number of client coroutines
 ``await submit(job)`` (or ``run_batch(jobs)``).  Each call passes the
-*door* once: one executor thread (``asyncio.to_thread``) keys its
-jobs and probes each key's owning cache shard, and a hit is answered
-there, as a counted cache hit, without waiting for a batch.  Only
+*door* once.  A job the engine has keyed before (its key memoised)
+and whose entry is in memory is answered on the event loop, as a
+counted cache hit; every other job is keyed and probed, disk
+included, on one executor thread (``asyncio.to_thread``) per call,
+and a hit found there is answered without waiting for a batch.  Only
 misses, each carrying its key, are coalesced by a
 :class:`~repro.service.batching.MicroBatchQueue`; the dispatch loop
 splits each micro-batch into one group per owning cache shard and
@@ -416,9 +418,13 @@ class AsyncPreparationService:
     ) -> list[asyncio.Future]:
         """Key ``jobs`` once, answer their hits, queue their misses.
 
-        One executor thread keys the jobs and probes their owning
-        shards.  A hit is resolved at once (traced as a zero-duration
-        ``cache_hit`` span of the request); a miss enters the
+        A job whose key is memoised and whose entry sits in memory
+        under a free shard lock is answered on the event loop; on a
+        remote placement a memoised job is queued from the loop.  One
+        executor thread keys and probes every other job of the call
+        (disk included).  The work runs under a ``door`` span of the
+        request; a hit is resolved at once (traced as a zero-duration
+        ``cache_hit`` span of the request), a miss enters the
         micro-batch queue with its key.  Returns one future per job,
         in order.
         """
@@ -426,9 +432,29 @@ class AsyncPreparationService:
         self._inside_door += 1
         self._door_idle.clear()
         try:
-            looked_up = await asyncio.to_thread(self._look_up, jobs)
-            loop = asyncio.get_running_loop()
             trace = current_trace()
+            door = (
+                trace.begin_span("door", jobs=len(jobs))
+                if trace is not None else None
+            )
+            try:
+                looked_up = self._look_up_on_loop(jobs)
+                rest = [
+                    position for position, pair in enumerate(looked_up)
+                    if pair is None
+                ]
+                if door is not None:
+                    door.annotate(threaded=len(rest))
+                if rest:
+                    threaded = await asyncio.to_thread(
+                        self._look_up, [jobs[position] for position in rest]
+                    )
+                    for position, pair in zip(rest, threaded):
+                        looked_up[position] = pair
+            finally:
+                if door is not None:
+                    door.finish()
+            loop = asyncio.get_running_loop()
             answers = []
             for job, (key, hit) in zip(jobs, looked_up):
                 if hit is None:
@@ -449,6 +475,30 @@ class AsyncPreparationService:
             self._inside_door -= 1
             if not self._inside_door:
                 self._door_idle.set()
+
+    def _look_up_on_loop(
+        self, jobs: list[PreparationJob]
+    ) -> list[tuple[str, JobOutcome | None] | None]:
+        """``(key, hit)`` per job the event loop can settle, ``None``
+        for the rest.
+
+        Settled are jobs with a memoised key that are either held in
+        memory by a local shard whose lock is free (a counted hit) or
+        owned by a remote shard (a miss to queue).  Reads no disk,
+        resolves no state and never waits for a lock.
+        """
+        local = self.placement.is_local
+        looked_up = []
+        for job in jobs:
+            key = self.engine.memoised_key(job)
+            if key is None:
+                looked_up.append(None)
+            elif not local:
+                looked_up.append((key, None))
+            else:
+                hit = self.engine.memory_hit(job, key)
+                looked_up.append((key, hit) if hit is not None else None)
+        return looked_up
 
     def _look_up(
         self, jobs: list[PreparationJob]
@@ -651,17 +701,16 @@ class AsyncPreparationService:
 
         The key picks the owning shard, probes its cache and travels
         with a miss to dispatch, so ``run_batch`` does not resolve a
-        hit's state again.  Deliberately keyed per job, not memoized
-        by payload: the key IS the state resolution, and two unseeded
-        random jobs with identical payloads must resolve (and key)
-        independently — a shared key would make ``run_batch`` serve
-        the second job the first one's circuit as an intra-batch
-        duplicate.  (An unseeded random job may still resolve
-        differently here and in the engine, which re-keys the state
-        it actually synthesises; only deterministic jobs get
-        deterministic counters.)  A job whose state cannot even be
-        resolved gets ``None``; ``run_batch`` turns it into a
-        :class:`~repro.engine.JobFailure`.
+        hit's state again.  ``engine.job_key`` memoises only
+        descriptions that fix the state: two unseeded random jobs
+        with identical payloads resolve (and key) independently — a
+        shared key would make ``run_batch`` serve the second job the
+        first one's circuit as an intra-batch duplicate.  (An unseeded
+        random job may still resolve differently here and in the
+        engine, which re-keys the state it actually synthesises; only
+        deterministic jobs get deterministic counters.)  A job whose
+        state cannot even be resolved gets ``None``; ``run_batch``
+        turns it into a :class:`~repro.engine.JobFailure`.
         """
         try:
             return self.engine.job_key(job)

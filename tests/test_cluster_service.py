@@ -505,3 +505,45 @@ class TestMalformedShardResponse:
         ] == [comparable_outcome(o) for o in reference.outcomes]
         assert failovers >= 1
         assert health[0]["healthy"] is False
+
+
+class TestFrontEndDoor:
+    """The front end keys a repeated description from the engine's
+    memo and queues it from the event loop."""
+
+    def test_memoised_jobs_are_queued_from_the_loop(self, monkeypatch):
+        hops = []
+        original = asyncio.to_thread
+
+        async def counted(function, *args, **kwargs):
+            hops.append(getattr(function, "__self__", None))
+            return await original(function, *args, **kwargs)
+
+        async def scenario():
+            shard_service = AsyncPreparationService()
+            await shard_service.start()
+            shard = await HttpServer(shard_service).start()
+            config = ClusterConfig(
+                shards=(ShardAddress("shard-00", "127.0.0.1", shard.port),),
+                health_interval=60.0,
+            )
+            try:
+                async with ClusterPreparationService(config=config) as front:
+                    monkeypatch.setattr(asyncio, "to_thread", counted)
+                    cold = await front.run_batch(DISTINCT)
+                    cold_hops = hops.count(front)
+                    warm = await front.run_batch(DISTINCT + DISTINCT)
+                    warm_hops = hops.count(front) - cold_hops
+                    stats = front.stats()
+            finally:
+                await shard.stop()
+            return cold, cold_hops, warm, warm_hops, stats
+
+        cold, cold_hops, warm, warm_hops, stats = run(scenario())
+        assert (cold_hops, warm_hops) == (1, 0)
+        assert not any(outcome.cache_hit for outcome in cold.outcomes)
+        assert all(outcome.cache_hit for outcome in warm.outcomes)
+        assert stats.requests == 12
+        assert [comparable_outcome(o) for o in warm.outcomes] == [
+            comparable_outcome(o) for o in cold.outcomes + cold.outcomes
+        ]

@@ -824,3 +824,192 @@ class TestProvidedKeys:
             keyed_engine.stats().cache_hits
             == plain_engine.stats().cache_hits
         )
+
+
+def count_resolves(monkeypatch) -> list:
+    """Record every ``PreparationJob.resolve_state`` call."""
+    calls = []
+    original = PreparationJob.resolve_state
+
+    def counted(self):
+        calls.append(self)
+        return original(self)
+
+    monkeypatch.setattr(PreparationJob, "resolve_state", counted)
+    return calls
+
+
+def refuse_resolves(monkeypatch) -> None:
+    def refused(self):
+        raise AssertionError(f"resolve_state called for {self.label}")
+
+    monkeypatch.setattr(PreparationJob, "resolve_state", refused)
+
+
+class TestKeyMemo:
+    """The engine keys a description that fixes its state once."""
+
+    def test_equal_descriptions_resolve_once(self, monkeypatch):
+        engine = PreparationEngine()
+        first = PreparationJob(
+            dims=(3, 3), family="random", params={"rng": 4}, label="a"
+        )
+        second = PreparationJob(
+            dims=(3, 3), family="random", params={"rng": 4}, label="b"
+        )
+        calls = count_resolves(monkeypatch)
+        assert engine.memoised_key(first) is None
+        key = engine.job_key(first)
+        assert engine.memoised_key(second) == key
+        assert engine.job_key(second) == key
+        assert calls == [first]
+        assert key == content_key(second.resolve_state(), second.options)
+
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda: PreparationJob(dims=(2, 3), family="random"),
+            lambda: PreparationJob(
+                dims=(2, 3), family="random", params={"rng": None}
+            ),
+            lambda: PreparationJob(
+                dims=(2, 3, 2), family="random_sparse",
+                params={"num_terms": 3},
+            ),
+        ],
+        ids=["random", "random-rng-none", "random_sparse"],
+    )
+    def test_unseeded_random_descriptions_are_not_memoised(self, make):
+        engine = PreparationEngine()
+        first, second = make(), make()
+        assert engine.job_key(first) != engine.job_key(second)
+        assert engine.memoised_key(first) is None
+        assert engine.memoised_key(second) is None
+
+    def test_params_that_do_not_encode_key_independently(self):
+        import numpy as np
+
+        engine = PreparationEngine()
+        generator = np.random.default_rng(9)
+        first = PreparationJob(
+            dims=(2, 3), family="random", params={"rng": generator}
+        )
+        second = PreparationJob(
+            dims=(2, 3), family="random", params={"rng": generator}
+        )
+        # One generator, two draws: two states, two keys.
+        assert engine.job_key(first) != engine.job_key(second)
+        assert engine.memoised_key(first) is None
+        assert engine.memoised_key(second) is None
+
+    def test_raw_amplitudes_are_keyed_by_resolving(self, monkeypatch):
+        engine = PreparationEngine()
+        first = PreparationJob(dims=(2, 2), amplitudes=[1, 0, 0, 1])
+        second = PreparationJob(dims=(2, 2), amplitudes=[1, 0, 0, 1])
+        calls = count_resolves(monkeypatch)
+        assert engine.job_key(first) == engine.job_key(second)
+        assert calls == [first, second]
+        assert engine.memoised_key(first) is None
+
+    def test_options_and_params_are_part_of_the_description(self):
+        engine = PreparationEngine()
+        jobs = [
+            PreparationJob(dims=(3, 3), family="random", params={"rng": 1}),
+            PreparationJob(dims=(3, 3), family="random", params={"rng": 2}),
+            PreparationJob(
+                dims=(3, 3), family="random", params={"rng": 1},
+                options=SynthesisOptions(min_fidelity=0.9),
+            ),
+            PreparationJob(dims=(3, 3), family="ghz"),
+            PreparationJob(dims=(3, 3, 3), family="ghz"),
+        ]
+        keys = [engine.job_key(job) for job in jobs]
+        assert len(set(keys)) == len(jobs)
+        assert keys == [
+            content_key(job.resolve_state(), job.options) for job in jobs
+        ]
+
+    def test_warm_run_batch_never_resolves(self, monkeypatch):
+        engine = PreparationEngine()
+        jobs = MIXED_BATCH[:3] + MIXED_BATCH[4:]
+        cold = engine.run_batch(jobs)
+        assert all(outcome.ok for outcome in cold.outcomes)
+        refuse_resolves(monkeypatch)
+        warm = engine.run_batch(jobs + jobs)
+        assert all(
+            outcome.ok and outcome.cache_hit for outcome in warm.outcomes
+        )
+        assert [outcome.key for outcome in warm.outcomes] == (
+            [outcome.key for outcome in cold.outcomes] * 2
+        )
+
+    def test_evicted_entry_is_resolved_and_rekeyed(self, monkeypatch):
+        engine = PreparationEngine(cache=CircuitCache(capacity=1))
+        first = PreparationJob(dims=(3, 3), family="random", params={"rng": 1})
+        other = PreparationJob(dims=(2, 2), family="ghz")
+        key = engine.submit(first).key
+        engine.submit(other)   # evicts first's circuit, not its key
+        calls = count_resolves(monkeypatch)
+        again = engine.submit(first)
+        assert again.ok and not again.cache_hit
+        assert again.key == key
+        assert calls == [first]
+
+    def test_memo_stays_at_its_bound(self):
+        from repro.engine import engine as engine_module
+
+        engine = PreparationEngine()
+        jobs = [
+            PreparationJob(dims=(2, 2), family="random", params={"rng": seed})
+            for seed in range(10_000)
+        ]
+        for job in jobs:
+            engine.job_key(job)
+        bound = engine_module._KEY_MEMO_SIZE
+        assert bound < len(jobs)
+        assert len(engine._key_memo) == bound
+        assert engine.memoised_key(jobs[-1]) is not None
+        assert engine.memoised_key(jobs[-bound]) is not None
+        assert engine.memoised_key(jobs[-bound - 1]) is None
+        assert engine.memoised_key(jobs[0]) is None
+
+    def test_concurrent_threads_key_identically(self):
+        import sys
+        import threading
+
+        jobs = [
+            PreparationJob(dims=(2, 3), family="random", params={"rng": seed})
+            for seed in range(48)
+        ] + [ghz_job(dims=(2, 2)), ghz_job(dims=(3, 2))]
+        expected = [
+            content_key(job.resolve_state(), job.options) for job in jobs
+        ]
+        engine = PreparationEngine()
+        results: list[list[str]] = []
+        failures: list[BaseException] = []
+
+        def worker(offset):
+            try:
+                order = jobs[offset:] + jobs[:offset]
+                keys = {id(job): engine.job_key(job) for job in order}
+                results.append([keys[id(job)] for job in jobs])
+            except BaseException as error:  # noqa: BLE001
+                failures.append(error)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [
+                threading.Thread(target=worker, args=(offset,))
+                for offset in range(0, 48, 6)
+            ]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60.0)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert not failures
+        assert results == [expected] * len(threads)
+        assert len(engine._key_memo) == len(jobs)

@@ -3,10 +3,12 @@
 from __future__ import annotations
 
 import asyncio
+import dataclasses
 import json
 
 import pytest
 
+from repro.circuit.qasm import QdasmLiteral
 from repro.engine import PreparationEngine, PreparationJob, comparable_outcome
 from repro.net.protocol import (
     PROTOCOL_VERSION,
@@ -159,6 +161,9 @@ class TestOutcomeWire:
         assert wire["key"] == outcome.key
         assert wire["report"]["operations"] == outcome.report.operations
         assert wire["report"]["dims"] == [3, 6, 2]
+        assert wire["report"] == {
+            **dataclasses.asdict(outcome.report), "dims": [3, 6, 2],
+        }
         assert "stage_timings" in wire
         assert "circuit" not in wire
         json.dumps(wire)  # JSON-clean
@@ -255,23 +260,24 @@ def prepare_with_circuit(service, job_dict: dict):
 
 class TestCircuitTextReuse:
     """A cache entry's QDASM text is made by its first hit that asks
-    for the circuit, and every later hit reuses that string."""
+    for the circuit, kept as its JSON literal, and every later hit
+    reuses that object."""
 
-    def test_miss_keeps_no_text_and_hits_share_one_string(self):
+    def test_miss_keeps_nothing_and_hits_share_one_literal(self):
         async def scenario():
             async with AsyncPreparationService() as service:
                 miss = await prepare_with_circuit(service, RANDOM_JOB)
                 entry = service.engine.cache.peek(miss["key"])
-                after_miss = entry.circuit._qdasm
+                after_miss = entry.circuit._literal
                 await execute_request(
                     service, "prepare", {"job": RANDOM_JOB}
                 )
-                after_plain_hit = entry.circuit._qdasm
+                after_plain_hit = entry.circuit._literal
                 first = await prepare_with_circuit(service, RANDOM_JOB)
                 second = await prepare_with_circuit(service, RANDOM_JOB)
                 return (
                     miss, after_miss, after_plain_hit, first, second,
-                    entry.circuit._qdasm,
+                    entry.circuit._literal,
                 )
 
         miss, after_miss, after_plain_hit, first, second, kept = (
@@ -280,11 +286,13 @@ class TestCircuitTextReuse:
         assert miss["cache_hit"] is False
         assert after_miss is None and after_plain_hit is None
         assert first["cache_hit"] is True and second["cache_hit"] is True
+        assert isinstance(kept, QdasmLiteral)
         assert first["circuit"] is kept
         assert second["circuit"] is kept
         reference = fresh_wire(RANDOM_JOB)
+        assert kept.json == json.dumps(reference["circuit"]).encode()
         for wire in (miss, first, second):
-            assert wire["circuit"] == reference["circuit"]
+            assert str(wire["circuit"]) == reference["circuit"]
             assert comparable_wire_outcome(wire) == (
                 comparable_wire_outcome(reference)
             )
@@ -308,9 +316,10 @@ class TestCircuitTextReuse:
         assert first["cache_hit"] is True and second["cache_hit"] is True
         assert stats.engine.disk_hits == 1
         assert stats.batches_dispatched == 0
+        assert isinstance(first["circuit"], QdasmLiteral)
         assert second["circuit"] is first["circuit"]
         reference = fresh_wire(RANDOM_JOB)
-        assert first["circuit"] == reference["circuit"]
+        assert str(first["circuit"]) == reference["circuit"]
         assert comparable_wire_outcome(first) == (
             comparable_wire_outcome(reference)
         )
@@ -352,7 +361,7 @@ class TestCircuitTextReuse:
         assert miss["cache_hit"] is False and hit["cache_hit"] is True
         reference = fresh_wire(RANDOM_JOB)
         for wire in (miss, hit):
-            assert wire["circuit"] == reference["circuit"]
+            assert str(wire["circuit"]) == reference["circuit"]
             assert comparable_wire_outcome(wire) == (
                 comparable_wire_outcome(reference)
             )

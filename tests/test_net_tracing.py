@@ -12,6 +12,7 @@ from __future__ import annotations
 import asyncio
 import io
 import json
+import time
 
 import pytest
 
@@ -203,8 +204,9 @@ class TestHttpTracePropagation:
 class TestDoorHitTrace:
     def test_door_hit_records_cache_hit_under_request(self):
         # A warm request never enters the micro-batch queue: its tree
-        # is parse, a zero-duration cache_hit, the outcome's encode
-        # (where QDASM is made) and serialize, all under request.
+        # is parse, the door (keying and the probe), a zero-duration
+        # cache_hit, the outcome's encode (where the QDASM literal is
+        # made) and serialize, all under request.
         payload = {"job": JOB, "include_circuit": True}
 
         async def scenario():
@@ -238,9 +240,95 @@ class TestDoorHitTrace:
         (root,) = warm["spans"]
         children = {child["name"]: child for child in root["children"]}
         assert sorted(children) == [
-            "cache_hit", "encode", "parse", "serialize",
+            "cache_hit", "door", "encode", "parse", "serialize",
         ]
         assert children["cache_hit"]["duration"] == 0.0
         assert "children" not in children["cache_hit"]
         names = flatten_span_names(warm["spans"])
         assert "queue_wait" not in names and "dispatch" not in names
+
+
+class TestDoorSpan:
+    """Keying and the cache probe run under a ``door`` span of the
+    request, on the loop path and on the thread path alike."""
+
+    @staticmethod
+    def serve(requests, monkeypatch=None, slow_keying=0.0):
+        async def scenario():
+            service = AsyncPreparationService(num_shards=2)
+            if slow_keying:
+                job_key = service.engine.job_key
+
+                def slow_job_key(job):
+                    time.sleep(slow_keying)
+                    return job_key(job)
+
+                monkeypatch.setattr(service.engine, "job_key", slow_job_key)
+            await service.start()
+            server = await HttpServer(service, tracer=Tracer()).start()
+            try:
+                for request_id, path, payload in requests:
+                    status, _, _ = await http_call(
+                        server.port, path, payload,
+                        headers=[("X-Repro-Request-Id", request_id)],
+                    )
+                    assert status == 200
+                return {
+                    request_id: (await http_call(
+                        server.port, f"/v1/trace/{request_id}"
+                    ))[2]["result"]
+                    for request_id, _, _ in requests
+                }
+            finally:
+                await server.stop()
+
+        return asyncio.run(scenario())
+
+    @staticmethod
+    def children(trace):
+        (root,) = trace["spans"]
+        assert root["name"] == "request"
+        return {child["name"]: child for child in root["children"]}
+
+    @staticmethod
+    def end(span):
+        return span["start"] + span["duration"]
+
+    def test_thread_path_door_covers_keying(self, monkeypatch):
+        traces = self.serve(
+            [("cold", "/v1/prepare", {"job": JOB})],
+            monkeypatch, slow_keying=0.05,
+        )
+        children = self.children(traces["cold"])
+        door = children["door"]
+        assert door["attributes"] == {"jobs": 1, "threaded": 1}
+        assert door["duration"] >= 0.05
+        assert "children" not in door
+        # The miss is queued after the door closes.
+        assert self.end(door) <= children["queue_wait"]["start"]
+        assert self.end(children["parse"]) <= door["start"]
+
+    def test_loop_path_door_precedes_the_hit(self):
+        traces = self.serve([
+            ("cold", "/v1/prepare", {"job": JOB}),
+            ("warm", "/v1/prepare", {"job": JOB}),
+        ])
+        children = self.children(traces["warm"])
+        door = children["door"]
+        assert door["attributes"] == {"jobs": 1, "threaded": 0}
+        assert self.end(door) <= children["cache_hit"]["start"]
+        assert "queue_wait" not in children
+
+    def test_batch_door_counts_its_threaded_jobs(self):
+        other = {"family": "w", "dims": [2, 3]}
+        traces = self.serve([
+            ("cold", "/v1/batch", {"jobs": [JOB]}),
+            ("mixed", "/v1/batch", {"jobs": [JOB, other, JOB]}),
+        ])
+        children = self.children(traces["mixed"])
+        assert children["door"]["attributes"] == {"jobs": 3, "threaded": 1}
+        (root,) = traces["mixed"]["spans"]
+        names = [child["name"] for child in root["children"]]
+        assert names.count("door") == 1
+        assert names.count("cache_hit") == 2
+        assert names.count("queue_wait") == 1

@@ -936,3 +936,157 @@ class TestPerShardDispatch:
         assert stats.batches_dispatched == 1
         assert isinstance(failed, RuntimeError)
         assert served.ok
+
+
+def count_thread_hops(monkeypatch) -> list:
+    """Record every ``asyncio.to_thread`` call, by function name."""
+    calls = []
+    original = asyncio.to_thread
+
+    async def counted(function, *args, **kwargs):
+        calls.append(function.__name__)
+        return await original(function, *args, **kwargs)
+
+    monkeypatch.setattr(asyncio, "to_thread", counted)
+    return calls
+
+
+class TestLoopDoor:
+    """Memoised in-memory hits are answered on the event loop; every
+    other job of a call takes the door's thread."""
+
+    SEEDED = PreparationJob(dims=(3, 3), family="random", params={"rng": 3})
+    DICKE = PreparationJob(
+        dims=(2, 3, 2), family="dicke", params={"excitations": 2}
+    )
+
+    def test_warm_hits_make_no_thread_hop(self, monkeypatch):
+        jobs = [self.SEEDED, self.DICKE, ghz_job()]
+
+        async def scenario():
+            async with AsyncPreparationService(num_shards=2) as service:
+                await service.run_batch(jobs)
+                cold = service.stats()
+                hops = count_thread_hops(monkeypatch)
+                single = await service.submit(self.DICKE)
+                batch = await service.run_batch(jobs + jobs)
+                return cold, single, batch, hops, service.stats()
+
+        cold, single, batch, hops, warm = asyncio.run(scenario())
+        assert hops == []
+        assert single.cache_hit
+        assert all(outcome.cache_hit for outcome in batch.outcomes)
+        assert warm.requests == cold.requests + 7
+        assert warm.batches_dispatched == cold.batches_dispatched
+        assert warm.engine.cache_hits == cold.engine.cache_hits + 7
+        assert warm.engine.cache_lookups == cold.engine.cache_lookups + 7
+        assert warm.engine.jobs_submitted == (
+            cold.engine.jobs_submitted + 7
+        )
+
+    def test_warm_door_hits_never_resolve(self, monkeypatch):
+        async def scenario():
+            async with AsyncPreparationService() as service:
+                await service.run_batch([self.SEEDED, self.DICKE])
+
+                def refused(job):
+                    raise AssertionError(f"resolved {job.label}")
+
+                monkeypatch.setattr(PreparationJob, "resolve_state", refused)
+                return [
+                    await service.submit(self.SEEDED),
+                    await service.submit(self.DICKE),
+                ]
+
+        outcomes = asyncio.run(scenario())
+        assert all(outcome.ok and outcome.cache_hit for outcome in outcomes)
+
+    def test_unmemoised_jobs_of_a_call_take_the_thread(self, monkeypatch):
+        unseeded = PreparationJob(dims=(2, 2), family="random")
+
+        async def scenario():
+            async with AsyncPreparationService() as service:
+                await service.submit(self.SEEDED)
+                hops = count_thread_hops(monkeypatch)
+                batch = await service.run_batch([self.SEEDED, unseeded])
+                return hops, batch
+
+        hops, batch = asyncio.run(scenario())
+        # One hop keys the unseeded job; its miss then rides a batch.
+        assert hops.count("_look_up") == 1
+        assert hops.count("run_batch") == 1
+        hit, miss = batch.outcomes
+        assert hit.cache_hit and miss.ok and not miss.cache_hit
+
+    def test_disk_only_entry_takes_the_thread_once(
+        self, monkeypatch, tmp_path
+    ):
+        async def scenario():
+            async with AsyncPreparationService(
+                num_shards=2, disk_dir=tmp_path
+            ) as service:
+                await service.submit(self.SEEDED)
+                service.engine.cache.clear()   # memory only; key memoised
+                before = service.stats()
+                hops = count_thread_hops(monkeypatch)
+                first = await service.submit(self.SEEDED)
+                second = await service.submit(self.SEEDED)
+                return before, hops, first, second, service.stats()
+
+        before, hops, first, second, after = asyncio.run(scenario())
+        assert first.cache_hit and second.cache_hit
+        # The disk hit is probed on the door's thread; the promoted
+        # entry then answers on the loop.
+        assert hops == ["_look_up"]
+        assert after.engine.disk_hits == before.engine.disk_hits + 1
+        assert after.engine.cache_hits == before.engine.cache_hits + 2
+        assert after.engine.cache_lookups == before.engine.cache_lookups + 2
+        assert after.batches_dispatched == before.batches_dispatched
+
+    def test_busy_shard_lock_sends_the_call_to_the_thread(
+        self, monkeypatch
+    ):
+        import threading
+
+        held = threading.Event()
+        release = threading.Event()
+
+        def hold(lock):
+            with lock:
+                held.set()
+                release.wait(5.0)
+
+        async def scenario():
+            async with AsyncPreparationService(num_shards=2) as service:
+                await service.submit(self.SEEDED)
+                key = service.engine.job_key(self.SEEDED)
+                shard = service.engine.cache.shard_for(key)
+                holder = threading.Thread(target=hold, args=(shard.lock,))
+                holder.start()
+                assert await asyncio.to_thread(held.wait, 5.0)
+                hops = count_thread_hops(monkeypatch)
+                ticks = 0
+
+                async def ticker():
+                    nonlocal ticks
+                    while True:
+                        await asyncio.sleep(0.005)
+                        ticks += 1
+
+                ticking = asyncio.ensure_future(ticker())
+                answer = asyncio.ensure_future(service.submit(self.SEEDED))
+                await asyncio.sleep(0.2)
+                ticks_while_held = ticks
+                pending_while_held = not answer.done()
+                release.set()
+                outcome = await asyncio.wait_for(answer, timeout=5.0)
+                ticking.cancel()
+                holder.join(timeout=5.0)
+                assert not holder.is_alive()
+                return hops, ticks_while_held, pending_while_held, outcome
+
+        hops, ticks, pending, outcome = asyncio.run(scenario())
+        assert hops == ["_look_up"]
+        assert pending
+        assert ticks >= 10
+        assert outcome.ok and outcome.cache_hit
