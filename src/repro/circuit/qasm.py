@@ -145,9 +145,6 @@ class QdasmLiteral:
     def __str__(self) -> str:
         return json.loads(self.json)
 
-    def __repr__(self) -> str:
-        return f"QdasmLiteral({len(self.json)} bytes)"
-
 
 def literal_once(circuit: Circuit) -> QdasmLiteral:
     """:func:`dumps` as a :class:`QdasmLiteral`, made on the first call

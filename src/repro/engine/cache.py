@@ -210,10 +210,8 @@ class CircuitCache:
         outcome — where a counted miss would misstate the hit rate.
         """
         with self.lock:
-            entry = self._entries.get(key)
+            entry = self._memory_hit(key)
             if entry is not None:
-                self._entries.move_to_end(key)
-                self.stats.hits += 1
                 return entry
             entry = self._read_disk(key)
             if entry is not None:
@@ -234,11 +232,7 @@ class CircuitCache:
         if not self.lock.acquire(blocking=False):
             return None
         try:
-            entry = self._entries.get(key)
-            if entry is not None:
-                self._entries.move_to_end(key)
-                self.stats.hits += 1
-            return entry
+            return self._memory_hit(key)
         finally:
             self.lock.release()
 
@@ -257,6 +251,15 @@ class CircuitCache:
     # ------------------------------------------------------------------
     # Memory layer
     # ------------------------------------------------------------------
+    def _memory_hit(self, key: str) -> CacheEntry | None:
+        """The memory layer's entry for ``key``, refreshed and counted
+        as a hit; ``None`` counts nothing.  Caller holds the lock."""
+        entry = self._entries.get(key)
+        if entry is not None:
+            self._entries.move_to_end(key)
+            self.stats.hits += 1
+        return entry
+
     def _insert_memory(self, entry: CacheEntry) -> None:
         if self._capacity == 0:
             return
