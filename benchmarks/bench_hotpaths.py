@@ -45,9 +45,15 @@ whose near-equal weights mostly replay it over those weights; each row
 records the path taken (and approximate's path, ``approximate_path``)
 and also times making the node graph, and the run fails if a random
 state's build leaves the fast path.
+Per scenario it also times the QDASM codec on the finalized circuit:
+the columnar writer against the per-row writer and the columnar reader
+against the gate-list parser, both of ``tests/qasm_oracle.py``, and
+records whether the text is the oracle's byte for byte and whether it
+reads back as a table; the run fails if either does not hold.
 ``--smoke`` runs a CI-sized grid and also fails unless block-kernel
-verify is no slower than gate-list verify on the smoke scenario with
-the most operations.
+verify is no slower than gate-list verify, and the columnar writer no
+slower than the per-row writer, on the smoke scenario with the most
+operations.
 
 Run::
 
@@ -75,6 +81,7 @@ REPO_ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(REPO_ROOT / "src"))
 sys.path.insert(0, str(REPO_ROOT))
 
+from repro.circuit import qasm  # noqa: E402
 from repro.circuit.circuit import Circuit  # noqa: E402
 from repro.circuit.gates import GivensRotation, PhaseRotation  # noqa: E402
 from repro.core.synthesis import (  # noqa: E402
@@ -115,6 +122,7 @@ from tests.kernel_oracles import (  # noqa: E402
     simulate_reference,
     stats_reference,
 )
+from tests.qasm_oracle import oracle_dumps, oracle_loads  # noqa: E402
 from tests.synthesis_oracle import (  # noqa: E402
     level_major_mismatches,
     oracle_preparation,
@@ -472,6 +480,36 @@ def _round_speedup(baseline: float, new: float) -> float:
     return round(baseline / new, 2) if new > 0 else float("inf")
 
 
+def run_qdasm(circuit: Circuit, repeats: int) -> dict:
+    """The QDASM codec on ``circuit``: writer and reader times against
+    the oracles, byte identity, and whether the text reads back as a
+    table."""
+    text = qasm.dumps(circuit)
+    writer_s = _best_of(lambda: qasm.dumps(circuit), repeats)
+    writer_oracle_s = _best_of(lambda: oracle_dumps(circuit), repeats)
+    reader_s = _best_of(lambda: qasm.loads(text), repeats)
+    reader_oracle_s = _best_of(lambda: oracle_loads(text), repeats)
+    restored = qasm.loads(text)
+    return {
+        "operations": circuit.num_operations,
+        "kib": round(len(text) / 1024, 1),
+        "writer_s": round(writer_s, 6),
+        "writer_oracle_s": round(writer_oracle_s, 6),
+        "writer_speedup_vs_oracle": _round_speedup(
+            writer_oracle_s, writer_s
+        ),
+        "reader_s": round(reader_s, 6),
+        "reader_oracle_s": round(reader_oracle_s, 6),
+        "reader_speedup_vs_oracle": _round_speedup(
+            reader_oracle_s, reader_s
+        ),
+        "bytes_match": (
+            text == oracle_dumps(circuit) and qasm.dumps(restored) == text
+        ),
+        "read_as_table": restored.table is not None,
+    }
+
+
 def approximation_mismatches(
     state: StateVector, min_fidelity: float = 0.98
 ) -> list[str]:
@@ -641,6 +679,16 @@ def run(smoke: bool, repeats: int) -> dict:
               f" | mismatches: {approximation['oracle_mismatches']}",
               flush=True)
 
+        qdasm = run_qdasm(circuit, repeats)
+        print(f"  qdasm: write {qdasm['writer_s'] * 1e3:7.2f} ms"
+              f" | oracle {qdasm['writer_oracle_s'] * 1e3:7.2f} ms"
+              f" ({qdasm['writer_speedup_vs_oracle']:.2f}x)"
+              f" | read {qdasm['reader_s'] * 1e3:7.2f} ms"
+              f" | oracle {qdasm['reader_oracle_s'] * 1e3:7.2f} ms"
+              f" ({qdasm['reader_speedup_vs_oracle']:.2f}x)"
+              f" | bytes match: {qdasm['bytes_match']}"
+              f" | table: {qdasm['read_as_table']}", flush=True)
+
         finalize_s = _best_of(lambda: finalize(context), repeats)
         checked = {
             "build_dd": diagram,
@@ -667,6 +715,7 @@ def run(smoke: bool, repeats: int) -> dict:
             "synthesize": synthesize,
             "verify": verify,
             "approximate": approximation,
+            "qdasm": qdasm,
             "stats": metrics,
         })
 
@@ -692,6 +741,8 @@ def run(smoke: bool, repeats: int) -> dict:
                          "verified gate by gate",
             "approximate_oracle": "per-node approximation, "
                                   "tests/approximation_oracle.py",
+            "qdasm_oracle": "per-row writer and gate-list parser, "
+                            "tests/qasm_oracle.py",
         },
         "headline": {
             "scenario": headline_name,
@@ -709,6 +760,10 @@ def run(smoke: bool, repeats: int) -> dict:
                 headline_row["verify"]["speedup_vs_reference"],
             "approximate_speedup_vs_oracle":
                 headline_row["approximate"]["speedup_vs_oracle"],
+            "qdasm_writer_speedup_vs_oracle":
+                headline_row["qdasm"]["writer_speedup_vs_oracle"],
+            "qdasm_reader_speedup_vs_oracle":
+                headline_row["qdasm"]["reader_speedup_vs_oracle"],
         },
         "scenarios": results,
         "build_paths": run_build_paths(smoke, repeats),
@@ -732,6 +787,43 @@ def verify_floor(payload: dict) -> str | None:
             f"{verify['table_s'] * 1e3:.2f} ms is slower than gate-list "
             f"verify {verify['gate_list_s'] * 1e3:.2f} ms"
         )
+    return None
+
+
+def qdasm_floor(payload: dict) -> str | None:
+    """The smoke floor of the QDASM writer: no slower than the per-row
+    writer on the scenario with the most operations.
+
+    Returns the failure message, or ``None`` when the floor holds.
+    """
+    largest = max(
+        payload["scenarios"], key=lambda row: row["qdasm"]["operations"]
+    )
+    qdasm = largest["qdasm"]
+    if qdasm["writer_s"] > qdasm["writer_oracle_s"]:
+        return (
+            f"[{largest['name']}] columnar QDASM writer "
+            f"{qdasm['writer_s'] * 1e3:.2f} ms is slower than the per-row "
+            f"writer {qdasm['writer_oracle_s'] * 1e3:.2f} ms"
+        )
+    return None
+
+
+def qdasm_check(payload: dict) -> str | None:
+    """Every scenario's QDASM is the oracle's byte for byte, and reads
+    back as a table circuit that writes the same bytes.
+
+    Returns the failure message, or ``None`` when all hold.
+    """
+    failures = [
+        f"{row['name']}: "
+        + ("bytes differ" if not row["qdasm"]["bytes_match"]
+           else "read back as a gate list")
+        for row in payload["scenarios"]
+        if not (row["qdasm"]["bytes_match"] and row["qdasm"]["read_as_table"])
+    ]
+    if failures:
+        return "QDASM codec fails on " + "; ".join(failures)
     return None
 
 
@@ -849,7 +941,9 @@ def main(argv: list[str] | None = None) -> int:
         f"{headline['verify_speedup_vs_gate_list']:.2f}x vs gate list), "
         f"synthesize {headline['synthesize_speedup_vs_oracle']:.2f}x "
         f"vs oracle, approximate "
-        f"{headline['approximate_speedup_vs_oracle']:.2f}x vs oracle"
+        f"{headline['approximate_speedup_vs_oracle']:.2f}x vs oracle, "
+        f"QDASM write {headline['qdasm_writer_speedup_vs_oracle']:.2f}x / "
+        f"read {headline['qdasm_reader_speedup_vs_oracle']:.2f}x vs oracle"
     )
     print(f"wrote {output}")
     failure = synthesis_check(payload)
@@ -878,12 +972,22 @@ def main(argv: list[str] | None = None) -> int:
         return 1
     print("approximate path check held: approximating random states "
           "skips the complex table")
+    failure = qdasm_check(payload)
+    if failure is not None:
+        print(f"QDASM CHECK FAILED: {failure}", file=sys.stderr)
+        return 1
+    print("QDASM check held: the oracle's bytes, read back as tables")
     if options.smoke:
         failure = verify_floor(payload)
         if failure is not None:
             print(f"FLOOR FAILED: {failure}", file=sys.stderr)
             return 1
         print("floor held: block-kernel verify <= gate-list verify")
+        failure = qdasm_floor(payload)
+        if failure is not None:
+            print(f"FLOOR FAILED: {failure}", file=sys.stderr)
+            return 1
+        print("floor held: columnar QDASM writer <= per-row writer")
     return 0
 
 

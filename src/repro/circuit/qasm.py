@@ -13,20 +13,29 @@ tests.  Example document::
 
 Controls are ``qudit:level`` pairs separated by commas.  Angles are
 plain floats (radians); parsing uses ``repr`` round-trippable output.
+
 A circuit stored as a :class:`~repro.circuit.table.CircuitTable` is
-written straight from its columns, with the same text a gate list of
-the same operations gives.  :func:`literal_once` keeps a circuit's
-text on the circuit as a :class:`QdasmLiteral`, its JSON string
-literal, for circuits that are written into many JSON documents.
+written from its columns, with the same text a gate list of the same
+operations gives: one ``repr`` per angle and per distinct ``phi``, one
+row head per distinct (kind, target, levels) and one control field per
+block, joined once.  :func:`loads` reads rows back into table columns,
+so a text whose operations are all ``givens`` and ``phase`` rows
+becomes a table circuit; any other gate makes it a gate list.
+:func:`literal_once` keeps a circuit's text on the circuit as a
+:class:`QdasmLiteral`, its JSON string literal, for circuits that are
+written into many JSON documents.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import re
+
+import numpy as np
 
 from repro.circuit.circuit import Circuit
-from repro.circuit.controls import Control
+from repro.circuit.gate import Gate
 from repro.circuit.gates import (
     ClockGate,
     FourierGate,
@@ -35,49 +44,22 @@ from repro.circuit.gates import (
     PhaseRotation,
     ShiftGate,
 )
-from repro.circuit.table import GIVENS, CircuitTable
-from repro.exceptions import SerializationError
+from repro.circuit.table import GIVENS, PHASE, CircuitTable
+from repro.exceptions import CircuitError, SerializationError
 
 __all__ = ["QdasmLiteral", "dumps", "literal_once", "loads"]
 
 _HEADER = "QDASM 1.0"
 
 
+# ----------------------------------------------------------------------
+# Writing
+# ----------------------------------------------------------------------
 def _controls_field(gate) -> str:
     if not gate.controls:
         return ""
     pairs = ",".join(f"{c.qudit}:{c.level}" for c in gate.controls)
     return f" ctrl={pairs}"
-
-
-def _table_lines(table: CircuitTable) -> list[str]:
-    """QDASM lines of a table's rows: one control field per block."""
-    kind = table.kind.tolist()
-    target = table.target.tolist()
-    lower = table.lower.tolist()
-    upper = table.upper.tolist()
-    theta = table.theta.tolist()
-    phi = table.phi.tolist()
-    offsets = table.offsets.tolist()
-    lines = []
-    for block, row in enumerate(table.controls.tolist()):
-        pairs = ",".join(
-            f"{qudit}:{level}" for qudit, level in enumerate(row)
-            if level >= 0
-        )
-        controls = f" ctrl={pairs}" if pairs else ""
-        for r in range(offsets[block], offsets[block + 1]):
-            if kind[r] == GIVENS:
-                lines.append(
-                    f"givens t={target[r]} i={lower[r]} j={upper[r]} "
-                    f"theta={theta[r]!r} phi={phi[r]!r}{controls}"
-                )
-            else:
-                lines.append(
-                    f"phase t={target[r]} i={lower[r]} j={upper[r]} "
-                    f"delta={theta[r]!r}{controls}"
-                )
-    return lines
 
 
 def _gate_line(gate) -> str:
@@ -110,6 +92,81 @@ def _gate_line(gate) -> str:
     raise SerializationError(f"gate {gate.name!r} has no QDASM form")
 
 
+def _objects(strings: list[str]) -> np.ndarray:
+    """A 1-D object array of ``strings``, for lookups by index array."""
+    array = np.empty(len(strings), dtype=object)
+    array[:] = strings
+    return array
+
+
+def _row_heads(table: CircuitTable) -> np.ndarray:
+    """Each row's ``givens t=… i=… j=… theta=`` or ``phase t=… i=…
+    j=… delta=``, made once per distinct (kind, target, levels)."""
+    width = len(table.dims)
+    span = max(table.dims)
+    code = (
+        (table.kind.astype(np.int64) * width + table.target) * span
+        + table.lower
+    ) * span + table.upper
+    codes, head_of_row = np.unique(code, return_inverse=True)
+    heads = []
+    for value in codes.tolist():
+        value, upper = divmod(value, span)
+        value, lower = divmod(value, span)
+        kind, target = divmod(value, width)
+        if kind == GIVENS:
+            heads.append(f"givens t={target} i={lower} j={upper} theta=")
+        else:
+            heads.append(f"phase t={target} i={lower} j={upper} delta=")
+    return _objects(heads)[head_of_row]
+
+
+def _phi_fields(table: CircuitTable) -> np.ndarray:
+    """Each row's `` phi=…`` (empty for a phase row), with one ``repr``
+    per distinct bit pattern, so that ``-0.0`` keeps its sign."""
+    patterns, phi_of_row = np.unique(
+        table.phi.view(np.int64), return_inverse=True
+    )
+    fields = [
+        " phi=" + repr(value)
+        for value in patterns.view(np.float64).tolist()
+    ]
+    fields.append("")
+    phi_of_row[table.kind != GIVENS] = len(patterns)
+    return _objects(fields)[phi_of_row]
+
+
+def _control_fields(table: CircuitTable) -> np.ndarray:
+    """Each block's `` ctrl=q:l,…`` field and line end, built column by
+    column from per-qudit lookups."""
+    fields = np.full(table.num_blocks, "", dtype=object)
+    for qudit, column in enumerate(table.controls.T):
+        top = int(column.max(initial=-1))
+        if top < 0:
+            continue
+        lookup = _objects(
+            [""] + [f",{qudit}:{level}" for level in range(top + 1)]
+        )
+        fields += lookup[column.astype(np.intp) + 1]
+    return _objects([
+        " ctrl=" + field[1:] + "\n" if field else "\n"
+        for field in fields.tolist()
+    ])
+
+
+def _table_pieces(table: CircuitTable) -> list[str]:
+    """The table's QDASM lines as head, angle, ``phi`` and control
+    pieces, interleaved in row order for one join."""
+    rows = table.num_rows
+    pieces: list[str] = [""] * (4 * rows)
+    if rows:
+        pieces[0::4] = _row_heads(table).tolist()
+        pieces[1::4] = map(repr, table.theta.tolist())
+        pieces[2::4] = _phi_fields(table).tolist()
+        pieces[3::4] = _control_fields(table)[table.row_blocks()].tolist()
+    return pieces
+
+
 def dumps(circuit: Circuit) -> str:
     """Serialise a circuit to QDASM text.
 
@@ -117,15 +174,17 @@ def dumps(circuit: Circuit) -> str:
         SerializationError: If the circuit contains a gate type
             without a textual form (e.g. :class:`UnitaryGate`).
     """
-    lines = [_HEADER, "dims " + " ".join(str(d) for d in circuit.dims)]
+    pieces = [
+        _HEADER + "\ndims " + " ".join(str(d) for d in circuit.dims) + "\n"
+    ]
     table = circuit.table
     if table is not None:
-        lines.extend(_table_lines(table))
+        pieces += _table_pieces(table)
     else:
-        lines.extend(_gate_line(gate) for gate in circuit.gates)
+        pieces += [_gate_line(gate) + "\n" for gate in circuit.gates]
     if circuit.global_phase:
-        lines.append(f"globalphase {circuit.global_phase!r}")
-    return "\n".join(lines) + "\n"
+        pieces.append(f"globalphase {circuit.global_phase!r}\n")
+    return "".join(pieces)
 
 
 class QdasmLiteral:
@@ -163,50 +222,263 @@ def literal_once(circuit: Circuit) -> QdasmLiteral:
     return literal
 
 
-def _parse_angle(text: str, name: str, line_no: int) -> float:
+# ----------------------------------------------------------------------
+# Reading
+# ----------------------------------------------------------------------
+#: A rotation line as :func:`dumps` writes it, as (head, angle, phi,
+#: control field) groups; a phase row's ``phi`` group is empty.  Any
+#: other spelling is read field by field (:func:`_read_line`).
+_GIVENS_ROW = re.compile(
+    r"(givens t=[0-9]+ i=[0-9]+ j=[0-9]+) theta=(\S+) phi=(\S+)"
+    r"(?: ctrl=(\S+))?"
+)
+_PHASE_ROW = re.compile(
+    r"(phase t=[0-9]+ i=[0-9]+ j=[0-9]+) delta=(\S+)()(?: ctrl=(\S+))?"
+)
+
+
+def _at_line(line_no: int, error: SerializationError) -> SerializationError:
+    return SerializationError(f"line {line_no}: {error}")
+
+
+def _parse_angle(text: str, name: str) -> float:
     """A finite float, or a :class:`SerializationError`."""
     try:
         value = float(text)
     except ValueError as error:
-        raise SerializationError(
-            f"line {line_no}: malformed {name} {text!r}"
-        ) from error
+        raise SerializationError(f"malformed {name} {text!r}") from error
     if not math.isfinite(value):
-        raise SerializationError(
-            f"line {line_no}: {name} must be finite, got {text!r}"
-        )
+        raise SerializationError(f"{name} must be finite, got {text!r}")
     return value
 
 
-def _parse_fields(tokens: list[str], line_no: int) -> dict[str, str]:
-    fields: dict[str, str] = {}
-    for token in tokens:
-        if "=" not in token:
-            raise SerializationError(
-                f"line {line_no}: malformed field {token!r}"
-            )
-        key, value = token.split("=", 1)
-        fields[key] = value
-    return fields
-
-
-def _parse_controls(field: str | None, line_no: int) -> list[Control]:
-    if not field:
-        return []
-    controls = []
+def _control_row(
+    field: str, dims: tuple[int, ...], row: list[int]
+) -> list[int]:
+    """``row`` (a level per qudit, ``-1`` for none) with the pairs of
+    ``field`` added, as a new list.  Refused as a gate's controls are
+    refused: a pair that is not two integers, a negative or
+    out-of-range qudit or level, or two levels on one qudit."""
+    row = list(row)
     for pair in field.split(","):
         try:
             qudit_text, level_text = pair.split(":")
-            controls.append(Control(int(qudit_text), int(level_text)))
-        except (ValueError, TypeError) as error:
+            qudit, level = int(qudit_text), int(level_text)
+        except ValueError as error:
             raise SerializationError(
-                f"line {line_no}: malformed control {pair!r}"
+                f"malformed control {pair!r}"
             ) from error
-    return controls
+        if qudit < 0 or level < 0:
+            raise SerializationError(f"malformed control {pair!r}")
+        if qudit >= len(dims) or level >= dims[qudit]:
+            raise SerializationError(
+                f"control {pair} out of range for dims {list(dims)}"
+            )
+        if row[qudit] not in (-1, level):
+            raise SerializationError(
+                f"conflicting controls on qudit {qudit}: levels "
+                f"{row[qudit]} and {level}"
+            )
+        row[qudit] = level
+    return row
+
+
+def _parse_head(
+    head: str, dims: tuple[int, ...]
+) -> tuple[int, int, int, int]:
+    """``(kind, target, lower, upper)`` of a ``"<kind> t=… i=… j=…"``
+    head, with the target and both levels in range."""
+    mnemonic, *fields = head.split(" ")
+    try:
+        target, lower, upper = (int(field[2:]) for field in fields)
+    except ValueError as error:
+        raise SerializationError(f"malformed number ({error})") from error
+    if not 0 <= target < len(dims):
+        raise SerializationError(
+            f"target {target} out of range for {len(dims)} qudits"
+        )
+    if not (0 <= lower < dims[target] and 0 <= upper < dims[target]):
+        raise SerializationError(
+            f"levels ({lower}, {upper}) out of range for dimension "
+            f"{dims[target]}"
+        )
+    return (GIVENS if mnemonic == "givens" else PHASE), target, lower, upper
+
+
+def _read_gate(
+    mnemonic: str, fields: dict[str, str], controls: list[tuple[int, int]]
+) -> Gate:
+    """A shift, clock, Fourier or permutation gate from its fields."""
+    if mnemonic == "shift":
+        return ShiftGate(
+            int(fields["t"]), int(fields.get("amount", 1)), controls
+        )
+    if mnemonic == "clock":
+        return ClockGate(
+            int(fields["t"]), int(fields.get("amount", 1)), controls
+        )
+    if mnemonic == "fourier":
+        return FourierGate(int(fields["t"]), controls=controls)
+    if mnemonic == "perm":
+        permutation = [int(p) for p in fields["map"].split(",")]
+        return PermutationGate(int(fields["t"]), permutation, controls)
+    raise SerializationError(f"unknown gate {mnemonic!r}")
+
+
+def _read_line(
+    line: str, dims: tuple[int, ...]
+) -> tuple[str, tuple | float | Gate]:
+    """A line the row patterns do not match, field by field.
+
+    Returns ``("row", (head, angle, phi, ctrl))`` for a rotation, in the
+    form of the row patterns' groups, ``("phase", value)`` for a
+    ``globalphase`` line, or ``("gate", gate)`` for any other gate,
+    validated for ``dims``.
+    """
+    tokens = line.split()
+    mnemonic = tokens[0]
+    if mnemonic == "globalphase":
+        if len(tokens) != 2:
+            raise SerializationError("malformed globalphase")
+        return "phase", _parse_angle(tokens[1], "globalphase")
+    fields: dict[str, str] = {}
+    for token in tokens[1:]:
+        if "=" not in token:
+            raise SerializationError(f"malformed field {token!r}")
+        key, value = token.split("=", 1)
+        fields[key] = value
+    control_field = fields.pop("ctrl", None) or None
+    try:
+        if mnemonic in ("givens", "phase"):
+            target, lower, upper = (
+                int(fields["t"]), int(fields["i"]), int(fields["j"])
+            )
+            head = f"{mnemonic} t={target} i={lower} j={upper}"
+            if mnemonic == "phase":
+                return "row", (head, fields["delta"], "", control_field)
+            if not fields["phi"]:
+                raise SerializationError("malformed phi ''")
+            return "row", (
+                head, fields["theta"], fields["phi"], control_field
+            )
+        controls = []
+        if control_field:
+            row = _control_row(control_field, dims, [-1] * len(dims))
+            controls = [
+                (qudit, level) for qudit, level in enumerate(row)
+                if level >= 0
+            ]
+        gate = _read_gate(mnemonic, fields, controls)
+        gate.validate(dims)
+        return "gate", gate
+    except KeyError as error:
+        raise SerializationError(f"missing field {error}") from error
+    except SerializationError:
+        raise
+    except ValueError as error:
+        # int() failures and CircuitError (a ValueError) alike.
+        raise SerializationError(f"malformed number ({error})") from error
+
+
+def _by_distinct(
+    values: tuple, parse, row_lines: list[int], order=None
+) -> tuple[list, np.ndarray]:
+    """``parse`` of each distinct value, once (sorted by ``order`` if
+    given), and each row's index into those results; a refusal names
+    the value's first line."""
+    ids = {value: k for k, value in enumerate(dict.fromkeys(values))}
+    parsed = {}
+    for value in sorted(ids, key=order) if order else ids:
+        try:
+            parsed[value] = parse(value)
+        except SerializationError as error:
+            raise _at_line(row_lines[values.index(value)], error) from error
+    return [parsed[value] for value in ids], np.fromiter(
+        map(ids.__getitem__, values), np.int64, len(values)
+    )
+
+
+def _control_rows(
+    fields: tuple, dims: tuple[int, ...], row_lines: list[int]
+) -> tuple[np.ndarray, np.ndarray]:
+    """The control row of each distinct ``ctrl`` field (``None`` for
+    none), and each row's index into them.
+
+    Shorter fields are read first, and a field whose text before its
+    last comma is also a field extends that field's row by one pair:
+    a synthesised block is controlled as its parent block plus one
+    qudit.
+    """
+    rows: dict[str | None, list[int]] = {None: [-1] * len(dims)}
+
+    def read(field: str | None) -> list[int]:
+        if field not in rows:
+            head, comma, pair = field.rpartition(",")
+            if comma and head in rows:
+                rows[field] = _control_row(pair, dims, rows[head])
+            else:
+                rows[field] = _control_row(field, dims, rows[None])
+        return rows[field]
+
+    parsed, field_of_row = _by_distinct(
+        fields, read, row_lines, order=lambda field: len(field or "")
+    )
+    return np.array(parsed, np.int64).reshape(-1, len(dims)), field_of_row
+
+
+def _read_table(
+    dims: tuple[int, ...], rows: list[tuple], row_lines: list[int]
+) -> CircuitTable:
+    """The table of ``rows`` (head, angle, phi, control-field groups);
+    ``row_lines`` gives each row's line number for errors."""
+    if not rows:
+        return CircuitTable(
+            dims, (), (), (), (), (), (), (0,),
+            np.empty((0, len(dims)), np.int16),
+        )
+    heads, angles, phis, fields = zip(*rows)
+    parsed, head_of_row = _by_distinct(
+        heads, lambda head: _parse_head(head, dims), row_lines
+    )
+    kind, target, lower, upper = np.array(parsed)[head_of_row].T
+    try:
+        theta = np.fromiter(map(float, angles), np.float64, len(angles))
+    except ValueError:
+        theta = None
+    if theta is None or not np.isfinite(theta).all():
+        # Find the line to blame.
+        for angle, line_no in zip(angles, row_lines):
+            try:
+                _parse_angle(angle, "angle")
+            except SerializationError as error:
+                raise _at_line(line_no, error) from error
+    parsed, phi_of_row = _by_distinct(
+        phis,
+        lambda text: _parse_angle(text, "phi") if text else 0.0,
+        row_lines,
+    )
+    phi = np.array(parsed)[phi_of_row]
+    # Blocks are the runs of rows with equal control fields.
+    controls, field_of_row = _control_rows(fields, dims, row_lines)
+    starts = np.flatnonzero(field_of_row[1:] != field_of_row[:-1]) + 1
+    offsets = np.concatenate(([0], starts, [len(rows)]))
+    try:
+        return CircuitTable(
+            dims, kind, target, lower, upper, theta, phi, offsets,
+            controls[field_of_row[offsets[:-1]]],
+        )
+    except CircuitError as error:
+        # ControlError (a CircuitError) included.
+        raise SerializationError(f"invalid rotation ({error})") from error
 
 
 def loads(text: str) -> Circuit:
     """Parse QDASM text back into a circuit.
+
+    A text whose operations are all ``givens`` and ``phase`` rows
+    gives a circuit backed by a :class:`CircuitTable`, whose blocks
+    are the runs of rows with equal control fields; any other gate
+    gives a gate list.  ``globalphase`` lines add up in order.
 
     Raises:
         SerializationError: On any malformed input.
@@ -229,75 +501,43 @@ def loads(text: str) -> Circuit:
         raise SerializationError(
             f"malformed 'dims' declaration ({error})"
         ) from error
+    dims = circuit.dims
 
-    for offset, line in enumerate(lines[2:], start=3):
-        tokens = line.split()
-        mnemonic = tokens[0]
-        if mnemonic == "globalphase":
-            if len(tokens) != 2:
-                raise SerializationError(
-                    f"line {offset}: malformed globalphase"
-                )
-            circuit.add_global_phase(
-                _parse_angle(tokens[1], "globalphase", offset)
-            )
+    rows: list[tuple] = []
+    row_lines: list[int] = []
+    gates: list[tuple[int, Gate]] = []
+    phases: list[float] = []
+    givens_row = _GIVENS_ROW.fullmatch
+    phase_row = _PHASE_ROW.fullmatch
+    for line_no, line in enumerate(lines[2:], start=3):
+        match = givens_row(line) or phase_row(line)
+        if match is not None:
+            rows.append(match.groups())
+            row_lines.append(line_no)
             continue
-        fields = _parse_fields(tokens[1:], offset)
-        controls = _parse_controls(fields.pop("ctrl", None), offset)
         try:
-            if mnemonic == "givens":
-                circuit.append(
-                    GivensRotation(
-                        int(fields["t"]), int(fields["i"]),
-                        int(fields["j"]),
-                        _parse_angle(fields["theta"], "theta", offset),
-                        _parse_angle(fields["phi"], "phi", offset),
-                        controls,
-                    )
-                )
-            elif mnemonic == "phase":
-                circuit.append(
-                    PhaseRotation(
-                        int(fields["t"]), int(fields["i"]),
-                        int(fields["j"]),
-                        _parse_angle(fields["delta"], "delta", offset),
-                        controls,
-                    )
-                )
-            elif mnemonic == "shift":
-                circuit.append(
-                    ShiftGate(int(fields["t"]),
-                              int(fields.get("amount", 1)), controls)
-                )
-            elif mnemonic == "clock":
-                circuit.append(
-                    ClockGate(int(fields["t"]),
-                              int(fields.get("amount", 1)), controls)
-                )
-            elif mnemonic == "fourier":
-                circuit.append(
-                    FourierGate(int(fields["t"]), controls=controls)
-                )
-            elif mnemonic == "perm":
-                permutation = [
-                    int(p) for p in fields["map"].split(",")
-                ]
-                circuit.append(
-                    PermutationGate(int(fields["t"]), permutation,
-                                    controls)
-                )
-            else:
-                raise SerializationError(
-                    f"line {offset}: unknown gate {mnemonic!r}"
-                )
-        except KeyError as error:
-            raise SerializationError(
-                f"line {offset}: missing field {error}"
-            ) from error
-        except SerializationError:
-            raise
-        except ValueError as error:
-            raise SerializationError(
-                f"line {offset}: malformed number ({error})"
-            ) from error
+            what, value = _read_line(line, dims)
+        except SerializationError as error:
+            raise _at_line(line_no, error) from error
+        if what == "row":
+            rows.append(value)
+            row_lines.append(line_no)
+        elif what == "phase":
+            phases.append(value)
+        else:
+            gates.append((len(rows), value))
+
+    table = _read_table(dims, rows, row_lines)
+    if gates:
+        row_gates = table.gates()
+        start = 0
+        for position, gate in gates:
+            circuit.extend(row_gates[start:position])
+            circuit.append(gate)
+            start = position
+        circuit.extend(row_gates[start:])
+    else:
+        circuit = Circuit.from_table(table)
+    for phase in phases:
+        circuit.add_global_phase(phase)
     return circuit

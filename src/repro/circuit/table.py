@@ -50,7 +50,12 @@ def _int_column(values, dtype, name: str) -> np.ndarray:
     array = np.asarray(values)
     if array.size and not np.issubdtype(array.dtype, np.integer):
         raise CircuitError(f"column {name!r} must hold integers")
-    return array.astype(dtype)
+    column = array.astype(dtype)
+    if not np.array_equal(column, array):
+        raise CircuitError(
+            f"column {name!r} holds values beyond {np.dtype(dtype).name}"
+        )
+    return column
 
 
 def _first(mask: np.ndarray) -> int:

@@ -237,11 +237,22 @@ class CircuitCache:
             self.lock.release()
 
     def put(self, entry: CacheEntry) -> None:
-        """Store an entry in every configured layer."""
+        """Store an entry in every configured layer.
+
+        The disk file's text is made before the lock is taken, so
+        writing a large circuit's QDASM never holds up lookups on this
+        cache; the memory insert, the counters and the file write run
+        under the lock.
+
+        Raises:
+            SerializationError: If the entry's circuit has no QDASM
+                form and the cache has a disk layer; nothing is stored.
+        """
+        text = None if self._disk_dir is None else _entry_to_json(entry)
         with self.lock:
             self.stats.stores += 1
             self._insert_memory(entry)
-            self._write_disk(entry)
+            self._write_disk(entry.key, text)
 
     def clear(self) -> None:
         """Drop the in-memory layer (the disk layer is untouched)."""
@@ -292,16 +303,16 @@ class CircuitCache:
         # holds some other job's circuit: a miss, like a torn file.
         return entry if entry.key == key else None
 
-    def _write_disk(self, entry: CacheEntry) -> None:
-        if self._disk_dir is None:
+    def _write_disk(self, key: str, text: str | None) -> None:
+        """Write ``text``, an entry's file, under ``key`` (``None``
+        without a disk layer).  Caller holds the lock."""
+        if text is None:
             return
         try:
             self._disk_dir.mkdir(parents=True, exist_ok=True)
-            final = self._disk_dir / f"{entry.key}.json"
-            temporary = final.with_name(
-                f"{entry.key}.{os.getpid()}.tmp"
-            )
-            temporary.write_text(_entry_to_json(entry))
+            final = self._disk_dir / f"{key}.json"
+            temporary = final.with_name(f"{key}.{os.getpid()}.tmp")
+            temporary.write_text(text)
             os.replace(temporary, final)
         except OSError:
             # A full disk or unwritable directory must not abort the

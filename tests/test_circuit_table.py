@@ -21,6 +21,7 @@ from hypothesis import strategies as st
 
 from repro.circuit import qasm
 from repro.circuit.circuit import Circuit
+from repro.circuit.gate import Gate
 from repro.circuit.gates import GivensRotation, ShiftGate
 from repro.circuit.stats import statistics
 from repro.circuit.table import GIVENS, PHASE, CircuitTable
@@ -38,7 +39,7 @@ from repro.engine import (
     job_from_dict,
 )
 from repro.exceptions import CircuitError, ControlError
-from repro.net.protocol import outcome_to_wire
+from repro.net.protocol import outcome_from_wire, outcome_to_wire
 from repro.simulator.statevector_sim import simulate
 from repro.states.statevector import StateVector
 
@@ -518,19 +519,57 @@ class TestNoGateMaterialisation:
 
     def test_wire_and_disk_cache(self, no_gate_views, tmp_path):
         engine = PreparationEngine()
-        outcome = engine.run_batch([job_from_dict(GUARD_JOBS[0])]).outcomes[0]
-        assert outcome.ok
-        wire = outcome_to_wire(outcome, include_circuit=True)
-        assert wire["circuit"] == qasm.dumps(outcome.circuit)
+        outcomes = engine.run_batch(
+            [job_from_dict(job) for job in GUARD_JOBS]
+        ).outcomes
         cache = CircuitCache(capacity=4, disk_dir=tmp_path)
-        cache.put(
-            CacheEntry(
-                key="k", circuit=outcome.circuit, report=outcome.report
+        for position, outcome in enumerate(outcomes):
+            assert outcome.ok
+            wire = outcome_to_wire(outcome, include_circuit=True)
+            assert wire["circuit"] == qasm.dumps(outcome.circuit)
+            key = f"k{position}"
+            cache.put(
+                CacheEntry(
+                    key=key, circuit=outcome.circuit, report=outcome.report
+                )
             )
+            stored = CircuitCache(capacity=4, disk_dir=tmp_path).get(key)
+            relayed = outcome_from_wire(wire, outcome.job)
+            # A disk hit and a relayed circuit are tables again, with
+            # the same operations and the same text.
+            for circuit in (stored.circuit, relayed.circuit):
+                assert circuit.table is not None
+                assert circuit.table.same_operations(outcome.circuit.table)
+                assert circuit.global_phase == outcome.circuit.global_phase
+                assert qasm.dumps(circuit) == wire["circuit"]
+
+    def test_disk_hit_and_relay_build_no_gate(self, tmp_path, monkeypatch):
+        engine = PreparationEngine()
+        outcome = engine.run_batch(
+            [job_from_dict(GUARD_JOBS[1])]
+        ).outcomes[0]
+        wire = outcome_to_wire(outcome, include_circuit=True)
+        CircuitCache(disk_dir=tmp_path).put(
+            CacheEntry(key="k", circuit=outcome.circuit, report=outcome.report)
         )
-        stored = CircuitCache(capacity=4, disk_dir=tmp_path).get("k")
-        assert stored is not None
-        assert qasm.dumps(stored.circuit) == wire["circuit"]
+        reader = CircuitCache(disk_dir=tmp_path)
+        built = []
+        construct = Gate.__init__
+
+        def counting(self, *args, **kwargs):
+            built.append(type(self).__name__)
+            construct(self, *args, **kwargs)
+
+        monkeypatch.setattr(Gate, "__init__", counting)
+        stored = reader.get("k")
+        relayed = outcome_from_wire(wire, outcome.job)
+        assert built == []
+        assert reader.stats.disk_hits == 1
+        assert stored.circuit.table is not None
+        assert relayed.circuit.table is not None
+        # The counter sees gates: a gate-list text builds them.
+        qasm.loads("QDASM 1.0\ndims 2 2\nshift t=0\n")
+        assert built == ["ShiftGate"]
 
 
 def test_preparation_is_the_reversed_negated_unpreparation():

@@ -3,9 +3,11 @@
 from __future__ import annotations
 
 import json
+import threading
 
 import pytest
 
+from repro.engine import cache as cache_module
 from repro.engine import (
     CacheEntry,
     CacheStats,
@@ -247,6 +249,33 @@ class TestCircuitCache:
         # ... and promotes it to memory: second get is a memory hit.
         assert reader.get("k") is not None
         assert reader.stats.disk_hits == 1
+
+    def test_disk_text_is_made_outside_the_lock(self, tmp_path, monkeypatch):
+        # While a store writes its file's text, a lookup of another
+        # key on the same cache is answered, not turned away.
+        cache = CircuitCache(capacity=4, disk_dir=tmp_path)
+        stored = self._entry("stored")
+        cache.put(stored)
+        seen = []
+        make_text = cache_module._entry_to_json
+
+        def probing(entry):
+            found = []
+            probe = threading.Thread(
+                target=lambda: found.append(cache.get_in_memory("stored"))
+            )
+            probe.start()
+            probe.join(timeout=10)
+            assert not probe.is_alive()
+            seen.extend(found)
+            return make_text(entry)
+
+        monkeypatch.setattr(cache_module, "_entry_to_json", probing)
+        cache.put(self._entry("new"))
+        assert seen == [stored]
+        assert cache.stats.stores == 2
+        assert cache.peek("new") is not None
+        assert CircuitCache(disk_dir=tmp_path).get("new") is not None
 
     @pytest.mark.parametrize(
         "corruption", ["not-json", "nan-phase", "wrong-key"]
