@@ -51,7 +51,7 @@ def _int_column(values, dtype, name: str) -> np.ndarray:
     if array.size and not np.issubdtype(array.dtype, np.integer):
         raise CircuitError(f"column {name!r} must hold integers")
     column = array.astype(dtype)
-    if not np.array_equal(column, array):
+    if column.dtype != array.dtype and not np.array_equal(column, array):
         raise CircuitError(
             f"column {name!r} holds values beyond {np.dtype(dtype).name}"
         )

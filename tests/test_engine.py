@@ -278,20 +278,26 @@ class TestCircuitCache:
         assert CircuitCache(disk_dir=tmp_path).get("new") is not None
 
     @pytest.mark.parametrize(
-        "corruption", ["not-json", "nan-phase", "wrong-key"]
+        "corruption", ["not-json", "nan-phase", "huge-dimension", "wrong-key"]
     )
     def test_corrupt_disk_entry_is_a_miss(self, tmp_path, corruption):
         cache = CircuitCache(capacity=4, disk_dir=tmp_path)
         path = tmp_path / "bad.json"
         if corruption == "not-json":
             path.write_text("{not json")
-        elif corruption == "nan-phase":
-            # A well-formed entry edited to carry a NaN global phase.
+        elif corruption in ("nan-phase", "huge-dimension"):
+            # A well-formed entry edited to carry a NaN global phase, or
+            # a dimension no table column holds.
             CircuitCache(capacity=4, disk_dir=tmp_path).put(
                 self._entry("bad")
             )
             payload = json.loads(path.read_text())
-            payload["qdasm"] += "globalphase nan\n"
+            if corruption == "nan-phase":
+                payload["qdasm"] += "globalphase nan\n"
+            else:
+                payload["qdasm"] = payload["qdasm"].replace(
+                    "\ndims ", "\ndims 20000000000000000000 ", 1
+                )
             path.write_text(json.dumps(payload))
         else:
             # A well-formed entry of another key, copied to this one.
