@@ -86,8 +86,7 @@ def make_jobs() -> list[PreparationJob]:
 
 def make_service(metrics=None) -> AsyncPreparationService:
     return AsyncPreparationService(
-        num_shards=4, max_batch_size=32, max_batch_delay=0.002,
-        metrics=metrics,
+        num_shards=4, max_batch_size=32, metrics=metrics,
     )
 
 

@@ -49,9 +49,7 @@ def make_workload() -> list[PreparationJob]:
 
 
 async def _serve_concurrently(jobs, num_clients):
-    service = AsyncPreparationService(
-        num_shards=4, max_batch_size=32, max_batch_delay=0.005
-    )
+    service = AsyncPreparationService(num_shards=4, max_batch_size=32)
     start = time.perf_counter()
     async with service:
         results = await asyncio.gather(*(

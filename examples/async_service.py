@@ -48,9 +48,7 @@ async def client(service, client_id: int):
 
 
 async def serve() -> list:
-    service = AsyncPreparationService(
-        num_shards=4, max_batch_size=16, max_batch_delay=0.01
-    )
+    service = AsyncPreparationService(num_shards=4, max_batch_size=16)
     async with service:
         results = await asyncio.gather(*(
             client(service, client_id)

@@ -331,10 +331,6 @@ def _serve_parser() -> argparse.ArgumentParser:
         help="micro-batch size cap (default: 32)",
     )
     parser.add_argument(
-        "--batch-delay-ms", type=float, default=5.0, metavar="MS",
-        help="micro-batch coalescing window (default: 5 ms)",
-    )
-    parser.add_argument(
         "--workers", type=int, default=None, metavar="N",
         help="use a process pool with N workers inside the engine",
     )
@@ -504,7 +500,6 @@ def _run_listen(options) -> int:
             service = ClusterPreparationService(
                 config=ClusterConfig.load(options.cluster),
                 max_batch_size=options.batch_size,
-                max_batch_delay=options.batch_delay_ms / 1000.0,
                 metrics=registry,
             )
         else:
@@ -519,7 +514,6 @@ def _run_listen(options) -> int:
                 disk_dir=options.cache_dir,
                 executor=executor,
                 max_batch_size=options.batch_size,
-                max_batch_delay=options.batch_delay_ms / 1000.0,
                 metrics=registry,
             )
         requests_served = asyncio.run(
@@ -598,7 +592,6 @@ def _run_serve(arguments: list[str]) -> int:
             disk_dir=options.cache_dir,
             executor=executor,
             max_batch_size=options.batch_size,
-            max_batch_delay=options.batch_delay_ms / 1000.0,
         )
         results = asyncio.run(
             _serve_clients(service, jobs, options.clients)

@@ -46,8 +46,9 @@ class Circuit:
         self._table: CircuitTable | None = None
         # Gates built from the table on demand; never pickled.
         self._views: list[Gate] | None = None
-        # QDASM JSON literal kept by ``qasm.literal_once``; dropped by
-        # every change and never pickled.
+        # QDASM JSON literal kept by ``qasm.literal_once`` (or the text
+        # ``qasm.loads(keep_text=True)`` read); dropped by every change
+        # and never pickled.
         self._literal = None
         self._global_phase = 0.0
         # Number of leading gates known valid for this register;

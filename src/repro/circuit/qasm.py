@@ -21,9 +21,13 @@ row head per distinct (kind, target, levels) and one control field per
 block, joined once.  :func:`loads` reads rows back into table columns,
 so a text whose operations are all ``givens`` and ``phase`` rows
 becomes a table circuit; any other gate makes it a gate list.
-:func:`literal_once` keeps a circuit's text on the circuit as a
-:class:`QdasmLiteral`, its JSON string literal, for circuits that are
-written into many JSON documents.
+
+A circuit's text also travels inside JSON documents, as a
+:class:`QdasmLiteral`: its JSON string literal.  :func:`literal`
+writes that literal directly, with the same pieces as :func:`dumps`
+joined by ``\\n`` line ends between quotes, so the text is never
+escaped; :func:`literal_once` keeps it on the circuit, for circuits
+that are written into many documents.
 """
 
 from __future__ import annotations
@@ -47,7 +51,7 @@ from repro.circuit.gates import (
 from repro.circuit.table import GIVENS, PHASE, CircuitTable
 from repro.exceptions import CircuitError, SerializationError
 
-__all__ = ["QdasmLiteral", "dumps", "literal_once", "loads"]
+__all__ = ["QdasmLiteral", "dumps", "literal", "literal_once", "loads"]
 
 _HEADER = "QDASM 1.0"
 
@@ -136,9 +140,9 @@ def _phi_fields(table: CircuitTable) -> np.ndarray:
     return _objects(fields)[phi_of_row]
 
 
-def _control_fields(table: CircuitTable) -> np.ndarray:
-    """Each block's `` ctrl=q:l,…`` field and line end, built column by
-    column from per-qudit lookups."""
+def _control_fields(table: CircuitTable, end: str) -> np.ndarray:
+    """Each block's `` ctrl=q:l,…`` field and line ``end``, built column
+    by column from per-qudit lookups."""
     fields = np.full(table.num_blocks, "", dtype=object)
     for qudit, column in enumerate(table.controls.T):
         top = int(column.max(initial=-1))
@@ -149,14 +153,15 @@ def _control_fields(table: CircuitTable) -> np.ndarray:
         )
         fields += lookup[column.astype(np.intp) + 1]
     return _objects([
-        " ctrl=" + field[1:] + "\n" if field else "\n"
+        " ctrl=" + field[1:] + end if field else end
         for field in fields.tolist()
     ])
 
 
-def _table_pieces(table: CircuitTable) -> list[str]:
+def _table_pieces(table: CircuitTable, end: str) -> list[str]:
     """The table's QDASM lines as head, angle, ``phi`` and control
-    pieces, interleaved in row order for one join."""
+    pieces (each line closed by ``end``), interleaved in row order for
+    one join."""
     rows = table.num_rows
     pieces: list[str] = [""] * (4 * rows)
     if rows:
@@ -164,9 +169,27 @@ def _table_pieces(table: CircuitTable) -> list[str]:
         pieces[1::4] = map(repr, table.theta.tolist())
         pieces[2::4] = _phi_fields(table).tolist()
         pieces[3::4] = np.repeat(
-            _control_fields(table), table.block_lengths()
+            _control_fields(table, end), table.block_lengths()
         ).tolist()
     return pieces
+
+
+def _write(circuit: Circuit, end: str, quote: str = "") -> str:
+    """The QDASM lines of ``circuit``, each closed by ``end``, with
+    ``quote`` before and after them."""
+    pieces = [
+        quote + _HEADER + end + "dims "
+        + " ".join(str(d) for d in circuit.dims) + end
+    ]
+    table = circuit.table
+    if table is not None:
+        pieces += _table_pieces(table, end)
+    else:
+        pieces += [_gate_line(gate) + end for gate in circuit.gates]
+    if circuit.global_phase:
+        pieces.append(f"globalphase {circuit.global_phase!r}{end}")
+    pieces.append(quote)
+    return "".join(pieces)
 
 
 def dumps(circuit: Circuit) -> str:
@@ -176,17 +199,7 @@ def dumps(circuit: Circuit) -> str:
         SerializationError: If the circuit contains a gate type
             without a textual form (e.g. :class:`UnitaryGate`).
     """
-    pieces = [
-        _HEADER + "\ndims " + " ".join(str(d) for d in circuit.dims) + "\n"
-    ]
-    table = circuit.table
-    if table is not None:
-        pieces += _table_pieces(table)
-    else:
-        pieces += [_gate_line(gate) + "\n" for gate in circuit.gates]
-    if circuit.global_phase:
-        pieces.append(f"globalphase {circuit.global_phase!r}\n")
-    return "".join(pieces)
+    return _write(circuit, "\n")
 
 
 class QdasmLiteral:
@@ -195,21 +208,52 @@ class QdasmLiteral:
     ``json`` is ``json.dumps(text).encode()``: the quoted, escaped,
     UTF-8 form a JSON document splices in as is
     (:func:`repro.net.protocol.encode_envelope` does).  ``str()``
-    decodes it back to the text.
+    gives the text.  Made from the text (``QdasmLiteral(text)``), a
+    literal escapes it on the first read of ``json``; :func:`literal`
+    makes one from the bytes the writer writes (``encoded=``).
     """
 
-    __slots__ = ("json",)
+    __slots__ = ("_text", "_json")
 
-    def __init__(self, text: str):
-        self.json = json.dumps(text).encode()
+    def __init__(
+        self, text: str | None = None, *, encoded: bytes | None = None
+    ):
+        self._text = text
+        self._json = encoded
+
+    @property
+    def json(self) -> bytes:
+        encoded = self._json
+        if encoded is None:
+            encoded = self._json = json.dumps(self._text).encode()
+        return encoded
 
     def __str__(self) -> str:
-        return json.loads(self.json)
+        if self._text is not None:
+            return self._text
+        return json.loads(self._json)
+
+
+def literal(circuit: Circuit) -> QdasmLiteral:
+    """The :class:`QdasmLiteral` kept on ``circuit``, or else one
+    written for this call and not kept.
+
+    The writer joins :func:`dumps`' pieces with ``\\n`` line ends
+    between quotes.  QDASM holds no other character that JSON escapes
+    (no quote, backslash, control or non-ASCII character), so the
+    bytes are ``json.dumps(dumps(circuit)).encode()``.
+
+    Raises:
+        SerializationError: As :func:`dumps`.
+    """
+    kept = circuit._literal
+    if kept is not None:
+        return kept
+    return QdasmLiteral(encoded=_write(circuit, "\\n", '"').encode())
 
 
 def literal_once(circuit: Circuit) -> QdasmLiteral:
-    """:func:`dumps` as a :class:`QdasmLiteral`, made on the first call
-    and kept on ``circuit``.
+    """:func:`literal`, kept on ``circuit`` by the first call.
 
     Later calls return that same object until the circuit changes.
     It lives as long as the circuit does: for a cached circuit, as
@@ -218,10 +262,10 @@ def literal_once(circuit: Circuit) -> QdasmLiteral:
     Raises:
         SerializationError: As :func:`dumps`.
     """
-    literal = circuit._literal
-    if literal is None:
-        literal = circuit._literal = QdasmLiteral(dumps(circuit))
-    return literal
+    kept = circuit._literal
+    if kept is None:
+        kept = circuit._literal = literal(circuit)
+    return kept
 
 
 # ----------------------------------------------------------------------
@@ -493,13 +537,16 @@ def _read_table(
         raise SerializationError(f"invalid rotation ({error})") from error
 
 
-def loads(text: str) -> Circuit:
+def loads(text: str, *, keep_text: bool = False) -> Circuit:
     """Parse QDASM text back into a circuit.
 
     A text whose operations are all ``givens`` and ``phase`` rows
     gives a circuit backed by a :class:`CircuitTable`, whose blocks
     are the runs of rows with equal control fields; any other gate
-    gives a gate list.  ``globalphase`` lines add up in order.
+    gives a gate list.  ``globalphase`` lines add up in order.  With
+    ``keep_text`` the circuit keeps ``text`` as its
+    :class:`QdasmLiteral` (escaped on first use), so a circuit that
+    is passed on is written as the text it came in.
 
     Raises:
         SerializationError: On any malformed input, and on a value a
@@ -569,4 +616,6 @@ def loads(text: str) -> Circuit:
         circuit = Circuit.from_table(table)
     for phase in phases:
         circuit.add_global_phase(phase)
+    if keep_text:
+        circuit._literal = QdasmLiteral(text)
     return circuit

@@ -62,8 +62,7 @@ class ClusterPreparationService(AsyncPreparationService):
         config: The :class:`~repro.cluster.ClusterConfig` to
             materialise when ``placement`` is not given (exactly one
             of the two is required).
-        max_batch_size / max_batch_delay: Micro-batching knobs, as on
-            the base service.
+        max_batch_size: Micro-batch size cap, as on the base service.
         max_concurrent_batches: In-flight micro-batch bound.  Defaults
             to ``max(4, 2 * num_shards)`` — remote dispatch is
             latency-bound, so the front end keeps more batches in
@@ -78,7 +77,6 @@ class ClusterPreparationService(AsyncPreparationService):
         *,
         config: ClusterConfig | None = None,
         max_batch_size: int = 32,
-        max_batch_delay: float = 0.005,
         max_concurrent_batches: int | None = None,
         metrics: MetricsRegistry | None = None,
     ):
@@ -106,7 +104,6 @@ class ClusterPreparationService(AsyncPreparationService):
         super().__init__(
             engine,
             max_batch_size=max_batch_size,
-            max_batch_delay=max_batch_delay,
             max_concurrent_batches=(
                 max_concurrent_batches
                 if max_concurrent_batches is not None

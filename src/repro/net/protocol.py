@@ -249,13 +249,15 @@ def outcome_to_wire(
     :class:`~repro.core.report.SynthesisReport` field), the cache
     flag, the worker wall time, and the per-stage ``stage_timings``
     ledger; with ``include_circuit`` the QDASM text of the circuit
-    rides along.  A cache hit's circuit is its cache entry's, so its
-    text is made once, as the :class:`~repro.circuit.qasm.QdasmLiteral`
-    kept with the entry for every later hit, and rides as that object:
-    :func:`encode_envelope` splices its JSON in, ``str()`` gives the
-    text.  A miss's text is a plain ``str`` and is not kept, since
-    most never-seen states are never asked for again.  Failures carry
-    the mapped error code plus the original type and message.
+    rides along as a :class:`~repro.circuit.qasm.QdasmLiteral`, its
+    JSON string literal written directly: :func:`encode_envelope`
+    splices it in, ``str()`` gives the text.  A cache hit's circuit is
+    its cache entry's, so its literal is made once and kept with the
+    entry for every later hit.  A miss's literal is made for this
+    response and not kept, since most never-seen states are never
+    asked for again; a circuit relayed from a shard sends the text it
+    came in.  Failures carry the mapped error code plus the original
+    type and message.
     """
     wire: dict[str, object] = {
         "label": outcome.job.label,
@@ -278,7 +280,7 @@ def outcome_to_wire(
         if include_circuit and outcome.circuit is not None:
             wire["circuit"] = (
                 qasm.literal_once(outcome.circuit)
-                if outcome.cache_hit else qasm.dumps(outcome.circuit)
+                if outcome.cache_hit else qasm.literal(outcome.circuit)
             )
     else:
         wire["error"] = {
@@ -299,7 +301,10 @@ def outcome_from_wire(
     :class:`~repro.engine.JobSuccess` / ``JobFailure``.  ``job`` is the
     caller's original job object (the wire carries only its label and
     dims).  Unknown report fields from a newer peer are ignored; a
-    missing ``circuit`` key yields ``circuit=None``.
+    missing ``circuit`` key yields ``circuit=None``.  A circuit keeps
+    the text it came in as its literal, so relaying it to a client
+    writes no QDASM, and escapes the text only if a client asks for
+    it.
 
     Raises:
         WireError: ``bad_response`` when the outcome object is
@@ -344,7 +349,7 @@ def outcome_from_wire(
     circuit = None
     if circuit_text is not None:
         try:
-            circuit = qasm.loads(str(circuit_text))
+            circuit = qasm.loads(str(circuit_text), keep_text=True)
         except ReproError as error:
             raise WireError(
                 "bad_response", f"unparseable wire circuit: {error}"
@@ -391,7 +396,7 @@ def comparable_wire_outcome(wire: Mapping[str, object]) -> dict:
     return comparable
 
 
-#: What :func:`encode_envelope` writes in place of each kept literal
+#: What :func:`encode_envelope` writes in place of each literal
 #: before splicing; its JSON form is searched for in the encoded text.
 _SPLICE_MARK = "\x00qdasm\x00"
 _SPLICE_TOKEN = json.dumps(_SPLICE_MARK)
@@ -410,7 +415,7 @@ def encode_envelope(envelope: Mapping[str, object]) -> bytes:
     .encode()`` with every :class:`~repro.circuit.qasm.QdasmLiteral`
     written as its text.
 
-    The bytes are those of the plain encoding, but a kept literal is
+    The bytes are those of the plain encoding, but a literal is
     spliced in as is, never escaped or encoded again.  Should the
     splice mark also occur elsewhere in the document (a client's id
     may hold anything), the literals are encoded as their text
@@ -444,7 +449,7 @@ def _encode(
     outcomes: Sequence[JobOutcome], include_circuit: bool
 ) -> list[dict]:
     """Wire forms of ``outcomes``, under an ``encode`` span of the
-    request when it is traced (QDASM text and kept literals are made
+    request when it is traced (the circuits' literals are made
     here)."""
     trace = current_trace()
     with (

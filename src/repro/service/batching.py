@@ -4,10 +4,11 @@ Single-job requests arriving concurrently are worth far more to the
 engine as one batch: intra-batch deduplication collapses identical
 targets, the process pool amortises its dispatch overhead, and the
 cache is probed once per distinct key.  :class:`MicroBatchQueue`
-implements the standard micro-batching trade-off — wait *a little*
-(``max_delay``) to let a batch fill up to ``max_batch_size``, but
-never longer — between many concurrent producers (client coroutines)
-and one consumer (the service's dispatch loop).
+hands its consumer (the service's dispatch loop) everything queued
+so far, up to ``max_batch_size`` jobs, as soon as one job is there:
+it never waits for partners.  Jobs coalesce while the consumer is
+busy, so requests that arrive while every dispatch slot is taken
+leave together, and a lone request leaves at once.
 
 All coordination is plain ``asyncio``; nothing here touches threads.
 """
@@ -61,8 +62,8 @@ class BatchQueueStats:
         jobs_enqueued: Requests accepted by :meth:`MicroBatchQueue.put`.
         batches_formed: Micro-batches handed to the consumer.
         largest_batch: Size of the biggest batch formed so far.
-        full_batches: Batches that reached ``max_batch_size`` (cut by
-            size, not by the delay timer).
+        full_batches: Batches that reached the size cap,
+            ``max_batch_size``.
     """
 
     jobs_enqueued: int = 0
@@ -88,31 +89,21 @@ _CLOSED = _Closed()
 
 
 class MicroBatchQueue:
-    """Coalesce concurrently enqueued jobs into bounded micro-batches.
+    """Coalesce queued jobs into bounded micro-batches.
 
     Args:
         max_batch_size: Hard cap on jobs per batch (>= 1).
-        max_delay: Seconds the consumer keeps a partially filled batch
-            open after its first job arrived (>= 0; 0 drains only
-            what is already queued, never waits).
 
     Raises:
-        EngineError: For a non-positive size or negative delay.
+        EngineError: For a non-positive size.
     """
 
-    def __init__(
-        self, max_batch_size: int = 32, max_delay: float = 0.005
-    ):
+    def __init__(self, max_batch_size: int = 32):
         if max_batch_size < 1:
             raise EngineError(
                 f"max_batch_size must be >= 1, got {max_batch_size}"
             )
-        if max_delay < 0:
-            raise EngineError(
-                f"max_delay must be >= 0, got {max_delay}"
-            )
         self.max_batch_size = max_batch_size
-        self.max_delay = max_delay
         self.stats = BatchQueueStats()
         self._queue: asyncio.Queue = asyncio.Queue()
         self._closed = False
@@ -188,10 +179,9 @@ class MicroBatchQueue:
     async def next_batch(self) -> list[QueuedJob] | None:
         """Wait for the next micro-batch, or ``None`` once drained.
 
-        Blocks until at least one job is available, then keeps the
-        batch open for up to ``max_delay`` seconds or until it holds
-        ``max_batch_size`` jobs, whichever comes first.  Jobs already
-        queued are always drained without waiting.
+        Blocks until at least one job is available, then returns it
+        with every job queued behind it, up to ``max_batch_size``.
+        It never waits for more jobs to arrive.
         """
         first = await self._queue.get()
         if isinstance(first, _Closed):
@@ -200,21 +190,11 @@ class MicroBatchQueue:
             self._queue.put_nowait(_CLOSED)
             return None
         batch = [first]
-        loop = asyncio.get_running_loop()
-        deadline = loop.time() + self.max_delay
         while len(batch) < self.max_batch_size:
             try:
                 item = self._queue.get_nowait()
             except asyncio.QueueEmpty:
-                timeout = deadline - loop.time()
-                if timeout <= 0:
-                    break
-                try:
-                    item = await asyncio.wait_for(
-                        self._queue.get(), timeout
-                    )
-                except asyncio.TimeoutError:
-                    break
+                break
             if isinstance(item, _Closed):
                 # Put the sentinel back so the *next* call returns
                 # None; this batch still carries the drained jobs.

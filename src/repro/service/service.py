@@ -8,11 +8,14 @@ and whose entry is in memory is answered on the event loop, as a
 counted cache hit; every other job is keyed and probed, disk
 included, on one executor thread (``asyncio.to_thread``) per call,
 and a hit found there is answered without waiting for a batch.  Only
-misses, each carrying its key, are coalesced by a
-:class:`~repro.service.batching.MicroBatchQueue`; the dispatch loop
-splits each micro-batch into one group per owning cache shard and
-ships every group to ``engine.run_batch`` on an executor thread,
-keeping the event loop free while synthesis runs.  Each group holds
+misses, each carrying its key, enter a
+:class:`~repro.service.batching.MicroBatchQueue`.  The dispatch loop
+takes a free dispatch slot, then everything queued (up to the batch
+size cap) as one micro-batch: a lone miss leaves at once, and misses
+that arrive while every slot is busy leave together.  It splits each
+micro-batch into one group per owning cache shard and ships every
+group to ``engine.run_batch`` on an executor thread, keeping the
+event loop free while synthesis runs.  Each group holds
 only its own shard's dispatch lock: groups on different shards run
 concurrently, while groups sharing a shard serialise on it, so cache
 counters stay identical to serial dispatch.
@@ -107,7 +110,7 @@ class ServiceStats:
         batches_dispatched: Micro-batches shipped to the engine.  Only
             misses travel in one, so a door hit never adds a batch.
         largest_batch: Biggest micro-batch formed so far.
-        full_batches: Micro-batches cut by size, not by the delay.
+        full_batches: Micro-batches that reached the size cap.
         engine: Lifetime engine counters (cache traffic included).
     """
 
@@ -168,11 +171,12 @@ class AsyncPreparationService:
             ``None`` runs each job's default pipeline.  Mutually
             exclusive with ``engine``.
         max_batch_size: Micro-batch size cap.
-        max_batch_delay: Seconds a partial micro-batch stays open.
         max_concurrent_batches: Micro-batches allowed in flight at
-            once; ``None`` defaults to the shard count.  Every batch
-            runs as per-shard groups, each under its own shard's
-            dispatch lock: groups on different shards run
+            once (the dispatch slots); ``None`` defaults to the shard
+            count.  Misses that arrive while every slot is busy wait
+            in the queue and leave as one batch when a slot frees.
+            Every batch runs as per-shard groups, each under its own
+            shard's dispatch lock: groups on different shards run
             concurrently, groups sharing a shard serialise on it,
             which keeps cache counters identical to serial dispatch.
         metrics: A :class:`~repro.obs.MetricsRegistry` to publish
@@ -205,7 +209,6 @@ class AsyncPreparationService:
         executor: ExecutionBackend | str | None = None,
         pipeline: "Pipeline | None" = None,
         max_batch_size: int = 32,
-        max_batch_delay: float = 0.005,
         max_concurrent_batches: int | None = None,
         metrics: MetricsRegistry | None = None,
         placement: ShardPlacement | None = None,
@@ -240,8 +243,8 @@ class AsyncPreparationService:
         if metrics is not None:
             self._queue_wait = metrics.histogram(
                 "repro_queue_wait_seconds",
-                "Time a job spent in the micro-batch queue before "
-                "its batch was dispatched.",
+                "Time a miss waited in the micro-batch queue for a "
+                "free dispatch slot.",
             )
             self._batch_size = metrics.histogram(
                 "repro_batch_size",
@@ -256,7 +259,6 @@ class AsyncPreparationService:
             metrics.register_collector(self._collect_samples)
         self._started_monotonic: float | None = None
         self._max_batch_size = max_batch_size
-        self._max_batch_delay = max_batch_delay
         # All routing decisions go through the placement: the engine's
         # cache (a placement itself, or one plain shard) unless the
         # cluster front end injects its remote fleet.
@@ -307,10 +309,7 @@ class AsyncPreparationService:
             self._retired_stats = self._retired_stats.merged(
                 self._queue.stats
             )
-        self._queue = MicroBatchQueue(
-            max_batch_size=self._max_batch_size,
-            max_delay=self._max_batch_delay,
-        )
+        self._queue = MicroBatchQueue(max_batch_size=self._max_batch_size)
         # Per-shard dispatch locks, the in-flight bound and the door's
         # idle event live on the running loop, so (re)create them at
         # start time.
@@ -567,21 +566,27 @@ class AsyncPreparationService:
     # Dispatch loop
     # ------------------------------------------------------------------
     async def _dispatch_loop(self, queue: MicroBatchQueue) -> None:
-        """Pull micro-batches and ship them, disjoint shards in parallel.
+        """Take a free slot, then the next micro-batch, and ship it;
+        disjoint shards run in parallel.
 
-        Each batch becomes its own dispatch task, gated by the
-        concurrency semaphore; inside it, every per-shard group takes
+        The slot comes first, so a batch leaves as soon as it is
+        taken: a lone miss at once, and the misses queued while every
+        slot was busy together, when one frees.  Each batch becomes
+        its own dispatch task; inside it, every per-shard group takes
         its shard's lock: groups on disjoint shards overlap, groups
         sharing a shard (in particular: duplicate-heavy traffic)
         serialise on it, so cache hit/miss counters stay identical to
-        strictly serial dispatch.
+        strictly serial dispatch.  A slot held when the loop ends is
+        not given back: ``start()`` makes new slots.
         """
         inflight: set[asyncio.Task] = set()
         loop = asyncio.get_running_loop()
+        slots = self._batch_slots
         next_batch: asyncio.Task | None = None
         try:
             while True:
                 if next_batch is None:
+                    await slots.acquire()
                     next_batch = loop.create_task(queue.next_batch())
                 await asyncio.wait(
                     {next_batch, *inflight},
@@ -597,15 +602,6 @@ class AsyncPreparationService:
                 next_batch = None
                 if batch is None:
                     return
-                slots = self._batch_slots
-                try:
-                    await slots.acquire()
-                except BaseException as error:
-                    # Cancellation while waiting for a slot: the
-                    # popped batch is in no queue and no task — fail
-                    # its waiters or they hang forever.
-                    _fail_batch_later(batch, error)
-                    raise
                 dispatch = loop.create_task(
                     self._dispatch_sharded(batch)
                 )
@@ -613,9 +609,7 @@ class AsyncPreparationService:
                 # task cancelled before its coroutine first runs never
                 # reaches _dispatch_sharded's except/finally, which
                 # would leak the slot and strand the batch's waiters.
-                def _finish_dispatch(
-                    task, *, slots=slots, batch=batch
-                ):
+                def _finish_dispatch(task, *, batch=batch):
                     slots.release()
                     if task.cancelled():
                         error = EngineError(

@@ -647,7 +647,7 @@ class TestConnections:
 class TestGracefulShutdown:
     def test_stop_finishes_inflight_and_drains(self):
         async def scenario():
-            service = AsyncPreparationService(max_batch_delay=0.05)
+            service = AsyncPreparationService()
             await service.start()
             server = await HttpServer(service).start()
             client = ReproClient("127.0.0.1", server.port)

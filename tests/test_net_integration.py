@@ -119,9 +119,7 @@ def test_concurrent_remote_clients_match_in_process():
 
 def test_shutdown_drains_without_drops_or_duplicates():
     async def scenario():
-        service = AsyncPreparationService(
-            num_shards=4, max_batch_delay=0.05
-        )
+        service = AsyncPreparationService(num_shards=4)
         await service.start()
         server = await HttpServer(service).start()
 

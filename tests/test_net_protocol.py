@@ -172,7 +172,7 @@ class TestOutcomeWire:
         from repro.circuit import qasm
 
         wire = outcome_to_wire(outcome, include_circuit=True)
-        circuit = qasm.loads(wire["circuit"])
+        circuit = qasm.loads(str(wire["circuit"]))
         assert len(circuit) == len(outcome.circuit)
 
     def test_failure_fields(self):
@@ -244,8 +244,8 @@ RANDOM_JOB = {"family": "random", "dims": [3, 6, 2], "params": {"rng": 5}}
 
 
 def fresh_wire(job_dict: dict) -> dict:
-    """Wire form of a fresh in-process compile: its QDASM text is made
-    by ``qasm.dumps`` and kept nowhere."""
+    """Wire form of a fresh in-process compile: its QDASM literal is
+    written for it and kept nowhere."""
     job, _ = parse_prepare_payload({"job": job_dict})
     return outcome_to_wire(
         PreparationEngine().submit(job), include_circuit=True
@@ -290,9 +290,9 @@ class TestCircuitTextReuse:
         assert first["circuit"] is kept
         assert second["circuit"] is kept
         reference = fresh_wire(RANDOM_JOB)
-        assert kept.json == json.dumps(reference["circuit"]).encode()
+        assert kept.json == json.dumps(str(reference["circuit"])).encode()
         for wire in (miss, first, second):
-            assert str(wire["circuit"]) == reference["circuit"]
+            assert str(wire["circuit"]) == str(reference["circuit"])
             assert comparable_wire_outcome(wire) == (
                 comparable_wire_outcome(reference)
             )
@@ -319,7 +319,7 @@ class TestCircuitTextReuse:
         assert isinstance(first["circuit"], QdasmLiteral)
         assert second["circuit"] is first["circuit"]
         reference = fresh_wire(RANDOM_JOB)
-        assert str(first["circuit"]) == reference["circuit"]
+        assert str(first["circuit"]) == str(reference["circuit"])
         assert comparable_wire_outcome(first) == (
             comparable_wire_outcome(reference)
         )
@@ -361,7 +361,7 @@ class TestCircuitTextReuse:
         assert miss["cache_hit"] is False and hit["cache_hit"] is True
         reference = fresh_wire(RANDOM_JOB)
         for wire in (miss, hit):
-            assert str(wire["circuit"]) == reference["circuit"]
+            assert str(wire["circuit"]) == str(reference["circuit"])
             assert comparable_wire_outcome(wire) == (
                 comparable_wire_outcome(reference)
             )
@@ -381,7 +381,8 @@ class TestOutcomeFromWire:
     def test_success_round_trip_with_circuit(self, job, outcome):
         wire = outcome_to_wire(outcome, include_circuit=True)
         rebuilt = outcome_from_wire(
-            json.loads(json.dumps(wire)), job
+            json.loads(json.dumps(dict(wire, circuit=str(wire["circuit"])))),
+            job,
         )
         assert rebuilt.ok
         assert rebuilt.key == outcome.key
@@ -389,6 +390,35 @@ class TestOutcomeFromWire:
         assert rebuilt.report == outcome.report
         assert len(rebuilt.circuit) == len(outcome.circuit)
         assert comparable_outcome(rebuilt) == comparable_outcome(outcome)
+
+    @pytest.mark.parametrize("cache_hit", [False, True])
+    def test_relay_sends_the_received_text(
+        self, job, outcome, cache_hit, monkeypatch
+    ):
+        # A relayed circuit is written as the text it came in: no
+        # QDASM is written, and the text is escaped only when a
+        # client asks for the circuit.
+        from repro.circuit import qasm
+
+        text = str(outcome_to_wire(outcome, include_circuit=True)["circuit"])
+        wire = dict(
+            json.loads(json.dumps(outcome_to_wire(outcome))),
+            circuit=text, cache_hit=cache_hit,
+        )
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("nothing may be written or escaped here")
+
+        with monkeypatch.context() as patch:
+            patch.setattr(qasm, "_write", refuse)
+            patch.setattr(json, "dumps", refuse)
+            relayed = outcome_from_wire(wire, job)
+            outcome_to_wire(relayed)
+            sent = outcome_to_wire(relayed, include_circuit=True)["circuit"]
+        assert relayed.cache_hit is cache_hit
+        assert isinstance(sent, QdasmLiteral)
+        assert str(sent) == text
+        assert sent.json == json.dumps(text).encode()
 
     def test_success_without_circuit_yields_none(self, job, outcome):
         rebuilt = outcome_from_wire(outcome_to_wire(outcome), job)

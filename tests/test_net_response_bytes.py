@@ -1,11 +1,12 @@
 """HTTP response bodies are the plain JSON encoding of their envelope.
 
-A cache hit's QDASM text rides in its envelope as the entry's kept
-:class:`~repro.circuit.qasm.QdasmLiteral`, which the server splices
-into the body without escaping or encoding it again.  Every body must
+A circuit's QDASM text rides in its envelope as a
+:class:`~repro.circuit.qasm.QdasmLiteral` (a cache hit's is the one its
+entry keeps, a miss's is written for its response), which the server
+splices into the body without escaping or encoding it.  Every body must
 still be byte-identical to ``json.dumps(envelope).encode()`` of the
 envelope with each literal written as its text: the body a server
-that keeps no literal writes.
+that writes no literal writes.
 """
 
 from __future__ import annotations
@@ -152,8 +153,11 @@ class TestPrepareBodies:
         assert_plain_bodies(received, captured)
         results = [envelope["result"] for envelope, _ in captured]
         assert results[0]["cache_hit"] is False
-        assert isinstance(results[0]["circuit"], str)
+        # The miss's literal was written for its response; the entry
+        # keeps the one its first hit made.
+        assert isinstance(results[0]["circuit"], QdasmLiteral)
         assert isinstance(results[1]["circuit"], QdasmLiteral)
+        assert results[1]["circuit"] is not results[0]["circuit"]
         assert results[3]["circuit"] is results[1]["circuit"]
         assert "circuit" not in results[2]
         assert [result["ok"] for result in results[5:]] == [False, False]

@@ -205,6 +205,48 @@ def writer_tables(draw):
     return circuit
 
 
+@st.composite
+def writer_gate_lists(draw):
+    """Gate-list circuits of every gate with a QDASM line (rotations,
+    shift, clock, Fourier and permutation), each controlled by any
+    subset of the other qudits, with a global phase of 0.0, -0.0, pi
+    or any finite value."""
+    dims = tuple(draw(st.lists(st.integers(2, 5), min_size=1, max_size=4)))
+    circuit = Circuit(dims)
+    for _ in range(draw(st.integers(0, 8))):
+        target = draw(st.integers(0, len(dims) - 1))
+        dimension = dims[target]
+        controls = [
+            (qudit, draw(st.integers(0, dims[qudit] - 1)))
+            for qudit in range(len(dims))
+            if qudit != target and draw(st.booleans())
+        ]
+        lower, upper = draw(st.lists(
+            st.integers(0, dimension - 1), min_size=2, max_size=2,
+            unique=True,
+        ))
+        amount = draw(st.integers(0, dimension - 1))
+        circuit.append(draw(st.sampled_from([
+            GivensRotation(
+                target, lower, upper, draw(ANGLES), draw(ANGLES),
+                controls=controls,
+            ),
+            PhaseRotation(
+                target, lower, upper, draw(ANGLES), controls=controls
+            ),
+            ShiftGate(target, amount, controls),
+            ClockGate(target, amount, controls),
+            FourierGate(target, controls=controls),
+            PermutationGate(
+                target, draw(st.permutations(range(dimension))), controls
+            ),
+        ])))
+    circuit.global_phase = draw(
+        st.one_of(st.sampled_from([0.0, -0.0, math.pi]), ANGLES)
+    )
+    return circuit
+
+
 def phase_rows_with_phi() -> Circuit:
     """A table whose phase rows carry a nonzero, never written ``phi``,
     and whose ``phi`` values differ only in sign (0.0 and -0.0)."""
@@ -230,9 +272,29 @@ class TestColumnarWriter:
     def test_matches_the_per_row_writer(self, circuit):
         expected = oracle_dumps(circuit)
         assert qasm.dumps(circuit) == expected
+        assert qasm.literal(circuit).json == json.dumps(expected).encode()
         assert qasm.literal_once(circuit).json == (
             json.dumps(expected).encode()
         )
+
+    @given(writer_gate_lists())
+    @settings(max_examples=150, deadline=None)
+    @example(example_circuit())
+    def test_gate_lists_match_the_per_row_writer(self, circuit):
+        expected = oracle_dumps(circuit)
+        assert qasm.dumps(circuit) == expected
+        assert qasm.literal(circuit).json == json.dumps(expected).encode()
+
+    def test_literal_is_written_for_each_call_until_kept(self):
+        circuit = example_circuit()
+        first, second = qasm.literal(circuit), qasm.literal(circuit)
+        assert first is not second and first.json == second.json
+        assert str(first) == qasm.dumps(circuit)
+        kept = qasm.literal_once(circuit)
+        assert qasm.literal(circuit) is kept
+        assert qasm.literal_once(circuit) is kept
+        circuit.add_global_phase(0.5)
+        assert qasm.literal(circuit) is not kept
 
     def test_phase_rows_write_no_phi(self):
         text = qasm.dumps(phase_rows_with_phi())

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import asyncio
 import sys
+import threading
 import time
 
 import pytest
@@ -31,6 +32,51 @@ WORKLOAD = [
     PreparationJob(dims=(3, 3), family="random", params={"rng": 7}),
     PreparationJob(dims=(3, 6, 2), family="ghz"),  # duplicate
 ]
+
+
+#: A job no test serves otherwise: it holds the only dispatch slot in
+#: :func:`behind_a_busy_slot`.
+BLOCKER = PreparationJob(dims=(2, 5), family="ghz")
+
+
+async def behind_a_busy_slot(service, requests):
+    """Run ``requests`` (coroutines) while a blocked job holds the only
+    dispatch slot of ``service`` (``max_concurrent_batches=1``), and
+    free the slot once all their misses are queued, so that they leave
+    as one batch.
+
+    Returns their results (exceptions included) and the service stats
+    from before they were sent.
+    """
+    engine = service.engine
+    ran, release = threading.Event(), threading.Event()
+    run_batch = engine.run_batch
+
+    def blocking_run_batch(jobs, keys=None):
+        jobs = list(jobs)
+        result = run_batch(jobs, keys=keys)
+        if any(job is BLOCKER for job in jobs):
+            ran.set()
+            release.wait(10.0)
+        return result
+
+    engine.run_batch = blocking_run_batch
+    try:
+        blocked = asyncio.ensure_future(service.submit(BLOCKER))
+        assert await asyncio.to_thread(ran.wait, 10.0)
+        before = service.stats()
+        tasks = [asyncio.ensure_future(request) for request in requests]
+        deadline = time.monotonic() + 10.0
+        while service.queue_depth() < len(tasks):
+            assert time.monotonic() < deadline, "misses never queued"
+            await asyncio.sleep(0.001)
+        release.set()
+        results = await asyncio.gather(*tasks, return_exceptions=True)
+        assert (await blocked).ok
+    finally:
+        release.set()
+        del engine.run_batch
+    return results, before
 
 
 @pytest.fixture(scope="module")
@@ -210,12 +256,10 @@ class TestMicroBatchQueue:
     def test_invalid_configuration_rejected(self):
         with pytest.raises(EngineError):
             MicroBatchQueue(max_batch_size=0)
-        with pytest.raises(EngineError):
-            MicroBatchQueue(max_delay=-1.0)
 
     def test_drains_already_queued_jobs_into_one_batch(self):
         async def scenario():
-            queue = MicroBatchQueue(max_batch_size=8, max_delay=0.0)
+            queue = MicroBatchQueue(max_batch_size=8)
             futures = [queue.put(ghz_job()) for _ in range(5)]
             batch = await queue.next_batch()
             assert [q.future for q in batch] == futures
@@ -227,7 +271,7 @@ class TestMicroBatchQueue:
 
     def test_max_batch_size_is_a_hard_cap(self):
         async def scenario():
-            queue = MicroBatchQueue(max_batch_size=2, max_delay=0.0)
+            queue = MicroBatchQueue(max_batch_size=2)
             for _ in range(5):
                 queue.put(ghz_job())
             sizes = [
@@ -240,7 +284,7 @@ class TestMicroBatchQueue:
 
     def test_close_drains_then_signals_none(self):
         async def scenario():
-            queue = MicroBatchQueue(max_batch_size=8, max_delay=0.0)
+            queue = MicroBatchQueue(max_batch_size=8)
             for _ in range(3):
                 queue.put(ghz_job())
             assert queue.pending() == 3
@@ -257,19 +301,19 @@ class TestMicroBatchQueue:
 
         asyncio.run(scenario())
 
-    def test_delay_window_collects_late_arrivals(self):
+    def test_lone_job_leaves_at_once(self):
+        # No timer: a job that arrives while the consumer waits is
+        # handed out in the next turn of the loop, alone.
         async def scenario():
-            queue = MicroBatchQueue(max_batch_size=8, max_delay=0.2)
-
-            async def late_producer():
-                await asyncio.sleep(0.01)
-                queue.put(ghz_job())
-
-            queue.put(ghz_job())
-            producer = asyncio.ensure_future(late_producer())
-            batch = await queue.next_batch()
-            await producer
-            assert len(batch) == 2
+            queue = MicroBatchQueue(max_batch_size=8)
+            task = asyncio.ensure_future(queue.next_batch())
+            await asyncio.sleep(0)
+            future = queue.put(ghz_job())
+            await asyncio.sleep(0)
+            assert task.done()
+            assert [queued.future for queued in task.result()] == [future]
+            assert queue.stats.batches_formed == 1
+            assert queue.stats.full_batches == 0
 
         asyncio.run(scenario())
 
@@ -316,21 +360,55 @@ class TestAsyncPreparationService:
     def test_single_submissions_coalesce_into_micro_batches(self):
         async def scenario():
             async with AsyncPreparationService(
-                max_batch_size=16, max_batch_delay=0.05
+                max_batch_size=16, max_concurrent_batches=1
             ) as service:
-                outcomes = await asyncio.gather(*(
-                    service.submit(ghz_job()) for _ in range(6)
-                ))
-            return outcomes, service.stats()
+                outcomes, before = await behind_a_busy_slot(
+                    service, [service.submit(ghz_job()) for _ in range(6)]
+                )
+            return outcomes, before, service.stats()
 
-        outcomes, stats = asyncio.run(scenario())
+        outcomes, before, stats = asyncio.run(scenario())
         assert all(outcome.ok for outcome in outcomes)
-        assert stats.requests == 6
-        # All six submissions were queued before the dispatcher woke,
-        # so they travel as one engine batch.
-        assert stats.batches_dispatched == 1
+        assert stats.requests - before.requests == 6
+        # All six submissions were queued while the only slot was
+        # busy, so they travel as one engine batch.
+        assert stats.batches_dispatched - before.batches_dispatched == 1
         assert stats.largest_batch == 6
-        assert stats.engine.jobs_executed == 1  # dedup inside batch
+        # Dedup inside the batch.
+        assert stats.engine.jobs_executed - before.engine.jobs_executed == 1
+
+    def test_misses_behind_a_busy_slot_leave_together(self):
+        # Six distinct misses queued while the only dispatch slot is
+        # busy ride one batch and are each synthesised once, though
+        # they arrive 10 ms apart: no batch is taken before its slot.
+        jobs = [
+            ghz_job(dims=dims)
+            for dims in [(2, 2), (2, 3), (3, 2), (3, 3), (2, 2, 2), (2, 4)]
+        ]
+
+        async def scenario():
+            async with AsyncPreparationService(
+                max_concurrent_batches=1
+            ) as service:
+
+                async def submit_after(delay, job):
+                    await asyncio.sleep(delay)
+                    return await service.submit(job)
+
+                outcomes, before = await behind_a_busy_slot(
+                    service,
+                    [
+                        submit_after(0.01 * position, job)
+                        for position, job in enumerate(jobs)
+                    ],
+                )
+            return outcomes, before, service.stats()
+
+        outcomes, before, stats = asyncio.run(scenario())
+        assert all(outcome.ok and not outcome.cache_hit for outcome in outcomes)
+        assert stats.batches_dispatched - before.batches_dispatched == 1
+        assert stats.largest_batch == 6
+        assert stats.engine.jobs_executed - before.engine.jobs_executed == 6
 
     def test_failures_are_outcomes_not_exceptions(self):
         bad = ghz_job(params={"levels": 5})
@@ -358,9 +436,7 @@ class TestAsyncPreparationService:
 
     def test_stop_drains_pending_requests(self):
         async def scenario():
-            service = AsyncPreparationService(
-                max_batch_size=4, max_batch_delay=0.2
-            )
+            service = AsyncPreparationService(max_batch_size=4)
             await service.start()
             tasks = [
                 asyncio.ensure_future(service.submit(ghz_job()))
@@ -489,9 +565,7 @@ class TestAsyncPreparationService:
         # slot and fail the batch's waiters instead of stranding
         # them forever.
         async def scenario():
-            service = AsyncPreparationService(
-                max_batch_size=1, max_batch_delay=0.0
-            )
+            service = AsyncPreparationService(max_batch_size=1)
             await service.start()
             loop = asyncio.get_running_loop()
             real = service._dispatch_sharded
@@ -522,9 +596,7 @@ class TestAsyncPreparationService:
         # queued, stop() must resolve those futures (with an error)
         # instead of leaving their awaiters hanging forever.
         async def scenario():
-            service = AsyncPreparationService(
-                max_batch_size=1, max_batch_delay=0.0
-            )
+            service = AsyncPreparationService(max_batch_size=1)
             await service.start()
             waiters = [
                 asyncio.ensure_future(service.submit(ghz_job()))
@@ -610,29 +682,9 @@ class TestAsyncPreparationService:
 
 
 class TestMicroBatchQueueEdgeCases:
-    def test_max_delay_expiry_ships_non_full_batch(self):
-        # A batch that never fills must be cut by the delay timer,
-        # not wait for max_batch_size jobs that will never come.
-        async def scenario():
-            queue = MicroBatchQueue(max_batch_size=64, max_delay=0.02)
-            queue.put(ghz_job())
-            queue.put(ghz_job())
-            loop = asyncio.get_running_loop()
-            start = loop.time()
-            batch = await asyncio.wait_for(
-                queue.next_batch(), timeout=5.0
-            )
-            elapsed = loop.time() - start
-            return batch, elapsed, queue.stats
-
-        batch, elapsed, stats = asyncio.run(scenario())
-        assert len(batch) == 2          # far below max_batch_size
-        assert elapsed < 2.0            # the timer, not a full batch
-        assert stats.full_batches == 0  # cut by the delay, not size
-
     def test_drain_on_close_preserves_submission_order(self):
         async def scenario():
-            queue = MicroBatchQueue(max_batch_size=3, max_delay=0.0)
+            queue = MicroBatchQueue(max_batch_size=3)
             futures = [queue.put(ghz_job()) for _ in range(7)]
             queue.close()
             drained = []
@@ -763,7 +815,7 @@ class TestPerShardDispatch:
 
         async def scenario():
             async with AsyncPreparationService(
-                engine=engine, max_batch_size=1, max_batch_delay=0.0
+                engine=engine, max_batch_size=1
             ) as service:
                 outcomes = await asyncio.gather(
                     service.submit(job_a), service.submit(job_b)
@@ -789,7 +841,7 @@ class TestPerShardDispatch:
         # served the first one's circuit as an intra-batch duplicate.
         async def scenario():
             async with AsyncPreparationService(
-                num_shards=4, max_batch_size=2, max_batch_delay=0.05
+                num_shards=4, max_batch_size=2
             ) as service:
                 return await service.run_batch([
                     PreparationJob(dims=(2, 2), family="random"),
@@ -815,7 +867,7 @@ class TestPerShardDispatch:
 
         async def scenario():
             async with AsyncPreparationService(
-                num_shards=4, max_batch_size=2, max_batch_delay=0.0
+                num_shards=4, max_batch_size=2
             ) as service:
                 results = await asyncio.gather(*(
                     service.run_batch(jobs) for _ in range(8)
@@ -892,17 +944,17 @@ class TestPerShardDispatch:
 
         async def scenario():
             async with AsyncPreparationService(
-                engine=engine, max_batch_size=2, max_batch_delay=0.05
+                engine=engine, max_batch_size=2, max_concurrent_batches=1
             ) as service:
-                results = await asyncio.gather(
-                    timed(service, slow), timed(service, fast)
+                results, before = await behind_a_busy_slot(
+                    service, [timed(service, slow), timed(service, fast)]
                 )
-            return results, service.stats()
+            return results, before, service.stats()
 
-        results, stats = asyncio.run(scenario())
+        results, before, stats = asyncio.run(scenario())
         (slow_outcome, slow_done), (fast_outcome, fast_done) = results
         assert slow_outcome.ok and fast_outcome.ok
-        assert stats.batches_dispatched == 1
+        assert stats.batches_dispatched - before.batches_dispatched == 1
         assert slow_done - fast_done >= 0.2
 
     def test_group_exception_fails_only_its_group(self):
@@ -923,17 +975,16 @@ class TestPerShardDispatch:
 
         async def scenario():
             async with AsyncPreparationService(
-                engine=engine, max_batch_size=2, max_batch_delay=0.05
+                engine=engine, max_batch_size=2, max_concurrent_batches=1
             ) as service:
-                results = await asyncio.gather(
-                    service.submit(broken),
-                    service.submit(healthy),
-                    return_exceptions=True,
+                results, before = await behind_a_busy_slot(
+                    service,
+                    [service.submit(broken), service.submit(healthy)],
                 )
-            return results, service.stats()
+            return results, before, service.stats()
 
-        (failed, served), stats = asyncio.run(scenario())
-        assert stats.batches_dispatched == 1
+        (failed, served), before, stats = asyncio.run(scenario())
+        assert stats.batches_dispatched - before.batches_dispatched == 1
         assert isinstance(failed, RuntimeError)
         assert served.ok
 
