@@ -51,7 +51,10 @@ from repro.circuit.gates import (
 from repro.circuit.table import GIVENS, PHASE, CircuitTable
 from repro.exceptions import CircuitError, SerializationError
 
-__all__ = ["QdasmLiteral", "dumps", "literal", "literal_once", "loads"]
+__all__ = [
+    "QdasmLiteral", "dumps", "keeps_literal", "literal", "literal_once",
+    "loads",
+]
 
 _HEADER = "QDASM 1.0"
 
@@ -250,6 +253,12 @@ def literal(circuit: Circuit) -> QdasmLiteral:
     if kept is not None:
         return kept
     return QdasmLiteral(encoded=_write(circuit, "\\n", '"').encode())
+
+
+def keeps_literal(circuit: Circuit) -> bool:
+    """Whether ``circuit`` keeps a literal, so that :func:`literal`
+    returns it and writes nothing."""
+    return circuit._literal is not None
 
 
 def literal_once(circuit: Circuit) -> QdasmLiteral:

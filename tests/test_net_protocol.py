@@ -5,6 +5,7 @@ from __future__ import annotations
 import asyncio
 import dataclasses
 import json
+import threading
 
 import pytest
 
@@ -296,6 +297,36 @@ class TestCircuitTextReuse:
             assert comparable_wire_outcome(wire) == (
                 comparable_wire_outcome(reference)
             )
+
+    def test_miss_literal_is_written_off_the_event_loop(self, monkeypatch):
+        from repro.circuit import qasm
+
+        writers = []
+        write = qasm.literal
+
+        def spy(circuit):
+            writers.append(threading.get_ident())
+            return write(circuit)
+
+        monkeypatch.setattr(qasm, "literal", spy)
+
+        async def scenario():
+            async with AsyncPreparationService() as service:
+                wires = [
+                    await prepare_with_circuit(service, RANDOM_JOB)
+                    for _ in range(3)
+                ]
+            return threading.get_ident(), wires
+
+        loop_thread, (miss, first, second) = asyncio.run(scenario())
+        # The miss's literal is written on a worker thread; the first
+        # hit's, kept for every later hit, on the event loop.
+        assert len(writers) == 2
+        assert writers[0] != loop_thread
+        assert writers[1] == loop_thread
+        assert miss["cache_hit"] is False and first["cache_hit"] is True
+        assert second["circuit"] is first["circuit"]
+        assert str(miss["circuit"]) == str(first["circuit"])
 
     def test_disk_hit_text_matches_a_fresh_compile(self, tmp_path):
         async def serve(*job_dicts):
