@@ -332,7 +332,12 @@ def _serve_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--workers", type=int, default=None, metavar="N",
-        help="use a process pool with N workers inside the engine",
+        help=(
+            "use a process pool with N workers inside the engine; "
+            "each shard batch starts and joins its own pool, forking "
+            "up to N processes per batch (slower than the default "
+            "serial executor for a server's small batches)"
+        ),
     )
     parser.add_argument(
         "--cache-dir", default=None, metavar="DIR",
@@ -437,7 +442,7 @@ async def _serve_network(
         await server.start()
     except OSError:
         # Unbindable address: stop the already-running service
-        # cleanly instead of leaving its dispatcher to die with the
+        # cleanly instead of leaving its workers to die with the
         # loop.
         await service.stop()
         raise

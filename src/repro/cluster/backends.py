@@ -177,8 +177,10 @@ class RemoteShard(ShardBackend):
         self._last_probe_at: float | None = None
         #: Exported span subtree the shard shipped back with the most
         #: recent *traced* ``run_jobs`` (``None`` otherwise).  The
-        #: cluster front end reads it while still holding the shard's
-        #: dispatch lock, which serialises ``run_jobs`` per shard.
+        #: cluster front end reads it as soon as ``run_jobs`` returns,
+        #: with no ``await`` between, so a concurrent round trip on
+        #: this backend (another shard's batch failing over here)
+        #: cannot replace it first.
         self.last_remote_trace: dict | None = None
 
     @property

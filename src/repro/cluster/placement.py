@@ -8,9 +8,9 @@ questions:
 * ``shard_index(key)`` — which shard owns this content key,
 * ``preference(key)`` — the failover chain: owner first, then the
   replicas that take over when the owner is down.
-  :class:`~repro.service.AsyncPreparationService` splits every
-  micro-batch into one group per chain and runs each group under its
-  owner's dispatch lock,
+  :class:`~repro.service.AsyncPreparationService` queues each miss
+  for its key's owner, whose one worker sends the shard's batches
+  (a cluster front end along the chain of each batch's first job),
 * the ``CircuitCache`` surface (``get`` / ``put`` / ``stats`` …) —
   valid only for fully *local* placements, which is what lets a
   placement drop straight into ``PreparationEngine(cache=...)``.

@@ -2,14 +2,13 @@
 
 :class:`ClusterPreparationService` is an
 :class:`~repro.service.AsyncPreparationService` whose execution seam
-(``_dispatch_group``) ships each per-shard group of a micro-batch to
-a :class:`~repro.cluster.RemoteShard` backend instead of running the
+(``_dispatch_group``) ships each shard's micro-batch to a
+:class:`~repro.cluster.RemoteShard` backend instead of running the
 in-process engine.  Everything above the seam — the door that keys
-each request once, the micro-batch queue, slot accounting, grouping
-by owner shard, per-shard dispatch locks, tracing spans, stats
-counters — is the plain service, unchanged.  The front end holds no
-circuits, so its door answers nothing: every request is queued and
-forwarded.
+each request once, one queue and one worker per shard, tracing spans,
+stats counters — is the plain service, unchanged.  The front end
+holds no circuits, so its door answers nothing: every request is
+queued on its owner shard's queue and forwarded.
 
 Routing is by content key on a consistent-hash ring, so duplicate
 requests (the common case for DD preparation workloads) always land
@@ -23,11 +22,12 @@ shard computes its own content keys from the payload it receives.
 
 Failover: each key has a preference chain (owner plus
 ``replicas - 1`` distinct ring successors).  A shard that refuses the
-connection, times out, or is draining fails the *group* over to the
-next candidate; a request whose whole chain is down comes back as a
-structured per-job failure (``shard_unavailable``) — never a hang,
-never a silent drop.  A background health loop probes every shard so
-traffic prefers healthy replicas and recovered shards rejoin.
+connection, times out, or is draining fails the *batch* over to the
+next candidate on the chain of its first job; a request whose whole
+chain is down comes back as a structured per-job failure
+(``shard_unavailable``) — never a hang, never a silent drop.  A
+background health loop probes every shard so traffic prefers healthy
+replicas and recovered shards rejoin.
 """
 
 from __future__ import annotations
@@ -63,10 +63,6 @@ class ClusterPreparationService(AsyncPreparationService):
             materialise when ``placement`` is not given (exactly one
             of the two is required).
         max_batch_size: Micro-batch size cap, as on the base service.
-        max_concurrent_batches: In-flight micro-batch bound.  Defaults
-            to ``max(4, 2 * num_shards)`` — remote dispatch is
-            latency-bound, so the front end keeps more batches in
-            flight than the local default of one per shard.
         metrics: Registry for the ``repro_cluster_*`` instruments (and
             the base service's serving metrics).
     """
@@ -77,7 +73,6 @@ class ClusterPreparationService(AsyncPreparationService):
         *,
         config: ClusterConfig | None = None,
         max_batch_size: int = 32,
-        max_concurrent_batches: int | None = None,
         metrics: MetricsRegistry | None = None,
     ):
         if (placement is None) == (config is None):
@@ -104,11 +99,6 @@ class ClusterPreparationService(AsyncPreparationService):
         super().__init__(
             engine,
             max_batch_size=max_batch_size,
-            max_concurrent_batches=(
-                max_concurrent_batches
-                if max_concurrent_batches is not None
-                else max(4, 2 * placement.num_shards)
-            ),
             metrics=metrics,
             placement=placement,
         )
@@ -121,18 +111,18 @@ class ClusterPreparationService(AsyncPreparationService):
         if metrics is not None:
             self._shard_requests = metrics.counter(
                 "repro_cluster_requests_total",
-                "Micro-batch groups shipped to each shard.",
+                "Micro-batches shipped to each shard.",
                 labels=("shard",),
             )
             self._shard_seconds = metrics.histogram(
                 "repro_cluster_request_seconds",
-                "Wall time of one shard round trip (whole group).",
+                "Wall time of one shard round trip (whole batch).",
                 labels=("shard",),
                 exemplars=True,
             )
             self._shard_failovers = metrics.counter(
                 "repro_cluster_failovers_total",
-                "Groups moved off a shard (by the shard failed away "
+                "Batches moved off a shard (by the shard failed away "
                 "from).",
                 labels=("shard",),
             )
@@ -181,14 +171,12 @@ class ClusterPreparationService(AsyncPreparationService):
             await asyncio.sleep(self._health_interval)
 
     # ------------------------------------------------------------------
-    # Dispatch (the base class groups each batch by owner shard; each
-    # group goes to a remote shard, failing over along its chain)
+    # Dispatch (each shard's worker sends its batch to a remote shard,
+    # failing over along the chain of the batch's first job)
     # ------------------------------------------------------------------
     @staticmethod
-    def _group_traces(
-        positions: list[int], traces
-    ) -> list[tuple]:
-        """Distinct ``(trace, dispatch_span)`` pairs of one group.
+    def _distinct_traces(traces) -> list[tuple]:
+        """Distinct ``(trace, dispatch_span)`` pairs of one batch.
 
         One shard round trip may serve jobs from several client
         traces (micro-batching coalesces requests); every distinct
@@ -197,8 +185,7 @@ class ClusterPreparationService(AsyncPreparationService):
         """
         distinct: list[tuple] = []
         seen: set[int] = set()
-        for position in positions:
-            entry = traces[position]
+        for entry in traces:
             if entry is not None and id(entry[0]) not in seen:
                 seen.add(id(entry[0]))
                 distinct.append(entry)
@@ -207,17 +194,17 @@ class ClusterPreparationService(AsyncPreparationService):
     async def _dispatch_group(
         self,
         chain: tuple[int, ...],
-        positions: list[int],
         batch: list[QueuedJob],
         traces,
     ) -> None:
-        """Run one shard group, failing over along its chain.
+        """Run one shard's batch remotely, failing over along
+        ``chain``.
 
-        The queued keys only routed the group: each shard keys the
+        The queued keys only routed the batch: each shard keys the
         payloads it receives.
         """
-        jobs = [batch[position].job for position in positions]
-        group_traces = self._group_traces(positions, traces)
+        jobs = [queued.job for queued in batch]
+        batch_traces = self._distinct_traces(traces)
         last_error: ClientError | None = None
         for attempt, index in enumerate(chain):
             backend = self.placement.backend(index)
@@ -227,7 +214,7 @@ class ClusterPreparationService(AsyncPreparationService):
                 # to it.  The last candidate is always tried — a probe
                 # may simply not have noticed the shard recovering.
                 self._note_failover(backend)
-                for trace, parent in group_traces:
+                for trace, parent in batch_traces:
                     trace.add_span(
                         "skip_unhealthy",
                         start=trace.offset(),
@@ -241,82 +228,78 @@ class ClusterPreparationService(AsyncPreparationService):
                         last_probe_seconds=backend.last_probe_seconds,
                     )
                 continue
-            lock = self._shard_locks[index]
-            async with lock:
-                started = time.perf_counter()
-                remote_spans = [
-                    (trace, trace.begin_span(
-                        "remote_call",
-                        parent=parent,
-                        shard=backend.shard_id,
-                        addr=backend.addr,
-                        attempt=attempt,
-                    ))
-                    for trace, parent in group_traces
-                ]
-                # One context per round trip: the shard adopts the
-                # first trace's id, and its subtree is grafted into
-                # every trace of the group.
-                trace_context = (
-                    remote_spans[0][0].context(parent=remote_spans[0][1])
-                    if remote_spans else None
+            started = time.perf_counter()
+            remote_spans = [
+                (trace, trace.begin_span(
+                    "remote_call",
+                    parent=parent,
+                    shard=backend.shard_id,
+                    addr=backend.addr,
+                    attempt=attempt,
+                ))
+                for trace, parent in batch_traces
+            ]
+            # One context per round trip: the shard adopts the first
+            # trace's id, and its subtree is grafted into every trace
+            # of the batch.
+            trace_context = (
+                remote_spans[0][0].context(parent=remote_spans[0][1])
+                if remote_spans else None
+            )
+            try:
+                outcomes = await backend.run_jobs(
+                    jobs, trace_context=trace_context
                 )
-                try:
-                    outcomes = await backend.run_jobs(
-                        jobs, trace_context=trace_context
-                    )
-                except ClientError as error:
-                    for trace, span in remote_spans:
-                        span.annotate(error_code=error.code)
-                        span.finish()
-                    if error.code not in FAILOVER_CODES:
-                        # Semantic refusal: every replica would repeat
-                        # it.  Surface per job, shard stays in rotation.
-                        self._deliver(
-                            positions,
-                            batch,
-                            [
-                                JobFailure(
-                                    job=job,
-                                    key=None,
-                                    error_type="ClientError",
-                                    message=(
-                                        f"shard {backend.shard_id} "
-                                        f"refused the request "
-                                        f"({error.code}): {error}"
-                                    ),
-                                )
-                                for job in jobs
-                            ],
-                        )
-                        return
-                    last_error = error
-                    self._note_failover(backend)
-                    if self._shard_healthy is not None:
-                        self._shard_healthy.set(
-                            0.0, backend.shard_id
-                        )
-                    continue
-                subtree = backend.last_remote_trace
+            except ClientError as error:
                 for trace, span in remote_spans:
-                    if subtree is not None:
-                        trace.graft(
-                            subtree, parent=span,
-                            shard=backend.shard_id,
-                        )
+                    span.annotate(error_code=error.code)
                     span.finish()
+                if error.code not in FAILOVER_CODES:
+                    # Semantic refusal: every replica would repeat it.
+                    # Surface per job, shard stays in rotation.
+                    self._deliver(
+                        batch,
+                        [
+                            JobFailure(
+                                job=job,
+                                key=None,
+                                error_type="ClientError",
+                                message=(
+                                    f"shard {backend.shard_id} refused "
+                                    f"the request ({error.code}): "
+                                    f"{error}"
+                                ),
+                            )
+                            for job in jobs
+                        ],
+                    )
+                    return
+                last_error = error
+                self._note_failover(backend)
+                if self._shard_healthy is not None:
+                    self._shard_healthy.set(0.0, backend.shard_id)
+                continue
+            # Read with no await since run_jobs returned, so no other
+            # round trip on this backend can have replaced it.
+            subtree = backend.last_remote_trace
+            for trace, span in remote_spans:
+                if subtree is not None:
+                    trace.graft(
+                        subtree, parent=span, shard=backend.shard_id,
+                    )
+                span.finish()
             if self._shard_requests is not None:
                 self._shard_requests.labels(backend.shard_id).inc()
                 self._shard_seconds.labels(backend.shard_id).observe(
                     time.perf_counter() - started,
                     exemplar=(
-                        group_traces[0][0].request_id
-                        if group_traces else None
+                        batch_traces[0][0].request_id
+                        if batch_traces else None
                     ),
                 )
             if self._shard_healthy is not None:
                 self._shard_healthy.set(1.0, backend.shard_id)
-            self._deliver(positions, batch, outcomes)
+            self._deliver(batch, outcomes)
             return
         # Chain exhausted: structured failure, never a hang.
         message = (
@@ -326,7 +309,6 @@ class ClusterPreparationService(AsyncPreparationService):
         if last_error is not None:
             message += f"; last error: {last_error}"
         self._deliver(
-            positions,
             batch,
             [
                 JobFailure(

@@ -92,14 +92,16 @@ class CacheEntry:
 
 
 def _entry_to_json(entry: CacheEntry) -> str:
+    """The entry's file: ``json.dumps({"key": ..., "qdasm": ...,
+    "report": ...})``, with the circuit's JSON string literal
+    (:func:`repro.circuit.qasm.literal`) spliced in, so its QDASM is
+    written once and never escaped."""
     report = dataclasses.asdict(entry.report)
     report["dims"] = list(report["dims"])
-    return json.dumps(
-        {
-            "key": entry.key,
-            "qdasm": qasm.dumps(entry.circuit),
-            "report": report,
-        }
+    return (
+        '{"key": ' + json.dumps(entry.key)
+        + ', "qdasm": ' + qasm.literal(entry.circuit).json.decode()
+        + ', "report": ' + json.dumps(report) + "}"
     )
 
 

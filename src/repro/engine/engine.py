@@ -434,7 +434,7 @@ class PreparationEngine:
         own miss); callers that need batch-composition-independent
         counters serialise same-shard batches, as
         :class:`~repro.service.AsyncPreparationService` does with its
-        per-shard dispatch locks.
+        one dispatch worker per shard.
         """
         jobs = list(jobs)
         provided_keys = list(keys) if keys is not None else None

@@ -8,8 +8,8 @@ and carried across the stack via :data:`contextvars`:
   parses, awaits the service, and serialises;
 * ``service.submit`` captures the trace into the queued job, so the
   queue-wait and dispatch spans land on the right request even though
-  the dispatcher runs in its own task;
-* each per-shard dispatch group plants its jobs' traces in
+  the shard's worker runs in its own task;
+* each shard's worker plants its batch's traces in
   :data:`DISPATCH_TRACES` immediately before ``asyncio.to_thread``,
   whose context copy carries them into the engine's worker thread;
 * the engine re-establishes :data:`CURRENT_TRACE` per job, so the

@@ -7,10 +7,10 @@ Built on the :mod:`repro.engine` seam (see ``docs/engine.md``,
   concurrent cache misses into bounded micro-batches,
 * :mod:`repro.service.service` — :class:`AsyncPreparationService`,
   the asyncio front end that keys each request once, answers cache
-  hits at once, splits each micro-batch of misses into per-shard
-  groups and dispatches every group to
-  ``PreparationEngine.run_batch`` on an executor thread under its
-  own shard's dispatch lock.  Its default cache is
+  hits at once and queues each miss for the shard that owns its key;
+  one worker per shard sends each micro-batch of its queue to
+  ``PreparationEngine.run_batch`` on an executor thread.  Its
+  default cache is
   :meth:`repro.cluster.ShardPlacement.local`: content keys
   partitioned across N independent circuit-cache shards with
   aggregated statistics.

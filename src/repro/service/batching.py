@@ -3,12 +3,13 @@
 Single-job requests arriving concurrently are worth far more to the
 engine as one batch: intra-batch deduplication collapses identical
 targets, the process pool amortises its dispatch overhead, and the
-cache is probed once per distinct key.  :class:`MicroBatchQueue`
-hands its consumer (the service's dispatch loop) everything queued
-so far, up to ``max_batch_size`` jobs, as soon as one job is there:
-it never waits for partners.  Jobs coalesce while the consumer is
-busy, so requests that arrive while every dispatch slot is taken
-leave together, and a lone request leaves at once.
+cache is probed once per distinct key.  The service keeps one
+:class:`MicroBatchQueue` per cache shard; each hands its consumer
+(that shard's worker) everything queued so far, up to
+``max_batch_size`` jobs, as soon as one job is there: it never waits
+for partners.  Jobs coalesce while the consumer is busy, so requests
+that arrive while their shard's worker runs a batch leave together,
+and a lone request leaves at once.
 
 All coordination is plain ``asyncio``; nothing here touches threads.
 """
@@ -32,16 +33,17 @@ class QueuedJob:
 
     Attributes:
         job: The submitted job.
-        future: Resolved with the job's outcome by the dispatcher.
+        future: Resolved with the job's outcome by the shard's
+            worker.
         key: The job's content key, made once when the request
             entered the service (``None`` if the job could not be
             keyed: the engine then reports its failure).
         trace: The request's :class:`~repro.obs.Trace` when the
             submitting context was traced (captured at enqueue time,
-            so the dispatcher — a different task — can keep recording
+            so the worker — a different task — can keep recording
             spans for the right request).
-        queue_span: The open ``queue_wait`` span; the dispatcher
-            finishes it when the batch leaves the queue.
+        queue_span: The open ``queue_wait`` span; the worker finishes
+            it when the batch leaves the queue.
         enqueued_at: ``time.perf_counter()`` at enqueue, for the
             queue-wait histogram.
     """
@@ -59,14 +61,12 @@ class BatchQueueStats:
     """Counters describing how requests coalesced into batches.
 
     Attributes:
-        jobs_enqueued: Requests accepted by :meth:`MicroBatchQueue.put`.
         batches_formed: Micro-batches handed to the consumer.
         largest_batch: Size of the biggest batch formed so far.
         full_batches: Batches that reached the size cap,
             ``max_batch_size``.
     """
 
-    jobs_enqueued: int = 0
     batches_formed: int = 0
     largest_batch: int = 0
     full_batches: int = 0
@@ -74,7 +74,6 @@ class BatchQueueStats:
     def merged(self, other: "BatchQueueStats") -> "BatchQueueStats":
         """Combine two snapshots: counters sum, ``largest_batch`` maxes."""
         return BatchQueueStats(
-            jobs_enqueued=self.jobs_enqueued + other.jobs_enqueued,
             batches_formed=self.batches_formed + other.batches_formed,
             largest_batch=max(self.largest_batch, other.largest_batch),
             full_batches=self.full_batches + other.full_batches,
@@ -143,7 +142,6 @@ class MicroBatchQueue:
             queue_span=queue_span,
             enqueued_at=time.perf_counter(),
         ))
-        self.stats.jobs_enqueued += 1
         return future
 
     def close(self) -> None:
@@ -160,7 +158,7 @@ class MicroBatchQueue:
         """Remove and return jobs still queued, without batching them.
 
         For teardown paths where no consumer will run again (e.g. the
-        dispatcher died): the caller must resolve the returned jobs'
+        shard's worker died): the caller must resolve the returned jobs'
         futures itself or their awaiters hang forever.
         """
         pending: list[QueuedJob] = []

@@ -8,17 +8,16 @@ and whose entry is in memory is answered on the event loop, as a
 counted cache hit; every other job is keyed and probed, disk
 included, on one executor thread (``asyncio.to_thread``) per call,
 and a hit found there is answered without waiting for a batch.  Only
-misses, each carrying its key, enter a
-:class:`~repro.service.batching.MicroBatchQueue`.  The dispatch loop
-takes a free dispatch slot, then everything queued (up to the batch
-size cap) as one micro-batch: a lone miss leaves at once, and misses
-that arrive while every slot is busy leave together.  It splits each
-micro-batch into one group per owning cache shard and ships every
-group to ``engine.run_batch`` on an executor thread, keeping the
-event loop free while synthesis runs.  Each group holds
-only its own shard's dispatch lock: groups on different shards run
-concurrently, while groups sharing a shard serialise on it, so cache
-counters stay identical to serial dispatch.
+misses, each carrying its key, enter a queue: the
+:class:`~repro.service.batching.MicroBatchQueue` of the cache shard
+that owns the key.  Every shard has one long-lived worker task, which
+takes everything queued for its shard (up to the batch size cap) as
+one micro-batch and ships it to ``engine.run_batch`` on an executor
+thread, keeping the event loop free while synthesis runs.  A lone
+miss leaves at once; misses that arrive while their shard's worker
+is busy leave together.  Workers of different shards run
+concurrently, while one worker serialises its shard's batches, so
+cache counters stay identical to serial dispatch.
 
 Determinism: the engine itself guarantees that a job's outcome does
 not depend on batch composition (content-addressed caching plus
@@ -89,11 +88,11 @@ def _fail_batch_later(
 ) -> None:
     """Deliver a fatal dispatch error to the waiters *next* tick.
 
-    Fatal signals (cancellation at teardown) must reach the dispatcher
-    loop before the waiters wake — a waiter resuming first would
-    observe a service that still looks running while its dispatcher is
-    already doomed.  Deferring by one ``call_soon`` hop restores the
-    ordering the inline-dispatch implementation had.
+    Fatal signals (cancellation at teardown) must end the shard's
+    worker before the waiters wake — a waiter resuming first would
+    observe a service that still looks running while its worker is
+    already doomed.  Deferring by one ``call_soon`` hop gives that
+    order.
     """
     loop = asyncio.get_running_loop()
     for queued in batch:
@@ -107,8 +106,10 @@ class ServiceStats:
     Attributes:
         requests: Jobs accepted by ``submit`` / ``run_batch``, hits
             answered at the door included.
-        batches_dispatched: Micro-batches shipped to the engine.  Only
-            misses travel in one, so a door hit never adds a batch.
+        batches_dispatched: Micro-batches dispatched, one per shard
+            batch: one ``engine.run_batch`` call (one remote round
+            trip on a cluster front end).  Only misses travel in one,
+            so a door hit never adds a batch.
         largest_batch: Biggest micro-batch formed so far.
         full_batches: Micro-batches that reached the size cap.
         engine: Lifetime engine counters (cache traffic included).
@@ -170,15 +171,9 @@ class AsyncPreparationService:
             default engine (its signature joins every cache key);
             ``None`` runs each job's default pipeline.  Mutually
             exclusive with ``engine``.
-        max_batch_size: Micro-batch size cap.
-        max_concurrent_batches: Micro-batches allowed in flight at
-            once (the dispatch slots); ``None`` defaults to the shard
-            count.  Misses that arrive while every slot is busy wait
-            in the queue and leave as one batch when a slot frees.
-            Every batch runs as per-shard groups, each under its own
-            shard's dispatch lock: groups on different shards run
-            concurrently, groups sharing a shard serialise on it,
-            which keeps cache counters identical to serial dispatch.
+        max_batch_size: Micro-batch size cap.  Misses that arrive
+            while their shard's worker is busy wait in the shard's
+            queue and leave together, up to this many per batch.
         metrics: A :class:`~repro.obs.MetricsRegistry` to publish
             serving metrics into (queue-wait and micro-batch-size
             histograms, per-error-type job-failure counts, uptime
@@ -195,8 +190,9 @@ class AsyncPreparationService:
     The service must be running before ``submit`` is called: either
     ``await service.start()`` / ``await service.stop()`` explicitly,
     or use it as an async context manager.  ``stop()`` lets requests
-    already inside the door queue their misses, then drains the
-    queue before returning — no accepted request is dropped.
+    already inside the door queue their misses, then lets every
+    shard's worker answer its queue before returning — no accepted
+    request is dropped.
     """
 
     def __init__(
@@ -209,18 +205,9 @@ class AsyncPreparationService:
         executor: ExecutionBackend | str | None = None,
         pipeline: "Pipeline | None" = None,
         max_batch_size: int = 32,
-        max_concurrent_batches: int | None = None,
         metrics: MetricsRegistry | None = None,
         placement: ShardPlacement | None = None,
     ):
-        if (
-            max_concurrent_batches is not None
-            and max_concurrent_batches < 1
-        ):
-            raise EngineError(
-                f"max_concurrent_batches must be >= 1, "
-                f"got {max_concurrent_batches}"
-            )
         if engine is not None and pipeline is not None:
             raise EngineError(
                 "give either a ready engine or a pipeline for the "
@@ -243,8 +230,8 @@ class AsyncPreparationService:
         if metrics is not None:
             self._queue_wait = metrics.histogram(
                 "repro_queue_wait_seconds",
-                "Time a miss waited in the micro-batch queue for a "
-                "free dispatch slot.",
+                "Time a miss waited in its shard's queue for the "
+                "shard's worker.",
             )
             self._batch_size = metrics.histogram(
                 "repro_batch_size",
@@ -267,15 +254,9 @@ class AsyncPreparationService:
             if placement is not None
             else ShardPlacement.over_cache(self.engine.cache)
         )
-        self._max_concurrent_batches = (
-            max_concurrent_batches
-            if max_concurrent_batches is not None
-            else self.placement.num_shards
-        )
-        self._shard_locks: list[asyncio.Lock] = []
-        self._batch_slots: asyncio.Semaphore | None = None
-        self._queue: MicroBatchQueue | None = None
-        self._dispatcher: asyncio.Task | None = None
+        # One queue and one worker per shard, in shard order.
+        self._queues: list[MicroBatchQueue] = []
+        self._workers: list[asyncio.Task] = []
         # Serving counters of queues retired by stop(): stats() stays
         # lifetime-cumulative across stop()/start() cycles, matching
         # the engine counters it is reported next to.
@@ -292,73 +273,75 @@ class AsyncPreparationService:
     # ------------------------------------------------------------------
     @property
     def running(self) -> bool:
-        return (
-            self._dispatcher is not None
-            and not self._dispatcher.done()
-            and self._queue is not None
-            and not self._queue.closed
+        return bool(self._workers) and not any(
+            worker.done() for worker in self._workers
         )
 
     async def start(self) -> "AsyncPreparationService":
-        """Start the dispatch loop; idempotent while running."""
+        """Start one worker per shard; idempotent while running.
+
+        A service one of whose workers died (cancelled mid-batch) is
+        stopped first, which fails the dead worker's queued requests.
+        """
         if self.running:
             return self
+        if self._workers:
+            await self.stop()
         if self._started_monotonic is None:
             self._started_monotonic = time.monotonic()
-        if self._queue is not None:
-            self._retired_stats = self._retired_stats.merged(
-                self._queue.stats
-            )
-        self._queue = MicroBatchQueue(max_batch_size=self._max_batch_size)
-        # Per-shard dispatch locks, the in-flight bound and the door's
-        # idle event live on the running loop, so (re)create them at
-        # start time.
-        self._shard_locks = [
-            asyncio.Lock() for _ in range(self.placement.num_shards)
+        for queue in self._queues:
+            self._retired_stats = self._retired_stats.merged(queue.stats)
+        self._queues = [
+            MicroBatchQueue(max_batch_size=self._max_batch_size)
+            for _ in range(self.placement.num_shards)
         ]
-        self._batch_slots = asyncio.Semaphore(
-            self._max_concurrent_batches
-        )
+        # The workers and the door's idle event live on the running
+        # loop, so (re)create them at start time.
         self._door_idle = asyncio.Event()
         if not self._inside_door:
             self._door_idle.set()
-        self._dispatcher = asyncio.get_running_loop().create_task(
-            self._dispatch_loop(self._queue)
-        )
+        loop = asyncio.get_running_loop()
+        self._workers = [
+            loop.create_task(self._serve_shard(queue))
+            for queue in self._queues
+        ]
         return self
 
     async def stop(self) -> None:
-        """Queue the misses of requests inside the door, drain queued
-        jobs, then stop the dispatch loop."""
-        if self._queue is None or self._dispatcher is None:
+        """Queue the misses of requests inside the door, let every
+        worker answer its queue, then stop the workers."""
+        if not self._workers:
             return
         # From here on the service is not running: new requests are
         # refused at the door.
-        dispatcher, self._dispatcher = self._dispatcher, None
+        workers, self._workers = self._workers, []
         try:
             # Requests already past the running check are being keyed
-            # on worker threads; their misses join the queue before it
-            # closes, so the drain below answers them.
+            # on worker threads; their misses join the queues before
+            # they close, so the workers answer them.
             await self._door_idle.wait()
         finally:
-            self._queue.close()
+            for queue in self._queues:
+                queue.close()
         try:
-            await dispatcher
-        except asyncio.CancelledError:
-            # The dispatcher died cancelled (teardown mid-batch).
-            # That is *its* cancellation, not ours: swallowing it here
-            # must not abort the caller's cleanup.  Only re-raise when
-            # the caller itself is being cancelled.
-            if not dispatcher.cancelled():
-                raise
+            for worker in workers:
+                try:
+                    await worker
+                except asyncio.CancelledError:
+                    # The worker died cancelled (teardown mid-batch).
+                    # That is *its* cancellation, not ours: swallowing
+                    # it here must not abort the caller's cleanup.
+                    # Only re-raise when the caller itself is being
+                    # cancelled.
+                    if not worker.cancelled():
+                        raise
         finally:
-            # A dispatcher that drained normally leaves nothing here.
-            # One that died (cancelled / crashed) leaves queued
-            # requests whose awaiters would otherwise hang forever —
-            # fail them explicitly.
-            for queued in self._queue.drain_pending():
-                if not queued.future.done():
-                    queued.future.set_exception(EngineError(
+            # A worker that answered its queue leaves nothing here.
+            # One that died leaves queued requests whose awaiters
+            # would otherwise hang forever: fail them explicitly.
+            for queue in self._queues:
+                for queued in queue.drain_pending():
+                    _set_exception_if_pending(queued.future, EngineError(
                         "service stopped before the request was "
                         "dispatched"
                     ))
@@ -423,9 +406,9 @@ class AsyncPreparationService:
         executor thread keys and probes every other job of the call
         (disk included).  The work runs under a ``door`` span of the
         request; a hit is resolved at once (traced as a zero-duration
-        ``cache_hit`` span of the request), a miss enters the
-        micro-batch queue with its key.  Returns one future per job,
-        in order.
+        ``cache_hit`` span of the request), a miss enters the queue
+        of the shard that owns its key, carrying the key.  Returns one
+        future per job, in order.
         """
         self._requests += len(jobs)
         self._inside_door += 1
@@ -457,7 +440,8 @@ class AsyncPreparationService:
             answers = []
             for job, (key, hit) in zip(jobs, looked_up):
                 if hit is None:
-                    answers.append(self._queue.put(job, key))
+                    owner = self.placement.shard_index(key or "")
+                    answers.append(self._queues[owner].put(job, key))
                     continue
                 if trace is not None:
                     trace.add_span(
@@ -526,8 +510,8 @@ class AsyncPreparationService:
         return time.monotonic() - self._started_monotonic
 
     def queue_depth(self) -> int:
-        """Misses queued but not yet handed to a dispatch task."""
-        return self._queue.pending() if self._queue is not None else 0
+        """Misses queued but not yet taken by their shard's worker."""
+        return sum(queue.pending() for queue in self._queues)
 
     def _collect_samples(self):
         """Scrape-time samples of counters the service already keeps."""
@@ -537,10 +521,10 @@ class AsyncPreparationService:
              "Seconds since the service first started.",
              self.uptime()),
             ("repro_queue_depth", "gauge",
-             "Jobs waiting in the micro-batch queue right now.",
+             "Jobs waiting in the shards' queues right now.",
              self.queue_depth()),
             ("repro_batches_dispatched_total", "counter",
-             "Micro-batches shipped to the engine.",
+             "Micro-batches dispatched, one per shard batch.",
              stats.batches_dispatched),
             ("repro_largest_batch", "gauge",
              "Biggest micro-batch formed so far.",
@@ -549,11 +533,9 @@ class AsyncPreparationService:
 
     def stats(self) -> ServiceStats:
         """Snapshot of serving-layer and engine counters."""
-        queue_stats = self._retired_stats.merged(
-            self._queue.stats
-            if self._queue is not None
-            else BatchQueueStats()
-        )
+        queue_stats = self._retired_stats
+        for queue in self._queues:
+            queue_stats = queue_stats.merged(queue.stats)
         return ServiceStats(
             requests=self._requests,
             batches_dispatched=queue_stats.batches_formed,
@@ -563,131 +545,52 @@ class AsyncPreparationService:
         )
 
     # ------------------------------------------------------------------
-    # Dispatch loop
+    # Shard workers
     # ------------------------------------------------------------------
-    async def _dispatch_loop(self, queue: MicroBatchQueue) -> None:
-        """Take a free slot, then the next micro-batch, and ship it;
-        disjoint shards run in parallel.
+    async def _serve_shard(self, queue: MicroBatchQueue) -> None:
+        """Dispatch one shard's queue, one micro-batch at a time, until
+        it is closed and empty.
 
-        The slot comes first, so a batch leaves as soon as it is
-        taken: a lone miss at once, and the misses queued while every
-        slot was busy together, when one frees.  Each batch becomes
-        its own dispatch task; inside it, every per-shard group takes
-        its shard's lock: groups on disjoint shards overlap, groups
-        sharing a shard (in particular: duplicate-heavy traffic)
-        serialise on it, so cache hit/miss counters stay identical to
-        strictly serial dispatch.  A slot held when the loop ends is
-        not given back: ``start()`` makes new slots.
+        Each batch is everything queued for the shard (up to the size
+        cap), so a lone miss leaves at once and the misses queued
+        while the previous batch ran leave together.  One worker per
+        shard serialises the shard's batches, so cache hit/miss
+        counters stay identical to strictly serial dispatch, while
+        workers of different shards run concurrently.  An
+        ``Exception`` fails only its batch's requests and the worker
+        goes on; any other signal (cancellation at teardown) fails
+        them one tick later and ends the worker.
         """
-        inflight: set[asyncio.Task] = set()
-        loop = asyncio.get_running_loop()
-        slots = self._batch_slots
-        next_batch: asyncio.Task | None = None
-        try:
-            while True:
-                if next_batch is None:
-                    await slots.acquire()
-                    next_batch = loop.create_task(queue.next_batch())
-                await asyncio.wait(
-                    {next_batch, *inflight},
-                    return_when=asyncio.FIRST_COMPLETED,
+        while True:
+            batch = await queue.next_batch()
+            if batch is None:
+                return
+            traces, spans = self._begin_dispatch(batch)
+            started = time.perf_counter()
+            try:
+                await self._dispatch_group(
+                    tuple(self.placement.preference(batch[0].key or "")),
+                    batch,
+                    traces,
                 )
-                # A dispatch that died of cancellation (teardown
-                # mid-batch) must kill the whole loop, exactly as it
-                # did when dispatch was awaited inline.
-                self._reap(inflight)
-                if not next_batch.done():
-                    continue
-                batch = next_batch.result()
-                next_batch = None
-                if batch is None:
-                    return
-                dispatch = loop.create_task(
-                    self._dispatch_sharded(batch)
-                )
-                # Clean up via done callback, not inside the task: a
-                # task cancelled before its coroutine first runs never
-                # reaches _dispatch_sharded's except/finally, which
-                # would leak the slot and strand the batch's waiters.
-                def _finish_dispatch(task, *, batch=batch):
-                    slots.release()
-                    if task.cancelled():
-                        error = EngineError(
-                            "service stopped before the batch was "
-                            "dispatched"
-                        )
-                        for queued in batch:
-                            _set_exception_if_pending(
-                                queued.future, error
-                            )
-
-                dispatch.add_done_callback(_finish_dispatch)
-                inflight.add(dispatch)
-        except BaseException:
-            # The loop is dying (cancellation, crashed queue): take
-            # the in-flight dispatches down with it so their waiters
-            # are failed rather than stranded.
-            for task in inflight:
-                task.cancel()
-            raise
-        finally:
-            # Teardown must not await when nothing is pending: a
-            # dispatcher dying of a propagated cancellation finishes
-            # in the same loop tick, as the inline-dispatch version
-            # did.
-            self._abandon_next_batch(next_batch)
-            pending = [task for task in inflight if not task.done()]
-            if pending:
-                await asyncio.gather(
-                    *pending, return_exceptions=True
-                )
-
-    @staticmethod
-    def _reap(inflight: set[asyncio.Task]) -> None:
-        """Drop finished dispatch tasks; re-raise fatal ones.
-
-        Dispatch tasks resolve per-job errors onto their waiters and
-        finish cleanly — the only way one *fails* is a non-``Exception``
-        signal (cancellation at loop teardown), which must propagate so
-        the dispatcher dies instead of looping uncancellably.
-        """
-        for task in [t for t in inflight if t.done()]:
-            inflight.discard(task)
-            if task.cancelled():
-                raise asyncio.CancelledError
-            error = task.exception()
-            if error is not None:
-                raise error
-
-    @staticmethod
-    def _fail_orphaned_batch(next_batch: asyncio.Task) -> None:
-        """Fail the waiters of a batch nobody will dispatch."""
-        if next_batch.cancelled() or next_batch.exception() is not None:
-            return
-        for queued in next_batch.result() or ():
-            if not queued.future.done():
-                queued.future.set_exception(EngineError(
-                    "service stopped before the request was "
-                    "dispatched"
-                ))
-
-    @classmethod
-    def _abandon_next_batch(
-        cls, next_batch: asyncio.Task | None
-    ) -> None:
-        """Tear down a pending ``next_batch`` without losing its jobs.
-
-        The task may (yet) complete with a batch the dead loop will
-        never dispatch; those waiters must be failed explicitly or
-        they hang forever.  Synchronous on purpose — see the caller.
-        """
-        if next_batch is None:
-            return
-        if next_batch.done():
-            cls._fail_orphaned_batch(next_batch)
-        else:
-            next_batch.cancel()
-            next_batch.add_done_callback(cls._fail_orphaned_batch)
+            except Exception as error:  # noqa: BLE001 - fan out to waiters
+                for queued in batch:
+                    _set_exception_if_pending(queued.future, error)
+            except BaseException as error:
+                # CancelledError (loop shutdown) and other
+                # non-Exception signals must keep propagating, or the
+                # worker becomes uncancellable and hangs event-loop
+                # teardown.
+                _fail_batch_later(batch, error)
+                raise
+            finally:
+                for span in spans:
+                    span.finish()
+            _LOGGER.debug(
+                "batch_dispatched",
+                jobs=len(batch),
+                duration=round(time.perf_counter() - started, 6),
+            )
 
     def _routing_key(self, job: PreparationJob) -> str | None:
         """Content key of ``job``, made once at the door; ``None`` if
@@ -711,109 +614,45 @@ class AsyncPreparationService:
         except Exception:  # noqa: BLE001 - failure handled in run_batch
             return None
 
-    def _group_batch(
-        self, batch: list[QueuedJob]
-    ) -> list[tuple[tuple[int, ...], list[int]]]:
-        """Split a batch into per-owner groups with failover chains.
-
-        Returns ``(chain, positions)`` pairs: the shard-index
-        preference chain the group will try in order (owner first),
-        and the batch positions it carries.  Jobs whose key could not
-        be derived go to the key-space origin (any shard reproduces
-        the failure identically).
-        """
-        groups: dict[int, tuple[tuple[int, ...], list[int]]] = {}
-        for position, queued in enumerate(batch):
-            chain = tuple(self.placement.preference(queued.key or ""))
-            groups.setdefault(chain[0], (chain, []))[1].append(position)
-        return list(groups.values())
-
-    async def _dispatch_sharded(self, batch: list[QueuedJob]) -> None:
-        """Run one micro-batch as concurrent per-shard groups."""
-        try:
-            traces, spans = self._begin_dispatch(batch)
-            started = time.perf_counter()
-            try:
-                groups = self._group_batch(batch)
-                await asyncio.gather(*(
-                    self._dispatch_group(chain, positions, batch, traces)
-                    for chain, positions in groups
-                ))
-            finally:
-                for span in spans:
-                    span.finish()
-            _LOGGER.debug(
-                "batch_dispatched",
-                jobs=len(batch),
-                groups=len(groups),
-                duration=round(time.perf_counter() - started, 6),
-            )
-        except BaseException as error:  # noqa: BLE001 - fan out to waiters
-            # Failures outside a group (cancellation at teardown)
-            # would otherwise strand the batch's waiters.
-            if isinstance(error, Exception):
-                for queued in batch:
-                    _set_exception_if_pending(queued.future, error)
-            else:
-                # CancelledError (loop shutdown) and other
-                # non-Exception signals must keep propagating, or the
-                # dispatcher task becomes uncancellable and hangs
-                # event-loop teardown; the waiters are failed one tick
-                # later, after the dispatcher has observed the death.
-                _fail_batch_later(batch, error)
-                raise
-
     async def _dispatch_group(
         self,
         chain: tuple[int, ...],
-        positions: list[int],
         batch: list[QueuedJob],
         traces: list["tuple[Trace, Span] | None"],
     ) -> None:
-        """Run one shard group on the engine under its owner's lock.
+        """Run one shard's micro-batch on the engine, on an executor
+        thread.
 
         The execution seam: :class:`~repro.cluster.ClusterPreparationService`
-        overrides it to ship the group to remote shards instead.  An
-        ``Exception`` fails only this group's waiters.
+        overrides it to send the batch to a remote shard, failing over
+        along ``chain`` (the owner first).  An ``Exception`` raised
+        here fails only this batch's requests.
         """
-        jobs = [batch[position].job for position in positions]
-        keys = [batch[position].key for position in positions]
-        group_traces = tuple(traces[position] for position in positions)
-        async with self._shard_locks[chain[0]]:
-            # Plant the group's traces in this context: asyncio.to_thread
-            # copies it, carrying them into the engine's worker thread.
-            token = (
-                DISPATCH_TRACES.set(group_traces)
-                if any(group_traces) else None
+        # Plant the batch's traces in this context: asyncio.to_thread
+        # copies it, carrying them into the engine's worker thread.
+        token = (
+            DISPATCH_TRACES.set(tuple(traces)) if any(traces) else None
+        )
+        try:
+            result = await asyncio.to_thread(
+                self.engine.run_batch,
+                [queued.job for queued in batch],
+                keys=[queued.key for queued in batch],
             )
-            try:
-                result = await asyncio.to_thread(
-                    self.engine.run_batch, jobs, keys=keys
-                )
-            except Exception as error:  # noqa: BLE001 - fan out to waiters
-                for position in positions:
-                    _set_exception_if_pending(
-                        batch[position].future, error
-                    )
-                return
-            finally:
-                if token is not None:
-                    DISPATCH_TRACES.reset(token)
-        self._deliver(positions, batch, result.outcomes)
+        finally:
+            if token is not None:
+                DISPATCH_TRACES.reset(token)
+        self._deliver(batch, result.outcomes)
 
     def _deliver(
-        self,
-        positions: list[int],
-        batch: list[QueuedJob],
-        outcomes: Iterable[JobOutcome],
+        self, batch: list[QueuedJob], outcomes: Iterable[JobOutcome]
     ) -> None:
-        """Resolve a group's waiters, counting failed outcomes."""
-        for position, outcome in zip(positions, outcomes):
+        """Resolve a batch's waiters, counting failed outcomes."""
+        for queued, outcome in zip(batch, outcomes):
             if not outcome.ok and self._job_failures is not None:
                 self._job_failures.labels(outcome.error_type).inc()
-            future = batch[position].future
-            if not future.done():
-                future.set_result(outcome)
+            if not queued.future.done():
+                queued.future.set_result(outcome)
 
     def _begin_dispatch(
         self, batch: list[QueuedJob]

@@ -2,11 +2,14 @@
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import threading
 
+import numpy as np
 import pytest
 
+from repro.circuit import Circuit, GivensRotation, ShiftGate, UnitaryGate, qasm
 from repro.engine import cache as cache_module
 from repro.engine import (
     CacheEntry,
@@ -21,7 +24,7 @@ from repro.engine import (
     comparable_report,
     content_key,
 )
-from repro.exceptions import EngineError, JobSpecError
+from repro.exceptions import EngineError, JobSpecError, SerializationError
 from repro.simulator import simulate
 from repro.states import fidelity, ghz_state
 
@@ -276,6 +279,48 @@ class TestCircuitCache:
         assert cache.stats.stores == 2
         assert cache.peek("new") is not None
         assert CircuitCache(disk_dir=tmp_path).get("new") is not None
+
+    def test_disk_file_is_the_plain_json_of_the_entry(self, tmp_path):
+        # The circuit's JSON literal is spliced into the file, whose
+        # text stays the plain JSON encoding of the entry: for a
+        # circuit held as a table and for one held as a gate list.
+        table = self._entry("table")
+        assert table.circuit.table is not None
+        gates = Circuit((3, 2))
+        gates.append(
+            GivensRotation(0, 0, 2, 0.7523, -0.311, controls=[(1, 1)])
+        )
+        gates.append(ShiftGate(1, 1))
+        gates.add_global_phase(0.125)
+        listed = CacheEntry(key="gates", circuit=gates, report=table.report)
+        assert listed.circuit.table is None
+        cache = CircuitCache(capacity=4, disk_dir=tmp_path)
+        for entry in (table, listed):
+            cache.put(entry)
+            report = dataclasses.asdict(entry.report)
+            report["dims"] = list(report["dims"])
+            assert (tmp_path / f"{entry.key}.json").read_text() == json.dumps(
+                {
+                    "key": entry.key,
+                    "qdasm": qasm.dumps(entry.circuit),
+                    "report": report,
+                }
+            )
+        fresh = CircuitCache(capacity=4, disk_dir=tmp_path)
+        assert fresh.get("gates").circuit == gates
+
+    def test_circuit_without_qdasm_form_is_not_stored(self, tmp_path):
+        circuit = Circuit((2,))
+        circuit.append(UnitaryGate(0, np.eye(2)))
+        entry = CacheEntry(
+            key="k", circuit=circuit, report=self._entry().report
+        )
+        cache = CircuitCache(capacity=4, disk_dir=tmp_path)
+        with pytest.raises(SerializationError):
+            cache.put(entry)
+        assert cache.stats.stores == 0
+        assert len(cache) == 0
+        assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize(
         "corruption", ["not-json", "nan-phase", "huge-dimension", "wrong-key"]

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import asyncio
+import contextlib
 import sys
 import threading
 import time
@@ -34,20 +35,33 @@ WORKLOAD = [
 ]
 
 
-#: A job no test serves otherwise: it holds the only dispatch slot in
-#: :func:`behind_a_busy_slot`.
+#: A job no test serves otherwise: it keeps its shard's worker busy in
+#: :func:`blocked_shard`.
 BLOCKER = PreparationJob(dims=(2, 5), family="ghz")
 
+#: Small jobs to pick misses for a chosen shard from (:func:`jobs_on`).
+CANDIDATES = [
+    ghz_job(dims=(a, b))
+    for a in range(2, 7) for b in range(2, 7) if (a, b) != (2, 5)
+]
 
-async def behind_a_busy_slot(service, requests):
-    """Run ``requests`` (coroutines) while a blocked job holds the only
-    dispatch slot of ``service`` (``max_concurrent_batches=1``), and
-    free the slot once all their misses are queued, so that they leave
-    as one batch.
 
-    Returns their results (exceptions included) and the service stats
-    from before they were sent.
-    """
+def shard_of(service, job) -> int:
+    """Index of the shard that owns ``job``'s key."""
+    return service.placement.shard_index(service.engine.job_key(job))
+
+
+def jobs_on(service, shard, count) -> list[PreparationJob]:
+    """``count`` jobs of :data:`CANDIDATES` owned by ``shard``."""
+    found = [job for job in CANDIDATES if shard_of(service, job) == shard]
+    assert len(found) >= count, "too few candidates on the shard"
+    return found[:count]
+
+
+@contextlib.asynccontextmanager
+async def blocked_shard(service):
+    """Keep the worker of :data:`BLOCKER`'s shard busy running it
+    until the block exits."""
     engine = service.engine
     ran, release = threading.Event(), threading.Event()
     run_batch = engine.run_batch
@@ -64,18 +78,30 @@ async def behind_a_busy_slot(service, requests):
     try:
         blocked = asyncio.ensure_future(service.submit(BLOCKER))
         assert await asyncio.to_thread(ran.wait, 10.0)
+        yield
+        release.set()
+        assert (await blocked).ok
+    finally:
+        release.set()
+        del engine.run_batch
+
+
+async def behind_a_busy_worker(service, requests):
+    """Run ``requests`` (coroutines) while :data:`BLOCKER` keeps its
+    shard's worker busy, and free the worker once all their misses
+    are queued, so that those on its shard leave as one batch.
+
+    Returns their results (exceptions included) and the service stats
+    from before they were sent.
+    """
+    async with blocked_shard(service):
         before = service.stats()
         tasks = [asyncio.ensure_future(request) for request in requests]
         deadline = time.monotonic() + 10.0
         while service.queue_depth() < len(tasks):
             assert time.monotonic() < deadline, "misses never queued"
             await asyncio.sleep(0.001)
-        release.set()
-        results = await asyncio.gather(*tasks, return_exceptions=True)
-        assert (await blocked).ok
-    finally:
-        release.set()
-        del engine.run_batch
+    results = await asyncio.gather(*tasks, return_exceptions=True)
     return results, before
 
 
@@ -265,7 +291,6 @@ class TestMicroBatchQueue:
             assert [q.future for q in batch] == futures
             assert queue.stats.batches_formed == 1
             assert queue.stats.largest_batch == 5
-            assert queue.stats.jobs_enqueued == 5
 
         asyncio.run(scenario())
 
@@ -360,9 +385,9 @@ class TestAsyncPreparationService:
     def test_single_submissions_coalesce_into_micro_batches(self):
         async def scenario():
             async with AsyncPreparationService(
-                max_batch_size=16, max_concurrent_batches=1
+                num_shards=1, max_batch_size=16
             ) as service:
-                outcomes, before = await behind_a_busy_slot(
+                outcomes, before = await behind_a_busy_worker(
                     service, [service.submit(ghz_job()) for _ in range(6)]
                 )
             return outcomes, before, service.stats()
@@ -370,7 +395,7 @@ class TestAsyncPreparationService:
         outcomes, before, stats = asyncio.run(scenario())
         assert all(outcome.ok for outcome in outcomes)
         assert stats.requests - before.requests == 6
-        # All six submissions were queued while the only slot was
+        # All six submissions were queued while the only worker was
         # busy, so they travel as one engine batch.
         assert stats.batches_dispatched - before.batches_dispatched == 1
         assert stats.largest_batch == 6
@@ -378,24 +403,23 @@ class TestAsyncPreparationService:
         assert stats.engine.jobs_executed - before.engine.jobs_executed == 1
 
     def test_misses_behind_a_busy_slot_leave_together(self):
-        # Six distinct misses queued while the only dispatch slot is
+        # Six distinct misses queued while the only shard's worker is
         # busy ride one batch and are each synthesised once, though
-        # they arrive 10 ms apart: no batch is taken before its slot.
+        # they arrive 10 ms apart: the worker takes no batch while it
+        # runs one.
         jobs = [
             ghz_job(dims=dims)
             for dims in [(2, 2), (2, 3), (3, 2), (3, 3), (2, 2, 2), (2, 4)]
         ]
 
         async def scenario():
-            async with AsyncPreparationService(
-                max_concurrent_batches=1
-            ) as service:
+            async with AsyncPreparationService(num_shards=1) as service:
 
                 async def submit_after(delay, job):
                     await asyncio.sleep(delay)
                     return await service.submit(job)
 
-                outcomes, before = await behind_a_busy_slot(
+                outcomes, before = await behind_a_busy_worker(
                     service,
                     [
                         submit_after(0.01 * position, job)
@@ -533,7 +557,7 @@ class TestAsyncPreparationService:
     def test_cancellation_propagates_out_of_dispatch(self, monkeypatch):
         # A CancelledError raised while a micro-batch is in flight
         # (event-loop teardown) must cancel the waiters AND keep
-        # propagating so the dispatcher task itself dies; swallowing
+        # propagating so the shard's worker itself dies; swallowing
         # it would leave an uncancellable loop that hangs shutdown.
         async def scenario():
             service = AsyncPreparationService()
@@ -548,51 +572,42 @@ class TestAsyncPreparationService:
             with pytest.raises(asyncio.CancelledError):
                 await service.submit(ghz_job())
             await asyncio.sleep(0)
-            assert service._dispatcher.done()
             assert not service.running
-            # Stopping a service whose dispatcher died cancelled must
-            # not re-raise that stale CancelledError into the caller.
+            # Stopping a service whose worker died cancelled must not
+            # re-raise that stale CancelledError into the caller.
             await service.stop()
             await service.stop()   # idempotent
 
         asyncio.run(scenario())
 
-    def test_dispatch_cancelled_before_start_fails_waiters(self):
-        # A dispatch task cancelled before its coroutine ever runs
-        # (loop teardown cancels queued tasks wholesale) reaches
-        # neither _dispatch_sharded's except nor its finally; the
-        # dispatcher's done callback must still release the batch
-        # slot and fail the batch's waiters instead of stranding
-        # them forever.
+    def test_restart_after_a_worker_died(self, monkeypatch):
+        # start() on a service whose worker died cancelled stops it
+        # first, then serves again on fresh workers.
         async def scenario():
-            service = AsyncPreparationService(max_batch_size=1)
+            service = AsyncPreparationService()
             await service.start()
-            loop = asyncio.get_running_loop()
-            real = service._dispatch_sharded
 
-            def cancel_pre_start(coro):
-                for task in asyncio.all_tasks():
-                    if task.get_coro() is coro:
-                        task.cancel()
+            def cancelled_run_batch(jobs, keys=None):
+                raise asyncio.CancelledError
 
-            def spy(batch):
-                coro = real(batch)
-                # Queued before create_task schedules the
-                # coroutine's first step, so the cancel lands
-                # strictly pre-start.
-                loop.call_soon(cancel_pre_start, coro)
-                return coro
-
-            service._dispatch_sharded = spy
-            waiter = asyncio.ensure_future(service.submit(ghz_job()))
-            with pytest.raises(EngineError, match="before the batch"):
-                await asyncio.wait_for(waiter, timeout=5.0)
+            monkeypatch.setattr(
+                service.engine, "run_batch", cancelled_run_batch
+            )
+            with pytest.raises(asyncio.CancelledError):
+                await service.submit(ghz_job())
+            monkeypatch.undo()
+            await asyncio.sleep(0)
+            assert not service.running
+            await service.start()
+            assert service.running
+            outcome = await service.submit(ghz_job())
             await service.stop()
+            return outcome
 
-        asyncio.run(scenario())
+        assert asyncio.run(scenario()).ok
 
     def test_stop_fails_requests_stranded_by_dead_dispatcher(self):
-        # If the dispatcher is cancelled while requests are still
+        # If the workers are cancelled while requests are still
         # queued, stop() must resolve those futures (with an error)
         # instead of leaving their awaiters hanging forever.
         async def scenario():
@@ -603,7 +618,8 @@ class TestAsyncPreparationService:
                 for _ in range(3)
             ]
             await asyncio.sleep(0)      # let every submit enqueue
-            service._dispatcher.cancel()
+            for worker in service._workers:
+                worker.cancel()
             await service.stop()
             # Every awaiter resolves promptly — outcome or error,
             # never a hang.
@@ -699,7 +715,6 @@ class TestMicroBatchQueueEdgeCases:
         # Every accepted job comes out exactly once, in order.
         assert drained == futures
         assert stats.batches_formed == 3  # 3 + 3 + 1
-        assert stats.jobs_enqueued == 7
 
     def test_submit_after_close_raises_clean_error(self):
         async def scenario():
@@ -761,8 +776,9 @@ class TestStatsToDict:
 
 
 class TestPerShardDispatch:
-    """Micro-batches on disjoint shards run concurrently; batches
-    sharing a shard serialise — and outcomes stay equal either way."""
+    """Each shard has its own queue and worker: batches on disjoint
+    shards run concurrently, batches of one shard serialise — and
+    outcomes stay equal either way."""
 
     @staticmethod
     def _disjoint_shard_jobs(engine, want_same=False):
@@ -899,6 +915,7 @@ class TestPerShardDispatch:
 
         async def scenario():
             async with AsyncPreparationService(num_shards=4) as service:
+                owners = {shard_of(service, job) for job in distinct}
                 await service.run_batch(distinct)
                 results = await asyncio.wait_for(
                     asyncio.gather(*(
@@ -906,25 +923,27 @@ class TestPerShardDispatch:
                     )),
                     timeout=60.0,
                 )
-            return results, service.stats()
+            return results, owners, service.stats()
 
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
-            results, stats = asyncio.run(scenario())
+            results, owners, stats = asyncio.run(scenario())
         finally:
             sys.setswitchinterval(interval)
         assert all(result.num_cache_hits == len(jobs) for result in results)
         total = clients * len(jobs) + len(distinct)
         assert stats.requests == total
-        assert stats.batches_dispatched == 1
+        # The cold call's misses leave as one batch per owner shard.
+        assert stats.batches_dispatched == len(owners)
         assert stats.engine.jobs_submitted == total
         assert stats.engine.cache_lookups == total
         assert stats.engine.cache_misses == len(distinct)
 
     def test_fast_group_does_not_wait_for_slow_group(self):
-        # One micro-batch, two shards: each shard group runs on its
-        # own, so the fast job resolves while the slow one still runs.
+        # Two misses sent at once on two shards: each shard's worker
+        # runs its own batch, so the fast job resolves while the slow
+        # one still runs.
         class SlowEngine(PreparationEngine):
             slow_job = None
 
@@ -944,20 +963,22 @@ class TestPerShardDispatch:
 
         async def scenario():
             async with AsyncPreparationService(
-                engine=engine, max_batch_size=2, max_concurrent_batches=1
+                engine=engine, max_batch_size=2
             ) as service:
-                results, before = await behind_a_busy_slot(
-                    service, [timed(service, slow), timed(service, fast)]
+                results = await asyncio.gather(
+                    timed(service, slow), timed(service, fast)
                 )
-            return results, before, service.stats()
+            return results, service.stats()
 
-        results, before, stats = asyncio.run(scenario())
+        results, stats = asyncio.run(scenario())
         (slow_outcome, slow_done), (fast_outcome, fast_done) = results
         assert slow_outcome.ok and fast_outcome.ok
-        assert stats.batches_dispatched - before.batches_dispatched == 1
+        assert stats.batches_dispatched == 2
         assert slow_done - fast_done >= 0.2
 
     def test_group_exception_fails_only_its_group(self):
+        # A batch that raises fails only its own requests, and its
+        # shard's worker goes on to serve the next one.
         class BrokenShardEngine(PreparationEngine):
             broken_job = None
 
@@ -975,18 +996,74 @@ class TestPerShardDispatch:
 
         async def scenario():
             async with AsyncPreparationService(
-                engine=engine, max_batch_size=2, max_concurrent_batches=1
+                engine=engine, max_batch_size=2
             ) as service:
-                results, before = await behind_a_busy_slot(
-                    service,
-                    [service.submit(broken), service.submit(healthy)],
+                results = await asyncio.gather(
+                    service.submit(broken),
+                    service.submit(healthy),
+                    return_exceptions=True,
                 )
-            return results, before, service.stats()
+                engine.broken_job = None
+                again = await asyncio.wait_for(
+                    service.submit(broken), timeout=5.0
+                )
+                running = service.running
+            return results, again, running, service.stats()
 
-        (failed, served), before, stats = asyncio.run(scenario())
-        assert stats.batches_dispatched - before.batches_dispatched == 1
+        (failed, served), again, running, stats = asyncio.run(scenario())
+        assert stats.batches_dispatched == 3
         assert isinstance(failed, RuntimeError)
         assert served.ok
+        assert running
+        assert again.ok and not again.cache_hit
+
+    def test_idle_shard_is_not_held_behind_a_busy_one(self):
+        # Shard A's worker runs BLOCKER and a second A miss waits for
+        # it; a miss for shard B still resolves at once.
+        async def scenario():
+            async with AsyncPreparationService(num_shards=2) as service:
+                busy = shard_of(service, BLOCKER)
+                (second,) = jobs_on(service, busy, 1)
+                (idle,) = jobs_on(service, 1 - busy, 1)
+                async with blocked_shard(service):
+                    before = service.stats()
+                    waiting = asyncio.ensure_future(service.submit(second))
+                    deadline = time.monotonic() + 10.0
+                    while not (
+                        service.queue_depth()
+                        or service.stats().batches_dispatched
+                        > before.batches_dispatched
+                    ):
+                        assert time.monotonic() < deadline, "never queued"
+                        await asyncio.sleep(0.001)
+                    served = await asyncio.wait_for(
+                        service.submit(idle), timeout=2.0
+                    )
+                    held = not waiting.done()
+                return served, held, await waiting
+
+        served, held, second = asyncio.run(scenario())
+        assert served.ok and not served.cache_hit
+        assert held
+        assert second.ok
+
+    def test_misses_for_a_busy_shard_leave_together(self):
+        # Three misses queued behind BLOCKER on its shard leave as one
+        # batch of three when the shard's worker frees, though the
+        # other shard's worker is idle.
+        async def scenario():
+            async with AsyncPreparationService(num_shards=2) as service:
+                jobs = jobs_on(service, shard_of(service, BLOCKER), 3)
+                outcomes, before = await behind_a_busy_worker(
+                    service, [service.submit(job) for job in jobs]
+                )
+            return outcomes, before, service.stats()
+
+        outcomes, before, stats = asyncio.run(scenario())
+        assert all(outcome.ok for outcome in outcomes)
+        assert stats.batches_dispatched - before.batches_dispatched == 1
+        assert stats.largest_batch == 3
+        assert stats.engine.jobs_executed - before.engine.jobs_executed == 3
 
 
 def count_thread_hops(monkeypatch) -> list:
