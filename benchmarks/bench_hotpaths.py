@@ -50,10 +50,14 @@ the columnar writer against the per-row writer and the columnar reader
 against the gate-list parser, both of ``tests/qasm_oracle.py``, and
 records whether the text is the oracle's byte for byte and whether it
 reads back as a table; the run fails if either does not hold.
+Per scenario it also times the table kernel's run-matrix build on the
+synthesised circuit against ``run_matrices_reference`` of
+``tests/kernel_oracles.py`` and records whether every matrix is the
+reference's byte for byte; the run fails if one is not.
 ``--smoke`` runs a CI-sized grid and also fails unless block-kernel
-verify is no slower than gate-list verify, and the columnar writer no
-slower than the per-row writer, on the smoke scenario with the most
-operations.
+verify is no slower than gate-list verify, the run-matrix build no
+slower than the reference's, and the columnar writer no slower than
+the per-row writer, on the smoke scenario with the most operations.
 
 Run::
 
@@ -88,7 +92,10 @@ from repro.core.synthesis import (  # noqa: E402
     synthesize_preparation,
     synthesize_unpreparation,
 )
-from repro.core.verification import verify_preparation  # noqa: E402
+from repro.core.verification import (  # noqa: E402
+    prepared_state,
+    verify_preparation,
+)
 from repro.dd.approximation import approximate  # noqa: E402
 from repro.dd.builder import build_dd  # noqa: E402
 from repro.dd.edge import WEIGHT_ZERO_CUTOFF, Edge  # noqa: E402
@@ -115,10 +122,12 @@ from repro.states.random_states import (  # noqa: E402
     random_sparse_state,
     random_state,
 )
+from repro.simulator import statevector_sim  # noqa: E402
 from repro.states.statevector import StateVector  # noqa: E402
 from tests.approximation_oracle import approximate_oracle  # noqa: E402
 from tests.kernel_oracles import (  # noqa: E402
     build_dd_reference,
+    run_matrices_reference,
     simulate_reference,
     stats_reference,
 )
@@ -510,6 +519,46 @@ def run_qdasm(circuit: Circuit, repeats: int) -> dict:
     }
 
 
+def run_matrices(circuit: Circuit, repeats: int) -> dict:
+    """The table kernel's run-matrix build on ``circuit``'s runs against
+    ``run_matrices_reference`` of ``tests/kernel_oracles.py``: times,
+    and whether every matrix is the reference's byte for byte.
+
+    Each build takes well under a millisecond on the smoke grid, so the
+    minimum is taken over five times ``repeats`` runs."""
+    repeats *= 5
+    production = statevector_sim._run_matrices
+    calls = []
+
+    def record(*args):
+        calls.append(args)
+        return production(*args)
+
+    statevector_sim._run_matrices = record
+    try:
+        prepared_state(circuit)
+    finally:
+        statevector_sim._run_matrices = production
+    (args,) = calls
+    stacks, positions = production(*args)
+    expected, expected_positions = run_matrices_reference(*args)
+    return {
+        "build_s": round(_best_of(lambda: production(*args), repeats), 6),
+        "reference_s": round(
+            _best_of(lambda: run_matrices_reference(*args), repeats), 6
+        ),
+        "bytes_match": bool(
+            np.array_equal(positions, expected_positions)
+            and stacks.keys() == expected.keys()
+            and all(
+                stack.shape == expected[dimension].shape
+                and stack.tobytes() == expected[dimension].tobytes()
+                for dimension, stack in stacks.items()
+            )
+        ),
+    }
+
+
 def approximation_mismatches(
     state: StateVector, min_fidelity: float = 0.98
 ) -> list[str]:
@@ -644,14 +693,19 @@ def run(smoke: bool, repeats: int) -> dict:
                 ref_verify_s, table_s
             ),
             "speedup_vs_seed": _round_speedup(seed_verify_s, table_s),
+            "run_matrices": run_matrices(circuit, repeats),
         }
+        matrices = verify["run_matrices"]
         print(f"  verify: table {table_s * 1e3:7.2f} ms"
               f" | gate list {gate_list_s * 1e3:7.2f} ms"
               f" ({verify['speedup_vs_gate_list']:.2f}x)"
               f" | reference {ref_verify_s * 1e3:7.2f} ms"
               f" ({verify['speedup_vs_reference']:.2f}x)"
               f" | seed {seed_verify_s * 1e3:7.2f} ms"
-              f" ({verify['speedup_vs_seed']:.2f}x)", flush=True)
+              f" ({verify['speedup_vs_seed']:.2f}x)"
+              f" | run matrices {matrices['build_s'] * 1e3:6.2f} ms"
+              f" | reference {matrices['reference_s'] * 1e3:6.2f} ms"
+              f" | bytes match: {matrices['bytes_match']}", flush=True)
 
         # Cold: each run approximates a freshly built diagram.
         arrays_s = _best_of_cold(
@@ -786,6 +840,44 @@ def verify_floor(payload: dict) -> str | None:
             f"[{largest['name']}] block-kernel verify "
             f"{verify['table_s'] * 1e3:.2f} ms is slower than gate-list "
             f"verify {verify['gate_list_s'] * 1e3:.2f} ms"
+        )
+    return None
+
+
+def run_matrices_floor(payload: dict) -> str | None:
+    """The smoke floor of the run-matrix build: no slower than
+    ``run_matrices_reference`` on the scenario with the most
+    operations.
+
+    Returns the failure message, or ``None`` when the floor holds.
+    """
+    largest = max(
+        payload["scenarios"], key=lambda row: row["verify"]["operations"]
+    )
+    matrices = largest["verify"]["run_matrices"]
+    if matrices["build_s"] > matrices["reference_s"]:
+        return (
+            f"[{largest['name']}] the run-matrix build "
+            f"{matrices['build_s'] * 1e3:.2f} ms is slower than "
+            f"run_matrices_reference {matrices['reference_s'] * 1e3:.2f} ms"
+        )
+    return None
+
+
+def run_matrices_check(payload: dict) -> str | None:
+    """Every scenario's run matrices are ``run_matrices_reference``'s
+    byte for byte.
+
+    Returns the failure message, or ``None`` when they are.
+    """
+    failures = [
+        row["name"]
+        for row in payload["scenarios"]
+        if not row["verify"]["run_matrices"]["bytes_match"]
+    ]
+    if failures:
+        return "run matrices differ from the reference on " + ", ".join(
+            failures
         )
     return None
 
@@ -977,12 +1069,22 @@ def main(argv: list[str] | None = None) -> int:
         print(f"QDASM CHECK FAILED: {failure}", file=sys.stderr)
         return 1
     print("QDASM check held: the oracle's bytes, read back as tables")
+    failure = run_matrices_check(payload)
+    if failure is not None:
+        print(f"RUN MATRICES CHECK FAILED: {failure}", file=sys.stderr)
+        return 1
+    print("run matrices check held: the reference's bytes")
     if options.smoke:
         failure = verify_floor(payload)
         if failure is not None:
             print(f"FLOOR FAILED: {failure}", file=sys.stderr)
             return 1
         print("floor held: block-kernel verify <= gate-list verify")
+        failure = run_matrices_floor(payload)
+        if failure is not None:
+            print(f"FLOOR FAILED: {failure}", file=sys.stderr)
+            return 1
+        print("floor held: run-matrix build <= run_matrices_reference")
         failure = qdasm_floor(payload)
         if failure is not None:
             print(f"FLOOR FAILED: {failure}", file=sys.stderr)

@@ -7,9 +7,12 @@ pays, as in the paper: the synthesised rotation circuit runs on
 matrix per block of its table, in emitted order; the level-major
 synthesis emits each level's blocks together, so the many small
 blocks of a deep level run as a few batched matmuls), and the result
-is compared with the target.  A gate-list circuit (hand-built, parsed
-or transpiled) runs gate by gate, with each distinct local matrix
-built once per call.
+is compared with the target.  Building those matrices costs more than
+applying them; they are built per dimension on whole ``(d, k)`` slabs
+of a run-axis-last stack, each row kind computing only its own
+entries (see :mod:`repro.simulator.statevector_sim`).  A gate-list
+circuit (hand-built, parsed or transpiled) runs gate by gate, with
+each distinct local matrix built once per call.
 """
 
 from __future__ import annotations

@@ -39,9 +39,10 @@ prepare states level by level:
   rebuild's; as in the build, only the crowded ones
   (:func:`~repro.linalg.complex_table.crowded`) are looked up, after
   the crowded input weights, and with none crowded (random states
-  with real amplitudes) no table is made.  Rows that became one node
-  are merged by row key.  No node is made, and no table is shared
-  with the input.
+  with real amplitudes) no table is made, and the same crowding test
+  hands the result's distinct weights to its statistics, as the
+  build hands its own.  Rows that became one node are merged by row
+  key.  No node is made, and no table is shared with the input.
 * **Fidelity.**  ``|<original|approximated>|^2`` is computed exactly,
   level by level over the pairs of rows the two diagrams reach
   together, with the recursive inner product's arithmetic.  The result
@@ -456,36 +457,50 @@ def _in_probe_order(
     return entries[np.lexsort((digits[entries], -row_positions[entries]))]
 
 
-def _rebuild(
-    weights: list[np.ndarray],
-    children: list[np.ndarray],
-    lost: list[np.ndarray],
-    values: np.ndarray,
-):
-    """Renormalise the pruned diagram bottom-up.
-
-    Every row reachable from the root gets the in-edge factor that the
-    per-node rebuild through :func:`~repro.dd.builder.normalize_edges`
-    gives it, bit for bit.  Only rows that lost an edge, have such a
-    row below them, or whose renormalised weights leave their own are
-    normalised again, and written in place; every other row stays as
-    it is.  Their quotients get the representatives a complex table
-    holding the input's non-zero edge weights ``values`` gives when it
-    sees them in the order the per-node rebuild probes them
-    (depth-first post-order); only the crowded ones
-    (:func:`~repro.linalg.complex_table.crowded`) are looked up, after
-    the crowded weights.  Rows that became one node are merged by
-    key.  Returns the root row's factor (0 when nothing is left) and
-    the result's level arrays, ``None`` when no row was normalised
-    again.
-    """
-    num_levels = len(children)
+def _reachable(children: list[np.ndarray]) -> list[np.ndarray]:
+    """Per level, which rows the root (row 0 of level 0) reaches."""
     reach = [np.ones(1, dtype=bool)]
-    for level in range(num_levels - 1):
+    for level in range(len(children) - 1):
         below = children[level][reach[level]]
         mark = np.zeros(children[level + 1].shape[0], dtype=bool)
         mark[below[below >= 0]] = True
         reach.append(mark)
+    return reach
+
+
+def _rebuild(
+    weights: list[np.ndarray],
+    children: list[np.ndarray],
+    lost: list[np.ndarray],
+    inputs: list[np.ndarray],
+    orders: list[np.ndarray],
+):
+    """Renormalise the pruned diagram bottom-up.
+
+    ``weights``, ``children`` and ``lost`` are the pruned levels in
+    scan order; ``inputs`` are the input's weight levels and
+    ``orders[level][i]`` the input row of scan row ``i``.  Every row
+    reachable from the root gets the in-edge factor that the per-node
+    rebuild through :func:`~repro.dd.builder.normalize_edges` gives
+    it, bit for bit.  Only rows that lost an edge, have such a row
+    below them, or whose renormalised weights leave their own are
+    normalised again, and written in place; every other row stays as
+    it is.  Their quotients get the representatives a complex table
+    holding the input's non-zero edge weights gives when it sees them
+    in the order the per-node rebuild probes them (depth-first
+    post-order); only the crowded ones
+    (:func:`~repro.linalg.complex_table.crowded`) are looked up, after
+    the crowded weights.  Rows that became one node are merged by
+    key.
+
+    Returns the root row's factor (0 when nothing is left), the
+    result's level arrays (``None`` when no row was normalised again)
+    and, for :func:`~repro.dd.diagram.level_stats`, the result's
+    distinct non-zero weights when none of them is crowded (else
+    ``None``).
+    """
+    num_levels = len(children)
+    reach = _reachable(children)
 
     # Bottom-up: factors of the reachable rows, and the quotients of
     # the rows to normalise again.
@@ -547,17 +562,34 @@ def _rebuild(
         quotients[level] = kept[slots[level]]
 
     if not any(rows.size for rows in dirty_rows):
-        return complex(factors[0][0]), None
+        return complex(factors[0][0]), None, None
 
     # The per-node rebuild looks the quotients up in a table holding the
     # input's weights, in its probe order.  Only a crowded quotient can
     # come back changed, and only crowded entries can change it, so the
     # table holds the crowded weights and sees the crowded quotients
-    # only, in that order.
-    canonical = np.concatenate(quotients)
-    marks, _ = crowded(
-        np.concatenate((values, canonical)), 2.0 * DEFAULT_TOLERANCE
+    # only, in that order.  The result's weights are the quotients and
+    # those of the reachable rows left as they are: with none of them
+    # crowded, their distinct values go on to the statistics.
+    nonzero = [level != 0 for level in inputs]
+    values = np.concatenate(
+        [level[mask] for level, mask in zip(inputs, nonzero)]
     )
+    canonical = np.concatenate(quotients)
+    keep = []
+    for level, mask in enumerate(nonzero):
+        untouched = reach[level].copy()
+        untouched[dirty_rows[level]] = False
+        by_input = np.empty_like(untouched)
+        by_input[orders[level]] = untouched
+        keep.append(np.broadcast_to(by_input[:, None], mask.shape)[mask])
+    keep.append(np.ones(canonical.size, dtype=bool))
+    keep = np.concatenate(keep)
+    marks, apart = crowded(
+        np.concatenate((values, canonical)), 2.0 * DEFAULT_TOLERANCE, keep
+    )
+    if marks[keep].any():
+        apart = None
     replay = np.flatnonzero(marks[values.size:])
     if replay.size:
         table = ComplexTable(DEFAULT_TOLERANCE)
@@ -588,9 +620,19 @@ def _rebuild(
         labels = classes[level] = _merged_labels(
             weights[level], child, rows[factors[level][rows] != 0], reach[level]
         )
+    # Rows that became one node share their weights, and a row left
+    # with nothing (factor 0) has no quotients; any other row that no
+    # edge reaches now takes its weights out of the result.
+    if apart is not None and any(
+        (factor[before & ~after] != 0).any()
+        for factor, before, after in zip(
+            factors, reach, _reachable(children)
+        )
+    ):
+        apart = None
     return complex(factors[0][0]), compact_levels(
         weights, children, 0, classes
-    )
+    ), apart
 
 
 def _overlap(bra, ket) -> complex:
@@ -689,7 +731,9 @@ def approximate(
     if abs(dd.root_weight) <= WEIGHT_ZERO_CUTOFF:
         raise ApproximationError("cannot approximate the zero diagram")
     levels = dd.levels
-    original_weights, original_children, positions, _ = _in_scan_order(levels)
+    original_weights, original_children, positions, orders = _in_scan_order(
+        levels
+    )
     weights = [level.copy() for level in original_weights]
     children = [level.copy() for level in original_children]
     magnitudes = [_squared_magnitudes(level) for level in weights]
@@ -767,7 +811,11 @@ def approximate(
                 progressed = True
         if cut_edges:
             cut = np.array(cut_edges, dtype=np.intp)
-            for level in np.unique(links.edge_level[cut]).tolist():
+            # bincount, not np.unique: the latter imports numpy.ma on
+            # first use.
+            for level in np.flatnonzero(
+                np.bincount(links.edge_level[cut])
+            ).tolist():
                 at_level = cut[links.edge_level[cut] == level]
                 rows = links.edge_row[at_level]
                 digits = links.edge_digit[at_level]
@@ -778,11 +826,8 @@ def approximate(
         if not progressed:
             break
 
-    root_factor, rebuilt_levels = _rebuild(
-        weights,
-        children,
-        lost,
-        np.concatenate([level[level != 0] for level in levels.weights]),
+    root_factor, rebuilt_levels, apart = _rebuild(
+        weights, children, lost, list(levels.weights), orders
     )
     if root_factor == 0:  # pragma: no cover - budget < 1 guards
         raise ApproximationError("approximation removed the entire state")
@@ -794,7 +839,7 @@ def approximate(
         root_weight,
         rebuilt_levels,
         dd.register,
-        level_stats(rebuilt_levels, root_weight),
+        level_stats(rebuilt_levels, root_weight, apart),
     )
     overlap = (
         dd.root_weight.conjugate()

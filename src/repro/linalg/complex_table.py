@@ -167,7 +167,11 @@ class ComplexTable:
         )
 
 
-def crowded(values: np.ndarray, gap: float) -> tuple[np.ndarray, np.ndarray]:
+def crowded(
+    values: np.ndarray,
+    gap: float,
+    keep: np.ndarray | None = None,
+) -> tuple[np.ndarray, np.ndarray]:
     """Which entries of ``values`` a complex table might change.
 
     A table with tolerance ``gap / 2`` fed ``values`` in any order
@@ -184,13 +188,23 @@ def crowded(values: np.ndarray, gap: float) -> tuple[np.ndarray, np.ndarray]:
     within ``gap`` of its neighbours, so marking both entries of each
     such neighbour pair whose bytes differ never misses one (it may
     mark entries close in one part only).  Entries with equal bytes,
-    adjacent in that order, share the mark.
+    adjacent in that order, share the mark.  Only entries of equal
+    value (bytes equal, or differing in the sign of a zero) can swap
+    places between two sorts, so the marks and the set of distinct
+    entries do not depend on how the sort orders ties.
 
-    Returns the mark of every entry and the distinct entries.
+    ``keep``, when given, masks the entries whose distinct values are
+    returned; every entry is still marked.  Entries added to a set can
+    only join runs and fill the gaps between neighbours, so an entry
+    marked among the kept ones alone is marked among all: with no kept
+    entry marked, the kept entries are uncrowded among themselves.
+
+    Returns the mark of every entry and the distinct entries (among
+    the kept ones, when ``keep`` is given).
     """
     if not values.size:
         return np.zeros(0, dtype=bool), values
-    by_real = np.argsort(values.real, kind="stable")
+    by_real = np.argsort(values.real)
     run = np.concatenate(
         ([0], np.cumsum(np.diff(values.real[by_real]) > gap))
     )
@@ -210,4 +224,9 @@ def crowded(values: np.ndarray, gap: float) -> tuple[np.ndarray, np.ndarray]:
     group = np.concatenate(([0], np.cumsum(differ)))
     marks = np.empty(values.size, dtype=bool)
     marks[order] = np.bincount(group, weights=mark)[group] > 0
-    return marks, ordered[np.concatenate(([True], differ))]
+    if keep is None:
+        return marks, ordered[np.concatenate(([True], differ))]
+    kept = np.flatnonzero(keep[order])
+    firsts = np.ones(kept.size, dtype=bool)
+    firsts[1:] = group[kept[1:]] != group[kept[:-1]]
+    return marks, ordered[kept[firsts]]

@@ -19,19 +19,31 @@ Two entry points share one kernel:
   :func:`simulate_inplace` feeds it in emitted order.  For a circuit
   stored as a :class:`~repro.circuit.table.CircuitTable`, a *run* is
   a stretch of consecutive rows sharing target and control row,
-  applied as the product of its rows (built vectorised); consecutive
-  runs on one target with one control mask and pairwise different
-  control rows act on disjoint subspaces, and where their subspaces
-  are small they run as one *batch*: one gather, one
-  ``(k, d, d) @ (k, d, rest)`` matmul and one scatter.  For a gate
-  list, each gate is applied with its local matrix, built once per
-  simulation for all gates of equal parameters on qudits of one
-  dimension.  Nothing is reordered or scheduled, so the kernel is
-  exact for any circuit.
+  applied as the product of its rows; consecutive runs on one target
+  with one control mask and pairwise different control rows act on
+  disjoint subspaces, and where their subspaces are small they run as
+  one *batch*: one gather, one ``(k, d, d) @ (k, d, rest)`` matmul and
+  one scatter.  For a gate list, each gate is applied with its local
+  matrix, built once per simulation for all gates of equal parameters
+  on qudits of one dimension.  Nothing is reordered or scheduled, so
+  the kernel is exact for any circuit.
 
-The seed's per-gate-copy loop is kept as a test oracle in
-``tests/kernel_oracles.py``, which the equivalence tests and
-``benchmarks/bench_hotpaths.py`` measure against.
+The run matrices of a table are built vectorised, one stack per
+dimension held run axis last, ``(d, d, k)``, and transposed once to
+``(k, d, d)`` for the matmuls.  Each row kind computes only its own
+entries of its 2x2 block: ``cos``/``sin`` of ``theta/2`` and
+``e^{i phi}`` on Givens rows, ``e^{i delta/2}`` on phase rows, the
+mirrored entries taken as conjugates.  Where every run of a dimension
+has one length and one ``(lower, upper)`` sequence, as in a
+synthesised table with identity rotations kept, a step updates two
+contiguous ``(d, k)`` slabs with ``(k,)`` coefficient vectors;
+otherwise it updates the rows of the runs still active.  The matrices
+are bit for bit those of the ``(k, d, d)`` loop kept as
+``run_matrices_reference`` in ``tests/kernel_oracles.py``.
+
+The seed's per-gate-copy loop is kept as a test oracle in the same
+file, which the equivalence tests and ``benchmarks/bench_hotpaths.py``
+measure against.
 """
 
 from __future__ import annotations
@@ -123,6 +135,35 @@ _BATCH_AMPLITUDES = 4096
 _BATCH_RUNS = 3
 
 
+#: ``-0.0`` as a ``float64`` bit pattern.
+_NEGATIVE_ZERO = np.float64(-0.0).view(np.int64)
+
+
+def _mirrored(turn: np.ndarray, angle: np.ndarray) -> np.ndarray:
+    """``exp(-1j * angle)`` from ``turn = exp(1j * angle)``, bit for bit.
+
+    ``1j * angle`` has the imaginary part ``+0.0`` where ``angle`` is
+    ``-0.0``, so there the conjugate's is ``-0.0``, while
+    ``exp(-1j * -0.0)`` is exactly ``1 + 0j``; at every other finite
+    angle the conjugate has ``exp(-1j * angle)``'s bits.
+    """
+    mirror = np.conj(turn)
+    mirror[angle.view(np.int64) == _NEGATIVE_ZERO] = 1.0
+    return mirror
+
+
+def _shared_levels(
+    levels: np.ndarray, rows: np.ndarray
+) -> list[list[int]] | None:
+    """The ``[lower, upper]`` levels of every step, when the runs whose
+    ``j``-th rows are ``rows[j]`` share them at every step; else
+    ``None``.  ``levels`` holds each row's ``[lower, upper]``."""
+    shared = levels[rows]
+    if (shared != shared[:, :1]).any():
+        return None
+    return shared[:, 0].tolist()
+
+
 def _run_matrices(
     table: CircuitTable,
     starts: np.ndarray,
@@ -133,8 +174,16 @@ def _run_matrices(
 
     A run's matrix is the product of its rows' two-level matrices
     (later rows on the left).  The matrices of all runs on one
-    dimension are built together: step ``j`` applies the ``j``-th row
-    of every run at least ``j + 1`` rows long.
+    dimension are built together, run axis last: step ``j`` applies
+    the ``j``-th row of every run at least ``j + 1`` rows long.  When
+    every run of a dimension has one length and one ``(lower, upper)``
+    sequence (a synthesised table with identity rotations kept), a step
+    updates the two whole ``(d, k)`` slabs of its levels with ``(k,)``
+    coefficient vectors.  Every product and sum is the one a
+    ``(k, d, d)`` stack stepped run by run computes, with the
+    coefficient on the left, so the matrices are those of
+    ``run_matrices_reference`` in ``tests/kernel_oracles.py``, bit for
+    bit.
 
     Returns:
         ``(stacks, positions)``: per dimension, the ``(count, d, d)``
@@ -144,13 +193,23 @@ def _run_matrices(
     # The 2x2 block [[g00, g01], [g10, g11]] of every row on its
     # (lower, upper) levels: R(theta, phi) for Givens rows,
     # RZ(delta) = diag(e^{-i delta/2}, e^{i delta/2}) for phase rows.
-    half = table.theta / 2.0
-    cos, sin = np.cos(half), np.sin(half)
+    # Each kind computes only its own entries; cos(theta/2), cheap, is
+    # written on every row and overwritten on phase rows.
+    g00, g01, g10, g11 = np.zeros((4, table.num_rows), dtype=np.complex128)
     phase = table.kind == PHASE
-    g00 = np.where(phase, np.exp(-0.5j * table.theta), cos)
-    g11 = np.where(phase, np.exp(0.5j * table.theta), cos)
-    g01 = np.where(phase, 0.0, -1j * np.exp(-1j * table.phi) * sin)
-    g10 = np.where(phase, 0.0, -1j * np.exp(1j * table.phi) * sin)
+    givens = ~phase
+    half = table.theta / 2.0
+    g00.real = g11.real = np.cos(half)
+    sin = np.sin(half[givens])
+    phi = table.phi[givens]
+    turn = np.exp(1j * phi)
+    g01[givens] = -1j * _mirrored(turn, phi) * sin
+    g10[givens] = -1j * turn * sin
+    turn = np.exp(0.5j * table.theta[phase])
+    g00[phase] = _mirrored(turn, half[phase])
+    g11[phase] = turn
+    levels = np.empty((table.num_rows, 2), dtype=table.lower.dtype)
+    levels[:, 0], levels[:, 1] = table.lower, table.upper
 
     stacks: dict[int, np.ndarray] = {}
     positions = np.zeros(starts.size, dtype=np.intp)
@@ -158,22 +217,39 @@ def _run_matrices(
     for dimension in np.flatnonzero(np.bincount(run_dims)).tolist():
         runs = np.flatnonzero(run_dims == dimension)
         positions[runs] = np.arange(runs.size)
-        stack = np.zeros((runs.size, dimension, dimension), complex)
-        stack[:, np.arange(dimension), np.arange(dimension)] = 1.0
+        # stack[i, j, r] is entry (i, j) of run r's matrix.
+        stack = np.zeros((dimension, dimension, runs.size), complex)
+        stack.reshape(dimension * dimension, -1)[:: dimension + 1] = 1.0
         first, length = starts[runs], lengths[runs]
-        for step in range(int(length.max())):
-            active = np.flatnonzero(length > step)
-            row = first[active] + step
-            lower, upper = table.lower[row], table.upper[row]
-            low = stack[active, lower]
-            high = stack[active, upper]
-            stack[active, lower] = (
-                g00[row, None] * low + g01[row, None] * high
-            )
-            stack[active, upper] = (
-                g10[row, None] * low + g11[row, None] * high
-            )
-        stacks[dimension] = stack
+        steps = int(length.max())
+        shared = None
+        if int(length.min()) == steps:
+            rows = first + np.arange(steps)[:, None]
+            shared = _shared_levels(levels, rows)
+        if shared is not None:
+            # Every run's j-th row acts on one pair of levels: step on
+            # whole slabs, with the steps' coefficients gathered once.
+            c00, c01, c10, c11 = g00[rows], g01[rows], g10[rows], g11[rows]
+            for step, (lower, upper) in enumerate(shared):
+                low = stack[lower]
+                high = stack[upper]
+                new_low = c00[step] * low + c01[step] * high
+                stack[upper] = c10[step] * low + c11[step] * high
+                stack[lower] = new_low
+        else:
+            for step in range(steps):
+                active = np.flatnonzero(length > step)
+                row = first[active] + step
+                lower, upper = table.lower[row], table.upper[row]
+                low = stack[lower, :, active]
+                high = stack[upper, :, active]
+                stack[lower, :, active] = (
+                    g00[row, None] * low + g01[row, None] * high
+                )
+                stack[upper, :, active] = (
+                    g10[row, None] * low + g11[row, None] * high
+                )
+        stacks[dimension] = np.ascontiguousarray(stack.transpose(2, 0, 1))
     return stacks, positions
 
 
@@ -326,34 +402,38 @@ def _run_table(tensor: np.ndarray, table: CircuitTable) -> None:
         strides(table.dims), dtype=np.int64
     )
     batches = _batch_starts(run_target, controlled, offsets, subspace)
-    stops = np.append(batches[1:], run_target.size).tolist()
+    stops = np.append(batches[1:], run_target.size)
 
-    # Integer indices collapse control axes, shifting the target axis
-    # left by the number of controls preceding it.
-    before = np.cumsum(controlled, axis=1)[
-        np.arange(run_target.size), run_target
+    # Only the batch heads are read below.  Integer indices collapse
+    # control axes, shifting the target axis left by the number of
+    # controls preceding it.
+    head_target = run_target[batches]
+    before = np.cumsum(controlled[batches], axis=1)[
+        np.arange(batches.size), head_target
     ]
-    axes = (run_target - before).tolist()
     free = slice(None)
-    control_rows = run_controls.tolist()
-    run_target = run_target.tolist()
-    run_dims = run_dims.tolist()
-    positions = positions.tolist()
-    for start, stop in zip(batches.tolist(), stops):
-        stack = stacks[run_dims[start]]
-        position = positions[start]
+    for start, stop, control_row, target, axis, dimension, position in zip(
+        batches.tolist(),
+        stops.tolist(),
+        run_controls[batches].tolist(),
+        head_target.tolist(),
+        (head_target - before).tolist(),
+        run_dims[batches].tolist(),
+        positions[batches].tolist(),
+    ):
+        stack = stacks[dimension]
         if stop - start == 1:
             index = tuple(
-                [free if level < 0 else level for level in control_rows[start]]
+                [free if level < 0 else level for level in control_row]
             )
-            _apply_subspace(tensor, stack[position], index, axes[start])
+            _apply_subspace(tensor, stack[position], index, axis)
         else:
             _apply_batch(
                 tensor,
                 stack[position:position + stop - start],
-                control_rows[start],
+                control_row,
                 offsets[start:stop],
-                run_target[start],
+                target,
             )
 
 

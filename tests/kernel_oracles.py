@@ -23,6 +23,12 @@ of the diagram statistics and of the in-place statevector simulator.
   :func:`~repro.simulator.statevector_sim.apply_gate`, allocating a
   fresh :class:`~repro.states.statevector.StateVector` after every
   gate.
+* :func:`run_matrices_reference` — the table kernel's run matrices
+  built on a ``(count, d, d)`` stack, one active-run step at a time,
+  with every entry of every row's 2x2 block computed for both row
+  kinds: the loop that
+  :func:`repro.simulator.statevector_sim._run_matrices` must equal
+  bit for bit.
 
 The equivalence tests (``tests/test_hotpaths.py``,
 ``tests/test_circuit_table.py``) assert the production kernels agree
@@ -37,6 +43,7 @@ import cmath
 import numpy as np
 
 from repro.circuit.circuit import Circuit
+from repro.circuit.table import PHASE, CircuitTable
 from repro.dd.builder import normalize_edges
 from repro.dd.diagram import DecisionDiagram, DiagramStats
 from repro.dd.edge import WEIGHT_ZERO_CUTOFF, Edge
@@ -52,6 +59,7 @@ __all__ = [
     "build_dd_reference",
     "operation_count_reference",
     "path_expanded_reference",
+    "run_matrices_reference",
     "simulate_reference",
     "statevector_reference",
     "stats_reference",
@@ -219,3 +227,57 @@ def simulate_reference(
             state.register,
         )
     return state
+
+
+def run_matrices_reference(
+    table: CircuitTable,
+    starts: np.ndarray,
+    lengths: np.ndarray,
+    run_dims: np.ndarray,
+) -> tuple[dict[int, np.ndarray], np.ndarray]:
+    """The ``d x d`` matrix of every run, stacked per dimension.
+
+    A run's matrix is the product of its rows' two-level matrices
+    (later rows on the left).  The matrices of all runs on one
+    dimension are built together: step ``j`` applies the ``j``-th row
+    of every run at least ``j + 1`` rows long.
+
+    Returns:
+        ``(stacks, positions)``: per dimension, the ``(count, d, d)``
+        matrices of its runs in run order, and each run's position in
+        its dimension's stack.
+    """
+    # The 2x2 block [[g00, g01], [g10, g11]] of every row on its
+    # (lower, upper) levels: R(theta, phi) for Givens rows,
+    # RZ(delta) = diag(e^{-i delta/2}, e^{i delta/2}) for phase rows.
+    half = table.theta / 2.0
+    cos, sin = np.cos(half), np.sin(half)
+    phase = table.kind == PHASE
+    g00 = np.where(phase, np.exp(-0.5j * table.theta), cos)
+    g11 = np.where(phase, np.exp(0.5j * table.theta), cos)
+    g01 = np.where(phase, 0.0, -1j * np.exp(-1j * table.phi) * sin)
+    g10 = np.where(phase, 0.0, -1j * np.exp(1j * table.phi) * sin)
+
+    stacks: dict[int, np.ndarray] = {}
+    positions = np.zeros(starts.size, dtype=np.intp)
+    # bincount, not np.unique: the latter imports numpy.ma on first use.
+    for dimension in np.flatnonzero(np.bincount(run_dims)).tolist():
+        runs = np.flatnonzero(run_dims == dimension)
+        positions[runs] = np.arange(runs.size)
+        stack = np.zeros((runs.size, dimension, dimension), complex)
+        stack[:, np.arange(dimension), np.arange(dimension)] = 1.0
+        first, length = starts[runs], lengths[runs]
+        for step in range(int(length.max())):
+            active = np.flatnonzero(length > step)
+            row = first[active] + step
+            lower, upper = table.lower[row], table.upper[row]
+            low = stack[active, lower]
+            high = stack[active, upper]
+            stack[active, lower] = (
+                g00[row, None] * low + g01[row, None] * high
+            )
+            stack[active, upper] = (
+                g10[row, None] * low + g11[row, None] * high
+            )
+        stacks[dimension] = stack
+    return stacks, positions

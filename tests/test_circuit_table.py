@@ -4,8 +4,10 @@ A synthesised circuit is a :class:`CircuitTable` wrapped in a
 :class:`Circuit`.  These tests check that the table is refused under
 each condition a gate list refuses, that every reader (counts,
 statistics, inverse, pickling, QDASM, the block simulation kernel)
-agrees with the equivalent gate list, and that nothing on the engine
-or serve path builds gate objects from a table.
+agrees with the equivalent gate list, that the block kernel's run
+matrices are those of the loop in ``tests/kernel_oracles.py`` bit for
+bit, and that nothing on the engine or serve path builds gate objects
+from a table.
 """
 
 from __future__ import annotations
@@ -40,11 +42,14 @@ from repro.engine import (
 )
 from repro.exceptions import CircuitError, ControlError
 from repro.net.protocol import outcome_from_wire, outcome_to_wire
+from repro.simulator import statevector_sim
 from repro.simulator.statevector_sim import simulate
+from repro.states.library import dicke_state, ghz_state, w_state
+from repro.states.random_states import random_sparse_state, random_state
 from repro.states.statevector import StateVector
 
 from tests.conftest import random_statevector
-from tests.kernel_oracles import simulate_reference
+from tests.kernel_oracles import run_matrices_reference, simulate_reference
 
 
 def make_table(dims, blocks) -> CircuitTable:
@@ -457,6 +462,127 @@ class TestColumnReaders:
             produced.amplitudes, reference.amplitudes, rtol=0, atol=1e-12
         )
         assert abs(produced.amplitude(0)) == pytest.approx(1.0, abs=1e-9)
+
+
+# ----------------------------------------------------------------------
+# The run matrices are the reference loop's, bit for bit
+# ----------------------------------------------------------------------
+def assert_reference_bytes(circuit: Circuit, initial=None) -> None:
+    """The table kernel gives ``run_matrices_reference``'s run matrices
+    and, with them, the amplitudes it gives with the reference swapped
+    in, byte for byte (signs of zero included)."""
+    assert circuit.table is not None
+    production = statevector_sim._run_matrices
+    built = []
+
+    def both(*args):
+        stacks, positions = production(*args)
+        expected, expected_positions = run_matrices_reference(*args)
+        assert np.array_equal(positions, expected_positions)
+        assert stacks.keys() == expected.keys()
+        for dimension, stack in stacks.items():
+            assert stack.shape == expected[dimension].shape
+            assert stack.tobytes() == expected[dimension].tobytes()
+        built.append(len(stacks))
+        return stacks, positions
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(statevector_sim, "_run_matrices", both)
+        produced = simulate(circuit, initial).amplitudes
+        patch.setattr(
+            statevector_sim, "_run_matrices", run_matrices_reference
+        )
+        expected = simulate(circuit, initial).amplitudes
+    assert len(built) == (circuit.table.num_rows > 0)
+    assert np.array_equal(produced.view(np.int64), expected.view(np.int64))
+
+
+TABLE1_REGISTERS = [
+    (3, 6, 2),
+    (9, 5, 6, 3),
+    (6, 6, 5, 3, 3),
+    (5, 4, 2, 5, 5, 2),
+    (4, 7, 4, 4, 3, 5),
+]
+
+
+class TestRunMatricesMatchReference:
+    @pytest.mark.parametrize("min_fidelity", [1.0, 0.98])
+    @pytest.mark.parametrize("dims", TABLE1_REGISTERS)
+    def test_table1_random_states(self, dims, min_fidelity):
+        state = random_state(dims, rng=sum(dims))
+        assert_reference_bytes(
+            prepare_state(state, min_fidelity=min_fidelity, verify=False).circuit
+        )
+
+    @pytest.mark.parametrize(
+        "option", ["emit_identity_rotations", "tensor_elision"]
+    )
+    @pytest.mark.parametrize("dims", [(3, 6, 2), (6, 6, 5, 3, 3)])
+    def test_synthesis_options_off(self, dims, option):
+        for state in (
+            random_state(dims, rng=5),
+            random_sparse_state(dims, num_terms=9, rng=5),
+        ):
+            assert_reference_bytes(
+                prepare_state(state, verify=False, **{option: False}).circuit
+            )
+
+    @pytest.mark.parametrize(
+        "state",
+        [
+            ghz_state((3, 6, 2)),
+            ghz_state((2,) * 10),
+            w_state((3, 6, 2)),
+            w_state((2,) * 8 + (3,) * 2),
+            dicke_state((2,) * 8 + (3,) * 2, 2),
+        ],
+        ids=["ghz-362", "ghz-2x10", "w-362", "w-mixed", "dicke-mixed"],
+    )
+    def test_structured_states(self, state):
+        assert_reference_bytes(prepare_state(state, verify=False).circuit)
+
+    def test_qdasm_round_trip(self):
+        circuit = prepare_state(
+            random_state((6, 6, 5, 3, 3), rng=3), verify=False
+        ).circuit
+        assert_reference_bytes(qasm.loads(qasm.dumps(circuit)))
+
+    def test_signed_zero_angles(self):
+        # exp(-1j * x) and the conjugate of exp(1j * x) differ in the
+        # sign of a zero where x is -0.0 (an inverted identity
+        # rotation) or a half angle that rounds to -0.0.  The first
+        # block is a run whose matrix shows that difference unless the
+        # kernel restores exp(-1j * x)'s bits; the second tries every
+        # pair of such angles on both row kinds.
+        pi = math.pi
+        angles = [0.0, -0.0, 5e-324, -5e-324, 1e-300, -1e-300, 0.7]
+        blocks = [
+            ({0: 1}, [
+                (GIVENS, 1, 1, 0, pi, 0.0),
+                (GIVENS, 1, 0, 2, -2 * pi, -pi),
+                (PHASE, 1, 0, 2, -0.0, -0.0),
+                (GIVENS, 1, 2, 0, pi / 2, -0.0),
+                (PHASE, 1, 2, 1, 2 * pi, -pi / 2),
+                (PHASE, 1, 1, 0, -0.0, -0.0),
+            ]),
+            ({}, [
+                (kind, 1, 0, 2, theta, phi)
+                for kind in (GIVENS, PHASE)
+                for theta in angles
+                for phi in angles
+            ]),
+        ]
+        circuit = Circuit.from_table(make_table((2, 3), blocks))
+        assert_reference_bytes(circuit)
+        assert_reference_bytes(circuit, random_initial((2, 3), 4))
+
+    @given(random_tables())
+    @example((Circuit.from_table(make_table((3, 2, 3), REPEATED_ROW_BLOCKS)), 0))
+    @settings(max_examples=80, deadline=None)
+    def test_random_tables(self, drawn):
+        circuit, seed = drawn
+        assert_reference_bytes(circuit, random_initial(circuit.dims, seed))
 
 
 # ----------------------------------------------------------------------

@@ -20,7 +20,7 @@ from repro.dd.builder import build_dd
 from repro.dd.diagram import DecisionDiagram
 from repro.dd.metrics import visited_tree_size
 from repro.exceptions import ApproximationError, DecisionDiagramError
-from repro.linalg.complex_table import ComplexTable
+from repro.linalg.complex_table import ComplexTable, crowded
 from repro.states.fidelity import fidelity
 from repro.states.library import (
     dicke_state,
@@ -468,6 +468,8 @@ TABLE1_RANDOM = [
     (4, 7, 4, 4, 3, 5),
 ]
 
+DENSE_12 = (2, 3, 2, 2, 3, 2, 2, 2, 3, 2, 2, 2)
+
 
 def record_tables(monkeypatch) -> list[tuple[np.ndarray, np.ndarray]]:
     """Record every batch sent to a complex table that ``approximate``
@@ -484,7 +486,7 @@ def record_tables(monkeypatch) -> list[tuple[np.ndarray, np.ndarray]]:
     return batches
 
 
-def mark_everything(values, gap):
+def mark_everything(values, gap, keep=None):
     """A crowding test that marks every entry.  ``approximate``'s table
     then holds every input weight and sees every quotient: the full
     replay, which the crowded-only one must reproduce."""
@@ -555,6 +557,29 @@ class TestCrowdedReplay:
         result = approximate(dd, min_fidelity, granularity=granularity)
         monkeypatch.undo()
         assert result.removed_nodes + result.removed_leaves > 0
+        assert result.diagram.stats == stats_reference(result.diagram)
+
+    @pytest.mark.parametrize("granularity", ["nodes", "amplitudes"])
+    @pytest.mark.parametrize("dims", TABLE1_RANDOM + [DENSE_12])
+    def test_random_states_check_crowding_once(
+        self, monkeypatch, dims, granularity
+    ):
+        # The rebuild's crowding test covers the result's weights, so
+        # DistinctC takes their distinct values instead of testing them
+        # again.
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return crowded(*args, **kwargs)
+
+        dd = build_dd(random_state(dims, rng=73))
+        monkeypatch.setattr(approximation_module, "crowded", counting)
+        monkeypatch.setattr(diagram_module, "crowded", counting)
+        result = approximate(dd, 0.98, granularity=granularity)
+        monkeypatch.undo()
+        assert result.removed_nodes + result.removed_leaves > 0
+        assert len(calls) == 1
         assert result.diagram.stats == stats_reference(result.diagram)
 
     @pytest.mark.parametrize("granularity", ["nodes", "amplitudes"])

@@ -299,6 +299,24 @@ def crowded_values(draw):
     )
 
 
+@st.composite
+def tied_values(draw):
+    """:func:`crowded_values` with exact duplicates and twins: entries
+    equal up to the sign of a zero part, in either part."""
+    base = draw(crowded_values())
+    picks = draw(st.lists(
+        st.integers(min_value=0, max_value=base.size - 1),
+        min_size=1,
+        max_size=24,
+    ))
+    count = len(picks)
+    flips = st.lists(st.booleans(), min_size=count, max_size=count)
+    values = base[picks]
+    for part in (values.real, values.imag):
+        part[np.array(draw(flips)) & (part == 0.0)] = -0.0
+    return values
+
+
 @pytest.mark.parametrize("family", [ghz_state, w_state])
 @pytest.mark.parametrize("dims", [(3, 6, 2), (2,) * 10])
 def test_root_tie_needs_no_replay(monkeypatch, family, dims):
@@ -329,6 +347,43 @@ class TestCloseValueGuard:
     def test_separated_values_pass(self):
         values = np.unique(np.array([0.0, 0.5, 0.5 + 0.5j, 1.0, 1.0j]))
         assert not crowded(values, 2.0 * TOLERANCE)[0].any()
+
+    @given(tied_values(), st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_marks_and_distinct_values_ignore_the_order_of_ties(
+        self, values, data
+    ):
+        # The sort may order ties (equal values, or twins) either way:
+        # equal bytes share their group's mark and twins are marked
+        # pairwise, so a permuted input gives the permuted marks and
+        # the same distinct values, among all entries or the kept ones.
+        count = values.size
+        permutation = np.array(data.draw(st.permutations(range(count))))
+        keep = np.array(data.draw(
+            st.lists(st.booleans(), min_size=count, max_size=count)
+        ))
+        gap = 2.0 * TOLERANCE
+
+        def distinct_bytes(entries):
+            return {entry.tobytes() for entry in entries}
+
+        marks, distinct = crowded(values, gap)
+        permuted_marks, permuted_distinct = crowded(values[permutation], gap)
+        assert np.array_equal(permuted_marks, marks[permutation])
+        assert distinct_bytes(permuted_distinct) == distinct_bytes(distinct)
+        assert distinct_bytes(distinct) == distinct_bytes(values)
+        kept_marks, kept = crowded(values, gap, keep)
+        _, permuted_kept = crowded(
+            values[permutation], gap, keep[permutation]
+        )
+        assert np.array_equal(kept_marks, marks)
+        assert distinct_bytes(kept) == distinct_bytes(values[keep])
+        assert distinct_bytes(permuted_kept) == distinct_bytes(kept)
+        if not marks[keep].any():
+            # Uncrowded: one entry per distinct value, as the DistinctC
+            # count reads them.
+            assert kept.size == len(distinct_bytes(kept))
+            assert not crowded(values[keep], gap)[0].any()
 
     def test_empty_values_have_empty_marks(self):
         marks, distinct = crowded(np.zeros(0, dtype=np.complex128), 1e-12)

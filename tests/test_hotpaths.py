@@ -605,16 +605,21 @@ class TestLooseSpeedupFloor:
 
 
 #: A first job in a fresh interpreter: ``prepare_state`` and one engine
-#: batch, then report whether ``numpy.ma`` was imported.
+#: batch with an exact and an approximated job, then report whether
+#: ``numpy.ma`` was imported.
 FIRST_JOB = """
 import sys
 from repro.core.preparation import prepare_state
 from repro.engine import PreparationEngine, job_from_dict
 from repro.states.random_states import random_state
 prepare_state(random_state((3, 6, 2), rng=5))
-batch = PreparationEngine().run_batch(
-    [job_from_dict({"family": "random", "dims": [3, 6, 2], "params": {"rng": 6}})]
-)
+batch = PreparationEngine().run_batch([
+    job_from_dict({"family": "random", "dims": [3, 6, 2], "params": {"rng": 6}}),
+    job_from_dict({
+        "family": "random", "dims": [3, 6, 2], "params": {"rng": 7},
+        "min_fidelity": 0.98,
+    }),
+])
 assert all(outcome.ok for outcome in batch.outcomes)
 print("numpy.ma" in sys.modules)
 """
