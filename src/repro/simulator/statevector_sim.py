@@ -152,18 +152,6 @@ def _mirrored(turn: np.ndarray, angle: np.ndarray) -> np.ndarray:
     return mirror
 
 
-def _shared_levels(
-    levels: np.ndarray, rows: np.ndarray
-) -> list[list[int]] | None:
-    """The ``[lower, upper]`` levels of every step, when the runs whose
-    ``j``-th rows are ``rows[j]`` share them at every step; else
-    ``None``.  ``levels`` holds each row's ``[lower, upper]``."""
-    shared = levels[rows]
-    if (shared != shared[:, :1]).any():
-        return None
-    return shared[:, 0].tolist()
-
-
 def _run_matrices(
     table: CircuitTable,
     starts: np.ndarray,
@@ -208,6 +196,7 @@ def _run_matrices(
     turn = np.exp(0.5j * table.theta[phase])
     g00[phase] = _mirrored(turn, half[phase])
     g11[phase] = turn
+    # Each row's [lower, upper] levels.
     levels = np.empty((table.num_rows, 2), dtype=table.lower.dtype)
     levels[:, 0], levels[:, 1] = table.lower, table.upper
 
@@ -225,7 +214,9 @@ def _run_matrices(
         shared = None
         if int(length.min()) == steps:
             rows = first + np.arange(steps)[:, None]
-            shared = _shared_levels(levels, rows)
+            pairs = levels[rows]
+            if (pairs == pairs[:, :1]).all():
+                shared = pairs[:, 0].tolist()
         if shared is not None:
             # Every run's j-th row acts on one pair of levels: step on
             # whole slabs, with the steps' coefficients gathered once.
