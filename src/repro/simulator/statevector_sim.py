@@ -152,6 +152,29 @@ def _mirrored(turn: np.ndarray, angle: np.ndarray) -> np.ndarray:
     return mirror
 
 
+def _step_slabs(
+    stack: np.ndarray,
+    blocks: np.ndarray,
+    rows: np.ndarray,
+    levels: list[list[int]],
+) -> None:
+    """Step a ``(d, d, k)`` stack in place on whole ``(d, k)`` slabs.
+
+    Step ``j`` applies rows ``rows[j]`` (one per run), all on levels
+    ``levels[j]``; ``blocks`` holds every row's ``g00, g01, g10, g11``.
+    The upper slab is updated in place: a sum commutes bit for bit, and
+    each product keeps its coefficient on the left.
+    """
+    c00, c01, c10, c11 = (coefficient[rows] for coefficient in blocks)
+    for step, (lower, upper) in enumerate(levels):
+        low, high = stack[lower], stack[upper]
+        new_low = c00[step] * low
+        new_low += c01[step] * high
+        np.multiply(c11[step], high, out=high)
+        high += c10[step] * low
+        low[...] = new_low
+
+
 def _run_matrices(
     table: CircuitTable,
     starts: np.ndarray,
@@ -167,9 +190,10 @@ def _run_matrices(
     every run of a dimension has one length and one ``(lower, upper)``
     sequence (a synthesised table with identity rotations kept), a step
     updates the two whole ``(d, k)`` slabs of its levels with ``(k,)``
-    coefficient vectors.  Every product and sum is the one a
-    ``(k, d, d)`` stack stepped run by run computes, with the
-    coefficient on the left, so the matrices are those of
+    coefficient vectors (:func:`_step_slabs`).  Every product is the
+    one a ``(k, d, d)`` stack stepped run by run computes, with the
+    coefficient on the left, and every sum adds the same two products
+    (addition commutes bit for bit), so the matrices are those of
     ``run_matrices_reference`` in ``tests/kernel_oracles.py``, bit for
     bit.
 
@@ -183,7 +207,8 @@ def _run_matrices(
     # RZ(delta) = diag(e^{-i delta/2}, e^{i delta/2}) for phase rows.
     # Each kind computes only its own entries; cos(theta/2), cheap, is
     # written on every row and overwritten on phase rows.
-    g00, g01, g10, g11 = np.zeros((4, table.num_rows), dtype=np.complex128)
+    blocks = np.zeros((4, table.num_rows), dtype=np.complex128)
+    g00, g01, g10, g11 = blocks
     phase = table.kind == PHASE
     givens = ~phase
     half = table.theta / 2.0
@@ -218,15 +243,7 @@ def _run_matrices(
             if (pairs == pairs[:, :1]).all():
                 shared = pairs[:, 0].tolist()
         if shared is not None:
-            # Every run's j-th row acts on one pair of levels: step on
-            # whole slabs, with the steps' coefficients gathered once.
-            c00, c01, c10, c11 = g00[rows], g01[rows], g10[rows], g11[rows]
-            for step, (lower, upper) in enumerate(shared):
-                low = stack[lower]
-                high = stack[upper]
-                new_low = c00[step] * low + c01[step] * high
-                stack[upper] = c10[step] * low + c11[step] * high
-                stack[lower] = new_low
+            _step_slabs(stack, blocks, rows, shared)
         else:
             for step in range(steps):
                 active = np.flatnonzero(length > step)
