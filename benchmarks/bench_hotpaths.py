@@ -37,7 +37,11 @@ the scalar oracle's, and exits 1 on any mismatch.
 Each scenario records whether ``approximate(..., 0.98)`` consulted a
 complex table (``approximate.path``), and the run fails if
 approximating a random state of the grid (real amplitudes, as in the
-paper) did.
+paper) did.  It also records how many rows that approximation
+normalised again against the rows of the pruned diagram and the
+changed ones among them (``approximate.rows``), and the run fails if
+a row outside the changed set was renormalised, or a changed one was
+not.
 A second grid times the build alone, statistics included, on the two
 paths it takes: random states, whose kept weights lie apart and skip
 the complex table, and W, uniform and Dicke states on wide registers,
@@ -96,6 +100,7 @@ from repro.core.verification import (  # noqa: E402
     prepared_state,
     verify_preparation,
 )
+from repro.dd import approximation as approximation_module  # noqa: E402
 from repro.dd.approximation import approximate  # noqa: E402
 from repro.dd.builder import build_dd  # noqa: E402
 from repro.dd.edge import WEIGHT_ZERO_CUTOFF, Edge  # noqa: E402
@@ -124,7 +129,10 @@ from repro.states.random_states import (  # noqa: E402
 )
 from repro.simulator import statevector_sim  # noqa: E402
 from repro.states.statevector import StateVector  # noqa: E402
-from tests.approximation_oracle import approximate_oracle  # noqa: E402
+from tests.approximation_oracle import (  # noqa: E402
+    approximate_oracle,
+    changed_rows_reference,
+)
 from tests.kernel_oracles import (  # noqa: E402
     build_dd_reference,
     run_matrices_reference,
@@ -603,6 +611,67 @@ def approximation_mismatches(
     return mismatches
 
 
+def renormalised_rows(
+    state: StateVector, min_fidelity: float = 0.98
+) -> dict:
+    """How many rows ``approximate`` normalised again, against the rows
+    of the pruned diagram and the changed rows among them.
+
+    Counts the rows of every ``_in_edge_factors`` call, as
+    ``record_tables`` in ``tests/test_dd_approximation.py`` records
+    complex-table batches, and takes the changed rows from the pruned
+    levels ``_rebuild`` receives by ``changed_rows_reference`` of
+    ``tests/approximation_oracle.py``.
+    ``outside_changed`` counts renormalised rows that are not changed.
+    """
+    rebuild = approximation_module._rebuild
+    in_edge_factors = approximation_module._in_edge_factors
+    counts: list[int] = []
+    calls = []
+
+    def counting(raw, magnitudes):
+        counts.append(raw.shape[0])
+        return in_edge_factors(raw, magnitudes)
+
+    def recording(weights, children, lost, inputs, orders):
+        pruned = (
+            [level.copy() for level in weights],
+            [level.copy() for level in children],
+            [level.copy() for level in lost],
+        )
+        result = rebuild(weights, children, lost, inputs, orders)
+        calls.append((pruned, result[3]))
+        return result
+
+    diagram = build_dd(state)
+    approximation_module._rebuild = recording
+    approximation_module._in_edge_factors = counting
+    try:
+        approximate(diagram, min_fidelity)
+    finally:
+        approximation_module._rebuild = rebuild
+        approximation_module._in_edge_factors = in_edge_factors
+    ((weights, children, lost), reported), = calls
+    expected = [
+        set(rows) for rows in changed_rows_reference(weights, children, lost)
+    ]
+    renormalised = sum(counts)
+    listed = sum(len(rows) for rows in reported)
+    outside = sum(
+        len(set(rows.tolist()) - rows_expected)
+        for rows, rows_expected in zip(reported, expected)
+    ) + max(0, renormalised - listed)
+    return {
+        "renormalised": renormalised,
+        "changed": sum(len(rows) for rows in expected),
+        "reachable": sum(
+            int(mark.sum())
+            for mark in approximation_module._reachable(children)
+        ),
+        "outside_changed": outside,
+    }
+
+
 def run(smoke: bool, repeats: int) -> dict:
     scenarios = _scenarios(smoke)
     results = []
@@ -725,12 +794,16 @@ def run(smoke: bool, repeats: int) -> dict:
             "removed_nodes": approximate(build_dd(state), 0.98).removed_nodes,
             "path": approximate_path_of(state),
             "oracle_mismatches": approximation_mismatches(state),
+            "rows": renormalised_rows(state),
         }
+        rows = approximation["rows"]
         print(f"  approximate: arrays {arrays_s * 1e3:7.2f} ms"
               f" | oracle {approx_oracle_s * 1e3:7.2f} ms"
               f" ({approximation['speedup_vs_oracle']:.2f}x)"
               f" | {approximation['path']}"
-              f" | mismatches: {approximation['oracle_mismatches']}",
+              f" | mismatches: {approximation['oracle_mismatches']}"
+              f" | renormalised {rows['renormalised']} of"
+              f" {rows['reachable']} rows ({rows['changed']} changed)",
               flush=True)
 
         qdasm = run_qdasm(circuit, repeats)
@@ -965,6 +1038,26 @@ def approximation_check(payload: dict) -> str | None:
     return None
 
 
+def renormalised_rows_check(payload: dict) -> str | None:
+    """``approximate`` normalised again exactly the changed rows on
+    every scenario: none outside them, and each of them.
+
+    Returns the failure message, or ``None`` when that holds.
+    """
+    failures = [
+        f"{row['name']}: {rows['renormalised']} renormalised, "
+        f"{rows['changed']} changed, {rows['outside_changed']} outside"
+        for row in payload["scenarios"]
+        for rows in [row["approximate"]["rows"]]
+        if rows["outside_changed"] or rows["renormalised"] != rows["changed"]
+    ]
+    if failures:
+        return "approximate renormalised rows outside the changed set on " + (
+            "; ".join(failures)
+        )
+    return None
+
+
 def build_path_check(payload: dict) -> str | None:
     """Every random state of the build grid took the fast path.
 
@@ -1053,6 +1146,12 @@ def main(argv: list[str] | None = None) -> int:
         print(f"APPROXIMATION CHECK FAILED: {failure}", file=sys.stderr)
         return 1
     print("approximation check held: approximate agrees with the oracle")
+    failure = renormalised_rows_check(payload)
+    if failure is not None:
+        print(f"RENORMALISED ROWS CHECK FAILED: {failure}", file=sys.stderr)
+        return 1
+    print("renormalised rows check held: approximate normalised the "
+          "changed rows only")
     failure = build_path_check(payload)
     if failure is not None:
         print(f"BUILD PATH CHECK FAILED: {failure}", file=sys.stderr)

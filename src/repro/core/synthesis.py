@@ -67,7 +67,10 @@ __all__ = [
 #: Names the layout of the circuits synthesis emits.  Content keys
 #: include it, so cached circuits of an older layout miss once instead
 #: of being served; change it whenever synthesis output changes.
-CIRCUIT_FORMAT = "level-major"
+#: ``"level-major"`` named the same layout before approximation
+#: renormalised only the rows it changed, which moved the last bits of
+#: approximated circuits' angles.
+CIRCUIT_FORMAT = "level-major-2"
 
 #: Angles at or below this magnitude are identity rotations, which
 #: ``emit_identity_rotations=False`` drops.

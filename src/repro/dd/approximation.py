@@ -26,27 +26,36 @@ prepare states level by level:
   as a per-node walk (squared magnitudes are Python's ``abs(w) ** 2``),
   so contributions are bit-identical to it.  The greedy scan takes
   candidates in ``(contribution, position)`` order; within one pass a
-  removed node blocks its ancestors and descendants.
-* **Rebuild.**  Bottom-up, every reachable row gets the in-edge
-  factor the per-node rebuild through
-  :func:`~repro.dd.builder.normalize_edges` gives it, computed bit for
-  bit by mapping the same Python operations over the rows.  Only the
-  rows that lost an edge, have such a row below them, or whose
-  renormalised weights leave their own are normalised again and
-  written in place.  Their quotients get what a fresh complex table
-  holding the input's weights gives in the per-node rebuild's probe
-  order, so the weights, root weight included, equal the per-node
-  rebuild's; as in the build, only the crowded ones
+  removed node blocks its ancestors (along parent links made once)
+  and its descendants (read from the level arrays).
+* **Rebuild.**  Pruning leaves a subtree it did not touch as it was, so
+  its root is already normalised and its in-edge factor is 1.  A
+  reachable row is *changed* when it lost an edge, has a changed
+  child, or its weights are off unit norm (as a build's snapped
+  near-tie rows can be).  Bottom-up, only the changed rows are
+  normalised again, with :func:`~repro.dd.builder.normalize_edges`'
+  arithmetic mapped over the rows (their raw weights carry the factor
+  of each changed child), and written in place; every other row keeps
+  its bytes.  The quotients get what a fresh complex table holding the
+  input's weights gives in the per-node rebuild's probe order; as in
+  the build, only the crowded ones
   (:func:`~repro.linalg.complex_table.crowded`) are looked up, after
   the crowded input weights, and with none crowded (random states
   with real amplitudes) no table is made, and the same crowding test
   hands the result's distinct weights to its statistics, as the
   build hands its own.  Rows that became one node are merged by row
-  key.  No node is made, and no table is shared with the input.
-* **Fidelity.**  ``|<original|approximated>|^2`` is computed exactly,
-  level by level over the pairs of rows the two diagrams reach
-  together, with the recursive inner product's arithmetic.  The result
-  carries its own level arrays and statistics.
+  key, once a row hash shows that two might be.  No node is made, and
+  no table is shared with the input.
+* **Fidelity.**  ``|<original|approximated>|^2`` is summed bottom-up
+  over the changed rows only, with the recursive inner product's
+  arithmetic; an untouched child's subtree is the input's, so it adds
+  its subtree mass.  The result carries its own level arrays and
+  statistics.
+
+Untouched rows keep a factor of exactly 1 where the per-node rebuild
+gives a factor within a few rounding errors of it, so a rebuilt row's
+weights, and an approximated circuit's angles, may differ from the
+per-node rebuild's in their last bits.
 
 The scalar per-node implementation is the test oracle in
 ``tests/approximation_oracle.py``.
@@ -85,9 +94,10 @@ __all__ = [
 #: and skipped by the candidate scan (removing them changes nothing).
 _NEGLIGIBLE = 1e-15
 
-#: A row whose renormalised weights all lie this close to its own keeps
-#: its node: they differ by rounding only, far inside the complex
-#: table's 1e-12 tolerance, so every lookup returns the row's weight.
+#: A reachable row whose norm lies this close to 1 is normalised
+#: already: renormalising it would move its weights by rounding only,
+#: far inside the complex table's 1e-12 tolerance.  A row further off
+#: (a build's snapped near-tie row) is normalised again.
 _DRIFT_BOUND = 1e-14
 
 
@@ -267,33 +277,34 @@ def fidelity_contributions(dd: DecisionDiagram) -> dict[DDNode, float]:
 
 
 class _Links:
-    """Parent and child links of the scan-ordered rows, by global id.
+    """Parent links of the scan-ordered rows, by global id, and the
+    live child arrays.
 
     A row's global id is its level's offset plus its row.  Removing a
-    node cuts exactly its in-edges, so the links are made once and a
-    removed node is skipped as a child and not walked past as a parent.
+    node cuts exactly its in-edges, so the parent links are made once
+    and a removed node is skipped as a child and not walked past as a
+    parent.  Children are read from ``children``, the level arrays the
+    scan cuts edges in.
     """
 
     def __init__(self, children: list[np.ndarray]):
         counts = [level.shape[0] for level in children]
+        self.children = children
         self.offsets = np.concatenate(([0], np.cumsum(counts)))
         total = int(self.offsets[-1])
-        self.kids: list[list[int]] = []
         # Every edge to a child: its parent's global id, level, row and
         # digit, and the child's global id.
         columns: list[list[np.ndarray]] = [
             [np.zeros(0, dtype=np.intp)] for _ in range(5)
         ]
         for level, child in enumerate(children):
-            below = self.offsets[level + 1]
-            self.kids.extend(np.where(child >= 0, child + below, -1).tolist())
             rows, digits = np.nonzero(child >= 0)
             for column, values in zip(columns, (
                 rows + self.offsets[level],
                 np.full(rows.size, level),
                 rows,
                 digits,
-                child[rows, digits] + below,
+                child[rows, digits] + self.offsets[level + 1],
             )):
                 column.append(values)
         parents, levels, rows, digits, targets = (
@@ -309,25 +320,37 @@ class _Links:
         ).tolist()
         self.removed = bytearray(total)
 
-    def block_relatives(self, node: int, blocked: bytearray) -> None:
-        """Block ``node``, its descendants and its ancestors.
+    def block_relatives(
+        self, node: int, level: int, blocked: bytearray
+    ) -> None:
+        """Block ``node`` (on ``level``), its descendants and its
+        ancestors.
 
         Removing a node changes the current contribution of exactly
         these relatives (ancestors lose subtree mass, descendants lose
         influx), so within one pass they may no longer be removed at
-        their pre-computed contributions.
+        their pre-computed contributions.  The walks stop at blocked
+        nodes, as a depth-first walk would; descendants go level by
+        level, so a deepest-level node has none to walk.
         """
-        kids = self.kids
         removed = self.removed
-        stack = [node]
-        while stack:
-            current = stack.pop()
-            if blocked[current]:
-                continue
-            blocked[current] = 1
-            stack.extend(
-                kid for kid in kids[current] if kid >= 0 and not removed[kid]
-            )
+        offsets = self.offsets
+        blocked[node] = 1
+        frontier = [node - int(offsets[level])]
+        for depth in range(level, len(self.children) - 1):
+            base = int(offsets[depth + 1])
+            below = []
+            for kid in self.children[depth][frontier].ravel().tolist():
+                if (
+                    kid >= 0
+                    and not removed[kid + base]
+                    and not blocked[kid + base]
+                ):
+                    blocked[kid + base] = 1
+                    below.append(kid)
+            if not below:
+                break
+            frontier = below
         parent_of = self.parent_of
         first_in = self.first_in
         up = parent_of[first_in[node]:first_in[node + 1]]
@@ -386,9 +409,11 @@ def _merged_labels(
     """Labels of one level's rows after a rebuild, equal for one node.
 
     Rows that were not rebuilt are distinct nodes, so only a rebuilt
-    (``dirty``) row can equal another row.  A 64-bit hash of every
-    reachable row picks the untouched rows that could equal a rebuilt
-    one; those and the rebuilt rows are compared exactly
+    (``dirty``) row can equal another row.  Equal rows have equal
+    64-bit row hashes, so unless two rebuilt rows, or a rebuilt row
+    and an untouched reachable one, share a hash, every row is its own
+    node.  Otherwise the rebuilt rows and the untouched rows sharing a
+    hash with one are compared exactly
     (:func:`~repro.dd.levels.merge_labels`).  ``children`` holds the
     next level's labels.  Returns ``None`` when every row is its own
     node.
@@ -413,7 +438,10 @@ def _merged_labels(
     found = np.minimum(
         np.searchsorted(dirty_hashes, clean_hashes), dirty_hashes.size - 1
     )
-    candidate[rows[~rebuilt][dirty_hashes[found] == clean_hashes]] = True
+    shared = dirty_hashes[found] == clean_hashes
+    if not shared.any() and not (dirty_hashes[1:] == dirty_hashes[:-1]).any():
+        return None
+    candidate[rows[~rebuilt][shared]] = True
     return merge_labels(weights, children, np.flatnonzero(candidate))
 
 
@@ -475,60 +503,73 @@ def _rebuild(
     inputs: list[np.ndarray],
     orders: list[np.ndarray],
 ):
-    """Renormalise the pruned diagram bottom-up.
+    """Renormalise the rows of the pruned diagram that changed,
+    bottom-up.
 
     ``weights``, ``children`` and ``lost`` are the pruned levels in
     scan order; ``inputs`` are the input's weight levels and
-    ``orders[level][i]`` the input row of scan row ``i``.  Every row
-    reachable from the root gets the in-edge factor that the per-node
-    rebuild through :func:`~repro.dd.builder.normalize_edges` gives
-    it, bit for bit.  Only rows that lost an edge, have such a row
-    below them, or whose renormalised weights leave their own are
-    normalised again, and written in place; every other row stays as
-    it is.  Their quotients get the representatives a complex table
-    holding the input's non-zero edge weights gives when it sees them
-    in the order the per-node rebuild probes them (depth-first
-    post-order); only the crowded ones
+    ``orders[level][i]`` the input row of scan row ``i``.  A reachable
+    row is *changed* when it lost an edge, has a changed child, or its
+    own weights are off unit norm by more than ``_DRIFT_BOUND`` (as a
+    build's snapped near-tie rows can be).  Every other reachable row
+    roots a subtree the pruning left as it was: it is already
+    normalised, keeps its weights and has the in-edge factor 1.  A
+    changed row gets the in-edge factor and quotients that
+    :func:`~repro.dd.builder.normalize_edges` gives its raw weights
+    (which carry the factor of each changed child), with Python's
+    arithmetic, and is written in place.  The quotients get the
+    representatives a complex table holding the input's non-zero edge
+    weights gives when it sees them in the order the per-node rebuild
+    probes them (depth-first post-order); only the crowded ones
     (:func:`~repro.linalg.complex_table.crowded`) are looked up, after
-    the crowded weights.  Rows that became one node are merged by
-    key.
+    the crowded weights.  Rows that became one node are merged by key.
 
     Returns the root row's factor (0 when nothing is left), the
-    result's level arrays (``None`` when no row was normalised again)
-    and, for :func:`~repro.dd.diagram.level_stats`, the result's
-    distinct non-zero weights when none of them is crowded (else
-    ``None``).
+    result's level arrays (``None`` when no row changed), for
+    :func:`~repro.dd.diagram.level_stats` the result's distinct
+    non-zero weights when none of them is crowded (else ``None``), and
+    the changed rows of every level.
     """
     num_levels = len(children)
     reach = _reachable(children)
 
-    # Bottom-up: factors of the reachable rows, and the quotients of
-    # the rows to normalise again.
-    factors: list[np.ndarray] = [np.zeros(0)] * num_levels
-    dirty_rows: list[np.ndarray] = [np.zeros(0, dtype=np.intp)] * num_levels
+    # Bottom-up: the changed rows, their factors and their quotients.
+    changed_rows: list[np.ndarray] = [np.zeros(0, dtype=np.intp)] * num_levels
+    factors: list[np.ndarray] = [np.zeros(0, np.complex128)] * num_levels
     slots: list[np.ndarray] = [np.zeros(0, dtype=np.intp)] * num_levels
     quotients: list[np.ndarray] = [np.zeros(0, np.complex128)] * num_levels
-    dirty_below = None
+    # Over the level below: which rows changed, and their factors.
+    changed_below = factor_below = None
     for level in range(num_levels - 1, -1, -1):
-        child = children[level]
-        rows = np.flatnonzero(reach[level])
+        parts = weights[level].view(np.float64)
+        changed = lost[level] | (
+            np.abs(np.sqrt(np.einsum("ij,ij->i", parts, parts)) - 1.0)
+            > _DRIFT_BOUND
+        )
+        if changed_below is not None:
+            child = children[level]
+            changed |= (
+                (child >= 0) & changed_below[np.maximum(child, 0)]
+            ).any(axis=1)
+        rows = np.flatnonzero(changed & reach[level])
+        changed_rows[level] = rows
+        if not rows.size:
+            changed_below = None
+            continue
         # The raw edges of normalize_edges: 0j below the zero cutoff,
-        # the weight on a terminal edge, the child's factor times the
-        # weight on a child edge.
+        # the weight on an edge to the terminal or an untouched child,
+        # the child's factor times the weight on an edge to a changed
+        # one.
         weight = weights[level][rows]
-        kids = child[rows]
+        kids = children[level][rows]
         live = np.hypot(weight.real, weight.imag) > WEIGHT_ZERO_CUTOFF
         raw = np.where(live, weight, 0j)
-        scaled = live & (kids >= 0)
-        if level + 1 < num_levels:
-            raw[scaled] = _product(
-                factors[level + 1][kids[scaled]], raw[scaled]
-            )
+        if changed_below is not None:
+            scaled = live & (kids >= 0)
+            scaled[scaled] = changed_below[kids[scaled]]
+            raw[scaled] = _product(factor_below[kids[scaled]], raw[scaled])
         magnitudes = np.hypot(raw.real, raw.imag)
-        row_factors = _in_edge_factors(raw, magnitudes)
-        factor = np.zeros(child.shape[0], dtype=np.complex128)
-        factor[rows] = row_factors
-        factors[level] = factor
+        row_factors = factors[level] = _in_edge_factors(raw, magnitudes)
         # normalize_edges divides every raw weight above the zero
         # cutoff by the factor; get_node drops quotients below it.
         divided = (magnitudes > WEIGHT_ZERO_CUTOFF) & (
@@ -536,33 +577,23 @@ def _rebuild(
         )[:, None]
         quotient = np.zeros(raw.shape, dtype=np.complex128)
         quotient[divided] = _quotient(
-            raw[divided], np.broadcast_to(row_factors[:, None], raw.shape)[divided]
+            raw[divided],
+            np.broadcast_to(row_factors[:, None], raw.shape)[divided],
         )
         quotient[
             np.hypot(quotient.real, quotient.imag) <= WEIGHT_ZERO_CUTOFF
         ] = 0.0
-        # A row is normalised again when it lost an edge, when a row
-        # below it was, or when its quotients are not its own weights up
-        # to rounding (a weight the scalar rebuild would move off its
-        # complex-table entry).
-        drift = quotient - weight
-        dirty = lost[level][rows] | (
-            np.maximum(np.abs(drift.real), np.abs(drift.imag))
-            > _DRIFT_BOUND
-        ).any(axis=1)
-        if dirty_below is not None:
-            dirty |= (
-                (kids >= 0) & dirty_below[np.maximum(kids, 0)]
-            ).any(axis=1)
-        dirty_rows[level] = rows[dirty]
-        dirty_below = np.zeros(child.shape[0], dtype=bool)
-        dirty_below[rows[dirty]] = True
-        kept = quotient[dirty].ravel()
+        kept = quotient.ravel()
         slots[level] = np.flatnonzero(kept)
         quotients[level] = kept[slots[level]]
+        count = weights[level].shape[0]
+        changed_below = np.zeros(count, dtype=bool)
+        changed_below[rows] = True
+        factor_below = np.zeros(count, dtype=np.complex128)
+        factor_below[rows] = row_factors
 
-    if not any(rows.size for rows in dirty_rows):
-        return complex(factors[0][0]), None, None
+    if not changed_rows[0].size:
+        return 1.0 + 0.0j, None, None, changed_rows
 
     # The per-node rebuild looks the quotients up in a table holding the
     # input's weights, in its probe order.  Only a crowded quotient can
@@ -579,7 +610,7 @@ def _rebuild(
     keep = []
     for level, mask in enumerate(nonzero):
         untouched = reach[level].copy()
-        untouched[dirty_rows[level]] = False
+        untouched[changed_rows[level]] = False
         by_input = np.empty_like(untouched)
         by_input[orders[level]] = untouched
         keep.append(np.broadcast_to(by_input[:, None], mask.shape)[mask])
@@ -594,16 +625,16 @@ def _rebuild(
     if replay.size:
         table = ComplexTable(DEFAULT_TOLERANCE)
         table.lookup_many(values[marks[:values.size]])
-        replay = _in_probe_order(replay, children, reach, dirty_rows, slots)
+        replay = _in_probe_order(replay, children, reach, changed_rows, slots)
         canonical[replay] = table.lookup_many(canonical[replay])
 
-    # Bottom-up again: write the rebuilt rows in place (zero edges point
+    # Bottom-up again: write the changed rows in place (zero edges point
     # nowhere) and label the rows that became one node.
     classes: list[np.ndarray | None] = [None] * num_levels
     labels = None
     start = canonical.size
     for level in range(num_levels - 1, -1, -1):
-        rows = dirty_rows[level]
+        rows = changed_rows[level]
         start -= slots[level].size
         if rows.size:
             width = weights[level].shape[1]
@@ -618,68 +649,73 @@ def _rebuild(
         if labels is not None:
             child = np.where(child >= 0, labels[np.maximum(child, 0)], -1)
         labels = classes[level] = _merged_labels(
-            weights[level], child, rows[factors[level][rows] != 0], reach[level]
+            weights[level], child, rows[factors[level] != 0], reach[level]
         )
     # Rows that became one node share their weights, and a row left
     # with nothing (factor 0) has no quotients; any other row that no
     # edge reaches now takes its weights out of the result.
-    if apart is not None and any(
-        (factor[before & ~after] != 0).any()
-        for factor, before, after in zip(
-            factors, reach, _reachable(children)
-        )
-    ):
-        apart = None
+    if apart is not None:
+        for level, (before, after) in enumerate(
+            zip(reach, _reachable(children))
+        ):
+            gone = before & ~after
+            gone[changed_rows[level][factors[level] == 0]] = False
+            if gone.any():
+                apart = None
+                break
     return complex(factors[0][0]), compact_levels(
         weights, children, 0, classes
-    ), apart
+    ), apart, changed_rows
 
 
-def _overlap(bra, ket) -> complex:
-    """``<bra|ket>`` of two level-array diagrams, root weights left out.
+def _overlap(
+    bra_weights: list[np.ndarray],
+    ket_weights: list[np.ndarray],
+    children: list[np.ndarray],
+    changed_rows: list[np.ndarray],
+    masses: list[np.ndarray],
+) -> complex:
+    """``<input|rebuild>`` of an approximation, root weights left out.
 
-    ``bra`` and ``ket`` are ``(weights, children)`` lists over one
-    register, each with its root node at row 0 of level 0.  The pairs
-    of rows the two diagrams reach together are listed top-down; each
-    pair's overlap is then summed bottom-up with the recursion's
-    arithmetic, ``conj(a) * b * overlap(children)`` added digit by
-    digit from 0.
+    ``bra_weights`` are the input's weight levels in scan order;
+    ``ket_weights`` and ``children`` the rebuild's before compaction,
+    where every row stands in its input row's place, so each row's
+    partner is itself (rows that became one node have equal weights
+    and children).  ``changed_rows`` are :func:`_rebuild`'s changed
+    rows; an untouched row's subtree is the input's, so its overlap is
+    its subtree mass, read from ``masses`` (:func:`_masses` of the
+    pruned levels).  Only the changed rows are summed, bottom-up with
+    the recursive inner product's arithmetic: ``conj(a) * b *
+    overlap(children)`` added digit by digit from 0.
     """
-    bra_weights, bra_children = bra
-    ket_weights, ket_children = ket
-    num_levels = len(bra_weights)
-    pairs = (np.zeros(1, dtype=np.intp), np.zeros(1, dtype=np.intp))
-    levels = []
-    for level in range(num_levels):
-        rows_a, rows_b = pairs
-        weight_a = bra_weights[level][rows_a]
-        weight_b = ket_weights[level][rows_b]
-        both = (np.hypot(weight_a.real, weight_a.imag) > WEIGHT_ZERO_CUTOFF) & (
-            np.hypot(weight_b.real, weight_b.imag) > WEIGHT_ZERO_CUTOFF
-        )
-        slot = np.full(both.shape, -1, dtype=np.intp)
-        if level + 1 < num_levels:
-            child_a = bra_children[level][rows_a]
-            child_b = ket_children[level][rows_b]
-            both &= (child_a >= 0) & (child_b >= 0)
-            width = ket_weights[level + 1].shape[0]
-            keys, slot[both] = np.unique(
-                (child_a * width + child_b)[both], return_inverse=True
-            )
-            pairs = (keys // width, keys % width)
-        levels.append((weight_a, weight_b, both, slot))
-    value = None
-    for weight_a, weight_b, both, slot in reversed(levels):
+    num_levels = len(children)
+    changed = below = None
+    for level in range(num_levels - 1, -1, -1):
+        rows = changed_rows[level]
+        weight_a = bra_weights[level][rows]
+        weight_b = ket_weights[level][rows]
+        both = (
+            np.hypot(weight_a.real, weight_a.imag) > WEIGHT_ZERO_CUTOFF
+        ) & (np.hypot(weight_b.real, weight_b.imag) > WEIGHT_ZERO_CUTOFF)
         terms = _product(np.conj(weight_a), weight_b)
-        below = (
-            1.0 + 0.0j if value is None
-            else value[np.maximum(slot, 0)]
-        )
-        terms = _product(terms, below)
-        value = np.zeros(both.shape[0], dtype=np.complex128)
+        if changed is not None:
+            kids = children[level][rows]
+            both &= kids >= 0
+            kids = np.maximum(kids, 0)
+            terms = _product(terms, np.where(
+                changed[kids], below[kids], masses[level + 1][kids]
+            ))
+        value = np.zeros(rows.size, dtype=np.complex128)
         for digit in range(both.shape[1]):
             value = np.where(both[:, digit], value + terms[:, digit], value)
-    return complex(value[0])
+        count = bra_weights[level].shape[0]
+        changed = np.zeros(count, dtype=bool)
+        changed[rows] = True
+        below = np.zeros(count, dtype=np.complex128)
+        below[rows] = value
+    if not changed[0]:
+        return complex(masses[0][0])
+    return complex(below[0])
 
 
 def approximate(
@@ -791,15 +827,18 @@ def approximate(
             if links is None:
                 links = _Links(children)
             blocked = bytearray(len(links.removed))
-            for contribution, node in zip(
+            nodes = candidates[:fits] + links.offsets[1]
+            for contribution, node, level in zip(
                 ordered[:fits].tolist(),
-                (candidates[:fits] + links.offsets[1]).tolist(),
+                nodes.tolist(),
+                (np.searchsorted(links.offsets, nodes, side="right") - 1)
+                .tolist(),
             ):
                 if contribution > budget:
                     break
                 if blocked[node]:
                     continue
-                links.block_relatives(node, blocked)
+                links.block_relatives(node, level, blocked)
                 links.removed[node] = 1
                 cut_edges.extend(
                     range(links.first_in[node], links.first_in[node + 1])
@@ -826,7 +865,7 @@ def approximate(
         if not progressed:
             break
 
-    root_factor, rebuilt_levels, apart = _rebuild(
+    root_factor, rebuilt_levels, apart, changed_rows = _rebuild(
         weights, children, lost, list(levels.weights), orders
     )
     if root_factor == 0:  # pragma: no cover - budget < 1 guards
@@ -841,13 +880,12 @@ def approximate(
         dd.register,
         level_stats(rebuilt_levels, root_weight, apart),
     )
+    # ``masses`` are the last pass's (the budget, at least 1e-12, lets
+    # the loop run once); untouched rows' masses never change.
     overlap = (
         dd.root_weight.conjugate()
         * root_weight
-        * _overlap(
-            (original_weights, original_children),
-            (list(rebuilt_levels.weights), list(rebuilt_levels.children)),
-        )
+        * _overlap(original_weights, weights, children, changed_rows, masses)
     )
     fidelity = abs(overlap) ** 2
     return ApproximationResult(

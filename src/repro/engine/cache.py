@@ -93,14 +93,19 @@ class CacheEntry:
 
 def _entry_to_json(entry: CacheEntry) -> str:
     """The entry's file: ``json.dumps({"key": ..., "qdasm": ...,
-    "report": ...})``, with the circuit's JSON string literal
-    (:func:`repro.circuit.qasm.literal`) spliced in, so its QDASM is
-    written once and never escaped."""
+    "report": ...})``, with the circuit's JSON string literal spliced
+    in, so its QDASM is written once and never escaped.
+
+    The literal is kept on the circuit
+    (:func:`repro.circuit.qasm.literal_once`), so a response that
+    sends the stored circuit reuses it instead of writing it again; a
+    disk-backed cache thus keeps the literals of the circuits it
+    stores in memory, as every cache does for the hits it serves."""
     report = dataclasses.asdict(entry.report)
     report["dims"] = list(report["dims"])
     return (
         '{"key": ' + json.dumps(entry.key)
-        + ', "qdasm": ' + qasm.literal(entry.circuit).json.decode()
+        + ', "qdasm": ' + qasm.literal_once(entry.circuit).json.decode()
         + ', "report": ' + json.dumps(report) + "}"
     )
 

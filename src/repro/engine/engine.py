@@ -330,7 +330,7 @@ class PreparationEngine:
         without resolving.  The serving layer keys each request with
         this once, when it arrives.
         """
-        return self._key_and_state(job)[0]
+        return self.key_and_state(job)[0]
 
     def memoised_key(self, job: PreparationJob) -> str | None:
         """:meth:`job_key` of ``job`` if the memo holds it, else
@@ -347,11 +347,16 @@ class PreparationEngine:
                 self._key_memo.move_to_end(description)
             return key
 
-    def _key_and_state(
+    def key_and_state(
         self, job: PreparationJob
     ) -> tuple[str, StateVector | None]:
-        """``job``'s content key, plus its resolved state when keying
-        had to resolve it (``None`` when the memo answered)."""
+        """:meth:`job_key` of ``job``, plus the state it resolved to
+        make the key (``None`` when the memo answered).
+
+        The serving layer keys a never-seen request with this and
+        hands the state to :meth:`run_batch` next to the key, so the
+        compile does not resolve it again.
+        """
         description = _memo_description(job)
         if description is not None:
             key = self._recall(description)
@@ -409,6 +414,7 @@ class PreparationEngine:
         jobs: Iterable[PreparationJob],
         *,
         keys: Iterable[str | None] | None = None,
+        states: Iterable[StateVector | None] | None = None,
     ) -> BatchResult:
         """Execute a batch, returning outcomes in submission order.
 
@@ -425,6 +431,11 @@ class PreparationEngine:
                 when it arrives — avoids a second state resolution:
                 slots with a provided key only resolve their state if
                 they miss the cache.
+            states: Optional resolved states, parallel to ``jobs``, as
+                :meth:`key_and_state` returns them with the keys.  A
+                state is used only with its job's provided key, which
+                must be made from it: the job's miss is then
+                synthesised from it without resolving the job again.
 
         Thread-safe: the cache locks itself (per shard under a
         :class:`~repro.cluster.ShardPlacement`) and the engine
@@ -438,19 +449,24 @@ class PreparationEngine:
         """
         jobs = list(jobs)
         provided_keys = list(keys) if keys is not None else None
-        if provided_keys is not None and len(provided_keys) != len(jobs):
-            raise EngineError(
-                f"keys must parallel jobs: got {len(provided_keys)} "
-                f"keys for {len(jobs)} jobs"
-            )
+        provided_states = list(states) if states is not None else None
+        for name, provided in (
+            ("keys", provided_keys), ("states", provided_states)
+        ):
+            if provided is not None and len(provided) != len(jobs):
+                raise EngineError(
+                    f"{name} must parallel jobs: got {len(provided)} "
+                    f"{name} for {len(jobs)} jobs"
+                )
         start = time.perf_counter()
-        return self._run_batch(jobs, start, provided_keys)
+        return self._run_batch(jobs, start, provided_keys, provided_states)
 
     def _run_batch(
         self,
         jobs: list[PreparationJob],
         start: float,
         provided_keys: list[str | None] | None = None,
+        provided_states: list[StateVector | None] | None = None,
     ) -> BatchResult:
         with self._stats_lock:
             self._jobs_submitted += len(jobs)
@@ -468,8 +484,9 @@ class PreparationEngine:
                 return None
             return traces[position]
 
-        # Key every job up front — from the caller where provided,
-        # else from the key memo or by resolving the state here; a job
+        # Key every job up front — from the caller where provided
+        # (with the state the caller resolved for it, if given), else
+        # from the key memo or by resolving the state here; a job
         # whose state cannot even be built fails here without
         # touching a worker.
         keys: list[str | None] = [None] * len(jobs)
@@ -480,10 +497,12 @@ class PreparationEngine:
                 and provided_keys[position] is not None
             ):
                 keys[position] = provided_keys[position]
+                if provided_states is not None:
+                    states[position] = provided_states[position]
                 continue
             try:
                 keys[position], states[position] = (
-                    self._key_and_state(job)
+                    self.key_and_state(job)
                 )
             except Exception as error:  # noqa: BLE001
                 outcomes[position] = JobFailure(
@@ -531,9 +550,9 @@ class PreparationEngine:
                 dispatch[key] = position
 
         # Execute the unique misses on the configured backend.  A job
-        # keyed by its caller or by the memo resolves its state only
-        # now — cache hits never needed it.  The key is then
-        # recomputed from the state actually resolved, so a
+        # keyed by its caller without a state, or by the memo, resolves
+        # its state only now — cache hits never needed it.  The key is
+        # then recomputed from the state actually resolved, so a
         # nondeterministic builder (an unseeded random family) can
         # never store a circuit under a key addressing a *different*
         # state than the one synthesised.

@@ -124,13 +124,20 @@ class ComplexTable:
         return value
 
     def lookup_many(self, values: np.ndarray) -> np.ndarray:
-        """:meth:`lookup` of every entry of ``values``, in order.
+        """The representatives of ``values``: :meth:`lookup` of each
+        first occurrence, in order, and that same representative for
+        every later entry equal to it.
 
-        Repeated identical inputs are resolved through a batch-local
-        memo: a repeat gets its first occurrence's representative, even
-        where a closer entry was stored in between (scalar lookups
-        would return that one).  Only first occurrences can insert, so
-        the table ends up holding what scalar lookups would store.
+        A batch-local memo answers the repeats, so this is not a loop
+        of scalar lookups: a repeat gets its first occurrence's
+        representative even where a closer entry was stored in
+        between, which a scalar lookup would return.  For
+        ``[9e-13, 0, -4e-13, 0]`` the last ``0`` gets ``9e-13`` here
+        and ``-4e-13`` from four scalar lookups.  Only first
+        occurrences can insert, so the table ends up holding what
+        scalar lookups would store.  The DD build's replay and the
+        approximation's rebuild are defined by this method, so making
+        repeats behave as scalar lookups would move near-tie outputs.
 
         Returns:
             An array of the same shape whose entries are the canonical

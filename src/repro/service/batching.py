@@ -23,6 +23,7 @@ from dataclasses import dataclass
 from repro.engine.jobs import PreparationJob
 from repro.exceptions import EngineError
 from repro.obs.tracing import Span, Trace, current_trace
+from repro.states.statevector import StateVector
 
 __all__ = ["BatchQueueStats", "MicroBatchQueue", "QueuedJob"]
 
@@ -38,6 +39,9 @@ class QueuedJob:
         key: The job's content key, made once when the request
             entered the service (``None`` if the job could not be
             keyed: the engine then reports its failure).
+        state: The state resolved to make ``key``, for the engine to
+            synthesise without resolving the job again (``None`` when
+            the key came from the engine's memo).
         trace: The request's :class:`~repro.obs.Trace` when the
             submitting context was traced (captured at enqueue time,
             so the worker — a different task — can keep recording
@@ -51,6 +55,7 @@ class QueuedJob:
     job: PreparationJob
     future: asyncio.Future
     key: str | None = None
+    state: StateVector | None = None
     trace: Trace | None = None
     queue_span: Span | None = None
     enqueued_at: float = 0.0
@@ -120,10 +125,13 @@ class MicroBatchQueue:
         )
 
     def put(
-        self, job: PreparationJob, key: str | None = None
+        self,
+        job: PreparationJob,
+        key: str | None = None,
+        state: StateVector | None = None,
     ) -> asyncio.Future:
-        """Enqueue a job and its content key; returns the future its
-        outcome will land on."""
+        """Enqueue a job, its content key and the state resolved to
+        make the key; returns the future its outcome will land on."""
         if self._closed:
             raise EngineError(
                 "micro-batch queue is closed; no new jobs accepted"
@@ -138,6 +146,7 @@ class MicroBatchQueue:
             job=job,
             future=future,
             key=key,
+            state=state,
             trace=trace,
             queue_span=queue_span,
             enqueued_at=time.perf_counter(),

@@ -69,6 +69,7 @@ from repro.service.batching import (
     MicroBatchQueue,
     QueuedJob,
 )
+from repro.states.statevector import StateVector
 
 __all__ = ["AsyncPreparationService", "ServiceStats"]
 
@@ -407,8 +408,9 @@ class AsyncPreparationService:
         (disk included).  The work runs under a ``door`` span of the
         request; a hit is resolved at once (traced as a zero-duration
         ``cache_hit`` span of the request), a miss enters the queue
-        of the shard that owns its key, carrying the key.  Returns one
-        future per job, in order.
+        of the shard that owns its key, carrying the key and, when
+        keying resolved it, the state.  Returns one future per job, in
+        order.
         """
         self._requests += len(jobs)
         self._inside_door += 1
@@ -438,10 +440,10 @@ class AsyncPreparationService:
                     door.finish()
             loop = asyncio.get_running_loop()
             answers = []
-            for job, (key, hit) in zip(jobs, looked_up):
+            for job, (key, hit, state) in zip(jobs, looked_up):
                 if hit is None:
                     owner = self.placement.shard_index(key or "")
-                    answers.append(self._queues[owner].put(job, key))
+                    answers.append(self._queues[owner].put(job, key, state))
                     continue
                 if trace is not None:
                     trace.add_span(
@@ -461,9 +463,9 @@ class AsyncPreparationService:
 
     def _look_up_on_loop(
         self, jobs: list[PreparationJob]
-    ) -> list[tuple[str, JobOutcome | None] | None]:
-        """``(key, hit)`` per job the event loop can settle, ``None``
-        for the rest.
+    ) -> list[tuple[str, JobOutcome | None, None] | None]:
+        """``(key, hit, None)`` per job the event loop can settle,
+        ``None`` for the rest.
 
         Settled are jobs with a memoised key that are either held in
         memory by a local shard whose lock is free (a counted hit) or
@@ -477,30 +479,39 @@ class AsyncPreparationService:
             if key is None:
                 looked_up.append(None)
             elif not local:
-                looked_up.append((key, None))
+                looked_up.append((key, None, None))
             else:
                 hit = self.engine.memory_hit(job, key)
-                looked_up.append((key, hit) if hit is not None else None)
+                looked_up.append(
+                    (key, hit, None) if hit is not None else None
+                )
         return looked_up
 
     def _look_up(
         self, jobs: list[PreparationJob]
-    ) -> list[tuple[str | None, JobOutcome | None]]:
-        """``(key, hit)`` per job: its content key and its cached
-        outcome, ``None`` on a miss.
+    ) -> list[
+        tuple[str | None, JobOutcome | None, StateVector | None]
+    ]:
+        """``(key, hit, state)`` per job: its content key, its cached
+        outcome (``None`` on a miss) and, for a local miss whose key
+        was made by resolving it, its state.
 
         Runs on an executor thread.  Shards that live in another
-        process are not probed: every job is a miss for them.
+        process are not probed: every job is a miss for them, and
+        they resolve what they receive themselves, so no state is
+        kept for them.
         """
         probe = self.placement.is_local
         looked_up = []
         for job in jobs:
-            key = self._routing_key(job)
+            key, state = self._routing_key(job)
             hit = (
                 self.engine.cached_outcome(job, key)
                 if probe and key is not None else None
             )
-            looked_up.append((key, hit))
+            looked_up.append(
+                (key, hit, state if probe and hit is None else None)
+            )
         return looked_up
 
     def uptime(self) -> float:
@@ -592,27 +603,29 @@ class AsyncPreparationService:
                 duration=round(time.perf_counter() - started, 6),
             )
 
-    def _routing_key(self, job: PreparationJob) -> str | None:
-        """Content key of ``job``, made once at the door; ``None`` if
-        unkeyable.
+    def _routing_key(
+        self, job: PreparationJob
+    ) -> tuple[str | None, StateVector | None]:
+        """Content key of ``job``, made once at the door, and the state
+        resolved to make it; ``(None, None)`` if unkeyable.
 
         The key picks the owning shard, probes its cache and travels
         with a miss to dispatch, so ``run_batch`` does not resolve a
-        hit's state again.  ``engine.job_key`` memoises only
+        hit's state again; the state travels with it, so a miss is not
+        resolved twice either.  ``engine.job_key`` memoises only
         descriptions that fix the state: two unseeded random jobs
         with identical payloads resolve (and key) independently — a
         shared key would make ``run_batch`` serve the second job the
-        first one's circuit as an intra-batch duplicate.  (An unseeded
-        random job may still resolve differently here and in the
-        engine, which re-keys the state it actually synthesises; only
+        first one's circuit as an intra-batch duplicate.  (A miss is
+        synthesised from the state its key was made from; only
         deterministic jobs get deterministic counters.)  A job whose
         state cannot even be resolved gets ``None``; ``run_batch``
         turns it into a :class:`~repro.engine.JobFailure`.
         """
         try:
-            return self.engine.job_key(job)
+            return self.engine.key_and_state(job)
         except Exception:  # noqa: BLE001 - failure handled in run_batch
-            return None
+            return None, None
 
     async def _dispatch_group(
         self,
@@ -638,6 +651,7 @@ class AsyncPreparationService:
                 self.engine.run_batch,
                 [queued.job for queued in batch],
                 keys=[queued.key for queued in batch],
+                states=[queued.state for queued in batch],
             )
         finally:
             if token is not None:

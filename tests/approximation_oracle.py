@@ -11,11 +11,21 @@ the fidelity from the recursive
 ``tests/test_dd_approximation.py`` and
 ``benchmarks/bench_hotpaths.py`` compare every result of
 ``approximate`` with it.
+
+:func:`overlap_reference` is the level-array overlap ``approximate``
+used before it summed the changed rows only: it pairs the rows the two
+diagrams reach together level by level.  :func:`changed_rows_reference`
+names the rows ``approximate``'s rebuild normalises again, by their
+definition.
 """
 
 from __future__ import annotations
 
-from repro.dd.approximation import ApproximationResult
+import math
+
+import numpy as np
+
+from repro.dd.approximation import ApproximationResult, _product
 from repro.dd.arithmetic import inner_product
 from repro.dd.builder import normalize_edges
 from repro.dd.diagram import DecisionDiagram
@@ -24,7 +34,12 @@ from repro.dd.node import DDNode, TERMINAL
 from repro.dd.unique_table import UniqueTable
 from repro.exceptions import ApproximationError
 
-__all__ = ["approximate_oracle", "fidelity_contributions_oracle"]
+__all__ = [
+    "approximate_oracle",
+    "changed_rows_reference",
+    "fidelity_contributions_oracle",
+    "overlap_reference",
+]
 
 #: Contributions below this threshold are treated as "already absent"
 #: and skipped by the candidate scan (removing them changes nothing).
@@ -377,3 +392,84 @@ def approximate_oracle(
         removed_leaves=removed_leaves,
         removal_log=removal_log,
     )
+
+
+def overlap_reference(bra, ket) -> complex:
+    """``<bra|ket>`` of two level-array diagrams, root weights left out.
+
+    ``bra`` and ``ket`` are ``(weights, children)`` lists over one
+    register, each with its root node at row 0 of level 0.  The pairs
+    of rows the two diagrams reach together are listed top-down; each
+    pair's overlap is then summed bottom-up with the recursion's
+    arithmetic, ``conj(a) * b * overlap(children)`` added digit by
+    digit from 0.
+    """
+    bra_weights, bra_children = bra
+    ket_weights, ket_children = ket
+    num_levels = len(bra_weights)
+    pairs = (np.zeros(1, dtype=np.intp), np.zeros(1, dtype=np.intp))
+    levels = []
+    for level in range(num_levels):
+        rows_a, rows_b = pairs
+        weight_a = bra_weights[level][rows_a]
+        weight_b = ket_weights[level][rows_b]
+        both = (np.hypot(weight_a.real, weight_a.imag) > WEIGHT_ZERO_CUTOFF) & (
+            np.hypot(weight_b.real, weight_b.imag) > WEIGHT_ZERO_CUTOFF
+        )
+        slot = np.full(both.shape, -1, dtype=np.intp)
+        if level + 1 < num_levels:
+            child_a = bra_children[level][rows_a]
+            child_b = ket_children[level][rows_b]
+            both &= (child_a >= 0) & (child_b >= 0)
+            width = ket_weights[level + 1].shape[0]
+            keys, slot[both] = np.unique(
+                (child_a * width + child_b)[both], return_inverse=True
+            )
+            pairs = (keys // width, keys % width)
+        levels.append((weight_a, weight_b, both, slot))
+    value = None
+    for weight_a, weight_b, both, slot in reversed(levels):
+        terms = _product(np.conj(weight_a), weight_b)
+        below = (
+            1.0 + 0.0j if value is None
+            else value[np.maximum(slot, 0)]
+        )
+        terms = _product(terms, below)
+        value = np.zeros(both.shape[0], dtype=np.complex128)
+        for digit in range(both.shape[1]):
+            value = np.where(both[:, digit], value + terms[:, digit], value)
+    return complex(value[0])
+
+
+def changed_rows_reference(weights, children, lost) -> list[list[int]]:
+    """The changed rows of pruned scan-order levels, by their
+    definition, one row at a time: a row the root reaches is changed
+    if it lost an edge, its weights are off unit norm by more than
+    1e-14, or one of its children is changed.  ``weights``,
+    ``children`` and ``lost`` are what ``approximate`` hands its
+    rebuild.  Returns each level's changed rows, ascending."""
+    num_levels = len(children)
+    reached = [{0}]
+    for level in range(num_levels - 1):
+        reached.append({
+            kid
+            for row in reached[level]
+            for kid in children[level][row].tolist()
+            if kid >= 0
+        })
+    changed: list[set[int]] = [set() for _ in range(num_levels)]
+    for level in range(num_levels - 1, -1, -1):
+        for row in reached[level]:
+            norm = math.sqrt(sum(
+                abs(weight) ** 2 for weight in weights[level][row].tolist()
+            ))
+            if (
+                lost[level][row]
+                or abs(norm - 1.0) > 1e-14
+                or any(
+                    kid >= 0 and kid in changed[level + 1]
+                    for kid in children[level][row].tolist()
+                )
+            ):
+                changed[level].add(row)
+    return [sorted(rows) for rows in changed]

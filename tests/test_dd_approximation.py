@@ -33,7 +33,9 @@ from repro.states.statevector import StateVector
 
 from tests.approximation_oracle import (
     approximate_oracle,
+    changed_rows_reference,
     fidelity_contributions_oracle,
+    overlap_reference,
 )
 from tests.conftest import SMALL_MIXED_DIMS, random_statevector
 from tests.kernel_oracles import stats_reference
@@ -675,3 +677,202 @@ class TestPythonArithmetic:
         assert approximation_module._quotient(a, b).tolist() == [
             x / y for x, y in pairs
         ]
+
+
+def record_rebuilds(monkeypatch) -> list[dict]:
+    """Record every ``_rebuild`` call of ``approximate``: the pruned
+    levels it was given (copied before it writes them), the levels it
+    left, its result, and the row count of every ``_in_edge_factors``
+    call it made."""
+    calls = []
+    rebuild = approximation_module._rebuild
+    in_edge_factors = approximation_module._in_edge_factors
+
+    def recording_factors(raw, magnitudes):
+        calls[-1]["normalised"].append(raw.shape[0])
+        return in_edge_factors(raw, magnitudes)
+
+    def recording(weights, children, lost, inputs, orders):
+        calls.append({
+            "weights": [level.copy() for level in weights],
+            "children": [level.copy() for level in children],
+            "lost": [level.copy() for level in lost],
+            "orders": orders,
+            "normalised": [],
+        })
+        result = rebuild(weights, children, lost, inputs, orders)
+        calls[-1].update(
+            after=[level.copy() for level in weights], result=result
+        )
+        return result
+
+    monkeypatch.setattr(approximation_module, "_rebuild", recording)
+    monkeypatch.setattr(
+        approximation_module, "_in_edge_factors", recording_factors
+    )
+    return calls
+
+
+def _merge_state() -> StateVector:
+    """Three root subtrees over ``v = (0.6, 0.8)``: ``|0>|v>``,
+    ``sqrt(.99)|0>|v> + sqrt(.01)|1>|w>`` and ``|1>|v>``.  Pruning
+    ``w`` leaves the middle subtree equal to the first."""
+    v = np.array([0.6, 0.8])
+    w = np.array([0.8, -0.6])
+    subtrees = [
+        np.kron([1.0, 0.0], v),
+        np.concatenate([np.sqrt(0.99) * v, np.sqrt(0.01) * w]),
+        np.kron([0.0, 1.0], v),
+    ]
+    return StateVector(np.concatenate(subtrees) / np.sqrt(3), (3, 2, 2))
+
+
+def reference_fidelity(dd, result) -> float:
+    """``approximate``'s fidelity as the pair walk over both diagrams
+    gives it."""
+    levels = result.diagram.levels
+    overlap = (
+        dd.root_weight.conjugate()
+        * result.diagram.root_weight
+        * overlap_reference(
+            (list(dd.levels.weights), list(dd.levels.children)),
+            (list(levels.weights), list(levels.children)),
+        )
+    )
+    return float(min(max(abs(overlap) ** 2, 0.0), 1.0))
+
+
+REBUILD_CASES = [
+    pytest.param(random_state(dims, rng=74), 0.98, "nodes", id=f"{dims}")
+    for dims in TABLE1_RANDOM
+] + [
+    pytest.param(random_state((6, 6, 5, 3, 3), rng=75), 0.9, "amplitudes",
+                 id="amplitudes"),
+    pytest.param(
+        random_state((4, 7, 4), rng=76, distribution="gaussian"), 0.9,
+        "nodes", id="gaussian",
+    ),
+    pytest.param(random_sparse_state((3, 3, 2, 2), 12, rng=61), 0.9,
+                 "nodes", id="sparse"),
+    pytest.param(w_state((3, 6, 2)), 0.7, "nodes", id="w"),
+    pytest.param(dicke_state((3, 3, 3, 2), 2), 0.5, "amplitudes",
+                 id="dicke"),
+    pytest.param(ghz_state((2,) * 6), 0.5, "nodes", id="ghz"),
+    pytest.param(_near_ties((4, 3, 2), 5), 0.9, "nodes", id="near-ties"),
+    # Untouched subtrees whose masses are 1 only to within about 1e-14:
+    # taking them as 1 moves this fidelity by 1.2e-14.
+    pytest.param(_near_ties((3, 2, 2), 67), 0.6, "nodes",
+                 id="near-ties-masses"),
+    pytest.param(_merge_state(), 0.99, "nodes", id="merge"),
+]
+
+
+class TestChangedRowsRebuild:
+    """Only the rows the pruning changed are normalised again; every
+    other row keeps its input's bytes."""
+
+    @pytest.mark.parametrize("state, min_fidelity, granularity", REBUILD_CASES)
+    def test_only_changed_rows_are_normalised(
+        self, monkeypatch, state, min_fidelity, granularity
+    ):
+        calls = record_rebuilds(monkeypatch)
+        approximate(build_dd(state), min_fidelity, granularity=granularity)
+        (call,) = calls
+        expected = changed_rows_reference(
+            call["weights"], call["children"], call["lost"]
+        )
+        assert [rows.tolist() for rows in call["result"][3]] == expected
+        # One _in_edge_factors call per level with a changed row,
+        # bottom-up, over exactly its changed rows.
+        assert call["normalised"] == [
+            len(rows) for rows in reversed(expected) if rows
+        ]
+
+    @pytest.mark.parametrize("state, min_fidelity, granularity", REBUILD_CASES)
+    def test_untouched_rows_keep_their_bytes(
+        self, monkeypatch, state, min_fidelity, granularity
+    ):
+        dd = build_dd(state)
+        calls = record_rebuilds(monkeypatch)
+        result = approximate(dd, min_fidelity, granularity=granularity)
+        (call,) = calls
+        changed = changed_rows_reference(
+            call["weights"], call["children"], call["lost"]
+        )
+        for level, (after, order) in enumerate(
+            zip(call["after"], call["orders"])
+        ):
+            result_rows = {
+                row.tobytes() for row in result.diagram.levels.weights[level]
+            }
+            untouched = sorted(
+                set(np.flatnonzero(
+                    approximation_module._reachable(call["children"])[level]
+                ).tolist()) - set(changed[level])
+            )
+            for row in untouched:
+                input_row = dd.levels.weights[level][order[row]]
+                assert after[row].tobytes() == input_row.tobytes()
+                assert input_row.tobytes() in result_rows
+
+    @pytest.mark.parametrize("state, min_fidelity, granularity", REBUILD_CASES)
+    def test_fidelity_matches_the_pair_walk(
+        self, state, min_fidelity, granularity
+    ):
+        dd = build_dd(state)
+        result = approximate(dd, min_fidelity, granularity=granularity)
+        assert result.removed_nodes + result.removed_leaves > 0
+        assert abs(result.fidelity - reference_fidelity(dd, result)) <= 1e-15
+
+    def test_rows_off_unit_norm_are_changed(self, monkeypatch):
+        # A near-tie build snaps weights to complex-table entries, which
+        # can leave rows off unit norm; such a row is normalised again
+        # though it lost no edge and no child of it changed.
+        calls = record_rebuilds(monkeypatch)
+        approximate(build_dd(_near_ties((4, 3, 2), 5)), 0.9)
+        (call,) = calls
+        changed = [set(rows.tolist()) for rows in call["result"][3]]
+        off_norm = [
+            row
+            for level, rows in enumerate(changed)
+            for row in rows
+            if not call["lost"][level][row]
+            and not any(
+                kid >= 0 and int(kid) in changed[level + 1]
+                for kid in call["children"][level][row]
+            )
+        ]
+        assert off_norm
+
+    def test_merge_case_merges(self, monkeypatch):
+        # The rebuilt middle subtree becomes the first one's node.
+        merges = []
+        merged_labels = approximation_module._merged_labels
+
+        def recording(*args):
+            labels = merged_labels(*args)
+            merges.append(labels is not None)
+            return labels
+
+        monkeypatch.setattr(
+            approximation_module, "_merged_labels", recording
+        )
+        dd = build_dd(_merge_state())
+        result = approximate(dd, 0.99)
+        assert result.removed_nodes == 1
+        assert any(merges)
+        assert result.diagram.stats.num_nodes == dd.stats.num_nodes - 2
+        assert result.diagram.stats == stats_reference(result.diagram)
+
+    @pytest.mark.parametrize("dims", TABLE1_RANDOM)
+    def test_table1_scan_equals_the_oracle(self, dims):
+        state = random_state(dims, rng=77)
+        result = approximate(build_dd(state), 0.98)
+        expected = approximate_oracle(build_dd(state), 0.98)
+        assert result.removed_nodes == expected.removed_nodes
+        assert result.removed_leaves == expected.removed_leaves
+        assert repr(result.removal_log) == repr(expected.removal_log)
+        assert result.diagram.stats == stats_reference(result.diagram)
+        assert stats_reference(result.diagram) == stats_reference(
+            expected.diagram
+        )

@@ -43,6 +43,11 @@ PRE_FORMAT_KEY = (
     "70035875e7a2a44e2e1c7947d1c95b4e6a802efcc22f7115063d1af844300356"
 )
 
+#: BASIS_JOB's content key under the ``"level-major"`` circuit format.
+LEVEL_MAJOR_KEY = (
+    "d3cb3fe67e68e44ebb78927a029d03b5a002642f7b87d6e848b855a02f7509c2"
+)
+
 
 MIXED_BATCH = [
     PreparationJob(dims=(3, 6, 2), family="ghz"),
@@ -173,24 +178,33 @@ class TestContentKey:
         # change CIRCUIT_FORMAT on purpose.
         job = BASIS_JOB
         assert content_key(job.resolve_state(), job.options) == (
-            "d3cb3fe67e68e44ebb78927a029d03b5a002642f7b87d6e848b855a02f7509c2"
+            "bdb275c02b6fb940f6a9fe6c8a1deb94f696d1fa44443426cb90a5da4b918db1"
         )
 
     def test_entry_of_an_older_circuit_format_misses(self, tmp_path):
         # A disk entry stored under the key the job had before keys
         # named the circuit format (when synthesis emitted blocks in
         # depth-first post-order) is never served.
+        self.assert_stale_key_misses(tmp_path, PRE_FORMAT_KEY)
+
+    def test_entry_of_the_level_major_format_misses(self, tmp_path):
+        # Nor is one stored under the "level-major" format, before
+        # approximation renormalised only the rows it changed.
+        self.assert_stale_key_misses(tmp_path, LEVEL_MAJOR_KEY)
+
+    @staticmethod
+    def assert_stale_key_misses(tmp_path, stale_key):
         stale = PreparationEngine().submit(BASIS_JOB)
         CircuitCache(disk_dir=tmp_path).put(
             CacheEntry(
-                key=PRE_FORMAT_KEY, circuit=stale.circuit, report=stale.report
+                key=stale_key, circuit=stale.circuit, report=stale.report
             )
         )
-        assert CircuitCache(disk_dir=tmp_path).get(PRE_FORMAT_KEY) is not None
+        assert CircuitCache(disk_dir=tmp_path).get(stale_key) is not None
         engine = PreparationEngine(cache=CircuitCache(disk_dir=tmp_path))
         outcome = engine.submit(BASIS_JOB)
         assert outcome.ok and not outcome.cache_hit
-        assert outcome.key != PRE_FORMAT_KEY
+        assert outcome.key != stale_key
         assert engine.stats().disk_hits == 0
         assert engine.stats().jobs_executed == 1
         assert CircuitCache(disk_dir=tmp_path).get(outcome.key) is not None
@@ -883,6 +897,38 @@ class TestProvidedKeys:
         job = PreparationJob(dims=(2, 2), family="ghz")
         with pytest.raises(EngineError, match="parallel"):
             engine.run_batch([job], keys=[])
+
+    def test_mismatched_states_length_rejected(self):
+        from repro.engine import PreparationEngine
+        from repro.exceptions import EngineError
+
+        engine = PreparationEngine()
+        job = PreparationJob(dims=(2, 2), family="ghz")
+        with pytest.raises(EngineError, match="states must parallel"):
+            engine.run_batch([job], keys=[None], states=[])
+
+    def test_provided_states_skip_resolution_on_misses(self, monkeypatch):
+        from repro.engine import PreparationEngine, comparable_outcome
+
+        engine = PreparationEngine()
+        job = PreparationJob(
+            dims=(3, 6, 2), family="random", params={"rng": 12}
+        )
+        key, state = engine.key_and_state(job)
+        assert state is not None
+        # The memo answers a repeat without a state.
+        assert engine.key_and_state(job) == (key, None)
+        calls = count_resolves(monkeypatch)
+        outcome = engine.run_batch(
+            [job], keys=[key], states=[state]
+        ).outcomes[0]
+        assert calls == []
+        assert outcome.ok and not outcome.cache_hit
+        assert outcome.key == key
+        monkeypatch.undo()
+        assert comparable_outcome(outcome) == comparable_outcome(
+            PreparationEngine().submit(job)
+        )
 
     def test_outcomes_identical_with_and_without_keys(self):
         from repro.engine import PreparationEngine, comparable_outcome

@@ -298,6 +298,45 @@ class TestCircuitTextReuse:
                 comparable_wire_outcome(reference)
             )
 
+    def test_disk_backed_miss_writes_its_literal_once(
+        self, monkeypatch, tmp_path
+    ):
+        # The literal spliced into the entry's file stays on the
+        # circuit, so the response sends it as it is: no second write
+        # and no thread hop to make one.
+        from repro.circuit import qasm
+        from repro.engine import CircuitCache
+        from repro.net import protocol
+
+        writes = []
+        write = qasm._write
+
+        def counted(*args, **kwargs):
+            writes.append(args)
+            return write(*args, **kwargs)
+
+        monkeypatch.setattr(qasm, "_write", counted)
+        engine = PreparationEngine(cache=CircuitCache(disk_dir=tmp_path))
+        outcome = engine.submit(PreparationJob(
+            dims=(4, 7, 4, 4, 3, 5), family="random", params={"rng": 5}
+        ))
+        assert outcome.ok and not outcome.cache_hit
+        assert len(writes) == 1
+        wire = outcome_to_wire(outcome, include_circuit=True)
+        assert len(writes) == 1
+        hops = []
+
+        async def no_hop(function, *args, **kwargs):
+            hops.append(function.__name__)
+            return function(*args, **kwargs)
+
+        monkeypatch.setattr(asyncio, "to_thread", no_hop)
+        (encoded,) = asyncio.run(protocol._encode([outcome], True))
+        assert hops == [] and len(writes) == 1
+        assert encoded["circuit"] is wire["circuit"]
+        stored = json.loads((tmp_path / f"{outcome.key}.json").read_text())
+        assert stored["qdasm"] == str(wire["circuit"])
+
     def test_miss_literal_is_written_off_the_event_loop(self, monkeypatch):
         from repro.circuit import qasm
 

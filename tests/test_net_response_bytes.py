@@ -153,12 +153,11 @@ class TestPrepareBodies:
         assert_plain_bodies(received, captured)
         results = [envelope["result"] for envelope, _ in captured]
         assert results[0]["cache_hit"] is False
-        # The miss's literal was written for its response; the entry
-        # keeps the one its first hit made.
+        # The disk-backed entry keeps the literal written for its file;
+        # the miss's response and every hit send that one.
         assert isinstance(results[0]["circuit"], QdasmLiteral)
-        assert isinstance(results[1]["circuit"], QdasmLiteral)
-        assert results[1]["circuit"] is not results[0]["circuit"]
-        assert results[3]["circuit"] is results[1]["circuit"]
+        assert results[1]["circuit"] is results[0]["circuit"]
+        assert results[3]["circuit"] is results[0]["circuit"]
         assert "circuit" not in results[2]
         assert [result["ok"] for result in results[5:]] == [False, False]
         assert json.loads(received[3])["id"] == AWKWARD_ID

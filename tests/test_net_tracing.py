@@ -257,13 +257,15 @@ class TestDoorSpan:
         async def scenario():
             service = AsyncPreparationService(num_shards=2)
             if slow_keying:
-                job_key = service.engine.job_key
+                key_and_state = service.engine.key_and_state
 
-                def slow_job_key(job):
+                def slow_key_and_state(job):
                     time.sleep(slow_keying)
-                    return job_key(job)
+                    return key_and_state(job)
 
-                monkeypatch.setattr(service.engine, "job_key", slow_job_key)
+                monkeypatch.setattr(
+                    service.engine, "key_and_state", slow_key_and_state
+                )
             await service.start()
             server = await HttpServer(service, tracer=Tracer()).start()
             try:

@@ -66,9 +66,9 @@ async def blocked_shard(service):
     ran, release = threading.Event(), threading.Event()
     run_batch = engine.run_batch
 
-    def blocking_run_batch(jobs, keys=None):
+    def blocking_run_batch(jobs, keys=None, states=None):
         jobs = list(jobs)
-        result = run_batch(jobs, keys=keys)
+        result = run_batch(jobs, keys=keys, states=states)
         if any(job is BLOCKER for job in jobs):
             ran.set()
             release.wait(10.0)
@@ -519,13 +519,15 @@ class TestAsyncPreparationService:
         # request arriving after stop() began is refused.
         async def scenario():
             service = AsyncPreparationService()
-            job_key = service.engine.job_key
+            key_and_state = service.engine.key_and_state
 
-            def slow_job_key(job):
+            def slow_key_and_state(job):
                 time.sleep(0.1)
-                return job_key(job)
+                return key_and_state(job)
 
-            monkeypatch.setattr(service.engine, "job_key", slow_job_key)
+            monkeypatch.setattr(
+                service.engine, "key_and_state", slow_key_and_state
+            )
             await service.start()
             waiters = [
                 asyncio.ensure_future(service.submit(ghz_job(dims)))
@@ -563,7 +565,7 @@ class TestAsyncPreparationService:
             service = AsyncPreparationService()
             await service.start()
 
-            def cancelled_run_batch(jobs, keys=None):
+            def cancelled_run_batch(jobs, keys=None, states=None):
                 raise asyncio.CancelledError
 
             monkeypatch.setattr(
@@ -587,7 +589,7 @@ class TestAsyncPreparationService:
             service = AsyncPreparationService()
             await service.start()
 
-            def cancelled_run_batch(jobs, keys=None):
+            def cancelled_run_batch(jobs, keys=None, states=None):
                 raise asyncio.CancelledError
 
             monkeypatch.setattr(
@@ -782,11 +784,18 @@ class TestPerShardDispatch:
 
     @staticmethod
     def _disjoint_shard_jobs(engine, want_same=False):
-        """Two single-job workloads on different (or equal) shards."""
+        """Two single-job workloads on different (or equal) shards.
+
+        Sixteen candidates: content keys fold in the circuit format, so
+        every format change deals the candidates to shards anew, and
+        eight of them once all landed on one shard of two.
+        """
         candidates = [
             ghz_job(dims=dims)
             for dims in [(2, 2), (2, 3), (3, 2), (3, 3), (2, 2, 2),
-                         (2, 2, 3), (3, 6, 2), (2, 4)]
+                         (2, 2, 3), (3, 6, 2), (2, 4), (4, 2), (3, 4),
+                         (2, 2, 2, 2), (5, 2), (2, 5), (3, 3, 2), (4, 3),
+                         (2, 6)]
         ]
         cache = engine.cache
         first = candidates[0]
@@ -809,7 +818,7 @@ class TestPerShardDispatch:
                 self.max_concurrent = 0
                 self.probe_lock = threading.Lock()
 
-            def run_batch(self, jobs, keys=None):
+            def run_batch(self, jobs, keys=None, states=None):
                 with self.probe_lock:
                     self.concurrent += 1
                     self.max_concurrent = max(
@@ -819,7 +828,7 @@ class TestPerShardDispatch:
 
                 _time.sleep(0.05)   # widen the overlap window
                 try:
-                    return super().run_batch(jobs, keys=keys)
+                    return super().run_batch(jobs, keys=keys, states=states)
                 finally:
                     with self.probe_lock:
                         self.concurrent -= 1
@@ -947,11 +956,11 @@ class TestPerShardDispatch:
         class SlowEngine(PreparationEngine):
             slow_job = None
 
-            def run_batch(self, jobs, keys=None):
+            def run_batch(self, jobs, keys=None, states=None):
                 jobs = list(jobs)
                 if any(job is self.slow_job for job in jobs):
                     time.sleep(0.4)
-                return super().run_batch(jobs, keys=keys)
+                return super().run_batch(jobs, keys=keys, states=states)
 
         engine = SlowEngine(cache=ShardPlacement.local(num_shards=2))
         slow, fast = self._disjoint_shard_jobs(engine)
@@ -982,11 +991,11 @@ class TestPerShardDispatch:
         class BrokenShardEngine(PreparationEngine):
             broken_job = None
 
-            def run_batch(self, jobs, keys=None):
+            def run_batch(self, jobs, keys=None, states=None):
                 jobs = list(jobs)
                 if any(job is self.broken_job for job in jobs):
                     raise RuntimeError("shard exploded")
-                return super().run_batch(jobs, keys=keys)
+                return super().run_batch(jobs, keys=keys, states=states)
 
         engine = BrokenShardEngine(
             cache=ShardPlacement.local(num_shards=2)
@@ -1145,6 +1154,30 @@ class TestLoopDoor:
         assert hops.count("run_batch") == 1
         hit, miss = batch.outcomes
         assert hit.cache_hit and miss.ok and not miss.cache_hit
+
+    def test_a_never_seen_job_resolves_once(self, monkeypatch):
+        # The door resolves the state to key the job; the miss carries
+        # it to run_batch, which synthesises it without resolving it
+        # again.
+        job = PreparationJob(
+            dims=(3, 6, 2), family="random", params={"rng": 21}
+        )
+        calls = []
+        original = PreparationJob.resolve_state
+
+        def counted(self):
+            calls.append(self)
+            return original(self)
+
+        monkeypatch.setattr(PreparationJob, "resolve_state", counted)
+
+        async def scenario():
+            async with AsyncPreparationService() as service:
+                return await service.submit(job)
+
+        outcome = asyncio.run(scenario())
+        assert outcome.ok and not outcome.cache_hit
+        assert calls == [job]
 
     def test_disk_only_entry_takes_the_thread_once(
         self, monkeypatch, tmp_path
