@@ -29,8 +29,8 @@ the same circuit as a gate list, and the two baselines),
 oracle of ``tests/approximation_oracle.py`` and ``finalize`` on the
 scenario's pipeline context.  It also checks the synthesised table
 against the oracle's contract (the oracle's rows stably sorted by
-target level, deepest first: equal target, control row, kind and
-levels, angles within 1e-12), the statistics that ``build_dd`` and
+target level, deepest first, then by control mask: equal target,
+control row, kind and levels, angles within 1e-12), the statistics that ``build_dd`` and
 ``approximate`` store on their diagrams against the oracle of
 ``tests/kernel_oracles.py``, and every ``approximate`` result against
 the scalar oracle's, and exits 1 on any mismatch.
@@ -55,9 +55,15 @@ against the gate-list parser, both of ``tests/qasm_oracle.py``, and
 records whether the text is the oracle's byte for byte and whether it
 reads back as a table; the run fails if either does not hold.
 Per scenario it also times the table kernel's run-matrix build on the
-synthesised circuit against ``run_matrices_reference`` of
-``tests/kernel_oracles.py`` and records whether every matrix is the
-reference's byte for byte; the run fails if one is not.
+synthesised circuit run from a random state (every run's full matrix)
+against ``run_matrices_reference`` of ``tests/kernel_oracles.py`` and
+records whether every matrix is the reference's byte for byte; the run
+fails if one is not.  It also records verify's work from ``|0...0>``
+(``verify.work``): its kernel calls (batch applications) and how many
+runs it built as first columns and as full matrices, and whether every
+first column is the reference's column 0 byte for byte; the run fails
+if a synthesised table run from ``|0...0>`` builds a full matrix or a
+column differs.
 ``--smoke`` runs a CI-sized grid and also fails unless block-kernel
 verify is no slower than gate-list verify, the run-matrix build no
 slower than the reference's, and the columnar writer no slower than
@@ -527,10 +533,24 @@ def run_qdasm(circuit: Circuit, repeats: int) -> dict:
     }
 
 
+def _same_stacks(stacks, positions, expected, expected_positions) -> bool:
+    return bool(
+        np.array_equal(positions, expected_positions)
+        and stacks.keys() == expected.keys()
+        and all(
+            stack.shape == expected[dimension].shape
+            and stack.tobytes() == expected[dimension].tobytes()
+            for dimension, stack in stacks.items()
+        )
+    )
+
+
 def run_matrices(circuit: Circuit, repeats: int) -> dict:
     """The table kernel's run-matrix build on ``circuit``'s runs against
     ``run_matrices_reference`` of ``tests/kernel_oracles.py``: times,
-    and whether every matrix is the reference's byte for byte.
+    and whether every matrix is the reference's byte for byte.  The
+    runs are those of a run from a random state, where the kernel
+    builds every run's full matrix.
 
     Each build takes well under a millisecond on the smoke grid, so the
     minimum is taken over five times ``repeats`` runs."""
@@ -538,13 +558,17 @@ def run_matrices(circuit: Circuit, repeats: int) -> dict:
     production = statevector_sim._run_matrices
     calls = []
 
-    def record(*args):
+    def record(*args, **kwargs):
         calls.append(args)
-        return production(*args)
+        return production(*args, **kwargs)
 
+    rng = np.random.default_rng(0)
+    initial = rng.normal(size=circuit.register.size) + 1j * rng.normal(
+        size=circuit.register.size
+    )
     statevector_sim._run_matrices = record
     try:
-        prepared_state(circuit)
+        statevector_sim.simulate_inplace(circuit, initial)
     finally:
         statevector_sim._run_matrices = production
     (args,) = calls
@@ -555,16 +579,59 @@ def run_matrices(circuit: Circuit, repeats: int) -> dict:
         "reference_s": round(
             _best_of(lambda: run_matrices_reference(*args), repeats), 6
         ),
-        "bytes_match": bool(
-            np.array_equal(positions, expected_positions)
-            and stacks.keys() == expected.keys()
-            and all(
-                stack.shape == expected[dimension].shape
-                and stack.tobytes() == expected[dimension].tobytes()
-                for dimension, stack in stacks.items()
-            )
+        "bytes_match": _same_stacks(
+            stacks, positions, expected, expected_positions
         ),
     }
+
+
+def verify_work(circuit: Circuit) -> dict:
+    """What verify does from ``|0...0>``: its kernel calls (batch
+    applications), the runs it built as first columns and as full
+    matrices, and whether every first column is column 0 of
+    ``run_matrices_reference``'s matrix, byte for byte."""
+    production = statevector_sim._run_matrices
+    apply = statevector_sim._apply_batch
+    work = {
+        "kernel_calls": 0,
+        "first_column_runs": 0,
+        "full_matrix_runs": 0,
+        "columns_match": True,
+    }
+
+    def record(table, starts, lengths, run_dims, full=True):
+        stacks, positions = production(table, starts, lengths, run_dims, full)
+        runs = sum(stack.shape[0] for stack in stacks.values())
+        if full:
+            work["full_matrix_runs"] += runs
+        else:
+            work["first_column_runs"] += runs
+            expected, expected_positions = run_matrices_reference(
+                table, starts, lengths, run_dims
+            )
+            work["columns_match"] &= _same_stacks(
+                stacks,
+                positions,
+                {
+                    dimension: np.ascontiguousarray(stack[:, :, :1])
+                    for dimension, stack in expected.items()
+                },
+                expected_positions,
+            )
+        return stacks, positions
+
+    def count(*args):
+        work["kernel_calls"] += 1
+        return apply(*args)
+
+    statevector_sim._run_matrices = record
+    statevector_sim._apply_batch = count
+    try:
+        prepared_state(circuit)
+    finally:
+        statevector_sim._run_matrices = production
+        statevector_sim._apply_batch = apply
+    return work
 
 
 def approximation_mismatches(
@@ -763,8 +830,10 @@ def run(smoke: bool, repeats: int) -> dict:
             ),
             "speedup_vs_seed": _round_speedup(seed_verify_s, table_s),
             "run_matrices": run_matrices(circuit, repeats),
+            "work": verify_work(circuit),
         }
         matrices = verify["run_matrices"]
+        work = verify["work"]
         print(f"  verify: table {table_s * 1e3:7.2f} ms"
               f" | gate list {gate_list_s * 1e3:7.2f} ms"
               f" ({verify['speedup_vs_gate_list']:.2f}x)"
@@ -775,6 +844,10 @@ def run(smoke: bool, repeats: int) -> dict:
               f" | run matrices {matrices['build_s'] * 1e3:6.2f} ms"
               f" | reference {matrices['reference_s'] * 1e3:6.2f} ms"
               f" | bytes match: {matrices['bytes_match']}", flush=True)
+        print(f"  verify from |0...0>: {work['kernel_calls']} kernel calls"
+              f" | {work['first_column_runs']} first columns"
+              f" | {work['full_matrix_runs']} full matrices"
+              f" | columns match: {work['columns_match']}", flush=True)
 
         # Cold: each run approximates a freshly built diagram.
         arrays_s = _best_of_cold(
@@ -952,6 +1025,25 @@ def run_matrices_check(payload: dict) -> str | None:
         return "run matrices differ from the reference on " + ", ".join(
             failures
         )
+    return None
+
+
+def first_columns_check(payload: dict) -> str | None:
+    """Verify from ``|0...0>`` builds no full run matrix for a
+    synthesised table, and its first columns are the reference's
+    column 0 byte for byte.
+
+    Returns the failure message, or ``None`` when both hold.
+    """
+    failures = [
+        f"{row['name']} ({work['full_matrix_runs']} full matrices, "
+        f"columns match: {work['columns_match']})"
+        for row in payload["scenarios"]
+        for work in [row["verify"]["work"]]
+        if work["full_matrix_runs"] or not work["columns_match"]
+    ]
+    if failures:
+        return "verify from |0...0> on " + ", ".join(failures)
     return None
 
 
@@ -1173,6 +1265,12 @@ def main(argv: list[str] | None = None) -> int:
         print(f"RUN MATRICES CHECK FAILED: {failure}", file=sys.stderr)
         return 1
     print("run matrices check held: the reference's bytes")
+    failure = first_columns_check(payload)
+    if failure is not None:
+        print(f"FIRST COLUMNS CHECK FAILED: {failure}", file=sys.stderr)
+        return 1
+    print("first columns check held: verify from |0...0> builds first "
+          "columns only, the reference's bytes")
     if options.smoke:
         failure = verify_floor(payload)
         if failure is not None:

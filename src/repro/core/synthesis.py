@@ -14,14 +14,19 @@ non-zero edges of a node point to the same child, the subtree is
 synthesised once *without* a control on that node's qudit.
 
 The circuit is emitted level by level, deepest level first, as
-Mozafari et al. do; within a level, visits follow their root paths in
-lexicographic order.  Compared with a depth-first post-order walk,
-this stably sorts the blocks by target level, so a block only moves
-past blocks that are neither its ancestors nor its descendants.  Two
-such visits split on some level where their parent was not elided, so
-they carry explicit, different controls on that qudit: they act on
-disjoint subspaces and commute.  A tensor-elided level has one child
-visit, so root paths never split there.
+Mozafari et al. do; within a level, visits are stably grouped by
+control mask (free before controlled, read from qudit 0) and
+otherwise follow their root paths in lexicographic order.  Compared
+with a depth-first post-order walk, this stably sorts the blocks by
+target level and then by mask, so a block only moves past blocks that
+are not its ancestors or descendants.  Two such visits split on some
+level where their parent was not elided, so they carry explicit,
+different controls on that qudit: they act on disjoint subspaces and
+commute.  A tensor-elided level has one child visit, so root paths
+never split there.  A level has several masks only where tensor
+elision dropped the control of some of its visits' ancestors and not
+of others, as on approximated and structured diagrams; grouped, each
+mask's blocks run in verify as one batch.
 
 Synthesis is an array program over the diagram's level arrays
 (:attr:`~repro.dd.diagram.DecisionDiagram.levels`) and reads no
@@ -69,8 +74,9 @@ __all__ = [
 #: of being served; change it whenever synthesis output changes.
 #: ``"level-major"`` named the same layout before approximation
 #: renormalised only the rows it changed, which moved the last bits of
-#: approximated circuits' angles.
-CIRCUIT_FORMAT = "level-major-2"
+#: approximated circuits' angles; ``"level-major-2"`` named it before
+#: the blocks of a level were grouped by control mask.
+CIRCUIT_FORMAT = "level-major-3"
 
 #: Angles at or below this magnitude are identity rotations, which
 #: ``emit_identity_rotations=False`` drops.
@@ -206,19 +212,35 @@ def _unpreparation_table(
             offset += counts[level]
 
     # Visits level by level: each followed edge of a visit is a visit
-    # one level down, in parent order and then digit order.
+    # one level down, in parent order and then digit order.  A visit
+    # lacks the control of a level where its ancestor was elided, so
+    # the visits of a level can differ in control mask only on the
+    # levels above where some of their ancestors were elided and some
+    # were not (``mixed``).
     visit_rows = [np.zeros(1, dtype=np.intp)]
     visit_controls = [np.full((1, num_qudits), -1, dtype=np.int16)]
+    mixed: list[list[int]] = [[]]
     for level in range(num_qudits - 1):
         parent, digit = np.nonzero(follows[level][visit_rows[level]])
         parent_rows = visit_rows[level][parent]
         visit_rows.append(levels.children[level][parent_rows, digit])
         controls = visit_controls[level][parent]
-        controls[:, level] = np.where(
-            elisions[level][parent_rows], -1, digit
-        )
+        elided = elisions[level][parent_rows]
+        controls[:, level] = np.where(elided, -1, digit)
         visit_controls.append(controls)
+        mixed.append(
+            mixed[level] + [level] if elided.any() and not elided.all()
+            else mixed[level]
+        )
 
+    # Each level's visits, stably grouped by control mask (sorted by
+    # the mask read from qudit 0).
+    for level, qudits in enumerate(mixed):
+        if qudits:
+            # lexsort's last key is the primary one.
+            order = np.lexsort((visit_controls[level][:, qudits[::-1]] >= 0).T)
+            visit_rows[level] = visit_rows[level][order]
+            visit_controls[level] = np.take(visit_controls[level], order, axis=0)
     deepest_first = range(num_qudits - 1, -1, -1)
     rows = np.concatenate(
         [visit_rows[level] + base[level] for level in deepest_first]
@@ -260,8 +282,8 @@ def synthesize_unpreparation(
 ) -> Circuit:
     """Synthesise the circuit mapping the DD's state to ``|0...0>``.
 
-    Blocks are emitted deepest level first, in root-path order within a
-    level (see the module docstring).
+    Blocks are emitted deepest level first, grouped by control mask and
+    then in root-path order within a level (see the module docstring).
 
     Args:
         dd: Decision diagram of the state (canonical, non-zero).

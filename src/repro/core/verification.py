@@ -3,16 +3,19 @@
 Verification is the one dense simulation every exact pipeline run
 pays, as in the paper: the synthesised rotation circuit runs on
 ``|0...0>`` through the in-place kernel
-:func:`~repro.simulator.statevector_sim.simulate_inplace` (one d x d
-matrix per block of its table, in emitted order; the level-major
-synthesis emits each level's blocks together, so the many small
-blocks of a deep level run as a few batched matmuls), and the result
-is compared with the target.  Building those matrices costs more than
-applying them; they are built per dimension on whole ``(d, k)`` slabs
-of a run-axis-last stack, each row kind computing only its own
-entries (see :mod:`repro.simulator.statevector_sim`).  A gate-list
-circuit (hand-built, parsed or transpiled) runs gate by gate, with
-each distinct local matrix built once per call.
+:func:`~repro.simulator.statevector_sim.simulate_inplace`, in emitted
+order, and the result is compared with the target.  The level-major
+synthesis emits each level's blocks together, grouped by control
+mask, so a level runs as one batched matmul per mask.  Run from
+``|0...0>``, the blocks of a level act on a qudit still at level 0 and
+reach only amplitudes whose later qudits are 0, so each block needs
+only the first column of its matrix and reads only those amplitudes:
+verify pays for the amplitudes each level reaches, not for whole
+subspaces.  The columns are built per dimension on whole slabs of a
+run-axis-last stack, each row kind computing only its own entries
+(see :mod:`repro.simulator.statevector_sim`).  A gate-list circuit
+(hand-built, parsed or transpiled) runs gate by gate, with each
+distinct local matrix built once per call.
 """
 
 from __future__ import annotations

@@ -73,6 +73,7 @@ from repro.dd.edge import WEIGHT_ZERO_CUTOFF
 from repro.dd.levels import (
     DiagramLevels,
     compact_levels,
+    hash_multipliers,
     merge_labels,
     preorder_positions,
 )
@@ -396,10 +397,6 @@ def _in_edge_factors(raw: np.ndarray, magnitudes: np.ndarray) -> np.ndarray:
     return factors
 
 
-#: Odd multiplier of :func:`_merged_labels`' row hash (64-bit wraparound).
-_HASH_STEP = 0x9E3779B97F4A7C15
-
-
 def _merged_labels(
     weights: np.ndarray,
     children: np.ndarray,
@@ -421,9 +418,7 @@ def _merged_labels(
     if not dirty.size:
         return None
     width = weights.shape[1]
-    multipliers = (
-        np.arange(1, 3 * width + 1, dtype=np.uint64) * np.uint64(_HASH_STEP)
-    ) | np.uint64(1)
+    multipliers = hash_multipliers(3 * width)
     rows = np.flatnonzero(reached)
     hashes = (
         (weights[rows] + 0.0).view(np.uint64) * multipliers[: 2 * width]

@@ -56,7 +56,7 @@ import numpy as np
 
 from repro.dd.diagram import DecisionDiagram, level_stats
 from repro.dd.edge import WEIGHT_ZERO_CUTOFF, Edge
-from repro.dd.levels import compact_levels, merge_labels
+from repro.dd.levels import compact_levels, hash_multipliers, merge_labels
 from repro.dd.unique_table import UniqueTable
 from repro.exceptions import StateError
 from repro.linalg.complex_table import (
@@ -154,6 +154,45 @@ def _normalize_level(
     return live_rows, factor, normalized, kept_ids
 
 
+def _row_hashes(keys: np.ndarray) -> np.ndarray:
+    """One ``uint64`` hash per row of an ``(m, c)`` ``int64`` key
+    matrix (:func:`~repro.dd.levels.hash_multipliers`); equal rows hash
+    equally."""
+    return keys.view(np.uint64) @ hash_multipliers(keys.shape[1])
+
+
+def _distinct_rows(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The first row of each distinct key, in row order, and every
+    row's 0-based key index in that order.
+
+    Rows are grouped by their hashes (:func:`_row_hashes`).  When no
+    two hashes are equal, every row is its own key.  Otherwise each
+    row's key is checked against its group's first; only a true
+    collision sorts the keys themselves.
+    """
+    rows = keys.shape[0]
+    hashes = _row_hashes(keys)
+    ordered = np.sort(hashes)
+    if not (ordered[1:] == ordered[:-1]).any():
+        identity = np.arange(rows)
+        return identity, identity
+    _, first, key_index = np.unique(
+        hashes, return_index=True, return_inverse=True
+    )
+    if not (keys == keys[first[key_index]]).all():
+        _, first, key_index = np.unique(
+            keys.view(
+                np.dtype((np.void, keys.itemsize * keys.shape[1]))
+            ).ravel(),
+            return_index=True,
+            return_inverse=True,
+        )
+    # np.unique sorts the keys; restoring row order keeps the complex
+    # table's representatives independent of that sort.
+    order = np.argsort(first)
+    return first[order], np.argsort(order)[key_index.ravel()]
+
+
 def _merge_rows(
     weights: list[np.ndarray],
     children: list[np.ndarray],
@@ -238,9 +277,7 @@ def build_dd(
         # Key every live row on its weights, snapped to the complex
         # table's grid, and its children: rows sharing a key are one
         # node.  ``first`` lists the first row of each key in row
-        # order (np.unique sorts the keys; restoring row order keeps
-        # the complex table's representatives independent of that
-        # sort) and ``row_node_ids`` maps every row to its key's
+        # order and ``row_node_ids`` maps every row to its key's
         # 1-based index.
         key_matrix = np.empty((factor.size, 3 * dimension), np.int64)
         key_matrix[:, :dimension] = np.rint(normalized.real * inv_quantum)
@@ -248,15 +285,8 @@ def build_dd(
             normalized.imag * inv_quantum
         )
         key_matrix[:, 2 * dimension:] = kept_ids
-        keys = key_matrix.view(
-            np.dtype((np.void, key_matrix.itemsize * 3 * dimension))
-        ).ravel()
-        _, first, key_index = np.unique(
-            keys, return_index=True, return_inverse=True
-        )
-        order = np.argsort(first)
-        first = first[order]
-        row_node_ids = np.argsort(order)[key_index] + 1
+        first, key_index = _distinct_rows(key_matrix)
+        row_node_ids = key_index + 1
         # The first row of each key is its distinct row (zero entries
         # stay exact zeros, so the weight row alone tells kept from
         # dropped edges).

@@ -116,6 +116,19 @@ def walk_levels(root: Edge, dims: Sequence[int]) -> DiagramLevels:
     return DiagramLevels(tuple(weights), tuple(children))
 
 
+#: Odd multiplier of the 64-bit row hashes (wraparound arithmetic).
+_HASH_STEP = 0x9E3779B97F4A7C15
+
+
+def hash_multipliers(count: int) -> np.ndarray:
+    """``count`` odd ``uint64`` multipliers of a row hash: a row's
+    64-bit words times these, summed with wraparound.  Equal rows hash
+    equally; distinct rows rarely do."""
+    return (
+        np.arange(1, count + 1, dtype=np.uint64) * np.uint64(_HASH_STEP)
+    ) | np.uint64(1)
+
+
 def _row_keys(weights: np.ndarray, children: np.ndarray) -> np.ndarray:
     """One opaque key per row: equal keys are equal nodes.
 

@@ -9,12 +9,13 @@ each node's ladder from the scalar
 circuit is ``Circuit.inverse`` of the unpreparation one.
 
 :mod:`repro.core.synthesis` emits the same blocks level by level,
-deepest level first, so its table is this circuit's rows stably sorted
-by target level, deepest first, with angles equal up to rounding.
-:func:`level_major_mismatches` checks that contract; the tests and
-``benchmarks/bench_hotpaths.py`` compare the two with it, and
-:func:`oracle_visits` lists the visits in post-order for the tests'
-legality check of the reordering.
+deepest level first, each level's blocks grouped by control mask, so
+its table is this circuit's rows stably sorted by target level, deepest
+first, then by control mask (:func:`level_major_order`), with angles
+equal up to rounding.  :func:`level_major_mismatches` checks that
+contract; the tests and ``benchmarks/bench_hotpaths.py`` compare the
+two with it, and :func:`oracle_visits` lists the visits in post-order
+for the tests' legality check of the reordering.
 """
 
 from __future__ import annotations
@@ -35,6 +36,7 @@ from repro.exceptions import SynthesisError
 
 __all__ = [
     "level_major_mismatches",
+    "level_major_order",
     "oracle_preparation",
     "oracle_unpreparation",
     "oracle_visits",
@@ -159,6 +161,17 @@ def oracle_preparation(
     return preparation
 
 
+def level_major_order(targets: np.ndarray, controls: np.ndarray) -> np.ndarray:
+    """The stable order that sorts rows (or visits) by target level,
+    deepest first, then by control mask: the mask read qudit by qudit
+    from qudit 0, a free qudit before a controlled one.
+
+    ``controls`` holds one control row per entry, ``-1`` for none.
+    """
+    masks = controls >= 0
+    return np.lexsort(tuple(masks.T[::-1]) + (-targets,))
+
+
 def level_major_mismatches(
     table: CircuitTable, oracle: Circuit
 ) -> list[str]:
@@ -166,9 +179,10 @@ def level_major_mismatches(
     ``oracle`` (an :func:`oracle_unpreparation` circuit).
 
     The contract: ``table``'s rows are the oracle's gates stably
-    sorted by target level, deepest first, with the same kind, target,
-    levels and control row per row, and angles (``theta``, and ``phi``
-    of Givens rows) within :data:`ANGLE_TOLERANCE`.
+    sorted by target level, deepest first, then by control mask
+    (:func:`level_major_order`), with the same kind, target, levels
+    and control row per row, and angles (``theta``, and ``phi`` of
+    Givens rows) within :data:`ANGLE_TOLERANCE`.
 
     Returns:
         The names of the columns that differ; empty when it holds.
@@ -190,7 +204,7 @@ def level_major_mismatches(
         "upper": np.array([gate.level_j for gate in gates], dtype=np.int64),
         "controls": controls,
     }
-    order = np.argsort(-expected["target"], kind="stable")
+    order = level_major_order(expected["target"], controls)
     produced = {
         "kind": table.kind,
         "target": table.target,

@@ -5,9 +5,10 @@ A synthesised circuit is a :class:`CircuitTable` wrapped in a
 each condition a gate list refuses, that every reader (counts,
 statistics, inverse, pickling, QDASM, the block simulation kernel)
 agrees with the equivalent gate list, that the block kernel's run
-matrices are those of the loop in ``tests/kernel_oracles.py`` bit for
-bit, and that nothing on the engine or serve path builds gate objects
-from a table.
+matrices (and, run from ``|0...0>``, their first columns) are those of
+the loop in ``tests/kernel_oracles.py`` bit for bit, that a run from
+``|0...0>`` builds only first columns for synthesised tables, and that
+nothing on the engine or serve path builds gate objects from a table.
 """
 
 from __future__ import annotations
@@ -28,6 +29,7 @@ from repro.circuit.gates import GivensRotation, ShiftGate
 from repro.circuit.stats import statistics
 from repro.circuit.table import GIVENS, PHASE, CircuitTable
 from repro.core.preparation import prepare_state
+from repro.core.verification import prepared_state
 from repro.core.synthesis import (
     synthesize_preparation,
     synthesize_unpreparation,
@@ -196,6 +198,72 @@ def random_tables(draw):
     circuit = Circuit.from_table(make_table(dims, blocks))
     circuit.global_phase = float(rng.uniform(-math.pi, math.pi))
     return circuit, seed
+
+
+def opening_blocks(dims, rng) -> list:
+    """Blocks that a run from ``|0...0>`` must treat with care.
+
+    On target ``t`` and control qudit ``q``, neither targeted before:
+    a block controlled at level 0 on ``q`` (it reads level 0), one
+    controlled above level 0 on ``q`` (it acts on zeros), a block that
+    reaches ``q``, a block that revisits ``t`` after it, and a
+    :func:`repeating_stretch`, whose batches on one target overlap.
+    """
+    t, q = (int(qudit) for qudit in rng.choice(len(dims), 2, replace=False))
+
+    def rows_on(target):
+        rows = []
+        for _ in range(int(rng.integers(1, 4))):
+            lower, upper = (
+                int(level)
+                for level in rng.choice(dims[target], 2, replace=False)
+            )
+            rows.append((
+                int(rng.integers(2)), target, lower, upper,
+                float(rng.uniform(-2 * math.pi, 2 * math.pi)),
+                float(rng.uniform(-math.pi, math.pi)),
+            ))
+        return rows
+
+    above = int(rng.integers(1, dims[q]))
+    return [
+        ({q: 0}, rows_on(t)),
+        ({q: above}, rows_on(t)),
+        ({}, rows_on(q)),
+        ({q: above}, rows_on(t)),
+    ] + repeating_stretch(dims, rng)
+
+
+@st.composite
+def tables_from_zero(draw):
+    """:func:`random_tables` with :func:`opening_blocks` in front."""
+    circuit, seed = draw(random_tables())
+    dims = circuit.dims
+    if len(dims) < 2:
+        dims = dims + (draw(st.integers(2, 4)),)
+    rng = np.random.default_rng(seed)
+    table = circuit.table
+    blocks = opening_blocks(dims, rng)
+    for block in range(table.num_blocks):
+        rows = range(table.offsets[block], table.offsets[block + 1])
+        blocks.append((
+            {
+                qudit: int(level)
+                for qudit, level in enumerate(table.controls[block])
+                if level >= 0
+            },
+            [
+                (
+                    int(table.kind[row]), int(table.target[row]),
+                    int(table.lower[row]), int(table.upper[row]),
+                    float(table.theta[row]), float(table.phi[row]),
+                )
+                for row in rows
+            ],
+        ))
+    drawn = Circuit.from_table(make_table(dims, blocks))
+    drawn.global_phase = circuit.global_phase
+    return drawn, seed
 
 
 #: Five blocks on (3, 2, 3), all on qudit 2: the first three share the
@@ -424,12 +492,23 @@ class TestColumnReaders:
     @settings(max_examples=80, deadline=None)
     def test_block_kernel_matches_reference(self, drawn):
         circuit, seed = drawn
-        initial = random_initial(circuit.dims, seed)
-        produced = simulate(circuit, initial)
-        reference = simulate_reference(circuit, initial)
-        assert np.allclose(
-            produced.amplitudes, reference.amplitudes, rtol=0, atol=1e-12
-        )
+        for initial in (None, random_initial(circuit.dims, seed)):
+            produced = simulate(circuit, initial)
+            reference = simulate_reference(circuit, initial)
+            assert np.allclose(
+                produced.amplitudes, reference.amplitudes, rtol=0, atol=1e-12
+            )
+
+    @given(tables_from_zero())
+    @settings(max_examples=80, deadline=None)
+    def test_block_kernel_from_zero_matches_reference(self, drawn):
+        circuit, seed = drawn
+        for initial in (None, random_initial(circuit.dims, seed)):
+            produced = simulate(circuit, initial)
+            reference = simulate_reference(circuit, initial)
+            assert np.allclose(
+                produced.amplitudes, reference.amplitudes, rtol=0, atol=1e-12
+            )
 
     @given(random_tables())
     @settings(max_examples=40, deadline=None)
@@ -467,34 +546,60 @@ class TestColumnReaders:
 # ----------------------------------------------------------------------
 # The run matrices are the reference loop's, bit for bit
 # ----------------------------------------------------------------------
-def assert_reference_bytes(circuit: Circuit, initial=None) -> None:
-    """The table kernel gives ``run_matrices_reference``'s run matrices
-    and, with them, the amplitudes it gives with the reference swapped
-    in, byte for byte (signs of zero included)."""
+def reference_matrices(table, starts, lengths, run_dims, full=True):
+    """``run_matrices_reference``'s stacks, cut to their first columns
+    unless ``full``: the reference for ``_run_matrices``."""
+    stacks, positions = run_matrices_reference(table, starts, lengths, run_dims)
+    if not full:
+        stacks = {
+            dimension: np.ascontiguousarray(stack[:, :, :1])
+            for dimension, stack in stacks.items()
+        }
+    return stacks, positions
+
+
+def run_bytes(circuit: Circuit, initial=None) -> list[bool]:
+    """Run the table kernel on ``initial`` (``|0...0>`` when ``None``)
+    and assert that every stack it builds is :func:`reference_matrices`'
+    and that the amplitudes equal those it gives with the reference
+    swapped in, byte for byte (signs of zero included).  Returns
+    whether each build was of full matrices."""
     assert circuit.table is not None
     production = statevector_sim._run_matrices
     built = []
 
-    def both(*args):
-        stacks, positions = production(*args)
-        expected, expected_positions = run_matrices_reference(*args)
+    def both(table, starts, lengths, run_dims, full=True):
+        stacks, positions = production(table, starts, lengths, run_dims, full)
+        expected, expected_positions = reference_matrices(
+            table, starts, lengths, run_dims, full
+        )
         assert np.array_equal(positions, expected_positions)
         assert stacks.keys() == expected.keys()
         for dimension, stack in stacks.items():
             assert stack.shape == expected[dimension].shape
             assert stack.tobytes() == expected[dimension].tobytes()
-        built.append(len(stacks))
+        built.append(full)
         return stacks, positions
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(statevector_sim, "_run_matrices", both)
         produced = simulate(circuit, initial).amplitudes
-        patch.setattr(
-            statevector_sim, "_run_matrices", run_matrices_reference
-        )
+        patch.setattr(statevector_sim, "_run_matrices", reference_matrices)
         expected = simulate(circuit, initial).amplitudes
-    assert len(built) == (circuit.table.num_rows > 0)
     assert np.array_equal(produced.view(np.int64), expected.view(np.int64))
+    return built
+
+
+def assert_reference_bytes(circuit: Circuit, seed: int = 0) -> None:
+    """:func:`run_bytes` from a random state, where every qudit is
+    reached and one build makes every run's full matrix, and from
+    ``|0...0>``, where the first build (if any run is live) makes
+    first columns."""
+    rows = circuit.table.num_rows > 0
+    assert run_bytes(circuit, random_initial(circuit.dims, seed)) == (
+        [True] if rows else []
+    )
+    assert run_bytes(circuit)[:1] != [True]
 
 
 TABLE1_REGISTERS = [
@@ -574,15 +679,138 @@ class TestRunMatricesMatchReference:
             ]),
         ]
         circuit = Circuit.from_table(make_table((2, 3), blocks))
-        assert_reference_bytes(circuit)
-        assert_reference_bytes(circuit, random_initial((2, 3), 4))
+        assert_reference_bytes(circuit, 4)
 
     @given(random_tables())
     @example((Circuit.from_table(make_table((3, 2, 3), REPEATED_ROW_BLOCKS)), 0))
     @settings(max_examples=80, deadline=None)
     def test_random_tables(self, drawn):
         circuit, seed = drawn
-        assert_reference_bytes(circuit, random_initial(circuit.dims, seed))
+        assert_reference_bytes(circuit, seed)
+
+    @given(tables_from_zero())
+    @settings(max_examples=40, deadline=None)
+    def test_tables_from_zero(self, drawn):
+        circuit, seed = drawn
+        assert_reference_bytes(circuit, seed)
+
+
+# ----------------------------------------------------------------------
+# From |0...0>, synthesised tables build first columns only
+# ----------------------------------------------------------------------
+def kernel_work(circuit: Circuit, initial=None) -> tuple[list, int]:
+    """Run the table kernel and return the shapes of the stacks it
+    built, ``(runs, columns)`` per dimension and build, and its number
+    of batch applications (kernel calls)."""
+    built = []
+    calls = []
+    production = statevector_sim._run_matrices
+    apply = statevector_sim._apply_batch
+
+    def recording(*args, **kwargs):
+        stacks, positions = production(*args, **kwargs)
+        built.extend((stack.shape[0], stack.shape[2]) for stack in stacks.values())
+        return stacks, positions
+
+    def counting(*args):
+        calls.append(None)
+        return apply(*args)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(statevector_sim, "_run_matrices", recording)
+        patch.setattr(statevector_sim, "_apply_batch", counting)
+        if initial is None:
+            prepared_state(circuit)
+        else:
+            simulate(circuit, initial)
+    return built, len(calls)
+
+
+def assert_first_columns_only(circuit: Circuit) -> None:
+    built, _ = kernel_work(circuit)
+    assert built, "nothing was built"
+    assert all(columns == 1 for _, columns in built), built
+    assert sum(runs for runs, _ in built) <= circuit.table.num_blocks
+
+
+class TestFirstColumnsFromZero:
+    """``prepared_state`` of a synthesised table builds no full run
+    matrix: a level's blocks act on a qudit still at level 0, or on
+    amplitudes whose levels above 0 are zero."""
+
+    def test_guard_is_armed(self):
+        # From a random state every run gets its full matrix, and from
+        # |0...0> two batches on one target whose subspaces overlap
+        # need full matrices for the second.
+        circuit = Circuit.from_table(make_table((3, 2, 3), REPEATED_ROW_BLOCKS))
+        built, _ = kernel_work(circuit, random_initial(circuit.dims, 3))
+        assert built == [(5, 3)]
+        built, _ = kernel_work(
+            Circuit.from_table(make_table((3, 2, 3), [
+                ({}, [(GIVENS, 2, 0, 1, 0.7, 0.2)]),
+                ({0: 0}, [(GIVENS, 2, 1, 2, 0.9, -0.4)]),
+            ]))
+        )
+        assert built == [(2, 1), (1, 3)]
+
+    @pytest.mark.parametrize("min_fidelity", [1.0, 0.98])
+    @pytest.mark.parametrize("dims", TABLE1_REGISTERS)
+    def test_table1_random_states(self, dims, min_fidelity):
+        state = random_state(dims, rng=sum(dims) + 1)
+        assert_first_columns_only(
+            prepare_state(state, min_fidelity=min_fidelity, verify=False).circuit
+        )
+
+    @pytest.mark.parametrize(
+        "state",
+        [
+            ghz_state((3, 6, 2)),
+            ghz_state((2,) * 6 + (3,) * 2),
+            w_state((3, 6, 2)),
+            w_state((2,) * 6 + (3,) * 2),
+            dicke_state((2,) * 6 + (3,) * 2, 2),
+        ],
+        ids=["ghz-362", "ghz-mixed", "w-362", "w-mixed", "dicke-mixed"],
+    )
+    def test_structured_states(self, state):
+        assert_first_columns_only(prepare_state(state, verify=False).circuit)
+
+    @pytest.mark.parametrize(
+        "option", ["emit_identity_rotations", "tensor_elision"]
+    )
+    @pytest.mark.parametrize("dims", [(3, 6, 2), (6, 6, 5, 3, 3)])
+    def test_synthesis_options_off(self, dims, option):
+        for state in (
+            random_state(dims, rng=6),
+            random_sparse_state(dims, num_terms=9, rng=6),
+        ):
+            assert_first_columns_only(
+                prepare_state(state, verify=False, **{option: False}).circuit
+            )
+
+    def test_an_approximated_level_runs_one_batch_per_mask(self):
+        # dense-12 at 0.98: its deepest levels carry several control
+        # masks, each a batch, so it takes about as many kernel calls
+        # as the exact table.
+        dims = (2, 3, 2, 2, 3, 2, 2, 2, 3, 2, 2, 2)
+        state = random_state(dims, rng=7)
+        exact = prepare_state(state, verify=False).circuit
+        approximated = prepare_state(
+            state, min_fidelity=0.98, verify=False
+        ).circuit
+        masks = {
+            (int(target), tuple(row >= 0))
+            for target, row in zip(
+                approximated.table.target[approximated.table.offsets[:-1]],
+                approximated.table.controls,
+            )
+        }
+        assert len(masks) > len(dims)
+        _, exact_calls = kernel_work(exact)
+        built, calls = kernel_work(approximated)
+        assert all(columns == 1 for _, columns in built)
+        assert calls <= 20
+        assert calls <= exact_calls + len(masks) - len(dims)
 
 
 # ----------------------------------------------------------------------

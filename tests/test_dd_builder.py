@@ -132,3 +132,69 @@ class TestNormalizeEdges:
         )
         assert np.isclose(edge.weight, 1j)
         assert np.isclose(edge.node.weights[0], 1.0)
+
+
+def _same_diagram(a, b) -> bool:
+    """Equal level arrays (bytes), root weights and statistics."""
+    return (
+        a.root_weight == b.root_weight
+        and a.stats == b.stats
+        and all(
+            x.tobytes() == y.tobytes()
+            for x, y in zip(
+                a.levels.weights + a.levels.children,
+                b.levels.weights + b.levels.children,
+            )
+        )
+        and len(a.levels.weights) == len(b.levels.weights)
+    )
+
+
+class TestRowHashKeys:
+    """The build keys rows by a 64-bit hash of their quantised keys;
+    equal hashes are checked, and only a true collision sorts the keys
+    themselves."""
+
+    STATES = [
+        random_statevector((4, 7, 4), seed=3),
+        random_statevector((2, 3, 2, 2), seed=4),
+        w_state((3, 2, 2, 3)),
+        uniform_state((2, 3, 2)),
+        ghz_state((3, 3, 2)),
+    ]
+
+    @pytest.mark.parametrize(
+        "collide",
+        [lambda hashes: np.zeros_like(hashes), lambda hashes: hashes & 3],
+        ids=["all-equal", "low-bits"],
+    )
+    @pytest.mark.parametrize("state", STATES, ids=lambda state: str(state.dims))
+    def test_colliding_hashes_give_the_same_diagram(
+        self, monkeypatch, state, collide
+    ):
+        from repro.dd import builder
+
+        expected = build_dd(state)
+        production = builder._row_hashes
+        calls = []
+
+        def colliding(keys):
+            calls.append(keys.shape[0])
+            return collide(production(keys))
+
+        monkeypatch.setattr(builder, "_row_hashes", colliding)
+        assert _same_diagram(build_dd(state), expected)
+        assert len(calls) == len(state.dims)
+
+    def test_random_rows_take_the_identity(self):
+        # Every row of a random state is its own node: no two hashes
+        # are equal, and the rows keep their order.
+        from repro.dd.builder import _distinct_rows
+
+        keys = np.arange(24, dtype=np.int64).reshape(6, 4)
+        first, index = _distinct_rows(keys)
+        assert first.tolist() == index.tolist() == list(range(6))
+        keys[4] = keys[1]
+        first, index = _distinct_rows(keys)
+        assert first.tolist() == [0, 1, 2, 3, 5]
+        assert index.tolist() == [0, 1, 2, 3, 1, 4]

@@ -48,6 +48,11 @@ LEVEL_MAJOR_KEY = (
     "d3cb3fe67e68e44ebb78927a029d03b5a002642f7b87d6e848b855a02f7509c2"
 )
 
+#: BASIS_JOB's content key under the ``"level-major-2"`` circuit format.
+LEVEL_MAJOR_2_KEY = (
+    "bdb275c02b6fb940f6a9fe6c8a1deb94f696d1fa44443426cb90a5da4b918db1"
+)
+
 
 MIXED_BATCH = [
     PreparationJob(dims=(3, 6, 2), family="ghz"),
@@ -178,7 +183,7 @@ class TestContentKey:
         # change CIRCUIT_FORMAT on purpose.
         job = BASIS_JOB
         assert content_key(job.resolve_state(), job.options) == (
-            "bdb275c02b6fb940f6a9fe6c8a1deb94f696d1fa44443426cb90a5da4b918db1"
+            "26c427779db0bbc7a78c77d205e4c4f1959c669113e48fac25cb25a691debc28"
         )
 
     def test_entry_of_an_older_circuit_format_misses(self, tmp_path):
@@ -191,6 +196,11 @@ class TestContentKey:
         # Nor is one stored under the "level-major" format, before
         # approximation renormalised only the rows it changed.
         self.assert_stale_key_misses(tmp_path, LEVEL_MAJOR_KEY)
+
+    def test_entry_of_the_level_major_2_format_misses(self, tmp_path):
+        # Nor one stored under "level-major-2", before synthesis
+        # grouped each level's blocks by control mask.
+        self.assert_stale_key_misses(tmp_path, LEVEL_MAJOR_2_KEY)
 
     @staticmethod
     def assert_stale_key_misses(tmp_path, stale_key):

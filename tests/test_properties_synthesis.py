@@ -8,9 +8,9 @@ These are the headline invariants of the reproduction:
 * the emitted operation count matches the closed-form predictor;
 * the level-major synthesis emits the blocks of the gate-by-gate,
   depth-first oracle in ``tests/synthesis_oracle.py`` stably sorted by
-  target level, deepest first (angles within 1e-12), every pair of
-  blocks it reorders carries conflicting controls, and it reads no
-  decision-diagram node.
+  target level, deepest first, then by control mask (angles within
+  1e-12), every pair of blocks it reorders carries conflicting
+  controls, and it reads no decision-diagram node.
 """
 
 import numpy as np
@@ -44,6 +44,7 @@ from repro.states.statevector import StateVector
 
 from tests.synthesis_oracle import (
     level_major_mismatches,
+    level_major_order,
     oracle_preparation,
     oracle_unpreparation,
     oracle_visits,
@@ -170,25 +171,29 @@ def synthesis_diagrams(draw):
 
 def moved_pairs_commute(targets, controls):
     """For every pair of visits (in post-order) whose order the
-    deepest-first sort swaps, whether they have explicit, different
-    controls on some qudit, so that their blocks commute.
+    level-major sort (deepest first, then by control mask) swaps,
+    whether they have explicit, different controls on some qudit, so
+    that their blocks commute.
 
     A visit precedes a deeper one in post-order and follows it after
-    the sort.
+    the sort; on one level, it follows a later visit whose mask sorts
+    first.
     """
+    position = np.empty(targets.size, dtype=np.intp)
+    position[level_major_order(targets, controls)] = np.arange(targets.size)
     first, second = np.triu_indices(targets.size, 1)
-    moved = targets[second] > targets[first]
+    moved = position[second] < position[first]
     a, b = controls[first[moved]], controls[second[moved]]
     return np.any((a >= 0) & (b >= 0) & (a != b), axis=1)
 
 
 def assert_legal_reordering(dd, elision, table):
     """The table's blocks are the oracle's visits stably sorted by
-    target level, deepest first, and every pair of blocks whose order
-    differs from the oracle's commutes.  Returns the number of such
-    pairs."""
+    target level, deepest first, then by control mask, and every pair
+    of blocks whose order differs from the oracle's commutes.  Returns
+    the number of such pairs."""
     targets, controls = oracle_visits(dd, elision)
-    order = np.argsort(-targets, kind="stable")
+    order = level_major_order(targets, controls)
     assert np.array_equal(table.controls, controls[order])
     filled = np.flatnonzero(table.block_lengths())
     assert np.array_equal(
@@ -216,7 +221,8 @@ def assert_same_as_oracle(dd, elision, identities):
 
 class TestColumnarSynthesisMatchesOracle:
     """Synthesis emits the oracle's blocks level by level, deepest
-    first: its rows are the oracle's stably sorted by target."""
+    first, each level grouped by control mask: its rows are the
+    oracle's stably sorted by target, then by mask."""
 
     @given(synthesis_diagrams(), st.booleans(), st.booleans())
     @settings(max_examples=120, deadline=None)

@@ -283,6 +283,36 @@ class TestSimulateInplaceContract:
         with pytest.raises(SimulationError):
             simulate_inplace(circuit, np.zeros(3, dtype=np.complex128))
 
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda size: np.eye(1, size, dtype=np.float64)[0],
+            lambda size: np.eye(1, size, dtype=np.int64)[0],
+            lambda size: np.eye(1, size, dtype=np.complex128)[0],
+        ],
+        ids=["float64", "int64", "read-only"],
+    )
+    @pytest.mark.parametrize("global_phase", [0.0, None])
+    def test_refuses_a_buffer_that_cannot_hold_a_state(
+        self, make, global_phase
+    ):
+        # The circuit of a complex random state: run on a real or
+        # integer buffer, its amplitudes would be cast down (NumPy
+        # warns only), and a read-only one would fail inside the
+        # kernel.  None is touched before the refusal.
+        circuit = prepare_state(
+            random_statevector((3, 2), seed=11), verify=False
+        ).circuit
+        if global_phase is not None:
+            circuit.global_phase = global_phase
+        assert circuit.table is not None
+        buffer = make(circuit.register.size)
+        buffer.setflags(write=buffer.dtype != np.complex128)
+        before = buffer.copy()
+        with pytest.raises(SimulationError):
+            simulate_inplace(circuit, buffer)
+        assert buffer.tobytes() == before.tobytes()
+
     def test_returns_the_buffer_it_was_given(self):
         circuit = Circuit((3,))
         circuit.append(FourierGate(0))
